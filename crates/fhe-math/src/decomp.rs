@@ -72,6 +72,26 @@ impl SignedDigitDecomposer {
     /// Decomposes a torus value into balanced digits, most significant
     /// first (`digits[0]` scales `2^{64-w}`).
     pub fn decompose(&self, t: u64) -> Vec<i64> {
+        let mut out = vec![0i64; self.levels];
+        self.decompose_into(t, &mut out);
+        out
+    }
+
+    /// [`decompose`](Self::decompose) into a caller-provided buffer — the
+    /// allocation-free form for per-coefficient hot loops.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.levels()`.
+    #[inline]
+    pub fn decompose_into(&self, t: u64, out: &mut [i64]) {
+        assert_eq!(out.len(), self.levels, "digit buffer must hold one digit per level");
+        self.decompose_strided(t, out, 1);
+    }
+
+    /// Writes digit `j` of `t` to `out[j * stride]`.
+    #[inline]
+    fn decompose_strided(&self, t: u64, out: &mut [i64], stride: usize) {
         let w = self.base_log;
         let l = self.levels;
         let total = w * l as u32;
@@ -85,21 +105,19 @@ impl SignedDigitDecomposer {
         let base = 1u64 << w;
         let half = base >> 1;
         let mask = base - 1;
-        let mut out = vec![0i64; l];
         let mut carry = 0u64;
         // Least-significant digit first: digit j scales 2^{(l-1-j)*w} of t_hat.
         for j in (0..l).rev() {
             let raw = ((t_hat >> ((l - 1 - j) as u32 * w)) & mask) + carry;
             if raw >= half {
-                out[j] = raw as i64 - base as i64;
+                out[j * stride] = raw as i64 - base as i64;
                 carry = 1;
             } else {
-                out[j] = raw as i64;
+                out[j * stride] = raw as i64;
                 carry = 0;
             }
         }
         // A final carry adds 2^64 ≡ 0 to the recomposition; drop it.
-        out
     }
 
     /// Recomposes digits back into a torus value (wrapping arithmetic).
@@ -131,13 +149,25 @@ impl SignedDigitDecomposer {
     /// Decomposes every coefficient of a torus polynomial, returning one
     /// signed polynomial per level (level-major layout).
     pub fn decompose_poly(&self, poly: &[u64]) -> Vec<Vec<i64>> {
-        let mut out = vec![vec![0i64; poly.len()]; self.levels];
+        let n = poly.len();
+        let mut flat = vec![0i64; self.levels * n];
+        self.decompose_poly_into(poly, &mut flat);
+        (0..self.levels).map(|j| flat[j * n..(j + 1) * n].to_vec()).collect()
+    }
+
+    /// [`decompose_poly`](Self::decompose_poly) into one flat level-major
+    /// buffer: digit `j` of coefficient `i` lands at `out[j·n + i]`, so
+    /// `out[j·n..(j+1)·n]` is the level-`j` signed polynomial.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.levels() * poly.len()`.
+    pub fn decompose_poly_into(&self, poly: &[u64], out: &mut [i64]) {
+        let n = poly.len();
+        assert_eq!(out.len(), self.levels * n, "digit buffer must hold levels × n digits");
         for (i, &t) in poly.iter().enumerate() {
-            for (j, d) in self.decompose(t).into_iter().enumerate() {
-                out[j][i] = d;
-            }
+            self.decompose_strided(t, &mut out[i..], n);
         }
-        out
     }
 }
 

@@ -287,9 +287,25 @@ impl Modulus {
         }
     }
 
-    /// Converts a signed value in `(-q, q)` represented as `i64` to canonical form.
+    /// Converts any `i64` to its canonical residue. Inputs are almost
+    /// always in `(-q, q)`, which costs one well-predicted compare and no
+    /// division.
     #[inline]
     pub fn from_i64(&self, a: i64) -> u64 {
+        if a.unsigned_abs() < self.value {
+            // `a + q` for negatives, `a` otherwise; a mask rather than a
+            // second branch, which random signs would mispredict.
+            (a as u64).wrapping_add(self.value & ((a >> 63) as u64))
+        } else {
+            self.reduce_wide_i64(a)
+        }
+    }
+
+    /// [`from_i64`](Self::from_i64) for `|a| ≥ q`: a software 128-bit
+    /// division, kept out of line so the common path inlines small.
+    #[cold]
+    #[inline(never)]
+    fn reduce_wide_i64(&self, a: i64) -> u64 {
         let q = self.value as i128;
         let mut v = a as i128 % q;
         if v < 0 {

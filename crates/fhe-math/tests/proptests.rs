@@ -157,6 +157,40 @@ proptest! {
     }
 
     #[test]
+    fn flat_poly_decomposition_matches_per_coefficient(
+        poly in prop::collection::vec(any::<u64>(), 0..9),
+        base_log in 1u32..17,
+        levels in 1usize..5,
+    ) {
+        let d = SignedDigitDecomposer::new(base_log, levels).unwrap();
+        let n = poly.len();
+        let mut flat = vec![i64::MAX; levels * n];
+        d.decompose_poly_into(&poly, &mut flat);
+        let by_level = d.decompose_poly(&poly);
+        prop_assert_eq!(by_level.len(), levels);
+        let mut digits = vec![0i64; levels];
+        for (i, &t) in poly.iter().enumerate() {
+            d.decompose_into(t, &mut digits);
+            prop_assert_eq!(&digits, &d.decompose(t));
+            for (j, &digit) in digits.iter().enumerate() {
+                prop_assert_eq!(flat[j * n + i], digit);
+                prop_assert_eq!(by_level[j][i], digit);
+            }
+        }
+    }
+
+    #[test]
+    fn from_i64_matches_the_wide_remainder(a in any::<i64>(), near in -2i64..3) {
+        for m in [modulus_36(), modulus_60()] {
+            let q = m.value() as i64;
+            // The whole i64 range, and the seams of the `|a| < q` fast path.
+            for a in [a, i64::MIN, i64::MAX, 0, q + near, -q + near, q - 1, 1 - q, q, -q] {
+                prop_assert_eq!(m.from_i64(a), (a as i128).rem_euclid(q as i128) as u64);
+            }
+        }
+    }
+
+    #[test]
     fn ubig_matches_u128_arithmetic(a in any::<u64>(), b in any::<u64>()) {
         let (ua, ub) = (UBig::from_u64(a), UBig::from_u64(b));
         prop_assert_eq!(ua.add(&ub), UBig::from_u128(a as u128 + b as u128));

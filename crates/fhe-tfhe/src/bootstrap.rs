@@ -12,7 +12,7 @@ use crate::params::TfheParams;
 use crate::poly_mult::NegacyclicMultiplier;
 use crate::torus;
 use crate::trgsw::TrgswCiphertext;
-use crate::trlwe::{TrlweCiphertext, TrlweSecretKey};
+use crate::trlwe::{rotate_map, TrlweCiphertext, TrlweSecretKey};
 use crate::TfheError;
 use fhe_math::SignedDigitDecomposer;
 use rand::Rng;
@@ -127,8 +127,11 @@ impl KeySwitchKey {
         assert_eq!(ct.dim(), self.rows.len(), "keyswitch dimension mismatch");
         let target_dim = self.rows[0][0].dim();
         let mut out = LweCiphertext::trivial(ct.b, target_dim);
+        // `SignedDigitDecomposer::new` caps `levels` at 64.
+        let mut buf = [0i64; 64];
+        let digits = &mut buf[..self.decomposer.levels()];
         for (i, &ai) in ct.a.iter().enumerate() {
-            let digits = self.decomposer.decompose(ai);
+            self.decomposer.decompose_into(ai, digits);
             for (d, &digit) in digits.iter().enumerate() {
                 if digit == 0 {
                     continue;
@@ -179,7 +182,8 @@ impl Pbs {
     ///
     /// # Errors
     ///
-    /// Surfaces a contained worker panic from the parallel backend.
+    /// Currently infallible — the fused external product opens no parallel
+    /// region; the `Result` is kept so callers need not change.
     ///
     /// # Panics
     ///
@@ -201,14 +205,18 @@ impl Pbs {
         };
         let b_tilde = scale(ct.b);
         let mut acc = TrlweCiphertext::trivial(testv.to_vec()).rotate(two_n - b_tilde);
-        for (i, trgsw) in bsk.trgsw.iter().enumerate() {
-            let a_tilde = scale(ct.a[i]);
+        let mut ws = self.mult.workspace((self.params.glwe_dim + 1) * self.params.pbs_levels);
+        for (trgsw, &ai) in bsk.trgsw.iter().zip(&ct.a) {
+            let a_tilde = scale(ai);
             if a_tilde == 0 {
                 continue;
             }
-            let rotated = acc.rotate(a_tilde);
-            acc = trgsw.cmux(&self.mult, &acc, &rotated)?;
+            // CMux(acc, X^ã·acc) = acc + trgsw ⊡ (X^ã·acc − acc), in place.
+            rotate_map(&acc.a, a_tilde, &mut ws.input[0], u64::wrapping_sub);
+            rotate_map(&acc.b, a_tilde, &mut ws.input[1], u64::wrapping_sub);
+            trgsw.external_product_add(&self.mult, &mut ws, &mut acc);
         }
+        ws.report_transforms();
         Ok(acc)
     }
 
@@ -218,7 +226,7 @@ impl Pbs {
     ///
     /// # Errors
     ///
-    /// Surfaces a contained worker panic from the parallel backend.
+    /// Currently infallible; see [`Pbs::blind_rotate`].
     ///
     /// # Panics
     ///

@@ -100,7 +100,7 @@ impl ServerKey {
     ///
     /// # Errors
     ///
-    /// Surfaces a contained worker panic from the parallel backend.
+    /// Currently infallible; see [`Pbs::blind_rotate`].
     pub fn bootstrap_to_bit(&self, ct: &LweCiphertext) -> Result<LweCiphertext, TfheError> {
         let testv = self.pbs.sign_testv(torus::ONE_EIGHTH);
         self.pbs.bootstrap(&self.bsk, &self.ksk, ct, &testv)
@@ -111,7 +111,7 @@ impl ServerKey {
     ///
     /// # Errors
     ///
-    /// Surfaces a contained worker panic from the parallel backend.
+    /// Currently infallible; see [`Pbs::blind_rotate`].
     pub fn bootstrap_with_lut(
         &self,
         ct: &LweCiphertext,

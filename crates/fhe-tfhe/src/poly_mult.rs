@@ -7,27 +7,59 @@
 //! rounding error; hardware accelerators — and this implementation — use
 //! exact NTTs instead: the integer product is computed modulo two ~60-bit
 //! NTT primes, CRT-reconstructed (Garner), centered, and reduced mod
-//! `2^64`. Exactness holds because the true coefficients are bounded by
-//! `N · 2^{β-1} · 2^64 < p_1·p_2 / 2`.
+//! `2^64`. Exactness holds for a *sum* of `T` such products (the external
+//! product accumulates `T = (k+1)·l_b` of them before reconstructing)
+//! because its true coefficients are bounded by
+//! `T · N · 2^{β-1} · 2^64 < p_1·p_2 / 2` — `2^98` against `2^117` at the
+//! widest shipped shape (set II).
 
 use crate::TfheError;
-use fhe_math::{generate_ntt_primes, par, Modulus, NttTable};
+use fhe_math::{generate_ntt_primes, par, Modulus, NttTable, ShoupScalar};
 
 /// Work estimate (element-operations) for one `n`-point NTT.
 fn ntt_work(n: usize) -> u64 {
     (n as u64) * u64::from(usize::BITS - n.leading_zeros())
 }
 
+/// One CRT prime field of the multiplier.
+#[derive(Debug, Clone)]
+struct PrimeField {
+    q: Modulus,
+    ntt: NttTable,
+}
+
+impl PrimeField {
+    fn new(q: u64, n: usize) -> Result<Self, TfheError> {
+        let q = Modulus::new(q)?;
+        Ok(PrimeField { q, ntt: NttTable::new(q, n)? })
+    }
+
+    /// Reduces a torus polynomial into this field and transforms it.
+    fn prepare(&self, poly: &[u64]) -> Vec<u64> {
+        let mut res: Vec<u64> = poly.iter().map(|&t| self.q.reduce(t)).collect();
+        self.ntt.forward(&mut res);
+        res
+    }
+
+    /// The residues of `ints ⊛ torus`, `torus` given in prepared form.
+    fn mul_prepared(&self, ints: &[i64], prepared: &[u64]) -> Vec<u64> {
+        let mut res: Vec<u64> = ints.iter().map(|&d| self.q.from_i64(d)).collect();
+        self.ntt.forward(&mut res);
+        for (d, &r) in res.iter_mut().zip(prepared) {
+            *d = self.q.mul(*d, r);
+        }
+        self.ntt.inverse(&mut res);
+        res
+    }
+}
+
 /// The two-prime exact negacyclic multiplier for a fixed ring degree.
 #[derive(Debug, Clone)]
 pub struct NegacyclicMultiplier {
     n: usize,
-    p1: Modulus,
-    p2: Modulus,
-    ntt1: NttTable,
-    ntt2: NttTable,
+    fields: [PrimeField; 2],
     /// `p1^{-1} mod p2` for Garner reconstruction.
-    p1_inv_p2: u64,
+    p1_inv_p2: ShoupScalar,
 }
 
 /// A torus polynomial pre-transformed into both NTT domains — bootstrap
@@ -35,15 +67,34 @@ pub struct NegacyclicMultiplier {
 /// the (fresh) digit polynomials.
 #[derive(Debug, Clone)]
 pub struct PreparedTorusPoly {
-    res1: Vec<u64>,
-    res2: Vec<u64>,
+    res: [Vec<u64>; 2],
 }
 
-/// An accumulator holding NTT-domain partial sums in both prime fields.
-#[derive(Debug, Clone)]
-pub struct NttAccumulator {
-    acc1: Vec<u64>,
-    acc2: Vec<u64>,
+/// Reusable buffers of the fused external product (one set per call or per
+/// blind rotation), plus the transform tallies the telemetry counters
+/// `tfhe.ntt.{forward,inverse}` report.
+#[derive(Debug)]
+pub(crate) struct Workspace {
+    /// The `(a, b)` torus polynomials to decompose.
+    pub(crate) input: [Vec<u64>; 2],
+    /// Their digits, flat level-major: `a`'s levels, then `b`'s.
+    pub(crate) digits: Vec<i64>,
+    /// The digit polynomial being transformed.
+    lifted: Vec<u64>,
+    /// Unreduced NTT-domain sums, one per output column.
+    acc: [Vec<u128>; 2],
+    /// Per-prime residues of the two output columns.
+    res: [[Vec<u64>; 2]; 2],
+    forward_ntts: u64,
+    inverse_ntts: u64,
+}
+
+impl Workspace {
+    /// Flushes the transform tallies to the telemetry counters.
+    pub(crate) fn report_transforms(&mut self) {
+        telemetry::count_named("tfhe.ntt.forward", std::mem::take(&mut self.forward_ntts));
+        telemetry::count_named("tfhe.ntt.inverse", std::mem::take(&mut self.inverse_ntts));
+    }
 }
 
 impl NegacyclicMultiplier {
@@ -54,12 +105,9 @@ impl NegacyclicMultiplier {
     /// Propagates prime-generation / NTT-table failures.
     pub fn new(n: usize) -> Result<Self, TfheError> {
         let primes = generate_ntt_primes(60, n, 2)?;
-        let p1 = Modulus::new(primes[0])?;
-        let p2 = Modulus::new(primes[1])?;
-        let ntt1 = NttTable::new(p1, n)?;
-        let ntt2 = NttTable::new(p2, n)?;
-        let p1_inv_p2 = p2.inv(p1.value() % p2.value())?;
-        Ok(NegacyclicMultiplier { n, p1, p2, ntt1, ntt2, p1_inv_p2 })
+        let fields = [PrimeField::new(primes[0], n)?, PrimeField::new(primes[1], n)?];
+        let p1_inv_p2 = fields[1].q.shoup(fields[1].q.inv(primes[0] % primes[1])?);
+        Ok(NegacyclicMultiplier { n, fields, p1_inv_p2 })
     }
 
     /// Ring degree.
@@ -82,101 +130,108 @@ impl NegacyclicMultiplier {
         // The two prime fields are independent — run them on separate
         // threads when the transform clears the adaptive threshold.
         let w = ntt_work(self.n);
-        let (res1, res2) = par::join(
-            w,
-            w,
-            || {
-                let mut res1: Vec<u64> = poly.iter().map(|&t| self.p1.reduce(t)).collect();
-                self.ntt1.forward(&mut res1);
-                res1
-            },
-            || {
-                let mut res2: Vec<u64> = poly.iter().map(|&t| self.p2.reduce(t)).collect();
-                self.ntt2.forward(&mut res2);
-                res2
-            },
-        )?;
-        Ok(PreparedTorusPoly { res1, res2 })
+        let [f1, f2] = &self.fields;
+        let (res1, res2) = par::join(w, w, || f1.prepare(poly), || f2.prepare(poly))?;
+        Ok(PreparedTorusPoly { res: [res1, res2] })
     }
 
-    /// Creates an empty accumulator.
-    pub fn accumulator(&self) -> NttAccumulator {
-        NttAccumulator { acc1: vec![0; self.n], acc2: vec![0; self.n] }
-    }
-
-    /// Accumulates `digits ⊛ prepared` into `acc` (NTT domain, both primes).
-    ///
-    /// # Errors
-    ///
-    /// Surfaces a contained worker panic from the parallel backend.
+    /// Checks that `terms` lazily transformed digits (`< 2q`) times key
+    /// residues (`< q`) sum without overflowing the 128-bit accumulators
+    /// of [`decomp_poly_mult_add`](Self::decomp_poly_mult_add).
     ///
     /// # Panics
     ///
-    /// Panics on length mismatches.
-    pub fn mul_acc(
-        &self,
-        digits: &[i64],
-        prepared: &PreparedTorusPoly,
-        acc: &mut NttAccumulator,
-    ) -> Result<(), TfheError> {
-        // Histogram-only probe (no span event: this runs per digit, per
-        // TRGSW row, inside the blind-rotate loop).
-        let _t = telemetry::Timer::enter("tfhe.poly.mul_acc");
-        assert_eq!(digits.len(), self.n);
-        // Transform + MAC per prime field, the two fields in parallel.
-        let w = ntt_work(self.n);
-        par::join(
-            w,
-            w,
-            || {
-                let mut d1: Vec<u64> = digits.iter().map(|&d| self.p1.from_i64(d)).collect();
-                self.ntt1.forward(&mut d1);
-                for (a, (&d, &r)) in acc.acc1.iter_mut().zip(d1.iter().zip(&prepared.res1)) {
-                    *a = self.p1.add(*a, self.p1.mul(d, r));
-                }
-            },
-            || {
-                let mut d2: Vec<u64> = digits.iter().map(|&d| self.p2.from_i64(d)).collect();
-                self.ntt2.forward(&mut d2);
-                for (a, (&d, &r)) in acc.acc2.iter_mut().zip(d2.iter().zip(&prepared.res2)) {
-                    *a = self.p2.add(*a, self.p2.mul(d, r));
-                }
-            },
-        )?;
-        Ok(())
+    /// Panics if `terms · 2q · q ≥ 2^128` for either prime.
+    pub(crate) fn assert_mac_headroom(&self, terms: usize) {
+        for f in &self.fields {
+            let q = u128::from(f.q.value());
+            assert!(
+                (2 * q * q).checked_mul(terms as u128).is_some(),
+                "{terms} lazy products modulo {q} overflow the 128-bit accumulator"
+            );
+        }
     }
 
-    /// Finalizes an accumulator: inverse NTTs, Garner CRT, centering, and
-    /// reduction modulo `2^64`. Consumes the accumulator.
+    /// Buffers for external products against `terms`-row TRGSW ciphertexts.
+    pub(crate) fn workspace(&self, terms: usize) -> Workspace {
+        let n = self.n;
+        let pair = || [vec![0u64; n], vec![0u64; n]];
+        Workspace {
+            input: pair(),
+            digits: vec![0; terms * n],
+            lifted: vec![0; n],
+            acc: [vec![0; n], vec![0; n]],
+            res: [pair(), pair()],
+            forward_ntts: 0,
+            inverse_ntts: 0,
+        }
+    }
+
+    /// The `DecompPolyMult` Meta-OP: adds `Σ_i digits_i ⊛ rows[i]` to the
+    /// `(a, b)` pair `out`, where `digits_i = ws.digits[i·n..(i+1)·n]` and
+    /// each row is a prepared `(a, b)` pair. Per prime, every digit
+    /// polynomial is transformed once and multiply-accumulated against both
+    /// key columns unreduced; each output coefficient is reduced once.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Surfaces a contained worker panic from the parallel backend.
-    pub fn finalize(&self, mut acc: NttAccumulator) -> Result<Vec<u64>, TfheError> {
-        let _t = telemetry::Timer::enter("tfhe.poly.finalize");
-        let w = ntt_work(self.n);
-        par::join(w, w, || self.ntt1.inverse(&mut acc.acc1), || self.ntt2.inverse(&mut acc.acc2))?;
-        let p1 = self.p1.value() as u128;
-        let p2 = self.p2.value() as u128;
-        let big = p1 * p2;
-        let half = big / 2;
-        Ok((0..self.n)
-            .map(|i| {
-                let r1 = acc.acc1[i];
-                let r2 = acc.acc2[i];
-                // Garner: v = r1 + p1 * ((r2 - r1) * p1^{-1} mod p2).
-                let diff = self.p2.sub(self.p2.reduce(r2), self.p2.reduce(r1 % self.p2.value()));
-                let t = self.p2.mul(diff, self.p1_inv_p2);
-                let v = r1 as u128 + p1 * t as u128;
-                // Center into (-P/2, P/2], then wrap mod 2^64.
-                if v > half {
-                    let neg = big - v; // |v - P|
-                    (neg as u64).wrapping_neg()
-                } else {
-                    v as u64
+    /// Panics on length mismatches. The caller guarantees
+    /// [`assert_mac_headroom`](Self::assert_mac_headroom)`(rows.len())`.
+    pub(crate) fn decomp_poly_mult_add(
+        &self,
+        rows: &[[PreparedTorusPoly; 2]],
+        ws: &mut Workspace,
+        out: [&mut [u64]; 2],
+    ) {
+        let n = self.n;
+        assert_eq!(ws.digits.len(), rows.len() * n);
+        assert!(out.iter().all(|o| o.len() == n));
+        let Workspace { digits, lifted, acc, res, forward_ntts, inverse_ntts, .. } = ws;
+        for (p, (f, res)) in self.fields.iter().zip(res.iter_mut()).enumerate() {
+            acc.iter_mut().for_each(|sums| sums.fill(0));
+            for (digit, row) in digits.chunks_exact(n).zip(rows) {
+                for (l, &d) in lifted.iter_mut().zip(digit) {
+                    *l = f.q.from_i64(d);
                 }
-            })
-            .collect())
+                f.ntt.forward_lazy(lifted);
+                *forward_ntts += 1;
+                for (sums, key) in acc.iter_mut().zip(row) {
+                    for (s, (&d, &k)) in sums.iter_mut().zip(lifted.iter().zip(&key.res[p])) {
+                        *s += u128::from(d) * u128::from(k);
+                    }
+                }
+            }
+            for (res, sums) in res.iter_mut().zip(acc.iter()) {
+                for (r, &s) in res.iter_mut().zip(sums) {
+                    *r = f.q.reduce_u128(s);
+                }
+                f.ntt.inverse(res);
+                *inverse_ntts += 1;
+            }
+        }
+        let [res1, res2] = &ws.res;
+        for (out, (r1, r2)) in out.into_iter().zip(res1.iter().zip(res2)) {
+            for (o, (&r1, &r2)) in out.iter_mut().zip(r1.iter().zip(r2)) {
+                *o = o.wrapping_add(self.garner(r1, r2));
+            }
+        }
+    }
+
+    /// Garner CRT of canonical residues `(r1, r2)`, centered into
+    /// `(-P/2, P/2]` and wrapped modulo `2^64`.
+    #[inline]
+    fn garner(&self, r1: u64, r2: u64) -> u64 {
+        let [f1, f2] = &self.fields;
+        let p1 = u128::from(f1.q.value());
+        let big = p1 * u128::from(f2.q.value());
+        // v = r1 + p1 * ((r2 - r1) * p1^{-1} mod p2).
+        let t = f2.q.mul_shoup(f2.q.sub(r2, f2.q.reduce(r1)), self.p1_inv_p2);
+        let v = u128::from(r1) + p1 * u128::from(t);
+        if v > big / 2 {
+            ((big - v) as u64).wrapping_neg() // |v - P|
+        } else {
+            v as u64
+        }
     }
 
     /// One-shot exact negacyclic product `ints ⊛ torus`.
@@ -189,10 +244,17 @@ impl NegacyclicMultiplier {
     ///
     /// Panics on length mismatches.
     pub fn mul_int_torus(&self, ints: &[i64], torus: &[u64]) -> Result<Vec<u64>, TfheError> {
+        assert_eq!(ints.len(), self.n);
         let prepared = self.prepare(torus)?;
-        let mut acc = self.accumulator();
-        self.mul_acc(ints, &prepared, &mut acc)?;
-        self.finalize(acc)
+        let w = ntt_work(self.n);
+        let [f1, f2] = &self.fields;
+        let (res1, res2) = par::join(
+            w,
+            w,
+            || f1.mul_prepared(ints, &prepared.res[0]),
+            || f2.mul_prepared(ints, &prepared.res[1]),
+        )?;
+        Ok(res1.iter().zip(&res2).map(|(&r1, &r2)| self.garner(r1, r2)).collect())
     }
 }
 
@@ -241,22 +303,66 @@ mod tests {
 
     #[test]
     fn accumulation_is_linear() {
+        // Two digit polynomials against two prepared rows, both output
+        // columns, added onto a non-zero start value.
         let n = 16;
         let m = NegacyclicMultiplier::new(n).unwrap();
         let a: Vec<i64> = (0..n as i64).map(|i| i - 8).collect();
         let b: Vec<i64> = (0..n as i64).map(|i| 3 * i % 11 - 5).collect();
         let t: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(u64::MAX / 17)).collect();
-        let prepared = m.prepare(&t).unwrap();
-        let mut acc = m.accumulator();
-        m.mul_acc(&a, &prepared, &mut acc).unwrap();
-        m.mul_acc(&b, &prepared, &mut acc).unwrap();
-        let combined = m.finalize(acc).unwrap();
-        let expected: Vec<u64> = schoolbook(&a, &t)
-            .into_iter()
-            .zip(schoolbook(&b, &t))
-            .map(|(x, y)| x.wrapping_add(y))
-            .collect();
-        assert_eq!(combined, expected);
+        let u: Vec<u64> = (0..n as u64).map(|i| (i + 3).wrapping_mul(u64::MAX / 29)).collect();
+        let rows = [
+            [m.prepare(&t).unwrap(), m.prepare(&u).unwrap()],
+            [m.prepare(&u).unwrap(), m.prepare(&t).unwrap()],
+        ];
+        let mut ws = m.workspace(2);
+        ws.digits[..n].copy_from_slice(&a);
+        ws.digits[n..].copy_from_slice(&b);
+        let (mut out_a, mut out_b) = (vec![7u64; n], vec![u64::MAX; n]);
+        m.decomp_poly_mult_add(&rows, &mut ws, [&mut out_a, &mut out_b]);
+        let sum = |start: u64, x: Vec<u64>, y: Vec<u64>| -> Vec<u64> {
+            x.iter().zip(&y).map(|(&x, &y)| start.wrapping_add(x).wrapping_add(y)).collect()
+        };
+        assert_eq!(out_a, sum(7, schoolbook(&a, &t), schoolbook(&b, &u)));
+        assert_eq!(out_b, sum(u64::MAX, schoolbook(&a, &u), schoolbook(&b, &t)));
+    }
+
+    #[test]
+    fn lazy_accumulation_survives_maximal_key_residues() {
+        // Key residues all q − 1 (the constant polynomial −1 in both
+        // fields) against digits all at the extreme −2^{β−1} drive every
+        // 128-bit accumulator as high as a shipped shape can: the product
+        // must still come out as −Σ digits.
+        for (n, base_log, terms) in [(64, 10u32, 6usize), (1024, 7, 6), (2048, 23, 2)] {
+            let m = NegacyclicMultiplier::new(n).unwrap();
+            let minus_one =
+                || PreparedTorusPoly { res: m.fields.each_ref().map(|f| vec![f.q.value() - 1; n]) };
+            let rows: Vec<_> = (0..terms).map(|_| [minus_one(), minus_one()]).collect();
+            let mut ws = m.workspace(terms);
+            ws.digits.fill(-(1i64 << (base_log - 1)));
+            let (mut out_a, mut out_b) = (vec![0u64; n], vec![0u64; n]);
+            m.decomp_poly_mult_add(&rows, &mut ws, [&mut out_a, &mut out_b]);
+            let want = vec![(terms as u64) << (base_log - 1); n];
+            assert_eq!((out_a, out_b), (want.clone(), want), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn mac_headroom_holds_for_every_preset() {
+        use crate::TfheParams;
+        for p in [TfheParams::toy(), TfheParams::set_i(), TfheParams::set_ii()] {
+            let m = NegacyclicMultiplier::new(p.poly_size).unwrap();
+            m.assert_mac_headroom((p.glwe_dim + 1) * p.pbs_levels);
+        }
+        // q < 2^60, so 2q·q < 2^121: up to 2^7 lazy products always fit.
+        NegacyclicMultiplier::new(64).unwrap().assert_mac_headroom(128);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow the 128-bit accumulator")]
+    fn mac_headroom_rejects_an_overflowing_level_count() {
+        // q > 2^59, so 2q·q > 2^119: l = 256 (k = 1) cannot fit.
+        NegacyclicMultiplier::new(64).unwrap().assert_mac_headroom(2 * 256);
     }
 
     #[test]

@@ -6,9 +6,14 @@
 //! rows, accumulate — is exactly the paper's `DecompPolyMult` pattern with
 //! `n = (k+1)·l_b`, and the CMux built on it is the inner loop of blind
 //! rotation. Rows are stored pre-transformed in both NTT prime fields so
-//! one external product costs `2·l` forward NTTs and 2 inverse NTTs.
+//! one external product costs, per prime field, `2·l` forward NTTs (each
+//! digit polynomial transformed once and multiplied into both output
+//! columns), one lazily accumulated MAC with a single reduction per output
+//! coefficient, and 2 inverse NTTs — the `transforms_per_step` that
+//! `metaop::counts::pbs` multiplies out. Every entry point reports its
+//! transforms to the `tfhe.ntt.forward` / `tfhe.ntt.inverse` counters.
 
-use crate::poly_mult::{NegacyclicMultiplier, PreparedTorusPoly};
+use crate::poly_mult::{NegacyclicMultiplier, PreparedTorusPoly, Workspace};
 use crate::trlwe::{TrlweCiphertext, TrlweSecretKey};
 use crate::TfheError;
 use fhe_math::SignedDigitDecomposer;
@@ -19,7 +24,7 @@ use rand::Rng;
 pub struct TrgswCiphertext {
     /// `2l` rows of `(a, b)` poly pairs in prepared (NTT) form; rows `0..l`
     /// carry the gadget on the mask, rows `l..2l` on the body.
-    rows: Vec<(PreparedTorusPoly, PreparedTorusPoly)>,
+    rows: Vec<[PreparedTorusPoly; 2]>,
     levels: usize,
     decomposer: SignedDigitDecomposer,
     n: usize,
@@ -42,6 +47,7 @@ impl TrgswCiphertext {
     ) -> Result<Self, TfheError> {
         let n = key.n();
         let decomposer = SignedDigitDecomposer::new(base_log, levels)?;
+        mult.assert_mac_headroom(2 * levels);
         let zero = vec![0u64; n];
         let mut rows = Vec::with_capacity(2 * levels);
         for half in 0..2 {
@@ -50,7 +56,7 @@ impl TrgswCiphertext {
                 let mut z = key.encrypt(&zero, sigma, mult, rng)?;
                 let target = if half == 0 { &mut z.a } else { &mut z.b };
                 target[0] = target[0].wrapping_add((m as u64).wrapping_mul(gadget));
-                rows.push((mult.prepare(&z.a)?, mult.prepare(&z.b)?));
+                rows.push([mult.prepare(&z.a)?, mult.prepare(&z.b)?]);
             }
         }
         Ok(TrgswCiphertext { rows, levels, decomposer, n })
@@ -68,12 +74,44 @@ impl TrgswCiphertext {
         self.levels
     }
 
+    /// The fused kernel: `acc += self ⊡ ws.input`. Allocation-free.
+    pub(crate) fn external_product_add(
+        &self,
+        mult: &NegacyclicMultiplier,
+        ws: &mut Workspace,
+        acc: &mut TrlweCiphertext,
+    ) {
+        // Histogram-only probe (no span event: this runs once per
+        // blind-rotation step).
+        let _t = telemetry::Timer::enter("tfhe.external_product");
+        assert_eq!(acc.n(), self.n, "ring degree mismatch");
+        let (a_digits, b_digits) = ws.digits.split_at_mut(self.levels * self.n);
+        self.decomposer.decompose_poly_into(&ws.input[0], a_digits);
+        self.decomposer.decompose_poly_into(&ws.input[1], b_digits);
+        mult.decomp_poly_mult_add(&self.rows, ws, [&mut acc.a, &mut acc.b]);
+    }
+
+    /// `onto + self ⊡ input`, through a workspace of its own.
+    fn product_onto(
+        &self,
+        mult: &NegacyclicMultiplier,
+        input: TrlweCiphertext,
+        mut onto: TrlweCiphertext,
+    ) -> TrlweCiphertext {
+        let mut ws = mult.workspace(self.rows.len());
+        ws.input = [input.a, input.b];
+        self.external_product_add(mult, &mut ws, &mut onto);
+        ws.report_transforms();
+        onto
+    }
+
     /// External product `self ⊡ ct`: homomorphically multiplies the TRLWE
     /// message by this TRGSW's small integer.
     ///
     /// # Errors
     ///
-    /// Surfaces a contained worker panic from the parallel backend.
+    /// Currently infallible — the fused external product opens no parallel
+    /// region; the `Result` is kept so callers need not change.
     ///
     /// # Panics
     ///
@@ -83,17 +121,7 @@ impl TrgswCiphertext {
         mult: &NegacyclicMultiplier,
         ct: &TrlweCiphertext,
     ) -> Result<TrlweCiphertext, TfheError> {
-        assert_eq!(ct.n(), self.n, "ring degree mismatch");
-        let a_digits = self.decomposer.decompose_poly(&ct.a);
-        let b_digits = self.decomposer.decompose_poly(&ct.b);
-        let mut acc_a = mult.accumulator();
-        let mut acc_b = mult.accumulator();
-        for (i, digits) in a_digits.iter().chain(b_digits.iter()).enumerate() {
-            let (row_a, row_b) = &self.rows[i];
-            mult.mul_acc(digits, row_a, &mut acc_a)?;
-            mult.mul_acc(digits, row_b, &mut acc_b)?;
-        }
-        Ok(TrlweCiphertext { a: mult.finalize(acc_a)?, b: mult.finalize(acc_b)? })
+        Ok(self.product_onto(mult, ct.clone(), TrlweCiphertext::trivial(vec![0; self.n])))
     }
 
     /// CMux: returns (an encryption of) `ct1` if this TRGSW encrypts 1,
@@ -101,7 +129,7 @@ impl TrgswCiphertext {
     ///
     /// # Errors
     ///
-    /// Surfaces a contained worker panic from the parallel backend.
+    /// Currently infallible; see [`TrgswCiphertext::external_product`].
     ///
     /// # Panics
     ///
@@ -112,8 +140,7 @@ impl TrgswCiphertext {
         ct0: &TrlweCiphertext,
         ct1: &TrlweCiphertext,
     ) -> Result<TrlweCiphertext, TfheError> {
-        let diff = ct1.sub(ct0);
-        Ok(ct0.add(&self.external_product(mult, &diff)?))
+        Ok(self.product_onto(mult, ct1.sub(ct0), ct0.clone()))
     }
 }
 
@@ -132,6 +159,94 @@ mod tests {
     }
 
     const SIGMA: f64 = 1.08e-10; // ~2^-33
+
+    /// A "ciphertext" over arbitrary torus rows, plus the raw rows.
+    type RawRows = Vec<(Vec<u64>, Vec<u64>)>;
+
+    fn from_rows(raw: &RawRows, base_log: u32, mult: &NegacyclicMultiplier) -> TrgswCiphertext {
+        let levels = raw.len() / 2;
+        let rows =
+            raw.iter().map(|(a, b)| [mult.prepare(a).unwrap(), mult.prepare(b).unwrap()]).collect();
+        let decomposer = SignedDigitDecomposer::new(base_log, levels).unwrap();
+        TrgswCiphertext { rows, levels, decomposer, n: mult.n() }
+    }
+
+    /// The external product assembled row by row from the one-shot
+    /// `mul_int_torus` (eager arithmetic, one CRT per product).
+    fn reference(
+        raw: &RawRows,
+        base_log: u32,
+        mult: &NegacyclicMultiplier,
+        ct: &TrlweCiphertext,
+    ) -> TrlweCiphertext {
+        let d = SignedDigitDecomposer::new(base_log, raw.len() / 2).unwrap();
+        let digits = [d.decompose_poly(&ct.a), d.decompose_poly(&ct.b)].concat();
+        let mut out = TrlweCiphertext::trivial(vec![0; ct.n()]);
+        for (digit, (row_a, row_b)) in digits.iter().zip(raw) {
+            let term = TrlweCiphertext {
+                a: mult.mul_int_torus(digit, row_a).unwrap(),
+                b: mult.mul_int_torus(digit, row_b).unwrap(),
+            };
+            out = out.add(&term);
+        }
+        out
+    }
+
+    /// The three shipped shapes: toy, set I, set II.
+    const SHAPES: [(usize, u32, usize); 3] = [(64, 10, 3), (1024, 7, 3), (2048, 23, 1)];
+
+    fn random_poly(n: usize, rng: &mut ChaCha8Rng) -> Vec<u64> {
+        use rand::Rng;
+        (0..n).map(|_| rng.gen()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn fused_external_product_matches_row_by_row_reference(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            for (n, base_log, levels) in SHAPES {
+                let mult = NegacyclicMultiplier::new(n).unwrap();
+                let raw: RawRows = (0..2 * levels)
+                    .map(|_| (random_poly(n, &mut rng), random_poly(n, &mut rng)))
+                    .collect();
+                let trgsw = from_rows(&raw, base_log, &mult);
+                let ct0 = TrlweCiphertext { a: random_poly(n, &mut rng), b: random_poly(n, &mut rng) };
+                let ct1 = TrlweCiphertext { a: random_poly(n, &mut rng), b: random_poly(n, &mut rng) };
+                proptest::prop_assert_eq!(
+                    trgsw.external_product(&mult, &ct1).unwrap(),
+                    reference(&raw, base_log, &mult, &ct1)
+                );
+                proptest::prop_assert_eq!(
+                    trgsw.cmux(&mult, &ct0, &ct1).unwrap(),
+                    ct0.add(&reference(&raw, base_log, &mult, &ct1.sub(&ct0)))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fused_external_product_matches_reference_on_adversarial_inputs() {
+        for (n, base_log, levels) in SHAPES {
+            let mult = NegacyclicMultiplier::new(n).unwrap();
+            let d = SignedDigitDecomposer::new(base_log, levels).unwrap();
+            // The torus value whose every digit is the extreme −2^{β−1}.
+            let extreme = vec![-(1i64 << (base_log - 1)); levels];
+            let all_extreme = d.recompose(&extreme);
+            assert_eq!(d.decompose(all_extreme), extreme);
+            let raw: RawRows = vec![(vec![u64::MAX; n], vec![u64::MAX; n]); 2 * levels];
+            let trgsw = from_rows(&raw, base_log, &mult);
+            for t in [all_extreme, u64::MAX] {
+                let ct = TrlweCiphertext { a: vec![t; n], b: vec![t; n] };
+                assert_eq!(
+                    trgsw.external_product(&mult, &ct).unwrap(),
+                    reference(&raw, base_log, &mult, &ct),
+                    "n = {n}, torus value {t:#x}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn external_product_by_one_preserves_message() {

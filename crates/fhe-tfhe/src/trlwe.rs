@@ -147,18 +147,28 @@ impl TrlweCiphertext {
 
 /// Negacyclic coefficient rotation: `p(X)·X^e mod X^N + 1`.
 pub(crate) fn rotate_poly(p: &[u64], e: usize) -> Vec<u64> {
-    let n = p.len();
-    let e = e % (2 * n);
-    let mut out = vec![0u64; n];
-    for (i, &c) in p.iter().enumerate() {
-        let target = (i + e) % (2 * n);
-        if target < n {
-            out[target] = out[target].wrapping_add(c);
-        } else {
-            out[target - n] = out[target - n].wrapping_sub(c);
-        }
-    }
+    let mut out = vec![0u64; p.len()];
+    rotate_map(p, e, &mut out, |rotated, _| rotated);
     out
+}
+
+/// `out[j] = f((p·X^e)[j], p[j])` with `e` taken modulo `2N`, in one pass
+/// and no allocation. With `f = wrapping_sub` this is `X^e·p − p`, the CMux
+/// difference of one blind-rotation step.
+pub(crate) fn rotate_map(p: &[u64], e: usize, out: &mut [u64], f: impl Fn(u64, u64) -> u64) {
+    let n = p.len();
+    assert_eq!(out.len(), n);
+    let e = e % (2 * n);
+    // X^N = −1: a rotation by `e ≥ N` is one by `e − N`, negated. With
+    // `m ∈ {0, !0}`, `(c ^ m) − m` is `c` or `−c`.
+    let (shift, m) = if e < n { (e, 0) } else { (e - n, u64::MAX) };
+    let (kept, wrapped) = p.split_at(n - shift);
+    for ((o, &c), &s) in out[shift..].iter_mut().zip(kept).zip(&p[shift..]) {
+        *o = f((c ^ m).wrapping_sub(m), s);
+    }
+    for ((o, &c), &s) in out[..shift].iter_mut().zip(wrapped).zip(p) {
+        *o = f((c ^ !m).wrapping_sub(!m), s);
+    }
 }
 
 #[cfg(test)]
@@ -207,6 +217,18 @@ mod tests {
         );
         // X^8 = identity.
         assert_eq!(rotate_poly(&p, 8), p);
+    }
+
+    #[test]
+    fn rotate_map_fuses_rotation_and_subtraction() {
+        let p: Vec<u64> = (1..=8u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
+        for e in 0..=17 {
+            let want: Vec<u64> =
+                rotate_poly(&p, e).iter().zip(&p).map(|(&r, &c)| r.wrapping_sub(c)).collect();
+            let mut got = vec![0u64; p.len()];
+            rotate_map(&p, e, &mut got, u64::wrapping_sub);
+            assert_eq!(got, want, "e = {e}");
+        }
     }
 
     #[test]
