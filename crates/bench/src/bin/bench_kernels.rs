@@ -1,6 +1,6 @@
 //! Reproducible sequential-vs-parallel baseline for the hot kernels the
 //! `parallel` feature accelerates: RNS NTT round-trips, Modup, Moddown and
-//! the CKKS mul+rescale pipeline.
+//! the CKKS mul+rescale pipeline, plus the CKKS encode/decode boundary.
 //!
 //! Both modes run in the same process: the sequential column pins the
 //! backend to one thread with [`fhe_math::par::set_max_threads`]`(1)`, the
@@ -276,18 +276,29 @@ fn ckks_kernel(
     let ca = sk.encrypt(&ctx, &pt, &mut rng).expect("encrypt");
     let cb = sk.encrypt(&ctx, &pt, &mut rng).expect("encrypt");
     let level = ca.level();
-    let (seq, par_t, prof, alloc) = seq_vs_par(reps, profile, alloc_profile, || {
+    let mut record = |kernel: &'static str, f: &mut dyn FnMut()| {
+        let (seq, par_t, prof, alloc) = seq_vs_par(reps, profile, alloc_profile, f);
+        out.push(Measurement {
+            kernel,
+            n,
+            channels: level + 1,
+            seq_s: seq,
+            par_s: par_t,
+            profile: prof,
+            alloc,
+        });
+    };
+    record("ckks_mul_rescale", &mut || {
         let prod = ev.mul(&ca, &cb, &rlk).expect("mul");
         std::hint::black_box(ev.rescale(&prod).expect("rescale"));
     });
-    out.push(Measurement {
-        kernel: "ckks_mul_rescale",
-        n,
-        channels: level + 1,
-        seq_s: seq,
-        par_s: par_t,
-        profile: prof,
-        alloc,
+    // The plaintext boundary at the same sizes: what a client pays per
+    // request on either side of the evaluation.
+    record("ckks_encode", &mut || {
+        std::hint::black_box(enc.encode(&values).expect("encode"));
+    });
+    record("ckks_decode", &mut || {
+        std::hint::black_box(enc.decode(&pt).expect("decode"));
     });
 }
 

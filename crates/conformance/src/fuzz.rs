@@ -15,14 +15,19 @@
 //! `0`, `1`, `q−1`, `⌊q/2⌋`, `⌊q/2⌋+1` plus all-zero / all-max / impulse
 //! polynomials. The first few case indices of each family are *forced*
 //! heavy configurations (largest `n`, maximum channel counts, dnum edge
-//! splits) so they are exercised regardless of seed.
+//! splits) so they are exercised regardless of seed. The `reconstruct`
+//! family has no ring: each case draws a chain of 1…8 primes of 30…61
+//! bits and checks every prefix of it on the forced integers
+//! `0, 1, ⌊Q/2⌋, ⌊Q/2⌋+1, Q−1` plus uniform residue draws.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use fhe_ckks::{Ciphertext, CkksContext, CkksParams, Evaluator};
-use fhe_math::{generate_ntt_primes, Modulus, NttTable, Poly, RnsBasis, RnsContext, RnsPoly};
+use fhe_math::{
+    generate_ntt_primes, MixedRadix, Modulus, NttTable, Poly, RnsBasis, RnsContext, RnsPoly, UBig,
+};
 
 use crate::oracle;
 
@@ -139,12 +144,22 @@ pub enum Family {
     Moddown,
     /// CKKS rescale vs the exact `(X − r)/q_L` reference.
     Rescale,
+    /// Mixed-radix (Garner) reconstruction vs the exact CRT integer:
+    /// digits, sign, `f64` and plaintext-residue views.
+    Reconstruct,
 }
 
 impl Family {
     /// All families, in the order tests run them.
-    pub const ALL: [Family; 6] =
-        [Family::Ntt, Family::Conv, Family::Bconv, Family::Modup, Family::Moddown, Family::Rescale];
+    pub const ALL: [Family; 7] = [
+        Family::Ntt,
+        Family::Conv,
+        Family::Bconv,
+        Family::Modup,
+        Family::Moddown,
+        Family::Rescale,
+        Family::Reconstruct,
+    ];
 
     /// Stable name used in repro tuples.
     pub fn name(self) -> &'static str {
@@ -155,6 +170,7 @@ impl Family {
             Family::Modup => "modup",
             Family::Moddown => "moddown",
             Family::Rescale => "rescale",
+            Family::Reconstruct => "reconstruct",
         }
     }
 
@@ -167,6 +183,7 @@ impl Family {
             Family::Modup => 0x6D6F_6475,
             Family::Moddown => 0x6D6F_6464,
             Family::Rescale => 0x7265_7363,
+            Family::Reconstruct => 0x7265_636F,
         }
     }
 }
@@ -206,6 +223,7 @@ pub fn run_case(family: Family, seed: u64, case: u64) -> Result<(), Box<Repro>> 
         Family::Modup => modup_case(rng, seed, case),
         Family::Moddown => moddown_case(rng, seed, case),
         Family::Rescale => rescale_case(rng, seed, case),
+        Family::Reconstruct => reconstruct_case(rng, seed, case),
     }
 }
 
@@ -277,8 +295,13 @@ fn draw_bits(rng: &mut SplitMix64, n: usize) -> u32 {
 /// disjoint ranges).
 fn draw_basis(rng: &mut SplitMix64, n: usize, count: usize) -> Vec<u64> {
     let picks: Vec<u32> = (0..count).map(|_| draw_bits(rng, n)).collect();
+    basis_of_widths(&picks, n)
+}
+
+/// Distinct NTT primes for degree `n`, one per requested bit width.
+fn basis_of_widths(picks: &[u32], n: usize) -> Vec<u64> {
     let mut by_width: HashMap<u32, Vec<u64>> = HashMap::new();
-    for &w in &picks {
+    for &w in picks {
         let need = picks.iter().filter(|&&p| p == w).count();
         by_width.entry(w).or_insert_with(|| primes(w, n, need));
     }
@@ -651,6 +674,90 @@ fn rescale_case(mut rng: SplitMix64, seed: u64, case: u64) -> Result<(), Box<Rep
                         "{label} coeff {s} channel {c}: fast={got} oracle={w}"
                     )));
                 }
+            }
+        }
+    }
+    Ok(())
+}
+
+fn reconstruct_case(mut rng: SplitMix64, seed: u64, case: u64) -> Result<(), Box<Repro>> {
+    // 1–8 channels of 30–61-bit primes; the chain is ring-independent, the
+    // degree only selects which primes the search returns.
+    const N: usize = 16;
+    const WIDTHS: [u32; 8] = [30, 36, 40, 45, 50, 55, 60, 61];
+    let picks: Vec<u32> = match case {
+        // Forced: the widest table, and the single-modulus degenerate case.
+        0 => vec![61; 8],
+        1 => vec![61],
+        _ => (0..1 + rng.below(8)).map(|_| WIDTHS[rng.below(8) as usize]).collect(),
+    };
+    let moduli = basis_of_widths(&picks, N);
+    let fam = Family::Reconstruct;
+    let fail = |detail: String| repro(fam, seed, case, N, &moduli, detail);
+    let chain: Vec<Modulus> = moduli.iter().map(|&q| Modulus::new(q).unwrap()).collect();
+    let table = MixedRadix::new(&chain).map_err(|e| fail(format!("table: {e}")))?;
+    let t_val = [257, 65_537, (1 << 40) - 87, rng.below(1 << 60) | 3][rng.below(4) as usize];
+    let t = Modulus::new(t_val).expect("odd plaintext modulus");
+
+    // One table serves every prefix of the chain (a level).
+    for len in 1..=chain.len() {
+        let prefix = &moduli[..len];
+        let q = UBig::product_of(prefix.iter().copied());
+        let half = q.divrem_u64(2).0;
+        let one = UBig::one();
+        // Forced boundary values, then uniform residue draws with the
+        // per-channel specials salted in.
+        let mut inputs: Vec<Vec<u64>> =
+            [UBig::zero(), one.clone(), half.clone(), half.add(&one), q.sub(&one)]
+                .iter()
+                .map(|x| prefix.iter().map(|&m| x.rem_u64(m)).collect())
+                .collect();
+        for _ in 0..4 {
+            inputs.push(prefix.iter().map(|&m| draw_coeffs(&mut rng, 1, m)[0]).collect());
+        }
+        for xs in inputs {
+            let want = oracle::crt_reconstruct(&xs, prefix);
+            let mut d = xs.clone();
+            table.to_digits(&mut d);
+            if let Some(i) = (0..len).find(|&i| d[i] >= prefix[i]) {
+                return Err(fail(format!("len {len}: digit {i} = {} ≥ q_{i}", d[i])));
+            }
+            let expand = |d: &[u64]| {
+                d.iter()
+                    .zip(prefix)
+                    .rev()
+                    .fold(UBig::zero(), |acc, (&di, &m)| acc.mul_u64(m).add(&UBig::from_u64(di)))
+            };
+            if expand(&d) != want {
+                return Err(fail(format!("len {len}: digits of {xs:?} re-expand wrong")));
+            }
+            let want_negative = want > half;
+            let want_mag = if want_negative { q.sub(&want) } else { want.clone() };
+            if table.center(&mut d) != want_negative {
+                return Err(fail(format!("len {len}: sign of {xs:?} expected {want_negative}")));
+            }
+            if expand(&d) != want_mag {
+                return Err(fail(format!("len {len}: magnitude digits of {xs:?} wrong")));
+            }
+            // The centered value mod t, formed the way the bigint BGV
+            // decryptor did: x mod t, minus Q mod t above the half.
+            let want_t = if want_negative {
+                (want.rem_u64(t_val) + t_val - q.rem_u64(t_val)) % t_val
+            } else {
+                want.rem_u64(t_val)
+            };
+            let mag_t = table.residue(&d, &t);
+            if (if want_negative { t.neg(mag_t) } else { mag_t }) != want_t {
+                return Err(fail(format!("len {len}: centered {xs:?} mod {t_val} wrong")));
+            }
+            let (got_f, want_f) = (table.to_f64(&d), want_mag.to_f64());
+            if (got_f - want_f).abs() > want_f * 4.0 * len as f64 * f64::EPSILON {
+                return Err(fail(format!("len {len}: f64 {got_f} vs {want_f}")));
+            }
+            let mut again = xs.clone();
+            let signed = table.centered_f64(&mut again);
+            if signed != if want_negative { -got_f } else { got_f } {
+                return Err(fail(format!("len {len}: centered_f64 of {xs:?} disagrees")));
             }
         }
     }

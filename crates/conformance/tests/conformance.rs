@@ -52,6 +52,11 @@ fn rescale_family_matches_oracle() {
     sweep(Family::Rescale);
 }
 
+#[test]
+fn reconstruct_family_matches_oracle() {
+    sweep(Family::Reconstruct);
+}
+
 /// Detection-power check: the differential harness is only useful if the
 /// oracle actually flags corrupted fast-path output. Corrupt one NTT
 /// coefficient and one Bconv residue and verify both are caught.

@@ -58,14 +58,7 @@ fn simd_and_scalar_paths_are_bit_identical() {
         let _restore = Restore;
         set_force_scalar(true);
         assert_eq!(active_backend().name(), "scalar");
-        for family in [
-            Family::Ntt,
-            Family::Conv,
-            Family::Bconv,
-            Family::Modup,
-            Family::Moddown,
-            Family::Rescale,
-        ] {
+        for family in Family::ALL {
             if let Err(repro) = run_family(family, seed, cases) {
                 panic!("scalar-backend conformance failure: {repro}");
             }

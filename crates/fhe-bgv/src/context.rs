@@ -3,8 +3,8 @@
 use crate::encoding::BgvEncoder;
 use crate::{BgvError, BgvParams};
 use fhe_math::{
-    par, sample_gaussian, sample_ternary, sample_uniform, Modulus, Poly, RnsBasis, RnsContext,
-    RnsPoly, Scratch, UBig,
+    par, sample_gaussian, sample_ternary, sample_uniform, MixedRadix, Modulus, Poly, RnsBasis,
+    RnsContext, RnsPoly, Scratch,
 };
 use rand::Rng;
 
@@ -21,6 +21,8 @@ pub struct BgvContext {
     rns: RnsContext,
     encoder: BgvEncoder,
     t: Modulus,
+    /// Exact reconstruction over `q_0 … q_L` (a level is a prefix).
+    mixed_radix: MixedRadix,
 }
 
 /// The ternary secret key.
@@ -111,7 +113,8 @@ impl BgvContext {
         let rns = RnsContext::new(params.n(), RnsBasis::new(moduli)?)?;
         let encoder = BgvEncoder::new(params.t(), params.n())?;
         let t = Modulus::new(params.t())?;
-        Ok(BgvContext { params, rns, encoder, t })
+        let mixed_radix = MixedRadix::new(&rns.moduli()[..params.moduli().len()])?;
+        Ok(BgvContext { params, rns, encoder, t, mixed_radix })
     }
 
     /// The parameter set.
@@ -223,33 +226,9 @@ impl BgvContext {
     /// propagates structural failures.
     pub fn decrypt(&self, sk: &BgvSecretKey, ct: &BgvCiphertext) -> Result<Vec<u64>, BgvError> {
         ct.verify_integrity("bgv.decrypt")?;
-        let level = ct.level;
-        let n = self.params.n();
-        let t = self.params.t();
-        let v = self.linear_form(sk, ct)?;
-        let q_prod = UBig::product_of(self.params.moduli()[..=level].iter().copied());
-        let budget = self.budget_bits(&v, level, &q_prod);
+        let (budget, m_coeffs) = self.centered_lift(&self.linear_form(sk, ct)?);
         if budget < 0.0 {
             return Err(BgvError::BudgetExhausted { budget_bits: budget });
-        }
-        // Centered lift mod t: every q ≡ 1 (mod t) ⇒ Q ≡ 1 (mod t).
-        let half = q_prod.divrem_u64(2).0;
-        let q_mod_t = q_prod.rem_u64(t);
-        fhe_math::strict_assert_eq!(q_mod_t, 1, "chain must be ≡ 1 mod t");
-        let mut m_coeffs = vec![0u64; n];
-        for (i, mc) in m_coeffs.iter_mut().enumerate() {
-            let big = if level == 0 {
-                UBig::from_u64(v.channel(0).coeffs()[i])
-            } else {
-                v.crt_coefficient(i)
-            };
-            let vt = big.rem_u64(t);
-            *mc = if big.cmp_big(&half) == std::cmp::Ordering::Greater {
-                // centered value is big − Q: subtract Q mod t (= 1).
-                (vt + t - q_mod_t) % t
-            } else {
-                vt
-            };
         }
         Ok(self.encoder.decode(&m_coeffs))
     }
@@ -267,9 +246,7 @@ impl BgvContext {
         ct: &BgvCiphertext,
     ) -> Result<f64, BgvError> {
         ct.verify_integrity("bgv.decrypt")?;
-        let v = self.linear_form(sk, ct)?;
-        let q_prod = UBig::product_of(self.params.moduli()[..=ct.level].iter().copied());
-        Ok(self.budget_bits(&v, ct.level, &q_prod))
+        Ok(self.centered_lift(&self.linear_form(sk, ct)?).0)
     }
 
     /// `v = c0 + c1·s` over the level channels, coefficient domain.
@@ -294,32 +271,29 @@ impl BgvContext {
         Ok(v)
     }
 
-    /// `log2(Q/4) − log2(max_i |centered(v_i)|)`, with `+log2(Q/4)` when
-    /// `v = 0`.
-    fn budget_bits(&self, v: &RnsPoly, level: usize, q_prod: &UBig) -> f64 {
-        let half = q_prod.divrem_u64(2).0;
-        let mut max_mag = UBig::zero();
-        for i in 0..self.params.n() {
-            let big = if level == 0 {
-                UBig::from_u64(v.channel(0).coeffs()[i])
-            } else {
-                v.crt_coefficient(i)
-            };
-            let mag = if big.cmp_big(&half) == std::cmp::Ordering::Greater {
-                q_prod.sub(&big)
-            } else {
-                big
-            };
-            if mag.cmp_big(&max_mag) == std::cmp::Ordering::Greater {
-                max_mag = mag;
-            }
-        }
-        let margin_bits = q_prod.to_f64().log2() - 2.0;
-        if max_mag.is_zero() {
-            margin_bits
-        } else {
-            margin_bits - max_mag.to_f64().log2()
-        }
+    /// One exact pass over the coefficients of `v` (coefficient domain):
+    /// the budget `log2(Q/4) − log2(max_i |centered(v_i)|)` (`+log2(Q/4)`
+    /// when `v = 0`) and the centered lift of every coefficient mod `t`.
+    fn centered_lift(&self, v: &RnsPoly) -> (f64, Vec<u64>) {
+        let mut x = vec![0u64; v.num_channels()];
+        let mut max_mag = 0.0f64;
+        let m_coeffs = (0..v.n())
+            .map(|i| {
+                v.coefficient_into(i, &mut x);
+                self.mixed_radix.to_digits(&mut x);
+                let negative = self.mixed_radix.center(&mut x);
+                max_mag = max_mag.max(self.mixed_radix.to_f64(&x));
+                let r = self.mixed_radix.residue(&x, &self.t);
+                if negative {
+                    self.t.neg(r)
+                } else {
+                    r
+                }
+            })
+            .collect();
+        let margin_bits = self.mixed_radix.modulus_f64(x.len()).log2() - 2.0;
+        let budget = if max_mag == 0.0 { margin_bits } else { margin_bits - max_mag.log2() };
+        (budget, m_coeffs)
     }
 
     /// Homomorphic addition.
@@ -786,5 +760,54 @@ mod tests {
         let a = ctx.encrypt(&sk, &[1], &mut rng).unwrap();
         let b = ctx.mod_switch(&ctx.encrypt(&sk, &[2], &mut rng).unwrap()).unwrap();
         assert!(ctx.add(&a, &b).is_err());
+    }
+
+    /// The bigint path `centered_lift` replaced, kept as its reference:
+    /// CRT-reconstruct every coefficient, compare with `Q/2`, reduce mod
+    /// `t`, and take `log2` of the largest magnitude.
+    fn reference_lift(ctx: &BgvContext, v: &RnsPoly, level: usize) -> (f64, Vec<u64>) {
+        use fhe_math::UBig;
+        let t = ctx.params.t();
+        let q = UBig::product_of(ctx.params.moduli()[..=level].iter().copied());
+        let half = q.divrem_u64(2).0;
+        let mut max_mag = UBig::zero();
+        let m_coeffs = (0..ctx.params.n())
+            .map(|i| {
+                let big = v.crt_coefficient(i);
+                let (mag, lifted) = if big > half {
+                    (q.sub(&big), (big.rem_u64(t) + t - q.rem_u64(t)) % t)
+                } else {
+                    (big.clone(), big.rem_u64(t))
+                };
+                if mag > max_mag {
+                    max_mag = mag;
+                }
+                lifted
+            })
+            .collect();
+        let margin = q.to_f64().log2() - 2.0;
+        let budget = if max_mag.is_zero() { margin } else { margin - max_mag.to_f64().log2() };
+        (budget, m_coeffs)
+    }
+
+    #[test]
+    fn decrypt_and_budget_match_the_bigint_reference() {
+        let (ctx, mut rng) = setup();
+        let sk = ctx.generate_secret_key(&mut rng);
+        let rlk = ctx.generate_relin_key(&sk, &mut rng).unwrap();
+        let slots: Vec<u64> = (0..64).map(|i| (i * 29 + 3) % 257).collect();
+        let fresh = ctx.encrypt(&sk, &slots, &mut rng).unwrap();
+        let squared = ctx.mul(&fresh, &fresh, &rlk).unwrap();
+        let bottom = ctx.mod_switch(&squared).unwrap();
+        assert_eq!(bottom.level(), 0);
+        for ct in [&fresh, &squared, &bottom] {
+            let v = ctx.linear_form(&sk, ct).unwrap();
+            let (want_budget, want_coeffs) = reference_lift(&ctx, &v, ct.level());
+            let (budget, coeffs) = ctx.centered_lift(&v);
+            assert_eq!(coeffs, want_coeffs, "level {}", ct.level());
+            assert!((budget - want_budget).abs() < 1e-9, "{budget} vs {want_budget}");
+            assert_eq!(ctx.noise_budget_bits(&sk, ct).unwrap(), budget);
+            assert_eq!(ctx.decrypt(&sk, ct).unwrap(), ctx.encoder.decode(&want_coeffs));
+        }
     }
 }

@@ -1,10 +1,15 @@
 //! The CKKS context: RNS machinery over the full `Q ∪ P` basis.
 
+use crate::encoding::CodecTables;
 use crate::{CkksError, CkksParams};
-use fhe_math::{Modulus, NttTable, RnsBasis, RnsContext, RnsPoly, UBig};
+use fhe_math::{
+    BconvPlan, MixedRadix, ModdownPlan, Modulus, NttTable, RnsBasis, RnsContext, RnsPoly,
+    ShoupScalar, UBig,
+};
 
 /// Precomputed state shared by all CKKS objects: moduli, NTT tables, digit
-/// layout.
+/// layout, and every per-level constant of the request path (key-switch
+/// plans, rescale inverses, the plaintext-boundary tables).
 ///
 /// Channel indexing convention: indices `0..=L` are the ciphertext primes
 /// `q_0 … q_L`, indices `L+1 .. L+1+K` are the special primes `p_0 … p_{K-1}`.
@@ -14,10 +19,30 @@ pub struct CkksContext {
     rns: RnsContext,
     /// Full-chain digit groups (indices into the Q part).
     digits: Vec<Vec<usize>>,
+    /// Entry `l` holds the constants of level `l`.
+    levels: Vec<LevelPlans>,
+    /// Exact reconstruction over `q_0 … q_L` (a level is a prefix).
+    mixed_radix: MixedRadix,
+    codec: CodecTables,
+}
+
+/// The constants one level's key switch and rescale need, built once.
+#[derive(Debug)]
+pub(crate) struct LevelPlans {
+    /// Digit groups restricted to channels `0..=level`, empty ones dropped.
+    pub(crate) digits: Vec<Vec<usize>>,
+    /// Per occupied digit: its Modup destination channels (the other `Q`
+    /// channels of the level, then `P`) and the conversion onto them.
+    pub(crate) modup: Vec<(Vec<usize>, BconvPlan)>,
+    /// Moddown from `Q_level ∪ P` back onto `Q_level`.
+    pub(crate) moddown: ModdownPlan,
+    /// `q_level⁻¹ mod q_c` for `c < level`.
+    pub(crate) rescale_inv: Vec<ShoupScalar>,
 }
 
 impl CkksContext {
-    /// Builds the context (NTT tables for every prime in `Q ∪ P`).
+    /// Builds the context: NTT tables for every prime in `Q ∪ P`, the
+    /// per-level plans, and the encoder's tables.
     ///
     /// # Errors
     ///
@@ -25,14 +50,42 @@ impl CkksContext {
     pub fn new(params: CkksParams) -> Result<Self, CkksError> {
         let mut moduli = Vec::with_capacity(params.moduli().len() + params.special_moduli().len());
         for &q in params.moduli().iter().chain(params.special_moduli()) {
-            moduli.push(Modulus::new(q).map_err(CkksError::Math)?);
+            moduli.push(Modulus::new(q)?);
         }
-        let rns = RnsContext::new(params.n(), RnsBasis::new(moduli).map_err(CkksError::Math)?)
-            .map_err(CkksError::Math)?;
-        let digits = fhe_math::Gadget::new(params.dnum())
-            .map_err(CkksError::Math)?
-            .split(params.moduli().len());
-        Ok(CkksContext { params, rns, digits })
+        let rns = RnsContext::new(params.n(), RnsBasis::new(moduli)?)?;
+        let q_len = params.moduli().len();
+        let digits = fhe_math::Gadget::new(params.dnum())?.split(q_len);
+        let p_idx: Vec<usize> = (q_len..rns.moduli().len()).collect();
+        let mut levels = Vec::with_capacity(q_len);
+        for level in 0..q_len {
+            let q_idx: Vec<usize> = (0..=level).collect();
+            let at_level: Vec<Vec<usize>> = digits
+                .iter()
+                .map(|d| d.iter().copied().filter(|&c| c <= level).collect::<Vec<_>>())
+                .filter(|d| !d.is_empty())
+                .collect();
+            let mut modup = Vec::with_capacity(at_level.len());
+            for digit in &at_level {
+                let dst: Vec<usize> =
+                    q_idx.iter().chain(&p_idx).copied().filter(|c| !digit.contains(c)).collect();
+                let plan = rns.bconv(digit, &dst)?;
+                modup.push((dst, plan));
+            }
+            let q_last = rns.moduli()[level];
+            let mut rescale_inv = Vec::with_capacity(level);
+            for m in &rns.moduli()[..level] {
+                rescale_inv.push(m.shoup(m.inv(q_last.value() % m.value())?));
+            }
+            levels.push(LevelPlans {
+                digits: at_level,
+                modup,
+                moddown: rns.moddown_plan(&q_idx, &p_idx)?,
+                rescale_inv,
+            });
+        }
+        let mixed_radix = MixedRadix::new(&rns.moduli()[..q_len])?;
+        let codec = CodecTables::new(params.n());
+        Ok(CkksContext { params, rns, digits, levels, mixed_radix, codec })
     }
 
     /// The parameter set.
@@ -102,12 +155,21 @@ impl CkksContext {
 
     /// Digit groups restricted to channels `0..=level`, empty digits
     /// dropped — the `beta` occupied digits at this level.
-    pub fn digits_at_level(&self, level: usize) -> Vec<Vec<usize>> {
-        self.digits
-            .iter()
-            .map(|d| d.iter().copied().filter(|&c| c <= level).collect::<Vec<_>>())
-            .filter(|d| !d.is_empty())
-            .collect()
+    #[inline]
+    pub fn digits_at_level(&self, level: usize) -> &[Vec<usize>] {
+        &self.levels[level].digits
+    }
+
+    /// The precomputed key-switch and rescale constants of `level`.
+    #[inline]
+    pub(crate) fn plans(&self, level: usize) -> &LevelPlans {
+        &self.levels[level]
+    }
+
+    /// The encoder's root and permutation tables.
+    #[inline]
+    pub(crate) fn codec(&self) -> &CodecTables {
+        &self.codec
     }
 
     /// Exact product of the special primes as a big integer.
@@ -115,31 +177,22 @@ impl CkksContext {
         UBig::product_of(self.params.special_moduli().iter().copied())
     }
 
-    /// Exact product of `q_0 … q_level`.
-    pub fn q_product(&self, level: usize) -> UBig {
-        UBig::product_of(self.params.moduli()[..=level].iter().copied())
-    }
-
-    /// CRT-reconstructs coefficient `idx` of a coefficient-domain poly over
-    /// channels `0..=level` and returns the *centered* value as `f64`.
-    pub fn centered_coefficient(&self, poly: &RnsPoly, level: usize, idx: usize) -> f64 {
+    /// The *centered* coefficients of a coefficient-domain poly over
+    /// channels `0..=level`: sign and magnitude exact ([`MixedRadix`]),
+    /// then rounded to `f64`.
+    pub fn centered_coefficients(&self, poly: &RnsPoly, level: usize) -> Vec<f64> {
         fhe_math::strict_assert_eq!(
             poly.num_channels(),
             level + 1,
             "polynomial channel count must match level + 1"
         );
-        if level == 0 {
-            let m = self.rns.moduli()[0];
-            return m.to_centered(poly.channel(0).coeffs()[idx]) as f64;
-        }
-        let q = self.q_product(level);
-        let v = poly.crt_coefficient(idx);
-        let half = q.divrem_u64(2).0;
-        if v.cmp_big(&half) == std::cmp::Ordering::Greater {
-            -(q.sub(&v).to_f64())
-        } else {
-            v.to_f64()
-        }
+        let mut x = vec![0u64; level + 1];
+        (0..poly.n())
+            .map(|idx| {
+                poly.coefficient_into(idx, &mut x);
+                self.mixed_radix.centered_f64(&mut x)
+            })
+            .collect()
     }
 }
 
@@ -177,17 +230,59 @@ mod tests {
         let c = ctx();
         for value in [-12345i64, -1, 0, 1, 98765] {
             let poly = RnsPoly::from_signed(&[value], c.n(), c.level_moduli(2));
-            let got = c.centered_coefficient(&poly, 2, 0);
-            assert_eq!(got, value as f64);
+            let got = c.centered_coefficients(&poly, 2);
+            assert_eq!(got[0], value as f64);
             // Coefficient 1 is zero.
-            assert_eq!(c.centered_coefficient(&poly, 2, 1), 0.0);
+            assert_eq!(got[1], 0.0);
         }
     }
 
     #[test]
-    fn centered_coefficient_level_zero_fast_path() {
+    fn centered_coefficient_level_zero() {
         let c = ctx();
         let poly = RnsPoly::from_signed(&[-7], c.n(), c.level_moduli(0));
-        assert_eq!(c.centered_coefficient(&poly, 0, 0), -7.0);
+        assert_eq!(c.centered_coefficients(&poly, 0)[0], -7.0);
+    }
+
+    /// The bigint path `centered_coefficients` replaced, kept as its
+    /// reference: CRT-reconstruct, compare with `Q/2`, subtract, round.
+    fn centered_reference(c: &CkksContext, poly: &RnsPoly, level: usize, idx: usize) -> f64 {
+        let q = UBig::product_of(c.params().moduli()[..=level].iter().copied());
+        let v = poly.crt_coefficient(idx);
+        if v > q.divrem_u64(2).0 {
+            -(q.sub(&v).to_f64())
+        } else {
+            v.to_f64()
+        }
+    }
+
+    #[test]
+    fn centered_coefficients_match_the_bigint_reference_at_every_level() {
+        let c = ctx();
+        for level in 0..c.q_len() {
+            // Residues spread over the whole range, plus the extremes.
+            let channels = c
+                .level_moduli(level)
+                .iter()
+                .enumerate()
+                .map(|(ch, &m)| {
+                    let mut v: Vec<u64> = (0..c.n() as u64)
+                        .map(|i| m.reduce((i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15 + ch as u64)))
+                        .collect();
+                    v[0] = 0;
+                    v[1] = m.value() - 1;
+                    v[2] = m.value() / 2;
+                    v[3] = m.value() / 2 + 1;
+                    fhe_math::Poly::from_coeffs(v, m).unwrap()
+                })
+                .collect();
+            let poly = RnsPoly::from_channels(channels).unwrap();
+            let got = c.centered_coefficients(&poly, level);
+            for (idx, &g) in got.iter().enumerate() {
+                let want = centered_reference(&c, &poly, level, idx);
+                let tol = want.abs() * 4.0 * (level + 1) as f64 * f64::EPSILON;
+                assert!((g - want).abs() <= tol, "level {level} coeff {idx}: {g} vs {want}");
+            }
+        }
     }
 }

@@ -7,13 +7,20 @@
 //! one — the property CKKS rotations (and the paper's `Rotation` benchmark
 //! row) are built on.
 //!
-//! The transforms run in `O(N log N)`: the canonical embedding of
-//! `Z[X]/(X^N+1)` is the restriction of a length-`2N` DFT of the
-//! zero-padded coefficient vector to the odd indices, so decoding is one
-//! forward FFT plus a gather at indices `5^j mod 2N`, and encoding is the
-//! conjugate-symmetric scatter followed by one inverse FFT. A direct
+//! The transforms run in `O(N log N)` on `N/2` points. Since
+//! `ζ_j^{N/2} = i` for every `ζ_j = ζ^{5^j}` (`5^j ≡ 1 mod 4`), folding the
+//! upper half of the coefficients onto the lower as `w_i = m_i + i·m_{i+N/2}`
+//! turns the embedding into the evaluation of a complex polynomial of
+//! degree `< N/2` at the `N/2` points `ζ_j`; squaring maps those points
+//! onto the same set for the half-size problem and `ζ_{j+N/4} = −ζ_j`, so
+//! the usual even/odd split applies with the twiddles taken in `5^j` order
+//! (the HEAAN/Lattigo "special FFT"). Slots come out in natural order:
+//! output `j` is the evaluation at `ζ^{rot_group[j]}`. A direct
 //! `O(N·slots)` evaluation is kept as [`Encoder::encode_direct_at`] /
 //! [`Encoder::decode_direct`] and the FFT paths are tested against it.
+//!
+//! The tables (root powers, `5^j`, per-stage twiddles, bit reversal) are
+//! built once in [`CkksContext::new`]; an [`Encoder`] is a borrow.
 
 use crate::ciphertext::Plaintext;
 use crate::{CkksContext, CkksError};
@@ -62,9 +69,116 @@ impl Complex64 {
         Complex64 { re: self.re + other.re, im: self.im + other.im }
     }
 
+    /// Complex difference.
+    #[allow(clippy::should_implement_trait)]
+    pub fn sub(self, other: Self) -> Self {
+        Complex64 { re: self.re - other.re, im: self.im - other.im }
+    }
+
     /// Modulus (absolute value).
     pub fn abs(self) -> f64 {
         self.re.hypot(self.im)
+    }
+}
+
+/// The encoder's tables for ring degree `N`, owned by the context.
+#[derive(Debug)]
+pub(crate) struct CodecTables {
+    /// ζ^t for t in 0..2N.
+    root_powers: Vec<Complex64>,
+    /// 5^j mod 2N for j in 0..N/2.
+    rot_group: Vec<usize>,
+    /// Special-FFT twiddles in butterfly order: entry `half + j` is the
+    /// primitive `8·half`-th root raised to `5^j`, for `j < half`.
+    twiddles: Vec<Complex64>,
+    /// Bit reversal on `log2(N/2)` bits.
+    bit_rev: Vec<u32>,
+}
+
+impl CodecTables {
+    pub(crate) fn new(n: usize) -> Self {
+        debug_assert!(n.is_power_of_two() && n >= 4);
+        let (two_n, slots) = (2 * n, n / 2);
+        let root_powers: Vec<Complex64> = (0..two_n)
+            .map(|t| Complex64::from_angle(std::f64::consts::PI * t as f64 / n as f64))
+            .collect();
+        let mut rot_group = Vec::with_capacity(slots);
+        let mut g = 1usize;
+        for _ in 0..slots {
+            rot_group.push(g);
+            g = (g * 5) % two_n;
+        }
+        let mut twiddles = vec![Complex64::default(); slots];
+        let mut half = 1;
+        while half < slots {
+            let order = 8 * half;
+            for j in 0..half {
+                twiddles[half + j] = root_powers[(rot_group[j] % order) * (two_n / order)];
+            }
+            half *= 2;
+        }
+        let bits = slots.trailing_zeros();
+        let bit_rev = (0..slots as u32).map(|i| i.reverse_bits() >> (32 - bits)).collect();
+        CodecTables { root_powers, rot_group, twiddles, bit_rev }
+    }
+
+    fn bit_reverse(&self, data: &mut [Complex64]) {
+        for (i, &j) in self.bit_rev.iter().enumerate() {
+            if (j as usize) > i {
+                data.swap(i, j as usize);
+            }
+        }
+    }
+
+    /// Evaluates `Σ_i data[i]·X^i` at `ζ^{5^j}`, `j < N/2`, in place.
+    fn special_fft(&self, data: &mut [Complex64]) {
+        self.bit_reverse(data);
+        let mut half = 1;
+        while half < data.len() {
+            let tw = &self.twiddles[half..2 * half];
+            for block in data.chunks_exact_mut(2 * half) {
+                let (lo, hi) = block.split_at_mut(half);
+                for ((a, b), &w) in lo.iter_mut().zip(hi).zip(tw) {
+                    let (u, v) = (*a, b.mul(w));
+                    *a = u.add(v);
+                    *b = u.sub(v);
+                }
+            }
+            half *= 2;
+        }
+    }
+
+    /// Inverse of [`CodecTables::special_fft`] up to the factor `N/2` the
+    /// caller folds into its scale.
+    fn special_ifft_unscaled(&self, data: &mut [Complex64]) {
+        let mut half = data.len() / 2;
+        while half >= 1 {
+            let tw = &self.twiddles[half..2 * half];
+            for block in data.chunks_exact_mut(2 * half) {
+                let (lo, hi) = block.split_at_mut(half);
+                for ((a, b), &w) in lo.iter_mut().zip(hi).zip(tw) {
+                    let (u, v) = (*a, *b);
+                    *a = u.add(v);
+                    *b = u.sub(v).mul(w.conj());
+                }
+            }
+            half /= 2;
+        }
+        self.bit_reverse(data);
+    }
+}
+
+/// Largest magnitude a scaled coefficient may have: `RnsPoly::from_signed`
+/// takes `i64`, and a saturating cast would encode garbage silently.
+const MAX_COEFF: f64 = 4_611_686_018_427_387_904.0; // 2^62
+
+/// Rounds a scaled coefficient to the integer it encodes as.
+fn quantize(x: f64) -> Result<i64, CkksError> {
+    // NaN fails the comparison too.
+    if x.abs() < MAX_COEFF {
+        Ok(x.round() as i64)
+    } else {
+        Err(CkksError::EncodingOverflow { coefficient: x })
     }
 }
 
@@ -74,27 +188,12 @@ impl Complex64 {
 #[derive(Debug)]
 pub struct Encoder<'a> {
     ctx: &'a CkksContext,
-    /// ζ^t for t in 0..2N.
-    root_powers: Vec<Complex64>,
-    /// 5^j mod 2N for j in 0..N/2.
-    rot_group: Vec<usize>,
 }
 
 impl<'a> Encoder<'a> {
-    /// Builds encoder tables (`O(N)` trigonometry).
+    /// Borrows the context's encoder tables.
     pub fn new(ctx: &'a CkksContext) -> Self {
-        let n = ctx.n();
-        let two_n = 2 * n;
-        let root_powers = (0..two_n)
-            .map(|t| Complex64::from_angle(std::f64::consts::PI * t as f64 / n as f64))
-            .collect();
-        let mut rot_group = Vec::with_capacity(n / 2);
-        let mut g = 1usize;
-        for _ in 0..n / 2 {
-            rot_group.push(g);
-            g = (g * 5) % two_n;
-        }
-        Encoder { ctx, root_powers, rot_group }
+        Encoder { ctx }
     }
 
     /// Number of slots (`N/2`).
@@ -133,40 +232,63 @@ impl<'a> Encoder<'a> {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Encoder::encode_at`].
+    /// Same conditions as [`Encoder::encode_at`], plus
+    /// [`CkksError::EncodingOverflow`] if a scaled coefficient is
+    /// non-finite or does not fit 62 bits.
     pub fn encode_complex_at(
         &self,
         values: &[Complex64],
         level: usize,
         scale: f64,
     ) -> Result<Plaintext, CkksError> {
+        self.check(values.len(), level)?;
         let slots = self.slots();
-        if values.len() > slots {
-            return Err(CkksError::TooManySlots { provided: values.len(), available: slots });
+        // w = V⁻¹z by the inverse special FFT; the real parts are the lower
+        // half of the coefficients and the imaginary parts the upper half.
+        let mut w = vec![Complex64::default(); slots];
+        w[..values.len()].copy_from_slice(values);
+        self.ctx.codec().special_ifft_unscaled(&mut w);
+        let unit = scale / slots as f64;
+        let mut coeffs = vec![0i64; 2 * slots];
+        let (lo, hi) = coeffs.split_at_mut(slots);
+        for ((re, im), z) in lo.iter_mut().zip(hi).zip(&w) {
+            *re = quantize(z.re * unit)?;
+            *im = quantize(z.im * unit)?;
+        }
+        self.plaintext(&coeffs, level, scale)
+    }
+
+    fn check(&self, provided: usize, level: usize) -> Result<(), CkksError> {
+        let available = self.slots();
+        if provided > available {
+            return Err(CkksError::TooManySlots { provided, available });
         }
         if level >= self.ctx.q_len() {
             return Err(CkksError::Mismatch { detail: format!("level {level} out of range") });
         }
-        let n = self.ctx.n();
-        let two_n = 2 * n;
-        // Scatter z_j to the odd spectrum with conjugate symmetry, then one
-        // inverse length-2N FFT recovers the (real) coefficients.
-        let mut spectrum = vec![Complex64::default(); two_n];
-        for (j, &z) in values.iter().enumerate() {
-            let k = self.rot_group[j];
-            spectrum[k] = z;
-            spectrum[two_n - k] = z.conj();
-        }
-        self.fft(&mut spectrum, true);
-        // IFFT includes 1/2N; the embedding wants coefficients m_i =
-        // (2/N)·Re(Σ_j ...) = 2·(2/2N)·..., hence the factor 2.
-        let mut coeffs = vec![0i64; n];
-        for (i, c) in coeffs.iter_mut().enumerate() {
-            *c = (spectrum[i].re * 2.0 * scale).round() as i64;
-        }
-        let mut poly = RnsPoly::from_signed(&coeffs, n, self.ctx.level_moduli(level));
+        Ok(())
+    }
+
+    fn plaintext(&self, coeffs: &[i64], level: usize, scale: f64) -> Result<Plaintext, CkksError> {
+        let mut poly = RnsPoly::from_signed(coeffs, self.ctx.n(), self.ctx.level_moduli(level));
         poly.to_ntt(self.ctx.level_tables(level))?;
         Ok(Plaintext::from_parts(poly, level, scale))
+    }
+
+    /// The centered coefficients of `pt` as `f64`; its structure is
+    /// validated against this context before the polynomial is cloned.
+    fn coefficients(&self, pt: &Plaintext) -> Result<Vec<f64>, CkksError> {
+        let level = pt.level();
+        if level >= self.ctx.q_len() || pt.poly().num_channels() != level + 1 {
+            return Err(CkksError::Mismatch {
+                detail: "plaintext channels disagree with its level".into(),
+            });
+        }
+        let mut poly = pt.poly().clone();
+        if poly.domain() == Domain::Ntt {
+            poly.to_coeff(self.ctx.level_tables(level))?;
+        }
+        Ok(self.ctx.centered_coefficients(&poly, level))
     }
 
     /// Decodes a plaintext into real slot values (imaginary parts are
@@ -186,32 +308,15 @@ impl<'a> Encoder<'a> {
     /// Returns [`CkksError::Mismatch`] if the plaintext structure is
     /// inconsistent with this context.
     pub fn decode_complex(&self, pt: &Plaintext) -> Result<Vec<Complex64>, CkksError> {
-        let n = self.ctx.n();
-        let two_n = 2 * n;
-        let level = pt.level();
-        let mut poly = pt.poly().clone();
-        if poly.num_channels() != level + 1 {
-            return Err(CkksError::Mismatch {
-                detail: "plaintext channels disagree with its level".into(),
-            });
-        }
-        if poly.domain() == Domain::Ntt {
-            poly.to_coeff(self.ctx.level_tables(level))?;
-        }
-        // Centered coefficients as f64 (CRT when level > 0), zero-padded to
-        // 2N; one forward FFT evaluates at every 2N-th root, and the slots
-        // are the gather at indices 5^j.
-        let mut spectrum = vec![Complex64::default(); two_n];
-        for (i, slot) in spectrum.iter_mut().take(n).enumerate() {
-            slot.re = self.ctx.centered_coefficient(&poly, level, i);
-        }
-        self.fft(&mut spectrum, false);
-        let slots = self.slots();
-        let mut out = Vec::with_capacity(slots);
-        for j in 0..slots {
-            let z = spectrum[self.rot_group[j]];
-            out.push(Complex64::new(z.re / pt.scale(), z.im / pt.scale()));
-        }
+        let coeffs = self.coefficients(pt)?;
+        let (lo, hi) = coeffs.split_at(self.slots());
+        let inv_scale = 1.0 / pt.scale();
+        let mut out: Vec<Complex64> = lo
+            .iter()
+            .zip(hi)
+            .map(|(&re, &im)| Complex64::new(re * inv_scale, im * inv_scale))
+            .collect();
+        self.ctx.codec().special_fft(&mut out);
         Ok(out)
     }
 
@@ -227,27 +332,18 @@ impl<'a> Encoder<'a> {
         level: usize,
         scale: f64,
     ) -> Result<Plaintext, CkksError> {
-        let slots = self.slots();
-        if values.len() > slots {
-            return Err(CkksError::TooManySlots { provided: values.len(), available: slots });
-        }
-        if level >= self.ctx.q_len() {
-            return Err(CkksError::Mismatch { detail: format!("level {level} out of range") });
-        }
+        self.check(values.len(), level)?;
+        let codec = self.ctx.codec();
         let n = self.ctx.n();
-        let two_n = 2 * n;
         let mut coeffs = vec![0i64; n];
         for (i, c) in coeffs.iter_mut().enumerate() {
             let mut acc = Complex64::default();
-            for (j, &z) in values.iter().enumerate() {
-                let e = (i * self.rot_group[j]) % two_n;
-                acc = acc.add(z.mul(self.root_powers[e].conj()));
+            for (&z, &g) in values.iter().zip(&codec.rot_group) {
+                acc = acc.add(z.mul(codec.root_powers[(i * g) % (2 * n)].conj()));
             }
-            *c = (acc.re * 2.0 / n as f64 * scale).round() as i64;
+            *c = quantize(acc.re * 2.0 / n as f64 * scale)?;
         }
-        let mut poly = RnsPoly::from_signed(&coeffs, n, self.ctx.level_moduli(level));
-        poly.to_ntt(self.ctx.level_tables(level))?;
-        Ok(Plaintext::from_parts(poly, level, scale))
+        self.plaintext(&coeffs, level, scale)
     }
 
     /// Direct `O(N·slots)` decoding — the reference the FFT path is tested
@@ -257,65 +353,18 @@ impl<'a> Encoder<'a> {
     ///
     /// Same conditions as [`Encoder::decode_complex`].
     pub fn decode_direct(&self, pt: &Plaintext) -> Result<Vec<Complex64>, CkksError> {
-        let n = self.ctx.n();
-        let two_n = 2 * n;
-        let level = pt.level();
-        let mut poly = pt.poly().clone();
-        if poly.domain() == Domain::Ntt {
-            poly.to_coeff(self.ctx.level_tables(level))?;
-        }
-        let coeffs: Vec<f64> =
-            (0..n).map(|i| self.ctx.centered_coefficient(&poly, level, i)).collect();
+        let coeffs = self.coefficients(pt)?;
+        let codec = self.ctx.codec();
+        let two_n = 2 * self.ctx.n();
         let mut out = Vec::with_capacity(self.slots());
-        for j in 0..self.slots() {
+        for &g in &codec.rot_group {
             let mut acc = Complex64::default();
             for (i, &c) in coeffs.iter().enumerate() {
-                let e = (i * self.rot_group[j]) % two_n;
-                acc = acc.add(self.root_powers[e].mul(Complex64::new(c, 0.0)));
+                acc = acc.add(codec.root_powers[(i * g) % two_n].mul(Complex64::new(c, 0.0)));
             }
             out.push(Complex64::new(acc.re / pt.scale(), acc.im / pt.scale()));
         }
         Ok(out)
-    }
-
-    /// Iterative radix-2 complex FFT of length `2N` over the precomputed
-    /// root table (`inverse` includes the `1/2N` normalization).
-    fn fft(&self, data: &mut [Complex64], inverse: bool) {
-        let len = data.len();
-        debug_assert!(len.is_power_of_two());
-        let bits = len.trailing_zeros();
-        // Bit-reversal permutation.
-        for i in 0..len {
-            let j = (i as u64).reverse_bits() as usize >> (64 - bits);
-            if j > i {
-                data.swap(i, j);
-            }
-        }
-        let mut half = 1usize;
-        while half < len {
-            let step = len / (2 * half);
-            for start in (0..len).step_by(2 * half) {
-                for k in 0..half {
-                    // Root e^{±2πi·k·step/2N}: the table holds e^{iπt/N} =
-                    // e^{2πit/2N}.
-                    let idx = (k * step) % len;
-                    let w =
-                        if inverse { self.root_powers[idx].conj() } else { self.root_powers[idx] };
-                    let u = data[start + k];
-                    let v = data[start + k + half].mul(w);
-                    data[start + k] = u.add(v);
-                    data[start + k + half] = Complex64::new(u.re - v.re, u.im - v.im);
-                }
-            }
-            half *= 2;
-        }
-        if inverse {
-            let inv = 1.0 / len as f64;
-            for z in data.iter_mut() {
-                z.re *= inv;
-                z.im *= inv;
-            }
-        }
     }
 
     /// Encodes a single constant replicated across all slots — cheaper than
@@ -330,9 +379,7 @@ impl<'a> Encoder<'a> {
         level: usize,
         scale: f64,
     ) -> Result<Plaintext, CkksError> {
-        if level >= self.ctx.q_len() {
-            return Err(CkksError::Mismatch { detail: format!("level {level} out of range") });
-        }
+        self.check(0, level)?;
         let n = self.ctx.n();
         let w = value * scale;
         let poly = if w.abs() < 9.0e18 {
@@ -489,5 +536,50 @@ mod tests {
         let enc = Encoder::new(&c);
         let too_many = vec![1.0; enc.slots() + 1];
         assert!(matches!(enc.encode(&too_many), Err(CkksError::TooManySlots { .. })));
+    }
+
+    #[test]
+    fn unencodable_slots_are_a_typed_error() {
+        let c = ctx();
+        let enc = Encoder::new(&c);
+        for bad in [f64::NAN, f64::INFINITY, 1e30] {
+            for r in [
+                enc.encode(&[bad, 1.0]),
+                enc.encode_direct_at(&[Complex64::new(1.0, bad)], 0, c.params().scale()),
+            ] {
+                assert!(matches!(r, Err(CkksError::EncodingOverflow { .. })), "{bad}: {r:?}");
+            }
+        }
+        // The largest encodable magnitude is untouched by the guard.
+        let big = 2f64.powi(61) / c.params().scale();
+        let back = enc.decode(&enc.encode(&[big]).unwrap()).unwrap();
+        assert!((back[0] / big - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn special_fft_evaluates_at_the_rot_group_roots() {
+        // Below the smallest ring `CkksParams` accepts, on the tables alone.
+        for n in [8usize, 16, 64] {
+            let t = CodecTables::new(n);
+            let w: Vec<Complex64> = (0..n / 2)
+                .map(|i| Complex64::new((i as f64 * 0.7).sin(), (i as f64 * 1.3).cos()))
+                .collect();
+            let mut fast = w.clone();
+            t.special_fft(&mut fast);
+            for (j, &g) in t.rot_group.iter().enumerate() {
+                let mut want = Complex64::default();
+                for (i, &wi) in w.iter().enumerate() {
+                    want = want.add(wi.mul(t.root_powers[(i * g) % (2 * n)]));
+                }
+                assert!(fast[j].sub(want).abs() < 1e-12, "n={n} slot {j}");
+            }
+            t.special_ifft_unscaled(&mut fast);
+            for (f, wi) in fast.iter().zip(&w) {
+                assert!(
+                    Complex64::new(f.re * 2.0 / n as f64, f.im * 2.0 / n as f64).sub(*wi).abs()
+                        < 1e-12
+                );
+            }
+        }
     }
 }

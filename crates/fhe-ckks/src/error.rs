@@ -31,6 +31,13 @@ pub enum CkksError {
         /// Slots available (`N/2`).
         available: usize,
     },
+    /// A slot value cannot be encoded at the requested scale: a scaled
+    /// coefficient is non-finite or does not fit the 62 bits an integer
+    /// coefficient is lifted from.
+    EncodingOverflow {
+        /// The offending scaled coefficient (possibly NaN or infinite).
+        coefficient: f64,
+    },
     /// A required key is missing (e.g. rotation key for an unkeyed step).
     MissingKey {
         /// Which key was needed.
@@ -69,6 +76,9 @@ impl fmt::Display for CkksError {
             CkksError::LevelExhausted => write!(f, "modulus chain exhausted"),
             CkksError::TooManySlots { provided, available } => {
                 write!(f, "{provided} values exceed the {available} available slots")
+            }
+            CkksError::EncodingOverflow { coefficient } => {
+                write!(f, "scaled coefficient {coefficient} is non-finite or exceeds 62 bits")
             }
             CkksError::MissingKey { detail } => write!(f, "missing key: {detail}"),
             CkksError::InvalidConstant { value } => {

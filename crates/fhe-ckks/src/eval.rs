@@ -316,14 +316,7 @@ impl<'a> Evaluator<'a> {
         last.to_coeff(self.ctx.table(level));
         let q_last = self.ctx.rns().moduli()[level];
         let n = self.ctx.n();
-        // q_last^{-1} mod q_c precomputed sequentially (inversion is
-        // fallible) so the per-channel work below is infallible and can run
-        // channel-parallel.
-        let mut invs = Vec::with_capacity(level);
-        for c in 0..level {
-            let m = self.ctx.rns().moduli()[c];
-            invs.push(m.shoup(m.inv(q_last.value() % m.value())?));
-        }
+        let invs = &self.ctx.plans(level).rescale_inv;
         let positions: Vec<usize> = (0..level).collect();
         let channels = par::par_map(&positions, ntt_work(n), |_, &c| {
             let m = self.ctx.rns().moduli()[c];
@@ -404,19 +397,11 @@ impl<'a> Evaluator<'a> {
         );
         let mut d_coeff = d.clone();
         d_coeff.to_coeff(self.ctx.level_tables(level))?;
-        let q_idx: Vec<usize> = (0..=level).collect();
-        let p_idx = self.ctx.p_indices();
-        let t = q_idx.len() + p_idx.len();
+        let t = level + 1 + self.ctx.k_len();
+        let plans = self.ctx.plans(level);
 
-        let mut out = Vec::new();
-        for digit in self.ctx.digits_at_level(level) {
-            let dst: Vec<usize> = q_idx
-                .iter()
-                .copied()
-                .filter(|c| !digit.contains(c))
-                .chain(p_idx.iter().copied())
-                .collect();
-            let plan = self.ctx.rns().bconv(&digit, &dst)?;
+        let mut out = Vec::with_capacity(plans.digits.len());
+        for (digit, (dst, plan)) in plans.digits.iter().zip(&plans.modup) {
             let src_data: Vec<&[u64]> =
                 digit.iter().map(|&c| d_coeff.channel(c).coeffs()).collect();
             let mut converted = plan.apply(&src_data)?;
@@ -507,15 +492,14 @@ impl<'a> Evaluator<'a> {
             })
         })?;
         // Moddown both halves, NTT back.
-        let q_idx: Vec<usize> = (0..=level).collect();
-        let p_idx = self.ctx.p_indices();
+        let moddown = &self.ctx.plans(level).moddown;
         let finish = |half: usize| -> Result<RnsPoly, CkksError> {
             let pick =
                 |pos: usize| if half == 0 { acc[pos].0.as_slice() } else { acc[pos].1.as_slice() };
             let q_refs: Vec<&[u64]> = (0..=level).map(&pick).collect();
             let p_refs: Vec<&[u64]> = (level + 1..t).map(&pick).collect();
-            let mut scaled = vec![Vec::new(); q_idx.len()];
-            self.ctx.rns().moddown_into(&q_refs, &p_refs, &q_idx, &p_idx, &mut scaled)?;
+            let mut scaled = vec![Vec::new(); level + 1];
+            moddown.apply_into(&q_refs, &p_refs, &mut scaled)?;
             par::par_iter_mut(&mut scaled, ntt_work(n), |c, data| {
                 self.ctx.table(c).forward(data);
             })?;

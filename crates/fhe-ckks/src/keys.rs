@@ -9,8 +9,9 @@
 //! T_i = (Q/Q_i) · [(Q/Q_i)^{-1} mod Q_i]      (≡ 1 mod Q_i, ≡ 0 mod Q_j)
 //! ```
 //!
-//! The `T_i` factor is computed exactly with [`fhe_math::UBig`] CRT
-//! reconstruction at key-generation time; at runtime only word-sized
+//! The `T_i` factor is computed exactly at key-generation time — the
+//! digit-local inverse through its [`fhe_math::MixedRadix`] digits, the
+//! cofactors as [`fhe_math::UBig`] products; at runtime only word-sized
 //! residues are touched (the accelerator never sees a big integer).
 
 use std::collections::HashMap;
@@ -18,27 +19,10 @@ use std::collections::HashMap;
 use crate::ciphertext::{Ciphertext, Plaintext};
 use crate::eval::ntt_work;
 use crate::{CkksContext, CkksError};
-use fhe_math::{par, sample_gaussian, sample_ternary, Domain, Modulus, Poly, RnsPoly, UBig};
+use fhe_math::{
+    par, sample_gaussian, sample_ternary, Domain, MixedRadix, Modulus, Poly, RnsPoly, UBig,
+};
 use rand::Rng;
-
-/// CRT-reconstructs a value from residues over the given moduli.
-fn crt_reconstruct(residues: &[u64], moduli: &[Modulus]) -> UBig {
-    let q = UBig::product_of(moduli.iter().map(|m| m.value()));
-    let mut acc = UBig::zero();
-    for (i, &m) in moduli.iter().enumerate() {
-        let (qhat, rem) = q.divrem_u64(m.value());
-        fhe_math::strict_assert_eq!(
-            rem,
-            0,
-            "CRT basis corrupt: Q not divisible by channel modulus {}",
-            m.value()
-        );
-        let qhat_mod = qhat.rem_u64(m.value());
-        let inv = m.inv(qhat_mod).expect("prime moduli are invertible");
-        acc = acc.add(&qhat.mul_u64(m.mul(residues[i], inv)));
-    }
-    acc.rem_big(&q)
-}
 
 /// Samples a uniform RNS polynomial directly in NTT domain.
 fn sample_uniform_ntt<R: Rng + ?Sized>(
@@ -323,13 +307,15 @@ impl SwitchKey {
             let qhat = UBig::product_of(
                 (0..ctx.q_len()).filter(|c| !digit.contains(c)).map(|c| q_moduli[c].value()),
             );
-            // v = Q̂_i^{-1} mod Q_i via CRT over the digit moduli.
+            // v = Q̂_i^{-1} mod Q_i, held as its mixed-radix digits over the
+            // digit moduli.
             let digit_moduli: Vec<Modulus> = digit.iter().map(|&c| q_moduli[c]).collect();
-            let residues: Vec<u64> = digit_moduli
+            let radix = MixedRadix::new(&digit_moduli)?;
+            let mut v: Vec<u64> = digit_moduli
                 .iter()
                 .map(|m| m.inv(qhat.rem_u64(m.value())).expect("Q̂_i coprime to digit moduli"))
                 .collect();
-            let v = crt_reconstruct(&residues, &digit_moduli);
+            radix.to_digits(&mut v);
 
             let a_channels = sample_uniform_ntt(ctx, &all, rng);
             let noise = sample_gaussian(ctx.params().sigma(), ctx.n(), rng);
@@ -343,7 +329,7 @@ impl SwitchKey {
                 // f = P · Q̂_i · v  mod m.
                 let f = m.mul(
                     m.mul(p_product.rem_u64(m.value()), qhat.rem_u64(m.value())),
-                    v.rem_u64(m.value()),
+                    radix.residue(&v, &m),
                 );
                 let s = sk.s_channel(c);
                 let t = &target[c];
@@ -502,12 +488,24 @@ mod tests {
     }
 
     #[test]
-    fn crt_reconstruct_matches_value() {
-        let moduli: Vec<Modulus> =
-            [65537u64, 786433].iter().map(|&q| Modulus::new(q).unwrap()).collect();
-        let x = 1_234_567_890u64;
-        let residues: Vec<u64> = moduli.iter().map(|m| x % m.value()).collect();
-        assert_eq!(crt_reconstruct(&residues, &moduli), UBig::from_u64(x));
+    fn switch_key_factor_is_one_on_its_digit_and_zero_elsewhere() {
+        // T_i = Q̂_i·[Q̂_i⁻¹ mod Q_i] is what `SwitchKey::generate` folds into
+        // the key (times P); recompute it the slow way and check the CRT
+        // idempotent property the key switch relies on.
+        let (ctx, _) = setup();
+        for digit in ctx.digits() {
+            let outside = || (0..ctx.q_len()).filter(|c| !digit.contains(c));
+            let qhat = UBig::product_of(outside().map(|c| ctx.q_moduli()[c].value()));
+            let digit_moduli: Vec<Modulus> = digit.iter().map(|&c| ctx.q_moduli()[c]).collect();
+            let radix = MixedRadix::new(&digit_moduli).unwrap();
+            let mut v: Vec<u64> =
+                digit_moduli.iter().map(|m| m.inv(qhat.rem_u64(m.value())).unwrap()).collect();
+            radix.to_digits(&mut v);
+            for (c, m) in ctx.q_moduli().iter().enumerate() {
+                let t = m.mul(qhat.rem_u64(m.value()), radix.residue(&v, m));
+                assert_eq!(t, u64::from(digit.contains(&c)), "channel {c}");
+            }
+        }
     }
 
     #[test]

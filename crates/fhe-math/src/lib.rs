@@ -12,6 +12,9 @@
 //! * [`RnsBasis`] / [`RnsPoly`] — residue-number-system polynomials with the
 //!   fast base conversion `Bconv` (paper Eq. 1), `Modup` (Eq. 2) and
 //!   `Moddown` (Eq. 3),
+//! * [`MixedRadix`] — exact RNS → integer reconstruction (Garner) in the
+//!   same word-sized arithmetic: sign, `f64` and plaintext-residue views of
+//!   a decrypted coefficient, the client-side end of the pipeline,
 //! * gadget decomposition for both CKKS (`dnum` hybrid key-switching digits)
 //!   and TFHE (signed base-2^w digits),
 //! * secure-ish sampling helpers (discrete Gaussian, ternary, uniform) —
@@ -49,6 +52,7 @@ mod decomp;
 mod error;
 mod four_step;
 pub mod integrity;
+mod mixed_radix;
 mod modulus;
 mod montgomery;
 mod ntt;
@@ -68,13 +72,14 @@ pub use decomp::{Gadget, SignedDigitDecomposer};
 pub use error::MathError;
 pub use four_step::FourStepNtt;
 pub use integrity::{checksum_enabled, set_checksum_enabled};
+pub use mixed_radix::MixedRadix;
 pub use modulus::{Modulus, ShoupScalar};
 pub use montgomery::MontgomeryContext;
 pub use ntt::{CyclicNtt, NttTable};
 pub use par::ParError;
 pub use poly::{Domain, Poly};
 pub use prime::{generate_ntt_primes, generate_primes_with_step, is_prime};
-pub use rns::{BconvPlan, RnsBasis, RnsContext, RnsPoly};
+pub use rns::{BconvPlan, ModdownPlan, RnsBasis, RnsContext, RnsPoly};
 pub use sampling::{sample_gaussian, sample_ternary, sample_uniform, GaussianSampler};
 pub use scratch::{scratch_stats, Scratch, ScratchStats};
 pub use strict::strict_checks_enabled;

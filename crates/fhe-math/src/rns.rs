@@ -207,8 +207,9 @@ impl RnsContext {
     }
 
     /// Allocation-free [`RnsContext::moddown`]: writes the scaled residues
-    /// into `out` (one buffer per `q_idx` channel). Destination channels are
-    /// processed in parallel when the work clears the [`par`] threshold.
+    /// into `out` (one buffer per `q_idx` channel). A convenience wrapper
+    /// over [`ModdownPlan::apply_into`]; hot paths should build the plan
+    /// once.
     ///
     /// # Errors
     ///
@@ -225,48 +226,83 @@ impl RnsContext {
         p_idx: &[usize],
         out: &mut [Vec<u64>],
     ) -> Result<(), MathError> {
-        let _t = telemetry::Timer::enter("math.moddown");
-        if q_channels.len() != q_idx.len() || p_channels.len() != p_idx.len() {
-            return Err(MathError::InvalidParameter {
-                detail: "moddown channel/index count mismatch".into(),
-            });
-        }
-        assert_eq!(out.len(), q_idx.len(), "moddown output channel count mismatch");
-        let plan = self.bconv(p_idx, q_idx)?;
-        let n = p_channels.first().map_or(0, |c| c.len());
-        // P^{-1} mod q_i per destination channel, precomputed so the
-        // parallel loop below is infallible.
-        let mut p_invs = Vec::with_capacity(q_idx.len());
+        self.moddown_plan(q_idx, p_idx)?.apply_into(q_channels, p_channels, out)
+    }
+
+    /// Builds a Moddown plan from `Q ∪ P` (indices `q_idx`, `p_idx`) onto
+    /// `Q`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`RnsContext::bconv`].
+    pub fn moddown_plan(&self, q_idx: &[usize], p_idx: &[usize]) -> Result<ModdownPlan, MathError> {
+        let bconv = self.bconv(p_idx, q_idx)?;
+        let mut p_inv = Vec::with_capacity(q_idx.len());
         for &qi in q_idx {
             let m = self.moduli()[qi];
             let mut p_mod = 1u64;
             for &pj in p_idx {
                 p_mod = m.mul(p_mod, self.moduli()[pj].value() % m.value());
             }
-            p_invs.push(m.shoup(m.inv(p_mod)?));
+            p_inv.push(m.shoup(m.inv(p_mod)?));
         }
+        Ok(ModdownPlan { bconv, p_inv })
+    }
+}
+
+/// A precomputed Moddown (paper Eq. 3): the `P → Q` base conversion plus
+/// `P^{-1} mod q_i` per destination channel.
+#[derive(Debug, Clone)]
+pub struct ModdownPlan {
+    bconv: BconvPlan,
+    p_inv: Vec<crate::modulus::ShoupScalar>,
+}
+
+impl ModdownPlan {
+    /// `out[k] = (q_channels[k] − Bconv(p_channels)[k]) · P^{-1} mod q_k`,
+    /// one buffer per `Q` channel, resized in place. Destination channels
+    /// are processed in parallel when the work clears the [`par`]
+    /// threshold.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MathError::InvalidParameter`] if the channel counts
+    /// disagree with the plan, or [`MathError::WorkerPanic`] from a
+    /// contained worker panic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` differs from the plan's `Q` channel count.
+    pub fn apply_into(
+        &self,
+        q_channels: &[&[u64]],
+        p_channels: &[&[u64]],
+        out: &mut [Vec<u64>],
+    ) -> Result<(), MathError> {
+        let _t = telemetry::Timer::enter("math.moddown");
+        let (q_moduli, p_len) = (self.bconv.dst_moduli(), self.bconv.src_moduli().len());
+        if q_channels.len() != q_moduli.len() || p_channels.len() != p_len {
+            return Err(MathError::InvalidParameter {
+                detail: "moddown channel/index count mismatch".into(),
+            });
+        }
+        assert_eq!(out.len(), q_moduli.len(), "moddown output channel count mismatch");
+        let n = p_channels.first().map_or(0, |c| c.len());
         Scratch::with_thread_local(|scratch| {
-            let mut converted: Vec<Vec<u64>> = (0..q_idx.len()).map(|_| scratch.take(n)).collect();
-            plan.apply_into(p_channels, &mut converted)?;
-            let moduli = self.moduli();
-            par::par_iter_mut_in(
-                WorkClass::Bconv,
-                out,
-                (n * (p_idx.len() + 2)) as u64,
-                |k, channel| {
-                    let m = moduli[q_idx[k]];
-                    let p_inv = p_invs[k];
-                    channel.clear();
-                    channel.resize(n, 0);
-                    simd::sub_mul_shoup_slice(
-                        channel,
-                        q_channels[k],
-                        &converted[k],
-                        p_inv,
-                        m.value(),
-                    );
-                },
-            )?;
+            let mut converted: Vec<Vec<u64>> =
+                (0..q_moduli.len()).map(|_| scratch.take(n)).collect();
+            self.bconv.apply_into(p_channels, &mut converted)?;
+            par::par_iter_mut_in(WorkClass::Bconv, out, (n * (p_len + 2)) as u64, |k, channel| {
+                channel.clear();
+                channel.resize(n, 0);
+                simd::sub_mul_shoup_slice(
+                    channel,
+                    q_channels[k],
+                    &converted[k],
+                    self.p_inv[k],
+                    q_moduli[k].value(),
+                );
+            })?;
             for buf in converted {
                 scratch.put(buf);
             }
@@ -737,6 +773,21 @@ impl RnsPoly {
     pub fn drop_last_channel(&mut self) {
         assert!(self.channels.len() > 1, "cannot drop the only RNS channel");
         self.channels.pop();
+    }
+
+    /// Gathers the residues of the coefficient at `idx`, one per channel,
+    /// into `out` — the input layout of [`crate::MixedRadix`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` differs from the channel count or `idx` is out
+    /// of range.
+    #[inline]
+    pub fn coefficient_into(&self, idx: usize, out: &mut [u64]) {
+        assert_eq!(out.len(), self.channels.len(), "one residue per channel");
+        for (slot, ch) in out.iter_mut().zip(&self.channels) {
+            *slot = ch.coeffs()[idx];
+        }
     }
 
     /// Exact CRT reconstruction of the coefficient at `idx` as a big

@@ -108,6 +108,11 @@ impl From<CkksError> for ServiceError {
             CkksError::BudgetExhausted { budget_bits } => {
                 ServiceError::BudgetExhausted { budget_bits }
             }
+            // The payload, not the evaluation, is at fault: a finite slot
+            // value too large for the context's scale.
+            e @ CkksError::EncodingOverflow { .. } => {
+                ServiceError::InvalidRequest { detail: e.to_string() }
+            }
             other => ServiceError::Scheme { detail: other.to_string() },
         }
     }
@@ -144,6 +149,8 @@ mod tests {
         assert!(e.is_contained_fault());
         let e: ServiceError = CkksError::BudgetExhausted { budget_bits: -3.0 }.into();
         assert!(matches!(e, ServiceError::BudgetExhausted { .. }));
+        let e: ServiceError = CkksError::EncodingOverflow { coefficient: 1e30 }.into();
+        assert!(matches!(e, ServiceError::InvalidRequest { .. }));
         let e: ServiceError = CkksError::LevelExhausted.into();
         assert!(matches!(e, ServiceError::Scheme { .. }));
         assert!(!e.is_contained_fault());

@@ -151,8 +151,8 @@ pub struct Request {
 
 impl Request {
     /// Structural validation: edges point backward, inputs match the
-    /// payload, ops match the scheme. Level/scale legality is the plan
-    /// compiler's job ([`crate::plan::compile_ckks`]).
+    /// payload, ops match the scheme, CKKS slot values are finite.
+    /// Level/scale legality is the plan compiler's job ([`crate::plan::compile_ckks`]).
     ///
     /// # Errors
     ///
@@ -196,6 +196,9 @@ impl Request {
                 }
                 if v.is_empty() {
                     return bad("empty CKKS payload".into());
+                }
+                if let Some(i) = v.iter().position(|x| !x.is_finite()) {
+                    return bad(format!("CKKS payload slot {i} is non-finite ({})", v[i]));
                 }
             }
             (Payload::TfheBits(bits), Scheme::Tfhe) => {
@@ -268,6 +271,18 @@ mod tests {
         assert!(r.validate().is_err());
         let ok = Request { payload: Payload::TfheBits(vec![true, false]), ..r };
         ok.validate().unwrap();
+    }
+
+    #[test]
+    fn non_finite_ckks_slots_are_rejected() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut r = ckks_req(vec![OpKind::Input, OpKind::Negate { arg: 0 }], 4);
+            r.payload = Payload::CkksSlots(vec![1.0, bad, 1.0, 1.0]);
+            let e = r.validate().unwrap_err();
+            assert!(
+                matches!(&e, ServiceError::InvalidRequest { detail } if detail.contains("slot 1"))
+            );
+        }
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! exactly one flight-recorder fault dump, and leaves the server
 //! serving.
 //!
-//! One test function on purpose: the fault-dump directory and the
-//! global telemetry handle are process-wide, so the dump counts are
-//! asserted sequentially in a single place.
+//! One test function for the fault classes on purpose: the fault-dump
+//! directory and the global telemetry handle are process-wide, so the
+//! dump counts are asserted sequentially in a single place. Unencodable
+//! payloads are not faults (no dump, no breaker), so their containment
+//! case runs beside it on a server of its own.
 
 use std::path::PathBuf;
 use std::sync::mpsc::Receiver;
@@ -126,4 +128,42 @@ fn each_fault_class_fails_exactly_one_request_with_one_dump() {
     assert_eq!(dump_count(&dir) as u64, faulted, "one dump per contained fault");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A payload the encoder cannot represent must cost its own request
+/// only. `run_batch` encodes the members' slots as one vector, so a
+/// member that got as far as a packed batch would otherwise take its
+/// batch-mates' answers with it (or, before the encoder checked, turn
+/// the whole batch into `f(0)`).
+#[test]
+fn an_unencodable_payload_fails_only_its_own_request() {
+    // One worker and a backlog, so the packer has same-tenant company
+    // for the oversized member.
+    let server = Server::start(ServerConfig { workers: 1, ..Default::default() }).unwrap();
+
+    // Non-finite: refused at admission, before it can join a batch.
+    let mut nan = quad(7, FaultFlag::None);
+    nan.payload = Payload::CkksSlots(vec![0.5, f64::NAN, 0.5, 0.5]);
+    let e = server.submit(nan).expect_err("NaN payload is refused synchronously");
+    assert!(matches!(e, ServiceError::InvalidRequest { .. }), "{e}");
+
+    // Finite but beyond the scale's 62-bit coefficient range: passes
+    // admission, reaches the (packed) batch, fails alone at encode.
+    let mut reqs: Vec<Request> = (0..6).map(|_| quad(7, FaultFlag::None)).collect();
+    reqs[3].payload = Payload::CkksSlots(vec![0.5, 1e30, 0.5, 0.5]);
+    let done = submit_all(&server, reqs);
+    for (i, c) in done.iter().enumerate() {
+        if i == 3 {
+            let e = c.result.as_ref().expect_err("oversized payload fails");
+            assert!(matches!(e, ServiceError::InvalidRequest { .. }), "{e}");
+            assert!(!e.is_contained_fault());
+        } else {
+            let values = c.result.as_ref().unwrap_or_else(|e| panic!("batch-mate {i}: {e}"));
+            assert!((values[0] - 3.25).abs() < 1e-2, "x²+3 over 0.5, got {}", values[0]);
+        }
+    }
+    let stats = server.finish();
+    assert_eq!(stats.failed, 1, "only the oversized request failed");
+    assert_eq!(stats.faults_contained, 0, "a bad payload is not a fault");
+    assert_eq!(stats.completed_ok, 5);
 }
