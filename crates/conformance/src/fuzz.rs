@@ -611,6 +611,31 @@ fn moddown_case(mut rng: SplitMix64, seed: u64, case: u64) -> Result<(), Box<Rep
             }
         }
     }
+
+    // The NTT-domain twin: on NTT(q), NTT(p) it must leave NTT(fast) in
+    // place, bit for bit, at every coefficient.
+    let transformed = |vals: &[Vec<u64>], first: usize, inverse: bool| -> Vec<Vec<u64>> {
+        let mut out = vals.to_vec();
+        for (k, ch) in out.iter_mut().enumerate() {
+            if inverse {
+                ctx.table(first + k).inverse(ch);
+            } else {
+                ctx.table(first + k).forward(ch);
+            }
+        }
+        out
+    };
+    let (mut q_ntt, mut p_ntt) =
+        (transformed(&q_vals, 0, false), transformed(&p_vals, q_cnt, false));
+    ctx.moddown_plan(&q_idx, &p_idx)
+        .and_then(|plan| {
+            let (q_tables, p_tables) = ctx.tables().split_at(q_cnt);
+            plan.apply_ntt_into(q_tables, p_tables, &mut q_ntt, &mut p_ntt)
+        })
+        .map_err(|e| fail(format!("apply_ntt_into: {e}")))?;
+    if transformed(&q_ntt, 0, true) != fast {
+        return Err(fail("apply_ntt_into differs from NTT(apply_into(INTT ..))".into()));
+    }
     Ok(())
 }
 

@@ -21,6 +21,9 @@ pub struct CkksContext {
     digits: Vec<Vec<usize>>,
     /// Entry `l` holds the constants of level `l`.
     levels: Vec<LevelPlans>,
+    /// `P mod q_c` per ciphertext prime: lifts a `Q`-basis polynomial into
+    /// a key-switch accumulator (`P·x` is `x` after Moddown, exactly).
+    p_mod_q: Vec<ShoupScalar>,
     /// Exact reconstruction over `q_0 … q_L` (a level is a prefix).
     mixed_radix: MixedRadix,
     codec: CodecTables,
@@ -83,9 +86,17 @@ impl CkksContext {
                 rescale_inv,
             });
         }
+        let p_mod_q = rns.moduli()[..q_len]
+            .iter()
+            .map(|m| {
+                let p =
+                    p_idx.iter().fold(1, |acc, &j| m.mul(acc, m.reduce(rns.moduli()[j].value())));
+                m.shoup(p)
+            })
+            .collect();
         let mixed_radix = MixedRadix::new(&rns.moduli()[..q_len])?;
         let codec = CodecTables::new(params.n());
-        Ok(CkksContext { params, rns, digits, levels, mixed_radix, codec })
+        Ok(CkksContext { params, rns, digits, levels, p_mod_q, mixed_radix, codec })
     }
 
     /// The parameter set.
@@ -164,6 +175,12 @@ impl CkksContext {
     #[inline]
     pub(crate) fn plans(&self, level: usize) -> &LevelPlans {
         &self.levels[level]
+    }
+
+    /// `P mod q_c` for ciphertext prime `c`, Shoup form.
+    #[inline]
+    pub(crate) fn p_mod_q(&self, c: usize) -> ShoupScalar {
+        self.p_mod_q[c]
     }
 
     /// The encoder's root and permutation tables.

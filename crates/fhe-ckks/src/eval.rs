@@ -1,26 +1,134 @@
 //! Homomorphic evaluation: the operator set of the paper's Table 7.
 //!
 //! `Hadd` / `Pmult` are element-wise; `Cmult`, `Rotation` and `Keyswitch`
-//! run the full hybrid key-switching pipeline —
+//! run the hybrid key-switching pipeline, which stays in the NTT domain
+//! except where a base conversion needs coefficients:
 //!
 //! ```text
-//! INTT → per-digit Modup (Bconv, Eq. 2) → NTT → DecompPolyMult with the
-//! switching key → INTT → Moddown (Eq. 3) → NTT
+//! stage 1  modup_ntt    INTT(c) → per-digit Modup (Bconv, Eq. 2) → NTT(β·t − c)
+//!                       a digit's own channels are read from the NTT-domain input
+//! stage 2  mac_key      acc ← acc + Σ_i σ_g(digit_i) ⊙ key_i   (DecompPolyMult)
+//!                       lazy u128 MAC, σ_g a gather, acc over Q·P in NTT domain
+//! stage 3  moddown_ntt  INTT(2K) → Bconv P→Q → NTT(2c) → (acc − ·)·P⁻¹  (Eq. 3)
 //! ```
 //!
-//! — which is exactly the operator sequence the Alchemist workload compiler
-//! lowers onto Meta-OPs. [`Evaluator::rotate_hoisted`] implements the
-//! Modup-hoisting optimization (the `BSP-L=n+` variant of Fig. 1): one
-//! decomposition + Modup shared by a whole group of rotations.
+//! with `c = level + 1` ciphertext channels, `K` special primes,
+//! `t = c + K` and `β` occupied digits. Transforms per operation — the
+//! count `metaop::counts::{keyswitch, hoisted_rotation_group}` charge when
+//! every digit is full, and `tests/transform_counts.rs` asserts:
+//!
+//! | operation                         | channel transforms              |
+//! |-----------------------------------|---------------------------------|
+//! | `keyswitch_core`, `mul`, `rotate` | `β·t + 2t`                      |
+//! | `rotate_hoisted`, `r` rotations   | `β·t + r·2t` (stage 1 shared)   |
+//! | a sum of `r` rotations (BSGS)     | `r·β·t + 2t` (one Moddown)      |
+//! | `rescale`                         | `2·(1 + level)`                 |
+//!
+//! Three exact identities carry the saving (DESIGN.md §6.2). The NTT is
+//! linear over `Z_q` and every stored value canonical, so Moddown's
+//! subtract-and-scale commutes with it
+//! ([`fhe_math::ModdownPlan::apply_ntt_into`]). The forward transform leaves
+//! the evaluation at `ψ^(2·brv(i)+1)` in slot `i` and
+//! `(σ_g a)(ψ^e) = a(ψ^(e·g))`, so for odd `g` the automorphism is a
+//! signless gather there ([`fhe_math::galois_ntt_permutation`]) — no
+//! transform. And `Moddown(x + P·y) = Moddown(x) + y`, so what needs no key
+//! switch rides in the same accumulator and a group of rotations closes with
+//! one stage 3 (the `BSP-L=n+` variant of Fig. 1).
 
 use crate::ciphertext::{Ciphertext, Plaintext};
 use crate::keys::{galois_element, GaloisKeys, RelinKey, SwitchKey};
 use crate::{CkksContext, CkksError};
-use fhe_math::{par, Domain, Poly, RnsPoly, Scratch};
+use fhe_math::{galois_ntt_permutation, par, Domain, Modulus, Poly, RnsPoly, Scratch};
 
 /// Work estimate (element-operations) for one `n`-point NTT channel.
 pub(crate) fn ntt_work(n: usize) -> u64 {
     (n as u64) * u64::from(usize::BITS - n.leading_zeros())
+}
+
+/// Channel transforms issued by one public call, flushed to the
+/// `ckks.ntt.forward` / `ckks.ntt.inverse` counters when it returns.
+#[derive(Debug, Default)]
+pub(crate) struct Transforms {
+    forward: usize,
+    inverse: usize,
+}
+
+impl Drop for Transforms {
+    fn drop(&mut self) {
+        telemetry::count_named("ckks.ntt.forward", self.forward as u64);
+        telemetry::count_named("ckks.ntt.inverse", self.inverse as u64);
+    }
+}
+
+/// Stage 1 output: the NTT-domain extended digits of one polynomial.
+struct Digits<'d> {
+    /// The NTT-domain input; a digit's own channels are read from it.
+    own: &'d RnsPoly,
+    /// `ext[i·t + pos]` is digit `i` on position `pos` of the extended
+    /// basis (`q_0..q_level`, then `P`; `t` channels), lazy in `[0, 2q)`;
+    /// empty where `pos` is one of the digit's own channels.
+    ext: Vec<Vec<u64>>,
+    t: usize,
+}
+
+impl Digits<'_> {
+    fn channel(&self, i: usize, pos: usize) -> &[u64] {
+        let converted = &self.ext[i * self.t + pos];
+        if converted.is_empty() {
+            self.own.channel(pos).coeffs()
+        } else {
+            converted
+        }
+    }
+}
+
+/// Terms of one lazy accumulation: a product is `< 2q·q < 2^123`, so eight
+/// of them plus the carried-in word fit a `u128`.
+const MAC_TERMS: usize = 8;
+
+/// `out[s] ← (out[s] + Σ_r a_r[perm[s]]·b_r[s]) mod q` over the `terms`
+/// pairs `row(r) = (a_r, b_r)` — the paper's `(M_j A_j)_n R_j`: one
+/// Barrett reduction per slot per [`MAC_TERMS`] products. `a_r` may be lazy
+/// in `[0, 2q)`; `out` stays canonical.
+fn mac_channel<'r>(
+    m: &Modulus,
+    terms: usize,
+    row: impl Fn(usize) -> (&'r [u64], &'r [u64]),
+    perm: Option<&[u32]>,
+    out: &mut [u64],
+) {
+    fn run(m: &Modulus, rows: &[(&[u64], &[u64])], at: impl Fn(usize) -> usize, out: &mut [u64]) {
+        for (s, o) in out.iter_mut().enumerate() {
+            let src = at(s);
+            let mut acc = u128::from(*o);
+            for (a, b) in rows {
+                acc += u128::from(a[src]) * u128::from(b[s]);
+            }
+            *o = m.reduce_u128(acc);
+        }
+    }
+    let mut rows: [(&[u64], &[u64]); MAC_TERMS] = [(&[], &[]); MAC_TERMS];
+    for first in (0..terms).step_by(MAC_TERMS) {
+        let rows = &mut rows[..(terms - first).min(MAC_TERMS)];
+        for (k, r) in rows.iter_mut().enumerate() {
+            *r = row(first + k);
+        }
+        match perm {
+            Some(p) => run(m, rows, |s| p[s] as usize, out),
+            None => run(m, rows, |s| s, out),
+        }
+    }
+}
+
+/// `σ_g(p)` of an NTT-domain polynomial: the gather through `perm`.
+fn permuted(p: &RnsPoly, perm: &[u32]) -> RnsPoly {
+    let mut out = p.clone();
+    for (o, c) in out.channels_mut().iter_mut().zip(p.channels()) {
+        for (y, &i) in o.coeffs_mut().iter_mut().zip(perm) {
+            *y = c.coeffs()[i as usize];
+        }
+    }
+    out
 }
 
 /// Stateless evaluator bound to a context.
@@ -71,9 +179,20 @@ impl<'a> Evaluator<'a> {
     ///
     /// Returns [`CkksError::Mismatch`] if levels or scales differ.
     pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, CkksError> {
+        let mut out = a.clone();
+        self.add_assign(&mut out, b)?;
+        Ok(out)
+    }
+
+    /// In-place [`Evaluator::add`]: `a += b`, resealed.
+    fn add_assign(&self, a: &mut Ciphertext, b: &Ciphertext) -> Result<(), CkksError> {
         telemetry::count_named("ckks.op.add", 1);
         self.check_pair(a, b)?;
-        Ok(Ciphertext::from_parts(a.c0().add(b.c0())?, a.c1().add(b.c1())?, a.level(), a.scale()))
+        let (c0, c1) = a.components_mut();
+        c0.add_assign(b.c0())?;
+        c1.add_assign(b.c1())?;
+        a.reseal();
+        Ok(())
     }
 
     /// Homomorphic subtraction.
@@ -277,8 +396,10 @@ impl<'a> Evaluator<'a> {
         d1.add_assign(&a.c1().mul_pointwise(b.c0())?)?;
         let d2 = a.c1().mul_pointwise(b.c1())?;
         // Relinearize d2 down onto (c0, c1).
-        let (k0, k1) = self.keyswitch_core(&d2, rlk.switch_key(), level)?;
-        Ok(Ciphertext::from_parts(d0.add(&k0)?, d1.add(&k1)?, level, a.scale() * b.scale()))
+        let (mut k0, mut k1) = self.keyswitch_core(&d2, rlk.switch_key(), level)?;
+        k0.add_assign(&d0)?;
+        k1.add_assign(&d1)?;
+        Ok(Ciphertext::from_parts(k0, k1, level, a.scale() * b.scale()))
     }
 
     /// Squares a ciphertext (3 instead of 4 tensor products).
@@ -299,19 +420,36 @@ impl<'a> Evaluator<'a> {
         let _span = telemetry::Span::enter("ckks.eval.rescale");
         telemetry::count_named("ckks.op.rescale", 1);
         a.verify_integrity("ckks.eval")?;
-        let level = a.level();
+        self.rescale_pair((a.c0(), a.c1()), a.level(), a.scale(), &mut Transforms::default())
+    }
+
+    /// [`Evaluator::rescale`] of an unsealed level-`level` pair at `scale`.
+    pub(crate) fn rescale_pair(
+        &self,
+        (c0, c1): (&RnsPoly, &RnsPoly),
+        level: usize,
+        scale: f64,
+        tally: &mut Transforms,
+    ) -> Result<Ciphertext, CkksError> {
         if level == 0 {
             return Err(CkksError::LevelExhausted);
         }
         let q_last = self.ctx.rns().moduli()[level];
-        let c0 = self.rescale_poly(a.c0(), level)?;
-        let c1 = self.rescale_poly(a.c1(), level)?;
-        Ok(Ciphertext::from_parts(c0, c1, level - 1, a.scale() / q_last.value() as f64))
+        let c0 = self.rescale_poly(c0, level, tally)?;
+        let c1 = self.rescale_poly(c1, level, tally)?;
+        Ok(Ciphertext::from_parts(c0, c1, level - 1, scale / q_last.value() as f64))
     }
 
-    fn rescale_poly(&self, p: &RnsPoly, level: usize) -> Result<RnsPoly, CkksError> {
+    fn rescale_poly(
+        &self,
+        p: &RnsPoly,
+        level: usize,
+        tally: &mut Transforms,
+    ) -> Result<RnsPoly, CkksError> {
         // INTT the dropped channel, lift into each remaining channel, NTT
         // there, subtract and scale by q_last^{-1}.
+        tally.inverse += 1;
+        tally.forward += level;
         let mut last = p.channel(level).clone();
         last.to_coeff(self.ctx.table(level));
         let q_last = self.ctx.rns().moduli()[level];
@@ -371,25 +509,34 @@ impl<'a> Evaluator<'a> {
         level: usize,
     ) -> Result<(RnsPoly, RnsPoly), CkksError> {
         let _span = telemetry::Span::enter("ckks.eval.keyswitch");
-        let ext = self.decompose_and_modup(d, level)?;
-        self.apply_key_and_moddown(&ext, key, level)
+        let mut tally = Transforms::default();
+        let digits = self.modup_ntt(d, level, &mut tally)?;
+        let mut acc = self.qp_acc(level);
+        self.mac_key(&digits, key, None, &mut acc)?;
+        self.moddown_ntt(acc, &mut tally)
     }
 
-    /// Decomposition + Modup half of key switching (shareable across
-    /// rotations — hoisting). Returns one extended polynomial per occupied
-    /// digit, each over `t = level+1+K` channels in **coefficient** domain
-    /// ordered `q_0..q_level, p_0..p_{K-1}`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates RNS/NTT errors.
-    pub fn decompose_and_modup(
+    /// Global channel at extended-basis position `pos` of `level`
+    /// (`q_0..q_level`, then the special primes).
+    fn ext_channel(&self, level: usize, pos: usize) -> usize {
+        if pos <= level {
+            pos
+        } else {
+            self.ctx.q_len() + pos - (level + 1)
+        }
+    }
+
+    /// Stage 1 (shareable across rotations — hoisting): decompose, Modup
+    /// each occupied digit onto the rest of `Q_level ∪ P`, and NTT the
+    /// converted channels.
+    fn modup_ntt<'d>(
         &self,
-        d: &RnsPoly,
+        d: &'d RnsPoly,
         level: usize,
-    ) -> Result<Vec<Vec<Vec<u64>>>, CkksError> {
+        tally: &mut Transforms,
+    ) -> Result<Digits<'d>, CkksError> {
         // Histogram-only probe: latency of the hoistable keyswitch half.
-        let _t = telemetry::Timer::enter("ckks.keyswitch.decomp_modup");
+        let _t = telemetry::Timer::enter("ckks.keyswitch.modup_ntt");
         fhe_math::strict_assert_eq!(
             d.domain(),
             Domain::Ntt,
@@ -399,135 +546,146 @@ impl<'a> Evaluator<'a> {
         d_coeff.to_coeff(self.ctx.level_tables(level))?;
         let t = level + 1 + self.ctx.k_len();
         let plans = self.ctx.plans(level);
-
-        let mut out = Vec::with_capacity(plans.digits.len());
-        for (digit, (dst, plan)) in plans.digits.iter().zip(&plans.modup) {
-            let src_data: Vec<&[u64]> =
-                digit.iter().map(|&c| d_coeff.channel(c).coeffs()).collect();
-            let mut converted = plan.apply(&src_data)?;
-            // Assemble the extended poly: position j holds global channel
-            // (q_idx ++ p_idx)[j]. Converted channels are moved, not cloned.
-            let mut ext = vec![Vec::new(); t];
-            for (k, &c) in digit.iter().enumerate() {
-                ext[c] = src_data[k].to_vec();
+        let mut ext = vec![Vec::new(); plans.digits.len() * t];
+        for (i, (digit, (dst, plan))) in plans.digits.iter().zip(&plans.modup).enumerate() {
+            let src: Vec<&[u64]> = digit.iter().map(|&c| d_coeff.channel(c).coeffs()).collect();
+            for (&gc, converted) in dst.iter().zip(plan.apply(&src)?) {
+                let pos = if gc <= level { gc } else { level + 1 + gc - self.ctx.q_len() };
+                ext[i * t + pos] = converted;
             }
-            for (k, &gc) in dst.iter().enumerate() {
-                let pos = if gc <= level { gc } else { level + 1 + (gc - self.ctx.q_len()) };
-                ext[pos] = std::mem::take(&mut converted[k]);
-            }
-            out.push(ext);
         }
+        par::par_iter_mut(&mut ext, ntt_work(self.ctx.n()), |idx, buf| {
+            if !buf.is_empty() {
+                self.ctx.table(self.ext_channel(level, idx % t)).forward_lazy(buf);
+            }
+        })?;
+        tally.inverse += level + 1;
+        tally.forward += ext.len() - (level + 1);
+        Ok(Digits { own: d, ext, t })
+    }
+
+    /// A zeroed key-switch accumulator pair over `Q_level ∪ P`, NTT domain:
+    /// `2t` scratch-pool buffers, half 0 (the `c0` side) then half 1, each
+    /// ordered `q_0..q_level, p_0..p_{K-1}`.
+    fn qp_acc(&self, level: usize) -> Vec<Vec<u64>> {
+        self.zeroed_channels(2 * (level + 1 + self.ctx.k_len()))
+    }
+
+    /// `count` zeroed channel buffers from this thread's scratch pool.
+    fn zeroed_channels(&self, count: usize) -> Vec<Vec<u64>> {
+        Scratch::with_thread_local(|s| (0..count).map(|_| s.take(self.ctx.n())).collect())
+    }
+
+    /// Stage 2 (`DecompPolyMult`): `acc += Σ_i σ(digit_i) ⊙ key_i`, both
+    /// halves, every channel of `Q_level ∪ P` — channel-parallel (the
+    /// slot/channel partitioning of paper §5.3). `perm` is σ as an
+    /// NTT-domain gather; `None` is the identity.
+    fn mac_key(
+        &self,
+        digits: &Digits<'_>,
+        key: &SwitchKey,
+        perm: Option<&[u32]>,
+        acc: &mut [Vec<u64>],
+    ) -> Result<(), CkksError> {
+        // Histogram-only probe: latency of the per-key keyswitch half.
+        let _t = telemetry::Timer::enter("ckks.keyswitch.key_mac");
+        let t = digits.t;
+        let (beta, level) = (digits.ext.len() / t, t - self.ctx.k_len() - 1);
+        let work = (beta as u64).saturating_mul(ntt_work(self.ctx.n())) / 4;
+        par::par_iter_mut(acc, work, |idx, out| {
+            let (half, pos) = (idx / t, idx % t);
+            let gc = self.ext_channel(level, pos);
+            let row = |i: usize| {
+                let (kb, ka) = &key.digit_keys()[i];
+                let k = if half == 0 { kb } else { ka };
+                (digits.channel(i, pos), k.channel(gc).coeffs())
+            };
+            mac_channel(&self.ctx.rns().moduli()[gc], beta, row, perm, out);
+        })?;
+        Ok(())
+    }
+
+    /// `acc[half] += P·σ(p)` for a `Q_level` polynomial `p`: Moddown divides
+    /// `P` back out exactly, so `p` is added to that half of the result.
+    fn add_times_p(&self, acc: &mut [Vec<u64>], half: usize, p: &RnsPoly, perm: Option<&[u32]>) {
+        let t = acc.len() / 2;
+        for (c, (out, ch)) in acc[half * t..].iter_mut().zip(p.channels()).enumerate() {
+            let (m, scale, src) = (ch.modulus(), self.ctx.p_mod_q(c), ch.coeffs());
+            for (s, o) in out.iter_mut().enumerate() {
+                let x = src[perm.map_or(s, |p| p[s] as usize)];
+                *o = m.add(*o, m.mul_shoup(x, scale));
+            }
+        }
+    }
+
+    /// Stage 3: NTT-domain Moddown of both halves back onto `Q_level`.
+    fn moddown_ntt(
+        &self,
+        mut acc: Vec<Vec<u64>>,
+        tally: &mut Transforms,
+    ) -> Result<(RnsPoly, RnsPoly), CkksError> {
+        let _t = telemetry::Timer::enter("ckks.keyswitch.moddown_ntt");
+        let k = self.ctx.k_len();
+        let c = acc.len() / 2 - k;
+        let tables = self.ctx.rns().tables();
+        let (q_tables, p_tables) = (&tables[..c], &tables[self.ctx.q_len()..]);
+        let moddown = &self.ctx.plans(c - 1).moddown;
+        let close = |half: &mut [Vec<u64>]| {
+            let (q, p) = half.split_at_mut(c);
+            moddown.apply_ntt_into(q_tables, p_tables, q, p)?;
+            self.poly_from_ntt(q.iter_mut().map(std::mem::take))
+        };
+        let (half0, half1) = acc.split_at_mut(c + k);
+        let out = (close(half0)?, close(half1)?);
+        tally.inverse += 2 * k;
+        tally.forward += 2 * c;
+        Scratch::with_thread_local(|s| acc.into_iter().for_each(|b| s.put(b)));
         Ok(out)
     }
 
-    /// The per-key half of key switching: NTT the extended digits, multiply
-    /// with the key digits (`DecompPolyMult`), accumulate, Moddown.
-    ///
-    /// # Errors
-    ///
-    /// Propagates RNS/NTT errors.
-    pub fn apply_key_and_moddown(
-        &self,
-        ext_digits: &[Vec<Vec<u64>>],
-        key: &SwitchKey,
-        level: usize,
-    ) -> Result<(RnsPoly, RnsPoly), CkksError> {
-        // Histogram-only probe: latency of the per-key keyswitch half.
-        let _t = telemetry::Timer::enter("ckks.keyswitch.key_moddown");
-        let n = self.ctx.n();
-        let t = level + 1 + self.ctx.k_len();
-        let global_of = |pos: usize| -> usize {
-            if pos <= level {
-                pos
-            } else {
-                self.ctx.q_len() + (pos - (level + 1))
-            }
-        };
-        // Extended channels are independent through NTT → MAC → INTT, so the
-        // whole chain runs channel-parallel (the slot/channel partitioning of
-        // paper §5.3); the digit loop is the sequential accumulator inside
-        // each channel. The NTT input buffer comes from the thread-local
-        // scratch pool instead of a per-digit clone.
-        let positions: Vec<usize> = (0..t).collect();
-        let work = (ext_digits.len() as u64 + 2).saturating_mul(ntt_work(n));
-        let acc = par::par_map(&positions, work, |_, &pos| {
-            let gc = global_of(pos);
-            let m = self.ctx.rns().moduli()[gc];
-            let table = self.ctx.table(gc);
-            Scratch::with_thread_local(|scratch| {
-                // Harvey-lazy MAC, the paper's `(M_j A_j)_L R_j` pattern:
-                // the digit NTT stays in `[0, 2q)` (forward_lazy skips the
-                // final reduction stage) and the per-digit products
-                // accumulate unreduced in 128 bits — one Barrett reduction
-                // per slot at the end instead of one per slot per digit.
-                // Each product is < 2q·q < 2^123, so up to 31 digits fit a
-                // u128 between folds.
-                let mut a0w = vec![0u128; n];
-                let mut a1w = vec![0u128; n];
-                let mut channel = scratch.take(n);
-                for (i, ext) in ext_digits.iter().enumerate() {
-                    let (kb, ka) = &key.digit_keys()[i];
-                    channel.copy_from_slice(&ext[pos]);
-                    table.forward_lazy(&mut channel);
-                    let kb_ch = kb.channel(gc).coeffs();
-                    let ka_ch = ka.channel(gc).coeffs();
-                    for s in 0..n {
-                        a0w[s] += channel[s] as u128 * kb_ch[s] as u128;
-                        a1w[s] += channel[s] as u128 * ka_ch[s] as u128;
-                    }
-                    if i % 31 == 30 {
-                        for s in 0..n {
-                            a0w[s] = m.reduce_u128(a0w[s]) as u128;
-                            a1w[s] = m.reduce_u128(a1w[s]) as u128;
-                        }
-                    }
-                }
-                let mut a0: Vec<u64> = a0w.iter().map(|&x| m.reduce_u128(x)).collect();
-                let mut a1: Vec<u64> = a1w.iter().map(|&x| m.reduce_u128(x)).collect();
-                // INTT here too: Moddown consumes coefficient-domain input.
-                table.inverse(&mut a0);
-                table.inverse(&mut a1);
-                scratch.put(channel);
-                (a0, a1)
-            })
-        })?;
-        // Moddown both halves, NTT back.
-        let moddown = &self.ctx.plans(level).moddown;
-        let finish = |half: usize| -> Result<RnsPoly, CkksError> {
-            let pick =
-                |pos: usize| if half == 0 { acc[pos].0.as_slice() } else { acc[pos].1.as_slice() };
-            let q_refs: Vec<&[u64]> = (0..=level).map(&pick).collect();
-            let p_refs: Vec<&[u64]> = (level + 1..t).map(&pick).collect();
-            let mut scaled = vec![Vec::new(); level + 1];
-            moddown.apply_into(&q_refs, &p_refs, &mut scaled)?;
-            par::par_iter_mut(&mut scaled, ntt_work(n), |c, data| {
-                self.ctx.table(c).forward(data);
-            })?;
-            let channels = scaled
-                .into_iter()
-                .enumerate()
-                .map(|(c, data)| Poly::from_ntt(data, self.ctx.rns().moduli()[c]))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(RnsPoly::from_channels(channels)?)
-        };
-        let out0 = finish(0)?;
-        let out1 = finish(1)?;
-        Ok((out0, out1))
+    /// Wraps canonical NTT-domain buffers as channels `0..` of an `RnsPoly`.
+    fn poly_from_ntt(&self, bufs: impl Iterator<Item = Vec<u64>>) -> Result<RnsPoly, CkksError> {
+        let channels = bufs
+            .zip(self.ctx.rns().moduli())
+            .map(|(data, &m)| Poly::from_ntt(data, m))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(RnsPoly::from_channels(channels)?)
     }
 
-    /// Applies the Galois automorphism `X ↦ X^g` to a ciphertext *without*
-    /// key switching (the result decrypts under `s(X^g)`).
-    fn automorphism_raw(&self, a: &Ciphertext, g: usize) -> Result<(RnsPoly, RnsPoly), CkksError> {
-        let tables = self.ctx.level_tables(a.level());
-        let mut c0 = a.c0().clone();
-        let mut c1 = a.c1().clone();
-        c0.to_coeff(tables)?;
-        c1.to_coeff(tables)?;
-        let mut c0g = c0.automorphism(g)?;
-        let mut c1g = c1.automorphism(g)?;
-        c0g.to_ntt(tables)?;
-        c1g.to_ntt(tables)?;
-        Ok((c0g, c1g))
+    /// `Σ_k pt_k ⊙ (c0_k, c1_k)` over NTT-domain level-`level` operands as
+    /// one fused lazy MAC — the paper's `(M_j A_j)_n R_j` shape: one
+    /// reduction per slot per group, no per-term ciphertext.
+    pub(crate) fn mac_plain(
+        &self,
+        level: usize,
+        terms: &[((&RnsPoly, &RnsPoly), &Plaintext)],
+    ) -> Result<(RnsPoly, RnsPoly), CkksError> {
+        let c = level + 1;
+        let mut sums = self.zeroed_channels(2 * c);
+        par::par_iter_mut(&mut sums, (terms.len() * self.ctx.n()) as u64, |idx, out| {
+            let (half, ch) = (idx / c, idx % c);
+            let row = |k: usize| {
+                let ((c0, c1), pt) = terms[k];
+                let side = if half == 0 { c0 } else { c1 };
+                (side.channel(ch).coeffs(), pt.poly().channel(ch).coeffs())
+            };
+            mac_channel(&self.ctx.rns().moduli()[ch], terms.len(), row, None, out);
+        })?;
+        let mut sums = sums.into_iter();
+        Ok((self.poly_from_ntt(sums.by_ref().take(c))?, self.poly_from_ntt(sums)?))
+    }
+
+    /// The Galois element and key of a slot rotation by `r`.
+    fn rotation_key<'k>(
+        &self,
+        r: isize,
+        gk: &'k GaloisKeys,
+    ) -> Result<(usize, &'k SwitchKey), CkksError> {
+        let g = galois_element(self.ctx.n(), r);
+        let key = gk.key_for_element(g).ok_or(CkksError::MissingKey {
+            detail: format!("rotation key for r = {r} (g = {g})"),
+        })?;
+        Ok((g, key))
     }
 
     /// Rotates slots left by `r` (`Rotation` of Table 7).
@@ -543,10 +701,7 @@ impl<'a> Evaluator<'a> {
     ) -> Result<Ciphertext, CkksError> {
         let _span = telemetry::Span::enter("ckks.eval.rotate");
         telemetry::count_named("ckks.op.rotate", 1);
-        let g = galois_element(self.ctx.n(), r);
-        let key = gk.key_for_element(g).ok_or(CkksError::MissingKey {
-            detail: format!("rotation key for r = {r} (g = {g})"),
-        })?;
+        let (g, key) = self.rotation_key(r, gk)?;
         self.apply_galois(a, g, key)
     }
 
@@ -563,6 +718,8 @@ impl<'a> Evaluator<'a> {
         self.apply_galois(a, g, key)
     }
 
+    /// `(σ_g(c0) + k0, k1)` with `(k0, k1)` the key switch of `σ_g(c1)`:
+    /// both components are permuted in the NTT domain, no transform.
     fn apply_galois(
         &self,
         a: &Ciphertext,
@@ -570,9 +727,15 @@ impl<'a> Evaluator<'a> {
         key: &SwitchKey,
     ) -> Result<Ciphertext, CkksError> {
         a.verify_integrity("ckks.eval")?;
-        let (c0g, c1g) = self.automorphism_raw(a, g)?;
-        let (k0, k1) = self.keyswitch_core(&c1g, key, a.level())?;
-        Ok(Ciphertext::from_parts(c0g.add(&k0)?, k1, a.level(), a.scale()))
+        let perm = galois_ntt_permutation(self.ctx.n(), g)?;
+        let mut tally = Transforms::default();
+        let c1g = permuted(a.c1(), &perm);
+        let digits = self.modup_ntt(&c1g, a.level(), &mut tally)?;
+        let mut acc = self.qp_acc(a.level());
+        self.mac_key(&digits, key, None, &mut acc)?;
+        self.add_times_p(&mut acc, 0, a.c0(), Some(&perm));
+        let (k0, k1) = self.moddown_ntt(acc, &mut tally)?;
+        Ok(Ciphertext::from_parts(k0, k1, a.level(), a.scale()))
     }
 
     /// Sums all slots into every slot with a log-depth rotate-and-add tree
@@ -589,16 +752,17 @@ impl<'a> Evaluator<'a> {
         let mut step = 1usize;
         while step < slots {
             let rotated = self.rotate(&acc, step as isize, gk)?;
-            acc = self.add(&acc, &rotated)?;
+            self.add_assign(&mut acc, &rotated)?;
             step *= 2;
         }
         Ok(acc)
     }
 
-    /// Rotates by every offset in `rotations` with **Modup hoisting**: the
-    /// decomposition + Modup of `c1` is computed once and shared, matching
-    /// the paper's `BSP-L=n+` configuration. Returns the rotated
-    /// ciphertexts in input order.
+    /// Rotates by every offset in `rotations` with **Modup hoisting**:
+    /// stage 1 of the key switch of `c1` — decomposition, Modup *and* NTT —
+    /// is computed once and shared, each rotation paying only its key MAC
+    /// (through the NTT-domain gather) and Moddown: the paper's `BSP-L=n+`
+    /// configuration. Returns the rotated ciphertexts in input order.
     ///
     /// # Errors
     ///
@@ -610,51 +774,75 @@ impl<'a> Evaluator<'a> {
         gk: &GaloisKeys,
     ) -> Result<Vec<Ciphertext>, CkksError> {
         a.verify_integrity("ckks.eval")?;
-        let level = a.level();
-        let tables = self.ctx.level_tables(level);
-        // Shared: decompose + modup of c1 (coefficient domain).
-        let ext = self.decompose_and_modup(a.c1(), level)?;
-        // c0 in coefficient domain for cheap automorphisms.
-        let mut c0_coeff = a.c0().clone();
-        c0_coeff.to_coeff(tables)?;
+        let raw = self.rotate_hoisted_raw(a, rotations, gk, &mut Transforms::default())?;
+        Ok(raw
+            .into_iter()
+            .map(|(c0, c1)| Ciphertext::from_parts(c0, c1, a.level(), a.scale()))
+            .collect())
+    }
 
+    /// [`Evaluator::rotate_hoisted`] on an already verified input, returning
+    /// the unsealed component pairs.
+    pub(crate) fn rotate_hoisted_raw(
+        &self,
+        a: &Ciphertext,
+        rotations: &[isize],
+        gk: &GaloisKeys,
+        tally: &mut Transforms,
+    ) -> Result<Vec<(RnsPoly, RnsPoly)>, CkksError> {
+        if rotations.is_empty() {
+            return Ok(Vec::new());
+        }
+        let digits = self.modup_ntt(a.c1(), a.level(), tally)?;
         let mut out = Vec::with_capacity(rotations.len());
         for &r in rotations {
-            let g = galois_element(self.ctx.n(), r);
-            let key = gk.key_for_element(g).ok_or(CkksError::MissingKey {
-                detail: format!("rotation key for r = {r} (g = {g})"),
-            })?;
-            // Automorphism commutes with Bconv (both act coefficient-wise /
-            // channel-wise), so it can be applied to the moduped digits.
-            // Applied raw per channel, in parallel — no Poly round-trip.
-            let n = self.ctx.n();
-            let t = level + 1 + self.ctx.k_len();
-            let mut ext_g = Vec::with_capacity(ext.len());
-            for digit in &ext {
-                let positions: Vec<usize> = (0..t).collect();
-                let dg = par::par_map(&positions, n as u64, |_, &pos| {
-                    let gc =
-                        if pos <= level { pos } else { self.ctx.q_len() + (pos - (level + 1)) };
-                    let m = self.ctx.rns().moduli()[gc];
-                    let mut out_ch = vec![0u64; n];
-                    for (i, &c) in digit[pos].iter().enumerate() {
-                        let e = (i * g) % (2 * n);
-                        if e < n {
-                            out_ch[e] = m.add(out_ch[e], c);
-                        } else {
-                            out_ch[e - n] = m.sub(out_ch[e - n], c);
-                        }
-                    }
-                    out_ch
-                })?;
-                ext_g.push(dg);
-            }
-            let (k0, k1) = self.apply_key_and_moddown(&ext_g, key, level)?;
-            let mut c0g = c0_coeff.automorphism(g)?;
-            c0g.to_ntt(tables)?;
-            out.push(Ciphertext::from_parts(c0g.add(&k0)?, k1, level, a.scale()));
+            let mut acc = self.qp_acc(a.level());
+            self.rotate_into(&mut acc, &digits, a.c0(), r, gk)?;
+            out.push(self.moddown_ntt(acc, tally)?);
         }
         Ok(out)
+    }
+
+    /// `acc += rot_r(c0, c1)` before Moddown, `digits` being stage 1 of `c1`:
+    /// the key MAC and `P·c0`, both through the gather of `r`.
+    fn rotate_into(
+        &self,
+        acc: &mut [Vec<u64>],
+        digits: &Digits<'_>,
+        c0: &RnsPoly,
+        r: isize,
+        gk: &GaloisKeys,
+    ) -> Result<(), CkksError> {
+        let (g, key) = self.rotation_key(r, gk)?;
+        let perm = galois_ntt_permutation(self.ctx.n(), g)?;
+        self.mac_key(digits, key, Some(&perm), acc)?;
+        self.add_times_p(acc, 0, c0, Some(&perm));
+        Ok(())
+    }
+
+    /// `Σ_k rot(ct_k, r_k)` over unsealed level-`level` pairs, with every
+    /// key-switched part accumulated in `Q·P` and the group closed by
+    /// **one** Moddown — what `metaop::counts::hoisted_rotation_group`
+    /// models. Terms with `r = 0` join the accumulator as they are.
+    pub(crate) fn rotate_sum(
+        &self,
+        level: usize,
+        terms: impl Iterator<Item = Result<(isize, (RnsPoly, RnsPoly)), CkksError>>,
+        gk: &GaloisKeys,
+        tally: &mut Transforms,
+    ) -> Result<(RnsPoly, RnsPoly), CkksError> {
+        let mut acc = self.qp_acc(level);
+        for term in terms {
+            let (r, (c0, c1)) = term?;
+            if r == 0 {
+                self.add_times_p(&mut acc, 0, &c0, None);
+                self.add_times_p(&mut acc, 1, &c1, None);
+                continue;
+            }
+            let digits = self.modup_ntt(&c1, level, tally)?;
+            self.rotate_into(&mut acc, &digits, &c0, r, gk)?;
+        }
+        self.moddown_ntt(acc, tally)
     }
 }
 
@@ -786,6 +974,37 @@ mod tests {
                 assert!((a[j] - b[j]).abs() < 0.02, "r={r} slot {j}");
             }
         }
+    }
+
+    #[test]
+    fn warmed_up_key_mac_and_moddown_allocate_nothing() {
+        // Stage 2 + 3 on a pooled accumulator. The toy ring stays under the
+        // parallel threshold, so this thread's scratch pool serves every
+        // buffer (a parallel region's workers own short-lived pools).
+        let mut f = fixture();
+        let ctx = &f.ctx;
+        let sk = SecretKey::generate(ctx, &mut f.rng).unwrap();
+        let gk = GaloisKeys::generate(ctx, &sk, &[1], false, &mut f.rng).unwrap();
+        let enc = Encoder::new(ctx);
+        let ev = Evaluator::new(ctx);
+        let ct = sk.encrypt(ctx, &enc.encode(&[0.5, -1.0]).unwrap(), &mut f.rng).unwrap();
+        let level = ct.level();
+        let (g, key) = ev.rotation_key(1, &gk).unwrap();
+        let perm = galois_ntt_permutation(ctx.n(), g).unwrap();
+        let digits = ev.modup_ntt(ct.c1(), level, &mut Transforms::default()).unwrap();
+        let mut acc = ev.qp_acc(level);
+        let tables = ctx.rns().tables();
+        let mut stages_2_and_3 = || {
+            ev.mac_key(&digits, key, Some(&perm), &mut acc).unwrap();
+            ev.add_times_p(&mut acc, 0, ct.c0(), Some(&perm));
+            for half in acc.chunks_mut(digits.t) {
+                let (q, p) = half.split_at_mut(level + 1);
+                let moddown = &ctx.plans(level).moddown;
+                moddown.apply_ntt_into(&tables[..=level], &tables[ctx.q_len()..], q, p).unwrap();
+            }
+        };
+        stages_2_and_3();
+        telemetry::alloc::assert_no_alloc("ckks.keyswitch.stages_2_3", stages_2_and_3);
     }
 
     #[test]

@@ -446,7 +446,7 @@ impl GaloisKeys {
             let mut s_g = vec![0i64; ctx.n()];
             let n = ctx.n();
             for (i, &c) in sk.coefficients().iter().enumerate() {
-                let e = (i * g) % (2 * n);
+                let e = (i * g) & (2 * n - 1);
                 if e < n {
                     s_g[e] += c;
                 } else {

@@ -3,16 +3,38 @@
 //!
 //! A slot-space matrix multiply `out = M·v` becomes
 //! `Σ_d diag_d ⊙ rot(v, d)` over the nonzero diagonals of `M`; BSGS
-//! factors the rotations as `d = i·g + j` so only `g` baby rotations
-//! (computed with one hoisted Modup — the paper's `BSP-L=n+` pattern) and
-//! `⌈D/g⌉` giant rotations are needed. This is the workhorse of CKKS
-//! bootstrapping's CoeffToSlot/SlotToCoeff and of the LoLa-MNIST / HELR
-//! layers in the paper's Fig. 6.
+//! factors the rotations as `d = i·g + j`, so
+//!
+//! ```text
+//! out = Σ_i rot( Σ_j rot(diag_{ig+j}, −i·g) ⊙ rot(v, j),  i·g )
+//!              └──────── inner sum of giant group i ────────┘
+//! ```
+//!
+//! needs only the baby rotations `j` that occur and `⌈D/g⌉` giant
+//! rotations. [`LinearTransform::apply_bsgs`] spends, at `c = level + 1`
+//! channels, `t = c + K` and `β` digits:
+//!
+//! * the babies as one hoisted group — `β·t` transforms for the shared
+//!   `decompose → Modup → NTT`, then `2t` per baby (the paper's `BSP-L=n+`);
+//! * each inner sum as **one** fused lazy MAC over the raw component
+//!   pairs (`(M_j A_j)_n R_j`: one reduction per slot per group, no
+//!   per-term ciphertext, seal or clone);
+//! * the giant rotations as one sum in `Q·P` closed by a single Moddown —
+//!   `β·t` per giant rotation plus `2t` once, exactly
+//!   `metaop::counts::hoisted_rotation_group`;
+//!
+//! and verifies the input and seals the output once. Diagonals are encoded
+//! per call, a giant group at a time: caching them would hold
+//! `D·c` channels per transform, more than the evaluation keys of a small
+//! ring. This is the workhorse of CKKS bootstrapping's
+//! CoeffToSlot/SlotToCoeff and of the LoLa-MNIST / HELR layers in the
+//! paper's Fig. 6.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ciphertext::Ciphertext;
+use crate::ciphertext::{Ciphertext, Plaintext};
 use crate::encoding::{Complex64, Encoder};
+use crate::eval::Transforms;
 use crate::keys::GaloisKeys;
 use crate::{CkksError, Evaluator};
 
@@ -103,16 +125,31 @@ impl LinearTransform {
         self.diagonals.keys().filter(|&&d| d != 0).map(|&d| d as isize).collect()
     }
 
-    /// Rotation offsets whose Galois keys [`Self::apply_bsgs`] needs.
+    /// The diagonals grouped by giant index: group `i` holds `(j, diag)` for
+    /// every diagonal `d = i·g + j`.
+    fn giant_groups(&self) -> BTreeMap<usize, Vec<(usize, &Vec<Complex64>)>> {
+        let g = self.giant_step();
+        let mut groups: BTreeMap<usize, Vec<_>> = BTreeMap::new();
+        for (&d, diag) in &self.diagonals {
+            groups.entry(d / g).or_default().push((d % g, diag));
+        }
+        groups
+    }
+
+    /// The baby offsets `d mod g ≠ 0` that occur, ascending.
+    fn baby_offsets(&self) -> Vec<isize> {
+        let g = self.giant_step();
+        let used: BTreeSet<usize> = self.diagonals.keys().map(|d| d % g).collect();
+        used.into_iter().filter(|&j| j != 0).map(|j| j as isize).collect()
+    }
+
+    /// Rotation offsets whose Galois keys [`Self::apply_bsgs`] needs: the
+    /// baby offsets that occur and the giant shifts `i·g` of the occupied
+    /// groups. (A superset key set keeps working.)
     pub fn required_rotations_bsgs(&self) -> Vec<isize> {
         let g = self.giant_step();
-        let mut rots: Vec<isize> = (1..g as isize).collect();
-        let max_d = self.diagonals.keys().copied().max().unwrap_or(0);
-        let mut i = g;
-        while i <= max_d {
-            rots.push(i as isize);
-            i += g;
-        }
+        let mut rots = self.baby_offsets();
+        rots.extend(self.giant_groups().keys().filter(|&&i| i != 0).map(|&i| (i * g) as isize));
         rots.sort_unstable();
         rots.dedup();
         rots
@@ -132,34 +169,40 @@ impl LinearTransform {
         ct: &Ciphertext,
         gk: &GaloisKeys,
     ) -> Result<Ciphertext, CkksError> {
-        self.check_slots(enc)?;
+        self.check_input(enc, ct)?;
         let level = ct.level();
         let scale = ev.context().params().scale();
-        // Hoist all nonzero-diagonal rotations at once.
-        let offsets: Vec<isize> = self.required_rotations_naive();
-        let rotated = ev.rotate_hoisted(ct, &offsets, gk)?;
-        let mut acc: Option<Ciphertext> = None;
-        for (&d, diag) in &self.diagonals {
-            let source = if d == 0 {
-                ct.clone()
-            } else {
-                let pos = offsets.iter().position(|&r| r == d as isize).expect("hoisted");
-                rotated[pos].clone()
-            };
-            let pt = enc.encode_complex_at(diag, level, scale)?;
-            let term = ev.mul_plain(&source, &pt)?;
-            acc = Some(match acc {
-                None => term,
-                Some(a) => ev.add(&a, &term)?,
-            });
+        let mut tally = Transforms::default();
+        // Hoist all nonzero-diagonal rotations at once; they come back in
+        // diagonal order.
+        let rotated =
+            ev.rotate_hoisted_raw(ct, &self.required_rotations_naive(), gk, &mut tally)?;
+        let mut rotated = rotated.iter();
+        let pts = self
+            .diagonals
+            .values()
+            .map(|diag| enc.encode_complex_at(diag, level, scale))
+            .collect::<Result<Vec<Plaintext>, _>>()?;
+        if pts.is_empty() {
+            return Err(CkksError::Mismatch { detail: "empty transform".into() });
         }
-        let summed = acc.ok_or(CkksError::Mismatch { detail: "empty transform".into() })?;
-        ev.rescale(&summed)
+        let terms: Vec<_> = (self.diagonals.keys().zip(&pts))
+            .map(|(&d, pt)| match d {
+                0 => ((ct.c0(), ct.c1()), pt),
+                _ => {
+                    let (c0, c1) = rotated.next().expect("one rotation per nonzero diagonal");
+                    ((c0, c1), pt)
+                }
+            })
+            .collect();
+        let (s0, s1) = ev.mac_plain(level, &terms)?;
+        ev.rescale_pair((&s0, &s1), level, ct.scale() * scale, &mut tally)
     }
 
-    /// Applies the transform with BSGS structure: `g` hoisted baby
-    /// rotations, pre-rotated diagonals, `⌈D/g⌉` giant rotations on the
-    /// partial sums. The result is rescaled once (level − 1).
+    /// Applies the transform with BSGS structure (see the module header):
+    /// the occurring baby rotations hoisted, pre-rotated diagonals, one
+    /// fused MAC per giant group and the giant rotations summed under a
+    /// single Moddown. The result is rescaled once (level − 1).
     ///
     /// # Errors
     ///
@@ -172,55 +215,43 @@ impl LinearTransform {
         ct: &Ciphertext,
         gk: &GaloisKeys,
     ) -> Result<Ciphertext, CkksError> {
-        self.check_slots(enc)?;
+        self.check_input(enc, ct)?;
         let level = ct.level();
         let scale = ev.context().params().scale();
         let g = self.giant_step();
-        // Baby rotations 1..g, hoisted.
-        let baby_offsets: Vec<isize> = (1..g as isize).collect();
-        let baby = if baby_offsets.is_empty() {
-            Vec::new()
-        } else {
-            ev.rotate_hoisted(ct, &baby_offsets, gk)?
-        };
-        let baby_ct = |j: usize| -> &Ciphertext {
-            if j == 0 {
-                ct
-            } else {
-                &baby[j - 1]
-            }
-        };
-        // Group diagonals by giant index i (d = i*g + j).
-        let mut giant_groups: BTreeMap<usize, Vec<(usize, &Vec<Complex64>)>> = BTreeMap::new();
-        for (&d, diag) in &self.diagonals {
-            giant_groups.entry(d / g).or_default().push((d % g, diag));
+        let groups = self.giant_groups();
+        if groups.is_empty() {
+            return Err(CkksError::Mismatch { detail: "empty transform".into() });
         }
-        let mut acc: Option<Ciphertext> = None;
-        for (&i, group) in &giant_groups {
+        let mut tally = Transforms::default();
+        let baby_offsets = self.baby_offsets();
+        let babies = ev.rotate_hoisted_raw(ct, &baby_offsets, gk, &mut tally)?;
+        let baby = |j: usize| match baby_offsets.binary_search(&(j as isize)) {
+            Ok(k) => (&babies[k].0, &babies[k].1),
+            Err(_) => (ct.c0(), ct.c1()), // j = 0
+        };
+        let mut inner_sums = groups.iter().map(|(&i, group)| {
             let shift = i * g;
-            let mut inner: Option<Ciphertext> = None;
-            for &(j, diag) in group {
-                // Pre-rotate the diagonal by -shift so the giant rotation
-                // lands it correctly.
-                let pre: Vec<Complex64> = (0..self.slots)
-                    .map(|t| diag[(t + self.slots - shift % self.slots) % self.slots])
-                    .collect();
-                let pt = enc.encode_complex_at(&pre, level, scale)?;
-                let term = ev.mul_plain(baby_ct(j), &pt)?;
-                inner = Some(match inner {
-                    None => term,
-                    Some(a) => ev.add(&a, &term)?,
-                });
-            }
-            let inner = inner.expect("nonempty group");
-            let shifted = if shift == 0 { inner } else { ev.rotate(&inner, shift as isize, gk)? };
-            acc = Some(match acc {
-                None => shifted,
-                Some(a) => ev.add(&a, &shifted)?,
-            });
-        }
-        let summed = acc.ok_or(CkksError::Mismatch { detail: "empty transform".into() })?;
-        ev.rescale(&summed)
+            // Pre-rotate each diagonal by -shift so the giant rotation
+            // lands it correctly.
+            let pts = group
+                .iter()
+                .map(|&(_, diag)| {
+                    let pre: Vec<Complex64> = (0..self.slots)
+                        .map(|t| diag[(t + self.slots - shift % self.slots) % self.slots])
+                        .collect();
+                    enc.encode_complex_at(&pre, level, scale)
+                })
+                .collect::<Result<Vec<Plaintext>, _>>()?;
+            let terms: Vec<_> = group.iter().zip(&pts).map(|(&(j, _), pt)| (baby(j), pt)).collect();
+            Ok((shift as isize, ev.mac_plain(level, &terms)?))
+        });
+        let summed = match groups.len() {
+            // A transform inside giant group 0 needs no giant rotation.
+            1 if groups.contains_key(&0) => inner_sums.next().expect("one group")?.1,
+            _ => ev.rotate_sum(level, inner_sums, gk, &mut tally)?,
+        };
+        ev.rescale_pair((&summed.0, &summed.1), level, ct.scale() * scale, &mut tally)
     }
 
     /// Reference plaintext application (testing).
@@ -234,7 +265,8 @@ impl LinearTransform {
         out
     }
 
-    fn check_slots(&self, enc: &Encoder<'_>) -> Result<(), CkksError> {
+    /// Slot count against the context, then the input's integrity seal.
+    fn check_input(&self, enc: &Encoder<'_>, ct: &Ciphertext) -> Result<(), CkksError> {
         if self.slots != enc.slots() {
             return Err(CkksError::Mismatch {
                 detail: format!(
@@ -244,7 +276,7 @@ impl LinearTransform {
                 ),
             });
         }
-        Ok(())
+        ct.verify_integrity("ckks.eval")
     }
 }
 
@@ -319,6 +351,68 @@ mod tests {
         let db = enc.decode(&sk.decrypt(&b).unwrap()).unwrap();
         for j in 0..slots {
             assert!((da[j] - db[j]).abs() < 0.05, "slot {j}: {} vs {}", da[j], db[j]);
+        }
+    }
+
+    #[test]
+    fn homomorphic_bsgs_matches_reference() {
+        let ctx = CkksContext::new(CkksParams::toy().unwrap()).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let sk = SecretKey::generate(&ctx, &mut rng).unwrap();
+        let enc = Encoder::new(&ctx);
+        let ev = Evaluator::new(&ctx);
+        let slots = enc.slots();
+        let t = LinearTransform::from_real_matrix(&random_matrix(slots, &mut rng)).unwrap();
+        let gk =
+            GaloisKeys::generate(&ctx, &sk, &t.required_rotations_bsgs(), false, &mut rng).unwrap();
+        let values: Vec<f64> = (0..slots).map(|j| ((j * 3 % 7) as f64 - 3.0) / 4.0).collect();
+        let ct = sk.encrypt(&ctx, &enc.encode(&values).unwrap(), &mut rng).unwrap();
+        let out = t.apply_bsgs(&ev, &enc, &ct, &gk).unwrap();
+        assert_eq!(out.level(), ct.level() - 1);
+        let back = enc.decode(&sk.decrypt(&out).unwrap()).unwrap();
+        let vin: Vec<Complex64> = values.iter().map(|&x| Complex64::new(x, 0.0)).collect();
+        let want = t.apply_reference(&vin);
+        for j in 0..slots {
+            assert!((back[j] - want[j].re).abs() < 0.05, "slot {j}: {} vs {}", back[j], want[j].re);
+        }
+    }
+
+    #[test]
+    fn sparse_transform_rotates_only_by_the_babies_it_uses() {
+        // Diagonals {0, 5, 37}: g = 7, so d = 5 and d = 37 = 5·7 + 2 use the
+        // babies 5 and 2 only, and one giant shift, 35.
+        let ctx = CkksContext::new(CkksParams::new(256, 3, 2, 30).unwrap()).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        let sk = SecretKey::generate(&ctx, &mut rng).unwrap();
+        let enc = Encoder::new(&ctx);
+        let ev = Evaluator::new(&ctx);
+        let slots = enc.slots();
+        let diag = |rng: &mut ChaCha8Rng| -> Vec<Complex64> {
+            (0..slots).map(|_| Complex64::new(rng.gen_range(-1.0..1.0), 0.0)).collect()
+        };
+        let t =
+            LinearTransform::from_diagonals(slots, [0usize, 5, 37].map(|d| (d, diag(&mut rng))))
+                .unwrap();
+        assert_eq!(t.giant_step(), 7);
+        assert_eq!(t.required_rotations_bsgs(), vec![2, 5, 35]);
+
+        // Exactly the listed keys suffice.
+        let gk =
+            GaloisKeys::generate(&ctx, &sk, &t.required_rotations_bsgs(), false, &mut rng).unwrap();
+        let values: Vec<f64> = (0..slots).map(|j| ((j * 5 % 9) as f64 - 4.0) / 8.0).collect();
+        let ct = sk.encrypt(&ctx, &enc.encode(&values).unwrap(), &mut rng).unwrap();
+        let bsgs =
+            enc.decode(&sk.decrypt(&t.apply_bsgs(&ev, &enc, &ct, &gk).unwrap()).unwrap()).unwrap();
+        let gk_naive =
+            GaloisKeys::generate(&ctx, &sk, &t.required_rotations_naive(), false, &mut rng)
+                .unwrap();
+        let naive =
+            enc.decode(&sk.decrypt(&t.apply(&ev, &enc, &ct, &gk_naive).unwrap()).unwrap()).unwrap();
+        let vin: Vec<Complex64> = values.iter().map(|&x| Complex64::new(x, 0.0)).collect();
+        let want = t.apply_reference(&vin);
+        for j in 0..slots {
+            assert!((bsgs[j] - want[j].re).abs() < 0.05, "slot {j}: {} vs {}", bsgs[j], want[j].re);
+            assert!((bsgs[j] - naive[j]).abs() < 0.05, "slot {j}: {} vs {}", bsgs[j], naive[j]);
         }
     }
 

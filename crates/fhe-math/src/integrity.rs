@@ -12,19 +12,27 @@
 //!
 //! # Guarantee
 //!
-//! The digest is a degree-`L` polynomial `h = Σ mix(limb_k) · M^(L−k)` over
-//! `Z/2^64` with an **odd** (hence invertible) multiplier `M`, where `mix`
-//! is the splitmix64 finalizer — a bijection on `u64`. Changing one limb
-//! changes its mixed value by some `δ ≠ 0`, which changes `h` by
-//! `δ · M^(L−k) ≠ 0` because `M` is a unit. Any *single-limb* corruption
-//! (one or many bit-flips inside one limb) is therefore detected with
-//! certainty, not merely with high probability; multi-limb corruptions are
-//! detected unless they collide in the full 64-bit state (~2⁻⁶⁴).
+//! Limbs are dealt round-robin onto four independent lanes. Each lane is a
+//! polynomial `h_l = Σ mix(limb_k) · M^(e_k)` over `Z/2^64` in an **odd**
+//! (hence invertible) multiplier `M`, where `mix` is the splitmix64
+//! finalizer — a bijection on `u64`; the lanes are then folded into one
+//! word as `Σ h_l · F^(3−l)` with a second odd multiplier `F`. Changing one
+//! limb changes its mixed value by some `δ ≠ 0`, which changes exactly one
+//! lane by `δ · M^e` and the digest by `δ · M^e · F^(3−l) ≠ 0`, because
+//! `M` and `F` are units. Any *single-limb* corruption (one or many
+//! bit-flips inside one limb) is therefore detected with certainty, not
+//! merely with high probability; multi-limb corruptions are detected
+//! unless they collide in the full 64-bit state (~2⁻⁶⁴). The fewer than
+//! four trailing limbs of a length not divisible by four roll serially
+//! into the folded word, each again through a power of `M`; the running
+//! state enters lane 0, so the digest stays sensitive to channel order.
 //!
 //! # Cost model
 //!
 //! Sealing/verifying is one mix + one multiply-add per limb — `O(L·n)`
-//! with a constant far below a single NTT butterfly stage. It is still on
+//! with a constant far below a single NTT butterfly stage; the four lanes
+//! exist so those multiply-adds overlap instead of forming one serial
+//! dependency chain through the whole ciphertext. It is still on
 //! the hot path of every evaluator call, so it is doubly gated:
 //!
 //! * **compile-time**: the `integrity-checksum` cargo feature (default on,
@@ -70,13 +78,24 @@ pub fn mix64(mut x: u64) -> u64 {
 /// change at any limb position propagates to the final state.
 const ROLL: u64 = 0x9E37_79B9_7F4A_7C15 | 1;
 
-/// Rolling digest over a sequence of limbs, order-sensitive.
+/// Odd multiplier folding the four lanes of [`roll_limbs`] into one word.
+const FOLD: u64 = 0xD6E8_FEB8_6659_FD93;
+
+/// Rolling digest over a sequence of limbs, order-sensitive: four
+/// interleaved lanes (limb `k` rolls into lane `k mod 4`; `h` seeds lane 0)
+/// folded with [`FOLD`], then the `< 4` trailing limbs rolled serially.
 #[inline]
-fn roll_limbs(mut h: u64, limbs: &[u64]) -> u64 {
-    for &x in limbs {
-        h = h.wrapping_mul(ROLL).wrapping_add(mix64(x));
+fn roll_limbs(h: u64, limbs: &[u64]) -> u64 {
+    let mut lanes = [h, 0, 0, 0];
+    let quads = limbs.chunks_exact(4);
+    let tail = quads.remainder();
+    for quad in quads {
+        for (lane, &x) in lanes.iter_mut().zip(quad) {
+            *lane = lane.wrapping_mul(ROLL).wrapping_add(mix64(x));
+        }
     }
-    h
+    let folded = lanes.iter().fold(0u64, |acc, &lane| acc.wrapping_mul(FOLD).wrapping_add(lane));
+    tail.iter().fold(folded, |acc, &x| acc.wrapping_mul(ROLL).wrapping_add(mix64(x)))
 }
 
 /// Checksum of a set of RNS polynomials (e.g. the `(c0, c1)` pair of a

@@ -75,7 +75,7 @@ pub use integrity::{checksum_enabled, set_checksum_enabled};
 pub use mixed_radix::MixedRadix;
 pub use modulus::{Modulus, ShoupScalar};
 pub use montgomery::MontgomeryContext;
-pub use ntt::{CyclicNtt, NttTable};
+pub use ntt::{galois_ntt_permutation, CyclicNtt, NttTable};
 pub use par::ParError;
 pub use poly::{Domain, Poly};
 pub use prime::{generate_ntt_primes, generate_primes_with_step, is_prime};

@@ -554,6 +554,40 @@ impl CyclicNtt {
     }
 }
 
+/// The NTT-domain form of the Galois automorphism `X ↦ X^g`: the index
+/// table `perm` with `NTT(σ_g a)[i] = NTT(a)[perm[i]]` for every
+/// [`NttTable`] of size `n`, whatever its modulus.
+///
+/// The forward transform leaves the evaluation at `ψ^(2·brv(i)+1)` in slot
+/// `i`, and `(σ_g a)(ψ^e) = a(ψ^(e·g))`; `g` is odd, so `e ↦ e·g mod 2n`
+/// permutes the odd exponents and the automorphism is a pure gather — no
+/// sign, no arithmetic, hence exact. The coefficient-domain
+/// [`crate::Poly::automorphism`] is the oracle the tests compare against.
+///
+/// # Errors
+///
+/// Returns [`MathError::InvalidDegree`] unless `n` is a power of two in
+/// `[8, 2^17]`, and [`MathError::InvalidParameter`] if `g` is even.
+pub fn galois_ntt_permutation(n: usize, g: usize) -> Result<Vec<u32>, MathError> {
+    if !n.is_power_of_two() || !(8..=(1 << 17)).contains(&n) {
+        return Err(MathError::InvalidDegree { degree: n });
+    }
+    if g.is_multiple_of(2) {
+        return Err(MathError::InvalidParameter {
+            detail: format!("automorphism exponent {g} must be odd"),
+        });
+    }
+    let log_n = n.trailing_zeros();
+    let mask = 2 * n as u64 - 1;
+    let g = g as u64 & mask;
+    Ok((0..n as u64)
+        .map(|i| {
+            let e = ((2 * bit_reverse(i, log_n) + 1) * g) & mask;
+            bit_reverse(e >> 1, log_n) as u32
+        })
+        .collect())
+}
+
 /// Reverses the low `bits` bits of `x`.
 #[inline]
 pub(crate) fn bit_reverse(x: u64, bits: u32) -> u64 {
@@ -811,6 +845,56 @@ mod tests {
         t.inverse(&mut prod);
         assert_eq!(prod[0], m.value() - 1);
         assert!(prod[1..].iter().all(|&c| c == 0));
+    }
+
+    /// `NTT(σ_g a)` through the coefficient-domain oracle.
+    fn automorphism_oracle(t: &NttTable, a: &[u64], g: usize) -> Vec<u64> {
+        let mut p = crate::Poly::from_ntt(a.to_vec(), t.modulus()).unwrap();
+        p.to_coeff(t);
+        let mut p = p.automorphism(g).unwrap();
+        p.to_ntt(t);
+        p.coeffs().to_vec()
+    }
+
+    #[test]
+    fn galois_permutation_matches_coefficient_automorphism_for_every_odd_exponent() {
+        for n in [16usize, 64] {
+            let t = table(36, n);
+            let a = ramp(n, t.modulus().value());
+            for g in (1..2 * n).step_by(2) {
+                let perm = galois_ntt_permutation(n, g).unwrap();
+                let got: Vec<u64> = perm.iter().map(|&i| a[i as usize]).collect();
+                assert_eq!(got, automorphism_oracle(&t, &a, g), "n={n} g={g}");
+            }
+        }
+    }
+
+    #[test]
+    fn galois_permutation_at_ring_sizes_on_both_schedules() {
+        // 4096 runs the flat radix loop, 8192 the cache-blocked four-step
+        // schedule; rotations are powers of 5, conjugation is 2n − 1.
+        for n in [4096usize, 8192] {
+            let t = table(50, n);
+            let a = ramp(n, t.modulus().value());
+            let rotations = [1u32, 2, 3, 64, n as u32 / 2 - 1]
+                .map(|r| (0..r).fold(1usize, |g, _| (g * 5) % (2 * n)));
+            for g in rotations.into_iter().chain([2 * n - 1]) {
+                let perm = galois_ntt_permutation(n, g).unwrap();
+                let got: Vec<u64> = perm.iter().map(|&i| a[i as usize]).collect();
+                assert_eq!(got, automorphism_oracle(&t, &a, g), "n={n} g={g}");
+            }
+        }
+    }
+
+    #[test]
+    fn galois_permutation_rejects_even_exponents_and_bad_sizes() {
+        assert!(galois_ntt_permutation(64, 4).is_err());
+        assert!(galois_ntt_permutation(48, 5).is_err());
+        // Exponents are taken mod 2n.
+        assert_eq!(
+            galois_ntt_permutation(64, 5).unwrap(),
+            galois_ntt_permutation(64, 5 + 128).unwrap()
+        );
     }
 
     #[test]

@@ -236,8 +236,9 @@ impl Poly {
     ///
     /// # Errors
     ///
-    /// Returns [`MathError::InvalidParameter`] if `g` is even, or
-    /// [`MathError::BasisMismatch`] if called in NTT domain.
+    /// Returns [`MathError::InvalidParameter`] if `g` is even,
+    /// [`MathError::BasisMismatch`] if called in NTT domain, or
+    /// [`MathError::InvalidDegree`] if the length is not a power of two.
     pub fn automorphism(&self, g: usize) -> Result<Poly, MathError> {
         if self.domain != Domain::Coefficient {
             return Err(MathError::BasisMismatch {
@@ -250,10 +251,15 @@ impl Poly {
             });
         }
         let n = self.n();
+        if !n.is_power_of_two() {
+            return Err(MathError::InvalidDegree { degree: n });
+        }
         let m = &self.modulus;
         let mut out = AVec::zeroed(n);
+        // n is a power of two: reduce the exponent mod 2n with a mask.
+        let (g, mask) = (g & (2 * n - 1), 2 * n - 1);
         for (i, &c) in self.coeffs.iter().enumerate() {
-            let e = (i * g) % (2 * n);
+            let e = (i * g) & mask;
             if e < n {
                 out[e] = m.add(out[e], c);
             } else {

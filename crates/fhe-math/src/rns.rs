@@ -309,6 +309,72 @@ impl ModdownPlan {
             Ok(())
         })
     }
+
+    /// [`ModdownPlan::apply_into`] for **NTT-domain** data, in place:
+    /// `q_channels[k] ← NTT_k(apply_into(INTT q, INTT p)[k])`, bit for bit,
+    /// with `2K + c` transforms instead of `2(c + K)`.
+    ///
+    /// The transform is linear over `Z_{q_k}` and every value is canonical,
+    /// so `NTT((x − y)·P⁻¹) = (NTT x − NTT y)·P⁻¹`: only the `K` special
+    /// channels leave the NTT domain (they are consumed — `p_channels`
+    /// holds scratch on return), the `P → Q` conversion runs on their
+    /// coefficients, and each converted channel is transformed forward and
+    /// folded into its `Q` channel. `q_tables` / `p_tables` are the NTT
+    /// tables of the plan's `Q` / `P` channels, in order. A warmed-up
+    /// caller thread allocates nothing on the sequential path.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MathError::InvalidParameter`] if the channel or table
+    /// counts disagree with the plan, or [`MathError::WorkerPanic`] from a
+    /// contained worker panic (the channels are poisoned in that case).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a table's modulus or a channel's length disagrees with
+    /// the plan.
+    pub fn apply_ntt_into(
+        &self,
+        q_tables: &[NttTable],
+        p_tables: &[NttTable],
+        q_channels: &mut [Vec<u64>],
+        p_channels: &mut [Vec<u64>],
+    ) -> Result<(), MathError> {
+        let _t = telemetry::Timer::enter("math.moddown");
+        let (q_moduli, p_moduli) = (self.bconv.dst_moduli(), self.bconv.src_moduli());
+        if q_channels.len() != q_moduli.len()
+            || p_channels.len() != p_moduli.len()
+            || q_tables.len() != q_moduli.len()
+            || p_tables.len() != p_moduli.len()
+        {
+            return Err(MathError::InvalidParameter {
+                detail: "moddown channel/table count mismatch".into(),
+            });
+        }
+        for (t, m) in q_tables.iter().zip(q_moduli).chain(p_tables.iter().zip(p_moduli)) {
+            assert_eq!(t.modulus(), *m, "misaligned NTT tables");
+        }
+        let n = p_tables[0].n();
+        let work = ntt_work(n);
+        // Bconv step 1 rides on the INTT pass: y_j = INTT(p_j)·q̂_j⁻¹.
+        par::par_iter_mut_in(WorkClass::Ntt, p_channels, work, |j, ch| {
+            p_tables[j].inverse(ch);
+            simd::mul_shoup_slice(ch, self.bconv.qhat_inv[j], p_moduli[j].value());
+        })?;
+        let scaled = &*p_channels;
+        par::par_iter_mut_in(WorkClass::Ntt, q_channels, work, |k, ch| {
+            Scratch::with_thread_local(|scratch| {
+                let mut converted = scratch.take(n);
+                self.bconv.dot_into(k, scaled, &mut converted);
+                q_tables[k].forward(&mut converted);
+                let q = q_moduli[k].value();
+                simd::sub_mod_slice(ch, &converted, q);
+                simd::mul_shoup_slice(ch, self.p_inv[k], q);
+                scratch.put(converted);
+            });
+        })?;
+        Ok(())
+    }
 }
 
 /// A precomputed fast base-conversion (Bconv, paper Eq. 1) between two
@@ -460,17 +526,9 @@ impl BconvPlan {
                 out,
                 (n as u64).saturating_mul(l),
                 |j, channel| {
-                    let pj = self.dst_moduli[j];
-                    let weights = &self.qhat_dst[j];
                     channel.clear();
                     channel.resize(n, 0);
-                    for (s, x) in channel.iter_mut().enumerate() {
-                        let mut acc: u128 = 0;
-                        for (i, scaled_ch) in scaled.iter().enumerate() {
-                            acc += scaled_ch[s] as u128 * weights[i] as u128;
-                        }
-                        *x = pj.reduce_u128(acc);
-                    }
+                    self.dot_into(j, &scaled, channel);
                 },
             )?;
             for buf in scaled {
@@ -478,6 +536,20 @@ impl BconvPlan {
             }
             Ok(())
         })
+    }
+
+    /// Step 2 of the conversion for destination channel `j`: the lazy dot
+    /// product of the pre-scaled source channels with `qhat_dst[j]`.
+    fn dot_into(&self, j: usize, scaled: &[Vec<u64>], out: &mut [u64]) {
+        let pj = self.dst_moduli[j];
+        let weights = &self.qhat_dst[j];
+        for (s, x) in out.iter_mut().enumerate() {
+            let mut acc: u128 = 0;
+            for (scaled_ch, &w) in scaled.iter().zip(weights) {
+                acc += scaled_ch[s] as u128 * w as u128;
+            }
+            *x = pj.reduce_u128(acc);
+        }
     }
 }
 
@@ -757,9 +829,12 @@ impl RnsPoly {
                 detail: format!("automorphism exponent {g} must be odd"),
             });
         }
+        if !self.n().is_power_of_two() {
+            return Err(MathError::InvalidDegree { degree: self.n() });
+        }
         let channels =
             par::par_map_in(WorkClass::Elementwise, &self.channels, self.n() as u64, |_, c| {
-                c.automorphism(g).expect("validated: odd exponent, coefficient domain")
+                c.automorphism(g).expect("validated: odd exponent, coefficient domain, 2^k length")
             })?;
         Ok(RnsPoly { channels })
     }
@@ -943,6 +1018,45 @@ mod tests {
         let out = ctx.moddown(&qr, &pr, &q_idx, &p_idx).unwrap();
         for (k, &qi) in q_idx.iter().enumerate() {
             assert_eq!(out[k][0], y % ctx.moduli()[qi].value());
+        }
+    }
+
+    #[test]
+    fn ntt_domain_moddown_equals_the_coefficient_domain_one() {
+        for (n, q_cnt, p_cnt) in [(64usize, 1usize, 1usize), (256, 4, 2), (4096, 7, 3)] {
+            let ctx = context(n, q_cnt + p_cnt);
+            let q_idx: Vec<usize> = (0..q_cnt).collect();
+            let p_idx: Vec<usize> = (q_cnt..q_cnt + p_cnt).collect();
+            let plan = ctx.moddown_plan(&q_idx, &p_idx).unwrap();
+            let mut ntt: Vec<Vec<u64>> = (0..q_cnt + p_cnt)
+                .map(|c| {
+                    let q = ctx.moduli()[c].value();
+                    (0..n as u64)
+                        .map(|i| (i + 1).wrapping_mul(0x9e37_79b9 + c as u64) % q)
+                        .collect()
+                })
+                .collect();
+            // Reference: INTT everything, coefficient-domain Moddown, NTT.
+            let mut coeff = ntt.clone();
+            for (c, ch) in coeff.iter_mut().enumerate() {
+                ctx.table(c).inverse(ch);
+            }
+            let (qc, pc) = coeff.split_at(q_cnt);
+            let q_refs: Vec<&[u64]> = qc.iter().map(|c| c.as_slice()).collect();
+            let p_refs: Vec<&[u64]> = pc.iter().map(|c| c.as_slice()).collect();
+            let mut want = vec![Vec::new(); q_cnt];
+            plan.apply_into(&q_refs, &p_refs, &mut want).unwrap();
+            for (c, ch) in want.iter_mut().enumerate() {
+                ctx.table(c).forward(ch);
+            }
+            let (q_ntt, p_ntt) = ntt.split_at_mut(q_cnt);
+            plan.apply_ntt_into(&ctx.tables()[..q_cnt], &ctx.tables()[q_cnt..], q_ntt, p_ntt)
+                .unwrap();
+            assert_eq!(q_ntt, &want[..], "n={n} q={q_cnt} p={p_cnt}");
+            // Mismatched counts are an error, not a panic.
+            assert!(plan
+                .apply_ntt_into(&ctx.tables()[..q_cnt], &ctx.tables()[q_cnt..], q_ntt, &mut [])
+                .is_err());
         }
     }
 

@@ -158,6 +158,37 @@ fn elementwise_rns_ops_allocation_free_both_backends() {
     restore_knobs();
 }
 
+/// The NTT-domain key-switch tail on caller-owned accumulators: the Galois
+/// gather is index arithmetic on existing buffers, and
+/// `ModdownPlan::apply_ntt_into` converts `P → Q` one destination channel
+/// at a time through a single pooled buffer — nothing is allocated once
+/// that buffer exists (sequential path; parallel workers own short-lived
+/// pools).
+#[test]
+fn ntt_domain_moddown_allocation_free_after_warmup_sequential() {
+    let _g = knob_guard();
+    sequential();
+    let n = 4096;
+    let (ctx, moduli) = context(n, 10);
+    let (q_idx, p_idx): (Vec<usize>, Vec<usize>) = ((0..7).collect(), (7..10).collect());
+    let plan = ctx.moddown_plan(&q_idx, &p_idx).unwrap();
+    let (q_tables, p_tables) = ctx.tables().split_at(7);
+    let mut acc: Vec<Vec<u64>> =
+        moduli.iter().enumerate().map(|(c, &m)| fill(n, c, 9, m)).collect();
+    let perm = fhe_math::galois_ntt_permutation(n, 5).unwrap();
+    let mut gathered = vec![0u64; n];
+    let mut run = |acc: &mut Vec<Vec<u64>>| {
+        for (y, &i) in gathered.iter_mut().zip(&perm) {
+            *y = acc[0][i as usize];
+        }
+        let (q, p) = acc.split_at_mut(7);
+        plan.apply_ntt_into(q_tables, p_tables, q, p).unwrap();
+    };
+    run(&mut acc);
+    assert_no_alloc("moddown.apply_ntt_into", || run(&mut acc));
+    restore_knobs();
+}
+
 /// The keyswitch ladder (`modup_into`/`moddown_into`) rebuilds its Bconv
 /// plan per call, so it is bounded rather than zero: steady-state calls
 /// must allocate exactly as much as the previous call (no warm-up drift,
