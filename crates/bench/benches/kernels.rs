@@ -88,10 +88,8 @@ fn bench_bconv(c: &mut Criterion) {
 }
 
 fn bench_modmul(c: &mut Criterion) {
-    use fhe_math::MontgomeryContext;
     let mut group = c.benchmark_group("modmul");
     let q = Modulus::new(generate_ntt_primes(60, 64, 1).unwrap()[0]).unwrap();
-    let mont = MontgomeryContext::new(q).unwrap();
     let xs: Vec<u64> = (0..4096u64).map(|i| q.reduce(i.wrapping_mul(0x2545F4914F6CDD1D))).collect();
     group.bench_function("barrett", |b| {
         b.iter(|| {
@@ -110,16 +108,6 @@ fn bench_modmul(c: &mut Criterion) {
                 acc = q.mul_shoup(acc, w);
             }
             acc
-        })
-    });
-    group.bench_function("montgomery", |b| {
-        let xm: Vec<u64> = xs.iter().map(|&x| mont.to_montgomery(x)).collect();
-        b.iter(|| {
-            let mut acc = mont.to_montgomery(1);
-            for &x in &xm {
-                acc = mont.mul(acc, x);
-            }
-            mont.from_montgomery(acc)
         })
     });
     group.finish();

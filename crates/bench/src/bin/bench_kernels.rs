@@ -1,5 +1,5 @@
 //! Reproducible sequential-vs-parallel baseline for the hot kernels the
-//! `parallel` feature accelerates: RNS NTT round-trips, Modup, Moddown and
+//! `fhe_math::par` backend accelerates: RNS NTT round-trips, Modup, Moddown and
 //! the CKKS mul+rescale pipeline, plus the CKKS encode/decode boundary.
 //!
 //! Both modes run in the same process: the sequential column pins the
@@ -26,9 +26,7 @@
 //!   per-call allocation count, bytes requested, and interval peak heap
 //!   (after a peak re-baseline) in an `"alloc"` stanza per kernel row.
 //!   `--compare` then gates those columns with the same tolerance (plus a
-//!   small absolute slack) when the baseline also carries them. Requires
-//!   the `alloc-track` feature (on by default); a build without it exits
-//!   `2`.
+//!   small absolute slack) when the baseline also carries them.
 //! * `--compare BASELINE.json [--tolerance F]` — diffs the fresh run
 //!   against a committed baseline per `(kernel, n, channels)` key and
 //!   exits `1` if any kernel slowed by more than the tolerance
@@ -333,12 +331,7 @@ fn to_json(measurements: &[Measurement], note: &str, reps: usize) -> Json {
     doc.insert("git_commit".to_string(), Json::Str(bench::git_commit()));
     let mut host = std::collections::BTreeMap::new();
     host.insert("threads".to_string(), Json::Num(par::max_threads() as f64));
-    host.insert("parallel_compiled".to_string(), Json::Bool(par::parallelism_compiled()));
     host.insert("checksum_enabled".to_string(), Json::Bool(fhe_math::checksum_enabled()));
-    host.insert(
-        "alloc_track_compiled".to_string(),
-        Json::Bool(telemetry::alloc::tracking_compiled()),
-    );
     if let Some(mb) = bench::mem_total_mb() {
         host.insert("mem_total_mb".to_string(), Json::Num(mb as f64));
     }
@@ -418,24 +411,10 @@ fn main() {
     let smoke = args.rest.iter().any(|a| a == "--smoke");
     let profile = args.rest.iter().any(|a| a == "--profile");
     let alloc_profile = args.rest.iter().any(|a| a == "--alloc-profile");
-    if alloc_profile && !telemetry::alloc::tracking_compiled() {
-        eprintln!(
-            "--alloc-profile: the alloc-track feature is not compiled in (built with \
-             --no-default-features?); rebuild with the default features to count allocations"
-        );
-        std::process::exit(2);
-    }
     // Benches measure the checksum-free fast path unless explicitly asked
     // to bound the overhead of the enabled path.
     let checksum = args.rest.iter().any(|a| a == "--checksum");
     fhe_math::set_checksum_enabled(checksum);
-    if checksum && !fhe_math::checksum_enabled() {
-        eprintln!(
-            "--checksum: the integrity-checksum feature is not compiled in; \
-             rebuild with `-p bench --features integrity-checksum` to measure its overhead"
-        );
-        std::process::exit(2);
-    }
     let faults = take_value_flag(&args.rest, "--faults").map(|s| parse_faults_spec(&s));
     let out_path =
         take_value_flag(&args.rest, "--out").unwrap_or_else(|| "BENCH_kernels.json".to_string());
@@ -541,10 +520,8 @@ fn main() {
     };
     let note = format!(
         "best-of-{reps} wall times on a {threads}-thread host \
-         (parallel feature compiled: {}, simd backend: {}); sequential pins \
-         the backend to one thread, parallel uses one worker per \
-         core.{single_core_caveat}",
-        par::parallelism_compiled(),
+         (simd backend: {}); sequential pins the backend to one thread, \
+         parallel uses one worker per core.{single_core_caveat}",
         fhe_math::simd::active_backend().name(),
     );
 
@@ -741,7 +718,6 @@ fn run_compare(
     let host_warnings = regress::host_mismatch_warnings(
         &regress::parse_host(&doc),
         par::max_threads() as u64,
-        par::parallelism_compiled(),
         bench::mem_total_mb(),
     );
     for w in &host_warnings {

@@ -145,7 +145,7 @@ impl Reporter {
 }
 
 /// Telemetry handle for a binary: enabled when `--trace-out` was given,
-/// disabled (free) otherwise, and stamped with host/feature metadata via
+/// disabled (free) otherwise, and stamped with host metadata via
 /// [`stamp_host_meta`] so every exported snapshot is self-describing.
 pub fn telemetry_from_args(args: &BenchArgs) -> telemetry::Telemetry {
     let tel = if args.trace_out.is_some() {
@@ -158,11 +158,10 @@ pub fn telemetry_from_args(args: &BenchArgs) -> telemetry::Telemetry {
 }
 
 /// Records the facts needed to interpret a trace captured on another
-/// machine: worker-thread budget, whether the `parallel` feature was
-/// compiled in, physical memory, and the producing git commit.
+/// machine: worker-thread budget, physical memory, and the producing git
+/// commit.
 pub fn stamp_host_meta(tel: &telemetry::Telemetry) {
     tel.set_meta("host.threads", &fhe_math::par::max_threads().to_string());
-    tel.set_meta("host.parallel_compiled", &fhe_math::par::parallelism_compiled().to_string());
     if let Some(mb) = mem_total_mb() {
         tel.set_meta("host.mem_total_mb", &mb.to_string());
     }

@@ -122,8 +122,6 @@ pub struct BaselineHost {
     /// `host.threads` as stamped by `bench_kernels` (absent in hand-edited
     /// or very old baselines).
     pub threads: Option<u64>,
-    /// Whether the baseline was produced with the `parallel` feature.
-    pub parallel_compiled: Option<bool>,
     /// Physical memory of the recording host (`host.mem_total_mb`).
     pub mem_total_mb: Option<u64>,
 }
@@ -134,10 +132,6 @@ pub fn parse_host(doc: &Json) -> BaselineHost {
     let host = doc.get("host");
     BaselineHost {
         threads: host.and_then(|h| h.get("threads")).and_then(Json::as_f64).map(|t| t as u64),
-        parallel_compiled: host.and_then(|h| h.get("parallel_compiled")).and_then(|j| match j {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }),
         mem_total_mb: host
             .and_then(|h| h.get("mem_total_mb"))
             .and_then(Json::as_f64)
@@ -146,14 +140,13 @@ pub fn parse_host(doc: &Json) -> BaselineHost {
 }
 
 /// Human-readable warnings when the baseline host and the current run are
-/// not comparable (different thread budget, parallel compilation, or a
-/// different memory class — ≥ 2x apart in physical RAM, where allocator
-/// and page-cache behavior stop being comparable); empty when they match
-/// or either side does not record the fields.
+/// not comparable (different thread budget, or a different memory class —
+/// ≥ 2x apart in physical RAM, where allocator and page-cache behavior stop
+/// being comparable); empty when they match or either side does not record
+/// the fields.
 pub fn host_mismatch_warnings(
     base: &BaselineHost,
     threads: u64,
-    parallel_compiled: bool,
     mem_total_mb: Option<u64>,
 ) -> Vec<String> {
     let mut warnings = Vec::new();
@@ -162,14 +155,6 @@ pub fn host_mismatch_warnings(
             warnings.push(format!(
                 "baseline was recorded with host.threads={bt} but this run uses {threads} \
                  thread(s); parallel-column ratios compare different machines"
-            ));
-        }
-    }
-    if let Some(bp) = base.parallel_compiled {
-        if bp != parallel_compiled {
-            warnings.push(format!(
-                "baseline parallel_compiled={bp} but this build has parallel_compiled=\
-                 {parallel_compiled}; sequential/parallel columns are not comparable"
             ));
         }
     }
@@ -527,26 +512,24 @@ mod tests {
 
     #[test]
     fn host_mismatch_warns_on_incomparable_hosts_only() {
+        // The committed baselines still carry the retired
+        // `parallel_compiled` / `alloc_track_compiled` host keys: unknown
+        // keys are ignored, whatever their value.
         let doc = telemetry::json::parse(
-            r#"{"host": {"threads": 4, "parallel_compiled": true}, "kernels": []}"#,
+            r#"{"host": {"threads": 4, "parallel_compiled": false,
+                         "alloc_track_compiled": false}, "kernels": []}"#,
         )
         .unwrap();
         let host = parse_host(&doc);
-        assert_eq!(host.threads, Some(4));
-        assert_eq!(host.parallel_compiled, Some(true));
+        assert_eq!(host, BaselineHost { threads: Some(4), mem_total_mb: None });
         // Matching host: silent.
-        assert!(host_mismatch_warnings(&host, 4, true, None).is_empty());
-        // Thread-count and feature mismatches each warn.
-        assert_eq!(host_mismatch_warnings(&host, 1, true, None).len(), 1);
-        assert_eq!(host_mismatch_warnings(&host, 4, false, None).len(), 1);
-        assert_eq!(host_mismatch_warnings(&host, 1, false, None).len(), 2);
+        assert!(host_mismatch_warnings(&host, 4, None).is_empty());
+        // A thread-count mismatch warns.
+        assert_eq!(host_mismatch_warnings(&host, 1, None).len(), 1);
         // Baselines without host metadata never warn.
         let bare = parse_host(&telemetry::json::parse(r#"{"kernels": []}"#).unwrap());
-        assert_eq!(
-            bare,
-            BaselineHost { threads: None, parallel_compiled: None, mem_total_mb: None }
-        );
-        assert!(host_mismatch_warnings(&bare, 64, false, Some(1)).is_empty());
+        assert_eq!(bare, BaselineHost { threads: None, mem_total_mb: None });
+        assert!(host_mismatch_warnings(&bare, 64, Some(1)).is_empty());
     }
 
     #[test]
@@ -559,14 +542,14 @@ mod tests {
         let host = parse_host(&doc);
         assert_eq!(host.mem_total_mb, Some(16000));
         // Same class (within 2x either way): silent.
-        assert!(host_mismatch_warnings(&host, 4, true, Some(16000)).is_empty());
-        assert!(host_mismatch_warnings(&host, 4, true, Some(9000)).is_empty());
-        assert!(host_mismatch_warnings(&host, 4, true, Some(31000)).is_empty());
+        assert!(host_mismatch_warnings(&host, 4, Some(16000)).is_empty());
+        assert!(host_mismatch_warnings(&host, 4, Some(9000)).is_empty());
+        assert!(host_mismatch_warnings(&host, 4, Some(31000)).is_empty());
         // A 2x-or-more gap in either direction warns.
-        assert_eq!(host_mismatch_warnings(&host, 4, true, Some(32000)).len(), 1);
-        assert_eq!(host_mismatch_warnings(&host, 4, true, Some(8000)).len(), 1);
+        assert_eq!(host_mismatch_warnings(&host, 4, Some(32000)).len(), 1);
+        assert_eq!(host_mismatch_warnings(&host, 4, Some(8000)).len(), 1);
         // Either side missing the field: silent.
-        assert!(host_mismatch_warnings(&host, 4, true, None).is_empty());
+        assert!(host_mismatch_warnings(&host, 4, None).is_empty());
     }
 
     #[test]

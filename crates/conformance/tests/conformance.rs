@@ -89,7 +89,7 @@ fn oracle_detects_injected_corruption() {
 }
 
 /// The conformance case for the moddown/CRT exactness invariant
-/// (`strict_assert_eq!(rem, 0)` in `RnsPoly::crt_coefficient`): the fast
+/// (`assert_eq!(rem, 0)` in `RnsPoly::crt_coefficient`): the fast
 /// reconstruction must agree with the independent oracle CRT on every
 /// coefficient, including the boundary residues.
 #[test]

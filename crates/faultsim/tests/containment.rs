@@ -119,8 +119,7 @@ fn tfhe_join_contains_a_poisoned_second_chunk() {
     let ints: Vec<i64> = (0..64).map(|i| (i % 5) - 2).collect();
     let torus: Vec<u64> = (0..64u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
 
-    // `join` runs side a as chunk 0 and side b as chunk 1 on every build,
-    // so chunk 1 is reachable even without the parallel feature.
+    // `join` runs side a as chunk 0 and side b as chunk 1, threaded or inline.
     let (result, fired) = with_injected_panic(1, || m.mul_int_torus(&ints, &torus));
     if fired {
         match result {

@@ -715,9 +715,6 @@ mod tests {
 
     #[test]
     fn corrupted_ciphertext_is_detected_at_api_boundaries() {
-        if !fhe_math::checksum_enabled() {
-            return;
-        }
         let (ctx, mut rng) = setup();
         let sk = ctx.generate_secret_key(&mut rng);
         let slots: Vec<u64> = (0..64).map(|i| (i * 7) % 257).collect();

@@ -15,11 +15,7 @@ impl Plaintext {
     /// Wraps the parts; internal constructor used by the encoder and
     /// decryption.
     pub(crate) fn from_parts(poly: RnsPoly, level: usize, scale: f64) -> Self {
-        fhe_math::strict_assert_eq!(
-            poly.num_channels(),
-            level + 1,
-            "plaintext channel count must match level + 1"
-        );
+        assert_eq!(poly.num_channels(), level + 1, "plaintext channel count must match level + 1");
         Plaintext { poly, level, scale }
     }
 
@@ -75,16 +71,8 @@ impl Ciphertext {
     /// Wraps the parts; internal constructor used by encryption and the
     /// evaluator.
     pub(crate) fn from_parts(c0: RnsPoly, c1: RnsPoly, level: usize, scale: f64) -> Self {
-        fhe_math::strict_assert_eq!(
-            c0.num_channels(),
-            level + 1,
-            "c0 channel count must match level + 1"
-        );
-        fhe_math::strict_assert_eq!(
-            c1.num_channels(),
-            level + 1,
-            "c1 channel count must match level + 1"
-        );
+        assert_eq!(c0.num_channels(), level + 1, "c0 channel count must match level + 1");
+        assert_eq!(c1.num_channels(), level + 1, "c1 channel count must match level + 1");
         let seal = fhe_math::integrity::seal(&[&c0, &c1]);
         Ciphertext { c0, c1, level, scale, seal }
     }
@@ -167,7 +155,7 @@ impl Ciphertext {
     /// the scale instead of touching ciphertext data; a wrong value here
     /// silently corrupts decoded magnitudes.
     pub fn set_scale(&mut self, scale: f64) {
-        fhe_math::strict_assert!(scale > 0.0, "scale must be positive, got {scale}");
+        assert!(scale > 0.0, "scale must be positive, got {scale}");
         self.scale = scale;
     }
 

@@ -198,11 +198,7 @@ impl CkksContext {
     /// channels `0..=level`: sign and magnitude exact ([`MixedRadix`]),
     /// then rounded to `f64`.
     pub fn centered_coefficients(&self, poly: &RnsPoly, level: usize) -> Vec<f64> {
-        fhe_math::strict_assert_eq!(
-            poly.num_channels(),
-            level + 1,
-            "polynomial channel count must match level + 1"
-        );
+        assert_eq!(poly.num_channels(), level + 1, "polynomial channel count must match level + 1");
         let mut x = vec![0u64; level + 1];
         (0..poly.n())
             .map(|idx| {

@@ -33,31 +33,26 @@
 //! with a constant far below a single NTT butterfly stage; the four lanes
 //! exist so those multiply-adds overlap instead of forming one serial
 //! dependency chain through the whole ciphertext. It is still on
-//! the hot path of every evaluator call, so it is doubly gated:
-//!
-//! * **compile-time**: the `integrity-checksum` cargo feature (default on,
-//!   forwarded through the workspace facade) compiles the machinery out
-//!   entirely when disabled;
-//! * **run-time**: [`set_checksum_enabled`] flips a process-global switch —
-//!   benchmark binaries start with checksums disabled so perf baselines
-//!   stay checksum-free by default (`bench_kernels --checksum` opts in).
+//! the hot path of every evaluator call, so [`set_checksum_enabled`] flips
+//! a process-global runtime switch: the kernel bench binaries start with
+//! checksums disabled so their baselines stay checksum-free
+//! (`bench_kernels --checksum` opts in).
 
 use crate::{MathError, RnsPoly};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Process-global runtime switch (compile-time feature permitting).
+/// Process-global runtime switch.
 static CHECKSUM_ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Whether ciphertext checksums are currently active: requires both the
-/// `integrity-checksum` cargo feature and the runtime switch (default on).
+/// Whether ciphertext checksums are currently active (the runtime switch,
+/// default on).
 #[inline]
 pub fn checksum_enabled() -> bool {
-    cfg!(feature = "integrity-checksum") && CHECKSUM_ENABLED.load(Ordering::Relaxed)
+    CHECKSUM_ENABLED.load(Ordering::Relaxed)
 }
 
 /// Turns ciphertext sealing/verification on or off at runtime
-/// (process-global). A no-op when the `integrity-checksum` feature is
-/// compiled out. Benchmarks disable it so hot-path measurements stay
+/// (process-global). Benchmarks disable it so hot-path measurements stay
 /// checksum-free; the fault campaign re-enables it per configuration.
 pub fn set_checksum_enabled(on: bool) {
     CHECKSUM_ENABLED.store(on, Ordering::Relaxed);
@@ -198,9 +193,6 @@ mod tests {
 
     #[test]
     fn verify_round_trip_and_mismatch() {
-        if !cfg!(feature = "integrity-checksum") {
-            return; // machinery compiled out; seal() is always None
-        }
         set_checksum_enabled(true);
         let p = sample_poly();
         let s = seal(&[&p]);

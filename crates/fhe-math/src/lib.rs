@@ -54,7 +54,6 @@ mod four_step;
 pub mod integrity;
 mod mixed_radix;
 mod modulus;
-mod montgomery;
 mod ntt;
 pub mod par;
 mod poly;
@@ -64,7 +63,6 @@ mod sampling;
 mod scratch;
 #[allow(unsafe_code)]
 pub mod simd;
-mod strict;
 
 pub use aligned::AVec;
 pub use bigint::UBig;
@@ -74,7 +72,6 @@ pub use four_step::FourStepNtt;
 pub use integrity::{checksum_enabled, set_checksum_enabled};
 pub use mixed_radix::MixedRadix;
 pub use modulus::{Modulus, ShoupScalar};
-pub use montgomery::MontgomeryContext;
 pub use ntt::{galois_ntt_permutation, CyclicNtt, NttTable};
 pub use par::ParError;
 pub use poly::{Domain, Poly};
@@ -82,4 +79,12 @@ pub use prime::{generate_ntt_primes, generate_primes_with_step, is_prime};
 pub use rns::{BconvPlan, ModdownPlan, RnsBasis, RnsContext, RnsPoly};
 pub use sampling::{sample_gaussian, sample_ternary, sample_uniform, GaussianSampler};
 pub use scratch::{scratch_stats, Scratch, ScratchStats};
-pub use strict::strict_checks_enabled;
+
+/// Always `true`: the canonical-form contracts at API boundaries are plain
+/// `assert!`s in every build. Kept because the frozen `benchmark/` package
+/// reports it as a host fact.
+#[inline]
+#[must_use]
+pub const fn strict_checks_enabled() -> bool {
+    true
+}

@@ -119,11 +119,10 @@ impl Modulus {
     ///
     /// # Panics
     ///
-    /// With the default `strict-checks` feature, panics if either operand
-    /// is `≥ q` (debug builds only otherwise).
+    /// Panics, in every build profile, if either operand is `≥ q`.
     #[inline]
     pub fn add(&self, a: u64, b: u64) -> u64 {
-        crate::strict_assert!(
+        assert!(
             a < self.value && b < self.value,
             "non-canonical operands to Modulus::add: a={a} b={b} q={}",
             self.value
@@ -140,11 +139,10 @@ impl Modulus {
     ///
     /// # Panics
     ///
-    /// With the default `strict-checks` feature, panics if either operand
-    /// is `≥ q` (debug builds only otherwise).
+    /// Panics, in every build profile, if either operand is `≥ q`.
     #[inline]
     pub fn sub(&self, a: u64, b: u64) -> u64 {
-        crate::strict_assert!(
+        assert!(
             a < self.value && b < self.value,
             "non-canonical operands to Modulus::sub: a={a} b={b} q={}",
             self.value
@@ -160,11 +158,10 @@ impl Modulus {
     ///
     /// # Panics
     ///
-    /// With the default `strict-checks` feature, panics if `a ≥ q` (debug
-    /// builds only otherwise).
+    /// Panics, in every build profile, if `a ≥ q`.
     #[inline]
     pub fn neg(&self, a: u64) -> u64 {
-        crate::strict_assert!(a < self.value, "non-canonical operand to Modulus::neg: a={a}");
+        assert!(a < self.value, "non-canonical operand to Modulus::neg: a={a}");
         if a == 0 {
             0
         } else {
@@ -221,16 +218,12 @@ impl Modulus {
     ///
     /// # Panics
     ///
-    /// With the default `strict-checks` feature, panics if `w ≥ q` (debug
-    /// builds only otherwise): the quotient of a non-canonical `w` would
-    /// make every subsequent [`Modulus::mul_shoup`] silently wrong.
+    /// Panics, in every build profile, if `w ≥ q`: the quotient of a
+    /// non-canonical `w` would make every subsequent [`Modulus::mul_shoup`]
+    /// silently wrong.
     #[inline]
     pub fn shoup(&self, w: u64) -> ShoupScalar {
-        crate::strict_assert!(
-            w < self.value,
-            "non-canonical operand to Modulus::shoup: w={w} q={}",
-            self.value
-        );
+        assert!(w < self.value, "non-canonical operand to Modulus::shoup: w={w} q={}", self.value);
         ShoupScalar { value: w, quotient: (((w as u128) << 64) / self.value as u128) as u64 }
     }
 
@@ -239,7 +232,7 @@ impl Modulus {
     /// The canonical-form bound on `a` stays a `debug_assert!`: this is the
     /// butterfly inner loop, called `n log n` times per NTT, and the Shoup
     /// quotient precomputed by [`Modulus::shoup`] is only valid for
-    /// canonical `a` anyway — the strict check lives at that boundary.
+    /// canonical `a` anyway — the release-mode check lives at that boundary.
     #[inline]
     pub fn mul_shoup(&self, a: u64, w: ShoupScalar) -> u64 {
         debug_assert!(a < self.value);
@@ -271,11 +264,10 @@ impl Modulus {
     ///
     /// # Panics
     ///
-    /// With the default `strict-checks` feature, panics if `a ≥ 2q` (debug
-    /// builds only otherwise).
+    /// Panics, in every build profile, if `a ≥ 2q`.
     #[inline]
     pub fn reduce_2q(&self, a: u64) -> u64 {
-        crate::strict_assert!(
+        assert!(
             a < self.value << 1,
             "operand to Modulus::reduce_2q outside [0, 2q): a={a} q={}",
             self.value
@@ -320,11 +312,10 @@ impl Modulus {
     ///
     /// # Panics
     ///
-    /// With the default `strict-checks` feature, panics if `a ≥ q` (debug
-    /// builds only otherwise).
+    /// Panics, in every build profile, if `a ≥ q`.
     #[inline]
     pub fn to_centered(&self, a: u64) -> i64 {
-        crate::strict_assert!(
+        assert!(
             a < self.value,
             "non-canonical operand to Modulus::to_centered: a={a} q={}",
             self.value
@@ -468,12 +459,11 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "strict-checks")]
     #[should_panic(expected = "non-canonical operands to Modulus::add")]
     fn add_rejects_non_canonical_operands_in_release() {
         let m = Modulus::new(Q36).unwrap();
-        // Without strict-checks this would silently compute a wrong (or for
-        // huge operands, wrapped) sum in release builds.
+        // A `debug_assert!` here would let release builds silently compute
+        // a wrong (or for huge operands, wrapped) sum.
         let _ = m.add(Q36, 0);
     }
 

@@ -162,18 +162,12 @@ impl NttTable {
         self.n_inv
     }
 
-    /// With the `strict-checks` feature (or in debug builds), verifies the
-    /// lazy input contract once per transform — the per-butterfly checks of
-    /// the old eager loops collapse into this single O(n) scan.
+    /// Verifies the lazy input contract once per transform, in every build
+    /// profile: one O(n) scan in place of a check per butterfly.
     fn check_lazy_inputs(&self, a: &[u64], op: &str) {
-        if cfg!(feature = "strict-checks") || cfg!(debug_assertions) {
-            let two_q = self.modulus.value() << 1;
-            for (i, &x) in a.iter().enumerate() {
-                crate::strict_assert!(
-                    x < two_q,
-                    "input to NttTable::{op} outside [0, 2q) at index {i}: {x}"
-                );
-            }
+        let two_q = self.modulus.value() << 1;
+        for (i, &x) in a.iter().enumerate() {
+            assert!(x < two_q, "input to NttTable::{op} outside [0, 2q) at index {i}: {x}");
         }
     }
 
@@ -187,8 +181,7 @@ impl NttTable {
     ///
     /// # Panics
     ///
-    /// Panics if `a.len() != self.n()`, or (with the default
-    /// `strict-checks` feature) if any input is `≥ 2q`.
+    /// Panics if `a.len() != self.n()` or any input is `≥ 2q`.
     pub fn forward(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "polynomial length must match NTT size");
         self.check_lazy_inputs(a, "forward");
@@ -211,8 +204,7 @@ impl NttTable {
     ///
     /// # Panics
     ///
-    /// Panics if `a.len() != self.n()`, or (with the default
-    /// `strict-checks` feature) if any input is `≥ 2q`.
+    /// Panics if `a.len() != self.n()` or any input is `≥ 2q`.
     pub fn forward_lazy(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "polynomial length must match NTT size");
         self.check_lazy_inputs(a, "forward_lazy");
@@ -234,8 +226,7 @@ impl NttTable {
     ///
     /// # Panics
     ///
-    /// Panics if `a.len() != self.n()`, or (with the default
-    /// `strict-checks` feature) if any input is `≥ 2q`.
+    /// Panics if `a.len() != self.n()` or any input is `≥ 2q`.
     pub fn inverse(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "polynomial length must match NTT size");
         self.check_lazy_inputs(a, "inverse");
@@ -251,8 +242,7 @@ impl NttTable {
     ///
     /// # Panics
     ///
-    /// Panics if `a.len() != self.n()`, or (with the default
-    /// `strict-checks` feature) if any input is `≥ 2q`.
+    /// Panics if `a.len() != self.n()` or any input is `≥ 2q`.
     pub fn inverse_lazy(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "polynomial length must match NTT size");
         self.check_lazy_inputs(a, "inverse_lazy");

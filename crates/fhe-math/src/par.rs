@@ -24,9 +24,6 @@
 //! * **Runtime-controllable.** [`set_max_threads`] lets one process compare
 //!   sequential vs parallel execution (the `bench_kernels` baseline), and
 //!   [`set_min_work`] lets tests force the parallel path at toy sizes.
-//!
-//! With the `parallel` cargo feature disabled the runner degenerates to the
-//! plain sequential loop and spawns nothing.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -196,10 +193,11 @@ pub fn min_work_for(class: WorkClass) -> u64 {
     class.default_min_work()
 }
 
-/// Whether the crate was built with the `parallel` feature.
+/// Always `true`: there is one build and the thread backend is in it. Kept
+/// because the frozen `benchmark/` package reports it as a host fact.
 #[inline]
-pub fn parallelism_compiled() -> bool {
-    cfg!(feature = "parallel")
+pub const fn parallelism_compiled() -> bool {
+    true
 }
 
 /// Caps worker threads per parallel region; `0` restores auto (one per
@@ -229,11 +227,8 @@ fn auto_threads() -> usize {
 
 /// The effective thread budget: the [`set_max_threads`] cap, else
 /// `ALCHEMIST_NUM_THREADS` from the environment, else one per available
-/// core. Always ≥ 1; exactly 1 when the `parallel` feature is off.
+/// core. Always ≥ 1.
 pub fn max_threads() -> usize {
-    if !cfg!(feature = "parallel") {
-        return 1;
-    }
     let cap = MAX_THREADS.load(Ordering::Relaxed);
     if cap != 0 {
         return cap.max(1);
@@ -745,7 +740,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "parallel")] // chunk indices require real workers
     fn organic_panic_is_contained_and_drains_other_chunks() {
         let _g = knob_guard();
         set_min_work(0);
@@ -780,7 +774,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "parallel")] // a sequential build only ever runs chunk 0
     fn injected_panic_hits_requested_chunk_then_disarms() {
         let _g = knob_guard();
         set_min_work(0);
@@ -827,10 +820,7 @@ mod tests {
         let err = quiet_panics(|| {
             join(1 << 20, 1 << 20, || 7, || -> u32 { panic!("side b died") }).unwrap_err()
         });
-        // Side b is chunk 1 either way; only the worker differs between the
-        // threaded and the sequential-fallback build.
-        assert_eq!(err.chunk, 1);
-        assert_eq!(err.worker, if parallelism_compiled() { 1 } else { 0 });
+        assert_eq!((err.worker, err.chunk), (1, 1));
         assert!(err.payload.contains("side b died"));
         let err = quiet_panics(|| {
             join(1 << 20, 1 << 20, || -> u32 { panic!("side a died") }, || 7).unwrap_err()
@@ -858,12 +848,10 @@ mod tests {
         });
         set_min_work(DEFAULT_MIN_WORK);
         set_max_threads(0);
-        let want = if parallelism_compiled() { 1 } else { 0 };
-        assert_eq!(err.chunk, want, "item 45 lives in chunk 1 of 3×30 (0 inline)");
+        assert_eq!(err.chunk, 1, "item 45 lives in chunk 1 of 3×30");
     }
 
     #[test]
-    #[cfg(feature = "parallel")] // spawns real workers; sequential builds cap at 1
     fn profiling_captures_per_worker_activity() {
         let _g = knob_guard();
         set_min_work(0);

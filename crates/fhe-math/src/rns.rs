@@ -880,7 +880,7 @@ impl RnsPoly {
             let mi = moduli[i];
             // Qhat_i = Q / q_i (exact), y_i = x_i * Qhat_i^{-1} mod q_i.
             let (qhat, rem) = q.divrem_u64(mi.value());
-            crate::strict_assert_eq!(
+            assert_eq!(
                 rem,
                 0,
                 "CRT basis corrupt: Q not divisible by channel modulus {}",

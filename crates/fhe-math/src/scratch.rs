@@ -260,9 +260,8 @@ mod tests {
         let peak = s.retained_bytes();
         assert!(peak >= (1u64 << 21) * 8);
 
-        // Under alloc-track the trim must actually return memory to the
-        // allocator, not just forget the pointer in our own accounting.
-        #[cfg(feature = "alloc-track")]
+        // The trim must actually return memory to the allocator, not just
+        // forget the pointer in our own accounting.
         let live_before = telemetry::alloc::global_stats().live_bytes;
 
         // Shrink: sustained small demand decays retention geometrically.
@@ -278,18 +277,15 @@ mod tests {
         );
         assert!(s.stats().trimmed_bytes >= peak / 2);
 
-        #[cfg(feature = "alloc-track")]
-        {
-            let live_after = telemetry::alloc::global_stats().live_bytes;
-            // Concurrent tests allocate too, so demand only half the
-            // giant buffer's release to show up in the global gauge.
-            assert!(
-                live_before.saturating_sub(live_after) >= peak / 2,
-                "live bytes went {live_before} -> {live_after}, \
-                 expected a drop of at least {}",
-                peak / 2
-            );
-        }
+        let live_after = telemetry::alloc::global_stats().live_bytes;
+        // Concurrent tests allocate too, so demand only half the giant
+        // buffer's release to show up in the global gauge.
+        assert!(
+            live_before.saturating_sub(live_after) >= peak / 2,
+            "live bytes went {live_before} -> {live_after}, \
+             expected a drop of at least {}",
+            peak / 2
+        );
 
         // The small shapes that drove the decay still hit the pool.
         let warm = s.stats();

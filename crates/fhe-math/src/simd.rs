@@ -15,9 +15,8 @@
 //! Dispatch is *runtime*: the backend is detected once per process
 //! (`is_x86_feature_detected!` / target arch), can be disabled per-process
 //! with the `ALCHEMIST_SIMD=0` environment variable or per-call-site with
-//! [`set_force_scalar`] (the differential tests toggle it), and is compiled
-//! out entirely when the `simd` cargo feature is off. Values never change
-//! with the backend — only the schedule does.
+//! [`set_force_scalar`] (the differential tests toggle it). Values never
+//! change with the backend — only the schedule does.
 //!
 //! # Lazy value ranges
 //!
@@ -91,12 +90,11 @@ fn detected() -> Backend {
     Backend::Scalar
 }
 
-/// The backend the next kernel call will use: scalar when the `simd`
-/// feature is off or [`set_force_scalar`] is armed, the detected hardware
-/// backend otherwise.
+/// The backend the next kernel call will use: scalar when
+/// [`set_force_scalar`] is armed, the detected hardware backend otherwise.
 #[inline]
 pub fn active_backend() -> Backend {
-    if !cfg!(feature = "simd") || FORCE_SCALAR.load(Ordering::Relaxed) {
+    if FORCE_SCALAR.load(Ordering::Relaxed) {
         return Backend::Scalar;
     }
     static DETECTED: OnceLock<Backend> = OnceLock::new();
@@ -204,10 +202,7 @@ fn reduce_2q_slice_scalar(a: &mut [u64], q: u64) {
 
 fn add_mod_slice_scalar(a: &mut [u64], b: &[u64], q: u64) {
     for (x, &y) in a.iter_mut().zip(b) {
-        crate::strict_assert!(
-            *x < q && y < q,
-            "non-canonical operands to simd::add_mod: a={x} b={y} q={q}"
-        );
+        assert!(*x < q && y < q, "non-canonical operands to simd::add_mod: a={x} b={y} q={q}");
         let s = *x + y;
         *x = if s >= q { s - q } else { s };
     }
@@ -215,27 +210,21 @@ fn add_mod_slice_scalar(a: &mut [u64], b: &[u64], q: u64) {
 
 fn sub_mod_slice_scalar(a: &mut [u64], b: &[u64], q: u64) {
     for (x, &y) in a.iter_mut().zip(b) {
-        crate::strict_assert!(
-            *x < q && y < q,
-            "non-canonical operands to simd::sub_mod: a={x} b={y} q={q}"
-        );
+        assert!(*x < q && y < q, "non-canonical operands to simd::sub_mod: a={x} b={y} q={q}");
         *x = if *x >= y { *x - y } else { *x + q - y };
     }
 }
 
 fn neg_mod_slice_scalar(a: &mut [u64], q: u64) {
     for x in a.iter_mut() {
-        crate::strict_assert!(*x < q, "non-canonical operand to simd::neg_mod: a={x} q={q}");
+        assert!(*x < q, "non-canonical operand to simd::neg_mod: a={x} q={q}");
         *x = if *x == 0 { 0 } else { q - *x };
     }
 }
 
 fn sub_mul_shoup_slice_scalar(out: &mut [u64], a: &[u64], b: &[u64], w: ShoupScalar, q: u64) {
     for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        crate::strict_assert!(
-            x < q && y < q,
-            "non-canonical operands to simd::sub_mul_shoup: a={x} b={y} q={q}"
-        );
+        assert!(x < q && y < q, "non-canonical operands to simd::sub_mul_shoup: a={x} b={y} q={q}");
         let d = if x >= y { x - y } else { x + q - y };
         let mut r = mul_shoup_lazy_scalar(d, w, q);
         if r >= q {
@@ -249,7 +238,7 @@ fn sub_mul_shoup_slice_scalar(out: &mut [u64], a: &[u64], b: &[u64], w: ShoupSca
 // AVX2 kernels (x86_64)
 // ---------------------------------------------------------------------------
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::ShoupScalar;
     use core::arch::x86_64::*;
@@ -429,19 +418,13 @@ mod avx2 {
         }
     }
 
-    /// Unsigned `x >= q` mask per lane (for the fused strict checks).
+    /// Unsigned `x >= q` mask per lane (for the fused canonical-form checks).
     #[inline(always)]
     unsafe fn ge_mask(x: __m256i, qv: __m256i) -> __m256i {
         let sign = _mm256_set1_epi64x(SIGN as i64);
         let lt = _mm256_cmpgt_epi64(_mm256_xor_si256(qv, sign), _mm256_xor_si256(x, sign));
         // NOT(lt): x >= q.
         _mm256_andnot_si256(lt, _mm256_set1_epi64x(-1))
-    }
-
-    /// Whether the strict canonical-form checks should run in this build.
-    #[inline(always)]
-    fn checks_on() -> bool {
-        cfg!(feature = "strict-checks") || cfg!(debug_assertions)
     }
 
     #[target_feature(enable = "avx2")]
@@ -455,19 +438,15 @@ mod avx2 {
         while i + 4 <= n {
             let x = _mm256_loadu_si256(ap.add(i).cast());
             let y = _mm256_loadu_si256(bp.add(i).cast());
-            if checks_on() {
-                bad = _mm256_or_si256(bad, _mm256_or_si256(ge_mask(x, qv), ge_mask(y, qv)));
-            }
+            bad = _mm256_or_si256(bad, _mm256_or_si256(ge_mask(x, qv), ge_mask(y, qv)));
             let s = _mm256_add_epi64(x, y);
             _mm256_storeu_si256(ap.add(i).cast(), cond_sub(s, qv));
             i += 4;
         }
-        if checks_on() {
-            crate::strict_assert!(
-                _mm256_testz_si256(bad, bad) == 1,
-                "non-canonical operands to simd::add_mod (vector path), q={q}"
-            );
-        }
+        assert!(
+            _mm256_testz_si256(bad, bad) == 1,
+            "non-canonical operands to simd::add_mod (vector path), q={q}"
+        );
         if i < n {
             super::add_mod_slice_scalar(&mut a[i..], &b[i..], q);
         }
@@ -484,21 +463,17 @@ mod avx2 {
         while i + 4 <= n {
             let x = _mm256_loadu_si256(ap.add(i).cast());
             let y = _mm256_loadu_si256(bp.add(i).cast());
-            if checks_on() {
-                bad = _mm256_or_si256(bad, _mm256_or_si256(ge_mask(x, qv), ge_mask(y, qv)));
-            }
+            bad = _mm256_or_si256(bad, _mm256_or_si256(ge_mask(x, qv), ge_mask(y, qv)));
             // x - y + (x < y ? q : 0)  ==  cond_sub(x + q - y, q) for
             // canonical operands; compute the branch-free form directly.
             let d = _mm256_sub_epi64(_mm256_add_epi64(x, qv), y);
             _mm256_storeu_si256(ap.add(i).cast(), cond_sub(d, qv));
             i += 4;
         }
-        if checks_on() {
-            crate::strict_assert!(
-                _mm256_testz_si256(bad, bad) == 1,
-                "non-canonical operands to simd::sub_mod (vector path), q={q}"
-            );
-        }
+        assert!(
+            _mm256_testz_si256(bad, bad) == 1,
+            "non-canonical operands to simd::sub_mod (vector path), q={q}"
+        );
         if i < n {
             super::sub_mod_slice_scalar(&mut a[i..], &b[i..], q);
         }
@@ -514,20 +489,16 @@ mod avx2 {
         let mut i = 0usize;
         while i + 4 <= n {
             let x = _mm256_loadu_si256(ap.add(i).cast());
-            if checks_on() {
-                bad = _mm256_or_si256(bad, ge_mask(x, qv));
-            }
+            bad = _mm256_or_si256(bad, ge_mask(x, qv));
             let is_zero = _mm256_cmpeq_epi64(x, zero);
             let r = _mm256_andnot_si256(is_zero, _mm256_sub_epi64(qv, x));
             _mm256_storeu_si256(ap.add(i).cast(), r);
             i += 4;
         }
-        if checks_on() {
-            crate::strict_assert!(
-                _mm256_testz_si256(bad, bad) == 1,
-                "non-canonical operand to simd::neg_mod (vector path), q={q}"
-            );
-        }
+        assert!(
+            _mm256_testz_si256(bad, bad) == 1,
+            "non-canonical operand to simd::neg_mod (vector path), q={q}"
+        );
         if i < n {
             super::neg_mod_slice_scalar(&mut a[i..], q);
         }
@@ -553,20 +524,16 @@ mod avx2 {
         while i + 4 <= n {
             let x = _mm256_loadu_si256(ap.add(i).cast());
             let y = _mm256_loadu_si256(bp.add(i).cast());
-            if checks_on() {
-                bad = _mm256_or_si256(bad, _mm256_or_si256(ge_mask(x, qv), ge_mask(y, qv)));
-            }
+            bad = _mm256_or_si256(bad, _mm256_or_si256(ge_mask(x, qv), ge_mask(y, qv)));
             let d = cond_sub(_mm256_sub_epi64(_mm256_add_epi64(x, qv), y), qv);
             let r = cond_sub(shoup_lazy(d, wv, wq, qv), qv);
             _mm256_storeu_si256(op.add(i).cast(), r);
             i += 4;
         }
-        if checks_on() {
-            crate::strict_assert!(
-                _mm256_testz_si256(bad, bad) == 1,
-                "non-canonical operands to simd::sub_mul_shoup (vector path), q={q}"
-            );
-        }
+        assert!(
+            _mm256_testz_si256(bad, bad) == 1,
+            "non-canonical operands to simd::sub_mul_shoup (vector path), q={q}"
+        );
         if i < n {
             super::sub_mul_shoup_slice_scalar(&mut out[i..], &a[i..], &b[i..], w, q);
         }
@@ -577,7 +544,7 @@ mod avx2 {
 // NEON kernels (aarch64)
 // ---------------------------------------------------------------------------
 
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
+#[cfg(target_arch = "aarch64")]
 mod neon {
     use super::ShoupScalar;
     use core::arch::aarch64::*;
@@ -766,10 +733,10 @@ pub(crate) fn fwd_bfly(top: &mut [u64], bot: &mut [u64], s: ShoupScalar, q: u64)
     debug_assert_eq!(top.len(), bot.len());
     if top.len() >= MIN_VECTOR_LEN {
         match active_backend() {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             // SAFETY: AVX2 presence verified by `active_backend`.
             Backend::Avx2 => return unsafe { avx2::fwd_bfly(top, bot, s, q) },
-            #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+            #[cfg(target_arch = "aarch64")]
             // SAFETY: NEON is baseline on aarch64.
             Backend::Neon => return unsafe { neon::fwd_bfly(top, bot, s, q) },
             _ => {}
@@ -784,10 +751,10 @@ pub(crate) fn inv_bfly(top: &mut [u64], bot: &mut [u64], s: ShoupScalar, q: u64)
     debug_assert_eq!(top.len(), bot.len());
     if top.len() >= MIN_VECTOR_LEN {
         match active_backend() {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             // SAFETY: AVX2 presence verified by `active_backend`.
             Backend::Avx2 => return unsafe { avx2::inv_bfly(top, bot, s, q) },
-            #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+            #[cfg(target_arch = "aarch64")]
             // SAFETY: NEON is baseline on aarch64.
             Backend::Neon => return unsafe { neon::inv_bfly(top, bot, s, q) },
             _ => {}
@@ -811,12 +778,12 @@ pub(crate) fn inv_bfly_last(
     debug_assert_eq!(top.len(), bot.len());
     if top.len() >= MIN_VECTOR_LEN {
         match active_backend() {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             // SAFETY: AVX2 presence verified by `active_backend`.
             Backend::Avx2 => {
                 return unsafe { avx2::inv_bfly_last(top, bot, n_inv, s_ninv, q, canonical) }
             }
-            #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+            #[cfg(target_arch = "aarch64")]
             // SAFETY: NEON is baseline on aarch64.
             Backend::Neon => {
                 return unsafe { neon::inv_bfly_last(top, bot, n_inv, s_ninv, q, canonical) }
@@ -835,10 +802,10 @@ pub(crate) fn inv_bfly_last(
 pub(crate) fn mul_shoup_slice(a: &mut [u64], w: ShoupScalar, q: u64) {
     if a.len() >= MIN_VECTOR_LEN {
         match active_backend() {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             // SAFETY: AVX2 presence verified by `active_backend`.
             Backend::Avx2 => return unsafe { avx2::mul_shoup(a, w, q) },
-            #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+            #[cfg(target_arch = "aarch64")]
             // SAFETY: NEON is baseline on aarch64.
             Backend::Neon => return unsafe { neon::mul_shoup(a, w, q) },
             _ => {}
@@ -853,10 +820,10 @@ pub(crate) fn mul_shoup_slice(a: &mut [u64], w: ShoupScalar, q: u64) {
 pub(crate) fn reduce_2q_slice(a: &mut [u64], q: u64) {
     if a.len() >= MIN_VECTOR_LEN {
         match active_backend() {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             // SAFETY: AVX2 presence verified by `active_backend`.
             Backend::Avx2 => return unsafe { avx2::reduce_2q(a, q) },
-            #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+            #[cfg(target_arch = "aarch64")]
             // SAFETY: NEON is baseline on aarch64.
             Backend::Neon => return unsafe { neon::reduce_2q(a, q) },
             _ => {}
@@ -866,13 +833,13 @@ pub(crate) fn reduce_2q_slice(a: &mut [u64], q: u64) {
 }
 
 /// Element-wise canonical modular addition `a[k] ← a[k] + b[k] mod q`.
-/// Keeps the `strict-checks` canonical-operand contract (the vector path
+/// Keeps the canonical-operand contract of [`Modulus::add`] (the vector path
 /// accumulates a violation mask and asserts once per slice).
 #[inline]
 pub(crate) fn add_mod_slice(a: &mut [u64], b: &[u64], q: u64) {
     debug_assert_eq!(a.len(), b.len());
     if a.len() >= MIN_VECTOR_LEN {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if active_backend() == Backend::Avx2 {
             // SAFETY: AVX2 presence verified by `active_backend`.
             return unsafe { avx2::add_mod(a, b, q) };
@@ -886,7 +853,7 @@ pub(crate) fn add_mod_slice(a: &mut [u64], b: &[u64], q: u64) {
 pub(crate) fn sub_mod_slice(a: &mut [u64], b: &[u64], q: u64) {
     debug_assert_eq!(a.len(), b.len());
     if a.len() >= MIN_VECTOR_LEN {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if active_backend() == Backend::Avx2 {
             // SAFETY: AVX2 presence verified by `active_backend`.
             return unsafe { avx2::sub_mod(a, b, q) };
@@ -899,7 +866,7 @@ pub(crate) fn sub_mod_slice(a: &mut [u64], b: &[u64], q: u64) {
 #[inline]
 pub(crate) fn neg_mod_slice(a: &mut [u64], q: u64) {
     if a.len() >= MIN_VECTOR_LEN {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if active_backend() == Backend::Avx2 {
             // SAFETY: AVX2 presence verified by `active_backend`.
             return unsafe { avx2::neg_mod(a, q) };
@@ -913,7 +880,7 @@ pub(crate) fn neg_mod_slice(a: &mut [u64], q: u64) {
 pub(crate) fn sub_mul_shoup_slice(out: &mut [u64], a: &[u64], b: &[u64], w: ShoupScalar, q: u64) {
     debug_assert!(out.len() == a.len() && a.len() == b.len());
     if out.len() >= MIN_VECTOR_LEN {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if active_backend() == Backend::Avx2 {
             // SAFETY: AVX2 presence verified by `active_backend`.
             return unsafe { avx2::sub_mul_shoup(out, a, b, w, q) };
@@ -1055,7 +1022,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "strict-checks")]
     fn vector_add_rejects_non_canonical() {
         let m = modulus(36);
         let q = m.value();
@@ -1064,6 +1030,6 @@ mod tests {
             let b = vec![1u64; 32];
             add_mod_slice(&mut a, &b, q);
         });
-        assert!(res.is_err(), "strict check must fire on the vector path too");
+        assert!(res.is_err(), "the contract must fire on the vector path too");
     }
 }

@@ -7,9 +7,6 @@
 //! runs it under [`assert_no_alloc`], which panics on any heap traffic
 //! attributed to the calling thread — including worker-thread traffic,
 //! which `fhe_math::par` charges back to the caller.
-//!
-//! When the `alloc-track` feature is off the assertions are vacuous (the
-//! suite still exercises the kernels).
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -217,9 +214,6 @@ fn keyswitch_into_paths_have_bounded_steady_state_allocations() {
     let ((), d1) = alloc_delta(|| run(&mut up, &mut down));
     let ((), d2) = alloc_delta(|| run(&mut up, &mut down));
     restore_knobs();
-    if !telemetry::alloc::tracking_compiled() {
-        return;
-    }
     assert_eq!(
         d1.allocs, d2.allocs,
         "steady-state keyswitch allocation count must not drift: {d1:?} vs {d2:?}"

@@ -18,10 +18,7 @@ impl LweSecretKey {
 
     /// Wraps explicit key bits (testing, and TRLWE key extraction).
     pub fn from_bits(bits: Vec<u64>) -> Self {
-        fhe_math::strict_assert!(
-            bits.iter().all(|&b| b <= 1),
-            "LWE secret key bits must be 0 or 1"
-        );
+        assert!(bits.iter().all(|&b| b <= 1), "LWE secret key bits must be 0 or 1");
         LweSecretKey { bits }
     }
 

@@ -28,7 +28,7 @@ pub fn torus_to_f64(t: u64) -> f64 {
 
 /// Encodes a message `m ∈ [0, space)` at the center of its torus sector.
 pub fn encode_message(m: u64, space: u64) -> u64 {
-    fhe_math::strict_assert!(
+    assert!(
         space.is_power_of_two() && m < space,
         "message {m} out of range for torus space {space}"
     );
@@ -37,7 +37,7 @@ pub fn encode_message(m: u64, space: u64) -> u64 {
 
 /// Decodes to the nearest sector of a `space`-sector torus.
 pub fn decode_message(t: u64, space: u64) -> u64 {
-    fhe_math::strict_assert!(space.is_power_of_two(), "torus space {space} must be a power of two");
+    assert!(space.is_power_of_two(), "torus space {space} must be a power of two");
     let sector = u64::MAX / space + 1; // 2^64 / space
     let half = sector / 2;
     t.wrapping_add(half) / sector % space

@@ -3,7 +3,7 @@
 //! Blind rotation takes its working buffers from one workspace allocated
 //! before the `n`-step loop, so a bootstrap's allocation count must not
 //! depend on the LWE dimension. Counted with the tracking global allocator
-//! (`telemetry::alloc`); vacuous when the `alloc-track` feature is off.
+//! (`telemetry::alloc`).
 
 use fhe_tfhe::{generate_keys, TfheParams, ONE_EIGHTH};
 use rand::SeedableRng;
@@ -32,9 +32,6 @@ fn bootstrap_allocs(lwe_dim: usize) -> u64 {
 #[test]
 fn bootstrap_allocations_do_not_scale_with_lwe_dimension() {
     let (small, large) = (bootstrap_allocs(16), bootstrap_allocs(32));
-    if !telemetry::alloc::tracking_compiled() {
-        return;
-    }
     assert_eq!(small, large, "an allocation inside the blind-rotation loop scales with n");
     assert!(small > 0 && small <= MAX_ALLOCS_PER_BOOTSTRAP, "{small} allocations per bootstrap");
 }

@@ -158,9 +158,8 @@ fn clean_request(tenant: TenantId, rng: &mut ChaCha8Rng) -> Request {
 }
 
 /// A request carrying a contained-fault flag (panic or budget burn —
-/// the two classes whose detection does not depend on the
-/// `integrity-checksum` feature, so the campaign passes under
-/// `--no-default-features` too).
+/// the two classes whose detection does not depend on the runtime
+/// checksum switch).
 fn poison_request(tenant: TenantId, rng: &mut ChaCha8Rng) -> Request {
     let fault = if rng.gen::<bool>() { FaultFlag::WorkerPanic } else { FaultFlag::BudgetBurn };
     Request { fault, ..clean_request(tenant, rng) }

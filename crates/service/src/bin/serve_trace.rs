@@ -142,7 +142,6 @@ fn to_json(runs: &[ModeRun], workers: usize, n: usize, workload: &str, note: &st
     doc.insert("git_commit".to_string(), Json::Str(bench::git_commit()));
     let mut host = BTreeMap::new();
     host.insert("threads".to_string(), Json::Num(fhe_math::par::max_threads() as f64));
-    host.insert("parallel_compiled".to_string(), Json::Bool(fhe_math::par::parallelism_compiled()));
     host.insert("checksum_enabled".to_string(), Json::Bool(fhe_math::checksum_enabled()));
     if let Some(mb) = bench::mem_total_mb() {
         host.insert("mem_total_mb".to_string(), Json::Num(mb as f64));
@@ -203,7 +202,6 @@ fn run_compare(
     for w in regress::host_mismatch_warnings(
         &regress::parse_host(&doc),
         fhe_math::par::max_threads() as u64,
-        fhe_math::par::parallelism_compiled(),
         bench::mem_total_mb(),
     ) {
         rep.note(&format!("warning: {w}"));
@@ -443,8 +441,7 @@ fn main() {
         "closed-loop replay of a deterministic {requests}-request trace (seed {seed:#x}) \
          over a million-tenant id space with a 64-tenant hot set at 90%; both modes replay \
          the same trace and verify fault-free results against the templates' cleartext \
-         functions (parallel feature compiled: {})",
-        fhe_math::par::parallelism_compiled(),
+         functions"
     );
     rep.note(&note);
 

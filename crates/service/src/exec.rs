@@ -8,9 +8,8 @@
 //! * [`FaultFlag::WorkerPanic`] panics mid-walk — the server's
 //!   `catch_unwind` must contain it;
 //! * [`FaultFlag::BitFlip`] corrupts one coefficient bit through the
-//!   faultsim corruption surface — the integrity checksum (compiled in
-//!   by the `integrity-checksum` feature) or the decrypt-side noise
-//!   gate must catch it;
+//!   faultsim corruption surface — the integrity checksum (or, with the
+//!   runtime switch off, the decrypt-side noise gate) must catch it;
 //! * [`FaultFlag::BudgetBurn`] inflates the tracked scale past the
 //!   modulus product — decryption must refuse with `BudgetExhausted`.
 //!
@@ -257,7 +256,6 @@ mod tests {
         assert!(e.is_contained_fault());
     }
 
-    #[cfg(feature = "integrity-checksum")]
     #[test]
     fn bit_flip_is_caught_by_the_checksum() {
         let e =

@@ -107,20 +107,17 @@ fn each_fault_class_fails_exactly_one_request_with_one_dump() {
     assert_eq!(dump_count(&dir), 2);
 
     // Ciphertext corruption: the integrity checksum refuses it.
-    #[cfg(feature = "integrity-checksum")]
-    {
-        let mut reqs: Vec<Request> = (0..3).map(|_| quad(7, FaultFlag::None)).collect();
-        reqs[1].fault = FaultFlag::BitFlip;
-        let done = submit_all(&server, reqs);
-        assert_one_contained(&done, 1, |e| matches!(e, ServiceError::IntegrityViolation { .. }));
-        assert_eq!(dump_count(&dir), 3);
-    }
+    let mut reqs: Vec<Request> = (0..3).map(|_| quad(7, FaultFlag::None)).collect();
+    reqs[1].fault = FaultFlag::BitFlip;
+    let done = submit_all(&server, reqs);
+    assert_one_contained(&done, 1, |e| matches!(e, ServiceError::IntegrityViolation { .. }));
+    assert_eq!(dump_count(&dir), 3);
 
     // Degradation, not death: the server still answers afterwards.
     let done = submit_all(&server, vec![quad(8, FaultFlag::None)]);
     assert!((done[0].result.as_ref().unwrap()[0] - 3.25).abs() < 1e-2);
 
-    let faulted = if cfg!(feature = "integrity-checksum") { 3 } else { 2 };
+    let faulted = 3;
     let stats = server.finish();
     assert_eq!(stats.failed, faulted, "only the faulted requests failed");
     assert_eq!(stats.faults_contained, faulted, "every failure was classified");

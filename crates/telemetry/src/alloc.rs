@@ -3,8 +3,7 @@
 //! The software reproduction has no scratchpad SRAM to account bytes
 //! against, so its analog of Alchemist's scratchpad-residency story is the
 //! process heap: this module interposes a counting [`GlobalAlloc`] wrapper
-//! around [`System`] (behind the default-on `alloc-track` feature) and
-//! maintains
+//! around [`System`] and maintains
 //!
 //! * **global counters** — alloc/dealloc/realloc counts, cumulative bytes
 //!   allocated/deallocated, live bytes, peak live bytes, and a size-class
@@ -30,13 +29,6 @@
 //! the thread that opened the parallel region via
 //! [`charge_current_thread`], so a span enclosing a parallel region
 //! observes the same totals whether the backend ran inline or fanned out.
-//!
-//! # When `alloc-track` is off
-//!
-//! The wrapper is not registered: every counter reads zero,
-//! [`tracking_compiled`] returns `false`, and [`assert_no_alloc`] is
-//! vacuous (it still runs the closure). The API stays available so
-//! callers need no `cfg` of their own.
 
 // The allocator shim is the one place this crate needs `unsafe`: the
 // `GlobalAlloc` trait itself. Everything else in the crate stays checked.
@@ -125,8 +117,8 @@ fn note_realloc(old: u64, new: u64) {
     note_thread_alloc(new);
 }
 
-/// Counting wrapper around the [`System`] allocator. Registered as the
-/// `#[global_allocator]` when the `alloc-track` feature is on.
+/// Counting wrapper around the [`System`] allocator, registered as the
+/// `#[global_allocator]`.
 pub struct TrackingAllocator;
 
 // SAFETY: every method delegates directly to `System` and only adds
@@ -165,16 +157,14 @@ unsafe impl GlobalAlloc for TrackingAllocator {
     }
 }
 
-#[cfg(feature = "alloc-track")]
 #[global_allocator]
 static GLOBAL_ALLOCATOR: TrackingAllocator = TrackingAllocator;
 
-/// Whether the `alloc-track` feature compiled the tracking allocator in.
-/// When `false`, every counter in this module reads zero and
-/// [`assert_no_alloc`] is vacuous.
+/// Always `true`: the tracking allocator is registered in every build. Kept
+/// because the frozen `benchmark/` package reports it as a host fact.
 #[inline]
 pub const fn tracking_compiled() -> bool {
-    cfg!(feature = "alloc-track")
+    true
 }
 
 /// Whole-process allocation totals (relaxed-atomic reads; individually
@@ -311,10 +301,6 @@ pub fn alloc_delta<R>(f: impl FnOnce() -> R) -> (R, ThreadAllocStats) {
 /// Proves `f` performs zero heap allocations on the current thread (and
 /// charges none back from parallel workers).
 ///
-/// Vacuous when [`tracking_compiled`] is `false` — `f` still runs, nothing
-/// is asserted. Tests that must not silently weaken should assert
-/// `tracking_compiled()` once up front.
-///
 /// # Panics
 ///
 /// Panics (naming `label` and the observed counts) if any allocation was
@@ -322,7 +308,7 @@ pub fn alloc_delta<R>(f: impl FnOnce() -> R) -> (R, ThreadAllocStats) {
 pub fn assert_no_alloc<R>(label: &str, f: impl FnOnce() -> R) -> R {
     let (out, d) = alloc_delta(f);
     assert!(
-        d == ThreadAllocStats::default() || !tracking_compiled(),
+        d == ThreadAllocStats::default(),
         "`{label}` was expected to be allocation-free but performed \
          {} allocation(s) totalling {} byte(s)",
         d.allocs,
@@ -337,9 +323,6 @@ mod tests {
 
     #[test]
     fn vec_allocations_show_up_everywhere() {
-        if !tracking_compiled() {
-            return;
-        }
         let before = global_stats();
         let t_before = thread_stats();
         let v: Vec<u64> = Vec::with_capacity(1 << 12);
@@ -358,9 +341,6 @@ mod tests {
 
     #[test]
     fn realloc_keeps_live_bytes_exact() {
-        if !tracking_compiled() {
-            return;
-        }
         let before = global_stats();
         let mut v: Vec<u8> = Vec::with_capacity(64);
         for i in 0..4096u64 {
@@ -381,9 +361,6 @@ mod tests {
 
     #[test]
     fn exempt_scope_suppresses_thread_attribution_only() {
-        if !tracking_compiled() {
-            return;
-        }
         let g_before = global_stats();
         let ((), d) = alloc_delta(|| {
             let _e = exempt_scope();
@@ -405,12 +382,10 @@ mod tests {
             acc
         });
         assert_eq!(out, acc);
-        if tracking_compiled() {
-            let r = std::panic::catch_unwind(|| {
-                assert_no_alloc("dirty", || std::hint::black_box(vec![1u8; 64]))
-            });
-            assert!(r.is_err(), "allocation under assert_no_alloc must panic");
-        }
+        let r = std::panic::catch_unwind(|| {
+            assert_no_alloc("dirty", || std::hint::black_box(vec![1u8; 64]))
+        });
+        assert!(r.is_err(), "allocation under assert_no_alloc must panic");
     }
 
     #[test]
@@ -418,8 +393,6 @@ mod tests {
         let base = thread_stats();
         charge_current_thread(3, 1024);
         let d = thread_stats().since(base);
-        // The thread cells are plain thread-locals, so an explicit charge
-        // is visible with or without the `alloc-track` feature.
         assert_eq!(d, ThreadAllocStats { allocs: 3, bytes: 1024 });
         // `since` saturates instead of wrapping when the guard migrates.
         let zero = ThreadAllocStats::default().since(thread_stats());
@@ -428,9 +401,6 @@ mod tests {
 
     #[test]
     fn size_class_histogram_reconstructs_exact_counts() {
-        if !tracking_compiled() {
-            return;
-        }
         let before = size_class_histogram();
         let v: Vec<u8> = Vec::with_capacity(1 << 20);
         let after = size_class_histogram();
@@ -443,9 +413,6 @@ mod tests {
 
     #[test]
     fn reset_peak_rebaselines_to_live() {
-        if !tracking_compiled() {
-            return;
-        }
         // A 16 MiB spike dwarfs anything concurrent test threads allocate,
         // so the watermark comparison below is race-tolerant.
         let v: Vec<u8> = vec![0; 1 << 24];

@@ -92,13 +92,13 @@ pub struct DeltaSnapshot {
     pub span_ns: BTreeMap<String, u64>,
     /// Process-global allocator counter increments for the interval
     /// (`allocs`, `deallocs`, `reallocs`, `bytes_allocated`,
-    /// `bytes_deallocated`; only keys that moved). Empty when the
-    /// `alloc-track` feature is off. Process-global, not handle-scoped:
-    /// rebinding a cursor to a new handle re-reports the full totals.
+    /// `bytes_deallocated`; only keys that moved). Process-global, not
+    /// handle-scoped: rebinding a cursor to a new handle re-reports the
+    /// full totals.
     pub alloc: BTreeMap<String, u64>,
     /// Interval size-class distribution of allocation requests (bytes, in
     /// the shared log-linear buckets); `None` when nothing was allocated
-    /// in the interval or the feature is off.
+    /// in the interval.
     pub alloc_size: Option<Histogram>,
     /// Allocation pressure `(allocs, bytes)` attributed to spans that
     /// closed in this interval, per span name.
@@ -221,32 +221,30 @@ impl Telemetry {
         // against the cursor's last sight, the size-class census as an
         // interval histogram, and per-span-name attribution diffed from
         // the cumulative map closed spans maintain.
-        if crate::alloc::tracking_compiled() {
-            let cur = crate::alloc::global_stats();
-            let prev = cursor.alloc;
-            for (key, now, then) in [
-                ("allocs", cur.allocs, prev.allocs),
-                ("deallocs", cur.deallocs, prev.deallocs),
-                ("reallocs", cur.reallocs, prev.reallocs),
-                ("bytes_allocated", cur.bytes_allocated, prev.bytes_allocated),
-                ("bytes_deallocated", cur.bytes_deallocated, prev.bytes_deallocated),
-            ] {
-                if now != then {
-                    out.alloc.insert(key.to_string(), now - then);
-                }
+        let cur = crate::alloc::global_stats();
+        let prev = cursor.alloc;
+        for (key, now, then) in [
+            ("allocs", cur.allocs, prev.allocs),
+            ("deallocs", cur.deallocs, prev.deallocs),
+            ("reallocs", cur.reallocs, prev.reallocs),
+            ("bytes_allocated", cur.bytes_allocated, prev.bytes_allocated),
+            ("bytes_deallocated", cur.bytes_deallocated, prev.bytes_deallocated),
+        ] {
+            if now != then {
+                out.alloc.insert(key.to_string(), now - then);
             }
-            cursor.alloc = cur;
-            let census = crate::alloc::size_class_histogram();
-            match &mut cursor.alloc_hist {
-                Some(prev) if prev.count() == census.count() => {}
-                Some(prev) => {
-                    out.alloc_size = Some(census.diff(prev));
-                    **prev = census;
-                }
-                None => {
-                    out.alloc_size = Some(census.clone());
-                    cursor.alloc_hist = Some(Box::new(census));
-                }
+        }
+        cursor.alloc = cur;
+        let census = crate::alloc::size_class_histogram();
+        match &mut cursor.alloc_hist {
+            Some(prev) if prev.count() == census.count() => {}
+            Some(prev) => {
+                out.alloc_size = Some(census.diff(prev));
+                **prev = census;
+            }
+            None => {
+                out.alloc_size = Some(census.clone());
+                cursor.alloc_hist = Some(Box::new(census));
             }
         }
         for (name, &(a, b)) in &st.span_allocs {
@@ -435,13 +433,11 @@ mod tests {
             std::hint::black_box(vec![0u8; 1 << 16]);
         }
         let d1 = tel.snapshot_delta(&mut cur);
-        if crate::alloc::tracking_compiled() {
-            assert!(d1.alloc.get("allocs").copied().unwrap_or(0) >= 1, "{:?}", d1.alloc);
-            assert!(d1.alloc_size.as_ref().is_some_and(|h| h.count() >= 1));
-            let &(a, b) = d1.span_allocs.get("alloc.heavy").expect("span attribution");
-            assert!(a >= 1, "span must attribute the vec allocation");
-            assert!(b >= 1 << 16, "span must attribute at least the vec's bytes, got {b}");
-        }
+        assert!(d1.alloc.get("allocs").copied().unwrap_or(0) >= 1, "{:?}", d1.alloc);
+        assert!(d1.alloc_size.as_ref().is_some_and(|h| h.count() >= 1));
+        let &(a, b) = d1.span_allocs.get("alloc.heavy").expect("span attribution");
+        assert!(a >= 1, "span must attribute the vec allocation");
+        assert!(b >= 1 << 16, "span must attribute at least the vec's bytes, got {b}");
         // A quiescent handle yields an empty interval even though the
         // process-global census keeps moving underneath.
         let d2 = tel.snapshot_delta(&mut cur);
@@ -450,10 +446,8 @@ mod tests {
         // Merging sums the per-span attribution.
         let mut m = d1.clone();
         m.merge(&d1.clone());
-        if crate::alloc::tracking_compiled() {
-            let &(a, b) = d1.span_allocs.get("alloc.heavy").unwrap();
-            assert_eq!(m.span_allocs.get("alloc.heavy"), Some(&(2 * a, 2 * b)));
-        }
+        let &(a, b) = d1.span_allocs.get("alloc.heavy").unwrap();
+        assert_eq!(m.span_allocs.get("alloc.heavy"), Some(&(2 * a, 2 * b)));
     }
 
     #[test]

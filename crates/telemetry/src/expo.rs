@@ -309,9 +309,6 @@ mod tests {
 
     #[test]
     fn alloc_dimension_renders_when_tracked() {
-        if !crate::alloc::tracking_compiled() {
-            return;
-        }
         let tel = Telemetry::enabled();
         {
             let _s = tel.span("alloc.expo");

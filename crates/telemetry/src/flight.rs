@@ -45,8 +45,7 @@ pub enum FlightEvent {
         start_ns: u64,
         /// Duration in nanoseconds.
         dur_ns: u64,
-        /// Heap allocations attributed to the span (zero for virtual
-        /// spans and when the `alloc-track` feature is off).
+        /// Heap allocations attributed to the span (zero for virtual spans).
         allocs: u64,
         /// Bytes requested by those allocations.
         alloc_bytes: u64,

@@ -385,8 +385,8 @@ impl Telemetry {
 
     /// An immutable copy of everything recorded so far. Open spans are
     /// included with the duration they have accumulated at this instant.
-    /// When the `alloc-track` feature is on, the snapshot also carries
-    /// the process-wide allocation totals and size-class distribution.
+    /// The snapshot also carries the process-wide allocation totals and
+    /// size-class distribution.
     pub fn snapshot(&self) -> Snapshot {
         let Some(inner) = &self.inner else {
             return Snapshot::empty();
@@ -396,9 +396,7 @@ impl Telemetry {
         let mut snap =
             Snapshot::build(&st.events, &st.counters, &st.named, &st.hists, &st.meta, now_ns);
         drop(st);
-        if alloc::tracking_compiled() {
-            snap.set_alloc(alloc::global_stats(), alloc::size_class_histogram());
-        }
+        snap.set_alloc(alloc::global_stats(), alloc::size_class_histogram());
         snap
     }
 }
@@ -818,9 +816,6 @@ mod tests {
 
     #[test]
     fn spans_attribute_their_allocations() {
-        if !alloc::tracking_compiled() {
-            return;
-        }
         let tel = Telemetry::enabled();
         {
             let _outer = tel.span("alloc.outer");
@@ -884,12 +879,10 @@ mod tests {
         assert!(req.dur_ns > 0, "span closed on the worker: {req:?}");
         let child = spans.iter().find(|s| s.name == "svc.request.exec").unwrap();
         assert_eq!(child.parent, Some(req_idx), "worker spans nest under the hopped span");
-        if alloc::tracking_compiled() {
-            // Both segments count: the opener's 16 KiB and the worker's
-            // 64 KiB. A plain cross-thread drop would report zero.
-            assert!(req.allocs >= 2, "{req:?}");
-            assert!(req.alloc_bytes >= 80 * 1024, "{req:?}");
-        }
+        // Both segments count: the opener's 16 KiB and the worker's
+        // 64 KiB. A plain cross-thread drop would report zero.
+        assert!(req.allocs >= 2, "{req:?}");
+        assert!(req.alloc_bytes >= 80 * 1024, "{req:?}");
     }
 
     #[test]

@@ -146,11 +146,9 @@ impl SamplerBuilder {
                     // Built-in allocator gauges: live/peak are instantaneous
                     // (non-monotone) readings, so they ride the gauge channel
                     // rather than the delta's monotone counters.
-                    if crate::alloc::tracking_compiled() {
-                        let stats = crate::alloc::global_stats();
-                        readings.push(("alloc.live_bytes".into(), stats.live_bytes));
-                        readings.push(("alloc.peak_bytes".into(), stats.peak_bytes));
-                    }
+                    let heap = crate::alloc::global_stats();
+                    readings.push(("alloc.live_bytes".into(), heap.live_bytes));
+                    readings.push(("alloc.peak_bytes".into(), heap.peak_bytes));
                     cumulative.merge(&delta);
                     let sample = Sample {
                         seq: stats.ticks,
@@ -535,9 +533,6 @@ mod tests {
 
     #[test]
     fn ticks_carry_builtin_alloc_gauges_when_tracked() {
-        if !crate::alloc::tracking_compiled() {
-            return;
-        }
         let tel = Telemetry::enabled();
         let samples = Arc::new(AtomicU64::new(0));
 

@@ -22,8 +22,7 @@ pub struct SpanRow {
     pub parent: Option<usize>,
     /// Heap allocations attributed to the span while it was open
     /// (inclusive of children, like `dur_ns`). Zero for spans still open
-    /// at snapshot time, for virtual spans, and when the `alloc-track`
-    /// feature is off.
+    /// at snapshot time and for virtual spans.
     pub allocs: u64,
     /// Bytes requested by those allocations.
     pub alloc_bytes: u64,
@@ -79,8 +78,8 @@ impl HistogramRow {
     }
 }
 
-/// Process-wide allocation accounting carried by a snapshot when the
-/// `alloc-track` feature is on (see [`crate::alloc`]).
+/// Process-wide allocation accounting carried by a snapshot of an enabled
+/// handle (see [`crate::alloc`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllocReport {
     /// Global allocator counters at snapshot time.
@@ -167,14 +166,13 @@ impl Snapshot {
     }
 
     /// Attaches the process-wide allocation report (called by
-    /// [`crate::Telemetry::snapshot`] when the `alloc-track` feature is
-    /// compiled in).
+    /// [`crate::Telemetry::snapshot`]).
     pub(crate) fn set_alloc(&mut self, stats: crate::alloc::AllocStats, size_classes: Histogram) {
         self.alloc = Some(AllocReport { stats, size_classes });
     }
 
-    /// The process-wide allocation report, when the `alloc-track` feature
-    /// produced one.
+    /// The process-wide allocation report; `None` for the snapshot of a
+    /// disabled handle.
     pub fn alloc(&self) -> Option<&AllocReport> {
         self.alloc.as_ref()
     }
@@ -458,8 +456,8 @@ impl Snapshot {
                 }
             }
         }
-        // Optional: only snapshots produced with the `alloc-track` feature
-        // carry process-wide allocation totals.
+        // Optional: the snapshot of a disabled handle carries no
+        // process-wide allocation totals.
         match obj.get("alloc") {
             None => {}
             Some(Json::Obj(alloc)) => {

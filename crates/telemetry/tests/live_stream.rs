@@ -155,10 +155,8 @@ fn exposition_file_matches_exit_snapshot() {
         "exposition file diverged from exit-time state"
     );
     assert!(got.contains("alchemist_events_total{name=\"live.ticks\"} 1000"), "{got}");
-    if telemetry::alloc::tracking_compiled() {
-        assert!(got.contains("alchemist_alloc_total{kind=\"allocs\"}"), "{got}");
-        assert!(got.contains("alchemist_gauge{name=\"alloc.live_bytes\"}"), "{got}");
-    }
+    assert!(got.contains("alchemist_alloc_total{kind=\"allocs\"}"), "{got}");
+    assert!(got.contains("alchemist_gauge{name=\"alloc.live_bytes\"}"), "{got}");
 
     // The JSONL stream's interval values must also sum to the exit state.
     let mut jsonl_total = 0u64;

@@ -147,3 +147,48 @@ fn all_baselines_slower_than_alchemist_on_their_scheme() {
         assert!(t > ours_pbs, "{} must be slower on PBS", d.name);
     }
 }
+
+/// Every `.rs` file below `dir`, recursively.
+fn rust_sources(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap().map(Result::unwrap) {
+        let path = entry.path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn the_workspace_has_one_build_configuration() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for entry in std::fs::read_dir(root.join("crates")).unwrap().map(Result::unwrap) {
+        manifests.push(entry.path().join("Cargo.toml"));
+    }
+    for m in &manifests {
+        let text = std::fs::read_to_string(m).unwrap();
+        assert!(
+            !text.lines().any(|l| l.trim() == "[features]"),
+            "{} declares a [features] table",
+            m.display()
+        );
+    }
+    // Split so this file does not contain the needle itself.
+    let needle = concat!("feature", " = \"");
+    let mut sources = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_sources(&root.join(dir), &mut sources);
+    }
+    assert!(sources.len() > 100, "the walk must see the workspace, saw {}", sources.len());
+    for s in &sources {
+        let text = std::fs::read_to_string(s).unwrap();
+        assert!(!text.contains(needle), "{} is conditional on a cargo feature", s.display());
+    }
+    // The probes the frozen benchmark package reports as host facts.
+    assert!(alchemist::math::par::parallelism_compiled());
+    assert!(alchemist::math::strict_checks_enabled());
+    assert!(alchemist::telemetry::alloc::tracking_compiled());
+    assert!(alchemist::math::checksum_enabled());
+}
