@@ -11,11 +11,18 @@
 //!    modulo `q_0`; coefficient `k` extracts to an LWE sample of dimension
 //!    `N` under the CKKS secret ([`extract_lwe`]).
 //! 2. **Modulus switch** — residues are rescaled from `Z_{q_0}` to the
-//!    64-bit torus, mapping the message `Δ·m` to the torus sector
-//!    `m · Δ/q_0` ([`mod_switch_to_torus`]).
+//!    torus `Z_{2^64}` (all 64 bits: within ½ ulp of `t·2^64/q_0`),
+//!    mapping the message `Δ·m` to the torus sector `m · Δ/q_0`
+//!    ([`mod_switch_to_torus`]).
 //! 3. **Key switch** — a TFHE key-switching key generated from the signed
 //!    (ternary) CKKS secret moves the sample onto the TFHE LWE key
-//!    ([`CkksToTfheBridge`]), after which any TFHE LUT applies.
+//!    ([`CkksToTfheBridge`]), after which any TFHE LUT applies. Like every
+//!    TFHE key-switch key it is one flat stream of 32-bit rows (41 MB for
+//!    a `2^11`-coefficient secret onto set I's key, half the 64-bit
+//!    layout): the switch reads only the top `ks_base_log · ks_levels ≤ 32`
+//!    bits of each mask word, and a row's `2^-33` rounding vanishes under
+//!    LWE noise of `2^-25` or more. With a noiseless key the switch equals
+//!    its torus reference bit for bit (`tests/chain_exact.rs`).
 //!
 //! Message convention: encode integers `m ∈ [0, space/2)` with
 //! `space = 2^(q0_bits − scale_bits)`; the extracted torus phase is then
@@ -133,7 +140,7 @@ pub fn extract_lwe(
     Ok(LweModQ { a, b: c0.coeffs()[k], q: q.value() })
 }
 
-/// Rescales an LWE sample from `Z_q` to the 64-bit torus:
+/// Rescales an LWE sample from `Z_q` to the torus `Z_{2^64}`:
 /// `t ↦ round(t · 2^64 / q)`.
 pub fn mod_switch_to_torus(lwe: &LweModQ) -> LweCiphertext {
     let switch = |t: u64| -> u64 {

@@ -59,14 +59,28 @@ impl BootstrappingKey {
     pub fn steps(&self) -> usize {
         self.trgsw.len()
     }
+
+    /// Bytes of prepared key material one blind rotation streams.
+    pub fn bytes(&self) -> usize {
+        self.trgsw.iter().map(TrgswCiphertext::bytes).sum()
+    }
 }
 
 /// The LWE→LWE key-switching key from the extracted dimension `N` down to
 /// the original dimension `n`.
+///
+/// Stored at 32 bits for every parameter set: row `(i, d)` is a 32-bit LWE
+/// encryption of `s'_i · 2^{32-(d+1)κ}` under the target key — a uniform
+/// 32-bit mask and the top 32 bits, rounded, of the 64-bit body — so each
+/// row is off the 64-bit one by at most `2^-33`, against LWE noise of
+/// `2^-25` or more. All rows live in one buffer in the order
+/// [`switch`](Self::switch) streams them.
 #[derive(Debug, Clone)]
 pub struct KeySwitchKey {
-    /// `ksk[i][d]` encrypts `s'_i · 2^{64-(d+1)κ}` under the target key.
-    rows: Vec<Vec<LweCiphertext>>,
+    /// `[i][d][a_0 … a_{n-1}, b]`: source coefficient, level, then the row.
+    rows: Vec<u32>,
+    from_dim: usize,
+    target_dim: usize,
     decomposer: SignedDigitDecomposer,
 }
 
@@ -75,7 +89,7 @@ impl KeySwitchKey {
     ///
     /// # Errors
     ///
-    /// Propagates decomposer construction failures.
+    /// See [`KeySwitchKey::generate_from_signed`].
     pub fn generate<R: Rng + ?Sized>(
         params: &TfheParams,
         from_key: &LweSecretKey,
@@ -93,59 +107,95 @@ impl KeySwitchKey {
     ///
     /// # Errors
     ///
-    /// Propagates decomposer construction failures.
+    /// Returns [`TfheError::InvalidParams`] for an empty source key, zero
+    /// levels, or a gadget that reaches below the 32 stored bits
+    /// (`ks_base_log · ks_levels > 32`); propagates decomposer
+    /// construction failures.
     pub fn generate_from_signed<R: Rng + ?Sized>(
         params: &TfheParams,
         from_coeffs: &[i64],
         to_key: &LweSecretKey,
         rng: &mut R,
     ) -> Result<Self, TfheError> {
-        let decomposer = SignedDigitDecomposer::new(params.ks_base_log, params.ks_levels)?;
-        let rows = from_coeffs
-            .iter()
-            .map(|&c| {
-                (0..params.ks_levels)
-                    .map(|d| {
-                        let gadget = 1u64 << (64 - (d as u32 + 1) * params.ks_base_log);
-                        // Wrapping arithmetic realizes negative coefficients
-                        // on the torus.
-                        to_key.encrypt((c as u64).wrapping_mul(gadget), params.lwe_sigma, rng)
-                    })
-                    .collect()
-            })
-            .collect();
-        Ok(KeySwitchKey { rows, decomposer })
+        let (base_log, levels) = (params.ks_base_log, params.ks_levels);
+        if from_coeffs.is_empty() || levels == 0 || base_log as usize * levels > 32 {
+            return Err(TfheError::InvalidParams {
+                detail: format!(
+                    "key switch from dimension {} with {levels} base-2^{base_log} levels: needs a \
+                     non-empty source key and 1 <= base_log * levels <= 32",
+                    from_coeffs.len()
+                ),
+            });
+        }
+        let decomposer = SignedDigitDecomposer::new(base_log, levels)?;
+        let target_dim = to_key.dim();
+        let mut rows = vec![0u32; from_coeffs.len() * levels * (target_dim + 1)];
+        for (r, row) in rows.chunks_exact_mut(target_dim + 1).enumerate() {
+            let (c, d) = (from_coeffs[r / levels], (r % levels) as u32);
+            // Wrapping arithmetic realizes negative coefficients on the
+            // torus.
+            let mu = (c as u64).wrapping_mul(1u64 << (64 - (d + 1) * base_log));
+            let (mask, body) = row.split_at_mut(target_dim);
+            // The mask is the top half of the words the 64-bit encryption
+            // would draw, so the generator advances exactly as it did.
+            mask.fill_with(|| (rng.gen::<u64>() >> 32) as u32);
+            let noisy = mu.wrapping_add(crate::lwe::sample_torus_gaussian(params.lwe_sigma, rng));
+            let dot = mask.iter().zip(to_key.bits()).filter(|(_, &s)| s == 1).map(|(&a, _)| a);
+            body[0] = dot.fold(round_to_u32(noisy), u32::wrapping_add);
+        }
+        Ok(KeySwitchKey { rows, from_dim: from_coeffs.len(), target_dim, decomposer })
+    }
+
+    /// Bytes of key material one [`switch`](Self::switch) streams.
+    #[inline]
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of_val(&self.rows[..])
     }
 
     /// Switches an LWE ciphertext under the source key to the target key.
+    /// The output mask is the only allocation.
     ///
     /// # Panics
     ///
     /// Panics if the ciphertext dimension disagrees with the key.
     pub fn switch(&self, ct: &LweCiphertext) -> LweCiphertext {
         let _span = telemetry::Span::enter("tfhe.keyswitch");
-        assert_eq!(ct.dim(), self.rows.len(), "keyswitch dimension mismatch");
-        let target_dim = self.rows[0][0].dim();
-        let mut out = LweCiphertext::trivial(ct.b, target_dim);
+        assert_eq!(ct.dim(), self.from_dim, "keyswitch dimension mismatch");
+        let levels = self.decomposer.levels();
+        let stride = self.target_dim + 1;
+        // The low half of every `out.a` word is a wrapping 32-bit
+        // accumulator (`u32 × u32` products, so the high half is scratch);
+        // the words are widened to the torus once, at the end.
+        let mut out = LweCiphertext::trivial(ct.b, self.target_dim);
+        let mut body = 0u32;
         // `SignedDigitDecomposer::new` caps `levels` at 64.
         let mut buf = [0i64; 64];
-        let digits = &mut buf[..self.decomposer.levels()];
-        for (i, &ai) in ct.a.iter().enumerate() {
+        let digits = &mut buf[..levels];
+        for (&ai, rows) in ct.a.iter().zip(self.rows.chunks_exact(levels * stride)) {
             self.decomposer.decompose_into(ai, digits);
-            for (d, &digit) in digits.iter().enumerate() {
+            for (&digit, row) in digits.iter().zip(rows.chunks_exact(stride)) {
                 if digit == 0 {
                     continue;
                 }
-                let row = &self.rows[i][d];
-                // out -= digit * row.
-                for (o, &r) in out.a.iter_mut().zip(&row.a) {
-                    *o = o.wrapping_sub(r.wrapping_mul(digit as u64));
+                // out -= digit * row, modulo 2^32.
+                let digit = digit as u32;
+                let (mask, row_body) = row.split_at(self.target_dim);
+                for (o, &r) in out.a.iter_mut().zip(mask) {
+                    *o = o.wrapping_sub(u64::from(r) * u64::from(digit));
                 }
-                out.b = out.b.wrapping_sub(row.b.wrapping_mul(digit as u64));
+                body = body.wrapping_sub(row_body[0].wrapping_mul(digit));
             }
         }
+        out.a.iter_mut().for_each(|o| *o <<= 32);
+        out.b = ct.b.wrapping_add(u64::from(body) << 32);
         out
     }
+}
+
+/// The top 32 bits of a torus word, rounded to nearest.
+#[inline]
+fn round_to_u32(t: u64) -> u32 {
+    (t.wrapping_add(1 << 31) >> 32) as u32
 }
 
 /// The programmable-bootstrapping engine.
@@ -156,13 +206,21 @@ pub struct Pbs {
 }
 
 impl Pbs {
-    /// Builds the engine (NTT tables for the ring degree).
+    /// Builds the engine: the multiplier at the set's ring precision
+    /// ([`TfheParams::ring_bits`]), with the prime count its bootstrap
+    /// gadget needs.
     ///
     /// # Errors
     ///
     /// Propagates NTT construction failures.
     pub fn new(params: TfheParams) -> Result<Self, TfheError> {
-        Ok(Pbs { params, mult: NegacyclicMultiplier::new(params.poly_size)? })
+        let mult = NegacyclicMultiplier::with_precision(
+            params.poly_size,
+            params.ring_bits(),
+            params.pbs_base_log,
+            (params.glwe_dim + 1) * params.pbs_levels,
+        )?;
+        Ok(Pbs { params, mult })
     }
 
     /// The parameter set.
@@ -310,6 +368,27 @@ mod tests {
             assert_eq!(switched.dim(), f.params.lwe_dim);
             assert_eq!(f.lwe_key.decrypt_message(&switched, 4), m, "m = {m}");
         }
+    }
+
+    #[test]
+    fn key_switch_key_generation_rejects_unusable_shapes() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let to_key = LweSecretKey::generate(8, &mut rng);
+        let mut generate = |params: TfheParams, source: &[i64]| {
+            KeySwitchKey::generate_from_signed(&params, source, &to_key, &mut rng)
+        };
+        let toy = TfheParams::toy();
+        let ksk = generate(toy, &[1, 0, -1]).unwrap();
+        assert_eq!(ksk.switch(&LweCiphertext::trivial(ONE_EIGHTH, 3)).dim(), 8);
+        let invalid =
+            |r: Result<KeySwitchKey, TfheError>| matches!(r, Err(TfheError::InvalidParams { .. }));
+        // An empty source key used to build, then index out of bounds in
+        // `switch`.
+        assert!(invalid(generate(toy, &[])));
+        assert!(invalid(generate(TfheParams { ks_levels: 0, ..toy }, &[1])));
+        // 4 · 9 = 36 bits: the deepest gadget would round away in a 32-bit
+        // row.
+        assert!(invalid(generate(TfheParams { ks_levels: 9, ..toy }, &[1])));
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! TFHE: the logic FHE scheme of the Alchemist evaluation.
 //!
-//! A from-scratch implementation over the 64-bit discretized torus:
+//! A from-scratch implementation over the discretized torus `Z_{2^64}`,
+//! the ring layer at the precision its parameter set needs (32 bits at set
+//! I, 64 at the toy set and set II — [`TfheParams::ring_bits`]):
 //!
 //! * [`LweCiphertext`] / [`TrlweCiphertext`] / [`TrgswCiphertext`] — the
 //!   three ciphertext layers (scalars, ring elements, gadget-decomposed
 //!   ring elements),
-//! * exact negacyclic `integer × torus` polynomial products via a
-//!   two-prime NTT + CRT ([`NegacyclicMultiplier`]) — the NTT workload the
-//!   accelerator sees (the paper runs TFHE on the same word-sized NTT
+//! * exact negacyclic `integer × torus` polynomial products via NTTs over
+//!   one ~60-bit prime (set I) or two with Garner CRT, the count derived
+//!   from an exactness bound ([`NegacyclicMultiplier`]) — the NTT workload
+//!   the accelerator sees (the paper runs TFHE on the same word-sized NTT
 //!   datapath as CKKS),
 //! * the external product and CMux ([`trgsw`]), blind rotation, sample
 //!   extraction and LWE key switching composing **programmable

@@ -1,4 +1,11 @@
-//! LWE ciphertexts over the 64-bit torus.
+//! LWE ciphertexts over the torus `Z_{2^64}`.
+//!
+//! Fresh encryptions and every homomorphic operation here use all 64 bits.
+//! Two producers hand back samples whose mask has its low 32 bits clear:
+//! sample extraction from a 32-bit ring (set I) and every key switch, whose
+//! key rows are 32-bit (`bootstrap.rs`). Their noise (`2^-15` or more at
+//! the paper sets, `2^-25` at the toy set) is far above the `2^-33` that
+//! costs — the precision rule and its noise argument are in `params.rs`.
 
 use crate::params::TfheParams;
 use crate::torus;

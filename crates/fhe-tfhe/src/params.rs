@@ -1,6 +1,30 @@
 //! TFHE parameter sets.
+//!
+//! # Ring precision
+//!
+//! Ciphertexts are 64-bit torus words throughout, but the *ring* layer
+//! (TRLWE/TRGSW, the external product, blind rotation) works at a precision
+//! of [`TfheParams::ring_bits`] bits, derived from the set rather than
+//! chosen: 32 — the torus word of the Matcha/Strix baselines, inside
+//! Alchemist's 36-bit datapath — whenever that loses nothing, 64 otherwise.
+//! "Loses nothing" is two conditions. The gadget must read only bits the
+//! ring keeps (`β·l_b ≤ 32`), and rounding key material to 32 bits — a
+//! uniform error of at most `2^-33` per coefficient, standard deviation
+//! `2^-33.8` — must vanish under the GLWE noise already there
+//! (`glwe_sigma ≥ 2^-28`, i.e. at most `2^-11.6` of its variance). At set I
+//! (`σ = 2^-25`) one blind-rotation step accumulates
+//! `√(T·N·B²/12) = 2^11.5` key coefficients' worth: `2^-13.5` of noise
+//! from the key against `2^-22.3` from its rounding. The toy set
+//! (`σ = 2^-35`) and set II (`σ = 2^-48`, 23-bit digit) keep all 64 bits.
+//! The precision in turn fixes how many NTT primes an exact external
+//! product needs (table in `poly_mult.rs`): one at set I, two elsewhere.
+//!
+//! The LWE key-switch key is stored at 32 bits for every preset (see
+//! `bootstrap.rs`): LWE noise (`2^-25`, `2^-15`, `2^-17`) sits far above
+//! `2^-32` in all three, and the key-switch gadget never reads deeper
+//! (`ks_base_log · ks_levels ≤ 32`, checked at generation).
 
-/// TFHE parameters over the 64-bit discretized torus.
+/// TFHE parameters over the discretized torus `Z_{2^64}`.
 ///
 /// The two "paper" sets mirror the configurations the paper benchmarks
 /// against ([Matcha]/Concrete-style and [Strix]-style); [`TfheParams::toy`]
@@ -77,6 +101,18 @@ impl TfheParams {
         }
     }
 
+    /// Ring precision `w` in bits (module docs): 32 when the bootstrap
+    /// gadget reads no deeper and 32-bit rounding vanishes under the GLWE
+    /// noise, 64 otherwise.
+    pub fn ring_bits(&self) -> u32 {
+        let gadget_bits = self.pbs_base_log as usize * self.pbs_levels;
+        if gadget_bits <= 32 && self.glwe_sigma >= 2.0f64.powi(-28) {
+            32
+        } else {
+            64
+        }
+    }
+
     /// The extracted-LWE dimension after sample extraction (`k·N`).
     pub fn extracted_dim(&self) -> usize {
         self.glwe_dim * self.poly_size
@@ -92,10 +128,21 @@ mod tests {
         for p in [TfheParams::toy(), TfheParams::set_i(), TfheParams::set_ii()] {
             assert!(p.poly_size.is_power_of_two());
             assert_eq!(p.glwe_dim, 1);
-            assert!(p.pbs_base_log as usize * p.pbs_levels <= 64);
-            assert!(p.ks_base_log as usize * p.ks_levels <= 64);
+            assert!(p.pbs_base_log as usize * p.pbs_levels <= p.ring_bits() as usize);
+            // Key-switch rows are 32-bit: the deepest gadget must survive.
+            assert!(p.ks_base_log as usize * p.ks_levels <= 32);
             assert!(p.lwe_sigma > 0.0 && p.glwe_sigma > 0.0);
             assert_eq!(p.extracted_dim(), p.poly_size);
         }
+    }
+
+    #[test]
+    fn ring_precision_follows_the_noise_and_the_gadget() {
+        assert_eq!(TfheParams::toy().ring_bits(), 64, "sigma = 2^-35 needs the full word");
+        assert_eq!(TfheParams::set_i().ring_bits(), 32);
+        assert_eq!(TfheParams::set_ii().ring_bits(), 64, "23-bit digit, sigma = 2^-48");
+        // A gadget reaching below bit 32 keeps the full word whatever the noise.
+        let deep = TfheParams { pbs_base_log: 12, ..TfheParams::set_i() };
+        assert_eq!(deep.ring_bits(), 64);
     }
 }

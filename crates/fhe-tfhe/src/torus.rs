@@ -1,4 +1,10 @@
-//! The 64-bit discretized torus `T = Z_{2^64}` interpreted as `[0, 1)`.
+//! The discretized torus `T = Z_{2^64}` interpreted as `[0, 1)`.
+//!
+//! `u64` is the torus word of every ciphertext type and of this module,
+//! whatever the precision a layer works at: a value held at `w < 64` bits
+//! (the ring layer at set I, every key-switch key row — precision rule in
+//! `params.rs`) lives in the top `w` bits of the word, so encoding,
+//! decoding and the wrapping arithmetic here do not change with `w`.
 
 /// `1/8` on the torus — the canonical boolean-gate plaintext magnitude.
 pub const ONE_EIGHTH: u64 = 1u64 << 61;

@@ -1,4 +1,9 @@
 //! TRLWE (ring-LWE over the torus) ciphertexts, `k = 1`.
+//!
+//! Coefficients are 64-bit torus words; a ciphertext made at a ring
+//! precision `w < 64` (see [`crate::NegacyclicMultiplier`]) has a mask
+//! whose low `64 − w` bits are zero, so the product `a·s` the multiplier
+//! computes is the product of the mask it stores.
 
 use crate::lwe::{LweCiphertext, LweSecretKey};
 use crate::poly_mult::NegacyclicMultiplier;
@@ -34,7 +39,8 @@ impl TrlweSecretKey {
         LweSecretKey::from_bits(self.bits.iter().map(|&b| b as u64).collect())
     }
 
-    /// Encrypts a torus message polynomial.
+    /// Encrypts a torus message polynomial, the mask sampled at `mult`'s
+    /// ring precision.
     ///
     /// # Errors
     ///
@@ -52,7 +58,7 @@ impl TrlweSecretKey {
     ) -> Result<TrlweCiphertext, TfheError> {
         assert_eq!(mu.len(), self.bits.len());
         let n = self.bits.len();
-        let a: Vec<u64> = (0..n).map(|_| rng.gen::<u64>()).collect();
+        let a: Vec<u64> = (0..n).map(|_| mult.round(rng.gen::<u64>())).collect();
         let a_s = mult.mul_int_torus(&self.bits, &a)?;
         let b: Vec<u64> = (0..n)
             .map(|i| {

@@ -1,6 +1,6 @@
 //! Property-based tests of the TFHE substrate: exact polynomial products
-//! against wrapping schoolbook, torus encode/decode robustness, and LWE
-//! homomorphism.
+//! against wrapping schoolbook at both ring precisions, torus encode/decode
+//! robustness, and LWE homomorphism.
 
 use fhe_tfhe::{LweSecretKey, NegacyclicMultiplier};
 use proptest::prelude::*;
@@ -19,6 +19,39 @@ fn schoolbook(ints: &[i64], torus: &[u64]) -> Vec<u64> {
         }
     }
     out
+}
+
+/// `poly` rounded to its top `w` bits — what a `w`-bit multiplier reads.
+fn rounded(poly: &[u64], w: u32) -> Vec<u64> {
+    let drop = 64 - w;
+    poly.iter().map(|&t| ((u128::from(t) + ((1 << drop) >> 1)) >> drop << drop) as u64).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// `mul_int_torus` is the wrapping schoolbook product of the operand
+    /// rounded to the ring precision, bit for bit: the one-prime 32-bit
+    /// multiplier (set I's gadget) and the two-prime 64-bit one, on a tiny
+    /// ring, the toy ring and set I's.
+    #[test]
+    fn exact_negacyclic_product_on_the_rounded_operand(seed in any::<u64>()) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        for n in [16, 64, 1024] {
+            let ints: Vec<i64> = (0..n).map(|_| rng.gen_range(-64..64i64)).collect();
+            let torus: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
+            for (w, primes) in [(32, 1), (64, 2)] {
+                let m = NegacyclicMultiplier::with_precision(n, w, 7, 6).unwrap();
+                prop_assert_eq!(m.primes(), primes);
+                prop_assert_eq!(
+                    m.mul_int_torus(&ints, &torus).unwrap(),
+                    schoolbook(&ints, &rounded(&torus, w)),
+                    "n = {}, w = {}", n, w
+                );
+            }
+        }
+    }
 }
 
 proptest! {
