@@ -520,9 +520,8 @@ fn main() {
     };
     let note = format!(
         "best-of-{reps} wall times on a {threads}-thread host \
-         (simd backend: {}); sequential pins the backend to one thread, \
-         parallel uses one worker per core.{single_core_caveat}",
-        fhe_math::simd::active_backend().name(),
+         (scalar kernels); sequential pins the backend to one thread, \
+         parallel uses one worker per core.{single_core_caveat}"
     );
 
     let rows: Vec<Vec<String>> = measurements

@@ -1,7 +1,7 @@
 //! Hardware configuration of the Alchemist accelerator.
 
 /// Architecture parameters (paper §5.1, Table 6 row "Alchemist").
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArchConfig {
     /// Parallel computing units (paper: 128).
     pub units: usize,

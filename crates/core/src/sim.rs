@@ -12,7 +12,7 @@ use crate::ArchConfig;
 use metaop::OpClass;
 
 /// One scheduled step of a workload.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Step {
     /// Human-readable label (kernels print these in traces).
     pub label: String,
@@ -158,7 +158,7 @@ impl std::error::Error for SimError {}
 /// field through a splitmix64-style mixer, so it is order-sensitive; the
 /// per-class traffic totals give mismatch messages a quick directional
 /// hint (e.g. "HBM bytes shrank: a transfer was dropped").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduleManifest {
     /// Number of steps in the schedule.
     pub steps: usize,

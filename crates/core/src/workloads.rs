@@ -28,7 +28,7 @@ const WB: f64 = 4.5;
 
 /// CKKS parameters for the simulator (mirrors
 /// `metaop::counts::CkksCountParams`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CkksSimParams {
     /// Ring degree `N`.
     pub n: u64,
@@ -347,7 +347,7 @@ pub fn lola_mnist(encrypted_weights: bool) -> (CkksSimParams, Vec<Step>) {
 }
 
 /// TFHE parameters for the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TfheSimParams {
     /// GLWE polynomial degree.
     pub n_poly: u64,

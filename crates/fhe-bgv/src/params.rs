@@ -9,7 +9,7 @@ use fhe_math::{generate_primes_with_step, is_prime};
 /// `q ≡ 1 (mod lcm(2N, t))`: the `2N` part gives the negacyclic NTT, the
 /// `t` part makes modulus switching and `Moddown` plaintext-preserving
 /// (`q ≡ 1 (mod t)` ⇒ dividing by `q` is the identity on `Z_t`).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BgvParams {
     n: usize,
     t: u64,

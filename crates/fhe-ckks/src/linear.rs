@@ -108,12 +108,6 @@ impl LinearTransform {
         self.slots
     }
 
-    /// Number of nonzero diagonals.
-    #[inline]
-    pub fn num_diagonals(&self) -> usize {
-        self.diagonals.len()
-    }
-
     /// The BSGS baby-step count `g ≈ √D` used by [`Self::apply_bsgs`].
     pub fn giant_step(&self) -> usize {
         let d = self.diagonals.keys().copied().max().unwrap_or(0) + 1;

@@ -39,14 +39,9 @@
 //! # }
 //! ```
 
-// Unsafe is denied crate-wide and only re-allowed in the two modules that
-// need it: `simd` (std::arch intrinsics) and `aligned` (the 64-byte-aligned
-// arena's slice views). Everything else stays safe Rust.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[allow(unsafe_code)]
-mod aligned;
 mod bigint;
 mod decomp;
 mod error;
@@ -61,10 +56,8 @@ mod prime;
 mod rns;
 mod sampling;
 mod scratch;
-#[allow(unsafe_code)]
 pub mod simd;
 
-pub use aligned::AVec;
 pub use bigint::UBig;
 pub use decomp::{Gadget, SignedDigitDecomposer};
 pub use error::MathError;

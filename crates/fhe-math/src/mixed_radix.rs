@@ -30,7 +30,7 @@
 //! slow reference the tests compare this against.
 
 use crate::modulus::{ShoupScalar, MAX_MODULUS_BITS};
-use crate::simd::mul_shoup_lazy_scalar;
+use crate::simd::mul_shoup_lazy;
 use crate::{MathError, Modulus};
 
 /// Precomputed Garner constants for a chain of pairwise-coprime moduli.
@@ -113,7 +113,7 @@ impl MixedRadix {
             // underflows, and the lazy Shoup product accepts any u64.
             let mut t = x[i];
             for (&w, &dj) in self.inv[tri(i)..tri(i + 1)].iter().zip(&x[..i]) {
-                t = mul_shoup_lazy_scalar(t + lift - dj, w, q);
+                t = mul_shoup_lazy(t + lift - dj, w, q);
             }
             x[i] = if t >= q { t - q } else { t };
         }

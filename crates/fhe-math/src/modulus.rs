@@ -256,7 +256,7 @@ impl Modulus {
     /// normalization at the end.
     #[inline]
     pub fn mul_shoup_lazy(&self, a: u64, w: ShoupScalar) -> u64 {
-        crate::simd::mul_shoup_lazy_scalar(a, w, self.value)
+        crate::simd::mul_shoup_lazy(a, w, self.value)
     }
 
     /// Canonicalizes a lazy `[0, 2q)` value with one conditional

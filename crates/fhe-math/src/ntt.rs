@@ -6,7 +6,7 @@
 //! formulation (Longa–Naehrig). Both directions run **Harvey lazy
 //! butterflies** (values stay in `[0, 4q)` forward / `[0, 2q)` inverse
 //! across layers, one fused reduction in the final stage — paper Table 2's
-//! deferred-reduction analysis) on the [`crate::simd`] vector kernels, and
+//! deferred-reduction analysis) on the [`crate::simd`] kernels, and
 //! large transforms switch to a cache-blocked four-step schedule that keeps
 //! each working set inside L1/L2 (paper §5.3's slot-local NTT). All of this
 //! is bit-identical to the textbook eager transform; see DESIGN.md §14 for
@@ -272,12 +272,12 @@ impl NttTable {
         while groups < len {
             t /= 2;
             if t == 1 {
-                // Last stage: adjacent pairs, one fresh twiddle per pair —
-                // scalar, with the finishing reduction fused in.
+                // Last stage: adjacent pairs, one fresh twiddle per pair,
+                // with the finishing reduction fused in.
                 for i in 0..groups {
                     let s = self.psi_rev[m0 * groups + i];
                     let j = 2 * i;
-                    let (mut r0, mut r1) = simd::fwd_bfly_scalar(a[j], a[j + 1], s, q, two_q);
+                    let (mut r0, mut r1) = simd::fwd_bfly(a[j], a[j + 1], s, q, two_q);
                     if let Some(target) = finish {
                         if r0 >= two_q {
                             r0 -= two_q;
@@ -302,7 +302,7 @@ impl NttTable {
                     let s = self.psi_rev[m0 * groups + i];
                     let j1 = 2 * i * t;
                     let (top, bot) = a[j1..j1 + 2 * t].split_at_mut(t);
-                    simd::fwd_bfly(top, bot, s, q);
+                    simd::fwd_bfly_slice(top, bot, s, q);
                 }
             }
             groups *= 2;
@@ -326,13 +326,13 @@ impl NttTable {
                 debug_assert_eq!(m0, 1, "the N^-1 fold only applies at the global root");
                 let canonical = finish == Some(Target::Canonical);
                 let (top, bot) = a.split_at_mut(t);
-                simd::inv_bfly_last(top, bot, self.n_inv, self.inv_last, q, canonical);
+                simd::inv_bfly_last_slice(top, bot, self.n_inv, self.inv_last, q, canonical);
             } else if t == 1 {
-                // First stage: adjacent pairs, scalar.
+                // First stage: adjacent pairs, one twiddle per pair.
                 for i in 0..groups {
                     let s = self.psi_inv_rev[m0 * groups + i];
                     let j = 2 * i;
-                    let (r0, r1) = simd::inv_bfly_scalar(a[j], a[j + 1], s, q, two_q);
+                    let (r0, r1) = simd::inv_bfly(a[j], a[j + 1], s, q, two_q);
                     a[j] = r0;
                     a[j + 1] = r1;
                 }
@@ -341,7 +341,7 @@ impl NttTable {
                     let s = self.psi_inv_rev[m0 * groups + i];
                     let j1 = 2 * i * t;
                     let (top, bot) = a[j1..j1 + 2 * t].split_at_mut(t);
-                    simd::inv_bfly(top, bot, s, q);
+                    simd::inv_bfly_slice(top, bot, s, q);
                 }
             }
             t *= 2;

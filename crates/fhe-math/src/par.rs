@@ -207,6 +207,21 @@ pub fn set_max_threads(n: usize) {
     MAX_THREADS.store(n, Ordering::Relaxed);
 }
 
+/// Parses an `ALCHEMIST_NUM_THREADS` value: `None` (auto) when unset or
+/// empty — the CI matrix passes `""` for auto — else the thread count.
+///
+/// # Panics
+///
+/// Panics, quoting the text, on anything but an integer ≥ 1: a mistyped
+/// "sequential" recording must not run silently parallel.
+fn parse_thread_override(raw: Option<&str>) -> Option<usize> {
+    let text = raw.map(str::trim).filter(|t| !t.is_empty())?;
+    match text.parse::<usize>() {
+        Ok(n) if n >= 1 => Some(n),
+        _ => panic!("ALCHEMIST_NUM_THREADS must be an integer >= 1, got {text:?}"),
+    }
+}
+
 /// The auto thread budget, resolved once per process: the
 /// `ALCHEMIST_NUM_THREADS` environment override if set, else one thread
 /// per available core. Cached because `max_threads` sits on every kernel's
@@ -214,14 +229,9 @@ pub fn set_max_threads(n: usize) {
 fn auto_threads() -> usize {
     static AUTO: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *AUTO.get_or_init(|| {
-        if let Ok(v) = std::env::var("ALCHEMIST_NUM_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        let raw = std::env::var_os("ALCHEMIST_NUM_THREADS");
+        parse_thread_override(raw.as_ref().map(|v| v.to_string_lossy()).as_deref())
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     })
 }
 
@@ -352,14 +362,6 @@ impl ParProfile {
     /// Idle time of one worker: profiled wall time it did not spend busy.
     pub fn idle_ns(&self, w: &WorkerProfile) -> u64 {
         self.wall_ns.saturating_sub(w.busy_ns)
-    }
-
-    /// Mean busy time across active workers (0 when none).
-    pub fn mean_busy_ns(&self) -> f64 {
-        if self.workers.is_empty() {
-            return 0.0;
-        }
-        self.workers.iter().map(|w| w.busy_ns).sum::<u64>() as f64 / self.workers.len() as f64
     }
 }
 
@@ -647,6 +649,27 @@ mod tests {
     pub(crate) fn knob_guard() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    #[test]
+    fn thread_override_parses_or_is_unset() {
+        assert_eq!(parse_thread_override(None), None);
+        assert_eq!(parse_thread_override(Some("")), None);
+        assert_eq!(parse_thread_override(Some("  ")), None);
+        assert_eq!(parse_thread_override(Some("1")), Some(1));
+        assert_eq!(parse_thread_override(Some(" 4\n")), Some(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "got \"0\"")]
+    fn thread_override_rejects_zero() {
+        parse_thread_override(Some("0"));
+    }
+
+    #[test]
+    #[should_panic(expected = "got \"one\"")]
+    fn thread_override_rejects_garbage() {
+        parse_thread_override(Some("one"));
     }
 
     #[test]

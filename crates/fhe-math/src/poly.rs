@@ -5,7 +5,7 @@
 //! rather than silent corruption. The RNS layer ([`crate::RnsPoly`]) stacks
 //! one `Poly` per channel.
 
-use crate::{simd, AVec, MathError, Modulus, NttTable};
+use crate::{simd, MathError, Modulus, NttTable};
 
 /// The representation domain of a polynomial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,10 +34,7 @@ pub enum Domain {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Poly {
-    /// 64-byte-aligned storage so the SIMD kernels see cache-line-aligned
-    /// rows (alignment is a throughput hint; correctness never depends on
-    /// it — the vector paths use unaligned loads).
-    coeffs: AVec,
+    coeffs: Vec<u64>,
     modulus: Modulus,
     domain: Domain,
     /// When `true` the NTT-domain values are *lazy* residues in `[0, 2q)`
@@ -50,10 +47,12 @@ pub struct Poly {
 impl Poly {
     /// Creates the zero polynomial of degree `n` in coefficient domain.
     pub fn zero(n: usize, modulus: Modulus) -> Self {
-        Poly { coeffs: AVec::zeroed(n), modulus, domain: Domain::Coefficient, lazy: false }
+        Poly { coeffs: vec![0; n], modulus, domain: Domain::Coefficient, lazy: false }
     }
 
-    /// Wraps raw coefficients (must already be canonical, `< q`).
+    /// Wraps raw coefficients (must already be canonical, `< q`). Takes
+    /// ownership: the polynomial's storage is the vector handed in, not a
+    /// copy of it.
     ///
     /// # Errors
     ///
@@ -64,10 +63,11 @@ impl Poly {
                 detail: format!("coefficient {bad} not reduced modulo {}", modulus.value()),
             });
         }
-        Ok(Poly { coeffs: AVec::from(coeffs), modulus, domain: Domain::Coefficient, lazy: false })
+        Ok(Poly { coeffs, modulus, domain: Domain::Coefficient, lazy: false })
     }
 
-    /// Wraps raw NTT-domain values (must already be canonical).
+    /// Wraps raw NTT-domain values (must already be canonical), taking
+    /// ownership like [`Poly::from_coeffs`].
     ///
     /// # Errors
     ///
@@ -255,7 +255,7 @@ impl Poly {
             return Err(MathError::InvalidDegree { degree: n });
         }
         let m = &self.modulus;
-        let mut out = AVec::zeroed(n);
+        let mut out = vec![0u64; n];
         // n is a power of two: reduce the exponent mod 2n with a mask.
         let (g, mask) = (g & (2 * n - 1), 2 * n - 1);
         for (i, &c) in self.coeffs.iter().enumerate() {
@@ -367,6 +367,15 @@ mod tests {
     fn validates_coefficients() {
         let (q, _) = ctx(16);
         assert!(Poly::from_coeffs(vec![q.value(); 16], q).is_err());
+    }
+
+    #[test]
+    fn constructors_keep_the_storage_they_are_handed() {
+        let (q, _) = ctx(16);
+        let (a, b): (Vec<u64>, Vec<u64>) = ((0..16).collect(), (16..32).collect());
+        let (pa, pb) = (a.as_ptr(), b.as_ptr());
+        assert_eq!(Poly::from_coeffs(a, q).unwrap().coeffs().as_ptr(), pa, "no copy");
+        assert_eq!(Poly::from_ntt(b, q).unwrap().coeffs().as_ptr(), pb, "no copy");
     }
 
     #[test]

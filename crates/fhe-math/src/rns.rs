@@ -839,17 +839,6 @@ impl RnsPoly {
         Ok(RnsPoly { channels })
     }
 
-    /// Drops the last channel (used by CKKS rescaling after the scaled
-    /// subtraction has been folded in).
-    ///
-    /// # Panics
-    ///
-    /// Panics if only one channel remains.
-    pub fn drop_last_channel(&mut self) {
-        assert!(self.channels.len() > 1, "cannot drop the only RNS channel");
-        self.channels.pop();
-    }
-
     /// Gathers the residues of the coefficient at `idx`, one per channel,
     /// into `out` — the input layout of [`crate::MixedRadix`].
     ///

@@ -61,8 +61,8 @@ fn rns_poly(n: usize, salt: u64, moduli: &[Modulus]) -> RnsPoly {
 }
 
 /// NTT forward/inverse on a single channel: the flat path (n ≤ 4096)
-/// transforms strictly in place — zero allocations even on a cold call,
-/// and we assert it after one warm-up to also cover lazy SIMD dispatch.
+/// transforms strictly in place — zero allocations even on a cold call;
+/// asserted after one warm-up like every other case here.
 #[test]
 fn ntt_forward_inverse_allocation_free_sequential() {
     let _g = knob_guard();

@@ -32,7 +32,7 @@
 ///
 /// [Matcha]: https://doi.org/10.1145/3489517.3530435
 /// [Strix]: https://doi.org/10.1145/3613424.3614264
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TfheParams {
     /// LWE dimension `n` (blind-rotation step count).
     pub lwe_dim: usize,

@@ -24,7 +24,7 @@ fn bootstrap_allocs(lwe_dim: usize) -> u64 {
     let (pbs, bsk, ksk) = (server.pbs(), server.bootstrapping_key(), server.key_switch_key());
     let testv = pbs.sign_testv(ONE_EIGHTH);
     let ct = client.encrypt_bit(true, &mut rng);
-    // Warm-up: lazy SIMD dispatch and first-use tables.
+    // Warm-up: first-use tables.
     let warm = pbs.bootstrap(bsk, ksk, &ct, &testv).unwrap();
     let (out, delta) = alloc_delta(|| pbs.bootstrap(bsk, ksk, &ct, &testv).unwrap());
     assert_eq!(out, warm, "bootstrapping is deterministic");

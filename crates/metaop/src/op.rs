@@ -13,7 +13,7 @@ use std::fmt;
 /// With Alchemist's slot-based partitioning every pattern resolves inside a
 /// computing unit's private scratchpad, which is what lets the 128 units run
 /// without inter-unit traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessPattern {
     /// Contiguous slots of one polynomial (NTT butterflies after 4-step
     /// decomposition).
@@ -39,7 +39,7 @@ impl fmt::Display for AccessPattern {
 /// Which high-level operator family a Meta-OP was lowered from. Used by the
 /// simulator's utilization breakdown (paper Fig. 7b reports utilization per
 /// class).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Forward or inverse NTT butterfly work.
     Ntt,
@@ -122,7 +122,7 @@ impl fmt::Display for OpClass {
 /// assert_eq!(op.cycles(), 46);                 // n + 2
 /// assert_eq!(op.mults(), 8 * 46);              // j·n lane mults + 2j reduction mults
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MetaOp {
     class: OpClass,
     j: u32,
@@ -207,13 +207,6 @@ impl MetaOpTrace {
             }
         }
         self.entries.push((op, count));
-    }
-
-    /// Appends another trace.
-    pub fn extend_from(&mut self, other: &MetaOpTrace) {
-        for &(op, count) in &other.entries {
-            self.record(op, count);
-        }
     }
 
     /// The recorded `(op, count)` entries in order.

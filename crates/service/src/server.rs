@@ -205,12 +205,10 @@ struct LatencyBook {
     cap: usize,
     per_tenant: HashMap<TenantId, Histogram>,
     other: Histogram,
-    all: Histogram,
 }
 
 impl LatencyBook {
     fn record(&mut self, tenant: TenantId, ns: u64) {
-        self.all.record(ns);
         if let Some(h) = self.per_tenant.get_mut(&tenant) {
             h.record(ns);
         } else if self.per_tenant.len() < self.cap {
@@ -299,7 +297,6 @@ impl Server {
                 cap: config.latency_tenants,
                 per_tenant: HashMap::new(),
                 other: Histogram::default(),
-                all: Histogram::default(),
             }),
             tel: config.telemetry,
             sim: Simulator::new(ArchConfig::paper()),
@@ -479,12 +476,6 @@ impl Server {
                 readings.push((format!("service.inflight.tenant.{tenant}"), n));
             }
         })
-    }
-
-    /// Aggregate `(completions, p50 ns, p99 ns)` over every request.
-    pub fn latency_overall(&self) -> (u64, u64, u64) {
-        let book = self.shared.latency.lock().expect("latency book poisoned");
-        (book.all.count(), book.all.quantile(0.5), book.all.quantile(0.99))
     }
 
     /// Per-tenant latency rows, busiest tenants first, at most `limit`.

@@ -4,9 +4,9 @@
 //! [`crate::sampler::Sampler`] maintains) in the Prometheus text format:
 //! `# HELP`/`# TYPE` headers, one family per counter kind, histograms as
 //! cumulative `_bucket{le="..."}` series plus `_sum`/`_count`, and an
-//! instantaneous gauge family for sampler-supplied readings. The encoder
-//! writes to any [`io::Write`], so the same bytes can go to an atomically
-//! renamed file today or an HTTP response body later.
+//! instantaneous gauge family for sampler-supplied readings. [`render`]
+//! returns the text, so the same bytes can go to an atomically renamed
+//! file today or an HTTP response body later.
 //!
 //! Metric family names are `const`-validated against the Prometheus
 //! identifier grammar (`[a-zA-Z_:][a-zA-Z0-9_:]*`) at compile time; dotted
@@ -15,7 +15,6 @@
 
 use crate::delta::DeltaSnapshot;
 use crate::Metric;
-use std::io;
 
 /// Whether `name` is a valid Prometheus metric identifier:
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*`.
@@ -241,19 +240,6 @@ pub fn render(agg: &DeltaSnapshot, gauges: &[(String, u64)]) -> String {
         }
     }
     out
-}
-
-/// Writes [`render`]'s output to `w`.
-///
-/// # Errors
-///
-/// Propagates I/O errors from `w`.
-pub fn write_exposition<W: io::Write>(
-    w: &mut W,
-    agg: &DeltaSnapshot,
-    gauges: &[(String, u64)],
-) -> io::Result<()> {
-    w.write_all(render(agg, gauges).as_bytes())
 }
 
 #[cfg(test)]

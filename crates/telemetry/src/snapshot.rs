@@ -67,17 +67,6 @@ pub struct HistogramRow {
     pub max_ns: u64,
 }
 
-impl HistogramRow {
-    /// Arithmetic mean of the recordings (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
-    }
-}
-
 /// Process-wide allocation accounting carried by a snapshot of an enabled
 /// handle (see [`crate::alloc`]).
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -175,8 +175,14 @@ fn the_workspace_has_one_build_configuration() {
             m.display()
         );
     }
-    // Split so this file does not contain the needle itself.
-    let needle = concat!("feature", " = \"");
+    // Split so this file does not contain the needles itself: no source is
+    // conditional on a cargo feature, or on the CPU it is compiled for.
+    let needles = [
+        concat!("feature", " = \""),
+        concat!("target", "_arch"),
+        concat!("core", "::arch"),
+        concat!("std", "::arch"),
+    ];
     let mut sources = Vec::new();
     for dir in ["crates", "src", "tests", "examples"] {
         rust_sources(&root.join(dir), &mut sources);
@@ -184,11 +190,14 @@ fn the_workspace_has_one_build_configuration() {
     assert!(sources.len() > 100, "the walk must see the workspace, saw {}", sources.len());
     for s in &sources {
         let text = std::fs::read_to_string(s).unwrap();
-        assert!(!text.contains(needle), "{} is conditional on a cargo feature", s.display());
+        for needle in needles {
+            assert!(!text.contains(needle), "{} contains `{needle}`", s.display());
+        }
     }
     // The probes the frozen benchmark package reports as host facts.
     assert!(alchemist::math::par::parallelism_compiled());
     assert!(alchemist::math::strict_checks_enabled());
     assert!(alchemist::telemetry::alloc::tracking_compiled());
     assert!(alchemist::math::checksum_enabled());
+    assert_eq!(alchemist::math::simd::active_backend().name(), "scalar");
 }
