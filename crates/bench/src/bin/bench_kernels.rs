@@ -1,16 +1,20 @@
-//! Reproducible sequential-vs-parallel baseline for the hot kernels the
+//! Sequential-vs-parallel recorder for the hot kernels the
 //! `fhe_math::par` backend accelerates: RNS NTT round-trips, Modup, Moddown and
-//! the CKKS mul+rescale pipeline, plus the CKKS encode/decode boundary.
+//! the CKKS mul+rescale pipeline, plus the CKKS encode/decode boundary, at
+//! n = 2^8 and 2^12 … 2^16.
 //!
 //! Both modes run in the same process: the sequential column pins the
 //! backend to one thread with [`fhe_math::par::set_max_threads`]`(1)`, the
 //! parallel column restores the auto budget (one worker per core). Outputs
-//! a table (or `--json` document) on stdout and always writes the raw
-//! measurements to `BENCH_kernels.json` (`--out <path>` overrides), so the
-//! committed baseline can be regenerated with:
+//! a table (or `--json` document) on stdout; `--out PATH` also writes the
+//! raw measurements as JSON. Nothing here compares two runs: wall-clock
+//! comparisons (parent against change, same host, alternating pairs) belong
+//! to `benchmark/`, and the allocation counts CI holds are exact-count
+//! tests (`fhe-ckks/tests/no_alloc.rs` and its `fhe-math` / `fhe-tfhe`
+//! siblings).
 //!
 //! ```text
-//! cargo run --release -p bench --bin bench_kernels
+//! cargo run --release -p bench --bin bench_kernels -- --out /tmp/kernels.json
 //! ```
 //!
 //! Flags (see `DESIGN.md` §10 for the methodology):
@@ -25,46 +29,21 @@
 //!   warmed up, under the counting global allocator and records the
 //!   per-call allocation count, bytes requested, and interval peak heap
 //!   (after a peak re-baseline) in an `"alloc"` stanza per kernel row.
-//!   `--compare` then gates those columns with the same tolerance (plus a
-//!   small absolute slack) when the baseline also carries them.
-//! * `--compare BASELINE.json [--tolerance F]` — diffs the fresh run
-//!   against a committed baseline per `(kernel, n, channels)` key and
-//!   exits `1` if any kernel slowed by more than the tolerance
-//!   (default 0.15 = 15%). Mismatched sweeps with zero overlapping keys
-//!   exit `2` instead of passing vacuously.
+//! * `--out PATH` — write the measurements (schema v2, git commit and host
+//!   facts stamped) to `PATH`. Without it no file is written.
 //! * `--trace-out PATH` — installs a process-global telemetry handle so
 //!   the kernel-level histogram probes (`math.*`, `ckks.*`) capture
 //!   latency distributions, and writes a Chrome/Perfetto trace.
-//! * `--live-metrics PATH [--sample-ms N]` — spawns a background
-//!   [`telemetry::Sampler`] for the whole run: `PATH` is rewritten
-//!   atomically every `N` ms (default 50) with the Prometheus text
-//!   exposition of everything recorded so far, and `PATH.jsonl` gains one
-//!   JSON line per tick with the interval's increments plus instantaneous
-//!   `par.worker.<w>.busy_ns` / `.items` gauges from the armed per-worker
-//!   profiler — a plottable utilization time series. The final capture at
-//!   shutdown makes the exposition file's cumulative values equal the
-//!   exit-time snapshot exactly. Implies an enabled telemetry handle even
-//!   without `--trace-out`. Combining with `--profile` makes the worker
-//!   gauges per-kernel rather than run-cumulative (each profiled kernel
-//!   resets the profiler).
-//!
 //! * `--checksum` — flips the runtime integrity-checksum toggle *on* for
-//!   the timed kernels. Benches run checksum-free by default so committed
-//!   baselines measure the production fast path; an A/B pair of runs with
-//!   and without this flag bounds the checksum overhead, and the
-//!   `--compare` gate confirms the disabled path stays within tolerance.
-//! * `--faults SEED[:CASES]` — after the timed sweep, runs a deterministic
-//!   fault-injection campaign (all three fault classes, `CASES` cases per
-//!   class, default 50) and embeds the per-class detected/escaped
-//!   breakdown in the output JSON under `"faults"`. Never affects kernel
-//!   timings: the campaign runs after every measurement is taken.
+//!   the timed kernels. Benches run checksum-free by default so the rows
+//!   measure the production fast path; a pair of runs with and without
+//!   this flag on one host sizes the checksum overhead.
 //!
-//! `--smoke` shrinks the sweep to one toy size — the CI job uses it with
-//! `--compare` to keep the regression gate itself exercised.
+//! `--smoke` shrinks the sweep to the one toy size.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use bench::{fmt_time, regress, BenchArgs, Reporter};
+use bench::{fmt_time, BenchArgs, Reporter};
 use fhe_ckks::{CkksContext, CkksParams, Encoder, Evaluator, RelinKey, SecretKey};
 use fhe_math::{generate_ntt_primes, par, Modulus, RnsBasis, RnsContext};
 use rand::SeedableRng;
@@ -78,6 +57,17 @@ const DIGIT: usize = 3;
 /// Special channels for Moddown.
 const SPECIALS: usize = 2;
 
+/// Allocation footprint of one warmed-up, pinned-sequential kernel call.
+#[derive(Clone, Copy)]
+struct AllocPoint {
+    /// Heap allocation calls attributed to the calling thread.
+    allocs: u64,
+    /// Bytes requested by those calls.
+    bytes: u64,
+    /// Process-wide peak live heap over the call, after a re-baseline.
+    peak_bytes: u64,
+}
+
 struct Measurement {
     kernel: &'static str,
     n: usize,
@@ -89,7 +79,7 @@ struct Measurement {
     profile: Option<par::ParProfile>,
     /// Per-call allocation counts and interval peak heap from one extra
     /// pinned-sequential run (`--alloc-profile` only).
-    alloc: Option<regress::AllocPoint>,
+    alloc: Option<AllocPoint>,
 }
 
 impl Measurement {
@@ -120,7 +110,7 @@ fn seq_vs_par<F: FnMut()>(
     profile: bool,
     alloc_profile: bool,
     mut f: F,
-) -> (f64, f64, Option<par::ParProfile>, Option<regress::AllocPoint>) {
+) -> (f64, f64, Option<par::ParProfile>, Option<AllocPoint>) {
     par::set_max_threads(1);
     let seq = time_reps(reps, &mut f);
     par::set_max_threads(0);
@@ -146,7 +136,7 @@ fn seq_vs_par<F: FnMut()>(
         let ((), d) = telemetry::alloc::alloc_delta(&mut f);
         let peak_bytes = telemetry::alloc::global_stats().peak_bytes;
         par::set_max_threads(0);
-        regress::AllocPoint { allocs: d.allocs, bytes: d.bytes, peak_bytes }
+        AllocPoint { allocs: d.allocs, bytes: d.bytes, peak_bytes }
     });
     (seq, par_t, prof, alloc)
 }
@@ -171,10 +161,10 @@ fn rns_kernels(
     let ctx = RnsContext::new(n, RnsBasis::new(moduli.clone()).expect("basis")).expect("context");
 
     // Forward and inverse NTT over all channels, timed as separate kernels
-    // (schema v2) so the regression gate catches direction-specific
-    // regressions. Both transforms are pure functions of the slice, so
-    // repeating one direction back-to-back is valid: `forward` accepts any
-    // canonical input and `inverse` accepts `[0, 2q)`.
+    // (schema v2) so a direction-specific slowdown shows. Both transforms
+    // are pure functions of the slice, so repeating one direction
+    // back-to-back is valid: `forward` accepts any canonical input and
+    // `inverse` accepts `[0, 2q)`.
     let mut bufs: Vec<Vec<u64>> = moduli.iter().enumerate().map(|(c, &m)| fill(n, c, m)).collect();
     let tables = ctx.tables();
     let ntt_work = (n as u64).saturating_mul(u64::from(n.trailing_zeros().max(1)));
@@ -379,33 +369,6 @@ fn take_value_flag(rest: &[String], flag: &str) -> Option<String> {
     })
 }
 
-/// Parses `--faults SEED[:CASES]` (seed decimal or `0x…` hex).
-fn parse_faults_spec(spec: &str) -> (u64, u64) {
-    let (seed_s, cases_s) = match spec.split_once(':') {
-        Some((s, c)) => (s, Some(c)),
-        None => (spec, None),
-    };
-    let parse_u64 = |s: &str| -> Option<u64> {
-        if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-            u64::from_str_radix(&hex.replace('_', ""), 16).ok()
-        } else {
-            s.replace('_', "").parse().ok()
-        }
-    };
-    let seed = parse_u64(seed_s).unwrap_or_else(|| {
-        eprintln!("--faults: invalid seed {seed_s:?} (expected decimal or 0x-hex)");
-        std::process::exit(2);
-    });
-    let cases = match cases_s {
-        None => 50,
-        Some(c) => parse_u64(c).filter(|n| *n >= 1).unwrap_or_else(|| {
-            eprintln!("--faults: invalid case count {c:?}");
-            std::process::exit(2);
-        }),
-    };
-    (seed, cases)
-}
-
 fn main() {
     let args = BenchArgs::parse();
     let smoke = args.rest.iter().any(|a| a == "--smoke");
@@ -415,18 +378,7 @@ fn main() {
     // to bound the overhead of the enabled path.
     let checksum = args.rest.iter().any(|a| a == "--checksum");
     fhe_math::set_checksum_enabled(checksum);
-    let faults = take_value_flag(&args.rest, "--faults").map(|s| parse_faults_spec(&s));
-    let out_path =
-        take_value_flag(&args.rest, "--out").unwrap_or_else(|| "BENCH_kernels.json".to_string());
-    let compare_path = take_value_flag(&args.rest, "--compare");
-    let tolerance = take_value_flag(&args.rest, "--tolerance")
-        .map(|s| {
-            s.parse::<f64>().ok().filter(|t| *t >= 0.0).unwrap_or_else(|| {
-                eprintln!("--tolerance must be a non-negative number, got {s:?}");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(0.15);
+    let out_path = take_value_flag(&args.rest, "--out");
     let reps = take_value_flag(&args.rest, "--reps")
         .map(|s| {
             s.parse::<usize>().ok().filter(|r| *r >= 1).unwrap_or_else(|| {
@@ -435,58 +387,18 @@ fn main() {
             })
         })
         .unwrap_or(if smoke { 1 } else { 3 });
-    let live_metrics = take_value_flag(&args.rest, "--live-metrics");
-    let sample_ms = take_value_flag(&args.rest, "--sample-ms")
-        .map(|s| {
-            s.parse::<u64>().ok().filter(|ms| *ms >= 1).unwrap_or_else(|| {
-                eprintln!("--sample-ms must be a positive integer, got {s:?}");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(50);
     let mut rep = Reporter::from_args(&args);
 
     // With --trace-out the handle is installed process-globally so the
     // histogram-only Timer probes inside fhe-math / fhe-ckks feed per-
     // kernel latency distributions into the exported snapshot.
-    // --live-metrics needs the same enabled handle even without a trace.
-    let tel = if live_metrics.is_some() && args.trace_out.is_none() {
-        telemetry::Telemetry::enabled()
-    } else {
-        bench::telemetry_from_args(&args)
-    };
+    let tel = bench::telemetry_from_args(&args);
     if tel.is_enabled() {
         telemetry::install(tel.clone());
         tel.set_meta("bench.reps", &reps.to_string());
         tel.set_meta("bench.smoke", &smoke.to_string());
     }
 
-    let sampler = live_metrics.as_ref().map(|path| {
-        // The per-worker gauges read the relaxed-atomic profiler, so it
-        // stays armed for the whole run (unlike --profile's one-shot
-        // snapshots, which reset it per kernel).
-        par::reset_profile();
-        par::set_profiling(true);
-        let jsonl_path = format!("{path}.jsonl");
-        let jsonl = telemetry::JsonlSink::create(&jsonl_path).unwrap_or_else(|e| {
-            eprintln!("--live-metrics: cannot create {jsonl_path}: {e}");
-            std::process::exit(1);
-        });
-        telemetry::SamplerBuilder::new(tel.clone(), Duration::from_millis(sample_ms))
-            .sink(telemetry::PrometheusSink::new(path.clone()))
-            .sink(jsonl)
-            .gauge_source(Box::new(|readings: &mut Vec<(String, u64)>| {
-                let prof = par::profile_snapshot();
-                for w in &prof.workers {
-                    readings.push((format!("par.worker.{}.busy_ns", w.worker), w.busy_ns));
-                    readings.push((format!("par.worker.{}.items", w.worker), w.items));
-                }
-            }))
-            .spawn()
-    });
-
-    // The smoke size is part of the full sweep so a `--smoke --compare`
-    // run always overlaps a full-sweep baseline on every kernel key.
     let sizes: Vec<usize> = if smoke {
         vec![1 << 8]
     } else {
@@ -509,7 +421,7 @@ fn main() {
     // `host.threads` below is stamped from this same value: the effective
     // runtime thread budget (ALCHEMIST_NUM_THREADS or one per core), not a
     // compile-time constant. The single-core caveat is only emitted when it
-    // actually applies, so regenerating on a multi-core host drops it.
+    // actually applies.
     let threads = par::max_threads();
     let single_core_caveat = if threads == 1 {
         " On this single-thread host the two columns coincide because the \
@@ -538,7 +450,7 @@ fn main() {
         })
         .collect();
     rep.table(
-        "Kernel baselines: sequential vs parallel backend",
+        "Kernels: sequential vs parallel backend",
         &["kernel", "n", "channels", "sequential", "parallel", "speedup"],
         &rows,
     );
@@ -551,59 +463,20 @@ fn main() {
         report_alloc_profiles(&mut rep, &measurements);
     }
 
-    let mut doc = to_json(&measurements, &note, reps);
-
-    // The fault campaign runs strictly after the timed sweep so injection
-    // bookkeeping can never perturb a measurement; its breakdown rides
-    // along in the same JSON document (and telemetry named counters).
-    if let Some((seed, cases)) = faults {
-        let report = faultsim::run_campaign(seed, cases, &tel);
-        rep.note(&format!(
-            "fault campaign (seed {seed:#018x}, {cases} cases/class, checksum {}): \
-             {} injected, {} escaped (escape rate {:.4})",
-            if fhe_math::checksum_enabled() { "on" } else { "off" },
-            report.injected(),
-            report.escaped(),
-            report.escape_rate(),
-        ));
-        let campaign = telemetry::json::parse(&report.to_json())
-            .expect("campaign report serializes to valid JSON");
-        if let Json::Obj(map) = &mut doc {
-            map.insert("faults".to_string(), campaign);
+    if let Some(out_path) = out_path {
+        let doc = to_json(&measurements, &note, reps);
+        if let Err(e) = std::fs::write(&out_path, format!("{doc}\n")) {
+            eprintln!("failed to write {out_path}: {e}");
+            std::process::exit(1);
         }
-    }
-
-    if let Err(e) = std::fs::write(&out_path, format!("{doc}\n")) {
-        eprintln!("failed to write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    if !rep.is_json() {
-        println!("wrote {out_path}");
-    }
-
-    let mut regressed = false;
-    if let Some(bpath) = compare_path {
-        regressed = run_compare(&mut rep, &measurements, &bpath, tolerance);
-    }
-
-    // Stop after every recording site has run: the sampler's final capture
-    // makes the exposition file match the exit-time snapshot exactly.
-    if let Some(sampler) = sampler {
-        par::set_profiling(false);
-        let stats = sampler.stop();
-        let path = live_metrics.as_deref().unwrap_or_default();
-        rep.note(&format!(
-            "live metrics: {} samples at {sample_ms} ms ({} sink errors) -> {path} + {path}.jsonl",
-            stats.ticks, stats.sink_errors,
-        ));
+        if !rep.is_json() {
+            println!("wrote {out_path}");
+        }
     }
 
     rep.finish();
     if let Some(path) = &args.trace_out {
         bench::write_trace(&tel, path);
-    }
-    if regressed {
-        std::process::exit(1);
     }
 }
 
@@ -689,101 +562,4 @@ fn fmt_bytes(b: u64) -> String {
         1048576..=1073741823 => format!("{:.1} MiB", b as f64 / 1048576.0),
         _ => format!("{:.2} GiB", b as f64 / 1073741824.0),
     }
-}
-
-/// Diffs the fresh measurements against `baseline_path` and renders the
-/// delta table. Returns whether any kernel regressed beyond `tolerance`.
-fn run_compare(
-    rep: &mut Reporter,
-    measurements: &[Measurement],
-    baseline_path: &str,
-    tolerance: f64,
-) -> bool {
-    let text = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-        eprintln!("failed to read baseline {baseline_path}: {e}");
-        std::process::exit(2);
-    });
-    let doc = telemetry::json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("baseline {baseline_path} is not valid JSON: {e}");
-        std::process::exit(2);
-    });
-    let baseline = regress::parse_baseline(&doc).unwrap_or_else(|e| {
-        eprintln!("baseline {baseline_path}: {e}");
-        std::process::exit(2);
-    });
-    // Comparing runs from incomparable hosts silently is how stale
-    // baselines sneak through review: warn loudly on stderr AND in the
-    // report header, but still diff (the numbers can be informative).
-    let host_warnings = regress::host_mismatch_warnings(
-        &regress::parse_host(&doc),
-        par::max_threads() as u64,
-        bench::mem_total_mb(),
-    );
-    for w in &host_warnings {
-        eprintln!("WARNING: {w}");
-        rep.note(&format!("WARNING: {w}"));
-    }
-    let fresh: Vec<regress::KernelPoint> = measurements
-        .iter()
-        .map(|m| regress::KernelPoint {
-            kernel: m.kernel.to_string(),
-            n: m.n as u64,
-            channels: m.channels as u64,
-            seq_s: m.seq_s,
-            par_s: m.par_s,
-            alloc: m.alloc,
-        })
-        .collect();
-    let report = regress::compare(&fresh, &baseline, tolerance).unwrap_or_else(|e| {
-        eprintln!("cannot compare against {baseline_path}: {e}");
-        std::process::exit(2);
-    });
-
-    let rows: Vec<Vec<String>> = report
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.kernel.clone(),
-                r.n.to_string(),
-                r.channels.to_string(),
-                fmt_time(r.base.1),
-                fmt_time(r.fresh.1),
-                format!("{:.2}", r.ratio.0),
-                format!("{:.2}", r.ratio.1),
-                r.alloc_ratio.map_or_else(|| "-".to_string(), |a| format!("{a:.2}")),
-                if r.regressed { "REGRESSED".to_string() } else { "ok".to_string() },
-            ]
-        })
-        .collect();
-    let mismatch_tag = if host_warnings.is_empty() { "" } else { " [HOST MISMATCH]" };
-    rep.table(
-        &format!(
-            "Regression gate vs {baseline_path} (tolerance {:.0}%){mismatch_tag}",
-            tolerance * 100.0
-        ),
-        &[
-            "kernel",
-            "n",
-            "channels",
-            "base par",
-            "fresh par",
-            "seq ratio",
-            "par ratio",
-            "alloc ratio",
-            "status",
-        ],
-        &rows,
-    );
-    let n_reg = report.regressions();
-    rep.note(&format!(
-        "{} of {} overlapping keys regressed beyond {:.0}% \
-         ({} fresh-only, {} baseline-only keys not gated).",
-        n_reg,
-        report.rows.len(),
-        tolerance * 100.0,
-        report.fresh_only,
-        report.base_only,
-    ));
-    n_reg > 0
 }

@@ -11,8 +11,6 @@
 
 use telemetry::json::Json;
 
-pub mod regress;
-
 /// Command-line flags shared by the regeneration binaries.
 ///
 /// Recognized flags are consumed; everything else lands in `rest` in
@@ -169,8 +167,8 @@ pub fn stamp_host_meta(tel: &telemetry::Telemetry) {
 }
 
 /// Physical memory of this host in megabytes: `MemTotal` from
-/// `/proc/meminfo` on Linux, `None` elsewhere (baseline comparisons then
-/// skip the memory-class check rather than guessing).
+/// `/proc/meminfo` on Linux, `None` elsewhere (the host stanza then omits
+/// the field rather than guessing).
 pub fn mem_total_mb() -> Option<u64> {
     if !cfg!(target_os = "linux") {
         return None;

@@ -15,6 +15,7 @@
 //! All structural constants are recorded in `EXPERIMENTS.md`.
 
 use crate::sim::Step;
+use metaop::counts::ntt_blocks;
 use metaop::OpClass;
 
 /// Intra-workload reuse factor for switching keys in batched transforms:
@@ -82,16 +83,6 @@ impl CkksSimParams {
     }
 }
 
-/// Radix-8/radix-4 block counts of the Meta-OP NTT schedule.
-fn ntt_blocks(n: u64) -> (u64, u64) {
-    let log_n = n.trailing_zeros() as u64;
-    match log_n % 3 {
-        0 => (log_n / 3, 0),
-        1 => ((log_n - 4) / 3, 2),
-        _ => ((log_n - 2) / 3, 1),
-    }
-}
-
 /// NTT or INTT of `channels` polynomials of degree `n` (same cost either
 /// direction).
 pub fn ntt_steps(n: u64, channels: u64, label: &str) -> Vec<Step> {
@@ -132,13 +123,13 @@ pub fn hadd(p: &CkksSimParams) -> Vec<Step> {
     vec![Step::adds("hadd", coeffs / 8).with_onchip((3.0 * coeffs as f64 * WB) as u64)]
 }
 
-/// Hybrid key switch of one polynomial; `stream_key` charges the full
-/// switching key to HBM (single-op mode).
-pub fn keyswitch_steps(p: &CkksSimParams, stream_key: bool, label: &str) -> Vec<Step> {
-    let (n, c, alpha, beta, t) = (p.n, p.c(), p.alpha(), p.beta(), p.t());
-    let k = alpha;
-    let mut steps = Vec::new();
-    steps.extend(ntt_steps(n, c, &format!("{label}/intt-in")));
+/// Modup front of a hybrid key switch, shared by every rotation of a
+/// hoisted group: INTT of the `c` input channels, per-digit pre-scale and
+/// base conversion onto the rest of the extended basis, forward NTT of the
+/// converted channels.
+fn push_modup(steps: &mut Vec<Step>, p: &CkksSimParams, label: &str) {
+    let (n, alpha, beta, t) = (p.n, p.alpha(), p.beta(), p.t());
+    steps.extend(ntt_steps(n, p.c(), &format!("{label}/intt-in")));
     steps.push(elementwise_steps(beta * alpha * n, &format!("{label}/modup-prescale")));
     steps.push(
         Step::compute(
@@ -150,6 +141,30 @@ pub fn keyswitch_steps(p: &CkksSimParams, stream_key: bool, label: &str) -> Vec<
         .with_onchip(((beta * alpha + beta * (t - alpha)) as f64 * n as f64 * WB) as u64),
     );
     steps.extend(ntt_steps(n, beta * (t - alpha), &format!("{label}/ntt-ext")));
+}
+
+/// Moddown tail of a hybrid key switch: INTT of both extended-basis
+/// accumulators (the step is named `{label}/{intt}`), pre-scale and base
+/// conversion of the `K` special channels, subtract-and-scale, forward NTT
+/// of the `2c` output channels.
+fn push_moddown(steps: &mut Vec<Step>, p: &CkksSimParams, label: &str, intt: &str) {
+    let (n, c, k, t) = (p.n, p.c(), p.alpha(), p.t());
+    steps.extend(ntt_steps(n, 2 * t, &format!("{label}/{intt}")));
+    steps.push(elementwise_steps(2 * k * n, &format!("{label}/moddown-prescale")));
+    steps.push(
+        Step::compute(format!("{label}/moddown-bconv"), OpClass::Bconv, 2 * c * (n / 8), k as u32)
+            .with_onchip(((2 * k + 2 * c) as f64 * n as f64 * WB) as u64),
+    );
+    steps.push(elementwise_steps(2 * c * n, &format!("{label}/moddown-scale")));
+    steps.extend(ntt_steps(n, 2 * c, &format!("{label}/ntt-out")));
+}
+
+/// Hybrid key switch of one polynomial; `stream_key` charges the full
+/// switching key to HBM (single-op mode).
+pub fn keyswitch_steps(p: &CkksSimParams, stream_key: bool, label: &str) -> Vec<Step> {
+    let (n, beta, t) = (p.n, p.beta(), p.t());
+    let mut steps = Vec::new();
+    push_modup(&mut steps, p, label);
     let mut mac = Step::compute(
         format!("{label}/decomp-poly-mult"),
         OpClass::DecompPolyMult,
@@ -161,14 +176,7 @@ pub fn keyswitch_steps(p: &CkksSimParams, stream_key: bool, label: &str) -> Vec<
         mac = mac.with_hbm(p.switch_key_bytes());
     }
     steps.push(mac);
-    steps.extend(ntt_steps(n, 2 * t, &format!("{label}/intt-ext")));
-    steps.push(elementwise_steps(2 * k * n, &format!("{label}/moddown-prescale")));
-    steps.push(
-        Step::compute(format!("{label}/moddown-bconv"), OpClass::Bconv, 2 * c * (n / 8), k as u32)
-            .with_onchip(((2 * k + 2 * c) as f64 * n as f64 * WB) as u64),
-    );
-    steps.push(elementwise_steps(2 * c * n, &format!("{label}/moddown-scale")));
-    steps.extend(ntt_steps(n, 2 * c, &format!("{label}/ntt-out")));
+    push_moddown(&mut steps, p, label, "intt-ext");
     steps
 }
 
@@ -213,22 +221,9 @@ pub fn rotation(p: &CkksSimParams) -> Vec<Step> {
 /// ([`KEY_REUSE_BATCHED`] for batched transforms; `u64::MAX`-like large
 /// values model fully resident keys).
 pub fn hoisted_rotation_group(p: &CkksSimParams, n_rot: u64, key_reuse: u64) -> Vec<Step> {
-    let (n, c, alpha, beta, t) = (p.n, p.c(), p.alpha(), p.beta(), p.t());
-    let k = alpha;
+    let (n, beta, t) = (p.n, p.beta(), p.t());
     let mut steps = Vec::new();
-    // Shared modup.
-    steps.extend(ntt_steps(n, c, "hoist/intt-in"));
-    steps.push(elementwise_steps(beta * alpha * n, "hoist/modup-prescale"));
-    steps.push(
-        Step::compute(
-            "hoist/modup-bconv",
-            OpClass::Bconv,
-            beta * (t - alpha) * (n / 8),
-            alpha as u32,
-        )
-        .with_onchip(((beta * alpha + beta * (t - alpha)) as f64 * n as f64 * WB) as u64),
-    );
-    steps.extend(ntt_steps(n, beta * (t - alpha), "hoist/ntt-ext"));
+    push_modup(&mut steps, p, "hoist");
     // Per-rotation work, aggregated so the simulator overlaps the key
     // stream across the whole group: automorphism shuffles plus one
     // DecompPolyMult per rotation with that rotation's key.
@@ -250,14 +245,7 @@ pub fn hoisted_rotation_group(p: &CkksSimParams, n_rot: u64, key_reuse: u64) -> 
     );
     // Accumulate in the extended basis, one closing INTT + Moddown.
     steps.push(Step::adds("hoist/accumulate", n_rot * 2 * t * n / 8));
-    steps.extend(ntt_steps(n, 2 * t, "hoist/intt-close"));
-    steps.push(elementwise_steps(2 * k * n, "hoist/moddown-prescale"));
-    steps.push(
-        Step::compute("hoist/moddown-bconv", OpClass::Bconv, 2 * c * (n / 8), k as u32)
-            .with_onchip(((2 * k + 2 * c) as f64 * n as f64 * WB) as u64),
-    );
-    steps.push(elementwise_steps(2 * c * n, "hoist/moddown-scale"));
-    steps.extend(ntt_steps(n, 2 * c, "hoist/ntt-out"));
+    push_moddown(&mut steps, p, "hoist", "intt-close");
     steps
 }
 
@@ -265,13 +253,25 @@ pub fn hoisted_rotation_group(p: &CkksSimParams, n_rot: u64, key_reuse: u64) -> 
 /// 6-layer double-hoisted graph as `metaop::counts::bootstrapping`, with
 /// batched key reuse.
 pub fn bootstrapping(p: &CkksSimParams) -> Vec<Step> {
+    bootstrapping_graph(p, true)
+}
+
+/// The bootstrapping graph; the two variants differ only in how a linear
+/// layer's 48 rotations are paid for.
+fn bootstrapping_graph(p: &CkksSimParams, hoisted: bool) -> Vec<Step> {
     let mut steps = Vec::new();
     let cts = [p.l_max, p.l_max - 1, p.l_max - 2];
     let stc = [p.l_max.saturating_sub(20), p.l_max.saturating_sub(21), p.l_max.saturating_sub(22)];
     for &lvl in cts.iter().chain(&stc) {
         let pl = p.at_level(lvl);
-        for _ in 0..2 {
-            steps.extend(hoisted_rotation_group(&pl, 24, KEY_REUSE_BATCHED));
+        if hoisted {
+            for _ in 0..2 {
+                steps.extend(hoisted_rotation_group(&pl, 24, KEY_REUSE_BATCHED));
+            }
+        } else {
+            for r in 0..48u32 {
+                steps.extend(keyswitch_steps(&pl, false, &format!("boot/rot{r}")));
+            }
         }
         // Diagonal plaintext multiplications of the BSGS combination.
         steps.push(elementwise_steps(64 * 2 * pl.c() * pl.n, "boot/diag-pmult"));
@@ -314,11 +314,26 @@ pub fn helr_iteration(p: &CkksSimParams) -> Vec<Step> {
 /// LoLa-MNIST inference (Fig. 6a): shallow network at reduced parameters.
 /// Returns the parameter set used together with the steps.
 pub fn lola_mnist(encrypted_weights: bool) -> (CkksSimParams, Vec<Step>) {
+    lola_mnist_graph(encrypted_weights, true)
+}
+
+/// The LoLa-MNIST graph; the two variants differ only in how a layer's 13
+/// rotations are paid for.
+fn lola_mnist_graph(encrypted_weights: bool, hoisted: bool) -> (CkksSimParams, Vec<Step>) {
     let p = CkksSimParams { n: 1 << 14, l_max: 7, level: 7, dnum: 2 };
     let mut steps = Vec::new();
     // Single-shot inference: rotation keys stream cold (reuse = 1).
-    // Convolution layer: 13 hoisted rotations + per-window products.
-    steps.extend(hoisted_rotation_group(&p, 13, 1));
+    let rotations = |steps: &mut Vec<Step>, pl: &CkksSimParams, layer: &str| {
+        if hoisted {
+            steps.extend(hoisted_rotation_group(pl, 13, 1));
+        } else {
+            for r in 0..13u32 {
+                steps.extend(keyswitch_steps(pl, false, &format!("lola/{layer}-rot{r}")));
+            }
+        }
+    };
+    // Convolution layer: 13 rotations + per-window products.
+    rotations(&mut steps, &p, "conv");
     if encrypted_weights {
         // Encrypted weights: products are ciphertext × ciphertext.
         for i in 0..8 {
@@ -336,7 +351,7 @@ pub fn lola_mnist(encrypted_weights: bool) -> (CkksSimParams, Vec<Step>) {
     steps.extend(rescale_steps(&p1, "lola/sq1"));
     // Dense layer: 13 more rotations + products, second square, output.
     let p2 = p.at_level(5);
-    steps.extend(hoisted_rotation_group(&p2, 13, 1));
+    rotations(&mut steps, &p2, "fc");
     steps.push(elementwise_steps(13 * 2 * p2.c() * p2.n, "lola/fc-pmult"));
     let p3 = p.at_level(4);
     steps.push(elementwise_steps(4 * p3.c() * p3.n, "lola/sq2/tensor"));
@@ -420,57 +435,13 @@ pub fn tfhe_pbs(tp: &TfheSimParams, batch: u64) -> Vec<Step> {
 /// graph a pre-hoisting design (BTS) executes: every rotation pays a full
 /// key switch. Used to model such baselines fairly.
 pub fn bootstrapping_unhoisted(p: &CkksSimParams) -> Vec<Step> {
-    let mut steps = Vec::new();
-    let cts = [p.l_max, p.l_max - 1, p.l_max - 2];
-    let stc = [p.l_max.saturating_sub(20), p.l_max.saturating_sub(21), p.l_max.saturating_sub(22)];
-    for &lvl in cts.iter().chain(&stc) {
-        let pl = p.at_level(lvl);
-        for r in 0..48u32 {
-            steps.extend(keyswitch_steps(&pl, false, &format!("boot/rot{r}")));
-        }
-        steps.push(elementwise_steps(64 * 2 * pl.c() * pl.n, "boot/diag-pmult"));
-    }
-    let mid = p.at_level(p.l_max.saturating_sub(10));
-    for i in 0..10 {
-        steps.push(elementwise_steps(4 * mid.c() * mid.n, &format!("boot/evalmod{i}/tensor")));
-        steps.extend(keyswitch_steps(&mid, false, &format!("boot/evalmod{i}/relin")));
-        steps.extend(rescale_steps(&mid, &format!("boot/evalmod{i}")));
-    }
-    steps
+    bootstrapping_graph(p, false)
 }
 
 /// LoLa-MNIST without hoisting (full key switch per rotation) — the graph
 /// a pre-hoisting design (F1) executes.
 pub fn lola_mnist_unhoisted(encrypted_weights: bool) -> (CkksSimParams, Vec<Step>) {
-    let p = CkksSimParams { n: 1 << 14, l_max: 7, level: 7, dnum: 2 };
-    let mut steps = Vec::new();
-    for r in 0..13u32 {
-        steps.extend(keyswitch_steps(&p, false, &format!("lola/conv-rot{r}")));
-    }
-    if encrypted_weights {
-        for i in 0..8 {
-            let pl = p.at_level(7 - (i % 2));
-            steps.push(elementwise_steps(4 * pl.c() * pl.n, &format!("lola/conv{i}/tensor")));
-            steps.extend(keyswitch_steps(&pl, false, &format!("lola/conv{i}/relin")));
-        }
-    } else {
-        steps.push(elementwise_steps(13 * 2 * p.c() * p.n, "lola/conv-pmult"));
-    }
-    let p1 = p.at_level(6);
-    steps.push(elementwise_steps(4 * p1.c() * p1.n, "lola/sq1/tensor"));
-    steps.extend(keyswitch_steps(&p1, false, "lola/sq1/relin"));
-    steps.extend(rescale_steps(&p1, "lola/sq1"));
-    let p2 = p.at_level(5);
-    for r in 0..13u32 {
-        steps.extend(keyswitch_steps(&p2, false, &format!("lola/fc-rot{r}")));
-    }
-    steps.push(elementwise_steps(13 * 2 * p2.c() * p2.n, "lola/fc-pmult"));
-    let p3 = p.at_level(4);
-    steps.push(elementwise_steps(4 * p3.c() * p3.n, "lola/sq2/tensor"));
-    steps.extend(keyswitch_steps(&p3, false, "lola/sq2/relin"));
-    steps.extend(rescale_steps(&p3, "lola/sq2"));
-    steps.push(elementwise_steps(10 * 2 * p3.c() * p3.n, "lola/output"));
-    (p, steps)
+    lola_mnist_graph(encrypted_weights, false)
 }
 
 /// A cross-scheme pipeline: CKKS Cmults interleaved with TFHE PBS batches

@@ -54,17 +54,25 @@ pub fn bconv_counts(l: u64, k: u64, n: u64) -> TransformCounts {
     TransformCounts { original: (3 * k * l + 3 * l) * n, meta: (k * l + 3 * l + 2 * k) * n }
 }
 
-/// NTT of one `N`-point polynomial (one RNS channel), blocked into radix-8
-/// and radix-4 Meta-OPs exactly as [`crate::ntt::NttLowering`] schedules
-/// them.
-pub fn ntt_counts(n: u64) -> TransformCounts {
+/// Radix-8 and radix-4 block counts `(r8, r4)` of an `n`-point NTT, exactly
+/// as [`crate::ntt::NttLowering`] schedules them: `3·r8 + 2·r4 = log2 n`.
+/// The multiply counts below and the simulator's NTT steps
+/// (`alchemist_core::workloads::ntt_steps`) are both built on it.
+pub fn ntt_blocks(n: u64) -> (u64, u64) {
     let log_n = n.trailing_zeros() as u64;
-    debug_assert!(n.is_power_of_two() && log_n >= 3);
-    let (r8, r4) = match log_n % 3 {
+    match log_n % 3 {
         0 => (log_n / 3, 0),
         1 => ((log_n - 4) / 3, 2),
         _ => ((log_n - 2) / 3, 1),
-    };
+    }
+}
+
+/// NTT of one `N`-point polynomial (one RNS channel), blocked into radix-8
+/// and radix-4 Meta-OPs ([`ntt_blocks`]).
+pub fn ntt_counts(n: u64) -> TransformCounts {
+    let log_n = n.trailing_zeros() as u64;
+    debug_assert!(n.is_power_of_two() && log_n >= 3);
+    let (r8, r4) = ntt_blocks(n);
     TransformCounts { original: 3 * (n / 2) * log_n, meta: 5 * n * r8 + 4 * n * r4 }
 }
 
@@ -207,26 +215,7 @@ impl CkksCountParams {
 /// DecompPolyMult(2 output polys × t channels) → INTT(2t) →
 /// Moddown(2 × Bconv(K → c) + scale).
 pub fn keyswitch(p: &CkksCountParams) -> OperatorMults {
-    let (n, c, alpha, beta, t, k) = (p.n, p.c(), p.alpha(), p.beta(), p.t(), p.k());
-    let ntt_transforms = c + beta * (t - alpha) + 2 * t;
-    let one_ntt = ntt_counts(n);
-    let mut out = OperatorMults::default();
-    out.ntt.original = one_ntt.original * ntt_transforms;
-    out.ntt.meta = one_ntt.meta * ntt_transforms;
-
-    let modup_one = bconv_counts(alpha, t - alpha, n);
-    let moddown_one = bconv_counts(k, c, n);
-    out.bconv.original = modup_one.original * beta + moddown_one.original * 2;
-    out.bconv.meta = modup_one.meta * beta + moddown_one.meta * 2;
-
-    let d = decomp_poly_mult_counts(beta, n);
-    out.decomp.original = d.original * 2 * t;
-    out.decomp.meta = d.meta * 2 * t;
-
-    // Moddown subtract-and-scale over 2c channels.
-    let ew = elementwise_counts(2 * c * n);
-    out.elementwise = ew;
-    out
+    hoisted_rotation_group(p, 1)
 }
 
 /// Full ciphertext multiplication: tensor product (4 point-wise channel
@@ -266,8 +255,8 @@ pub fn hoisted_rotation_group(p: &CkksCountParams, n_rot: u64) -> OperatorMults 
     out.decomp.original = d.original * 2 * t * n_rot;
     out.decomp.meta = d.meta * 2 * t * n_rot;
 
-    let ew = elementwise_counts(2 * c * n);
-    out.elementwise = ew;
+    // Moddown subtract-and-scale over 2c channels.
+    out.elementwise = elementwise_counts(2 * c * n);
     out
 }
 

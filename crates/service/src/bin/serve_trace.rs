@@ -1,17 +1,21 @@
 //! Replays the synthetic million-tenant trace against a live [`Server`]
-//! and records the service baseline (`BENCH_service.json`).
+//! and checks every outcome that can be counted.
 //!
 //! Two full replays of the *same* generated trace run back to back —
-//! packing on, then packing off — so the JSON carries one row per mode
+//! packing on, then packing off — so the report carries one row per mode
 //! under the same `(workload, n, workers)` key and the packed/singleton
 //! results are verified against the same cleartext expectations. Every
 //! fault-free completion is checked against its template's plaintext
-//! function; injected faults are expected to fail *contained* (exactly
-//! one request each, with a flight-recorder dump) and do not affect the
-//! exit status.
+//! function. Injected faults must fail *contained*: in each mode the
+//! server's contained-fault count and the number of failed requests both
+//! equal the number of faults the trace carries (so each fault failed
+//! exactly its own request), nothing is lost, and under `--fault-dumps`
+//! each contained fault left one flight-recorder dump. The timings in the
+//! table and the JSON are a record, not a gate: wall-clock comparisons
+//! belong to `benchmark/` (`serve_hot` / `serve_cold`).
 //!
 //! ```text
-//! cargo run --release -p service --bin serve_trace
+//! cargo run --release -p service --bin serve_trace -- --out /tmp/service.json
 //! ```
 //!
 //! Flags:
@@ -24,16 +28,11 @@
 //!   containment lattice's classes (default 64; 0 disables).
 //! * `--seed N` — trace + server seed (decimal or `0x…` hex).
 //! * `--no-pack` / `--pack-only` — run only one of the two modes.
-//! * `--out PATH` — where to write the JSON (default
-//!   `BENCH_service.json`).
-//! * `--compare BASELINE.json [--tolerance F]` — gate the fresh run
-//!   against a committed baseline per `(workload, n, workers, packed)`
-//!   key: throughput may not drop, p50/p99 may not rise, beyond the
-//!   tolerance (default 0.5 — CI hardware differs from the baseline
-//!   host, so this catches collapses, not drift). Zero overlapping keys
-//!   exit `2` instead of passing vacuously.
+//! * `--out PATH` — write the report as JSON (schema v1, git commit and
+//!   host facts stamped) to `PATH`. Without it no file is written.
 //! * `--fault-dumps DIR` — write flight-recorder fault dumps there and
-//!   report how many landed.
+//!   hold their count to the contained faults. `DIR` must not already
+//!   hold `flight-*` files: the check counts what this run added.
 //! * `--live-metrics PATH` — run a background telemetry sampler during
 //!   each replay, streaming one JSONL line per tick (counters, spans,
 //!   and the server's live gauges: queue depth, in-flight totals and
@@ -42,23 +41,59 @@
 //! * `--sample-ms N` — sampler tick interval (default 50).
 //! * `--json` — emit the report as JSON on stdout instead of tables.
 //!
-//! Exit status: `0` on success (contained faults included), `1` on
-//! verification failures, lost requests, or baseline regressions, `2`
-//! on usage errors.
+//! Exit status: `0` when every count holds, `1` on a verification
+//! failure, a lost request, an injected fault that was not contained to
+//! its own request or a missing fault dump, `2` on usage errors.
 
 use std::collections::BTreeMap;
 
-use bench::{regress, BenchArgs, Reporter};
+use bench::{BenchArgs, Reporter};
 use fhe_ckks::CkksParams;
-use service::trace::{generate, replay, TraceConfig, TraceReport};
-use service::{AdmissionConfig, Server, ServerConfig};
+use service::trace::{generate, replay, TraceConfig, TraceEntry, TraceReport};
+use service::{AdmissionConfig, FaultFlag, Server, ServerConfig};
 use telemetry::json::Json;
 
 /// One replayed mode: the packing flag plus everything measured.
 struct ModeRun {
     packed: bool,
     report: TraceReport,
-    fault_dumps: usize,
+    /// Under `--fault-dumps`: `flight-*` files the mode added, and how many
+    /// the per-process dump cap still allowed when it began.
+    fault_dumps: Option<(u64, u64)>,
+}
+
+/// Why a replayed mode breaks the containment contract; empty when it
+/// holds. `injected` is the number of trace entries that carry a fault:
+/// each must be counted contained by the server and fail exactly one
+/// request — its own — so both counts equal `injected`; every admitted
+/// request is answered; every fault-free answer matches the cleartext
+/// oracle; and each contained fault left one flight dump while the
+/// recorder's cap had room.
+fn containment_violations(
+    injected: u64,
+    r: &TraceReport,
+    fault_dumps: Option<(u64, u64)>,
+) -> Vec<String> {
+    let mut out = Vec::new();
+    if r.faults_contained != injected {
+        out.push(format!("{} contained faults for {injected} injected", r.faults_contained));
+    }
+    if r.failed != injected {
+        out.push(format!("{} failed requests for {injected} injected faults", r.failed));
+    }
+    if r.lost > 0 {
+        out.push(format!("{} request(s) were admitted but never answered", r.lost));
+    }
+    if r.verify_failures > 0 {
+        out.push(format!("{} result(s) disagreed with the cleartext oracle", r.verify_failures));
+    }
+    if let Some((landed, room)) = fault_dumps {
+        let expected = r.faults_contained.min(room);
+        if landed != expected {
+            out.push(format!("{landed} flight fault dumps landed, expected {expected}"));
+        }
+    }
+    out
 }
 
 /// Parses `--flag <value>` out of the positional rest.
@@ -85,13 +120,12 @@ fn run_mode(
     workers: usize,
     params: &CkksParams,
     seed: u64,
-    trace_cfg: &TraceConfig,
+    entries: &[TraceEntry],
     dump_dir: Option<&std::path::Path>,
     tel: &telemetry::Telemetry,
     live_metrics: Option<(&str, u64)>,
 ) -> ModeRun {
-    let dumps_before = dump_dir.map(count_dumps).unwrap_or(0);
-    let entries = generate(trace_cfg);
+    let dumps_before = dump_dir.map(count_dumps);
     let server = Server::start(ServerConfig {
         workers,
         admission: AdmissionConfig::default(),
@@ -117,21 +151,25 @@ fn run_mode(
             .gauge_source(server.gauge_source())
             .spawn()
     });
-    let report = replay(&server, &entries);
+    let report = replay(&server, entries);
     if let Some(sampler) = sampler {
         sampler.stop();
     }
     server.finish();
-    let fault_dumps = dump_dir.map(count_dumps).unwrap_or(0) - dumps_before;
+    // The directory held no dump when the process started, so what it
+    // holds at a mode's start is what earlier modes spent of the cap.
+    let fault_dumps = dump_dir.zip(dumps_before).map(|(dir, before)| {
+        (count_dumps(dir) - before, telemetry::flight::MAX_FAULT_DUMPS.saturating_sub(before))
+    });
     ModeRun { packed, report, fault_dumps }
 }
 
-fn count_dumps(dir: &std::path::Path) -> usize {
+fn count_dumps(dir: &std::path::Path) -> u64 {
     std::fs::read_dir(dir)
         .map(|rd| {
             rd.filter_map(Result::ok)
                 .filter(|e| e.file_name().to_string_lossy().starts_with("flight-"))
-                .count()
+                .count() as u64
         })
         .unwrap_or(0)
 }
@@ -176,80 +214,6 @@ fn to_json(runs: &[ModeRun], workers: usize, n: usize, workload: &str, note: &st
         ),
     );
     Json::Obj(doc)
-}
-
-fn run_compare(
-    rep: &mut Reporter,
-    runs: &[ModeRun],
-    workers: usize,
-    n: usize,
-    workload: &str,
-    bpath: &str,
-    tolerance: f64,
-) -> bool {
-    let text = std::fs::read_to_string(bpath).unwrap_or_else(|e| {
-        eprintln!("--compare: cannot read {bpath}: {e}");
-        std::process::exit(2);
-    });
-    let doc = telemetry::json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("--compare: {bpath} is not valid JSON: {e}");
-        std::process::exit(2);
-    });
-    let baseline = regress::parse_service_baseline(&doc).unwrap_or_else(|e| {
-        eprintln!("--compare: {bpath}: {e}");
-        std::process::exit(2);
-    });
-    for w in regress::host_mismatch_warnings(
-        &regress::parse_host(&doc),
-        fhe_math::par::max_threads() as u64,
-        bench::mem_total_mb(),
-    ) {
-        rep.note(&format!("warning: {w}"));
-    }
-    let fresh: Vec<regress::ServicePoint> = runs
-        .iter()
-        .map(|run| regress::ServicePoint {
-            workload: workload.to_string(),
-            n: n as u64,
-            workers: workers as u64,
-            packed: run.packed,
-            requests: run.report.submitted,
-            req_per_s: run.report.req_per_s,
-            p50_ms: run.report.p50_ms,
-            p99_ms: run.report.p99_ms,
-            faults_contained: run.report.faults_contained,
-            lost: run.report.lost,
-        })
-        .collect();
-    let cmp = regress::compare_service(&fresh, &baseline, tolerance).unwrap_or_else(|e| {
-        eprintln!("--compare: {e}");
-        std::process::exit(2);
-    });
-    let rows: Vec<Vec<String>> = cmp
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                if r.packed { "packed".into() } else { "singleton".into() },
-                format!("{:.2}x", r.throughput_ratio),
-                format!("{:.2}x", r.p50_ratio),
-                format!("{:.2}x", r.p99_ratio),
-                if r.regressed { "REGRESSED".into() } else { "ok".into() },
-            ]
-        })
-        .collect();
-    rep.table(
-        &format!("Service vs baseline {bpath} (tolerance {tolerance:.2})"),
-        &["mode", "throughput", "p50", "p99", "verdict"],
-        &rows,
-    );
-    if cmp.fresh_only + cmp.base_only > 0 {
-        rep.note(&format!(
-            "{} fresh-only and {} baseline-only keys were not gated",
-            cmp.fresh_only, cmp.base_only
-        ));
-    }
-    cmp.regressions() > 0
 }
 
 fn main() {
@@ -306,17 +270,7 @@ fn main() {
             })
         })
         .unwrap_or(0x7e1e_ca57);
-    let out_path =
-        take_value_flag(&args.rest, "--out").unwrap_or_else(|| "BENCH_service.json".to_string());
-    let compare_path = take_value_flag(&args.rest, "--compare");
-    let tolerance = take_value_flag(&args.rest, "--tolerance")
-        .map(|s| {
-            s.parse::<f64>().ok().filter(|t| *t >= 0.0).unwrap_or_else(|| {
-                eprintln!("--tolerance must be a non-negative number, got {s:?}");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(0.5);
+    let out_path = take_value_flag(&args.rest, "--out");
     let dump_dir = take_value_flag(&args.rest, "--fault-dumps").map(std::path::PathBuf::from);
     let live_metrics = take_value_flag(&args.rest, "--live-metrics");
     let sample_ms = take_value_flag(&args.rest, "--sample-ms")
@@ -334,6 +288,14 @@ fn main() {
     if let Some(dir) = &dump_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("--fault-dumps: cannot create {}: {e}", dir.display());
+            std::process::exit(2);
+        }
+        if count_dumps(dir) > 0 {
+            eprintln!(
+                "--fault-dumps: {} already holds flight-* dumps; the dump check counts \
+                 what this run adds, so give it a directory without any",
+                dir.display()
+            );
             std::process::exit(2);
         }
         tel.attach_flight_recorder(telemetry::FlightRecorder::new(1024));
@@ -357,7 +319,8 @@ fn main() {
     }));
     let mut rep = Reporter::from_args(&args);
 
-    let trace_cfg = TraceConfig { requests, fault_every, seed, ..TraceConfig::default() };
+    let entries = generate(&TraceConfig { requests, fault_every, seed, ..TraceConfig::default() });
+    let injected = entries.iter().filter(|e| e.request.fault != FaultFlag::None).count() as u64;
     let n = params.n();
     let modes: &[bool] = if no_pack {
         &[false]
@@ -374,7 +337,7 @@ fn main() {
                 workers,
                 &params,
                 seed,
-                &trace_cfg,
+                &entries,
                 dump_dir.as_deref(),
                 &tel,
                 live_metrics.as_deref().map(|p| (p, sample_ms)),
@@ -404,7 +367,7 @@ fn main() {
     rep.table(
         &format!(
             "serve_trace: {requests} requests, {workers} workers, ring n={n}, \
-             fault every {fault_every}"
+             fault every {fault_every} ({injected} injected)"
         ),
         &[
             "mode",
@@ -429,10 +392,10 @@ fn main() {
                 p99 as f64 / 1e6,
             ));
         }
-        if dump_dir.is_some() {
+        if let Some((landed, _)) = run.fault_dumps {
             rep.note(&format!(
-                "{mode}: {} flight fault dumps for {} contained faults",
-                run.fault_dumps, run.report.faults_contained
+                "{mode}: {landed} flight fault dumps for {} contained faults",
+                run.report.faults_contained
             ));
         }
     }
@@ -445,32 +408,88 @@ fn main() {
     );
     rep.note(&note);
 
-    // Compare before writing: the default --out path is the baseline
-    // file itself, and writing first would clobber the baseline and
-    // turn the gate into a vacuous self-compare.
-    let mut regressed = false;
-    if let Some(bpath) = compare_path {
-        regressed = run_compare(&mut rep, &runs, workers, n, workload, &bpath, tolerance);
+    if let Some(out_path) = out_path {
+        let doc = to_json(&runs, workers, n, workload, &note);
+        if let Err(e) = std::fs::write(&out_path, format!("{doc}\n")) {
+            eprintln!("failed to write {out_path}: {e}");
+            std::process::exit(1);
+        }
+        if !rep.is_json() {
+            println!("wrote {out_path}");
+        }
     }
-
-    let doc = to_json(&runs, workers, n, workload, &note);
-    if let Err(e) = std::fs::write(&out_path, format!("{doc}\n")) {
-        eprintln!("failed to write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    if !rep.is_json() {
-        println!("wrote {out_path}");
-    }
-    let verify_failures: u64 = runs.iter().map(|r| r.report.verify_failures).sum();
-    if verify_failures > 0 {
-        rep.note(&format!("{verify_failures} result(s) disagreed with the cleartext oracle"));
-    }
-    let lost: u64 = runs.iter().map(|r| r.report.lost).sum();
-    if lost > 0 {
-        rep.note(&format!("{lost} request(s) were admitted but never answered"));
+    let mut broken = false;
+    for run in &runs {
+        let mode = if run.packed { "packed" } else { "singleton" };
+        for v in containment_violations(injected, &run.report, run.fault_dumps) {
+            broken = true;
+            rep.note(&format!("FAILED {mode}: {v}"));
+        }
     }
     rep.finish();
-    if regressed || verify_failures > 0 || lost > 0 {
+    if broken {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A mode's report with the four counts the check reads; the rest is
+    /// what an 8-fault, 512-request replay looks like.
+    fn report(faults_contained: u64, failed: u64, lost: u64, verify_failures: u64) -> TraceReport {
+        TraceReport {
+            submitted: 512,
+            completed_ok: 512 - failed,
+            failed,
+            faults_contained,
+            rejections: 0,
+            verified: 504,
+            verify_failures,
+            lost,
+            wall_s: 0.1,
+            req_per_s: 5000.0,
+            p50_ms: 30.0,
+            p99_ms: 50.0,
+            keycache_hit_rate: 0.7,
+            keycache_misses: 150,
+            batches: 340,
+            pack_ratio: 1.5,
+            degraded_batches: 5,
+            top_tenants: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn contained_run_has_no_violations() {
+        assert!(containment_violations(8, &report(8, 8, 0, 0), None).is_empty());
+        assert!(containment_violations(8, &report(8, 8, 0, 0), Some((8, 16))).is_empty());
+        assert!(containment_violations(0, &report(0, 0, 0, 0), Some((0, 16))).is_empty());
+        // The second mode of a default run spends the rest of the cap; past
+        // it the recorder stops writing and the check follows.
+        assert!(containment_violations(8, &report(8, 8, 0, 0), Some((8, 8))).is_empty());
+        assert!(containment_violations(16, &report(16, 16, 0, 0), Some((4, 4))).is_empty());
+    }
+
+    #[test]
+    fn an_uncontained_fault_is_a_violation() {
+        // One injected fault was not counted contained: it either took a
+        // neighbour down (failed > injected) or went unnoticed.
+        assert_eq!(containment_violations(8, &report(7, 8, 0, 0), None).len(), 1);
+        assert_eq!(containment_violations(8, &report(7, 7, 0, 0), None).len(), 2);
+        assert_eq!(containment_violations(8, &report(8, 9, 0, 0), None).len(), 1);
+    }
+
+    #[test]
+    fn a_missing_dump_is_a_violation() {
+        let v = containment_violations(8, &report(8, 8, 0, 0), Some((7, 16)));
+        assert_eq!(v, ["7 flight fault dumps landed, expected 8"]);
+    }
+
+    #[test]
+    fn a_lost_request_or_a_wrong_answer_is_a_violation() {
+        assert_eq!(containment_violations(8, &report(8, 8, 1, 0), None).len(), 1);
+        assert_eq!(containment_violations(8, &report(8, 8, 0, 1), None).len(), 1);
     }
 }

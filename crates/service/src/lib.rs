@@ -28,8 +28,9 @@
 //! * **Observability** — telemetry spans follow requests across the
 //!   submit/worker thread boundary (`SpanGuard::detach`/`attach`),
 //!   per-tenant latency histograms and cache/pack/fault counters feed
-//!   the `serve_trace` binary's `BENCH_service.json`, which the bench
-//!   regression gate tracks like any kernel baseline.
+//!   the `serve_trace` binary's report, whose exit status rests on the
+//!   counts (faults contained, nothing lost, every answer verified);
+//!   its timings are compared by `benchmark/`, nowhere else.
 //!
 //! The synthetic trace ([`trace`]) replays a million-tenant id space
 //! with a 90/10 hot set — the skew that makes packing and key caching

@@ -88,7 +88,7 @@ pub struct ServerConfig {
     /// TFHE parameters.
     pub tfhe: TfheParams,
     /// Distinct tenants tracked with their own latency histogram
-    /// (first-come; the rest aggregate into one).
+    /// (first-come; the rest are not tracked).
     pub latency_tenants: usize,
     /// Telemetry handle workers record into.
     pub telemetry: telemetry::Telemetry,
@@ -199,12 +199,11 @@ impl ServerStats {
     }
 }
 
-/// Per-tenant latency book: first `cap` distinct tenants get their own
-/// histogram, the long tail shares one.
+/// Per-tenant latency book: the first `cap` distinct tenants get a
+/// histogram each; the long tail is not tracked.
 struct LatencyBook {
     cap: usize,
     per_tenant: HashMap<TenantId, Histogram>,
-    other: Histogram,
 }
 
 impl LatencyBook {
@@ -213,8 +212,6 @@ impl LatencyBook {
             h.record(ns);
         } else if self.per_tenant.len() < self.cap {
             self.per_tenant.entry(tenant).or_default().record(ns);
-        } else {
-            self.other.record(ns);
         }
     }
 }
@@ -296,7 +293,6 @@ impl Server {
             latency: Mutex::new(LatencyBook {
                 cap: config.latency_tenants,
                 per_tenant: HashMap::new(),
-                other: Histogram::default(),
             }),
             tel: config.telemetry,
             sim: Simulator::new(ArchConfig::paper()),

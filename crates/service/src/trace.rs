@@ -1,5 +1,6 @@
 //! Synthetic million-tenant trace: generation, closed-loop replay,
-//! and the measured report behind `BENCH_service.json`.
+//! and the measured report `serve_trace` prints and `benchmark/`'s
+//! `serve_*` workloads consume.
 //!
 //! The trace models the workload the service is built for: a huge
 //! tenant id space (default one million) with a hot set — a few dozen
