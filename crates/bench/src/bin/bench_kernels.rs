@@ -1,7 +1,8 @@
 //! Sequential-vs-parallel recorder for the hot kernels the
 //! `fhe_math::par` backend accelerates: RNS NTT round-trips, Modup, Moddown and
 //! the CKKS mul+rescale pipeline, plus the CKKS encode/decode boundary, at
-//! n = 2^8 and 2^12 … 2^16.
+//! n = 2^8 and 2^12 … 2^16, and a forward ÷ inverse NTT ratio per size under
+//! the table.
 //!
 //! Both modes run in the same process: the sequential column pins the
 //! backend to one thread with [`fhe_math::par::set_max_threads`]`(1)`, the
@@ -370,7 +371,14 @@ fn take_value_flag(rest: &[String], flag: &str) -> Option<String> {
 }
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse_with(&[
+        "--smoke",
+        "--profile",
+        "--alloc-profile",
+        "--checksum",
+        "--out",
+        "--reps",
+    ]);
     let smoke = args.rest.iter().any(|a| a == "--smoke");
     let profile = args.rest.iter().any(|a| a == "--profile");
     let alloc_profile = args.rest.iter().any(|a| a == "--alloc-profile");
@@ -454,6 +462,16 @@ fn main() {
         &["kernel", "n", "channels", "sequential", "parallel", "speedup"],
         &rows,
     );
+    // Forward against inverse, per size: both are `n/2 · log n` butterflies
+    // of three multiplies each, so a ratio far from 1 is a defect in one
+    // direction's code, not in the algorithm. A record; nothing gates on it.
+    for &n in &sizes {
+        let seq_s =
+            |kernel| measurements.iter().find(|m| m.kernel == kernel && m.n == n).map(|m| m.seq_s);
+        if let (Some(fwd), Some(inv)) = (seq_s("ntt_fwd"), seq_s("ntt_inv")) {
+            rep.note(&format!("fwd/inv n = {n}: {:.2} (sequential)", fwd / inv));
+        }
+    }
     rep.note(&note);
 
     if profile {

@@ -13,44 +13,71 @@ use telemetry::json::Json;
 
 /// Command-line flags shared by the regeneration binaries.
 ///
-/// Recognized flags are consumed; everything else lands in `rest` in
-/// order (e.g. the workload name of `trace_workload`).
+/// `--json` and `--trace-out` are consumed here. A binary with flags of
+/// its own names them to [`BenchArgs::parse_with`]; those, their values and
+/// the positional arguments (e.g. the workload name of `trace_workload`)
+/// land in `rest` in order. Any other `--flag` is an error, not a
+/// positional: a mistyped or retired flag must not run as if it were absent.
 #[derive(Debug, Clone, Default)]
 pub struct BenchArgs {
     /// `--json`: emit one JSON document instead of plain-text tables.
     pub json: bool,
     /// `--trace-out <path>`: write a Chrome/Perfetto trace of the run.
     pub trace_out: Option<std::path::PathBuf>,
-    /// Positional arguments, in order.
+    /// The binary's own flags and the positional arguments, in order.
     pub rest: Vec<String>,
 }
 
 impl BenchArgs {
-    /// Parses `std::env::args` (skipping the binary name).
+    /// Parses `std::env::args` for a binary that takes the shared flags
+    /// only; exits 2 on an unknown flag.
     pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
+        Self::parse_with(&[])
     }
 
-    /// Parses an explicit argument list (testable variant of [`parse`]).
+    /// Parses `std::env::args` for a binary that also takes the flags in
+    /// `own`; exits 2, listing the known flags, on any other `--flag`.
+    pub fn parse_with(own: &[&str]) -> Self {
+        Self::parse_from(std::env::args().skip(1), own).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses an explicit argument list (testable variant of
+    /// [`parse_with`]).
     ///
-    /// [`parse`]: BenchArgs::parse
-    pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// # Errors
+    ///
+    /// A message naming the offender and the known flags when an argument
+    /// starts with `--` and is neither shared nor in `own`, or when
+    /// `--trace-out` has no path.
+    ///
+    /// [`parse_with`]: BenchArgs::parse_with
+    pub fn parse_from<I: IntoIterator<Item = String>>(
+        args: I,
+        own: &[&str],
+    ) -> Result<Self, String> {
         let mut out = BenchArgs::default();
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--json" => out.json = true,
                 "--trace-out" => {
-                    let path = it.next().unwrap_or_else(|| {
-                        eprintln!("--trace-out requires a path argument");
-                        std::process::exit(2);
-                    });
+                    let path = it.next().ok_or("--trace-out requires a path argument")?;
                     out.trace_out = Some(path.into());
+                }
+                flag if flag.starts_with("--") && !own.contains(&flag) => {
+                    let known = ["--json", "--trace-out"].iter().chain(own).copied();
+                    return Err(format!(
+                        "unknown flag {flag}; known flags: {}",
+                        known.collect::<Vec<_>>().join(" ")
+                    ));
                 }
                 _ => out.rest.push(a),
             }
         }
-        out
+        Ok(out)
     }
 }
 
@@ -300,14 +327,31 @@ mod tests {
     #[test]
     fn args_consume_flags_and_keep_positionals() {
         let a = BenchArgs::parse_from(
-            ["bootstrapping", "--trace-out", "/tmp/t.json", "--json"].map(String::from),
-        );
+            ["bootstrapping", "--trace-out", "/tmp/t.json", "--reps", "5", "--json", "--smoke"]
+                .map(String::from),
+            &["--smoke", "--reps"],
+        )
+        .unwrap();
         assert!(a.json);
         assert_eq!(a.trace_out.as_deref(), Some(std::path::Path::new("/tmp/t.json")));
-        assert_eq!(a.rest, vec!["bootstrapping".to_string()]);
+        assert_eq!(a.rest, ["bootstrapping", "--reps", "5", "--smoke"].map(String::from));
 
-        let b = BenchArgs::parse_from(std::iter::empty());
+        let b = BenchArgs::parse_from(std::iter::empty(), &[]).unwrap();
         assert!(!b.json && b.trace_out.is_none() && b.rest.is_empty());
+    }
+
+    #[test]
+    fn args_reject_unknown_flags_and_list_the_known_ones() {
+        // The retired `--compare X` recipe must fail, not run uncompared.
+        let e = BenchArgs::parse_from(
+            ["--smoke", "--compare", "BENCH_kernels.json"].map(String::from),
+            &["--smoke", "--out"],
+        )
+        .unwrap_err();
+        assert_eq!(e, "unknown flag --compare; known flags: --json --trace-out --smoke --out");
+        // A binary's own flag is unknown to a binary that did not name it.
+        assert!(BenchArgs::parse_from(["--smoke".to_string()], &[]).is_err());
+        assert!(BenchArgs::parse_from(["--trace-out".to_string()], &[]).is_err());
     }
 
     #[test]

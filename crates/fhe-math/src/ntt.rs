@@ -1,42 +1,28 @@
 //! Negacyclic number-theoretic transforms.
 //!
-//! [`NttTable`] implements the in-place iterative Cooley–Tukey (forward) /
+//! [`NttTable`] implements the in-place Cooley–Tukey (forward) /
 //! Gentleman–Sande (inverse) negacyclic NTT over `Z_q[X]/(X^N + 1)` with
 //! Shoup-precomputed twiddles, following the standard bit-reversed-twiddle
-//! formulation (Longa–Naehrig). Both directions run **Harvey lazy
-//! butterflies** (values stay in `[0, 4q)` forward / `[0, 2q)` inverse
-//! across layers, one fused reduction in the final stage — paper Table 2's
-//! deferred-reduction analysis) on the [`crate::simd`] kernels, and
-//! large transforms switch to a cache-blocked four-step schedule that keeps
-//! each working set inside L1/L2 (paper §5.3's slot-local NTT). All of this
-//! is bit-identical to the textbook eager transform; see DESIGN.md §14 for
-//! the value-range contract.
+//! formulation (Longa–Naehrig). There is one implementation per direction:
+//! the `log N` radix-2 stages are regrouped, as paper §4.2 regroups them,
+//! into **radix-8 blocks** (three stages on eight values and seven twiddles
+//! held in locals) plus radix-4 blocks when `log N mod 3 ≠ 0`
+//! ([`radix_blocks`]), so a transform makes `⌈log N / 3⌉` passes over its
+//! data instead of `log N`. Every butterfly is a **Harvey lazy butterfly**
+//! (values stay in `[0, 4q)` forward / `[0, 2q)` inverse across stages and
+//! blocks, one reduction fused into the last block — paper Table 2's
+//! deferred-reduction analysis) and every conditional subtraction is a
+//! `min`, so no instruction in the kernel branches on data. All of this is
+//! bit-identical to the textbook eager transform; see DESIGN.md §14 for the
+//! value-range contract.
 //!
 //! [`CyclicNtt`] is the plain cyclic transform used as a building block of
 //! the 4-step NTT ([`crate::FourStepNtt`]) that Alchemist's slot-based data
 //! management relies on (paper §5.3).
 
 use crate::modulus::ShoupScalar;
-use crate::scratch::Scratch;
-use crate::simd;
+use crate::simd::{self, csub};
 use crate::{MathError, Modulus};
-
-/// Transforms of `2^BLOCKED_MIN_LOG_N` points or more run the cache-blocked
-/// four-step schedule instead of the flat stage loop. At `n = 2^13` the flat
-/// transform's working set (64 KiB of coefficients + twiddles) already
-/// spills the 48 KiB L1d on the reference host; the blocked schedule turns
-/// every pass into `√n`-sized subtransforms that stay resident.
-const BLOCKED_MIN_LOG_N: u32 = 13;
-
-/// Finishing reduction fused into the last butterfly stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Target {
-    /// Reduce outputs all the way to canonical `[0, q)`.
-    Canonical,
-    /// Leave outputs lazy in `[0, 2q)` (one conditional subtraction saved
-    /// per element; the next pipeline stage must accept lazy values).
-    Lazy2q,
-}
 
 /// Precomputed tables for the negacyclic NTT of a fixed size and modulus.
 ///
@@ -163,12 +149,16 @@ impl NttTable {
     }
 
     /// Verifies the lazy input contract once per transform, in every build
-    /// profile: one O(n) scan in place of a check per butterfly.
+    /// profile: one O(n) scan in place of a check per butterfly. The scan
+    /// that decides carries no index; only a failing input pays for the
+    /// search that names the first offender.
     fn check_lazy_inputs(&self, a: &[u64], op: &str) {
         let two_q = self.modulus.value() << 1;
-        for (i, &x) in a.iter().enumerate() {
-            assert!(x < two_q, "input to NttTable::{op} outside [0, 2q) at index {i}: {x}");
+        if a.iter().all(|&x| x < two_q) {
+            return;
         }
+        let i = a.iter().position(|&x| x >= two_q).expect("the scan found one");
+        panic!("input to NttTable::{op} outside [0, 2q) at index {i}: {}", a[i]);
     }
 
     /// In-place forward negacyclic NTT (natural → bit-reversed order),
@@ -176,7 +166,7 @@ impl NttTable {
     ///
     /// Accepts canonical or lazy `[0, 2q)` inputs. Internally runs Harvey
     /// lazy butterflies with the canonicalizing reduction fused into the
-    /// last stage; produces exactly the same output as the textbook eager
+    /// last pass; produces exactly the same output as the textbook eager
     /// transform.
     ///
     /// # Panics
@@ -185,11 +175,8 @@ impl NttTable {
     pub fn forward(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "polynomial length must match NTT size");
         self.check_lazy_inputs(a, "forward");
-        if self.log_n >= BLOCKED_MIN_LOG_N {
-            self.fwd_blocked(a, Target::Canonical);
-        } else {
-            self.fwd_subtree(a, 1, Some(Target::Canonical));
-        }
+        let q = self.modulus.value();
+        self.fwd_passes(a, |r| csub(csub(r, q << 1), q));
     }
 
     /// Forward NTT that leaves its output **lazy** in `[0, 2q)`, saving the
@@ -208,18 +195,15 @@ impl NttTable {
     pub fn forward_lazy(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "polynomial length must match NTT size");
         self.check_lazy_inputs(a, "forward_lazy");
-        if self.log_n >= BLOCKED_MIN_LOG_N {
-            self.fwd_blocked(a, Target::Lazy2q);
-        } else {
-            self.fwd_subtree(a, 1, Some(Target::Lazy2q));
-        }
+        let two_q = self.modulus.value() << 1;
+        self.fwd_passes(a, |r| csub(r, two_q));
     }
 
     /// In-place inverse negacyclic NTT (bit-reversed → natural order),
     /// including the `N^{-1}` scaling; canonical `[0, q)` output.
     ///
     /// Runs lazy Gentleman–Sande butterflies (values in `[0, 2q)` across
-    /// all layers) with the `N^{-1}` scaling folded into the final stage's
+    /// all stages) with the `N^{-1}` scaling folded into the root stage's
     /// twiddles — no separate scaling pass. Accepts canonical or lazy
     /// `[0, 2q)` inputs and produces exactly the same output as the
     /// textbook eager transform.
@@ -230,11 +214,8 @@ impl NttTable {
     pub fn inverse(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "polynomial length must match NTT size");
         self.check_lazy_inputs(a, "inverse");
-        if self.log_n >= BLOCKED_MIN_LOG_N {
-            self.inv_blocked(a, Target::Canonical);
-        } else {
-            self.inv_subtree(a, 1, Some(Target::Canonical));
-        }
+        let q = self.modulus.value();
+        self.inv_passes(a, |r| csub(r, q));
     }
 
     /// Inverse NTT with **lazy** `[0, 2q)` output (one conditional
@@ -246,153 +227,305 @@ impl NttTable {
     pub fn inverse_lazy(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "polynomial length must match NTT size");
         self.check_lazy_inputs(a, "inverse_lazy");
-        if self.log_n >= BLOCKED_MIN_LOG_N {
-            self.inv_blocked(a, Target::Lazy2q);
-        } else {
-            self.inv_subtree(a, 1, Some(Target::Lazy2q));
+        self.inv_passes(a, |r| r);
+    }
+
+    /// The forward transform as [`radix_blocks`] register-blocked passes:
+    /// radix-4 first (widest strides), radix-8 after. The last pass applies
+    /// `fin` — the finishing reduction, fused — to every value it stores.
+    fn fwd_passes(&self, a: &mut [u64], fin: impl Fn(u64) -> u64 + Copy) {
+        let q = self.modulus.value();
+        let tw = &self.psi_rev[..];
+        let (r8, r4) = radix_blocks(self.log_n);
+        // `e` is the stride between a block's values, `base` the number of
+        // groups the pass starts from (its first stage's twiddle offset).
+        let (mut e, mut base) = (self.n, 1usize);
+        for pass in 0..r4 + r8 {
+            let last = pass + 1 == r4 + r8;
+            if pass < r4 {
+                e /= 4;
+                if last {
+                    fwd_pass4(a, tw, e, base, q, fin);
+                } else {
+                    fwd_pass4(a, tw, e, base, q, |r| r);
+                }
+                base *= 4;
+            } else {
+                e /= 8;
+                if last {
+                    fwd_pass8(a, tw, e, base, q, fin);
+                } else {
+                    fwd_pass8(a, tw, e, base, q, |r| r);
+                }
+                base *= 8;
+            }
         }
     }
 
-    /// Forward transform of one contiguous CT subtree.
-    ///
-    /// `a` is a power-of-two-length block and `m0` its twiddle base: the
-    /// stage with `g` local groups uses `psi_rev[m0·g + i]` for local group
-    /// `i`. The full transform is the subtree at `m0 = 1`; after `k` global
-    /// stages, block `r` of length `n/2^k` is the subtree at
-    /// `m0 = 2^k + r`. With `finish`, the last (`t == 1`) stage fuses the
-    /// finishing reduction into its butterflies, so no separate
-    /// normalization pass runs.
-    fn fwd_subtree(&self, a: &mut [u64], m0: usize, finish: Option<Target>) {
-        let len = a.len();
-        debug_assert!(len.is_power_of_two() && len >= 2);
+    /// The inverse transform: the forward schedule run backwards (radix-8
+    /// passes from stride 1 up, radix-4 last). The root stage — the last
+    /// stage of the last pass — multiplies both outputs by `N^{-1}` (folded
+    /// into the twiddle on the difference side, so the sum needs no
+    /// conditional subtraction) and applies `fin`.
+    fn inv_passes(&self, a: &mut [u64], fin: impl Fn(u64) -> u64 + Copy) {
         let q = self.modulus.value();
         let two_q = q << 1;
-        let mut t = len;
-        let mut groups = 1usize;
-        while groups < len {
-            t /= 2;
-            if t == 1 {
-                // Last stage: adjacent pairs, one fresh twiddle per pair,
-                // with the finishing reduction fused in.
-                for i in 0..groups {
-                    let s = self.psi_rev[m0 * groups + i];
-                    let j = 2 * i;
-                    let (mut r0, mut r1) = simd::fwd_bfly(a[j], a[j + 1], s, q, two_q);
-                    if let Some(target) = finish {
-                        if r0 >= two_q {
-                            r0 -= two_q;
-                        }
-                        if r1 >= two_q {
-                            r1 -= two_q;
-                        }
-                        if target == Target::Canonical {
-                            if r0 >= q {
-                                r0 -= q;
-                            }
-                            if r1 >= q {
-                                r1 -= q;
-                            }
-                        }
-                    }
-                    a[j] = r0;
-                    a[j + 1] = r1;
+        let tw = &self.psi_inv_rev[..];
+        let (n_inv, s_ninv) = (self.n_inv, self.inv_last);
+        let bfly = move |u, v, s| simd::inv_bfly(u, v, s, q, two_q);
+        let root = move |u: u64, v: u64, _| {
+            let r0 = simd::mul_shoup_lazy(u + v, n_inv, q);
+            let r1 = simd::mul_shoup_lazy(u + two_q - v, s_ninv, q);
+            (fin(r0), fin(r1))
+        };
+        let (r8, r4) = radix_blocks(self.log_n);
+        let mut e = 1usize;
+        for pass in 0..r8 + r4 {
+            let last = pass + 1 == r8 + r4;
+            if pass < r8 {
+                let base = self.n / (8 * e);
+                if last {
+                    inv_pass8(a, tw, e, base, q, root);
+                } else {
+                    inv_pass8(a, tw, e, base, q, bfly);
                 }
+                e *= 8;
             } else {
-                for i in 0..groups {
-                    let s = self.psi_rev[m0 * groups + i];
-                    let j1 = 2 * i * t;
-                    let (top, bot) = a[j1..j1 + 2 * t].split_at_mut(t);
-                    simd::fwd_bfly_slice(top, bot, s, q);
+                let base = self.n / (4 * e);
+                if last {
+                    inv_pass4(a, tw, e, base, q, root);
+                } else {
+                    inv_pass4(a, tw, e, base, q, bfly);
                 }
+                e *= 4;
             }
-            groups *= 2;
         }
     }
+}
 
-    /// Inverse transform of one contiguous GS subtree (see
-    /// [`NttTable::fwd_subtree`] for the `m0` convention, here over
-    /// `psi_inv_rev`). With `finish`, the last (`groups == 1`) stage runs
-    /// the fused `N^{-1}`-folded butterfly — only valid at the global root
-    /// (`m0 == 1`), where that stage's twiddle is `psi_inv_rev[1]`.
-    fn inv_subtree(&self, a: &mut [u64], m0: usize, finish: Option<Target>) {
-        let len = a.len();
-        debug_assert!(len.is_power_of_two() && len >= 2);
-        let q = self.modulus.value();
-        let two_q = q << 1;
-        let mut t = 1usize;
-        let mut groups = len / 2;
-        while groups >= 1 {
-            if groups == 1 && finish.is_some() {
-                debug_assert_eq!(m0, 1, "the N^-1 fold only applies at the global root");
-                let canonical = finish == Some(Target::Canonical);
-                let (top, bot) = a.split_at_mut(t);
-                simd::inv_bfly_last_slice(top, bot, self.n_inv, self.inv_last, q, canonical);
-            } else if t == 1 {
-                // First stage: adjacent pairs, one twiddle per pair.
-                for i in 0..groups {
-                    let s = self.psi_inv_rev[m0 * groups + i];
-                    let j = 2 * i;
-                    let (r0, r1) = simd::inv_bfly(a[j], a[j + 1], s, q, two_q);
-                    a[j] = r0;
-                    a[j + 1] = r1;
-                }
-            } else {
-                for i in 0..groups {
-                    let s = self.psi_inv_rev[m0 * groups + i];
-                    let j1 = 2 * i * t;
-                    let (top, bot) = a[j1..j1 + 2 * t].split_at_mut(t);
-                    simd::inv_bfly_slice(top, bot, s, q);
-                }
-            }
-            t *= 2;
-            groups /= 2;
+/// Radix-8 and radix-4 pass counts `(r8, r4)` of a `2^log_n`-point
+/// transform, `3·r8 + 2·r4 = log_n` — the schedule of paper §4.2 and of
+/// `metaop::counts::ntt_blocks`, which counts the same blocks.
+fn radix_blocks(log_n: u32) -> (u32, u32) {
+    match log_n % 3 {
+        0 => (log_n / 3, 0),
+        1 => ((log_n - 4) / 3, 2),
+        _ => ((log_n - 2) / 3, 1),
+    }
+}
+
+/// Radix-4 forward block: two CT stages on four values held in locals.
+/// `w1` is the first stage's twiddle, `w2` the second stage's pair. Values
+/// enter and leave in `[0, 4q)` (DESIGN.md §14.1).
+#[inline(always)]
+fn fwd4(x: [u64; 4], w1: ShoupScalar, w2: [ShoupScalar; 2], q: u64, two_q: u64) -> [u64; 4] {
+    let (a0, a2) = simd::fwd_bfly(x[0], x[2], w1, q, two_q);
+    let (a1, a3) = simd::fwd_bfly(x[1], x[3], w1, q, two_q);
+    let (b0, b1) = simd::fwd_bfly(a0, a1, w2[0], q, two_q);
+    let (b2, b3) = simd::fwd_bfly(a2, a3, w2[1], q, two_q);
+    [b0, b1, b2, b3]
+}
+
+/// Radix-8 forward block: one CT stage across the halves, then a radix-4
+/// block on each half — three stages on eight locals, seven twiddles.
+#[inline(always)]
+fn fwd8(
+    x: [u64; 8],
+    w1: ShoupScalar,
+    w2: [ShoupScalar; 2],
+    w4: [ShoupScalar; 4],
+    q: u64,
+    two_q: u64,
+) -> [u64; 8] {
+    let (a0, a4) = simd::fwd_bfly(x[0], x[4], w1, q, two_q);
+    let (a1, a5) = simd::fwd_bfly(x[1], x[5], w1, q, two_q);
+    let (a2, a6) = simd::fwd_bfly(x[2], x[6], w1, q, two_q);
+    let (a3, a7) = simd::fwd_bfly(x[3], x[7], w1, q, two_q);
+    let lo = fwd4([a0, a1, a2, a3], w2[0], [w4[0], w4[1]], q, two_q);
+    let hi = fwd4([a4, a5, a6, a7], w2[1], [w4[2], w4[3]], q, two_q);
+    [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]]
+}
+
+/// Radix-4 inverse block: two GS stages on four locals, values in
+/// `[0, 2q)` throughout; `top` is the second stage's butterfly.
+#[inline(always)]
+fn inv4(
+    x: [u64; 4],
+    w2: [ShoupScalar; 2],
+    w1: ShoupScalar,
+    q: u64,
+    two_q: u64,
+    top: impl Fn(u64, u64, ShoupScalar) -> (u64, u64),
+) -> [u64; 4] {
+    let (a0, a1) = simd::inv_bfly(x[0], x[1], w2[0], q, two_q);
+    let (a2, a3) = simd::inv_bfly(x[2], x[3], w2[1], q, two_q);
+    let (b0, b2) = top(a0, a2, w1);
+    let (b1, b3) = top(a1, a3, w1);
+    [b0, b1, b2, b3]
+}
+
+/// Radix-8 inverse block: a radix-4 block on each half, then one GS stage
+/// (`top`) across the halves.
+#[inline(always)]
+fn inv8(
+    x: [u64; 8],
+    w4: [ShoupScalar; 4],
+    w2: [ShoupScalar; 2],
+    w1: ShoupScalar,
+    q: u64,
+    two_q: u64,
+    top: impl Fn(u64, u64, ShoupScalar) -> (u64, u64),
+) -> [u64; 8] {
+    let bfly = |u, v, s| simd::inv_bfly(u, v, s, q, two_q);
+    let lo = inv4([x[0], x[1], x[2], x[3]], [w4[0], w4[1]], w2[0], q, two_q, bfly);
+    let hi = inv4([x[4], x[5], x[6], x[7]], [w4[2], w4[3]], w2[1], q, two_q, bfly);
+    let (c0, c4) = top(lo[0], hi[0], w1);
+    let (c1, c5) = top(lo[1], hi[1], w1);
+    let (c2, c6) = top(lo[2], hi[2], w1);
+    let (c3, c7) = top(lo[3], hi[3], w1);
+    [c0, c1, c2, c3, c4, c5, c6, c7]
+}
+
+/// Splits `chunk` (of length `4e`) into its four `e`-long quarters.
+#[inline(always)]
+fn quarters(chunk: &mut [u64], e: usize) -> [&mut [u64]; 4] {
+    let (lo, hi) = chunk.split_at_mut(2 * e);
+    let (x0, x1) = lo.split_at_mut(e);
+    let (x2, x3) = hi.split_at_mut(e);
+    [x0, &mut x1[..e], x2, &mut x3[..e]]
+}
+
+/// One radix-4 forward pass over `a`: every run of `4e` values is one
+/// group, quarter `j` of it supplying `x[j]`; the group's twiddles are
+/// `tw[base + i]` and `tw[2·base + 2i ..][..2]`. `fin` maps every stored
+/// value (identity except in a transform's last pass).
+fn fwd_pass4(
+    a: &mut [u64],
+    tw: &[ShoupScalar],
+    e: usize,
+    base: usize,
+    q: u64,
+    fin: impl Fn(u64) -> u64 + Copy,
+) {
+    let two_q = q << 1;
+    let (w2s, _) = tw[2 * base..].as_chunks::<2>();
+    for ((chunk, &w1), &w2) in a.chunks_exact_mut(4 * e).zip(&tw[base..]).zip(w2s) {
+        let [x0, x1, x2, x3] = quarters(chunk, e);
+        for k in 0..e {
+            let y = fwd4([x0[k], x1[k], x2[k], x3[k]], w1, w2, q, two_q);
+            x0[k] = fin(y[0]);
+            x1[k] = fin(y[1]);
+            x2[k] = fin(y[2]);
+            x3[k] = fin(y[3]);
         }
     }
+}
 
-    /// Cache-blocked forward schedule: view the array as an `n1 × n2`
-    /// matrix (`n1 = 2^⌊log n / 2⌋`). The first `log n1` global stages only
-    /// pair elements within a column, the rest within a row — so transpose,
-    /// run `n2` contiguous `n1`-point column subtrees (all at `m0 = 1`,
-    /// sharing one hot twiddle table), transpose back, and run `n1`
-    /// `n2`-point row subtrees (block `r` at `m0 = n1 + r`) that fuse the
-    /// finishing reduction. Bit-identical to the flat loop; only the
-    /// traversal order (and thus cache behavior) changes.
-    fn fwd_blocked(&self, a: &mut [u64], target: Target) {
-        let n1 = 1usize << (self.log_n / 2);
-        let n2 = self.n / n1;
-        Scratch::with_thread_local(|pool| {
-            let mut tmp = pool.take(self.n);
-            transpose_into(a, &mut tmp, n1, n2);
-            for col in tmp.chunks_exact_mut(n1) {
-                self.fwd_subtree(col, 1, None);
-            }
-            transpose_into(&tmp, a, n2, n1);
-            for (r, row) in a.chunks_exact_mut(n2).enumerate() {
-                self.fwd_subtree(row, n1 + r, Some(target));
-            }
-            pool.put(tmp);
-        });
+/// One radix-8 forward pass: groups of `8e` values, twiddles `tw[base + i]`,
+/// `tw[2·base + 2i ..][..2]` and `tw[4·base + 4i ..][..4]`.
+fn fwd_pass8(
+    a: &mut [u64],
+    tw: &[ShoupScalar],
+    e: usize,
+    base: usize,
+    q: u64,
+    fin: impl Fn(u64) -> u64 + Copy,
+) {
+    let two_q = q << 1;
+    let (w2s, _) = tw[2 * base..].as_chunks::<2>();
+    let (w4s, _) = tw[4 * base..].as_chunks::<4>();
+    if e == 1 {
+        // Stride 1 — every forward transform's last pass: a block is one
+        // contiguous `[u64; 8]`, and skipping the per-group slice splitting
+        // for a one-iteration inner loop is worth ≈ 5 % of a transform.
+        let blocks = a.as_chunks_mut::<8>().0.iter_mut().zip(&tw[base..]).zip(w2s).zip(w4s);
+        for (((x, &w1), &w2), &w4) in blocks {
+            *x = fwd8(*x, w1, w2, w4, q, two_q).map(fin);
+        }
+        return;
     }
+    let groups = a.chunks_exact_mut(8 * e).zip(&tw[base..]).zip(w2s).zip(w4s);
+    for (((chunk, &w1), &w2), &w4) in groups {
+        let (lo, hi) = chunk.split_at_mut(4 * e);
+        let [x0, x1, x2, x3] = quarters(lo, e);
+        let [x4, x5, x6, x7] = quarters(hi, e);
+        for k in 0..e {
+            let x = [x0[k], x1[k], x2[k], x3[k], x4[k], x5[k], x6[k], x7[k]];
+            let y = fwd8(x, w1, w2, w4, q, two_q);
+            x0[k] = fin(y[0]);
+            x1[k] = fin(y[1]);
+            x2[k] = fin(y[2]);
+            x3[k] = fin(y[3]);
+            x4[k] = fin(y[4]);
+            x5[k] = fin(y[5]);
+            x6[k] = fin(y[6]);
+            x7[k] = fin(y[7]);
+        }
+    }
+}
 
-    /// Cache-blocked inverse schedule — the forward schedule mirrored:
-    /// row subtrees first (no finish), then transposed column subtrees
-    /// whose last stage is the global fold stage (`m0 = 1`, `N^{-1}`
-    /// folded in), then transpose back.
-    fn inv_blocked(&self, a: &mut [u64], target: Target) {
-        let n1 = 1usize << (self.log_n / 2);
-        let n2 = self.n / n1;
-        Scratch::with_thread_local(|pool| {
-            let mut tmp = pool.take(self.n);
-            for (r, row) in a.chunks_exact_mut(n2).enumerate() {
-                self.inv_subtree(row, n1 + r, None);
-            }
-            transpose_into(a, &mut tmp, n1, n2);
-            for col in tmp.chunks_exact_mut(n1) {
-                self.inv_subtree(col, 1, Some(target));
-            }
-            transpose_into(&tmp, a, n2, n1);
-            pool.put(tmp);
-        });
+/// One radix-4 inverse pass, the mirror of [`fwd_pass4`]: `base` is the
+/// twiddle base of the block's *last* stage (`tw[base + i]`), the first
+/// stage reads `tw[2·base + 2i ..][..2]`.
+fn inv_pass4(
+    a: &mut [u64],
+    tw: &[ShoupScalar],
+    e: usize,
+    base: usize,
+    q: u64,
+    top: impl Fn(u64, u64, ShoupScalar) -> (u64, u64) + Copy,
+) {
+    let two_q = q << 1;
+    let (w2s, _) = tw[2 * base..].as_chunks::<2>();
+    for ((chunk, &w1), &w2) in a.chunks_exact_mut(4 * e).zip(&tw[base..]).zip(w2s) {
+        let [x0, x1, x2, x3] = quarters(chunk, e);
+        for k in 0..e {
+            let y = inv4([x0[k], x1[k], x2[k], x3[k]], w2, w1, q, two_q, top);
+            x0[k] = y[0];
+            x1[k] = y[1];
+            x2[k] = y[2];
+            x3[k] = y[3];
+        }
+    }
+}
+
+/// One radix-8 inverse pass, the mirror of [`fwd_pass8`].
+fn inv_pass8(
+    a: &mut [u64],
+    tw: &[ShoupScalar],
+    e: usize,
+    base: usize,
+    q: u64,
+    top: impl Fn(u64, u64, ShoupScalar) -> (u64, u64) + Copy,
+) {
+    let two_q = q << 1;
+    let (w2s, _) = tw[2 * base..].as_chunks::<2>();
+    let (w4s, _) = tw[4 * base..].as_chunks::<4>();
+    if e == 1 {
+        // Every inverse transform's first pass; see `fwd_pass8`.
+        let blocks = a.as_chunks_mut::<8>().0.iter_mut().zip(&tw[base..]).zip(w2s).zip(w4s);
+        for (((x, &w1), &w2), &w4) in blocks {
+            *x = inv8(*x, w4, w2, w1, q, two_q, top);
+        }
+        return;
+    }
+    let groups = a.chunks_exact_mut(8 * e).zip(&tw[base..]).zip(w2s).zip(w4s);
+    for (((chunk, &w1), &w2), &w4) in groups {
+        let (lo, hi) = chunk.split_at_mut(4 * e);
+        let [x0, x1, x2, x3] = quarters(lo, e);
+        let [x4, x5, x6, x7] = quarters(hi, e);
+        for k in 0..e {
+            let x = [x0[k], x1[k], x2[k], x3[k], x4[k], x5[k], x6[k], x7[k]];
+            let y = inv8(x, w4, w2, w1, q, two_q, top);
+            x0[k] = y[0];
+            x1[k] = y[1];
+            x2[k] = y[2];
+            x3[k] = y[3];
+            x4[k] = y[4];
+            x5[k] = y[5];
+            x6[k] = y[6];
+            x7[k] = y[7];
+        }
     }
 }
 
@@ -644,7 +777,7 @@ mod tests {
 
     /// The textbook eager CT loop the production path replaced: canonical
     /// reduction after every butterfly. Kept as the oracle the lazy,
-    /// vectorized, cache-blocked transforms must match bit-for-bit.
+    /// register-blocked transforms must match bit-for-bit.
     fn reference_forward(t: &NttTable, a: &mut [u64]) {
         let m = t.modulus();
         let n = a.len();
@@ -698,7 +831,8 @@ mod tests {
 
     #[test]
     fn round_trip_identity() {
-        // 8192 and 16384 exercise the cache-blocked schedule.
+        // log n = 3, 6, 10, 13, 14: every residue mod 3, so every mix of
+        // radix-8 and radix-4 passes.
         for n in [8usize, 64, 1024, 8192, 16384] {
             let t = table(36, n);
             let mut a = ramp(n, t.modulus().value());
@@ -774,8 +908,7 @@ mod tests {
 
     #[test]
     fn forward_worst_case_inputs() {
-        // All coefficients at q-1 stress the 4q bound, in both directions
-        // and through the blocked schedule.
+        // All coefficients at q-1 stress the 4q bound.
         for n in [256usize, 8192] {
             let q = Modulus::new(generate_ntt_primes(60, n, 1).unwrap()[0]).unwrap();
             let t = NttTable::new(q, n).unwrap();
@@ -799,6 +932,31 @@ mod tests {
         t.forward(&mut canon);
         t.forward(&mut lazy);
         assert_eq!(canon, lazy);
+    }
+
+    #[test]
+    fn every_entry_point_names_the_first_out_of_range_input() {
+        // Exactly 2q is the smallest rejected value; the check is an
+        // `assert!`-grade contract, so this runs (and must pass) in release.
+        let t = table(36, 64);
+        let two_q = 2 * t.modulus().value();
+        type Entry = fn(&NttTable, &mut [u64]);
+        let entries: [(&str, Entry); 4] = [
+            ("forward", NttTable::forward),
+            ("forward_lazy", NttTable::forward_lazy),
+            ("inverse", NttTable::inverse),
+            ("inverse_lazy", NttTable::inverse_lazy),
+        ];
+        for (name, entry) in entries {
+            let mut a = vec![two_q - 1; 64];
+            a[5] = two_q;
+            a[9] = two_q + 7; // a later offender must not be the one reported
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| entry(&t, &mut a)))
+                .expect_err("2q must be rejected");
+            let msg = err.downcast_ref::<String>().expect("formatted panic message");
+            let expect = format!("NttTable::{name} outside [0, 2q) at index 5: {two_q}");
+            assert!(msg.contains(&expect), "{name}: {msg}");
+        }
     }
 
     #[test]
@@ -860,9 +1018,8 @@ mod tests {
     }
 
     #[test]
-    fn galois_permutation_at_ring_sizes_on_both_schedules() {
-        // 4096 runs the flat radix loop, 8192 the cache-blocked four-step
-        // schedule; rotations are powers of 5, conjugation is 2n − 1.
+    fn galois_permutation_at_ring_sizes() {
+        // Rotations are powers of 5, conjugation is 2n − 1.
         for n in [4096usize, 8192] {
             let t = table(50, n);
             let a = ramp(n, t.modulus().value());
@@ -929,6 +1086,18 @@ mod tests {
         let q = Modulus::new(generate_ntt_primes(36, 64, 1).unwrap()[0]).unwrap();
         assert!(NttTable::new(q, 48).is_err());
         assert!(CyclicNtt::with_root(q, 16, 1).is_err());
+    }
+
+    #[test]
+    fn radix_blocks_is_the_schedule_the_model_counts() {
+        // `metaop::counts::ntt_blocks(2^k)` for k = 3…8, then the ring sizes.
+        let got: Vec<_> = (3..=8).map(radix_blocks).collect();
+        assert_eq!(got, [(1, 0), (0, 2), (1, 1), (2, 0), (1, 2), (2, 1)]);
+        assert_eq!(
+            (radix_blocks(10), radix_blocks(12), radix_blocks(16)),
+            ((2, 2), (4, 0), (4, 2))
+        );
+        assert!((3..=17).all(|k| matches!(radix_blocks(k), (r8, r4) if 3 * r8 + 2 * r4 == k)));
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //!
 //! Kernels here follow the Harvey lazy-reduction contract documented in
 //! DESIGN.md §14: forward butterflies keep values in `[0, 4q)`, inverse
-//! butterflies in `[0, 2q)`, and [`Modulus::mul_shoup_lazy`] returns
-//! `[0, 2q)` for *any* `u64` input. All of it requires `q < 2^61`
-//! ([`crate::modulus::MAX_MODULUS_BITS`]), which keeps `4q < 2^63` and every
-//! lazy add below `u64::MAX`.
+//! butterflies in `[0, 2q)` (the `ntt` module chains them into radix-8 and
+//! radix-4 blocks without widening either range), and
+//! [`Modulus::mul_shoup_lazy`] returns `[0, 2q)` for *any* `u64` input. All
+//! of it requires `q < 2^61` ([`crate::modulus::MAX_MODULUS_BITS`]), which
+//! keeps `4q < 2^63` and every lazy add below `u64::MAX`.
 
 use crate::modulus::ShoupScalar;
 use crate::Modulus;
@@ -53,10 +54,17 @@ pub(crate) fn mul_shoup_lazy(a: u64, w: ShoupScalar, q: u64) -> u64 {
     a.wrapping_mul(w.value).wrapping_sub(qhat.wrapping_mul(q))
 }
 
+/// Conditional subtraction `x − m` if `x ≥ m`, else `x`, as a `min` over the
+/// wrapped difference: branch-free whatever the optimiser makes of an `if`.
+#[inline(always)]
+pub(crate) fn csub(x: u64, m: u64) -> u64 {
+    x.min(x.wrapping_sub(m))
+}
+
 /// One forward (CT) Harvey butterfly: inputs `< 4q`, outputs `< 4q`.
 #[inline(always)]
 pub(crate) fn fwd_bfly(u: u64, x: u64, s: ShoupScalar, q: u64, two_q: u64) -> (u64, u64) {
-    let u = if u >= two_q { u - two_q } else { u };
+    let u = csub(u, two_q);
     let v = mul_shoup_lazy(x, s, q);
     (u + v, u + two_q - v)
 }
@@ -64,64 +72,7 @@ pub(crate) fn fwd_bfly(u: u64, x: u64, s: ShoupScalar, q: u64, two_q: u64) -> (u
 /// One inverse (GS) Harvey butterfly: inputs `< 2q`, outputs `< 2q`.
 #[inline(always)]
 pub(crate) fn inv_bfly(u: u64, v: u64, s: ShoupScalar, q: u64, two_q: u64) -> (u64, u64) {
-    let mut t0 = u + v;
-    if t0 >= two_q {
-        t0 -= two_q;
-    }
-    (t0, mul_shoup_lazy(u + two_q - v, s, q))
-}
-
-/// Forward Harvey butterfly over paired slices: `top[k], bot[k]` in
-/// `[0, 4q)` → `[0, 4q)`, with the Shoup twiddle `s`.
-pub(crate) fn fwd_bfly_slice(top: &mut [u64], bot: &mut [u64], s: ShoupScalar, q: u64) {
-    debug_assert_eq!(top.len(), bot.len());
-    let two_q = q << 1;
-    for (t, b) in top.iter_mut().zip(bot.iter_mut()) {
-        let (nt, nb) = fwd_bfly(*t, *b, s, q, two_q);
-        *t = nt;
-        *b = nb;
-    }
-}
-
-/// Inverse Harvey butterfly over paired slices: values stay in `[0, 2q)`.
-pub(crate) fn inv_bfly_slice(top: &mut [u64], bot: &mut [u64], s: ShoupScalar, q: u64) {
-    debug_assert_eq!(top.len(), bot.len());
-    let two_q = q << 1;
-    for (t, b) in top.iter_mut().zip(bot.iter_mut()) {
-        let (nt, nb) = inv_bfly(*t, *b, s, q, two_q);
-        *t = nt;
-        *b = nb;
-    }
-}
-
-/// Final inverse stage with the `N^{-1}` scaling folded into both halves:
-/// `top ← (u+v)·n_inv`, `bot ← (u−v)·s_ninv` (where `s_ninv` already
-/// includes `n_inv`). Outputs canonical when `canonical`, else `[0, 2q)`.
-pub(crate) fn inv_bfly_last_slice(
-    top: &mut [u64],
-    bot: &mut [u64],
-    n_inv: ShoupScalar,
-    s_ninv: ShoupScalar,
-    q: u64,
-    canonical: bool,
-) {
-    debug_assert_eq!(top.len(), bot.len());
-    let two_q = q << 1;
-    for (t, b) in top.iter_mut().zip(bot.iter_mut()) {
-        let (u, v) = (*t, *b);
-        let mut r0 = mul_shoup_lazy(u + v, n_inv, q);
-        let mut r1 = mul_shoup_lazy(u + two_q - v, s_ninv, q);
-        if canonical {
-            if r0 >= q {
-                r0 -= q;
-            }
-            if r1 >= q {
-                r1 -= q;
-            }
-        }
-        *t = r0;
-        *b = r1;
-    }
+    (csub(u + v, two_q), mul_shoup_lazy(u + two_q - v, s, q))
 }
 
 /// Canonical in-place Shoup scaling `a[k] ← a[k]·w mod q`: the lazy product
@@ -179,12 +130,12 @@ pub(crate) fn sub_mul_shoup_slice(out: &mut [u64], a: &[u64], b: &[u64], w: Shou
     debug_assert!(out.len() == a.len() && a.len() == b.len());
     for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
         assert!(x < q && y < q, "non-canonical operands to simd::sub_mul_shoup: a={x} b={y} q={q}");
-        let d = if x >= y { x - y } else { x + q - y };
-        let mut r = mul_shoup_lazy(d, w, q);
-        if r >= q {
-            r -= q;
-        }
-        *o = r;
+        // `x − y` wraps exactly when `x < y`, and then adding `q` wraps
+        // back to the small value: which of `x` and `y` is larger is a coin
+        // toss per element, so this must not compile to a jump.
+        let d = x.wrapping_sub(y);
+        let d = d.min(d.wrapping_add(q));
+        *o = csub(mul_shoup_lazy(d, w, q), q);
     }
 }
 
@@ -216,13 +167,17 @@ mod tests {
             let m = modulus(bits);
             let q = m.value();
             let s = m.shoup(q - 3);
-            let n = 37;
-            let mut top: Vec<u64> =
-                (0..n as u64).map(|i| i.wrapping_mul(0x9e37) % (4 * q)).collect();
-            let mut bot: Vec<u64> =
-                (0..n as u64).map(|i| i.wrapping_mul(0x51ed) % (4 * q)).collect();
-            fwd_bfly_slice(&mut top, &mut bot, s, q);
-            assert!(top.iter().chain(&bot).all(|&v| v < 4 * q), "4q bound violated, bits={bits}");
+            for i in 0..37u64 {
+                let u = i.wrapping_mul(0x9e37) % (4 * q);
+                let x = i.wrapping_mul(0x51ed) % (4 * q);
+                let (t, b) = fwd_bfly(u, x, s, q, 2 * q);
+                assert!(t < 4 * q && b < 4 * q, "4q bound violated, bits={bits}");
+                let xs = m.mul(m.reduce(x), s.value);
+                assert_eq!(
+                    (m.reduce(t), m.reduce(b)),
+                    (m.add(m.reduce(u), xs), m.sub(m.reduce(u), xs))
+                );
+            }
         }
     }
 
@@ -231,11 +186,13 @@ mod tests {
         let m = modulus(60);
         let q = m.value();
         let s = m.shoup(12345);
-        let n = 21;
-        let mut top: Vec<u64> = (0..n as u64).map(|i| (i * 977) % (2 * q)).collect();
-        let mut bot: Vec<u64> = (0..n as u64).map(|i| (i * 3331) % (2 * q)).collect();
-        inv_bfly_slice(&mut top, &mut bot, s, q);
-        assert!(top.iter().chain(&bot).all(|&v| v < 2 * q));
+        for i in 0..21u64 {
+            let (u, v) = ((i * 977) % (2 * q), (i * 3331) % (2 * q));
+            let (t, b) = inv_bfly(u, v, s, q, 2 * q);
+            assert!(t < 2 * q && b < 2 * q);
+            let (ur, vr) = (m.reduce(u), m.reduce(v));
+            assert_eq!((m.reduce(t), m.reduce(b)), (m.add(ur, vr), m.mul(m.sub(ur, vr), s.value)));
+        }
     }
 
     #[test]

@@ -8,13 +8,74 @@
 //!   `[0, 2q)` / `[0, 4q)` headroom above 61 bits is tightest;
 //! * the largest 61-bit NTT-friendly prime — exercises the full lazy
 //!   transforms (`forward_lazy` / `inverse_lazy`) with worst-case
-//!   coefficients.
+//!   coefficients, and the block-level invariant: a radix-8 (radix-4)
+//!   block chains three (two) butterfly stages on values held in locals,
+//!   and the range that holds across one stage must hold at every stage
+//!   inside the block with no reduction in between.
 
 use fhe_math::{generate_ntt_primes, Modulus, NttTable};
 use proptest::prelude::*;
 
 /// 2^61 - 1: prime, exactly at the width limit.
 const Q61: u64 = (1u64 << 61) - 1;
+
+/// The largest 61-bit prime `≡ 1 (mod 2·4096)`.
+fn ntt_q61() -> u64 {
+    static Q: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
+    *Q.get_or_init(|| generate_ntt_primes(61, 1 << 12, 1).expect("61-bit NTT prime")[0])
+}
+
+/// One forward block on `x.len()` (8 or 4) lazy values, the way
+/// `fhe_math::ntt` chains its butterflies: `log2 len` Cooley–Tukey stages,
+/// stage `s` pairing values `len / 2^(s+1)` apart under twiddle
+/// `w[2^s − 1 + group]`, nothing reduced between stages. Checks the
+/// `[0, 4q)` range and the residues after every stage.
+fn forward_block_stays_below_4q(q: &Modulus, x: &mut [u64], w: &[u64]) {
+    let (len, four_q) = (x.len(), 4 * q.value());
+    let mut exact: Vec<u64> = x.iter().map(|&v| q.reduce(v)).collect();
+    let (mut gap, mut groups) = (len, 1usize);
+    while groups < len {
+        gap /= 2;
+        for g in 0..groups {
+            let (wg, s) = (w[groups - 1 + g], q.shoup(w[groups - 1 + g]));
+            for j in 2 * g * gap..2 * g * gap + gap {
+                let u = if x[j] >= four_q / 2 { x[j] - four_q / 2 } else { x[j] };
+                let v = q.mul_shoup_lazy(x[j + gap], s);
+                (x[j], x[j + gap]) = (u + v, u + four_q / 2 - v);
+                let ev = q.mul(exact[j + gap], wg);
+                (exact[j], exact[j + gap]) = (q.add(exact[j], ev), q.sub(exact[j], ev));
+            }
+        }
+        assert!(x.iter().all(|&v| v < four_q), "stage with {groups} group(s) breached 4q: {x:?}");
+        assert_eq!(x.iter().map(|&v| q.reduce(v)).collect::<Vec<_>>(), exact);
+        groups *= 2;
+    }
+}
+
+/// The inverse mirror: Gentleman–Sande stages from gap 1 up, stage with
+/// `g` groups under twiddle `w[g − 1 + group]`, values in `[0, 2q)` at
+/// every stage.
+fn inverse_block_stays_below_2q(q: &Modulus, x: &mut [u64], w: &[u64]) {
+    let (len, two_q) = (x.len(), 2 * q.value());
+    let mut exact: Vec<u64> = x.iter().map(|&v| q.reduce(v)).collect();
+    let (mut gap, mut groups) = (1usize, len / 2);
+    while groups >= 1 {
+        for g in 0..groups {
+            let (wg, s) = (w[groups - 1 + g], q.shoup(w[groups - 1 + g]));
+            for j in 2 * g * gap..2 * g * gap + gap {
+                let (u, v) = (x[j], x[j + gap]);
+                let t0 = if u + v >= two_q { u + v - two_q } else { u + v };
+                (x[j], x[j + gap]) = (t0, q.mul_shoup_lazy(u + two_q - v, s));
+                let (eu, ev) = (exact[j], exact[j + gap]);
+                (exact[j], exact[j + gap]) = (q.add(eu, ev), q.mul(q.sub(eu, ev), wg));
+            }
+        }
+        assert!(x.iter().all(|&v| v < two_q), "stage with {groups} group(s) breached 2q: {x:?}");
+        assert_eq!(x.iter().map(|&v| q.reduce(v)).collect::<Vec<_>>(), exact);
+        gap *= 2;
+        groups /= 2;
+    }
+}
 
 proptest! {
     /// `mul_shoup_lazy` emits `[0, 2q)` for ANY u64 multiplicand (the
@@ -70,6 +131,30 @@ proptest! {
         let (ur, vr) = (q.reduce(u), q.reduce(v));
         prop_assert_eq!(q.reduce_2q(t0), q.add(ur, vr));
         prop_assert_eq!(q.reduce_2q(t1), q.mul(q.sub(ur, vr), w));
+    }
+
+    /// Eight (and four) arbitrary `[0, 4q)` values through one forward
+    /// block with arbitrary twiddles, at the widest NTT prime: `< 4q` and
+    /// exact residues after each of the three (two) internal stages.
+    #[test]
+    fn forward_blocks_stay_below_4q_at_every_internal_stage(
+        x in prop::collection::vec(0..4 * ntt_q61(), 8),
+        w in prop::collection::vec(1..ntt_q61(), 7),
+    ) {
+        let q = Modulus::new(ntt_q61()).unwrap();
+        forward_block_stays_below_4q(&q, &mut x.clone(), &w);
+        forward_block_stays_below_4q(&q, &mut x[..4].to_vec(), &w[..3]);
+    }
+
+    /// The inverse mirror at `[0, 2q)`.
+    #[test]
+    fn inverse_blocks_stay_below_2q_at_every_internal_stage(
+        x in prop::collection::vec(0..2 * ntt_q61(), 8),
+        w in prop::collection::vec(1..ntt_q61(), 7),
+    ) {
+        let q = Modulus::new(ntt_q61()).unwrap();
+        inverse_block_stays_below_2q(&q, &mut x.clone(), &w);
+        inverse_block_stays_below_2q(&q, &mut x[..4].to_vec(), &w[..3]);
     }
 
     /// `reduce_2q` canonicalizes the whole lazy range with one conditional

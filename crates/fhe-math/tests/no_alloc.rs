@@ -60,9 +60,9 @@ fn rns_poly(n: usize, salt: u64, moduli: &[Modulus]) -> RnsPoly {
     RnsPoly::from_channels(channels).expect("rns poly")
 }
 
-/// NTT forward/inverse on a single channel: the flat path (n ≤ 4096)
-/// transforms strictly in place — zero allocations even on a cold call;
-/// asserted after one warm-up like every other case here.
+/// NTT forward/inverse on a single channel transforms strictly in place —
+/// zero allocations even on a cold call; asserted after one warm-up like
+/// every other case here.
 #[test]
 fn ntt_forward_inverse_allocation_free_sequential() {
     let _g = knob_guard();
@@ -78,8 +78,8 @@ fn ntt_forward_inverse_allocation_free_sequential() {
     restore_knobs();
 }
 
-/// The blocked path (n ≥ 2^13) stages rows through the thread-local
-/// scratch pool: allocation-free once the pool is warm.
+/// The same at n = 2^13 (two radix-4 passes, three radix-8): every size
+/// runs in place.
 #[test]
 fn blocked_ntt_allocation_free_after_warmup_sequential() {
     let _g = knob_guard();

@@ -570,7 +570,8 @@ fn parse_u64(s: &str) -> Option<u64> {
 }
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args =
+        BenchArgs::parse_with(&["--smoke", "--cases", "--seed", "--workers", "--classes", "--out"]);
     let smoke = args.rest.iter().any(|a| a == "--smoke");
     let cases = take_value_flag(&args.rest, "--cases")
         .map(|s| {

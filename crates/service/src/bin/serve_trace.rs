@@ -217,7 +217,20 @@ fn to_json(runs: &[ModeRun], workers: usize, n: usize, workload: &str, note: &st
 }
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse_with(&[
+        "--smoke",
+        "--no-pack",
+        "--pack-only",
+        "--requests",
+        "--workers",
+        "--ring",
+        "--fault-every",
+        "--seed",
+        "--out",
+        "--fault-dumps",
+        "--live-metrics",
+        "--sample-ms",
+    ]);
     let smoke = args.rest.iter().any(|a| a == "--smoke");
     let no_pack = args.rest.iter().any(|a| a == "--no-pack");
     let pack_only = args.rest.iter().any(|a| a == "--pack-only");
