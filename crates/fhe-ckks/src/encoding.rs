@@ -270,8 +270,22 @@ impl<'a> Encoder<'a> {
     }
 
     fn plaintext(&self, coeffs: &[i64], level: usize, scale: f64) -> Result<Plaintext, CkksError> {
-        let mut poly = RnsPoly::from_signed(coeffs, self.ctx.n(), self.ctx.level_moduli(level));
+        let poly = RnsPoly::from_signed(coeffs, self.ctx.n(), self.ctx.level_moduli(level));
+        self.transformed(poly, level, scale)
+    }
+
+    /// The plaintext of a coefficient-domain `poly`: `level + 1` channel
+    /// transforms, counted as `ckks.encode.forward` — `ckks.ntt.forward` is
+    /// the evaluator's tally, which the model charges; an encode is the
+    /// caller's.
+    fn transformed(
+        &self,
+        mut poly: RnsPoly,
+        level: usize,
+        scale: f64,
+    ) -> Result<Plaintext, CkksError> {
         poly.to_ntt(self.ctx.level_tables(level))?;
+        telemetry::count_named("ckks.encode.forward", level as u64 + 1);
         Ok(Plaintext::from_parts(poly, level, scale))
     }
 
@@ -406,9 +420,7 @@ impl<'a> Encoder<'a> {
                 .collect::<Vec<_>>();
             RnsPoly::from_channels(channels).expect("uniform channels")
         };
-        let mut poly = poly;
-        poly.to_ntt(self.ctx.level_tables(level))?;
-        Ok(Plaintext::from_parts(poly, level, scale))
+        self.transformed(poly, level, scale)
     }
 }
 

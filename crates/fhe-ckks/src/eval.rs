@@ -86,23 +86,46 @@ impl Digits<'_> {
 /// of them plus the carried-in word fit a `u128`.
 const MAC_TERMS: usize = 8;
 
-/// `out[s] ← (out[s] + Σ_r a_r[perm[s]]·b_r[s]) mod q` over the `terms`
-/// pairs `row(r) = (a_r, b_r)` — the paper's `(M_j A_j)_n R_j`: one
-/// Barrett reduction per slot per [`MAC_TERMS`] products. `a_r` may be lazy
-/// in `[0, 2q)`; `out` stays canonical.
+/// One term of [`Evaluator::mac_plain`]: a component pair and the
+/// plaintext's channel images, each either whole (`n` entries) or the first
+/// half of a palindrome (`n/2`; see `linear.rs`).
+pub(crate) type PlainTerm<'t> = ((&'t RnsPoly, &'t RnsPoly), &'t [Vec<u64>]);
+
+/// How one [`mac_channel`] call indexes its operands.
+#[derive(Clone, Copy)]
+enum MacMap<'p> {
+    /// `a[s]·b[s]`.
+    Straight,
+    /// `a[perm[s]]·b[s]`: σ as an NTT-domain gather (the key MAC).
+    Gather(&'p [u32]),
+    /// `a[s]·b[min(s, n−1−s)]`: `b` is the first half of a palindrome
+    /// (a real-slot plaintext, see `linear.rs`).
+    FoldedB,
+}
+
+/// `out[s] ← (out[s] + Σ_r a_r[·]·b_r[·]) mod q` over the `terms` pairs
+/// `row(r) = (a_r, b_r)`, indexed as `map` says — the paper's
+/// `(M_j A_j)_n R_j`: one Barrett reduction per slot per [`MAC_TERMS`]
+/// products. `a_r` may be lazy in `[0, 2q)`; `out` stays canonical.
 fn mac_channel<'r>(
     m: &Modulus,
     terms: usize,
     row: impl Fn(usize) -> (&'r [u64], &'r [u64]),
-    perm: Option<&[u32]>,
+    map: MacMap<'_>,
     out: &mut [u64],
 ) {
-    fn run(m: &Modulus, rows: &[(&[u64], &[u64])], at: impl Fn(usize) -> usize, out: &mut [u64]) {
+    fn run(
+        m: &Modulus,
+        rows: &[(&[u64], &[u64])],
+        a_at: impl Fn(usize) -> usize,
+        b_at: impl Fn(usize) -> usize,
+        out: &mut [u64],
+    ) {
         for (s, o) in out.iter_mut().enumerate() {
-            let src = at(s);
+            let (ia, ib) = (a_at(s), b_at(s));
             let mut acc = u128::from(*o);
             for (a, b) in rows {
-                acc += u128::from(a[src]) * u128::from(b[s]);
+                acc += u128::from(a[ia]) * u128::from(b[ib]);
             }
             *o = m.reduce_u128(acc);
         }
@@ -113,9 +136,17 @@ fn mac_channel<'r>(
         for (k, r) in rows.iter_mut().enumerate() {
             *r = row(first + k);
         }
-        match perm {
-            Some(p) => run(m, rows, |s| p[s] as usize, out),
-            None => run(m, rows, |s| s, out),
+        match map {
+            MacMap::Straight => run(m, rows, |s| s, |s| s, out),
+            MacMap::Gather(p) => run(m, rows, |s| p[s] as usize, |s| s, out),
+            // Two half-loops, each with a plain index: a per-element
+            // select here costs a third of what folding saves.
+            MacMap::FoldedB => {
+                let h = out.len() / 2;
+                let (lo, hi) = out.split_at_mut(h);
+                run(m, rows, |s| s, |s| s, lo);
+                run(m, rows, |s| h + s, |s| h - 1 - s, hi);
+            }
         }
     }
 }
@@ -596,7 +627,8 @@ impl<'a> Evaluator<'a> {
                 let k = if half == 0 { kb } else { ka };
                 (digits.channel(i, pos), k.channel(gc).coeffs())
             };
-            mac_channel(&self.ctx.rns().moduli()[gc], beta, row, perm, out);
+            let map = perm.map_or(MacMap::Straight, MacMap::Gather);
+            mac_channel(&self.ctx.rns().moduli()[gc], beta, row, map, out);
         })?;
         Ok(())
     }
@@ -607,9 +639,17 @@ impl<'a> Evaluator<'a> {
         let t = acc.len() / 2;
         for (c, (out, ch)) in acc[half * t..].iter_mut().zip(p.channels()).enumerate() {
             let (m, scale, src) = (ch.modulus(), self.ctx.p_mod_q(c), ch.coeffs());
-            for (s, o) in out.iter_mut().enumerate() {
-                let x = src[perm.map_or(s, |p| p[s] as usize)];
-                *o = m.add(*o, m.mul_shoup(x, scale));
+            match perm {
+                Some(perm) => {
+                    for (o, &i) in out.iter_mut().zip(perm) {
+                        *o = m.add(*o, m.mul_shoup(src[i as usize], scale));
+                    }
+                }
+                None => {
+                    for (o, &x) in out.iter_mut().zip(src) {
+                        *o = m.add(*o, m.mul_shoup(x, scale));
+                    }
+                }
             }
         }
     }
@@ -654,18 +694,25 @@ impl<'a> Evaluator<'a> {
     pub(crate) fn mac_plain(
         &self,
         level: usize,
-        terms: &[((&RnsPoly, &RnsPoly), &Plaintext)],
+        terms: &[PlainTerm<'_>],
     ) -> Result<(RnsPoly, RnsPoly), CkksError> {
-        let c = level + 1;
+        let (c, n) = (level + 1, self.ctx.n());
+        // Canonical sums do not depend on the order of their terms, so the
+        // two forms are accumulated one after the other.
+        let (whole, folded): (Vec<&PlainTerm<'_>>, Vec<_>) =
+            terms.iter().partition(|(_, pt)| pt[0].len() == n);
         let mut sums = self.zeroed_channels(2 * c);
-        par::par_iter_mut(&mut sums, (terms.len() * self.ctx.n()) as u64, |idx, out| {
+        par::par_iter_mut(&mut sums, (terms.len() * n) as u64, |idx, out| {
             let (half, ch) = (idx / c, idx % c);
-            let row = |k: usize| {
-                let ((c0, c1), pt) = terms[k];
-                let side = if half == 0 { c0 } else { c1 };
-                (side.channel(ch).coeffs(), pt.poly().channel(ch).coeffs())
-            };
-            mac_channel(&self.ctx.rns().moduli()[ch], terms.len(), row, None, out);
+            let m = &self.ctx.rns().moduli()[ch];
+            for (form, map) in [(&whole, MacMap::Straight), (&folded, MacMap::FoldedB)] {
+                let row = |k: usize| {
+                    let ((c0, c1), pt) = *form[k];
+                    let side = if half == 0 { c0 } else { c1 };
+                    (side.channel(ch).coeffs(), pt[ch].as_slice())
+                };
+                mac_channel(m, form.len(), row, map, out);
+            }
         })?;
         let mut sums = sums.into_iter();
         Ok((self.poly_from_ntt(sums.by_ref().take(c))?, self.poly_from_ntt(sums)?))

@@ -23,30 +23,96 @@
 //!   `β·t` per giant rotation plus `2t` once, exactly
 //!   `metaop::counts::hoisted_rotation_group`;
 //!
-//! and verifies the input and seals the output once. Diagonals are encoded
-//! per call, a giant group at a time: caching them would hold
-//! `D·c` channels per transform, more than the evaluation keys of a small
-//! ring. This is the workhorse of CKKS bootstrapping's
+//! and verifies the input and seals the output once.
+//!
+//! **Diagonals are encoded once.** The first call at a given
+//! `(giant step, level, scale)` pre-rotates and encodes the `D` diagonals
+//! (`D·c` channel transforms, counted as `ckks.encode.forward`) and keeps
+//! their NTT-domain images; later calls at that key go straight to the
+//! MAC, which is what the paper's "unenc weights" rows and
+//! `metaop::counts` charge. One encoding is kept per transform: a call at
+//! another key re-encodes and replaces it, so the worst case is the
+//! per-call encode this replaces.
+//!
+//! A real diagonal keeps half of each image. Real slots mean the
+//! plaintext is fixed by conjugation `σ₋₁`; on an NTT image `σ₋₁` is the
+//! gather `galois_ntt_permutation(n, 2n−1)`, and with slot `i` holding the
+//! evaluation at `ψ^(2·brv(i)+1)` that gather is the reversal
+//! `i ↦ n−1−i` (`−(2·brv(i)+1) ≡ 2·brv(n−1−i)+1 mod 2n`, complementing
+//! every bit). So the image is a palindrome, checked exactly per diagonal
+//! when it is encoded; a diagonal that fails the check (any non-real
+//! slot, such as the bootstrapping DFT factors) is kept whole. Resident:
+//! `D·c/2` channels for a real transform, `D·c` for a complex one —
+//! `ckks_mlp`'s two 16-diagonal layers at levels 6 and 4 hold
+//! `16·(7+5)/2 = 96` channels = 3.0 MiB beside the 13.1 MiB of key
+//! channels the same layers and the square need (DESIGN.md §6.2).
+//!
+//! This is the workhorse of CKKS bootstrapping's
 //! CoeffToSlot/SlotToCoeff and of the LoLa-MNIST / HELR layers in the
 //! paper's Fig. 6.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Mutex};
 
-use crate::ciphertext::{Ciphertext, Plaintext};
+use fhe_math::Modulus;
+
+use crate::ciphertext::Ciphertext;
 use crate::encoding::{Complex64, Encoder};
 use crate::eval::Transforms;
 use crate::keys::GaloisKeys;
 use crate::{CkksError, Evaluator};
 
+/// One encoded diagonal: its baby offset `j` and its `level + 1` channel
+/// images, each the first `n/2` entries if every channel is a palindrome and
+/// all `n` otherwise.
+type Image = (usize, Vec<Vec<u64>>);
+
+/// The NTT-domain images of a transform's pre-rotated diagonals at one
+/// `(giant step, level, scale)`.
+#[derive(Debug)]
+struct Encoded {
+    giant_step: usize,
+    scale_bits: u64,
+    /// The channel moduli `q_0..q_level` the images are residues of —
+    /// compared, not just counted, so that a transform taken to another
+    /// context never meets another ring's residues.
+    moduli: Vec<Modulus>,
+    /// The baby offsets `d mod g ≠ 0` that occur, ascending.
+    babies: Vec<isize>,
+    /// Per occupied giant index `i`, ascending: the images of the
+    /// diagonals `d = i·g + j`, each pre-rotated by `−i·g`.
+    groups: Vec<(usize, Vec<Image>)>,
+}
+
 /// A slot-space linear transform stored as its nonzero generalized
 /// diagonals: `out_j = Σ_d diag_d[j] · v_{(j+d) mod slots}`.
-#[derive(Debug, Clone)]
+///
+/// Applying it encodes the diagonals once per `(giant step, level, scale)`
+/// (module header). A clone shares the encoding its source holds at that
+/// moment — it starts warm — and the two replace theirs independently
+/// afterwards.
+#[derive(Debug)]
 pub struct LinearTransform {
     slots: usize,
     diagonals: BTreeMap<usize, Vec<Complex64>>,
+    encoded: Mutex<Option<Arc<Encoded>>>,
+}
+
+impl Clone for LinearTransform {
+    fn clone(&self) -> Self {
+        LinearTransform {
+            slots: self.slots,
+            diagonals: self.diagonals.clone(),
+            encoded: Mutex::new(self.held()),
+        }
+    }
 }
 
 impl LinearTransform {
+    fn new(slots: usize, diagonals: BTreeMap<usize, Vec<Complex64>>) -> Self {
+        LinearTransform { slots, diagonals, encoded: Mutex::new(None) }
+    }
+
     /// Builds a transform from a dense real `slots × slots` matrix
     /// (`out = M · v`).
     ///
@@ -78,14 +144,15 @@ impl LinearTransform {
                 diagonals.insert(d, diag);
             }
         }
-        Ok(LinearTransform { slots, diagonals })
+        Ok(Self::new(slots, diagonals))
     }
 
     /// Builds directly from `(diagonal index, diagonal values)` pairs.
     ///
     /// # Errors
     ///
-    /// Returns [`CkksError::Mismatch`] on inconsistent lengths or indices.
+    /// Returns [`CkksError::Mismatch`] on inconsistent lengths or indices,
+    /// or on an index given twice.
     pub fn from_diagonals(
         slots: usize,
         diags: impl IntoIterator<Item = (usize, Vec<Complex64>)>,
@@ -97,9 +164,11 @@ impl LinearTransform {
                     detail: format!("diagonal {d} inconsistent with {slots} slots"),
                 });
             }
-            diagonals.insert(d, v);
+            if diagonals.insert(d, v).is_some() {
+                return Err(CkksError::Mismatch { detail: format!("diagonal {d} given twice") });
+            }
         }
-        Ok(LinearTransform { slots, diagonals })
+        Ok(Self::new(slots, diagonals))
     }
 
     /// Number of slots the transform acts on.
@@ -116,23 +185,11 @@ impl LinearTransform {
 
     /// Rotation offsets whose Galois keys [`Self::apply`] needs.
     pub fn required_rotations_naive(&self) -> Vec<isize> {
-        self.diagonals.keys().filter(|&&d| d != 0).map(|&d| d as isize).collect()
-    }
-
-    /// The diagonals grouped by giant index: group `i` holds `(j, diag)` for
-    /// every diagonal `d = i·g + j`.
-    fn giant_groups(&self) -> BTreeMap<usize, Vec<(usize, &Vec<Complex64>)>> {
-        let g = self.giant_step();
-        let mut groups: BTreeMap<usize, Vec<_>> = BTreeMap::new();
-        for (&d, diag) in &self.diagonals {
-            groups.entry(d / g).or_default().push((d % g, diag));
-        }
-        groups
+        self.baby_offsets(self.slots)
     }
 
     /// The baby offsets `d mod g ≠ 0` that occur, ascending.
-    fn baby_offsets(&self) -> Vec<isize> {
-        let g = self.giant_step();
+    fn baby_offsets(&self, g: usize) -> Vec<isize> {
         let used: BTreeSet<usize> = self.diagonals.keys().map(|d| d % g).collect();
         used.into_iter().filter(|&j| j != 0).map(|j| j as isize).collect()
     }
@@ -142,15 +199,17 @@ impl LinearTransform {
     /// groups. (A superset key set keeps working.)
     pub fn required_rotations_bsgs(&self) -> Vec<isize> {
         let g = self.giant_step();
-        let mut rots = self.baby_offsets();
-        rots.extend(self.giant_groups().keys().filter(|&&i| i != 0).map(|&i| (i * g) as isize));
+        let mut rots = self.baby_offsets(g);
+        rots.extend(self.diagonals.keys().filter(|&&d| d >= g).map(|&d| (d - d % g) as isize));
         rots.sort_unstable();
         rots.dedup();
         rots
     }
 
     /// Applies the transform with one hoisted rotation group over all
-    /// diagonals (no BSGS). The result is rescaled once (level − 1).
+    /// diagonals (no BSGS): the giant step is the slot count, so every
+    /// diagonal is a baby of group 0. The result is rescaled once
+    /// (level − 1).
     ///
     /// # Errors
     ///
@@ -163,34 +222,7 @@ impl LinearTransform {
         ct: &Ciphertext,
         gk: &GaloisKeys,
     ) -> Result<Ciphertext, CkksError> {
-        self.check_input(enc, ct)?;
-        let level = ct.level();
-        let scale = ev.context().params().scale();
-        let mut tally = Transforms::default();
-        // Hoist all nonzero-diagonal rotations at once; they come back in
-        // diagonal order.
-        let rotated =
-            ev.rotate_hoisted_raw(ct, &self.required_rotations_naive(), gk, &mut tally)?;
-        let mut rotated = rotated.iter();
-        let pts = self
-            .diagonals
-            .values()
-            .map(|diag| enc.encode_complex_at(diag, level, scale))
-            .collect::<Result<Vec<Plaintext>, _>>()?;
-        if pts.is_empty() {
-            return Err(CkksError::Mismatch { detail: "empty transform".into() });
-        }
-        let terms: Vec<_> = (self.diagonals.keys().zip(&pts))
-            .map(|(&d, pt)| match d {
-                0 => ((ct.c0(), ct.c1()), pt),
-                _ => {
-                    let (c0, c1) = rotated.next().expect("one rotation per nonzero diagonal");
-                    ((c0, c1), pt)
-                }
-            })
-            .collect();
-        let (s0, s1) = ev.mac_plain(level, &terms)?;
-        ev.rescale_pair((&s0, &s1), level, ct.scale() * scale, &mut tally)
+        self.apply_with(self.slots, ev, enc, ct, gk)
     }
 
     /// Applies the transform with BSGS structure (see the module header):
@@ -209,43 +241,96 @@ impl LinearTransform {
         ct: &Ciphertext,
         gk: &GaloisKeys,
     ) -> Result<Ciphertext, CkksError> {
+        self.apply_with(self.giant_step(), ev, enc, ct, gk)
+    }
+
+    /// The transform with giant step `g`.
+    fn apply_with(
+        &self,
+        g: usize,
+        ev: &Evaluator<'_>,
+        enc: &Encoder<'_>,
+        ct: &Ciphertext,
+        gk: &GaloisKeys,
+    ) -> Result<Ciphertext, CkksError> {
         self.check_input(enc, ct)?;
-        let level = ct.level();
-        let scale = ev.context().params().scale();
-        let g = self.giant_step();
-        let groups = self.giant_groups();
-        if groups.is_empty() {
+        if self.diagonals.is_empty() {
             return Err(CkksError::Mismatch { detail: "empty transform".into() });
         }
+        let level = ct.level();
+        let scale = ev.context().params().scale();
+        let encoded = self.encoded(g, ev.context().level_moduli(level), scale, enc)?;
         let mut tally = Transforms::default();
-        let baby_offsets = self.baby_offsets();
-        let babies = ev.rotate_hoisted_raw(ct, &baby_offsets, gk, &mut tally)?;
-        let baby = |j: usize| match baby_offsets.binary_search(&(j as isize)) {
+        let babies = ev.rotate_hoisted_raw(ct, &encoded.babies, gk, &mut tally)?;
+        let baby = |j: usize| match encoded.babies.binary_search(&(j as isize)) {
             Ok(k) => (&babies[k].0, &babies[k].1),
             Err(_) => (ct.c0(), ct.c1()), // j = 0
         };
-        let mut inner_sums = groups.iter().map(|(&i, group)| {
-            let shift = i * g;
-            // Pre-rotate each diagonal by -shift so the giant rotation
-            // lands it correctly.
-            let pts = group
-                .iter()
-                .map(|&(_, diag)| {
-                    let pre: Vec<Complex64> = (0..self.slots)
-                        .map(|t| diag[(t + self.slots - shift % self.slots) % self.slots])
-                        .collect();
-                    enc.encode_complex_at(&pre, level, scale)
-                })
-                .collect::<Result<Vec<Plaintext>, _>>()?;
-            let terms: Vec<_> = group.iter().zip(&pts).map(|(&(j, _), pt)| (baby(j), pt)).collect();
-            Ok((shift as isize, ev.mac_plain(level, &terms)?))
+        let mut inner_sums = encoded.groups.iter().map(|(i, group)| {
+            let terms: Vec<_> = group.iter().map(|(j, image)| (baby(*j), &image[..])).collect();
+            Ok(((i * g) as isize, ev.mac_plain(level, &terms)?))
         });
-        let summed = match groups.len() {
+        let summed = match encoded.groups[..] {
             // A transform inside giant group 0 needs no giant rotation.
-            1 if groups.contains_key(&0) => inner_sums.next().expect("one group")?.1,
+            [(0, _)] => inner_sums.next().expect("one group")?.1,
             _ => ev.rotate_sum(level, inner_sums, gk, &mut tally)?,
         };
         ev.rescale_pair((&summed.0, &summed.1), level, ct.scale() * scale, &mut tally)
+    }
+
+    /// The encoding this transform holds now, if any.
+    fn held(&self) -> Option<Arc<Encoded>> {
+        self.encoded.lock().expect("no panic while the encoding slot is locked").clone()
+    }
+
+    /// The diagonals' images for giant step `g` on `moduli` at `scale`:
+    /// the held ones if they were encoded for exactly that, else encoded
+    /// now and held from here on. Encoding runs unlocked, so two threads
+    /// arriving cold may both encode; they store equal images.
+    fn encoded(
+        &self,
+        g: usize,
+        moduli: &[Modulus],
+        scale: f64,
+        enc: &Encoder<'_>,
+    ) -> Result<Arc<Encoded>, CkksError> {
+        let held = self
+            .held()
+            .filter(|e| e.giant_step == g && e.scale_bits == scale.to_bits() && e.moduli == moduli);
+        if let Some(encoded) = held {
+            return Ok(encoded);
+        }
+        // `check_input` held the slot count to the ring's: n/2.
+        let (level, half) = (moduli.len() - 1, self.slots);
+        let mut groups: Vec<(usize, Vec<Image>)> = Vec::new();
+        for (&d, diag) in &self.diagonals {
+            let (i, j) = (d / g, d % g);
+            // Pre-rotate by −i·g so the giant rotation lands it correctly.
+            let pre: Vec<Complex64> =
+                (0..self.slots).map(|t| diag[(t + self.slots - i * g) % self.slots]).collect();
+            let pt = enc.encode_complex_at(&pre, level, scale)?;
+            let channels = pt.poly().channels();
+            let palindromic = channels.iter().all(|ch| {
+                let (lo, hi) = ch.coeffs().split_at(half);
+                lo.iter().eq(hi.iter().rev())
+            });
+            let keep = if palindromic { half } else { 2 * half };
+            let image = channels.iter().map(|ch| ch.coeffs()[..keep].to_vec()).collect();
+            match groups.last_mut() {
+                Some((last, group)) if *last == i => group.push((j, image)),
+                _ => groups.push((i, vec![(j, image)])),
+            }
+        }
+        let encoded = Arc::new(Encoded {
+            giant_step: g,
+            scale_bits: scale.to_bits(),
+            moduli: moduli.to_vec(),
+            babies: self.baby_offsets(g),
+            groups,
+        });
+        *self.encoded.lock().expect("no panic while the encoding slot is locked") =
+            Some(Arc::clone(&encoded));
+        Ok(encoded)
     }
 
     /// Reference plaintext application (testing).
@@ -442,5 +527,238 @@ mod tests {
         assert!(
             LinearTransform::from_diagonals(4, [(4usize, vec![Complex64::default(); 4])]).is_err()
         );
+        let twice = [1usize, 2, 1].map(|d| (d, vec![Complex64::default(); 4]));
+        match LinearTransform::from_diagonals(4, twice) {
+            Err(CkksError::Mismatch { detail }) => assert_eq!(detail, "diagonal 1 given twice"),
+            other => panic!("expected Mismatch, got {other:?}"),
+        }
+    }
+
+    /// The `ckks_mlp` benchmark ring: N = 2^12, L = 6, dnum = 3, Δ = 2^36.
+    fn benchmark_ring() -> CkksParams {
+        CkksParams::new(1 << 12, 6, 3, 36).unwrap()
+    }
+
+    /// Which diagonals of a test transform carry imaginary parts.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Slots {
+        Real,
+        Complex,
+        /// Odd diagonals complex, even ones real.
+        Mixed,
+    }
+
+    /// A context with keys for banded transforms of `diagonals` diagonals
+    /// and a top-level encrypted input.
+    struct Fixture {
+        ctx: CkksContext,
+        gk: GaloisKeys,
+        top: Ciphertext,
+        diagonals: usize,
+        rng: ChaCha8Rng,
+    }
+
+    impl Fixture {
+        fn new(params: CkksParams, diagonals: usize, seed: u64) -> Self {
+            let ctx = CkksContext::new(params).unwrap();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let sk = SecretKey::generate(&ctx, &mut rng).unwrap();
+            let enc = Encoder::new(&ctx);
+            let values: Vec<f64> = (0..enc.slots()).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let top = sk.encrypt(&ctx, &enc.encode(&values).unwrap(), &mut rng).unwrap();
+            let rotations =
+                banded(enc.slots(), diagonals, Slots::Real, &mut rng).required_rotations_bsgs();
+            let gk = GaloisKeys::generate(&ctx, &sk, &rotations, false, &mut rng).unwrap();
+            Fixture { ctx, gk, top, diagonals, rng }
+        }
+
+        fn banded(&mut self, kind: Slots) -> LinearTransform {
+            banded(self.ctx.n() / 2, self.diagonals, kind, &mut self.rng)
+        }
+    }
+
+    /// Diagonals `0..diagonals` with random entries.
+    fn banded(
+        slots: usize,
+        diagonals: usize,
+        kind: Slots,
+        rng: &mut ChaCha8Rng,
+    ) -> LinearTransform {
+        let bound = 0.5 / diagonals as f64;
+        LinearTransform::from_diagonals(
+            slots,
+            (0..diagonals).map(|d| {
+                let complex = kind == Slots::Complex || (kind == Slots::Mixed && d % 2 == 1);
+                let mut part = |on: bool| if on { rng.gen_range(-bound..bound) } else { 0.0 };
+                (d, (0..slots).map(|_| Complex64::new(part(true), part(complex))).collect())
+            }),
+        )
+        .unwrap()
+    }
+
+    /// `apply_bsgs` as it was before encodings were kept: every diagonal
+    /// encoded afresh, every image whole.
+    fn apply_bsgs_uncached(
+        t: &LinearTransform,
+        ev: &Evaluator<'_>,
+        enc: &Encoder<'_>,
+        ct: &Ciphertext,
+        gk: &GaloisKeys,
+    ) -> Ciphertext {
+        let g = t.giant_step();
+        let (level, scale) = (ct.level(), ev.context().params().scale());
+        let mut tally = Transforms::default();
+        let offsets = t.baby_offsets(g);
+        let babies = ev.rotate_hoisted_raw(ct, &offsets, gk, &mut tally).unwrap();
+        let mut groups: BTreeMap<usize, Vec<Image>> = BTreeMap::new();
+        for (&d, diag) in &t.diagonals {
+            let shift = d / g * g;
+            let pre: Vec<Complex64> =
+                (0..t.slots).map(|s| diag[(s + t.slots - shift) % t.slots]).collect();
+            let pt = enc.encode_complex_at(&pre, level, scale).unwrap();
+            let image = pt.poly().channels().iter().map(|ch| ch.coeffs().to_vec()).collect();
+            groups.entry(d / g).or_default().push((d % g, image));
+        }
+        let mut inner_sums = groups.iter().map(|(&i, group)| {
+            let terms: Vec<_> = group
+                .iter()
+                .map(|(j, image)| match offsets.binary_search(&(*j as isize)) {
+                    Ok(k) => ((&babies[k].0, &babies[k].1), &image[..]),
+                    Err(_) => ((ct.c0(), ct.c1()), &image[..]),
+                })
+                .collect();
+            Ok(((i * g) as isize, ev.mac_plain(level, &terms)?))
+        });
+        let summed = match groups.len() {
+            1 if groups.contains_key(&0) => inner_sums.next().unwrap().unwrap().1,
+            _ => ev.rotate_sum(level, inner_sums, gk, &mut tally).unwrap(),
+        };
+        ev.rescale_pair((&summed.0, &summed.1), level, ct.scale() * scale, &mut tally).unwrap()
+    }
+
+    /// Entries kept per channel of each held image, in diagonal order.
+    fn held_lengths(t: &LinearTransform) -> Vec<usize> {
+        let held = t.held().expect("an encoding is held after a call");
+        let mut by_diagonal: Vec<(usize, usize)> = Vec::new();
+        for (i, group) in &held.groups {
+            for (j, image) in group {
+                assert_eq!(image.len(), held.moduli.len());
+                assert!(image.iter().all(|ch| ch.len() == image[0].len()));
+                by_diagonal.push((i * held.giant_step + j, image[0].len()));
+            }
+        }
+        by_diagonal.sort_unstable();
+        by_diagonal.into_iter().map(|(_, len)| len).collect()
+    }
+
+    /// Twice through the cache and once around it, limb for limb, for a
+    /// real, a complex and a mixed transform at each of `levels`.
+    fn cached_calls_are_bit_identical(params: CkksParams, diagonals: usize, levels: [usize; 2]) {
+        let mut fx = Fixture::new(params, diagonals, 23);
+        let transforms = [Slots::Real, Slots::Complex, Slots::Mixed].map(|k| (k, fx.banded(k)));
+        let (enc, ev) = (Encoder::new(&fx.ctx), Evaluator::new(&fx.ctx));
+        let n = fx.ctx.n();
+        for (kind, t) in &transforms {
+            for level in levels {
+                let ct = ev.level_down(&fx.top, level).unwrap();
+                let first = t.apply_bsgs(&ev, &enc, &ct, &fx.gk).unwrap();
+                let second = t.apply_bsgs(&ev, &enc, &ct, &fx.gk).unwrap();
+                let fresh = apply_bsgs_uncached(t, &ev, &enc, &ct, &fx.gk);
+                assert_eq!(first, second, "{kind:?} at level {level}: cold vs cached");
+                assert_eq!(first, fresh, "{kind:?} at level {level}: cached vs uncached");
+                let want: Vec<usize> = (0..diagonals)
+                    .map(|d| match kind {
+                        Slots::Real => n / 2,
+                        Slots::Complex => n,
+                        Slots::Mixed => [n / 2, n][d % 2],
+                    })
+                    .collect();
+                assert_eq!(held_lengths(t), want, "{kind:?} at level {level}");
+            }
+        }
+    }
+
+    #[test]
+    fn cached_calls_are_bit_identical_at_the_toy_ring() {
+        cached_calls_are_bit_identical(CkksParams::toy().unwrap(), 16, [3, 2]);
+    }
+
+    #[test]
+    fn cached_calls_are_bit_identical_at_the_benchmark_ring() {
+        cached_calls_are_bit_identical(benchmark_ring(), 9, [6, 4]);
+    }
+
+    #[test]
+    fn real_slots_encode_to_palindromes_and_one_imaginary_part_does_not() {
+        let ctx = CkksContext::new(CkksParams::new(256, 4, 2, 36).unwrap()).unwrap();
+        let enc = Encoder::new(&ctx);
+        let (slots, scale) = (enc.slots(), ctx.params().scale());
+        let mut rng = ChaCha8Rng::seed_from_u64(29);
+        let palindromic = |values: &[Complex64], level: usize| {
+            let pt = enc.encode_complex_at(values, level, scale).unwrap();
+            assert_eq!(pt.poly().num_channels(), level + 1);
+            pt.poly().channels().iter().all(|ch| ch.coeffs().iter().eq(ch.coeffs().iter().rev()))
+        };
+        for level in 0..ctx.q_len() {
+            let mut values: Vec<Complex64> =
+                (0..slots).map(|_| Complex64::new(rng.gen_range(-1.0..1.0), 0.0)).collect();
+            assert!(palindromic(&values, level), "real slots at level {level}");
+            values[rng.gen_range(0..slots)].im = 1e-6;
+            assert!(!palindromic(&values, level), "one imaginary part at level {level}");
+        }
+
+        // The same, seen through a transform: only the real diagonal folds.
+        let sk = SecretKey::generate(&ctx, &mut rng).unwrap();
+        let gk = GaloisKeys::generate(&ctx, &sk, &[1], false, &mut rng).unwrap();
+        let real = vec![Complex64::new(0.25, 0.0); slots];
+        let mut nearly = real.clone();
+        nearly[7].im = 1e-6;
+        let t = LinearTransform::from_diagonals(slots, [(0, real), (1, nearly)]).unwrap();
+        let ct = sk.encrypt(&ctx, &enc.encode(&[0.5]).unwrap(), &mut rng).unwrap();
+        t.apply_bsgs(&Evaluator::new(&ctx), &enc, &ct, &gk).unwrap();
+        assert_eq!(held_lengths(&t), [ctx.n() / 2, ctx.n()]);
+    }
+
+    #[test]
+    fn another_level_replaces_the_encoding_and_a_clone_starts_warm() {
+        let mut fx = Fixture::new(benchmark_ring(), 9, 31);
+        let t = fx.banded(Slots::Real);
+        let (enc, ev) = (Encoder::new(&fx.ctx), Evaluator::new(&fx.ctx));
+        let at = |t: &LinearTransform, level: usize| {
+            let out = t.apply_bsgs(&ev, &enc, &ev.level_down(&fx.top, level).unwrap(), &fx.gk);
+            assert_eq!(t.held().unwrap().moduli.len(), level + 1, "one encoding, the last key's");
+            out.unwrap()
+        };
+        let six = at(&t, 6);
+        let four = at(&t, 4);
+        assert_eq!(at(&t, 6), six, "level 6 after level 4");
+        let warm = t.clone();
+        assert!(Arc::ptr_eq(&warm.held().unwrap(), &t.held().unwrap()), "a clone shares");
+        assert_eq!(at(&warm, 6), six, "the clone at its source's key");
+        assert_eq!(at(&warm, 4), four, "the clone at another key");
+        assert_eq!(t.held().unwrap().moduli.len(), 7, "the source keeps its own");
+    }
+
+    #[test]
+    fn two_cold_threads_get_the_single_threaded_bits() {
+        let mut fx = Fixture::new(CkksParams::new(256, 3, 2, 36).unwrap(), 9, 37);
+        let shared = fx.banded(Slots::Mixed);
+        let single = {
+            let (enc, ev) = (Encoder::new(&fx.ctx), Evaluator::new(&fx.ctx));
+            apply_bsgs_uncached(&shared, &ev, &enc, &fx.top, &fx.gk)
+        };
+        let start = std::sync::Barrier::new(2);
+        let outputs = std::thread::scope(|s| {
+            let workers = [(); 2].map(|()| {
+                s.spawn(|| {
+                    let (enc, ev) = (Encoder::new(&fx.ctx), Evaluator::new(&fx.ctx));
+                    start.wait();
+                    shared.apply_bsgs(&ev, &enc, &fx.top, &fx.gk).unwrap()
+                })
+            });
+            workers.map(|w| w.join().expect("worker panicked"))
+        });
+        assert_eq!(outputs[0], single);
+        assert_eq!(outputs[1], single);
     }
 }

@@ -3,12 +3,19 @@
 //!
 //! Counted with the tracking global allocator (`telemetry::alloc`) on one
 //! warmed-up call, the backend pinned to one thread so no per-worker
-//! scratch pool re-warms inside the count — the fixture and the numbers
-//! are the `ckks_*` rows `bench_kernels --smoke --alloc-profile` prints.
+//! scratch pool re-warms inside the count — the fixture and the `mul +
+//! rescale`, `encode` and `decode` numbers are the `ckks_*` rows
+//! `bench_kernels --smoke --alloc-profile` prints. The `apply_bsgs` row is a
+//! layer whose diagonals are already encoded (`linear.rs`): a call that
+//! encoded its nine diagonals again would add nine `encode`s (8 allocations
+//! each here) to it.
 //! Equality, no slack: a count that moves, up or down, is a change to the
 //! hot path's memory behaviour and edits the number here in the same PR.
 
-use fhe_ckks::{CkksContext, CkksParams, Encoder, Evaluator, RelinKey, SecretKey};
+use fhe_ckks::linear::LinearTransform;
+use fhe_ckks::{
+    CkksContext, CkksParams, Complex64, Encoder, Evaluator, GaloisKeys, RelinKey, SecretKey,
+};
 use fhe_math::par;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -35,14 +42,28 @@ fn warmed_up_calls_allocate_exactly_their_budget() {
     let pt = enc.encode(&values).unwrap();
     let ca = sk.encrypt(&ctx, &pt, &mut rng).unwrap();
     let cb = sk.encrypt(&ctx, &pt, &mut rng).unwrap();
+    // Nine real diagonals: g = 3, babies {1, 2}, giants {3, 6}.
+    let layer = LinearTransform::from_diagonals(
+        values.len(),
+        (0..9).map(|d| (d, vec![Complex64::new(0.1 / (d + 1) as f64, 0.0); values.len()])),
+    )
+    .unwrap();
+    let gk =
+        GaloisKeys::generate(&ctx, &sk, &layer.required_rotations_bsgs(), false, &mut rng).unwrap();
 
     let measured = [
         ("mul + rescale", steady_state(|| ev.rescale(&ev.mul(&ca, &cb, &rlk).unwrap()).unwrap())),
+        ("apply_bsgs", steady_state(|| layer.apply_bsgs(&ev, &enc, &ca, &gk).unwrap())),
         ("encode", steady_state(|| enc.encode(&values).unwrap())),
         ("decode", steady_state(|| enc.decode(&pt).unwrap())),
     ];
     assert_eq!(
         measured,
-        [("mul + rescale", (63, 93_264)), ("encode", (8, 14_592)), ("decode", (8, 12_576))]
+        [
+            ("mul + rescale", (63, 93_264)),
+            ("apply_bsgs", (153, 200_848)),
+            ("encode", (8, 14_592)),
+            ("decode", (8, 12_576)),
+        ]
     );
 }

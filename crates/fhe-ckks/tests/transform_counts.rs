@@ -8,6 +8,11 @@
 //! `2K` inverse + `2c` forward (stage 3); an automorphism is a gather and
 //! costs none.
 //!
+//! For a whole inference (the `ckks_mlp` graph) the evaluator's tally is the
+//! sum of its operations' budgets on every call, and the weights' encodes —
+//! which the model does not charge — are paid by the first call only
+//! (`ckks.encode.forward`; `linear.rs`).
+//!
 //! Its own test binary: the telemetry handle is process-global.
 
 use fhe_ckks::linear::LinearTransform;
@@ -112,4 +117,35 @@ fn evaluator_records_the_modelled_transform_counts() {
         }
     }
     assert_eq!(full_levels, 2, "levels 2 and 5 have only full digits");
+
+    // The `ckks_mlp` graph: layer, bias, square, rescale, layer, bias, on
+    // two fresh layers (`layer` above is already encoded at level 6).
+    let banded = || {
+        LinearTransform::from_diagonals(
+            slots,
+            (0..16).map(|d| (d, vec![Complex64::new(0.03 / (d + 1) as f64, 0.0); slots])),
+        )
+        .unwrap()
+    };
+    let (w1, w2) = (banded(), banded());
+    let bias = vec![0.05; slots];
+    let mut encodes = Vec::new();
+    for inference in 0..3 {
+        let before = tel.snapshot();
+        let h = w1.apply_bsgs(&ev, &enc, &top, &gk).unwrap();
+        let h = ev.add_plain(&h, &enc.encode_at(&bias, h.level(), h.scale()).unwrap()).unwrap();
+        let h = ev.rescale(&ev.square(&h, &rlk).unwrap()).unwrap();
+        let out = w2.apply_bsgs(&ev, &enc, &h, &gk).unwrap();
+        let b2 = enc.encode_at(&bias, out.level(), out.scale()).unwrap();
+        assert_eq!(ev.add_plain(&out, &b2).unwrap().level(), 3);
+        let after = tel.snapshot();
+        let delta = |name: &str| after.named_counter(name) - before.named_counter(name);
+        // 214 + 138 for the layers at levels 6 and 4, 36 + 12 for the square
+        // and its rescale at level 5.
+        let evaluator = delta("ckks.ntt.forward") + delta("ckks.ntt.inverse");
+        assert_eq!(evaluator, 400, "evaluator transforms of inference {inference}");
+        encodes.push(delta("ckks.encode.forward"));
+    }
+    // 16·(7 + 5) diagonal channels once; the biases' 6 + 4 are the caller's.
+    assert_eq!(encodes, [202, 10, 10], "a cached layer encodes nothing");
 }

@@ -1034,6 +1034,18 @@ mod tests {
     }
 
     #[test]
+    fn conjugation_reverses_the_evaluation_order() {
+        // −(2·brv(i)+1) ≡ 2·brv(n−1−i)+1 (mod 2n): σ₋₁ complements every
+        // bit of the slot index, so the image of a polynomial with real
+        // CKKS slots is a palindrome (`fhe-ckks` stores half of it).
+        for log_n in 3..=13 {
+            let n = 1usize << log_n;
+            let reversal: Vec<u32> = (0..n as u32).rev().collect();
+            assert_eq!(galois_ntt_permutation(n, 2 * n - 1).unwrap(), reversal, "n={n}");
+        }
+    }
+
+    #[test]
     fn galois_permutation_rejects_even_exponents_and_bad_sizes() {
         assert!(galois_ntt_permutation(64, 4).is_err());
         assert!(galois_ntt_permutation(48, 5).is_err());
