@@ -360,16 +360,6 @@ fn to_json(measurements: &[Measurement], note: &str, reps: usize) -> Json {
     Json::Obj(doc)
 }
 
-/// Parses `--flag <value>` out of the positional rest, with a typed error.
-fn take_value_flag(rest: &[String], flag: &str) -> Option<String> {
-    rest.iter().position(|a| a == flag).map(|i| {
-        rest.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("{flag} requires a value argument");
-            std::process::exit(2);
-        })
-    })
-}
-
 fn main() {
     let args = BenchArgs::parse_with(&[
         "--smoke",
@@ -386,15 +376,8 @@ fn main() {
     // to bound the overhead of the enabled path.
     let checksum = args.rest.iter().any(|a| a == "--checksum");
     fhe_math::set_checksum_enabled(checksum);
-    let out_path = take_value_flag(&args.rest, "--out");
-    let reps = take_value_flag(&args.rest, "--reps")
-        .map(|s| {
-            s.parse::<usize>().ok().filter(|r| *r >= 1).unwrap_or_else(|| {
-                eprintln!("--reps must be a positive integer, got {s:?}");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(if smoke { 1 } else { 3 });
+    let out_path = args.value("--out");
+    let reps = args.u64_at_least("--reps", 1).map_or(if smoke { 1 } else { 3 }, |r| r as usize);
     let mut rep = Reporter::from_args(&args);
 
     // With --trace-out the handle is installed process-globally so the
@@ -483,7 +466,7 @@ fn main() {
 
     if let Some(out_path) = out_path {
         let doc = to_json(&measurements, &note, reps);
-        if let Err(e) = std::fs::write(&out_path, format!("{doc}\n")) {
+        if let Err(e) = std::fs::write(out_path, format!("{doc}\n")) {
             eprintln!("failed to write {out_path}: {e}");
             std::process::exit(1);
         }

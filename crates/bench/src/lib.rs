@@ -16,8 +16,10 @@ use telemetry::json::Json;
 /// `--json` and `--trace-out` are consumed here. A binary with flags of
 /// its own names them to [`BenchArgs::parse_with`]; those, their values and
 /// the positional arguments (e.g. the workload name of `trace_workload`)
-/// land in `rest` in order. Any other `--flag` is an error, not a
-/// positional: a mistyped or retired flag must not run as if it were absent.
+/// land in `rest` in order, and [`BenchArgs::value`] /
+/// [`BenchArgs::u64_value`] read a flag's value back out. Any other
+/// `--flag` is an error, not a positional: a mistyped or retired flag must
+/// not run as if it were absent.
 #[derive(Debug, Clone, Default)]
 pub struct BenchArgs {
     /// `--json`: emit one JSON document instead of plain-text tables.
@@ -26,6 +28,32 @@ pub struct BenchArgs {
     pub trace_out: Option<std::path::PathBuf>,
     /// The binary's own flags and the positional arguments, in order.
     pub rest: Vec<String>,
+}
+
+/// Prints a command-line error and exits 2, the status of every usage
+/// error of the binaries on [`BenchArgs`].
+fn exit_usage(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// `next` as the value of `flag`, unless it is missing or is itself a flag
+/// (`--out --smoke` must not write a file named `--smoke`).
+fn value_after<S: AsRef<str>>(flag: &str, next: Option<S>) -> Result<S, String> {
+    match next {
+        Some(v) if !v.as_ref().starts_with("--") => Ok(v),
+        Some(v) => Err(format!("{flag} requires a value, got the flag {}", v.as_ref())),
+        None => Err(format!("{flag} requires a value")),
+    }
+}
+
+/// Decimal or `0x` hexadecimal, `_` separators allowed.
+fn parse_u64(s: &str) -> Option<u64> {
+    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        u64::from_str_radix(&hex.replace('_', ""), 16).ok()
+    } else {
+        s.replace('_', "").parse().ok()
+    }
 }
 
 impl BenchArgs {
@@ -38,10 +66,7 @@ impl BenchArgs {
     /// Parses `std::env::args` for a binary that also takes the flags in
     /// `own`; exits 2, listing the known flags, on any other `--flag`.
     pub fn parse_with(own: &[&str]) -> Self {
-        Self::parse_from(std::env::args().skip(1), own).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
+        Self::parse_from(std::env::args().skip(1), own).unwrap_or_else(|e| exit_usage(&e))
     }
 
     /// Parses an explicit argument list (testable variant of
@@ -51,7 +76,7 @@ impl BenchArgs {
     ///
     /// A message naming the offender and the known flags when an argument
     /// starts with `--` and is neither shared nor in `own`, or when
-    /// `--trace-out` has no path.
+    /// `--trace-out` is followed by no path or by another flag.
     ///
     /// [`parse_with`]: BenchArgs::parse_with
     pub fn parse_from<I: IntoIterator<Item = String>>(
@@ -63,10 +88,7 @@ impl BenchArgs {
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--json" => out.json = true,
-                "--trace-out" => {
-                    let path = it.next().ok_or("--trace-out requires a path argument")?;
-                    out.trace_out = Some(path.into());
-                }
+                "--trace-out" => out.trace_out = Some(value_after(&a, it.next())?.into()),
                 flag if flag.starts_with("--") && !own.contains(&flag) => {
                     let known = ["--json", "--trace-out"].iter().chain(own).copied();
                     return Err(format!(
@@ -78,6 +100,46 @@ impl BenchArgs {
             }
         }
         Ok(out)
+    }
+
+    fn try_value(&self, flag: &str) -> Result<Option<&str>, String> {
+        let Some(i) = self.rest.iter().position(|a| a == flag) else { return Ok(None) };
+        value_after(flag, self.rest.get(i + 1).map(String::as_str)).map(Some)
+    }
+
+    /// The value of the binary's own `--flag <value>`, `None` when the
+    /// flag was not given. Like an unknown flag, a flag followed by nothing
+    /// or by another flag exits 2.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.try_value(flag).unwrap_or_else(|e| exit_usage(&e))
+    }
+
+    /// [`Self::value`] as an integer: decimal or `0x` hexadecimal, `_`
+    /// separators allowed.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the flag and the text that is not such an integer.
+    pub fn u64_value(&self, flag: &str) -> Result<Option<u64>, String> {
+        self.value(flag)
+            .map(|s| {
+                parse_u64(s).ok_or_else(|| {
+                    format!("{flag}: expected a decimal or 0x-hex integer, got {s:?}")
+                })
+            })
+            .transpose()
+    }
+
+    /// [`Self::u64_value`] for a binary's `main`: a value that is not an
+    /// integer, or is below `min`, exits 2.
+    pub fn u64_at_least(&self, flag: &str, min: u64) -> Option<u64> {
+        match self.u64_value(flag) {
+            Ok(Some(v)) if v < min => {
+                exit_usage(&format!("{flag} must be at least {min}, got {v}"))
+            }
+            Ok(v) => v,
+            Err(e) => exit_usage(&e),
+        }
     }
 }
 
@@ -352,6 +414,38 @@ mod tests {
         // A binary's own flag is unknown to a binary that did not name it.
         assert!(BenchArgs::parse_from(["--smoke".to_string()], &[]).is_err());
         assert!(BenchArgs::parse_from(["--trace-out".to_string()], &[]).is_err());
+        let e = BenchArgs::parse_from(["--trace-out", "--json"].map(String::from), &[]);
+        assert_eq!(e.unwrap_err(), "--trace-out requires a value, got the flag --json");
+    }
+
+    #[test]
+    fn args_read_flag_values_back() {
+        let own = ["--smoke", "--out", "--seed", "--reps"];
+        let parse = |args: &[&str]| {
+            BenchArgs::parse_from(args.iter().map(|a| a.to_string()), &own).unwrap()
+        };
+        let a = parse(&["--out", "/tmp/o.json", "--seed", "0x7e1e_ca57", "--reps", "1_000", "pos"]);
+        assert_eq!(a.try_value("--out"), Ok(Some("/tmp/o.json")));
+        assert_eq!(a.u64_value("--seed"), Ok(Some(0x7e1e_ca57)));
+        assert_eq!(a.u64_value("--reps"), Ok(Some(1000)));
+        // An absent flag is not an error.
+        assert_eq!(a.try_value("--smoke"), Ok(None));
+        assert_eq!(parse(&[]).u64_value("--seed"), Ok(None));
+        // A flag with nothing after it, or with another declared flag
+        // after it, has no value.
+        assert_eq!(
+            parse(&["--smoke", "--out"]).try_value("--out").unwrap_err(),
+            "--out requires a value"
+        );
+        assert_eq!(
+            parse(&["--out", "--smoke"]).try_value("--out").unwrap_err(),
+            "--out requires a value, got the flag --smoke"
+        );
+        // Not an integer: the error names the flag and the text.
+        let e = parse(&["--reps", "three"]).u64_value("--reps").unwrap_err();
+        assert_eq!(e, "--reps: expected a decimal or 0x-hex integer, got \"three\"");
+        assert!(parse(&["--seed", "0xzz"]).u64_value("--seed").is_err());
+        assert!(parse(&["--seed", "-1"]).u64_value("--seed").is_err());
     }
 
     #[test]

@@ -189,9 +189,9 @@ fn mix64(mut x: u64) -> u64 {
 /// into the *same* order-sensitive digest scheme before lowering to
 /// [`Step`]s, instead of inventing a second fingerprint format. Steps
 /// pushed through [`push_step`](Self::push_step) produce digests
-/// bit-identical to `ScheduleManifest::of`; extra [`fold_u64`]
-/// (Self::fold_u64) / [`fold_bytes`](Self::fold_bytes) calls deliberately
-/// diverge the digest, which is exactly what distinguishes two plans that
+/// bit-identical to `ScheduleManifest::of`; extra
+/// [`fold_u64`](Self::fold_u64) / [`fold_bytes`](Self::fold_bytes) calls
+/// deliberately diverge the digest, which distinguishes two plans that
 /// lower to the same steps but mean different things (e.g. different
 /// per-request slot assignments).
 #[derive(Debug, Clone)]

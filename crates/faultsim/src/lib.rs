@@ -796,15 +796,15 @@ pub mod hooks {
         flip_ckks(ct, &mut rng)
     }
 
-    /// See the crate-private [`quiet_panics`](super::quiet_panics):
-    /// silences the process-global panic hook around `f`. Callers must
-    /// hold [`par_knob_guard`].
+    /// Silences the process-global panic hook around `f`, so hundreds of
+    /// injected worker panics do not spam stderr. Callers must hold
+    /// [`par_knob_guard`].
     pub fn quiet_panics<R>(f: impl FnOnce() -> R) -> R {
         super::quiet_panics(f)
     }
 
-    /// See the crate-private [`par_knob_guard`](super::par_knob_guard):
-    /// serializes mutation of the process-global `fhe_math::par` knobs.
+    /// Serializes mutation of the process-global `fhe_math::par` knobs
+    /// (thread cap, adaptive threshold, panic injector).
     pub fn par_knob_guard() -> MutexGuard<'static, ()> {
         super::par_knob_guard()
     }

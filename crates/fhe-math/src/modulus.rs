@@ -112,7 +112,7 @@ impl Modulus {
 
     /// Modular addition of canonical operands.
     ///
-    /// `a + b` is computed in plain `u64`: the [`MAX_MODULUS_BITS`] bound
+    /// `a + b` is computed in plain `u64`: the `MAX_MODULUS_BITS` bound
     /// enforced by [`Modulus::new`] keeps the sum of two canonical operands
     /// below `2^62`, so the addition can never wrap. Non-canonical operands
     /// (which *could* overflow for wide moduli) violate the contract below.

@@ -49,7 +49,7 @@ pub struct ScratchStats {
     /// their sum — it bounds any one pool's retention.
     pub high_water_bytes: u64,
     /// Trim events: the pool halved its retained capacity after
-    /// [`TRIM_STREAK`] consecutive takes far below it.
+    /// `TRIM_STREAK` (32) consecutive takes far below it.
     pub trims: u64,
     /// Total capacity bytes released back to the allocator by trims.
     pub trimmed_bytes: u64,
@@ -101,7 +101,7 @@ impl Scratch {
     ///
     /// The pool also decays here: a take asking for less than half the
     /// *largest* retained buffer bumps a streak counter, and
-    /// [`TRIM_STREAK`] such takes in a row halve the retention (largest
+    /// `TRIM_STREAK` (32) such takes in a row halve the retention (largest
     /// buffers dropped first). A long-running worker whose one giant
     /// request is long gone therefore converges back toward its
     /// steady-state footprint instead of pinning the peak forever. The

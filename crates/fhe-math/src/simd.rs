@@ -17,7 +17,7 @@
 //! butterflies in `[0, 2q)` (the `ntt` module chains them into radix-8 and
 //! radix-4 blocks without widening either range), and
 //! [`Modulus::mul_shoup_lazy`] returns `[0, 2q)` for *any* `u64` input. All
-//! of it requires `q < 2^61` ([`crate::modulus::MAX_MODULUS_BITS`]), which
+//! of it requires `q < 2^61` (`MAX_MODULUS_BITS`, checked by [`Modulus::new`]), which
 //! keeps `4q < 2^63` and every lazy add below `u64::MAX`.
 
 use crate::modulus::ShoupScalar;

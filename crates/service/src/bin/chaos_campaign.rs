@@ -552,52 +552,14 @@ fn to_json(reports: &[ClassReport], seed: u64, workers: usize) -> Json {
     Json::Obj(doc)
 }
 
-fn take_value_flag(rest: &[String], flag: &str) -> Option<String> {
-    rest.iter().position(|a| a == flag).map(|i| {
-        rest.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("{flag} requires a value argument");
-            std::process::exit(2);
-        })
-    })
-}
-
-fn parse_u64(s: &str) -> Option<u64> {
-    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u64::from_str_radix(&hex.replace('_', ""), 16).ok()
-    } else {
-        s.replace('_', "").parse().ok()
-    }
-}
-
 fn main() {
     let args =
         BenchArgs::parse_with(&["--smoke", "--cases", "--seed", "--workers", "--classes", "--out"]);
     let smoke = args.rest.iter().any(|a| a == "--smoke");
-    let cases = take_value_flag(&args.rest, "--cases")
-        .map(|s| {
-            parse_u64(&s).filter(|c| *c >= 1).unwrap_or_else(|| {
-                eprintln!("--cases must be a positive integer, got {s:?}");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(if smoke { 50 } else { 200 });
-    let seed = take_value_flag(&args.rest, "--seed")
-        .map(|s| {
-            parse_u64(&s).unwrap_or_else(|| {
-                eprintln!("--seed: invalid value {s:?} (expected decimal or 0x-hex)");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(0xC4A0_5CA5);
-    let workers = take_value_flag(&args.rest, "--workers")
-        .map(|s| {
-            parse_u64(&s).filter(|w| *w >= 1).unwrap_or_else(|| {
-                eprintln!("--workers must be a positive integer, got {s:?}");
-                std::process::exit(2);
-            }) as usize
-        })
-        .unwrap_or(4);
-    let classes: Vec<ChaosClass> = match take_value_flag(&args.rest, "--classes") {
+    let cases = args.u64_at_least("--cases", 1).unwrap_or(if smoke { 50 } else { 200 });
+    let seed = args.u64_at_least("--seed", 0).unwrap_or(0xC4A0_5CA5);
+    let workers = args.u64_at_least("--workers", 1).unwrap_or(4) as usize;
+    let classes: Vec<ChaosClass> = match args.value("--classes") {
         None => ALL_CHAOS_CLASSES.to_vec(),
         Some(list) => list
             .split(',')
@@ -609,7 +571,7 @@ fn main() {
             })
             .collect(),
     };
-    let out_path = take_value_flag(&args.rest, "--out");
+    let out_path = args.value("--out");
 
     // Injected worker panics are expected; keep stderr clean for them.
     let prev_hook = std::panic::take_hook();

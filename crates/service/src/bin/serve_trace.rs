@@ -37,13 +37,15 @@
 //!   each replay, streaming one JSONL line per tick (counters, spans,
 //!   and the server's live gauges: queue depth, in-flight totals and
 //!   busiest tenants, worker-pool strength, breaker states) into
-//!   `PATH.<mode>.jsonl`.
+//!   `PATH.<mode>.jsonl`; the ticks per mode are reported, and a
+//!   write the sampler could not make fails the run.
 //! * `--sample-ms N` — sampler tick interval (default 50).
 //! * `--json` — emit the report as JSON on stdout instead of tables.
 //!
 //! Exit status: `0` when every count holds, `1` on a verification
 //! failure, a lost request, an injected fault that was not contained to
-//! its own request or a missing fault dump, `2` on usage errors.
+//! its own request, a missing fault dump or a failed live-metrics write,
+//! `2` on usage errors.
 
 use std::collections::BTreeMap;
 
@@ -60,6 +62,8 @@ struct ModeRun {
     /// Under `--fault-dumps`: `flight-*` files the mode added, and how many
     /// the per-process dump cap still allowed when it began.
     fault_dumps: Option<(u64, u64)>,
+    /// Under `--live-metrics`: what the mode's sampler reported at stop.
+    live: Option<telemetry::sampler::SamplerStats>,
 }
 
 /// Why a replayed mode breaks the containment contract; empty when it
@@ -94,24 +98,6 @@ fn containment_violations(
         }
     }
     out
-}
-
-/// Parses `--flag <value>` out of the positional rest.
-fn take_value_flag(rest: &[String], flag: &str) -> Option<String> {
-    rest.iter().position(|a| a == flag).map(|i| {
-        rest.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("{flag} requires a value argument");
-            std::process::exit(2);
-        })
-    })
-}
-
-fn parse_u64(s: &str) -> Option<u64> {
-    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u64::from_str_radix(&hex.replace('_', ""), 16).ok()
-    } else {
-        s.replace('_', "").parse().ok()
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -152,16 +138,14 @@ fn run_mode(
             .spawn()
     });
     let report = replay(&server, entries);
-    if let Some(sampler) = sampler {
-        sampler.stop();
-    }
+    let live = sampler.map(telemetry::Sampler::stop);
     server.finish();
     // The directory held no dump when the process started, so what it
     // holds at a mode's start is what earlier modes spent of the cap.
     let fault_dumps = dump_dir.zip(dumps_before).map(|(dir, before)| {
         (count_dumps(dir) - before, telemetry::flight::MAX_FAULT_DUMPS.saturating_sub(before))
     });
-    ModeRun { packed, report, fault_dumps }
+    ModeRun { packed, report, fault_dumps, live }
 }
 
 fn count_dumps(dir: &std::path::Path) -> u64 {
@@ -238,24 +222,10 @@ fn main() {
         eprintln!("--no-pack and --pack-only are mutually exclusive");
         std::process::exit(2);
     }
-    let requests = take_value_flag(&args.rest, "--requests")
-        .map(|s| {
-            parse_u64(&s).filter(|r| *r >= 1).unwrap_or_else(|| {
-                eprintln!("--requests must be a positive integer, got {s:?}");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(if smoke { 160 } else { 512 });
-    let workers = take_value_flag(&args.rest, "--workers")
-        .map(|s| {
-            parse_u64(&s).filter(|w| *w >= 1).unwrap_or_else(|| {
-                eprintln!("--workers must be a positive integer, got {s:?}");
-                std::process::exit(2);
-            }) as usize
-        })
-        .unwrap_or(4);
-    let ring = take_value_flag(&args.rest, "--ring").unwrap_or_else(|| "toy".to_string());
-    let params = match ring.as_str() {
+    let requests = args.u64_at_least("--requests", 1).unwrap_or(if smoke { 160 } else { 512 });
+    let workers = args.u64_at_least("--workers", 1).unwrap_or(4) as usize;
+    let ring = args.value("--ring").unwrap_or("toy");
+    let params = match ring {
         "toy" => CkksParams::toy(),
         "small" => CkksParams::small(),
         other => {
@@ -267,33 +237,12 @@ fn main() {
         eprintln!("--ring {ring}: parameter construction failed: {e}");
         std::process::exit(1);
     });
-    let fault_every = take_value_flag(&args.rest, "--fault-every")
-        .map(|s| {
-            parse_u64(&s).unwrap_or_else(|| {
-                eprintln!("--fault-every must be a non-negative integer, got {s:?}");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(64);
-    let seed = take_value_flag(&args.rest, "--seed")
-        .map(|s| {
-            parse_u64(&s).unwrap_or_else(|| {
-                eprintln!("--seed: invalid value {s:?} (expected decimal or 0x-hex)");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(0x7e1e_ca57);
-    let out_path = take_value_flag(&args.rest, "--out");
-    let dump_dir = take_value_flag(&args.rest, "--fault-dumps").map(std::path::PathBuf::from);
-    let live_metrics = take_value_flag(&args.rest, "--live-metrics");
-    let sample_ms = take_value_flag(&args.rest, "--sample-ms")
-        .map(|s| {
-            parse_u64(&s).filter(|m| *m >= 1).unwrap_or_else(|| {
-                eprintln!("--sample-ms must be a positive integer, got {s:?}");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(50);
+    let fault_every = args.u64_at_least("--fault-every", 0).unwrap_or(64);
+    let seed = args.u64_at_least("--seed", 0).unwrap_or(0x7e1e_ca57);
+    let out_path = args.value("--out");
+    let dump_dir = args.value("--fault-dumps").map(std::path::PathBuf::from);
+    let live_metrics = args.value("--live-metrics");
+    let sample_ms = args.u64_at_least("--sample-ms", 1).unwrap_or(50);
     // Fault dumps route through the *global* telemetry handle's flight
     // recorder; the servers share the same handle so their spans land in
     // the dumps.
@@ -353,7 +302,7 @@ fn main() {
                 &entries,
                 dump_dir.as_deref(),
                 &tel,
-                live_metrics.as_deref().map(|p| (p, sample_ms)),
+                live_metrics.map(|p| (p, sample_ms)),
             )
         })
         .collect();
@@ -411,6 +360,9 @@ fn main() {
                 run.report.faults_contained
             ));
         }
+        if let Some(stats) = run.live {
+            rep.note(&format!("{mode}: {} live-metrics ticks", stats.ticks));
+        }
     }
 
     let note = format!(
@@ -423,7 +375,7 @@ fn main() {
 
     if let Some(out_path) = out_path {
         let doc = to_json(&runs, workers, n, workload, &note);
-        if let Err(e) = std::fs::write(&out_path, format!("{doc}\n")) {
+        if let Err(e) = std::fs::write(out_path, format!("{doc}\n")) {
             eprintln!("failed to write {out_path}: {e}");
             std::process::exit(1);
         }
@@ -437,6 +389,13 @@ fn main() {
         for v in containment_violations(injected, &run.report, run.fault_dumps) {
             broken = true;
             rep.note(&format!("FAILED {mode}: {v}"));
+        }
+        if let Some(stats) = run.live.filter(|s| s.sink_errors > 0) {
+            broken = true;
+            rep.note(&format!(
+                "FAILED {mode}: {} live-metrics write(s) failed, the stream is short",
+                stats.sink_errors
+            ));
         }
     }
     rep.finish();

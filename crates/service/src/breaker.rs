@@ -14,7 +14,7 @@
 //!   probes. One faulted probe re-opens (fresh cooldown); all probes
 //!   succeeding closes the breaker and clears the window.
 //!
-//! Outcomes are classified by [`ServiceError::is_contained_fault`]: only
+//! Outcomes are classified by [`crate::ServiceError::is_contained_fault`]: only
 //! faults the lattice pinned on the tenant's own request (panic,
 //! checksum, budget, stall) count toward quarantine. Rejections,
 //! deadline expiries, and shutdowns do not — a slow client is not a

@@ -12,7 +12,7 @@
 //!   before any ciphertext work; a bounded admission queue ([`queue`])
 //!   rejects overload with retry hints and holds every tenant to a
 //!   fair share; same-tenant same-program CKKS requests share one
-//!   ciphertext through the slot packer ([`pack`]); hot tenants' eval
+//!   ciphertext through the slot packer ([`mod@pack`]); hot tenants' eval
 //!   keys stay resident in an LRU cache ([`keycache`]).
 //! * **Degradation, not death** — the server ([`server`]) wires the
 //!   faultsim containment lattice into the request lifecycle: a

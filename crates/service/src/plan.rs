@@ -18,7 +18,7 @@
 //! 3. **Lowering.** Each op becomes the accelerator [`Step`]s it would
 //!    cost on the Alchemist configuration, sealed by a pure-step
 //!    [`ScheduleManifest`]. The server re-checks the manifest with
-//!    [`Simulator::run_checked`] at execution time, extending the
+//!    [`alchemist_core::Simulator::run_checked`] at execution time, extending the
 //!    schedule-integrity lattice from the simulator up through the
 //!    service layer. The fingerprint deliberately folds *more* than the
 //!    manifest (program context); the manifest stays bit-compatible with

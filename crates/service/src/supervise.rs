@@ -1,12 +1,12 @@
 //! Worker supervision: heartbeat slots, stall detection, and in-flight
 //! confiscation.
 //!
-//! Each worker owns one [`WorkerSlot`]. At every batch boundary the
+//! Each worker owns one `WorkerSlot`. At every batch boundary the
 //! worker *stamps* its heartbeat; before executing it *stashes* the
-//! batch's in-flight state in the slot ([`Supervisor::begin`]) and
-//! reclaims it afterwards ([`Supervisor::end`]). The watchdog scans the
+//! batch's in-flight state in the slot (`Supervisor::begin`) and
+//! reclaims it afterwards (`Supervisor::end`). The watchdog scans the
 //! slots: a worker that has been busy longer than the stall timeout gets
-//! its in-flight state *confiscated* ([`Supervisor::confiscate`]) — the
+//! its in-flight state *confiscated* (`Supervisor::confiscate`) — the
 //! watchdog fails those requests with `WorkerStalled`, bumps the slot's
 //! generation, and spawns a replacement so pool capacity recovers.
 //!

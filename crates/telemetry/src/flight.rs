@@ -17,7 +17,7 @@
 //! load when no dump directory is configured, so leaving the hook in
 //! release builds costs nothing.
 
-use crate::json::write_escaped;
+use crate::chrome::{self, Series};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -149,43 +149,35 @@ impl FlightRecorder {
 
     /// Renders the retained events as a complete Chrome `trace_event`
     /// JSON document (Perfetto-loadable): spans as `"ph":"X"` complete
-    /// events, counter increments as `"ph":"C"` events at their recording
-    /// timestamp.
+    /// events, written exactly as [`crate::Snapshot::to_chrome_trace`]
+    /// writes them, counter increments as `"ph":"C"` events at their
+    /// recording timestamp.
     pub fn dump_chrome_trace(&self) -> String {
-        let events = self.events();
-        let mut out = String::from("{\"traceEvents\":[");
-        out.push_str(
-            "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{\"name\":\"alchemist-flight\"}}",
-        );
-        for e in &events {
+        let mut out = chrome::begin("alchemist-flight");
+        for e in &self.events() {
             match e {
                 FlightEvent::Span { name, tid, start_ns, dur_ns, allocs, alloc_bytes } => {
-                    out.push_str(&format!(
-                        ",{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{},\"name\":",
-                        *start_ns as f64 / 1000.0,
-                        *dur_ns as f64 / 1000.0
-                    ));
-                    write_escaped(&mut out, name);
-                    if *allocs == 0 && *alloc_bytes == 0 {
-                        out.push_str(",\"args\":{}}");
-                    } else {
-                        out.push_str(&format!(
-                            ",\"args\":{{\"allocs\":{allocs},\"alloc_bytes\":{alloc_bytes}}}}}"
-                        ));
-                    }
+                    chrome::span_event(
+                        &mut out,
+                        name,
+                        *tid,
+                        *start_ns,
+                        *dur_ns,
+                        *allocs,
+                        *alloc_bytes,
+                    );
                 }
                 FlightEvent::Count { name, amount, at_ns } => {
-                    out.push_str(&format!(
-                        ",{{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":{},\"name\":",
-                        *at_ns as f64 / 1000.0
-                    ));
-                    write_escaped(&mut out, name);
-                    out.push_str(&format!(",\"args\":{{\"value\":{amount}}}}}"));
+                    chrome::counter_event(
+                        &mut out,
+                        name,
+                        *at_ns,
+                        &[("value", Series::Count(*amount))],
+                    );
                 }
             }
         }
-        out.push_str("],\"displayTimeUnit\":\"ns\"}");
+        chrome::end(&mut out);
         out
     }
 

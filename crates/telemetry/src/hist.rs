@@ -182,7 +182,8 @@ impl Histogram {
     }
 
     /// The non-empty buckets as `(inclusive upper bound, count)` pairs in
-    /// ascending bound order — the shape Prometheus-style exposition needs.
+    /// ascending bound order: two histograms are equal bucket for bucket
+    /// when these sequences are.
     pub fn occupied_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.buckets.iter().enumerate().filter(|&(_, &c)| c != 0).map(|(i, &c)| (bucket_high(i), c))
     }

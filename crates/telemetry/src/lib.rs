@@ -12,9 +12,11 @@
 //!   [`OpClassKey`]: Meta-OPs issued, reduction cycles saved by lazy
 //!   Barrett accumulation, HBM/scratchpad traffic, add-only vs multiplier
 //!   cycles.
-//! * **Exporters** — a human-readable summary tree, machine-readable JSON,
-//!   and Chrome/Perfetto `trace_event` JSON that opens directly in
-//!   <https://ui.perfetto.dev> (see [`Snapshot`]).
+//! * **Two outputs** — Chrome/Perfetto `trace_event` JSON that opens
+//!   directly in <https://ui.perfetto.dev> (an exit-time [`Snapshot`], or a
+//!   [`FlightRecorder`] dump after a fault), and a JSONL tick stream from
+//!   the background [`Sampler`]. Everything else reads a [`Snapshot`]
+//!   through its accessors.
 //!
 //! A [`Telemetry`] handle is cheap to clone and **free when disabled**: the
 //! disabled handle is `None` inside, so every call is a branch on a
@@ -29,8 +31,8 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
+mod chrome;
 pub mod delta;
-pub mod expo;
 pub mod flight;
 pub mod hist;
 pub mod json;
@@ -41,7 +43,7 @@ pub use alloc::{AllocStats, ThreadAllocStats};
 pub use delta::{Cursor, DeltaSnapshot};
 pub use flight::{FlightEvent, FlightRecorder};
 pub use hist::Histogram;
-pub use sampler::{JsonlSink, PrometheusSink, Sample, SampleSink, Sampler, SamplerBuilder};
+pub use sampler::{JsonlSink, Sample, SampleSink, Sampler, SamplerBuilder};
 pub use snapshot::{CounterRow, HistogramRow, Snapshot, SpanRow};
 
 use std::collections::HashMap;
@@ -162,7 +164,7 @@ struct State {
     /// recording into an existing histogram allocates nothing.
     hists: std::collections::BTreeMap<String, Box<Histogram>>,
     /// Free-form session metadata (host facts, feature flags) carried into
-    /// every export so traces are self-describing.
+    /// the Chrome trace so traces are self-describing.
     meta: std::collections::BTreeMap<String, String>,
     /// Cumulative per-span-name allocation attribution
     /// (`name → (allocs, bytes)`), updated when spans close. The
@@ -316,7 +318,7 @@ impl Telemetry {
     }
 
     /// Sets a session metadata entry (host facts, feature flags) carried
-    /// verbatim into every export. Later writes to the same key win.
+    /// verbatim into the Chrome trace. Later writes to the same key win.
     pub fn set_meta(&self, key: &str, value: &str) {
         let Some(inner) = &self.inner else { return };
         let _exempt = alloc::exempt_scope();
@@ -385,19 +387,13 @@ impl Telemetry {
 
     /// An immutable copy of everything recorded so far. Open spans are
     /// included with the duration they have accumulated at this instant.
-    /// The snapshot also carries the process-wide allocation totals and
-    /// size-class distribution.
     pub fn snapshot(&self) -> Snapshot {
         let Some(inner) = &self.inner else {
             return Snapshot::empty();
         };
         let now_ns = inner.epoch.elapsed().as_nanos() as u64;
         let st = inner.state.lock().expect("telemetry state poisoned");
-        let mut snap =
-            Snapshot::build(&st.events, &st.counters, &st.named, &st.hists, &st.meta, now_ns);
-        drop(st);
-        snap.set_alloc(alloc::global_stats(), alloc::size_class_histogram());
-        snap
+        Snapshot::build(&st.events, &st.counters, &st.named, &st.hists, &st.meta, now_ns)
     }
 }
 
@@ -841,15 +837,9 @@ mod tests {
         assert!(outer.allocs >= inner.allocs, "{outer:?} vs {inner:?}");
         assert!(outer.alloc_bytes >= inner.alloc_bytes);
         assert_eq!((get("alloc.quiet").allocs, get("alloc.quiet").alloc_bytes), (0, 0));
-        // The exporters carry the dimension: JSON span rows and the
-        // process-wide census, chrome args on allocating spans only.
-        let json = snap.to_json();
-        assert!(json.contains("\"alloc\":{\"allocs\":"), "{json}");
-        assert!(json.contains("\"allocs\":"), "{json}");
+        // The trace carries the dimension as args on allocating spans only.
         let trace = snap.to_chrome_trace();
         assert!(trace.contains("\"args\":{\"allocs\":"), "{trace}");
-        let doc = json::parse(&json).expect("snapshot JSON parses");
-        Snapshot::validate_json(&doc).expect("snapshot JSON with alloc dimension validates");
     }
 
     #[test]

@@ -1,22 +1,17 @@
 //! Background sampler: periodic delta capture driving pluggable sinks.
 //!
 //! A [`Sampler`] owns a `std::thread` that wakes every `interval`, takes a
-//! [`DeltaSnapshot`] through its private [`Cursor`], folds it into a
-//! running cumulative view, polls any registered gauge sources, and hands
-//! the lot to each [`SampleSink`]. Stopping the sampler performs one final
-//! capture before the sinks are flushed, so nothing recorded between the
-//! last tick and shutdown is lost — the cumulative view a sink sees at
-//! close equals the handle's exit-time snapshot for every counter and
-//! histogram bucket.
+//! [`DeltaSnapshot`] through its private [`Cursor`], polls any registered
+//! gauge sources, and hands the lot to each [`SampleSink`]. Stopping the
+//! sampler performs one final capture before the sinks are flushed, so
+//! nothing recorded between the last tick and shutdown is lost — the
+//! deltas a sink has seen at close sum to the handle's exit-time snapshot
+//! for every counter and histogram bucket.
 //!
-//! Two sinks ship with the crate:
-//!
-//! * [`PrometheusSink`] — rewrites a text-exposition file atomically
-//!   (write to `<path>.tmp`, rename) on every tick, so a scraper or
-//!   `watch cat` always sees a complete document.
-//! * [`JsonlSink`] — appends one self-describing JSON line per tick with
-//!   the *interval* values (counter increments, per-span time, histogram
-//!   count/sum, gauges), i.e. a ready-to-plot time series.
+//! One sink ships with the crate: [`JsonlSink`] appends one
+//! self-describing JSON line per tick with the *interval* values (counter
+//! increments, per-span time, histogram count/sum, gauges), i.e. a
+//! ready-to-plot time series.
 //!
 //! Gauge sources exist because instantaneous readings (per-worker busy
 //! nanoseconds from `fhe_math::par`, queue depths) live outside the
@@ -24,10 +19,10 @@
 //! pairs at sample time.
 
 use crate::delta::{Cursor, DeltaSnapshot};
-use crate::{expo, Telemetry};
+use crate::Telemetry;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -43,9 +38,6 @@ pub struct Sample<'a> {
     pub at_ns: u64,
     /// What this interval recorded.
     pub delta: &'a DeltaSnapshot,
-    /// Running merge of every delta so far (== the handle's cumulative
-    /// state at `at_ns`).
-    pub cumulative: &'a DeltaSnapshot,
     /// Instantaneous gauge readings polled this tick.
     pub gauges: &'a [(String, u64)],
     /// Whether this is the final capture before shutdown.
@@ -90,8 +82,14 @@ pub struct SamplerBuilder {
 }
 
 impl SamplerBuilder {
-    /// Samples `tel` every `interval` (clamped to ≥ 1 ms).
+    /// Samples `tel` every `interval`; one under 1 ms is raised to 1 ms.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `interval` is zero: that is a caller's unset value, not a
+    /// request for the fastest cadence.
     pub fn new(tel: Telemetry, interval: Duration) -> Self {
+        assert!(!interval.is_zero(), "SamplerBuilder::new: `interval` must be non-zero");
         SamplerBuilder {
             tel,
             interval: interval.max(Duration::from_millis(1)),
@@ -124,7 +122,6 @@ impl SamplerBuilder {
             .spawn(move || {
                 let (stop_flag, wake) = &*thread_shared;
                 let mut cursor = Cursor::new();
-                let mut cumulative = DeltaSnapshot::default();
                 let mut readings: Vec<(String, u64)> = Vec::new();
                 let mut stats = SamplerStats::default();
                 loop {
@@ -149,12 +146,10 @@ impl SamplerBuilder {
                     let heap = crate::alloc::global_stats();
                     readings.push(("alloc.live_bytes".into(), heap.live_bytes));
                     readings.push(("alloc.peak_bytes".into(), heap.peak_bytes));
-                    cumulative.merge(&delta);
                     let sample = Sample {
                         seq: stats.ticks,
                         at_ns: delta.at_ns,
                         delta: &delta,
-                        cumulative: &cumulative,
                         gauges: &readings,
                         last: stopping,
                     };
@@ -209,38 +204,6 @@ impl Drop for Sampler {
     }
 }
 
-/// Rewrites a Prometheus text-exposition file atomically on every tick:
-/// the cumulative view plus this tick's gauges go to `<path>.tmp`, which
-/// is then renamed over `path`.
-pub struct PrometheusSink {
-    path: PathBuf,
-    tmp: PathBuf,
-}
-
-impl PrometheusSink {
-    /// Exposes into `path` (parent directory must exist).
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        let path = path.into();
-        let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = path.with_file_name(tmp_name);
-        PrometheusSink { path, tmp }
-    }
-
-    /// The exposition file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl SampleSink for PrometheusSink {
-    fn on_sample(&mut self, sample: &Sample<'_>) -> io::Result<()> {
-        let text = expo::render(sample.cumulative, sample.gauges);
-        std::fs::write(&self.tmp, text)?;
-        std::fs::rename(&self.tmp, &self.path)
-    }
-}
-
 /// Appends one JSON line per tick with the interval's increments — a
 /// plottable utilization-over-time series.
 ///
@@ -253,10 +216,6 @@ impl SampleSink for PrometheusSink {
 ///   "gauges":{"par.worker.0.busy_ns":42}}`.
 pub struct JsonlSink {
     out: BufWriter<File>,
-    path: PathBuf,
-    /// Rotate when the live file would exceed this many bytes (None = never).
-    max_bytes: Option<u64>,
-    written: u64,
 }
 
 impl JsonlSink {
@@ -266,43 +225,7 @@ impl JsonlSink {
     ///
     /// Propagates file-creation errors.
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        Ok(JsonlSink {
-            out: BufWriter::new(File::create(&path)?),
-            path,
-            max_bytes: None,
-            written: 0,
-        })
-    }
-
-    /// Like [`Self::create`], but rotates once the live file would exceed
-    /// `max_bytes`: the current file is flushed and atomically renamed to
-    /// `<path>.1` (replacing any previous rotation), then a fresh `path` is
-    /// created. At most two files ever exist, bounding disk use at roughly
-    /// `2 * max_bytes` for long-running samplers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-creation errors.
-    pub fn create_with_rotation(path: impl AsRef<Path>, max_bytes: u64) -> io::Result<Self> {
-        let mut sink = Self::create(path)?;
-        sink.max_bytes = Some(max_bytes.max(1));
-        Ok(sink)
-    }
-
-    /// The path rotated files are renamed to.
-    fn rotated_path(&self) -> PathBuf {
-        let mut name = self.path.file_name().unwrap_or_default().to_os_string();
-        name.push(".1");
-        self.path.with_file_name(name)
-    }
-
-    fn rotate(&mut self) -> io::Result<()> {
-        self.out.flush()?;
-        std::fs::rename(&self.path, self.rotated_path())?;
-        self.out = BufWriter::new(File::create(&self.path)?);
-        self.written = 0;
-        Ok(())
+        Ok(JsonlSink { out: BufWriter::new(File::create(path)?) })
     }
 
     fn render_line(sample: &Sample<'_>) -> String {
@@ -393,17 +316,7 @@ impl JsonlSink {
 
 impl SampleSink for JsonlSink {
     fn on_sample(&mut self, sample: &Sample<'_>) -> io::Result<()> {
-        let line = Self::render_line(sample);
-        if let Some(max) = self.max_bytes {
-            // Rotate *before* the line that would overflow, so the live
-            // file never exceeds max_bytes (a single oversized line still
-            // lands whole — lines are never split across files).
-            if self.written > 0 && self.written + line.len() as u64 > max {
-                self.rotate()?;
-            }
-        }
-        self.written += line.len() as u64;
-        self.out.write_all(line.as_bytes())
+        self.out.write_all(Self::render_line(sample).as_bytes())
     }
 
     fn finish(&mut self) -> io::Result<()> {
@@ -420,14 +333,13 @@ mod tests {
 
     struct CountingSink {
         samples: Arc<AtomicU64>,
-        last_total: Arc<AtomicU64>,
+        total: Arc<AtomicU64>,
     }
 
     impl SampleSink for CountingSink {
         fn on_sample(&mut self, sample: &Sample<'_>) -> io::Result<()> {
             self.samples.fetch_add(1, Ordering::SeqCst);
-            self.last_total
-                .store(sample.cumulative.counters.values().sum::<u64>(), Ordering::SeqCst);
+            self.total.fetch_add(sample.delta.counters.values().sum::<u64>(), Ordering::SeqCst);
             Ok(())
         }
     }
@@ -436,12 +348,9 @@ mod tests {
     fn final_capture_sees_everything() {
         let tel = Telemetry::enabled();
         let samples = Arc::new(AtomicU64::new(0));
-        let last_total = Arc::new(AtomicU64::new(0));
+        let total = Arc::new(AtomicU64::new(0));
         let sampler = SamplerBuilder::new(tel.clone(), Duration::from_millis(1))
-            .sink(CountingSink {
-                samples: Arc::clone(&samples),
-                last_total: Arc::clone(&last_total),
-            })
+            .sink(CountingSink { samples: Arc::clone(&samples), total: Arc::clone(&total) })
             .spawn();
         for _ in 0..100 {
             tel.count(Metric::MetaOps, OpClassKey::Ntt, 3);
@@ -450,9 +359,15 @@ mod tests {
         assert!(stats.ticks >= 1);
         assert_eq!(stats.ticks, samples.load(Ordering::SeqCst));
         assert_eq!(stats.sink_errors, 0);
-        // The last cumulative view equals the exit-time state even if no
-        // periodic tick ran after the final count.
-        assert_eq!(last_total.load(Ordering::SeqCst), 300);
+        // The deltas sum to the exit-time state even if no periodic tick
+        // ran after the final count.
+        assert_eq!(total.load(Ordering::SeqCst), 300);
+    }
+
+    #[test]
+    #[should_panic(expected = "`interval` must be non-zero")]
+    fn zero_interval_is_rejected() {
+        let _ = SamplerBuilder::new(Telemetry::enabled(), Duration::ZERO);
     }
 
     #[test]
@@ -466,7 +381,6 @@ mod tests {
             seq: 0,
             at_ns: 2_500_000,
             delta: &delta,
-            cumulative: &delta,
             gauges: &[("par.worker.0.busy_ns".into(), 9)],
             last: true,
         };
@@ -483,52 +397,6 @@ mod tests {
             doc.get("gauges").unwrap().get("par.worker.0.busy_ns").unwrap().as_f64(),
             Some(9.0)
         );
-    }
-
-    #[test]
-    fn jsonl_sink_rotates_at_max_bytes() {
-        let dir = std::env::temp_dir().join(format!(
-            "alchemist-jsonl-rot-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ticks.jsonl");
-        let tel = Telemetry::enabled();
-        let mut cursor = Cursor::new();
-        // Tiny cap: every line (~30 bytes) overflows it, so each on_sample
-        // after the first rotates. Lines are still written whole.
-        let mut sink = JsonlSink::create_with_rotation(&path, 8).unwrap();
-        for seq in 0..3u64 {
-            tel.count_named("ev", 1);
-            let delta = tel.snapshot_delta(&mut cursor);
-            let sample = Sample {
-                seq,
-                at_ns: seq * 1_000_000,
-                delta: &delta,
-                cumulative: &delta,
-                gauges: &[],
-                last: seq == 2,
-            };
-            sink.on_sample(&sample).unwrap();
-        }
-        sink.finish().unwrap();
-        let rotated = sink.rotated_path();
-        drop(sink);
-        let live = std::fs::read_to_string(&path).unwrap();
-        let old = std::fs::read_to_string(&rotated).unwrap();
-        // Live file holds exactly the newest line; the rotation slot holds
-        // the one before it (earlier rotations were replaced by the rename).
-        assert_eq!(live.lines().count(), 1, "live: {live}");
-        assert_eq!(old.lines().count(), 1, "rotated: {old}");
-        assert!(live.contains("\"seq\":2"), "{live}");
-        assert!(old.contains("\"seq\":1"), "{old}");
-        for text in [&live, &old] {
-            for line in text.lines() {
-                parse(line).expect("rotated lines must stay valid JSON");
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -559,34 +427,5 @@ mod tests {
             stats.ticks,
             "every tick must carry the built-in alloc gauges"
         );
-    }
-
-    #[test]
-    fn prometheus_sink_rewrites_atomically() {
-        let dir = std::env::temp_dir().join(format!(
-            "alchemist-expo-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("metrics.prom");
-        let tel = Telemetry::enabled();
-        tel.count(Metric::HbmBytes, OpClassKey::Transfer, 4096);
-        let mut cursor = Cursor::new();
-        let delta = tel.snapshot_delta(&mut cursor);
-        let mut sink = PrometheusSink::new(&path);
-        let sample = Sample {
-            seq: 0,
-            at_ns: 0,
-            delta: &delta,
-            cumulative: &delta,
-            gauges: &[],
-            last: false,
-        };
-        sink.on_sample(&sample).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("alchemist_hbm_bytes_total{class=\"transfer\"} 4096"), "{text}");
-        assert!(!sink.tmp.exists(), "tmp file must be renamed away");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

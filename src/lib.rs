@@ -15,8 +15,8 @@
 //!   ([`alchemist_core`]),
 //! * [`baselines`] — CPU reference and modularized-accelerator comparators,
 //! * [`bridge`] — CKKS→TFHE ciphertext switching ([`scheme_bridge`]),
-//! * [`telemetry`] — spans, Meta-OP counters, and trace export
-//!   (summary tree / JSON / Perfetto).
+//! * [`telemetry`] — spans, Meta-OP counters, Chrome/Perfetto trace
+//!   export and a JSONL tick stream.
 //!
 //! See `examples/quickstart.rs` for a guided tour and `DESIGN.md` /
 //! `EXPERIMENTS.md` for the paper-reproduction map.
