@@ -433,13 +433,29 @@ impl<'a> Evaluator<'a> {
         Ok(Ciphertext::from_parts(k0, k1, level, a.scale() * b.scale()))
     }
 
-    /// Squares a ciphertext (3 instead of 4 tensor products).
+    /// Squares a ciphertext (3 instead of 4 tensor products): the cross
+    /// term `c0·c1` is formed once and doubled, bit-identical to
+    /// [`Evaluator::mul`]`(a, a)`.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Evaluator::mul`].
     pub fn square(&self, a: &Ciphertext, rlk: &RelinKey) -> Result<Ciphertext, CkksError> {
-        self.mul(a, a, rlk)
+        let _span = telemetry::Span::enter("ckks.eval.mul");
+        telemetry::count_named("ckks.op.mul", 1);
+        a.verify_integrity("ckks.eval")?;
+        if a.level() == 0 {
+            return Err(CkksError::LevelExhausted);
+        }
+        let level = a.level();
+        let d0 = a.c0().mul_pointwise(a.c0())?;
+        let cross = a.c0().mul_pointwise(a.c1())?;
+        let d1 = cross.add(&cross)?;
+        let d2 = a.c1().mul_pointwise(a.c1())?;
+        let (mut k0, mut k1) = self.keyswitch_core(&d2, rlk.switch_key(), level)?;
+        k0.add_assign(&d0)?;
+        k1.add_assign(&d1)?;
+        Ok(Ciphertext::from_parts(k0, k1, level, a.scale() * a.scale()))
     }
 
     /// Rescales by the top prime: divides by `q_level`, dropping one level.
@@ -970,7 +986,9 @@ mod tests {
         let ev = Evaluator::new(&f.ctx);
         let a = enc.encode(&[1.1]).unwrap();
         let ca = sk.encrypt(&f.ctx, &a, &mut f.rng).unwrap();
-        let sq = ev.rescale(&ev.square(&ca, &rlk).unwrap()).unwrap();
+        let sq = ev.square(&ca, &rlk).unwrap();
+        assert_eq!(sq, ev.mul(&ca, &ca, &rlk).unwrap(), "a doubled cross term is c0·c1 + c1·c0");
+        let sq = ev.rescale(&sq).unwrap();
         // Square again: need matching operands — square of the square.
         let quad = ev.rescale(&ev.square(&sq, &rlk).unwrap()).unwrap();
         let back = enc.decode(&sk.decrypt(&quad).unwrap()).unwrap();

@@ -5,7 +5,12 @@
 //!
 //! * TFHE decomposes torus elements into `l_b` balanced base-`2^w` digits
 //!   ([`SignedDigitDecomposer`]) before the TRGSW external product — this is
-//!   the `lb = 2, 3, 4` axis of the paper's Meta-OP parameter space.
+//!   the `lb = 2, 3, 4` axis of the paper's Meta-OP parameter space — and
+//!   before every LWE key switch. One digit rule serves both entry points
+//!   (one value, one polynomial): the sign of each digit is settled by a
+//!   compare folded into the carry, not by a branch, since on torus data
+//!   it is a coin toss (DESIGN.md §14.2); the polynomial form runs it level
+//!   by level, one straight pass over the coefficients per digit.
 //! * CKKS hybrid key switching groups the RNS channels into `dnum` digits
 //!   ([`Gadget`]) that are individually modup-ed and multiplied with
 //!   evaluation keys (the paper's `DecompPolyMult` with `n = dnum`).
@@ -86,38 +91,35 @@ impl SignedDigitDecomposer {
     #[inline]
     pub fn decompose_into(&self, t: u64, out: &mut [i64]) {
         assert_eq!(out.len(), self.levels, "digit buffer must hold one digit per level");
-        self.decompose_strided(t, out, 1);
+        let mut state = self.rounded_top(t);
+        for d in out.iter_mut().rev() {
+            (*d, state) = self.digit(state);
+        }
     }
 
-    /// Writes digit `j` of `t` to `out[j * stride]`.
+    /// `t̂`: `t` rounded to its top `β·l` bits, as an integer in
+    /// `[0, 2^{β·l})`. Digit `j` scales `2^{(l−1−j)·β}` of it.
     #[inline]
-    fn decompose_strided(&self, t: u64, out: &mut [i64], stride: usize) {
-        let w = self.base_log;
-        let l = self.levels;
-        let total = w * l as u32;
-        // Round to the closest multiple of 2^(64-total).
-        let t_hat = if total == 64 {
-            t
-        } else {
-            let shift = 64 - total;
-            (t.wrapping_add(1u64 << (shift - 1))) >> shift
-        };
-        let base = 1u64 << w;
-        let half = base >> 1;
-        let mask = base - 1;
-        let mut carry = 0u64;
-        // Least-significant digit first: digit j scales 2^{(l-1-j)*w} of t_hat.
-        for j in (0..l).rev() {
-            let raw = ((t_hat >> ((l - 1 - j) as u32 * w)) & mask) + carry;
-            if raw >= half {
-                out[j * stride] = raw as i64 - base as i64;
-                carry = 1;
-            } else {
-                out[j * stride] = raw as i64;
-                carry = 0;
-            }
+    fn rounded_top(&self, t: u64) -> u64 {
+        let drop = 64 - self.base_log * self.levels as u32;
+        match drop {
+            0 => t,
+            _ => t.wrapping_add(1 << (drop - 1)) >> drop,
         }
-        // A final carry adds 2^64 ≡ 0 to the recomposition; drop it.
+    }
+
+    /// The digit rule, least significant digit first: splits the balanced
+    /// low digit off `state` and returns it with the state the next digit
+    /// reads. A low digit at or above `2^{β−1}` is `raw − 2^β` and carries
+    /// one into the shifted state — a compare, never a branch, because on
+    /// torus data the sign is a coin toss. The carry out of the top digit
+    /// adds `2^64 ≡ 0` and is dropped with the last state.
+    #[inline(always)]
+    fn digit(&self, state: u64) -> (i64, u64) {
+        let w = self.base_log;
+        let raw = state & ((1 << w) - 1);
+        let c = u64::from(raw >= 1 << (w - 1));
+        (raw.wrapping_sub(c << w) as i64, (state >> w) + c)
     }
 
     /// Recomposes digits back into a torus value (wrapping arithmetic).
@@ -159,14 +161,33 @@ impl SignedDigitDecomposer {
     /// buffer: digit `j` of coefficient `i` lands at `out[j·n + i]`, so
     /// `out[j·n..(j+1)·n]` is the level-`j` signed polynomial.
     ///
+    /// Level by level, least significant first: each coefficient's running
+    /// state (`t̂`, then `t̂` shifted with its carry) lives in its level-0
+    /// slot until the top digit overwrites it, so every pass is one
+    /// straight loop over `n` coefficients with nothing to predict.
+    ///
     /// # Panics
     ///
     /// Panics if `out.len() != self.levels() * poly.len()`.
     pub fn decompose_poly_into(&self, poly: &[u64], out: &mut [i64]) {
         let n = poly.len();
         assert_eq!(out.len(), self.levels * n, "digit buffer must hold levels × n digits");
-        for (i, &t) in poly.iter().enumerate() {
-            self.decompose_strided(t, &mut out[i..], n);
+        if n == 0 {
+            return;
+        }
+        let (state, lower) = out.split_at_mut(n);
+        for (s, &t) in state.iter_mut().zip(poly) {
+            *s = self.rounded_top(t) as i64;
+        }
+        for level in lower.chunks_exact_mut(n).rev() {
+            for (s, d) in state.iter_mut().zip(level) {
+                let (digit, next) = self.digit(*s as u64);
+                *d = digit;
+                *s = next as i64;
+            }
+        }
+        for s in state {
+            *s = self.digit(*s as u64).0;
         }
     }
 }

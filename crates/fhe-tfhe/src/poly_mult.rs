@@ -40,9 +40,25 @@
 //! transforms — exactly `metaop::counts::pbs` — and the other two presets
 //! twice that. [`NegacyclicMultiplier::assert_exact`] re-checks the bound
 //! wherever a gadget meets a multiplier.
+//!
+//! # The fused kernel
+//!
+//! The external product's multiplier half is the paper's `DecompPolyMult`
+//! Meta-OP `(M_j A_j)_n R_j` with `n = T`, run per prime field as
+//! lift → `forward_lazy` of all `T` digit polynomials → one pass over the
+//! slots summing each output coefficient's `T` products in a `u128` → one
+//! reduction → inverse. Nothing between the transforms is written to
+//! memory but the reduced residues, and the only data-dependent jumps left
+//! are the Barrett correction's, which are almost never taken (DESIGN.md
+//! §14.2).
 
 use crate::TfheError;
 use fhe_math::{generate_ntt_primes, par, Modulus, NttTable, ShoupScalar};
+
+/// Output slots the external product's MAC carries per step: enough
+/// independent sums to hide the multiplier's latency, few enough to stay in
+/// L1. Every ring degree is a multiple of it (`NttTable` needs `n ≥ 8`).
+const SLOTS: usize = 8;
 
 /// Work estimate (element-operations) for one `n`-point NTT.
 fn ntt_work(n: usize) -> u64 {
@@ -118,10 +134,9 @@ pub(crate) struct Workspace {
     pub(crate) input: [Vec<u64>; 2],
     /// Their digits, flat level-major: `a`'s levels, then `b`'s.
     pub(crate) digits: Vec<i64>,
-    /// The digit polynomial being transformed.
+    /// Every digit polynomial lifted into one prime field and transformed,
+    /// in `digits`' order.
     lifted: Vec<u64>,
-    /// Unreduced NTT-domain sums, one per output column.
-    acc: [Vec<u128>; 2],
     /// Residues of the two output columns, prime-major: `[prime][column]`.
     res: Vec<u64>,
     forward_ntts: u64,
@@ -322,20 +337,21 @@ impl NegacyclicMultiplier {
         Workspace {
             input: [vec![0; n], vec![0; n]],
             digits: vec![0; terms * n],
-            lifted: vec![0; n],
-            acc: [vec![0; n], vec![0; n]],
+            lifted: vec![0; terms * n],
             res: vec![0; self.primes() * 2 * n],
             forward_ntts: 0,
             inverse_ntts: 0,
         }
     }
 
-    /// The `DecompPolyMult` Meta-OP: adds `Σ_i digits_i ⊛ rows_i` to the
-    /// `(a, b)` pair `out`, where `digits_i = ws.digits[i·n..(i+1)·n]` and
-    /// row `i` is `rows[i·2·primes·n..]`: the prepared `a` polynomial, then
-    /// the prepared `b`. Per prime, every digit polynomial is transformed
-    /// once and multiply-accumulated against both key columns unreduced;
-    /// each output coefficient is reduced once.
+    /// The `DecompPolyMult` Meta-OP `(M_j A_j)_n R_j`: adds
+    /// `Σ_i digits_i ⊛ rows_i` to the `(a, b)` pair `out`, where
+    /// `digits_i = ws.digits[i·n..(i+1)·n]` and row `i` is
+    /// `rows[i·2·primes·n..]`: the prepared `a` polynomial, then the
+    /// prepared `b`. Per prime, every digit polynomial is lifted and
+    /// transformed once; then one pass over the slots, [`SLOTS`] at a time,
+    /// sums each output coefficient's `T` products in a `u128` and reduces
+    /// it once, straight into the residues the inverse transforms read.
     ///
     /// # Panics
     ///
@@ -350,28 +366,37 @@ impl NegacyclicMultiplier {
     ) {
         let n = self.n;
         let primes = self.primes();
+        let row_len = 2 * primes * n;
         assert_eq!(rows.len(), ws.digits.len() * 2 * primes);
         assert!(out.iter().all(|o| o.len() == n));
-        let Workspace { digits, lifted, acc, res, forward_ntts, inverse_ntts, .. } = ws;
+        let Workspace { digits, lifted, res, forward_ntts, inverse_ntts, .. } = ws;
         for (p, (f, res)) in self.fields().zip(res.chunks_exact_mut(2 * n)).enumerate() {
-            acc.iter_mut().for_each(|sums| sums.fill(0));
-            for (digit, row) in digits.chunks_exact(n).zip(rows.chunks_exact(2 * primes * n)) {
+            for (lifted, digit) in lifted.chunks_exact_mut(n).zip(digits.chunks_exact(n)) {
                 for (l, &d) in lifted.iter_mut().zip(digit) {
                     *l = f.q.from_i64(d);
                 }
                 f.ntt.forward_lazy(lifted);
                 *forward_ntts += 1;
-                for (sums, key) in acc.iter_mut().zip(row.chunks_exact(primes * n)) {
-                    let key = &key[p * n..(p + 1) * n];
-                    for (s, (&d, &k)) in sums.iter_mut().zip(lifted.iter().zip(key)) {
-                        *s += u128::from(d) * u128::from(k);
+            }
+            let (res_a, res_b) = res.split_at_mut(n);
+            let (key_a, key_b) = (p * n, (primes + p) * n);
+            let blocks = res_a.chunks_exact_mut(SLOTS).zip(res_b.chunks_exact_mut(SLOTS));
+            for (s, (res_a, res_b)) in (0..n).step_by(SLOTS).zip(blocks) {
+                let mut sums = [[0u128; 2]; SLOTS];
+                for (digit, row) in lifted.chunks_exact(n).zip(rows.chunks_exact(row_len)) {
+                    let (ka, kb) = (&row[key_a + s..][..SLOTS], &row[key_b + s..][..SLOTS]);
+                    let terms = digit[s..][..SLOTS].iter().zip(ka.iter().zip(kb));
+                    for (sum, (&d, (&ka, &kb))) in sums.iter_mut().zip(terms) {
+                        sum[0] += u128::from(d) * u128::from(ka);
+                        sum[1] += u128::from(d) * u128::from(kb);
                     }
                 }
-            }
-            for (res, sums) in res.chunks_exact_mut(n).zip(acc.iter()) {
-                for (r, &s) in res.iter_mut().zip(sums) {
-                    *r = f.q.reduce_u128(s);
+                for (&[sa, sb], (ra, rb)) in sums.iter().zip(res_a.iter_mut().zip(res_b)) {
+                    *ra = f.q.reduce_u128(sa);
+                    *rb = f.q.reduce_u128(sb);
                 }
+            }
+            for res in res.chunks_exact_mut(n) {
                 f.ntt.inverse(res);
                 *inverse_ntts += 1;
             }

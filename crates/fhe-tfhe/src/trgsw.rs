@@ -8,11 +8,13 @@
 //! rotation. Rows are stored rounded to the multiplier's ring precision and
 //! pre-transformed in each of its NTT prime fields (one at set I, two at
 //! the toy set and set II — see [`crate::NegacyclicMultiplier`]), as one
-//! contiguous block in the order the kernel reads it, so one external
-//! product costs, per prime field, `2·l` forward NTTs (each digit
-//! polynomial transformed once and multiplied into both output columns),
-//! one lazily accumulated MAC with a single reduction per output
-//! coefficient, and 2 inverse NTTs — the `transforms_per_step` that
+//! contiguous block in the order the kernel reads it. One external product
+//! is the decomposition of both input polynomials (level-major and
+//! branch-free, `fhe_math::SignedDigitDecomposer::decompose_poly_into`)
+//! and then, per prime field: `2·l` forward NTTs (each digit polynomial
+//! lifted and transformed once), one pass over the slots that sums each
+//! output coefficient's `2·l` products in a `u128` and reduces it once,
+//! and 2 inverse NTTs — the `transforms_per_step` that
 //! `metaop::counts::pbs` multiplies out. Every entry point reports its
 //! transforms to the `tfhe.ntt.forward` / `tfhe.ntt.inverse` counters.
 
