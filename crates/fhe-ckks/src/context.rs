@@ -24,6 +24,9 @@ pub struct CkksContext {
     /// `P mod q_c` per ciphertext prime: lifts a `Q`-basis polynomial into
     /// a key-switch accumulator (`P·x` is `x` after Moddown, exactly).
     p_mod_q: Vec<ShoupScalar>,
+    /// Per full-chain digit `i`, per channel of `Q ∪ P`: the switching-key
+    /// factor `P·Q̂_i·[Q̂_i⁻¹]_{Q_i} mod m_c`, Shoup form.
+    key_factors: Vec<Vec<ShoupScalar>>,
     /// Exact reconstruction over `q_0 … q_L` (a level is a prefix).
     mixed_radix: MixedRadix,
     codec: CodecTables,
@@ -86,7 +89,7 @@ impl CkksContext {
                 rescale_inv,
             });
         }
-        let p_mod_q = rns.moduli()[..q_len]
+        let p_mod_q: Vec<ShoupScalar> = rns.moduli()[..q_len]
             .iter()
             .map(|m| {
                 let p =
@@ -94,9 +97,21 @@ impl CkksContext {
                 m.shoup(p)
             })
             .collect();
+        // `Q̂_i·[Q̂_i⁻¹]_{Q_i}` is the CRT idempotent of digit `i` over `Q`: 1
+        // mod every prime of the digit, 0 mod every other `q`. `P` is 0 mod
+        // every `p`. So the factor is `P mod q_c` on the digit's channels
+        // and 0 everywhere else — exact, no big integer.
+        let key_factors = digits
+            .iter()
+            .map(|digit| {
+                (0..rns.moduli().len())
+                    .map(|c| if digit.contains(&c) { p_mod_q[c] } else { ShoupScalar::default() })
+                    .collect()
+            })
+            .collect();
         let mixed_radix = MixedRadix::new(&rns.moduli()[..q_len])?;
         let codec = CodecTables::new(params.n());
-        Ok(CkksContext { params, rns, digits, levels, p_mod_q, mixed_radix, codec })
+        Ok(CkksContext { params, rns, digits, levels, p_mod_q, key_factors, mixed_radix, codec })
     }
 
     /// The parameter set.
@@ -181,6 +196,13 @@ impl CkksContext {
     #[inline]
     pub(crate) fn p_mod_q(&self, c: usize) -> ShoupScalar {
         self.p_mod_q[c]
+    }
+
+    /// The switching-key factor `P·Q̂_i·[Q̂_i⁻¹]_{Q_i} mod m_c` of full-chain
+    /// digit `digit` on global channel `c`, Shoup form.
+    #[inline]
+    pub(crate) fn key_factor(&self, digit: usize, c: usize) -> ShoupScalar {
+        self.key_factors[digit][c]
     }
 
     /// The encoder's root and permutation tables.

@@ -9,10 +9,11 @@
 //! T_i = (Q/Q_i) · [(Q/Q_i)^{-1} mod Q_i]      (≡ 1 mod Q_i, ≡ 0 mod Q_j)
 //! ```
 //!
-//! The `T_i` factor is computed exactly at key-generation time — the
-//! digit-local inverse through its [`fhe_math::MixedRadix`] digits, the
-//! cofactors as [`fhe_math::UBig`] products; at runtime only word-sized
-//! residues are touched (the accelerator never sees a big integer).
+//! `T_i` is the CRT idempotent of digit `i`, so `P·T_i` is `P mod q` on the
+//! digit's channels and 0 on every other: the context holds that factor per
+//! `(digit, channel)` in Shoup form ([`CkksContext::new`]), and key
+//! generation touches only word-sized residues (the accelerator never sees
+//! a big integer).
 
 use std::collections::HashMap;
 
@@ -20,7 +21,7 @@ use crate::ciphertext::{Ciphertext, Plaintext};
 use crate::eval::ntt_work;
 use crate::{CkksContext, CkksError};
 use fhe_math::{
-    par, sample_gaussian, sample_ternary, Domain, MixedRadix, Modulus, Poly, RnsPoly, UBig,
+    galois_ntt_permutation, par, sample_gaussian, sample_ternary, Domain, Poly, RnsPoly,
 };
 use rand::Rng;
 
@@ -299,24 +300,8 @@ impl SwitchKey {
         rng: &mut R,
     ) -> Result<Self, CkksError> {
         let all: Vec<usize> = (0..ctx.rns().moduli().len()).collect();
-        let q_moduli = ctx.q_moduli().to_vec();
-        let p_product = ctx.p_product();
         let mut digit_keys = Vec::with_capacity(ctx.digits().len());
-        for digit in ctx.digits() {
-            // Q̂_i = Q / Q_i (product over Q channels outside the digit).
-            let qhat = UBig::product_of(
-                (0..ctx.q_len()).filter(|c| !digit.contains(c)).map(|c| q_moduli[c].value()),
-            );
-            // v = Q̂_i^{-1} mod Q_i, held as its mixed-radix digits over the
-            // digit moduli.
-            let digit_moduli: Vec<Modulus> = digit.iter().map(|&c| q_moduli[c]).collect();
-            let radix = MixedRadix::new(&digit_moduli)?;
-            let mut v: Vec<u64> = digit_moduli
-                .iter()
-                .map(|m| m.inv(qhat.rem_u64(m.value())).expect("Q̂_i coprime to digit moduli"))
-                .collect();
-            radix.to_digits(&mut v);
-
+        for digit in 0..ctx.digits().len() {
             let a_channels = sample_uniform_ntt(ctx, &all, rng);
             let noise = sample_gaussian(ctx.params().sigma(), ctx.n(), rng);
             let e_channels = lift_signed_ntt(ctx, &noise, &all)?;
@@ -326,11 +311,7 @@ impl SwitchKey {
             let n = ctx.n();
             let b_channels = par::par_map(&all, n as u64, |pos, &c| -> Result<Poly, CkksError> {
                 let m = ctx.rns().moduli()[c];
-                // f = P · Q̂_i · v  mod m.
-                let f = m.mul(
-                    m.mul(p_product.rem_u64(m.value()), qhat.rem_u64(m.value())),
-                    radix.residue(&v, &m),
-                );
+                let f = ctx.key_factor(digit, c);
                 let s = sk.s_channel(c);
                 let t = &target[c];
                 let vals: Vec<u64> = a_channels[pos]
@@ -340,7 +321,7 @@ impl SwitchKey {
                     .zip(e_channels[pos].coeffs())
                     .zip(t.coeffs())
                     .map(|(((&a, &sv), &e), &tv)| {
-                        m.add(m.add(m.neg(m.mul(a, sv)), e), m.mul(f, tv))
+                        m.add(m.add(m.neg(m.mul(a, sv)), e), m.mul_shoup(tv, f))
                     })
                     .collect();
                 Ok(Poly::from_ntt(vals, m)?)
@@ -413,6 +394,20 @@ pub fn conjugation_element(n: usize) -> usize {
     2 * n - 1
 }
 
+/// `s(X^g)` over the full basis, NTT domain: the gather of `s`'s NTT image
+/// through [`galois_ntt_permutation`] — the exact identity the rotations
+/// apply to ciphertexts, so no transform is run.
+fn galois_target(ctx: &CkksContext, sk: &SecretKey, g: usize) -> Result<Vec<Poly>, CkksError> {
+    let perm = galois_ntt_permutation(ctx.n(), g)?;
+    (0..ctx.rns().moduli().len())
+        .map(|c| {
+            let s = sk.s_channel(c);
+            let vals = perm.iter().map(|&i| s.coeffs()[i as usize]).collect();
+            Ok(Poly::from_ntt(vals, s.modulus())?)
+        })
+        .collect()
+}
+
 /// A set of Galois keys indexed by Galois element.
 #[derive(Debug, Clone, Default)]
 pub struct GaloisKeys {
@@ -442,19 +437,7 @@ impl GaloisKeys {
         elements.dedup();
         let mut keys = HashMap::with_capacity(elements.len());
         for g in elements {
-            // target = s(X^g) over the full basis.
-            let mut s_g = vec![0i64; ctx.n()];
-            let n = ctx.n();
-            for (i, &c) in sk.coefficients().iter().enumerate() {
-                let e = (i * g) & (2 * n - 1);
-                if e < n {
-                    s_g[e] += c;
-                } else {
-                    s_g[e - n] -= c;
-                }
-            }
-            let all: Vec<usize> = (0..ctx.rns().moduli().len()).collect();
-            let target = lift_signed_ntt(ctx, &s_g, &all)?;
+            let target = galois_target(ctx, sk, g)?;
             keys.insert(g, SwitchKey::generate(ctx, sk, &target, rng)?);
         }
         Ok(GaloisKeys { keys, n: ctx.n() })
@@ -480,6 +463,7 @@ impl GaloisKeys {
 mod tests {
     use super::*;
     use crate::{CkksParams, Encoder};
+    use fhe_math::{MixedRadix, Modulus, UBig};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -488,22 +472,61 @@ mod tests {
     }
 
     #[test]
-    fn switch_key_factor_is_one_on_its_digit_and_zero_elsewhere() {
-        // T_i = Q̂_i·[Q̂_i⁻¹ mod Q_i] is what `SwitchKey::generate` folds into
-        // the key (times P); recompute it the slow way and check the CRT
-        // idempotent property the key switch relies on.
-        let (ctx, _) = setup();
-        for digit in ctx.digits() {
-            let outside = || (0..ctx.q_len()).filter(|c| !digit.contains(c));
-            let qhat = UBig::product_of(outside().map(|c| ctx.q_moduli()[c].value()));
-            let digit_moduli: Vec<Modulus> = digit.iter().map(|&c| ctx.q_moduli()[c]).collect();
-            let radix = MixedRadix::new(&digit_moduli).unwrap();
-            let mut v: Vec<u64> =
-                digit_moduli.iter().map(|m| m.inv(qhat.rem_u64(m.value())).unwrap()).collect();
-            radix.to_digits(&mut v);
-            for (c, m) in ctx.q_moduli().iter().enumerate() {
-                let t = m.mul(qhat.rem_u64(m.value()), radix.residue(&v, m));
-                assert_eq!(t, u64::from(digit.contains(&c)), "channel {c}");
+    fn key_factors_match_the_bigint_derivation() {
+        // P·Q̂_i·[Q̂_i⁻¹]_{Q_i} mod m, the slow way — big-integer cofactors,
+        // the digit-local inverse through its mixed-radix digits — on every
+        // channel of Q ∪ P, against the context's table (built from the CRT
+        // identity instead).
+        for params in [CkksParams::toy().unwrap(), CkksParams::small().unwrap()] {
+            let ctx = CkksContext::new(params).unwrap();
+            let p = ctx.p_product();
+            for (i, digit) in ctx.digits().iter().enumerate() {
+                let outside = (0..ctx.q_len()).filter(|c| !digit.contains(c));
+                let qhat = UBig::product_of(outside.map(|c| ctx.q_moduli()[c].value()));
+                let digit_moduli: Vec<Modulus> = digit.iter().map(|&c| ctx.q_moduli()[c]).collect();
+                let radix = MixedRadix::new(&digit_moduli).unwrap();
+                let mut v: Vec<u64> =
+                    digit_moduli.iter().map(|m| m.inv(qhat.rem_u64(m.value())).unwrap()).collect();
+                radix.to_digits(&mut v);
+                for (c, m) in ctx.rns().moduli().iter().enumerate() {
+                    let t = m.mul(qhat.rem_u64(m.value()), radix.residue(&v, m));
+                    let want = m.mul(p.rem_u64(m.value()), t);
+                    if c < ctx.q_len() {
+                        assert_eq!(t, u64::from(digit.contains(&c)), "T_{i} on channel {c}");
+                    }
+                    assert_eq!(ctx.key_factor(i, c), m.shoup(want), "digit {i} channel {c}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn galois_targets_equal_the_coefficient_domain_construction() {
+        // s(X^g) built coefficient by coefficient and lifted through the
+        // forward transforms — the construction the gather replaced.
+        for params in [CkksParams::toy().unwrap(), CkksParams::small().unwrap()] {
+            let ctx = CkksContext::new(params).unwrap();
+            let mut rng = ChaCha8Rng::seed_from_u64(9);
+            let sk = SecretKey::generate(&ctx, &mut rng).unwrap();
+            let n = ctx.n();
+            let all: Vec<usize> = (0..ctx.rns().moduli().len()).collect();
+            let mut elements: Vec<usize> = [1, 2, 5, -1].map(|r| galois_element(n, r)).to_vec();
+            elements.push(conjugation_element(n));
+            for g in elements {
+                let mut s_g = vec![0i64; n];
+                for (i, &c) in sk.coefficients().iter().enumerate() {
+                    let e = (i * g) & (2 * n - 1);
+                    if e < n {
+                        s_g[e] += c;
+                    } else {
+                        s_g[e - n] -= c;
+                    }
+                }
+                let want = lift_signed_ntt(&ctx, &s_g, &all).unwrap();
+                let got = galois_target(&ctx, &sk, g).unwrap();
+                for c in 0..all.len() {
+                    assert_eq!(got[c].coeffs(), want[c].coeffs(), "g {g} channel {c}");
+                }
             }
         }
     }

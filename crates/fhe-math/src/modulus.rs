@@ -5,7 +5,13 @@
 //! single Barrett reduction at the end of a Meta-OP — the reduction itself
 //! being two more multiplications on the reused multiplier array
 //! (paper §5.2, Fig. 5d).
+//!
+//! The canonical `add` / `sub` / `neg` / `mul_shoup` / `reduce_2q` settle
+//! their result with a `min` ([`crate::simd`]'s `csub`), never an `if`: on
+//! residues the comparison is a coin toss, and these inline into the key
+//! generation, encryption and key-switch loops (DESIGN.md §14.2).
 
+use crate::simd::{csub, mul_shoup_lazy, sub_mod};
 use crate::MathError;
 
 /// Maximum supported modulus width in bits.
@@ -127,12 +133,7 @@ impl Modulus {
             "non-canonical operands to Modulus::add: a={a} b={b} q={}",
             self.value
         );
-        let s = a + b;
-        if s >= self.value {
-            s - self.value
-        } else {
-            s
-        }
+        csub(a + b, self.value)
     }
 
     /// Modular subtraction of canonical operands.
@@ -147,11 +148,7 @@ impl Modulus {
             "non-canonical operands to Modulus::sub: a={a} b={b} q={}",
             self.value
         );
-        if a >= b {
-            a - b
-        } else {
-            a + self.value - b
-        }
+        sub_mod(a, b, self.value)
     }
 
     /// Modular negation of a canonical operand.
@@ -162,11 +159,7 @@ impl Modulus {
     #[inline]
     pub fn neg(&self, a: u64) -> u64 {
         assert!(a < self.value, "non-canonical operand to Modulus::neg: a={a}");
-        if a == 0 {
-            0
-        } else {
-            self.value - a
-        }
+        csub(self.value - a, self.value)
     }
 
     /// Modular multiplication via Barrett reduction.
@@ -236,13 +229,7 @@ impl Modulus {
     #[inline]
     pub fn mul_shoup(&self, a: u64, w: ShoupScalar) -> u64 {
         debug_assert!(a < self.value);
-        let qhat = ((a as u128 * w.quotient as u128) >> 64) as u64;
-        let r = (a.wrapping_mul(w.value)).wrapping_sub(qhat.wrapping_mul(self.value));
-        if r >= self.value {
-            r - self.value
-        } else {
-            r
-        }
+        csub(mul_shoup_lazy(a, w, self.value), self.value)
     }
 
     /// Lazy Shoup multiplication: returns a value in `[0, 2q)` congruent to
@@ -256,7 +243,7 @@ impl Modulus {
     /// normalization at the end.
     #[inline]
     pub fn mul_shoup_lazy(&self, a: u64, w: ShoupScalar) -> u64 {
-        crate::simd::mul_shoup_lazy(a, w, self.value)
+        mul_shoup_lazy(a, w, self.value)
     }
 
     /// Canonicalizes a lazy `[0, 2q)` value with one conditional
@@ -272,11 +259,7 @@ impl Modulus {
             "operand to Modulus::reduce_2q outside [0, 2q): a={a} q={}",
             self.value
         );
-        if a >= self.value {
-            a - self.value
-        } else {
-            a
-        }
+        csub(a, self.value)
     }
 
     /// Converts any `i64` to its canonical residue. Inputs are almost

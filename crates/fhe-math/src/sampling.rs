@@ -4,11 +4,15 @@
 //! (rejection-free uniform sampling, Box–Muller discrete Gaussian) but no
 //! constant-time guarantees are attempted.
 
+use rand::distributions::{Distribution, Uniform};
 use rand::Rng;
 
-/// Samples `n` uniform residues in `[0, q)` without modulo bias.
+/// Samples `n` uniform residues in `[0, q)` without modulo bias: the draws
+/// `gen_range(0..q)` would make, with the range's rejection zone (a 64-bit
+/// division) computed once per call instead of once per residue.
 pub fn sample_uniform<R: Rng + ?Sized>(q: u64, n: usize, rng: &mut R) -> Vec<u64> {
-    (0..n).map(|_| rng.gen_range(0..q)).collect()
+    let residues = Uniform::new(0, q);
+    (0..n).map(|_| residues.sample(rng)).collect()
 }
 
 /// Samples `n` ternary coefficients in `{-1, 0, 1}` uniformly — the secret

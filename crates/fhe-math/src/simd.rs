@@ -61,6 +61,15 @@ pub(crate) fn csub(x: u64, m: u64) -> u64 {
     x.min(x.wrapping_sub(m))
 }
 
+/// `a − b mod q` for canonical operands. `a − b` wraps exactly when `a < b`,
+/// and adding `q` then wraps back to the smaller value: which operand is
+/// larger is a coin toss per element, so this is a `min`, not a branch.
+#[inline(always)]
+pub(crate) fn sub_mod(a: u64, b: u64, q: u64) -> u64 {
+    let d = a.wrapping_sub(b);
+    d.min(d.wrapping_add(q))
+}
+
 /// One forward (CT) Harvey butterfly: inputs `< 4q`, outputs `< 4q`.
 #[inline(always)]
 pub(crate) fn fwd_bfly(u: u64, x: u64, s: ShoupScalar, q: u64, two_q: u64) -> (u64, u64) {
@@ -79,11 +88,7 @@ pub(crate) fn inv_bfly(u: u64, v: u64, s: ShoupScalar, q: u64, two_q: u64) -> (u
 /// plus one conditional subtraction, canonical for any `u64` input.
 pub(crate) fn mul_shoup_slice(a: &mut [u64], w: ShoupScalar, q: u64) {
     for x in a.iter_mut() {
-        let mut r = mul_shoup_lazy(*x, w, q);
-        if r >= q {
-            r -= q;
-        }
-        *x = r;
+        *x = csub(mul_shoup_lazy(*x, w, q), q);
     }
 }
 
@@ -91,9 +96,7 @@ pub(crate) fn mul_shoup_slice(a: &mut [u64], w: ShoupScalar, q: u64) {
 /// element.
 pub(crate) fn reduce_2q_slice(a: &mut [u64], q: u64) {
     for x in a.iter_mut() {
-        if *x >= q {
-            *x -= q;
-        }
+        *x = csub(*x, q);
     }
 }
 
@@ -103,8 +106,7 @@ pub(crate) fn add_mod_slice(a: &mut [u64], b: &[u64], q: u64) {
     debug_assert_eq!(a.len(), b.len());
     for (x, &y) in a.iter_mut().zip(b) {
         assert!(*x < q && y < q, "non-canonical operands to simd::add_mod: a={x} b={y} q={q}");
-        let s = *x + y;
-        *x = if s >= q { s - q } else { s };
+        *x = csub(*x + y, q);
     }
 }
 
@@ -113,7 +115,7 @@ pub(crate) fn sub_mod_slice(a: &mut [u64], b: &[u64], q: u64) {
     debug_assert_eq!(a.len(), b.len());
     for (x, &y) in a.iter_mut().zip(b) {
         assert!(*x < q && y < q, "non-canonical operands to simd::sub_mod: a={x} b={y} q={q}");
-        *x = if *x >= y { *x - y } else { *x + q - y };
+        *x = sub_mod(*x, y, q);
     }
 }
 
@@ -121,7 +123,7 @@ pub(crate) fn sub_mod_slice(a: &mut [u64], b: &[u64], q: u64) {
 pub(crate) fn neg_mod_slice(a: &mut [u64], q: u64) {
     for x in a.iter_mut() {
         assert!(*x < q, "non-canonical operand to simd::neg_mod: a={x} q={q}");
-        *x = if *x == 0 { 0 } else { q - *x };
+        *x = csub(q - *x, q);
     }
 }
 
@@ -130,12 +132,7 @@ pub(crate) fn sub_mul_shoup_slice(out: &mut [u64], a: &[u64], b: &[u64], w: Shou
     debug_assert!(out.len() == a.len() && a.len() == b.len());
     for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
         assert!(x < q && y < q, "non-canonical operands to simd::sub_mul_shoup: a={x} b={y} q={q}");
-        // `x − y` wraps exactly when `x < y`, and then adding `q` wraps
-        // back to the small value: which of `x` and `y` is larger is a coin
-        // toss per element, so this must not compile to a jump.
-        let d = x.wrapping_sub(y);
-        let d = d.min(d.wrapping_add(q));
-        *o = csub(mul_shoup_lazy(d, w, q), q);
+        *o = csub(mul_shoup_lazy(sub_mod(x, y, q), w, q), q);
     }
 }
 

@@ -71,6 +71,12 @@ pub fn execute_ckks(
     cancel: &AtomicBool,
 ) -> Result<Vec<f64>, ServiceError> {
     let _span = telemetry::Span::enter("service.exec.ckks");
+    // A multiplying plan needs the tenant's relinearization key: the entry's
+    // first such request draws it here, outside the key-cache lock and
+    // before any ciphertext exists.
+    if plan.ops.iter().any(|op| matches!(op, OpKind::Square { .. } | OpKind::Mul { .. })) {
+        keys.rlk(ctx)?;
+    }
     let enc = Encoder::new(ctx);
     let eval = Evaluator::new(ctx);
     let pt = enc.encode(slots)?;
@@ -101,9 +107,11 @@ pub fn execute_ckks(
             }
             OpKind::MulConst { arg, c } => eval.mul_const(&nodes[arg], c)?,
             OpKind::Negate { arg } => eval.neg(&nodes[arg])?,
-            OpKind::Square { arg } => eval.rescale(&eval.square(&nodes[arg], &keys.rlk)?)?,
+            OpKind::Square { arg } => eval.rescale(&eval.square(&nodes[arg], keys.rlk(ctx)?)?)?,
             OpKind::Add { a, b } => eval.add(&nodes[a], &nodes[b])?,
-            OpKind::Mul { a, b } => eval.rescale(&eval.mul(&nodes[a], &nodes[b], &keys.rlk)?)?,
+            OpKind::Mul { a, b } => {
+                eval.rescale(&eval.mul(&nodes[a], &nodes[b], keys.rlk(ctx)?)?)?
+            }
         };
         nodes.push(ct);
     }

@@ -8,10 +8,18 @@
 //! deterministically on miss — tenant keys in this self-contained demo
 //! are derived from the tenant id, so eviction costs latency, never
 //! correctness.
+//!
+//! A miss draws the secret only. The relinearization key is drawn by the
+//! entry's first multiplying request ([`TenantKeys::rlk`]), outside the
+//! cache lock and once however many requests race for it, from the tenant
+//! stream's state right after the secret — the key an eager draw would
+//! have made, bit for bit. A tenant that never multiplies never pays for
+//! one. TFHE keys come from a stream of their own (same key, stream 1), so
+//! an upgrade keeps the resident CKKS half instead of redrawing it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use fhe_ckks::{CkksContext, RelinKey, SecretKey};
 use fhe_tfhe::{generate_keys, ClientKey, ServerKey, TfheParams};
@@ -21,14 +29,57 @@ use rand_chacha::ChaCha8Rng;
 use crate::error::ServiceError;
 use crate::request::TenantId;
 
+/// The ChaCha stream (nonce) of a tenant's TFHE keys; CKKS keys use 0.
+const TFHE_STREAM: u64 = 1;
+
 /// One tenant's resident key material.
 pub struct TenantKeys {
     /// CKKS secret (demo server doubles as the client).
     pub sk: SecretKey,
-    /// CKKS relinearization key.
-    pub rlk: RelinKey,
+    /// CKKS relinearization key, drawn on first use ([`TenantKeys::rlk`]);
+    /// a TFHE upgrade's new entry shares it, drawn or not.
+    rlk: Arc<LazyRelinKey>,
     /// TFHE client key (lazily absent unless the tenant sent TFHE work).
     pub tfhe: Option<(ClientKey, ServerKey)>,
+}
+
+/// A relinearization key that is not drawn until a multiplication needs it.
+struct LazyRelinKey {
+    /// The tenant stream right after the secret: where an eager draw of the
+    /// key would have continued.
+    stream: ChaCha8Rng,
+    /// Held while drawing, so concurrent first users wait for one draw.
+    drawing: Mutex<()>,
+    key: OnceLock<RelinKey>,
+    stats: Arc<KeyCacheStats>,
+}
+
+impl TenantKeys {
+    /// The tenant's relinearization key, drawn on the entry's first call.
+    ///
+    /// Callers run outside the cache lock. Concurrent first callers wait
+    /// for one draw; a failed draw caches nothing, so the next call draws
+    /// again from the same stream state and gets the same key.
+    ///
+    /// # Errors
+    ///
+    /// Propagates key-generation failures as [`ServiceError::Scheme`].
+    pub fn rlk(&self, ctx: &CkksContext) -> Result<&RelinKey, ServiceError> {
+        let lazy = &*self.rlk;
+        if let Some(key) = lazy.key.get() {
+            return Ok(key);
+        }
+        // Nothing is cached before a draw succeeds, so a draw that panicked
+        // while holding the lock left no state behind it to distrust.
+        let _drawing = lazy.drawing.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(key) = lazy.key.get() {
+            return Ok(key);
+        }
+        let _span = telemetry::Span::enter("service.keycache.keygen.rlk");
+        let key = RelinKey::generate(ctx, &self.sk, &mut lazy.stream.clone())?;
+        lazy.stats.rlk_draws.fetch_add(1, Ordering::Relaxed);
+        Ok(lazy.key.get_or_init(|| key))
+    }
 }
 
 /// Cache hit/miss/eviction counters (monotonic, lock-free reads).
@@ -37,6 +88,7 @@ pub struct KeyCacheStats {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    rlk_draws: AtomicU64,
 }
 
 impl KeyCacheStats {
@@ -44,13 +96,17 @@ impl KeyCacheStats {
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
-    /// Misses (each one paid a key generation).
+    /// Misses (each one paid a secret-key generation).
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
     /// Evictions of least-recently-used tenants.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
+    }
+    /// Relinearization keys drawn: one per entry whose tenant multiplied.
+    pub fn rlk_draws(&self) -> u64 {
+        self.rlk_draws.load(Ordering::Relaxed)
     }
     /// Hit rate in `[0, 1]` (1.0 for an untouched cache).
     pub fn hit_rate(&self) -> f64 {
@@ -111,7 +167,9 @@ impl KeyCache {
         ChaCha8Rng::seed_from_u64(self.seed ^ tenant.wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 
-    /// The tenant's CKKS keys, generating (and possibly evicting) on miss.
+    /// The tenant's CKKS keys, generating the secret (and possibly
+    /// evicting) on miss; the relinearization key waits for
+    /// [`TenantKeys::rlk`].
     ///
     /// # Errors
     ///
@@ -132,15 +190,21 @@ impl KeyCache {
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         telemetry::count_named("service.keycache.miss", 1);
         let _span = telemetry::Span::enter("service.keycache.keygen");
-        let mut rng = self.tenant_rng(tenant);
-        let sk = SecretKey::generate(ctx, &mut rng)?;
-        let rlk = RelinKey::generate(ctx, &sk, &mut rng)?;
+        let mut stream = self.tenant_rng(tenant);
+        let sk = SecretKey::generate(ctx, &mut stream)?;
+        let rlk = Arc::new(LazyRelinKey {
+            stream,
+            drawing: Mutex::new(()),
+            key: OnceLock::new(),
+            stats: Arc::clone(&self.stats),
+        });
         let keys = Arc::new(TenantKeys { sk, rlk, tfhe: None });
         self.insert(tenant, Arc::clone(&keys), stamp);
         Ok(keys)
     }
 
-    /// The tenant's TFHE keys, generated lazily alongside the CKKS pair.
+    /// The tenant's keys with the TFHE pair, generated on its first TFHE
+    /// request.
     ///
     /// # Errors
     ///
@@ -155,14 +219,17 @@ impl KeyCache {
         if keys.tfhe.is_some() {
             return Ok(keys);
         }
-        // Upgrade the entry in place: regenerate the CKKS half from the
-        // same deterministic stream, then extend with TFHE keys.
+        // Upgrade the entry: the resident CKKS half (and its relinearization
+        // key, drawn or not) carries over; the TFHE keys come from their own
+        // stream of the tenant's key.
         let _span = telemetry::Span::enter("service.keycache.keygen.tfhe");
-        let mut rng = self.tenant_rng(tenant);
-        let sk = SecretKey::generate(ctx, &mut rng)?;
-        let rlk = RelinKey::generate(ctx, &sk, &mut rng)?;
-        let (ck, sk_tfhe) = generate_keys(params, &mut rng)?;
-        let upgraded = Arc::new(TenantKeys { sk, rlk, tfhe: Some((ck, sk_tfhe)) });
+        let mut stream = self.tenant_rng(tenant);
+        stream.set_stream(TFHE_STREAM);
+        let upgraded = Arc::new(TenantKeys {
+            sk: keys.sk.clone(),
+            rlk: Arc::clone(&keys.rlk),
+            tfhe: Some(generate_keys(params, &mut stream)?),
+        });
         if let Some(entry) = self.entries.get_mut(&tenant) {
             entry.0 = Arc::clone(&upgraded);
         }
@@ -218,6 +285,18 @@ mod tests {
         a.get_ckks(56, &c).unwrap();
         let ka2 = a.get_ckks(55, &c).unwrap();
         assert_eq!(ka.sk.coefficients(), ka2.sk.coefficients());
+
+        // The TFHE half too, from its own stream: equal across servers and
+        // across evictions, and not a reuse of the CKKS stream's words.
+        let p = TfheParams::toy();
+        let lwe = |keys: &TenantKeys| keys.tfhe.as_ref().unwrap().0.lwe_key().bits().to_vec();
+        let ta = lwe(&a.get_tfhe(55, &c, &p).unwrap());
+        assert_eq!(ta, lwe(&b.get_tfhe(55, &c, &p).unwrap()));
+        a.get_ckks(56, &c).unwrap();
+        assert_eq!(ta, lwe(&a.get_tfhe(55, &c, &p).unwrap()));
+        let (ck, _) = generate_keys(&p, &mut a.tenant_rng(55)).unwrap();
+        assert_ne!(ta, ck.lwe_key().bits());
+        assert_ne!(ta, lwe(&a.get_tfhe(56, &c, &p).unwrap()));
     }
 
     #[test]
