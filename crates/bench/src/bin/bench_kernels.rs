@@ -1,8 +1,9 @@
 //! Sequential-vs-parallel recorder for the hot kernels the
 //! `fhe_math::par` backend accelerates: RNS NTT round-trips, Modup, Moddown and
 //! the CKKS mul+rescale pipeline, plus the CKKS encode/decode boundary, at
-//! n = 2^8 and 2^12 … 2^16, and a forward ÷ inverse NTT ratio per size under
-//! the table.
+//! n = 2^8 and 2^12 … 2^16, and under the table a forward ÷ inverse NTT
+//! ratio per size and `alloc_free_ns`, the cost of one warmed 512-byte
+//! `Vec` allocation and free through the counting global allocator.
 //!
 //! Both modes run in the same process: the sequential column pins the
 //! backend to one thread with [`fhe_math::par::set_max_threads`]`(1)`, the
@@ -455,6 +456,19 @@ fn main() {
             rep.note(&format!("fwd/inv n = {n}: {:.2} (sequential)", fwd / inv));
         }
     }
+    // What the allocation ledger itself costs: every heap request in the
+    // rows above paid this, on top of `System`.
+    const ALLOC_FREE_CALLS: u32 = 100_000;
+    let batch_s = time_reps(reps, || {
+        for _ in 0..ALLOC_FREE_CALLS {
+            drop(std::hint::black_box(Vec::<u8>::with_capacity(512)));
+        }
+    });
+    rep.note(&format!(
+        "alloc_free_ns: {:.1} (one 512-B Vec alloc + free through the tracking allocator, \
+         best of {reps} warmed batches of {ALLOC_FREE_CALLS})",
+        batch_s * 1e9 / f64::from(ALLOC_FREE_CALLS)
+    ));
     rep.note(&note);
 
     if profile {

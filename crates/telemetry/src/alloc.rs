@@ -5,23 +5,39 @@
 //! process heap: this module interposes a counting [`GlobalAlloc`] wrapper
 //! around [`System`] and maintains
 //!
-//! * **global counters** — alloc/dealloc/realloc counts, cumulative bytes
-//!   allocated/deallocated, live bytes, peak live bytes, and a size-class
-//!   distribution reusing the log-linear [`Histogram`] bucket layout;
+//! * **the live ledger** — live bytes and peak live bytes, process-wide:
+//!   one locked read-modify-write per hook call, plus a `fetch_max` on the
+//!   peak only when the new live value passes it;
+//! * **the census** — alloc/dealloc/realloc counts and cumulative bytes
+//!   allocated/deallocated, kept in per-thread blocks (below) and summed
+//!   by [`global_stats`];
 //! * **per-thread counters** — allocation count and bytes requested by the
 //!   current thread, the basis for span attribution: [`crate::SpanGuard`]
 //!   snapshots them at open and diffs at close, so every span reports
 //!   `{allocs, bytes}` alongside its duration.
 //!
+//! # Census blocks
+//!
+//! A thread claims one of [`CENSUS_BLOCKS`] cache-line-sized blocks with
+//! one `fetch_add` at its first allocation and keeps it for life. Only the
+//! owner writes its block, so a relaxed load and store per counter loses
+//! nothing and needs no `lock` prefix. Blocks are never reused: an exited
+//! thread's totals stay in the sum. Threads past the table share one
+//! overflow block through `fetch_add` — slower, still exact. Every counter
+//! is exact at quiescence; a read racing writers sees each counter between
+//! its values at the start and the end of the read, and never less than an
+//! earlier read saw.
+//!
 //! # Reentrancy contract
 //!
 //! The allocator hooks run inside *every* allocation, including ones made
 //! while telemetry's own state mutex is held. They therefore touch only
-//! relaxed atomics and const-initialized thread-local [`Cell`]s (no
-//! destructors, no lazy init) — never a lock, never an allocation.
-//! Telemetry's record paths wrap their own heap usage in [`exempt_scope`]
-//! so bookkeeping does not pollute thread attribution; the global counters
-//! intentionally still see it (they are a whole-process census).
+//! atomics and const-initialized thread-local [`Cell`]s (no destructors, no
+//! lazy init) — never a lock, never an allocation, never a TLS destructor
+//! registration. Telemetry's record paths wrap their own heap usage in
+//! [`exempt_scope`] so bookkeeping does not pollute thread attribution; the
+//! census and the live ledger intentionally still see it (they are a
+//! whole-process account).
 //!
 //! # Worker threads
 //!
@@ -34,87 +50,181 @@
 // `GlobalAlloc` trait itself. Everything else in the crate stays checked.
 #![allow(unsafe_code)]
 
-use crate::hist::{self, Histogram};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::ptr;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCS: AtomicU64 = AtomicU64::new(0);
-static REALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
-static BYTES_DEALLOCATED: AtomicU64 = AtomicU64::new(0);
+/// Census blocks in the table: the first this many threads to allocate own
+/// one each, every later thread shares the overflow block.
+pub const CENSUS_BLOCKS: usize = 256;
+
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Largest single request seen (exact, not bucketed).
-static MAX_REQUEST: AtomicU64 = AtomicU64::new(0);
-/// Size-class census sharing the histogram bucket layout, so the exact
-/// distribution reconstructs into a [`Histogram`] without approximation.
-static SIZE_CLASSES: [AtomicU64; hist::NUM_BUCKETS] =
-    [const { AtomicU64::new(0) }; hist::NUM_BUCKETS];
+
+/// One thread's monotone census, alone on its cache line so two owners
+/// never write the same line.
+#[repr(align(64))]
+struct Census {
+    allocs: AtomicU64,
+    deallocs: AtomicU64,
+    reallocs: AtomicU64,
+    bytes_allocated: AtomicU64,
+    bytes_deallocated: AtomicU64,
+}
+
+impl Census {
+    const fn new() -> Self {
+        Census {
+            allocs: AtomicU64::new(0),
+            deallocs: AtomicU64::new(0),
+            reallocs: AtomicU64::new(0),
+            bytes_allocated: AtomicU64::new(0),
+            bytes_deallocated: AtomicU64::new(0),
+        }
+    }
+
+    /// Adds one hook call to this block, each counter through `add`.
+    #[inline(always)]
+    fn record(&self, event: Event, add: impl Fn(&AtomicU64, u64)) {
+        match event {
+            Event::Alloc(size) => {
+                add(&self.allocs, 1);
+                add(&self.bytes_allocated, size);
+            }
+            Event::Dealloc(size) => {
+                add(&self.deallocs, 1);
+                add(&self.bytes_deallocated, size);
+            }
+            Event::Realloc { old, new } => {
+                add(&self.reallocs, 1);
+                add(&self.bytes_allocated, new);
+                add(&self.bytes_deallocated, old);
+            }
+        }
+    }
+}
+
+static BLOCKS: [Census; CENSUS_BLOCKS] = [const { Census::new() }; CENSUS_BLOCKS];
+static OVERFLOW: Census = Census::new();
+/// Blocks handed out so far; runs past [`CENSUS_BLOCKS`] once threads
+/// start overflowing.
+static CLAIMED: AtomicUsize = AtomicUsize::new(0);
+
+/// Owned-block update: the owner is the only writer, so load + store.
+#[inline(always)]
+fn add_owned(counter: &AtomicU64, v: u64) {
+    counter.store(counter.load(Relaxed) + v, Relaxed);
+}
+
+/// Overflow-block update: shared, so a locked `fetch_add`.
+fn add_shared(counter: &AtomicU64, v: u64) {
+    counter.fetch_add(v, Relaxed);
+}
+
+/// What one hook call did. A realloc is dealloc(old) + alloc(new) in the
+/// byte ledgers, so `live = allocated − deallocated` stays exact, and one
+/// call under `reallocs` (not `allocs`/`deallocs`), so call counts stay
+/// exact too.
+#[derive(Clone, Copy)]
+enum Event {
+    Alloc(u64),
+    Dealloc(u64),
+    Realloc { old: u64, new: u64 },
+}
 
 struct ThreadCells {
     allocs: Cell<u64>,
     bytes: Cell<u64>,
     exempt: Cell<u32>,
+    /// This thread's census block once claimed (the overflow block when
+    /// the table was full).
+    census: Cell<Option<&'static Census>>,
 }
 
 thread_local! {
     // Const-initialized and destructor-free: safe to touch from inside the
     // allocator at any point in a thread's life, including TLS teardown.
     static TCELLS: ThreadCells = const {
-        ThreadCells { allocs: Cell::new(0), bytes: Cell::new(0), exempt: Cell::new(0) }
+        ThreadCells {
+            allocs: Cell::new(0),
+            bytes: Cell::new(0),
+            exempt: Cell::new(0),
+            census: Cell::new(None),
+        }
     };
 }
 
-#[inline]
-fn note_thread_alloc(size: u64) {
+/// Raises live bytes by `by`, and the peak with them. The peak only grows
+/// between resets, so a live value at or below a read of it is already
+/// covered and skips the `fetch_max`.
+#[inline(always)]
+fn raise_live(by: u64) {
+    let live = LIVE_BYTES.fetch_add(by, Relaxed) + by;
+    if live > PEAK_BYTES.load(Relaxed) {
+        PEAK_BYTES.fetch_max(live, Relaxed);
+    }
+}
+
+/// Books one hook call: the live ledger, the calling thread's attribution
+/// and its census block.
+#[inline(always)]
+fn note(event: Event) {
+    match event {
+        Event::Alloc(size) => raise_live(size),
+        Event::Dealloc(size) => {
+            LIVE_BYTES.fetch_sub(size, Relaxed);
+        }
+        Event::Realloc { old, new } if new >= old => raise_live(new - old),
+        Event::Realloc { old, new } => {
+            LIVE_BYTES.fetch_sub(old - new, Relaxed);
+        }
+    }
     // `try_with` never allocates; it only fails during thread destruction,
-    // where dropping the attribution is exactly right.
-    let _ = TCELLS.try_with(|t| {
-        if t.exempt.get() == 0 {
-            t.allocs.set(t.allocs.get() + 1);
-            t.bytes.set(t.bytes.get() + size);
+    // where dropping the attribution is exactly right (the census still
+    // counts the call, in the overflow block).
+    let owned = TCELLS.try_with(|t| {
+        if let Event::Alloc(size) | Event::Realloc { new: size, .. } = event {
+            if t.exempt.get() == 0 {
+                t.allocs.set(t.allocs.get() + 1);
+                t.bytes.set(t.bytes.get() + size);
+            }
+        }
+        match t.census.get() {
+            Some(block) if !ptr::eq(block, &OVERFLOW) => {
+                block.record(event, add_owned);
+                true
+            }
+            _ => false,
         }
     });
-}
-
-#[inline]
-fn note_alloc(size: u64) {
-    ALLOCS.fetch_add(1, Relaxed);
-    BYTES_ALLOCATED.fetch_add(size, Relaxed);
-    let live = LIVE_BYTES.fetch_add(size, Relaxed) + size;
-    PEAK_BYTES.fetch_max(live, Relaxed);
-    MAX_REQUEST.fetch_max(size, Relaxed);
-    SIZE_CLASSES[hist::bucket_index(size)].fetch_add(1, Relaxed);
-    note_thread_alloc(size);
-}
-
-#[inline]
-fn note_dealloc(size: u64) {
-    DEALLOCS.fetch_add(1, Relaxed);
-    BYTES_DEALLOCATED.fetch_add(size, Relaxed);
-    LIVE_BYTES.fetch_sub(size, Relaxed);
-}
-
-#[inline]
-fn note_realloc(old: u64, new: u64) {
-    // Modeled as dealloc(old) + alloc(new) in the byte ledgers so
-    // `live = allocated − deallocated` stays exact; counted once under
-    // REALLOCS (not ALLOCS/DEALLOCS) so call counts stay exact too.
-    REALLOCS.fetch_add(1, Relaxed);
-    BYTES_ALLOCATED.fetch_add(new, Relaxed);
-    BYTES_DEALLOCATED.fetch_add(old, Relaxed);
-    if new >= old {
-        let live = LIVE_BYTES.fetch_add(new - old, Relaxed) + (new - old);
-        PEAK_BYTES.fetch_max(live, Relaxed);
-    } else {
-        LIVE_BYTES.fetch_sub(old - new, Relaxed);
+    if !owned.unwrap_or(false) {
+        note_unowned(event);
     }
-    MAX_REQUEST.fetch_max(new, Relaxed);
-    SIZE_CLASSES[hist::bucket_index(new)].fetch_add(1, Relaxed);
-    note_thread_alloc(new);
+}
+
+/// The census path of a thread without a block of its own: claims one at
+/// the thread's first allocation, and counts into the shared overflow
+/// block once the table is full (or once the thread's TLS is gone).
+#[cold]
+#[inline(never)]
+fn note_unowned(event: Event) {
+    let block = TCELLS
+        .try_with(|t| match t.census.get() {
+            Some(block) => block,
+            None => {
+                let block = BLOCKS.get(CLAIMED.fetch_add(1, Relaxed)).unwrap_or(&OVERFLOW);
+                t.census.set(Some(block));
+                block
+            }
+        })
+        .unwrap_or(&OVERFLOW);
+    if ptr::eq(block, &OVERFLOW) {
+        block.record(event, add_shared);
+    } else {
+        block.record(event, add_owned);
+    }
 }
 
 /// Counting wrapper around the [`System`] allocator, registered as the
@@ -122,13 +232,13 @@ fn note_realloc(old: u64, new: u64) {
 pub struct TrackingAllocator;
 
 // SAFETY: every method delegates directly to `System` and only adds
-// relaxed-atomic / thread-local-`Cell` bookkeeping around the call —
-// no allocation, no locking, no reentry into the global allocator.
+// atomic / thread-local-`Cell` bookkeeping around the call — no
+// allocation, no locking, no reentry into the global allocator.
 unsafe impl GlobalAlloc for TrackingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
-            note_alloc(layout.size() as u64);
+            note(Event::Alloc(layout.size() as u64));
         }
         p
     }
@@ -136,14 +246,14 @@ unsafe impl GlobalAlloc for TrackingAllocator {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let p = unsafe { System.alloc_zeroed(layout) };
         if !p.is_null() {
-            note_alloc(layout.size() as u64);
+            note(Event::Alloc(layout.size() as u64));
         }
         p
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) };
-        note_dealloc(layout.size() as u64);
+        note(Event::Dealloc(layout.size() as u64));
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -151,7 +261,7 @@ unsafe impl GlobalAlloc for TrackingAllocator {
         // would re-enter our alloc/dealloc hooks and double-count).
         let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
-            note_realloc(layout.size() as u64, new_size as u64);
+            note(Event::Realloc { old: layout.size() as u64, new: new_size as u64 });
         }
         p
     }
@@ -186,22 +296,24 @@ pub struct AllocStats {
     /// High-water mark of `live_bytes` since process start (or the last
     /// [`reset_peak`]).
     pub peak_bytes: u64,
-    /// Largest single request seen.
-    pub max_request: u64,
 }
 
-/// Reads the global allocation counters.
+/// Reads the live ledger and sums the census blocks.
 pub fn global_stats() -> AllocStats {
-    AllocStats {
-        allocs: ALLOCS.load(Relaxed),
-        deallocs: DEALLOCS.load(Relaxed),
-        reallocs: REALLOCS.load(Relaxed),
-        bytes_allocated: BYTES_ALLOCATED.load(Relaxed),
-        bytes_deallocated: BYTES_DEALLOCATED.load(Relaxed),
+    let claimed = CLAIMED.load(Relaxed).min(CENSUS_BLOCKS);
+    let mut s = AllocStats {
         live_bytes: LIVE_BYTES.load(Relaxed),
         peak_bytes: PEAK_BYTES.load(Relaxed),
-        max_request: MAX_REQUEST.load(Relaxed),
+        ..AllocStats::default()
+    };
+    for block in BLOCKS[..claimed].iter().chain([&OVERFLOW]) {
+        s.allocs += block.allocs.load(Relaxed);
+        s.deallocs += block.deallocs.load(Relaxed);
+        s.reallocs += block.reallocs.load(Relaxed);
+        s.bytes_allocated += block.bytes_allocated.load(Relaxed);
+        s.bytes_deallocated += block.bytes_deallocated.load(Relaxed);
     }
+    s
 }
 
 /// Resets the peak-live-bytes watermark to the current live level, so a
@@ -209,22 +321,6 @@ pub fn global_stats() -> AllocStats {
 /// basis of `bench_kernels --alloc-profile`'s per-kernel peaks).
 pub fn reset_peak() {
     PEAK_BYTES.store(LIVE_BYTES.load(Relaxed), Relaxed);
-}
-
-/// The exact size-class distribution of every allocation so far, as a
-/// [`Histogram`] over requested bytes (same log-linear buckets the
-/// duration histograms use; `sum` = cumulative bytes allocated).
-pub fn size_class_histogram() -> Histogram {
-    let mut buckets = [0u64; hist::NUM_BUCKETS];
-    for (b, s) in buckets.iter_mut().zip(SIZE_CLASSES.iter()) {
-        *b = s.load(Relaxed);
-    }
-    Histogram::from_raw(
-        ALLOCS.load(Relaxed) + REALLOCS.load(Relaxed),
-        BYTES_ALLOCATED.load(Relaxed),
-        MAX_REQUEST.load(Relaxed),
-        buckets,
-    )
 }
 
 /// Per-thread allocation pressure: requests made (and bytes asked for) by
@@ -269,8 +365,8 @@ pub fn charge_current_thread(allocs: u64, bytes: u64) {
     });
 }
 
-/// Suppresses *thread attribution* (not the global census) of allocations
-/// made on the current thread while the guard lives. Nestable. Used around
+/// Suppresses *thread attribution* (not the census) of allocations made on
+/// the current thread while the guard lives. Nestable. Used around
 /// telemetry's own record paths and `par`'s thread-spawn scaffolding so
 /// bookkeeping never pollutes span deltas or [`assert_no_alloc`].
 pub struct ExemptGuard {
@@ -317,6 +413,10 @@ pub fn assert_no_alloc<R>(label: &str, f: impl FnOnce() -> R) -> R {
     out
 }
 
+// Whole-process exactness (every census delta, live back to baseline, the
+// peak, the overflow block) needs a quiescent process, so it is tested in
+// its own binary, `tests/alloc_census.rs`; the tests here tolerate
+// concurrent test threads.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,26 +437,6 @@ mod tests {
         assert!(t_after.allocs > t_before.allocs);
         assert!(t_after.bytes >= t_before.bytes + (1 << 15));
         assert!(freed.deallocs > before.deallocs);
-    }
-
-    #[test]
-    fn realloc_keeps_live_bytes_exact() {
-        let before = global_stats();
-        let mut v: Vec<u8> = Vec::with_capacity(64);
-        for i in 0..4096u64 {
-            v.push(i as u8); // forces several reallocs
-        }
-        let during = global_stats();
-        drop(v);
-        let after = global_stats();
-        assert!(during.reallocs > before.reallocs);
-        // The ledger identity holds after the buffer dies: everything this
-        // thread allocated for `v` was returned.
-        assert_eq!(
-            after.bytes_allocated - after.bytes_deallocated,
-            after.live_bytes,
-            "live must equal allocated − deallocated"
-        );
     }
 
     #[test]
@@ -397,18 +477,6 @@ mod tests {
         // `since` saturates instead of wrapping when the guard migrates.
         let zero = ThreadAllocStats::default().since(thread_stats());
         assert_eq!(zero, ThreadAllocStats::default());
-    }
-
-    #[test]
-    fn size_class_histogram_reconstructs_exact_counts() {
-        let before = size_class_histogram();
-        let v: Vec<u8> = Vec::with_capacity(1 << 20);
-        let after = size_class_histogram();
-        drop(v);
-        let d = after.diff(&before);
-        assert!(d.count() >= 1);
-        assert!(d.sum() >= 1 << 20);
-        assert!(after.max() >= 1 << 20);
     }
 
     #[test]

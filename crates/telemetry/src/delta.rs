@@ -45,8 +45,6 @@ pub struct Cursor {
     hists: BTreeMap<String, Box<Histogram>>,
     /// Last-seen process-global allocation counters.
     alloc: crate::alloc::AllocStats,
-    /// Last-seen allocation size-class census.
-    alloc_hist: Option<Box<Histogram>>,
     /// Last-seen cumulative per-span-name allocation attribution.
     span_allocs: BTreeMap<String, (u64, u64)>,
     /// Events below this index are closed and fully attributed.
@@ -96,10 +94,6 @@ pub struct DeltaSnapshot {
     /// handle-scoped: rebinding a cursor to a new handle re-reports the
     /// full totals.
     pub alloc: BTreeMap<String, u64>,
-    /// Interval size-class distribution of allocation requests (bytes, in
-    /// the shared log-linear buckets); `None` when nothing was allocated
-    /// in the interval.
-    pub alloc_size: Option<Histogram>,
     /// Allocation pressure `(allocs, bytes)` attributed to spans that
     /// closed in this interval, per span name.
     pub span_allocs: BTreeMap<String, (u64, u64)>,
@@ -142,12 +136,6 @@ impl DeltaSnapshot {
         }
         for (k, &v) in &other.alloc {
             *self.alloc.entry(k.clone()).or_insert(0) += v;
-        }
-        if let Some(h) = &other.alloc_size {
-            match &mut self.alloc_size {
-                Some(mine) => mine.merge(h),
-                None => self.alloc_size = Some(h.clone()),
-            }
         }
         for (k, &(a, b)) in &other.span_allocs {
             let e = self.span_allocs.entry(k.clone()).or_insert((0, 0));
@@ -218,9 +206,8 @@ impl Telemetry {
         }
 
         // Allocation dimension: process-global monotone counters delta'd
-        // against the cursor's last sight, the size-class census as an
-        // interval histogram, and per-span-name attribution diffed from
-        // the cumulative map closed spans maintain.
+        // against the cursor's last sight, and per-span-name attribution
+        // diffed from the cumulative map closed spans maintain.
         let cur = crate::alloc::global_stats();
         let prev = cursor.alloc;
         for (key, now, then) in [
@@ -235,18 +222,6 @@ impl Telemetry {
             }
         }
         cursor.alloc = cur;
-        let census = crate::alloc::size_class_histogram();
-        match &mut cursor.alloc_hist {
-            Some(prev) if prev.count() == census.count() => {}
-            Some(prev) => {
-                out.alloc_size = Some(census.diff(prev));
-                **prev = census;
-            }
-            None => {
-                out.alloc_size = Some(census.clone());
-                cursor.alloc_hist = Some(Box::new(census));
-            }
-        }
         for (name, &(a, b)) in &st.span_allocs {
             match cursor.span_allocs.get_mut(name) {
                 Some(prev) if *prev == (a, b) => {}
@@ -434,7 +409,7 @@ mod tests {
         }
         let d1 = tel.snapshot_delta(&mut cur);
         assert!(d1.alloc.get("allocs").copied().unwrap_or(0) >= 1, "{:?}", d1.alloc);
-        assert!(d1.alloc_size.as_ref().is_some_and(|h| h.count() >= 1));
+        assert!(d1.alloc.get("bytes_allocated").copied().unwrap_or(0) >= 1 << 16);
         let &(a, b) = d1.span_allocs.get("alloc.heavy").expect("span attribution");
         assert!(a >= 1, "span must attribute the vec allocation");
         assert!(b >= 1 << 16, "span must attribute at least the vec's bytes, got {b}");

@@ -90,19 +90,6 @@ impl Histogram {
         Histogram { count: 0, sum: 0, max: 0, buckets: [0; NUM_BUCKETS] }
     }
 
-    /// Reconstructs a histogram from raw parts (used by the allocator's
-    /// atomic size-class census, which maintains the same bucket layout
-    /// outside a `Histogram`). The caller guarantees `count`, `sum`, and
-    /// `buckets` are mutually consistent.
-    pub(crate) const fn from_raw(
-        count: u64,
-        sum: u64,
-        max: u64,
-        buckets: [u64; NUM_BUCKETS],
-    ) -> Self {
-        Histogram { count, sum, max, buckets }
-    }
-
     /// Records one value. Two shifts, a mask, and four increments — no
     /// allocation, no branching beyond the sub-[`SUB_BUCKETS`] fast case.
     #[inline]

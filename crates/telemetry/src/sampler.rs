@@ -214,6 +214,10 @@ impl Drop for Sampler {
 ///   "span_allocs":{"ckks.mul":{"allocs":3,"bytes":2048}},
 ///   "alloc_size":{"count":17,"sum_bytes":4096},
 ///   "gauges":{"par.worker.0.busy_ns":42}}`.
+///
+/// `alloc_size` restates the `alloc` group as requests: `count` is
+/// `allocs + reallocs` and `sum_bytes` is `bytes_allocated`; it is absent
+/// when the interval made no request.
 pub struct JsonlSink {
     out: BufWriter<File>,
 }
@@ -291,11 +295,13 @@ impl JsonlSink {
             }
             line.push('}');
         }
-        if let Some(h) = delta.alloc_size.as_ref().filter(|h| h.count() > 0) {
+        // The interval's requests, each an alloc or a realloc's new size.
+        let alloc_of = |kind: &str| delta.alloc.get(kind).copied().unwrap_or(0);
+        let requests = alloc_of("allocs") + alloc_of("reallocs");
+        if requests > 0 {
             line.push_str(&format!(
-                ",\"alloc_size\":{{\"count\":{},\"sum_bytes\":{}}}",
-                h.count(),
-                h.sum()
+                ",\"alloc_size\":{{\"count\":{requests},\"sum_bytes\":{}}}",
+                alloc_of("bytes_allocated")
             ));
         }
         if !sample.gauges.is_empty() {
@@ -397,6 +403,40 @@ mod tests {
             doc.get("gauges").unwrap().get("par.worker.0.busy_ns").unwrap().as_f64(),
             Some(9.0)
         );
+    }
+
+    #[test]
+    fn jsonl_alloc_size_restates_the_alloc_group() {
+        // A fixed recording renders to fixed bytes: `alloc_size` is
+        // `allocs + reallocs` requests totalling `bytes_allocated`.
+        let mut delta = DeltaSnapshot { at_ns: 40_100_000, seq: 3, ..DeltaSnapshot::default() };
+        delta.named.insert("ev".into(), 4);
+        for (kind, v) in [
+            ("allocs", 17),
+            ("deallocs", 9),
+            ("reallocs", 3),
+            ("bytes_allocated", 4096),
+            ("bytes_deallocated", 1024),
+        ] {
+            delta.alloc.insert(kind.into(), v);
+        }
+        delta.span_allocs.insert("ckks.mul".into(), (3, 2048));
+        let gauges = [("alloc.live_bytes".to_string(), 3072)];
+        let render = |delta: &DeltaSnapshot| {
+            let sample = Sample { seq: 3, at_ns: delta.at_ns, delta, gauges: &gauges, last: false };
+            JsonlSink::render_line(&sample)
+        };
+        assert_eq!(
+            render(&delta),
+            "{\"seq\":3,\"at_ms\":40.100,\"named\":{\"ev\":4},\"alloc\":{\"allocs\":17,\
+             \"bytes_allocated\":4096,\"bytes_deallocated\":1024,\"deallocs\":9,\"reallocs\":3},\
+             \"span_allocs\":{\"ckks.mul\":{\"allocs\":3,\"bytes\":2048}},\
+             \"alloc_size\":{\"count\":20,\"sum_bytes\":4096},\
+             \"gauges\":{\"alloc.live_bytes\":3072}}\n"
+        );
+        // An interval that only freed made no request: no `alloc_size`.
+        delta.alloc.retain(|kind, _| kind.contains("dealloc"));
+        assert!(!render(&delta).contains("alloc_size"));
     }
 
     #[test]
