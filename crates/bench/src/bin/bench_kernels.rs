@@ -2,8 +2,10 @@
 //! `fhe_math::par` backend accelerates: RNS NTT round-trips, Modup, Moddown and
 //! the CKKS mul+rescale pipeline, plus the CKKS encode/decode boundary, at
 //! n = 2^8 and 2^12 … 2^16, and under the table a forward ÷ inverse NTT
-//! ratio per size and `alloc_free_ns`, the cost of one warmed 512-byte
-//! `Vec` allocation and free through the counting global allocator.
+//! ratio per size, `alloc_free_ns`, the cost of one warmed 512-byte `Vec`
+//! allocation and free through the counting global allocator, and
+//! `minor_faults_per_keyswitch`, the page faults one warmed CKKS key switch
+//! at the `ckks_mlp` ring takes (`n/a` off Linux).
 //!
 //! Both modes run in the same process: the sequential column pins the
 //! backend to one thread with [`fhe_math::par::set_max_threads`]`(1)`, the
@@ -46,7 +48,7 @@
 use std::time::Instant;
 
 use bench::{fmt_time, BenchArgs, Reporter};
-use fhe_ckks::{CkksContext, CkksParams, Encoder, Evaluator, RelinKey, SecretKey};
+use fhe_ckks::{CkksContext, CkksParams, Encoder, Evaluator, GaloisKeys, RelinKey, SecretKey};
 use fhe_math::{generate_ntt_primes, par, Modulus, RnsBasis, RnsContext};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -292,6 +294,43 @@ fn ckks_kernel(
     });
 }
 
+/// Calls [`minor_faults_per_keyswitch`] averages over.
+const FAULT_CALLS: u32 = 100;
+
+/// This process's minor page faults so far: field 10 of `/proc/self/stat`,
+/// counted after the `)` that closes the command name (which may hold
+/// spaces). `None` off Linux.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    stat[stat.rfind(')')? + 2..].split_whitespace().nth(7)?.parse().ok()
+}
+
+/// Minor page faults per warmed key switch: [`FAULT_CALLS`] calls of a
+/// three-rotation `rotate_hoisted` (a BSGS layer's babies: one stage 1,
+/// three key MACs and closes) at the `ckks_mlp` ring on one thread, per
+/// rotation. `None` where `/proc/self/stat` does not exist.
+fn minor_faults_per_keyswitch() -> Option<f64> {
+    minor_faults()?;
+    par::set_max_threads(1);
+    let params = CkksParams::new(1 << 12, 6, 3, 36).expect("the ckks_mlp ring");
+    let ctx = CkksContext::new(params).expect("context");
+    let mut rng = ChaCha8Rng::seed_from_u64(19);
+    let sk = SecretKey::generate(&ctx, &mut rng).expect("secret key");
+    let rotations = [1, 2, 3];
+    let gk = GaloisKeys::generate(&ctx, &sk, &rotations, false, &mut rng).expect("galois keys");
+    let enc = Encoder::new(&ctx);
+    let values: Vec<f64> = (0..enc.slots()).map(|j| (j % 9) as f64 / 8.0 - 0.5).collect();
+    let ct = sk.encrypt(&ctx, &enc.encode(&values).expect("encode"), &mut rng).expect("encrypt");
+    let ev = Evaluator::new(&ctx);
+    let call = || drop(ev.rotate_hoisted(&ct, &rotations, &gk).expect("rotate_hoisted"));
+    call();
+    let before = minor_faults()?;
+    (0..FAULT_CALLS).for_each(|_| call());
+    let faults = minor_faults()? - before;
+    par::set_max_threads(0);
+    Some(faults as f64 / f64::from(FAULT_CALLS) / rotations.len() as f64)
+}
+
 fn profile_to_json(p: &par::ParProfile) -> Json {
     let mut o = std::collections::BTreeMap::new();
     o.insert(
@@ -468,6 +507,15 @@ fn main() {
         "alloc_free_ns: {:.1} (one 512-B Vec alloc + free through the tracking allocator, \
          best of {reps} warmed batches of {ALLOC_FREE_CALLS})",
         batch_s * 1e9 / f64::from(ALLOC_FREE_CALLS)
+    ));
+    // First touches of pages the heap handed back to the OS: each costs a
+    // minor fault, and a key switch whose buffers churn through the top of
+    // the heap pays hundreds of them per call.
+    let faults = minor_faults_per_keyswitch().map_or("n/a".to_string(), |f| format!("{f:.2}"));
+    rep.note(&format!(
+        "minor_faults_per_keyswitch: {faults} (warmed three-rotation rotate_hoisted at the \
+         ckks_mlp ring, N = 2^12, level 6, one thread; /proc/self/stat around {FAULT_CALLS} \
+         calls, per rotation)"
     ));
     rep.note(&note);
 

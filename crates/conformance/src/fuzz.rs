@@ -636,6 +636,42 @@ fn moddown_case(mut rng: SplitMix64, seed: u64, case: u64) -> Result<(), Box<Rep
     if transformed(&q_ntt, 0, true) != fast {
         return Err(fail("apply_ntt_into differs from NTT(apply_into(INTT ..))".into()));
     }
+
+    // A quarter of the cases also run the fused ModDown·Rescale a CKKS
+    // context builds per level: `q_top` joins `P` as one more source and the
+    // result lands on `q_0..q_{top−1}`. `top` is drawn below the last `q`
+    // channel too, so the sources' tables are not one contiguous run.
+    if case % 4 != 3 || q_cnt < 2 {
+        return Ok(());
+    }
+    let top = 1 + rng.below(q_cnt as u64 - 1) as usize;
+    let q_fused: Vec<usize> = (0..top).collect();
+    let p_fused: Vec<usize> = std::iter::once(top).chain(p_idx.iter().copied()).collect();
+    let mut q_ntt = transformed(&q_vals[..top], 0, false);
+    let mut p_ntt = transformed(&q_vals[top..=top], top, false);
+    p_ntt.extend(transformed(&p_vals, q_cnt, false));
+    let p_tables: Vec<&NttTable> = p_fused.iter().map(|&c| ctx.table(c)).collect();
+    ctx.moddown_plan(&q_fused, &p_fused)
+        .and_then(|plan| {
+            plan.apply_ntt_into(&ctx.tables()[..top], &p_tables, &mut q_ntt, &mut p_ntt)
+        })
+        .map_err(|e| fail(format!("fused apply_ntt_into (q_top = {top}): {e}")))?;
+    let got = transformed(&q_ntt, 0, true);
+    let p_moduli: Vec<u64> = p_fused.iter().map(|&c| moduli[c]).collect();
+    for s in sample_indices(&mut rng, n, 28) {
+        let xq: Vec<u64> = q_vals[..top].iter().map(|ch| ch[s]).collect();
+        let xp: Vec<u64> =
+            std::iter::once(q_vals[top][s]).chain(p_vals.iter().map(|ch| ch[s])).collect();
+        let want = oracle::moddown_reference(&xq, &xp, &moduli[..top], &p_moduli);
+        for k in 0..top {
+            if got[k][s] != want[k] {
+                return Err(fail(format!(
+                    "fused close (q_top = {top}) coeff {s} q-channel {k}: fast={} oracle={}",
+                    got[k][s], want[k]
+                )));
+            }
+        }
+    }
     Ok(())
 }
 

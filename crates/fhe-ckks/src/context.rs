@@ -42,6 +42,11 @@ pub(crate) struct LevelPlans {
     pub(crate) modup: Vec<(Vec<usize>, BconvPlan)>,
     /// Moddown from `Q_level ∪ P` back onto `Q_level`.
     pub(crate) moddown: ModdownPlan,
+    /// Moddown·Rescale from `Q_level ∪ P` onto `Q_{level−1}`: `q_level` is
+    /// one more source prime beside `P`. `None` at level 0. Like every
+    /// plan here it holds constants only and runs on the context's own NTT
+    /// tables.
+    pub(crate) moddown_rescale: Option<ModdownPlan>,
     /// `q_level⁻¹ mod q_c` for `c < level`.
     pub(crate) rescale_inv: Vec<ShoupScalar>,
 }
@@ -82,10 +87,19 @@ impl CkksContext {
             for m in &rns.moduli()[..level] {
                 rescale_inv.push(m.shoup(m.inv(q_last.value() % m.value())?));
             }
+            let moddown_rescale = match level {
+                0 => None,
+                _ => {
+                    let sources: Vec<usize> =
+                        std::iter::once(level).chain(p_idx.iter().copied()).collect();
+                    Some(rns.moddown_plan(&q_idx[..level], &sources)?)
+                }
+            };
             levels.push(LevelPlans {
                 digits: at_level,
                 modup,
                 moddown: rns.moddown_plan(&q_idx, &p_idx)?,
+                moddown_rescale,
                 rescale_inv,
             });
         }

@@ -10,6 +10,7 @@
 //! stage 2  mac_key      acc ← acc + Σ_i σ_g(digit_i) ⊙ key_i   (DecompPolyMult)
 //!                       lazy u128 MAC, σ_g a gather, acc over Q·P in NTT domain
 //! stage 3  moddown_ntt  INTT(2K) → Bconv P→Q → NTT(2c) → (acc − ·)·P⁻¹  (Eq. 3)
+//!     or   rescale_close INTT(2K+2) → Bconv {q_l}∪P → Q_{l−1} → NTT(2c−2)
 //! ```
 //!
 //! with `c = level + 1` ciphertext channels, `K` special primes,
@@ -21,8 +22,23 @@
 //! |-----------------------------------|---------------------------------|
 //! | `keyswitch_core`, `mul`, `rotate` | `β·t + 2t`                      |
 //! | `rotate_hoisted`, `r` rotations   | `β·t + r·2t` (stage 1 shared)   |
-//! | a sum of `r` rotations (BSGS)     | `r·β·t + 2t` (one Moddown)      |
+//! | a rescaled sum of `r` rotations   | `r·β·t + 2t` (one ModDown·Rescale) |
 //! | `rescale`                         | `2·(1 + level)`                 |
+//!
+//! A sum of rotations (a BSGS layer's giant steps) closes with
+//! [`Evaluator::rotate_sum_rescaled`]: `{q_l} ∪ P` is the special modulus
+//! of one Moddown onto `Q_{l−1}`, so the rescale that follows a layer costs
+//! nothing (DESIGN.md §6.2 has its error bound against the two-step close).
+//!
+//! Every buffer of the pipeline comes from this thread's [`Scratch`] pool:
+//! stage 1's copies of a digit's channels (inverse-transformed one digit at
+//! a time) and its converted channels, which [`Digits`] returns on drop; the
+//! `Q·P` accumulator, whose close returns the channels the result does not
+//! keep and tops the pool up behind the ones it does; and the plaintext
+//! MAC's sums. At the `ckks_mlp` ring a BSGS giant step holds up to 59 at
+//! once — 25 for stage 1, 20 for the accumulator, 14 for the inner sum it
+//! rotates — under the pool's cap of 64. Past the cap `Scratch::put` frees
+//! the surplus and the next call allocates it again: correct, only slower.
 //!
 //! Three exact identities carry the saving (DESIGN.md §6.2). The NTT is
 //! linear over `Z_q` and every stored value canonical, so Moddown's
@@ -38,7 +54,11 @@
 use crate::ciphertext::{Ciphertext, Plaintext};
 use crate::keys::{galois_element, GaloisKeys, RelinKey, SwitchKey};
 use crate::{CkksContext, CkksError};
-use fhe_math::{galois_ntt_permutation, par, Domain, Modulus, Poly, RnsPoly, Scratch};
+use fhe_math::{
+    galois_ntt_permutation, lazy_mac, par, Domain, MacGather, MacReversed, MacSlots, ModdownPlan,
+    Modulus, NttTable, Poly, RnsPoly, Scratch,
+};
+use std::borrow::Borrow;
 
 /// Work estimate (element-operations) for one `n`-point NTT channel.
 pub(crate) fn ntt_work(n: usize) -> u64 {
@@ -66,7 +86,8 @@ struct Digits<'d> {
     own: &'d RnsPoly,
     /// `ext[i·t + pos]` is digit `i` on position `pos` of the extended
     /// basis (`q_0..q_level`, then `P`; `t` channels), lazy in `[0, 2q)`;
-    /// empty where `pos` is one of the digit's own channels.
+    /// empty where `pos` is one of the digit's own channels. Scratch-pool
+    /// buffers, returned to the pool on drop.
     ext: Vec<Vec<u64>>,
     t: usize,
 }
@@ -82,9 +103,47 @@ impl Digits<'_> {
     }
 }
 
-/// Terms of one lazy accumulation: a product is `< 2q·q < 2^123`, so eight
-/// of them plus the carried-in word fit a `u128`.
-const MAC_TERMS: usize = 8;
+impl Drop for Digits<'_> {
+    fn drop(&mut self) {
+        give_back(self.ext.drain(..));
+    }
+}
+
+/// Appends `count` zeroed length-`n` buffers from this thread's scratch
+/// pool to `bufs`.
+fn take_pooled(bufs: &mut Vec<Vec<u64>>, n: usize, count: usize) {
+    Scratch::with_thread_local(|s| bufs.extend((0..count).map(|_| s.take(n))));
+}
+
+/// Returns buffers to this thread's scratch pool (empty ones are ignored).
+fn give_back(bufs: impl IntoIterator<Item = Vec<u64>>) {
+    Scratch::with_thread_local(|s| bufs.into_iter().for_each(|b| s.put(b)));
+}
+
+/// Tops this thread's scratch pool up to `count` buffers with newly
+/// allocated length-`n` ones, after a result has kept pooled buffers.
+///
+/// A result takes the pool's old buffers and the pool the new ones, not the
+/// other way round: what a caller later frees is then old memory, low in the
+/// heap, while the long-lived pool sits on the newest. Handing results new
+/// buffers instead left them on top of the heap, and freeing them there let
+/// glibc trim it after every call (≈ 900 minor page faults per `ckks_mlp`
+/// inference). Topping up only to `count` rather than replacing every
+/// buffer a result took lets the pool shrink from a high level's needs to a
+/// lower one's: a pool that kept level 6's 45 buffers through a level-4
+/// layer put `ckks_mlp`'s peak heap 0.3 MB higher.
+fn top_up(n: usize, count: usize) {
+    Scratch::with_thread_local(|s| {
+        // A full pool refuses a buffer (`Scratch::put`): stop there.
+        while s.pooled() < count {
+            let held = s.pooled();
+            s.put(Vec::with_capacity(n));
+            if s.pooled() == held {
+                break;
+            }
+        }
+    });
+}
 
 /// One term of [`Evaluator::mac_plain`]: a component pair and the
 /// plaintext's channel images, each either whole (`n` entries) or the first
@@ -105,8 +164,8 @@ enum MacMap<'p> {
 
 /// `out[s] ← (out[s] + Σ_r a_r[·]·b_r[·]) mod q` over the `terms` pairs
 /// `row(r) = (a_r, b_r)`, indexed as `map` says — the paper's
-/// `(M_j A_j)_n R_j`: one Barrett reduction per slot per [`MAC_TERMS`]
-/// products. `a_r` may be lazy in `[0, 2q)`; `out` stays canonical.
+/// `(M_j A_j)_n R_j` through the blocked kernel [`lazy_mac`]. `a_r` may be
+/// lazy in `[0, 2q)`; `out` stays canonical.
 fn mac_channel<'r>(
     m: &Modulus,
     terms: usize,
@@ -114,39 +173,20 @@ fn mac_channel<'r>(
     map: MacMap<'_>,
     out: &mut [u64],
 ) {
-    fn run(
-        m: &Modulus,
-        rows: &[(&[u64], &[u64])],
-        a_at: impl Fn(usize) -> usize,
-        b_at: impl Fn(usize) -> usize,
-        out: &mut [u64],
-    ) {
-        for (s, o) in out.iter_mut().enumerate() {
-            let (ia, ib) = (a_at(s), b_at(s));
-            let mut acc = u128::from(*o);
-            for (a, b) in rows {
-                acc += u128::from(a[ia]) * u128::from(b[ib]);
-            }
-            *o = m.reduce_u128(acc);
-        }
-    }
-    let mut rows: [(&[u64], &[u64]); MAC_TERMS] = [(&[], &[]); MAC_TERMS];
-    for first in (0..terms).step_by(MAC_TERMS) {
-        let rows = &mut rows[..(terms - first).min(MAC_TERMS)];
-        for (k, r) in rows.iter_mut().enumerate() {
-            *r = row(first + k);
-        }
-        match map {
-            MacMap::Straight => run(m, rows, |s| s, |s| s, out),
-            MacMap::Gather(p) => run(m, rows, |s| p[s] as usize, |s| s, out),
-            // Two half-loops, each with a plain index: a per-element
-            // select here costs a third of what folding saves.
-            MacMap::FoldedB => {
-                let h = out.len() / 2;
-                let (lo, hi) = out.split_at_mut(h);
-                run(m, rows, |s| s, |s| s, lo);
-                run(m, rows, |s| h + s, |s| h - 1 - s, hi);
-            }
+    match map {
+        MacMap::Straight => lazy_mac(m, terms, row, MacSlots, MacSlots, out),
+        MacMap::Gather(p) => lazy_mac(m, terms, row, MacGather(p), MacSlots, out),
+        // Two half-loops, each with a plain read: a per-element select
+        // here costs a third of what folding saves.
+        MacMap::FoldedB => {
+            let h = out.len() / 2;
+            let (lo, hi) = out.split_at_mut(h);
+            lazy_mac(m, terms, &row, MacSlots, MacSlots, lo);
+            let upper = |r: usize| {
+                let (a, b) = row(r);
+                (&a[h..], b)
+            };
+            lazy_mac(m, terms, upper, MacSlots, MacReversed(h), hi);
         }
     }
 }
@@ -421,20 +461,21 @@ impl<'a> Evaluator<'a> {
             return Err(CkksError::LevelExhausted);
         }
         let level = a.level();
-        // Tensor product.
-        let d0 = a.c0().mul_pointwise(b.c0())?;
+        // Tensor product, `d2` first: relinearized down onto (c0, c1) before
+        // the other two terms are formed, so they are never live beside the
+        // key switch's buffers.
+        let d2 = a.c1().mul_pointwise(b.c1())?;
+        let (mut k0, mut k1) = self.keyswitch_core(&d2, rlk.switch_key(), level)?;
+        drop(d2);
+        k0.add_assign(&a.c0().mul_pointwise(b.c0())?)?;
         let mut d1 = a.c0().mul_pointwise(b.c1())?;
         d1.add_assign(&a.c1().mul_pointwise(b.c0())?)?;
-        let d2 = a.c1().mul_pointwise(b.c1())?;
-        // Relinearize d2 down onto (c0, c1).
-        let (mut k0, mut k1) = self.keyswitch_core(&d2, rlk.switch_key(), level)?;
-        k0.add_assign(&d0)?;
         k1.add_assign(&d1)?;
         Ok(Ciphertext::from_parts(k0, k1, level, a.scale() * b.scale()))
     }
 
     /// Squares a ciphertext (3 instead of 4 tensor products): the cross
-    /// term `c0·c1` is formed once and doubled, bit-identical to
+    /// term `c0·c1` is formed once and added twice, bit-identical to
     /// [`Evaluator::mul`]`(a, a)`.
     ///
     /// # Errors
@@ -448,13 +489,13 @@ impl<'a> Evaluator<'a> {
             return Err(CkksError::LevelExhausted);
         }
         let level = a.level();
-        let d0 = a.c0().mul_pointwise(a.c0())?;
-        let cross = a.c0().mul_pointwise(a.c1())?;
-        let d1 = cross.add(&cross)?;
         let d2 = a.c1().mul_pointwise(a.c1())?;
         let (mut k0, mut k1) = self.keyswitch_core(&d2, rlk.switch_key(), level)?;
-        k0.add_assign(&d0)?;
-        k1.add_assign(&d1)?;
+        drop(d2);
+        k0.add_assign(&a.c0().mul_pointwise(a.c0())?)?;
+        let cross = a.c0().mul_pointwise(a.c1())?;
+        k1.add_assign(&cross)?;
+        k1.add_assign(&cross)?;
         Ok(Ciphertext::from_parts(k0, k1, level, a.scale() * a.scale()))
     }
 
@@ -575,7 +616,9 @@ impl<'a> Evaluator<'a> {
 
     /// Stage 1 (shareable across rotations — hoisting): decompose, Modup
     /// each occupied digit onto the rest of `Q_level ∪ P`, and NTT the
-    /// converted channels.
+    /// converted channels. Digit by digit, the inverse transforms run on
+    /// pooled copies of the digit's own channels, which go back to the pool
+    /// once its conversion has written its pooled output channels.
     fn modup_ntt<'d>(
         &self,
         d: &'d RnsPoly,
@@ -585,26 +628,34 @@ impl<'a> Evaluator<'a> {
         // Histogram-only probe: latency of the hoistable keyswitch half.
         let _t = telemetry::Timer::enter("ckks.keyswitch.modup_ntt");
         assert_eq!(d.domain(), Domain::Ntt, "keyswitch input must be in NTT domain");
-        let mut d_coeff = d.clone();
-        d_coeff.to_coeff(self.ctx.level_tables(level))?;
-        let t = level + 1 + self.ctx.k_len();
+        let (n, t) = (self.ctx.n(), level + 1 + self.ctx.k_len());
         let plans = self.ctx.plans(level);
-        let mut ext = vec![Vec::new(); plans.digits.len() * t];
+        let mut digits = Digits { own: d, ext: vec![Vec::new(); plans.digits.len() * t], t };
+        let (mut coeff, mut out) = (Vec::with_capacity(level + 1), Vec::with_capacity(t));
         for (i, (digit, (dst, plan))) in plans.digits.iter().zip(&plans.modup).enumerate() {
-            let src: Vec<&[u64]> = digit.iter().map(|&c| d_coeff.channel(c).coeffs()).collect();
-            for (&gc, converted) in dst.iter().zip(plan.apply(&src)?) {
+            // The digit's own channels, copied out of the NTT domain.
+            take_pooled(&mut coeff, n, digit.len());
+            par::par_iter_mut(&mut coeff, ntt_work(n), |k, buf| {
+                buf.copy_from_slice(d.channel(digit[k]).coeffs());
+                self.ctx.table(digit[k]).inverse(buf);
+            })?;
+            let src: Vec<&[u64]> = coeff.iter().map(Vec::as_slice).collect();
+            take_pooled(&mut out, n, dst.len());
+            plan.apply_into(&src, &mut out)?;
+            give_back(coeff.drain(..));
+            for (&gc, buf) in dst.iter().zip(out.drain(..)) {
                 let pos = if gc <= level { gc } else { level + 1 + gc - self.ctx.q_len() };
-                ext[i * t + pos] = converted;
+                digits.ext[i * t + pos] = buf;
             }
         }
-        par::par_iter_mut(&mut ext, ntt_work(self.ctx.n()), |idx, buf| {
+        par::par_iter_mut(&mut digits.ext, ntt_work(n), |idx, buf| {
             if !buf.is_empty() {
                 self.ctx.table(self.ext_channel(level, idx % t)).forward_lazy(buf);
             }
         })?;
         tally.inverse += level + 1;
-        tally.forward += ext.len() - (level + 1);
-        Ok(Digits { own: d, ext, t })
+        tally.forward += digits.ext.len() - (level + 1);
+        Ok(digits)
     }
 
     /// A zeroed key-switch accumulator pair over `Q_level ∪ P`, NTT domain:
@@ -616,7 +667,9 @@ impl<'a> Evaluator<'a> {
 
     /// `count` zeroed channel buffers from this thread's scratch pool.
     fn zeroed_channels(&self, count: usize) -> Vec<Vec<u64>> {
-        Scratch::with_thread_local(|s| (0..count).map(|_| s.take(self.ctx.n())).collect())
+        let mut bufs = Vec::with_capacity(count);
+        take_pooled(&mut bufs, self.ctx.n(), count);
+        bufs
     }
 
     /// Stage 2 (`DecompPolyMult`): `acc += Σ_i σ(digit_i) ⊙ key_i`, both
@@ -673,25 +726,71 @@ impl<'a> Evaluator<'a> {
     /// Stage 3: NTT-domain Moddown of both halves back onto `Q_level`.
     fn moddown_ntt(
         &self,
+        acc: Vec<Vec<u64>>,
+        tally: &mut Transforms,
+    ) -> Result<(RnsPoly, RnsPoly), CkksError> {
+        let c = acc.len() / 2 - self.ctx.k_len();
+        let p_tables = &self.ctx.rns().tables()[self.ctx.q_len()..];
+        self.close(acc, &self.ctx.plans(c - 1).moddown, p_tables, tally)
+    }
+
+    /// Stage 3 fused with the rescale: both halves of a level-`level`
+    /// accumulator onto `Q_{level−1}` by one Moddown whose special modulus
+    /// is `q_level·P`, sealed at `scale / q_level`. `2(K + 1)` inverse and
+    /// `2(c − 1)` forward transforms: the `2t` of [`Self::moddown_ntt`],
+    /// with no rescale after it.
+    ///
+    /// Against [`Self::moddown_ntt`] then [`Self::rescale_pair`] the result
+    /// differs only in the low bits. For the integer `x` a half holds, the
+    /// two-step close is `round((⌊x/P⌋ − u₁)/q_level)` with the Bconv
+    /// overflow `u₁ ∈ [0, K)`, i.e. `⌊x/(P·q_level)⌋` or one more; this one
+    /// is `⌊x/(P·q_level)⌋ − u` with `u ∈ [0, K]`. Per coefficient,
+    /// `fused − two_step ∈ [−(K + 1), 0]`.
+    fn rescale_close(
+        &self,
+        acc: Vec<Vec<u64>>,
+        level: usize,
+        scale: f64,
+        tally: &mut Transforms,
+    ) -> Result<Ciphertext, CkksError> {
+        let plan =
+            self.ctx.plans(level).moddown_rescale.as_ref().ok_or(CkksError::LevelExhausted)?;
+        let tables = self.ctx.rns().tables();
+        let mut sources: Vec<&NttTable> = Vec::with_capacity(1 + self.ctx.k_len());
+        sources.push(&tables[level]);
+        sources.extend(&tables[self.ctx.q_len()..]);
+        let (c0, c1) = self.close(acc, plan, &sources, tally)?;
+        let q_last = self.ctx.rns().moduli()[level].value() as f64;
+        Ok(Ciphertext::from_parts(c0, c1, level - 1, scale / q_last))
+    }
+
+    /// Closes both halves of `acc` with `plan` in the NTT domain: the last
+    /// `p_tables.len()` channels of a half are the plan's sources (returned
+    /// to the scratch pool), the channels before them its result.
+    fn close<T: Borrow<NttTable> + Sync>(
+        &self,
         mut acc: Vec<Vec<u64>>,
+        plan: &ModdownPlan,
+        p_tables: &[T],
         tally: &mut Transforms,
     ) -> Result<(RnsPoly, RnsPoly), CkksError> {
         let _t = telemetry::Timer::enter("ckks.keyswitch.moddown_ntt");
-        let k = self.ctx.k_len();
-        let c = acc.len() / 2 - k;
-        let tables = self.ctx.rns().tables();
-        let (q_tables, p_tables) = (&tables[..c], &tables[self.ctx.q_len()..]);
-        let moddown = &self.ctx.plans(c - 1).moddown;
-        let close = |half: &mut [Vec<u64>]| {
-            let (q, p) = half.split_at_mut(c);
-            moddown.apply_ntt_into(q_tables, p_tables, q, p)?;
+        let half = acc.len() / 2;
+        let keep = half - p_tables.len();
+        let q_tables = &self.ctx.rns().tables()[..keep];
+        let close = |side: &mut [Vec<u64>]| {
+            let (q, p) = side.split_at_mut(keep);
+            plan.apply_ntt_into(q_tables, p_tables, q, p)?;
             self.poly_from_ntt(q.iter_mut().map(std::mem::take))
         };
-        let (half0, half1) = acc.split_at_mut(c + k);
+        let (half0, half1) = acc.split_at_mut(half);
         let out = (close(half0)?, close(half1)?);
-        tally.inverse += 2 * k;
-        tally.forward += 2 * c;
-        Scratch::with_thread_local(|s| acc.into_iter().for_each(|b| s.put(b)));
+        tally.inverse += 2 * p_tables.len();
+        tally.forward += 2 * keep;
+        give_back(acc);
+        // Enough for the next close at this level: its accumulator and the
+        // one conversion buffer `apply_ntt_into` draws.
+        top_up(self.ctx.n(), 2 * half + 1);
         Ok(out)
     }
 
@@ -879,17 +978,27 @@ impl<'a> Evaluator<'a> {
         Ok(())
     }
 
-    /// `Σ_k rot(ct_k, r_k)` over unsealed level-`level` pairs, with every
-    /// key-switched part accumulated in `Q·P` and the group closed by
-    /// **one** Moddown — what `metaop::counts::hoisted_rotation_group`
-    /// models. Terms with `r = 0` join the accumulator as they are.
-    pub(crate) fn rotate_sum(
+    /// `Σ_k rot(ct_k, r_k)` over unsealed level-`level` pairs at `scale`,
+    /// rescaled: every key-switched part accumulated in `Q·P` and the group
+    /// closed by **one** ModDown·Rescale onto `Q_{level−1}`
+    /// ([`Self::rescale_close`]) — the `2t` closing Moddown
+    /// `metaop::counts::hoisted_rotation_group` models, with the rescale in
+    /// it. Terms with `r = 0` join the accumulator as they are.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CkksError::LevelExhausted`] at level 0.
+    pub(crate) fn rotate_sum_rescaled(
         &self,
         level: usize,
+        scale: f64,
         terms: impl Iterator<Item = Result<(isize, (RnsPoly, RnsPoly)), CkksError>>,
         gk: &GaloisKeys,
         tally: &mut Transforms,
-    ) -> Result<(RnsPoly, RnsPoly), CkksError> {
+    ) -> Result<Ciphertext, CkksError> {
+        if level == 0 {
+            return Err(CkksError::LevelExhausted);
+        }
         let mut acc = self.qp_acc(level);
         for term in terms {
             let (r, (c0, c1)) = term?;
@@ -901,7 +1010,7 @@ impl<'a> Evaluator<'a> {
             let digits = self.modup_ntt(&c1, level, tally)?;
             self.rotate_into(&mut acc, &digits, &c0, r, gk)?;
         }
-        self.moddown_ntt(acc, tally)
+        self.rescale_close(acc, level, scale, tally)
     }
 }
 
@@ -1066,6 +1175,72 @@ mod tests {
         };
         stages_2_and_3();
         telemetry::alloc::assert_no_alloc("ckks.keyswitch.stages_2_3", stages_2_and_3);
+    }
+
+    /// The fused close against Moddown then rescale of the same accumulator,
+    /// at every level ≥ 1. Per coefficient `fused − two_step` is the residue
+    /// of one integer in `[−(K + 1), 0]` on every channel (the bound derived
+    /// at [`Evaluator::rescale_close`]); decrypted, that is at most
+    /// `(K + 1)(1 + ‖s‖₁)` per coefficient, and decoded at most `n` times
+    /// that over the scale per slot.
+    fn fused_close_stays_within_its_bound(params: CkksParams, seed: u64) {
+        let ctx = CkksContext::new(params).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let sk = SecretKey::generate(&ctx, &mut rng).unwrap();
+        let gk = GaloisKeys::generate(&ctx, &sk, &[1], false, &mut rng).unwrap();
+        let (enc, ev) = (Encoder::new(&ctx), Evaluator::new(&ctx));
+        let values: Vec<f64> =
+            (0..enc.slots()).map(|j| ((j * 7 % 11) as f64 - 5.0) / 8.0).collect();
+        let top = sk.encrypt(&ctx, &enc.encode(&values).unwrap(), &mut rng).unwrap();
+        let k = ctx.k_len() as i64;
+        let s_norm: i64 = sk.coefficients().iter().map(|c| c.abs()).sum();
+        let decoded = |ct: &Ciphertext| enc.decode(&sk.decrypt(ct).unwrap()).unwrap();
+        for level in 1..ctx.q_len() {
+            // A rotated and an un-rotated term, as a BSGS layer's giant steps
+            // leave the accumulator.
+            let ct = ev.level_down(&top, level).unwrap();
+            let mut acc = ev.qp_acc(level);
+            let digits = ev.modup_ntt(ct.c1(), level, &mut Transforms::default()).unwrap();
+            ev.rotate_into(&mut acc, &digits, ct.c0(), 1, &gk).unwrap();
+            drop(digits);
+            ev.add_times_p(&mut acc, 0, ct.c0(), None);
+            ev.add_times_p(&mut acc, 1, ct.c1(), None);
+            let (scale, tally) = (ct.scale() * ctx.params().scale(), &mut Transforms::default());
+            let (c0, c1) = ev.moddown_ntt(acc.clone(), tally).unwrap();
+            let two_step = ev.rescale_pair((&c0, &c1), level, scale, tally).unwrap();
+            let fused = ev.rescale_close(acc, level, scale, tally).unwrap();
+            assert_eq!((fused.level(), fused.scale()), (two_step.level(), two_step.scale()));
+            let moduli = ctx.level_moduli(level - 1);
+            for (f, t) in [(fused.c0(), two_step.c0()), (fused.c1(), two_step.c1())] {
+                let (mut f, mut t) = (f.clone(), t.clone());
+                f.to_coeff(ctx.level_tables(level - 1)).unwrap();
+                t.to_coeff(ctx.level_tables(level - 1)).unwrap();
+                let diff = |c: usize, i: usize| {
+                    moduli[c].sub(f.channel(c).coeffs()[i], t.channel(c).coeffs()[i])
+                };
+                for i in 0..ctx.n() {
+                    let delta = moduli[0].to_centered(diff(0, i));
+                    assert!((-(k + 1)..=0).contains(&delta), "level {level} coeff {i}: {delta}");
+                    for (c, m) in moduli.iter().enumerate() {
+                        assert_eq!(diff(c, i), m.from_i64(delta), "level {level} coeff {i}");
+                    }
+                }
+            }
+            let bound = ctx.n() as f64 * ((k + 1) * (1 + s_norm)) as f64 / fused.scale();
+            for (j, (a, b)) in decoded(&fused).iter().zip(decoded(&two_step)).enumerate() {
+                assert!((a - b).abs() <= bound, "level {level} slot {j}: {a} vs {b} ({bound})");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_close_stays_within_its_bound_at_the_toy_ring() {
+        fused_close_stays_within_its_bound(CkksParams::toy().unwrap(), 41);
+    }
+
+    #[test]
+    fn fused_close_stays_within_its_bound_at_the_mlp_ring() {
+        fused_close_stays_within_its_bound(CkksParams::new(1 << 12, 6, 3, 36).unwrap(), 43);
     }
 
     #[test]

@@ -19,11 +19,18 @@
 //! * each inner sum as **one** fused lazy MAC over the raw component
 //!   pairs (`(M_j A_j)_n R_j`: one reduction per slot per group, no
 //!   per-term ciphertext, seal or clone);
-//! * the giant rotations as one sum in `Q·P` closed by a single Moddown —
-//!   `β·t` per giant rotation plus `2t` once, exactly
-//!   `metaop::counts::hoisted_rotation_group`;
+//! * the giant rotations as one sum in `Q·P` closed by a single
+//!   ModDown·Rescale (`Evaluator::rotate_sum_rescaled`: `q_level` joins `P`
+//!   as one more source prime of the closing conversion) — `β·t` per giant
+//!   rotation plus `2t` once, exactly
+//!   `metaop::counts::hoisted_rotation_group`'s closing Moddown, and no
+//!   rescale after it;
 //!
-//! and verifies the input and seals the output once.
+//! and verifies the input and seals the output once. A transform inside
+//! giant group 0 (every [`LinearTransform::apply`]) has no giant rotation to
+//! fuse with and is rescaled on its own. The fused close rounds down where
+//! the two-step one rounds to nearest: per coefficient it reads at most
+//! `K + 1` below it (DESIGN.md §6.2).
 //!
 //! **Diagonals are encoded once.** The first call at a given
 //! `(giant step, level, scale)` pre-rotates and encodes the `D` diagonals
@@ -228,7 +235,7 @@ impl LinearTransform {
     /// Applies the transform with BSGS structure (see the module header):
     /// the occurring baby rotations hoisted, pre-rotated diagonals, one
     /// fused MAC per giant group and the giant rotations summed under a
-    /// single Moddown. The result is rescaled once (level − 1).
+    /// single ModDown·Rescale. The result is one level down.
     ///
     /// # Errors
     ///
@@ -270,12 +277,15 @@ impl LinearTransform {
             let terms: Vec<_> = group.iter().map(|(j, image)| (baby(*j), &image[..])).collect();
             Ok(((i * g) as isize, ev.mac_plain(level, &terms)?))
         });
-        let summed = match encoded.groups[..] {
+        let scale = ct.scale() * scale;
+        match encoded.groups[..] {
             // A transform inside giant group 0 needs no giant rotation.
-            [(0, _)] => inner_sums.next().expect("one group")?.1,
-            _ => ev.rotate_sum(level, inner_sums, gk, &mut tally)?,
-        };
-        ev.rescale_pair((&summed.0, &summed.1), level, ct.scale() * scale, &mut tally)
+            [(0, _)] => {
+                let (c0, c1) = inner_sums.next().expect("one group")?.1;
+                ev.rescale_pair((&c0, &c1), level, scale, &mut tally)
+            }
+            _ => ev.rotate_sum_rescaled(level, scale, inner_sums, gk, &mut tally),
+        }
     }
 
     /// The encoding this transform holds now, if any.
@@ -629,11 +639,14 @@ mod tests {
                 .collect();
             Ok(((i * g) as isize, ev.mac_plain(level, &terms)?))
         });
-        let summed = match groups.len() {
-            1 if groups.contains_key(&0) => inner_sums.next().unwrap().unwrap().1,
-            _ => ev.rotate_sum(level, inner_sums, gk, &mut tally).unwrap(),
-        };
-        ev.rescale_pair((&summed.0, &summed.1), level, ct.scale() * scale, &mut tally).unwrap()
+        let scale = ct.scale() * scale;
+        match groups.len() {
+            1 if groups.contains_key(&0) => {
+                let (c0, c1) = inner_sums.next().unwrap().unwrap().1;
+                ev.rescale_pair((&c0, &c1), level, scale, &mut tally).unwrap()
+            }
+            _ => ev.rotate_sum_rescaled(level, scale, inner_sums, gk, &mut tally).unwrap(),
+        }
     }
 
     /// Entries kept per channel of each held image, in diagonal order.

@@ -60,8 +60,8 @@ fn warmed_up_calls_allocate_exactly_their_budget() {
     assert_eq!(
         measured,
         [
-            ("mul + rescale", (63, 93_264)),
-            ("apply_bsgs", (153, 200_848)),
+            ("mul + rescale", (50, 68_480)),
+            ("apply_bsgs", (101, 105_608)),
             ("encode", (8, 14_592)),
             ("decode", (8, 12_576)),
         ]

@@ -91,12 +91,15 @@ fn evaluator_records_the_modelled_transform_counts() {
             assert_eq!(recorded(&mut op), (2 * level as u64, 2), "rescale at level {level}");
 
             // A BSGS layer: the three babies hoisted, the three giant
-            // rotations one stage 1 each and a single closing Moddown for
-            // the whole group, one rescale.
+            // rotations one stage 1 each and a single ModDown·Rescale for
+            // the whole group — `q_level` joins `P`, so the close is still
+            // `2t` (`2(c − 1)` forward, `2(K + 1)` inverse) and the rescale
+            // costs nothing: `babies + 3·stage1 + 2t`.
             let mut op = || drop(layer.apply_bsgs(&ev, &enc, &ct, &gk).unwrap());
-            let babies = hoisted;
-            let giants = (3 * fwd1 + fwd3, 3 * inv1 + inv3);
-            let bsgs = (babies.0 + giants.0 + 2 * level as u64, babies.1 + giants.1 + 2);
+            let (babies, k) = (hoisted, ctx.k_len() as u64);
+            let close = (2 * level as u64, 2 * (k + 1));
+            assert_eq!(close.0 + close.1, fwd3 + inv3, "the fused close is 2t");
+            let bsgs = (babies.0 + 3 * fwd1 + close.0, babies.1 + 3 * inv1 + close.1);
             assert_eq!(recorded(&mut op), bsgs, "apply_bsgs at level {level}");
         }
 
@@ -140,10 +143,11 @@ fn evaluator_records_the_modelled_transform_counts() {
         assert_eq!(ev.add_plain(&out, &b2).unwrap().level(), 3);
         let after = tel.snapshot();
         let delta = |name: &str| after.named_counter(name) - before.named_counter(name);
-        // 214 + 138 for the layers at levels 6 and 4, 36 + 12 for the square
-        // and its rescale at level 5.
+        // 200 + 128 for the layers at levels 6 and 4 (each closed by one
+        // ModDown·Rescale), 36 + 12 for the square and its rescale at
+        // level 5.
         let evaluator = delta("ckks.ntt.forward") + delta("ckks.ntt.inverse");
-        assert_eq!(evaluator, 400, "evaluator transforms of inference {inference}");
+        assert_eq!(evaluator, 376, "evaluator transforms of inference {inference}");
         encodes.push(delta("ckks.encode.forward"));
     }
     // 16·(7 + 5) diagonal channels once; the biases' 6 + 4 are the caller's.

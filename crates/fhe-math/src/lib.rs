@@ -69,7 +69,10 @@ pub use ntt::{galois_ntt_permutation, CyclicNtt, NttTable};
 pub use par::ParError;
 pub use poly::{Domain, Poly};
 pub use prime::{generate_ntt_primes, generate_primes_with_step, is_prime};
-pub use rns::{BconvPlan, ModdownPlan, RnsBasis, RnsContext, RnsPoly};
+pub use rns::{
+    lazy_mac, BconvPlan, MacBroadcast, MacGather, MacRead, MacReversed, MacSlots, ModdownPlan,
+    RnsBasis, RnsContext, RnsPoly, MAC_SLOTS,
+};
 pub use sampling::{sample_gaussian, sample_ternary, sample_uniform, GaussianSampler};
 pub use scratch::{scratch_stats, Scratch, ScratchStats};
 

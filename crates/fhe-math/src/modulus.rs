@@ -4,7 +4,9 @@
 //! plain multiplies and adds accumulated *lazily* in wide registers, with a
 //! single Barrett reduction at the end of a Meta-OP — the reduction itself
 //! being two more multiplications on the reused multiplier array
-//! (paper §5.2, Fig. 5d).
+//! (paper §5.2, Fig. 5d). [`Modulus::reduce_u128`] is exactly that: one
+//! Shoup product folds the high word, one 64-bit Barrett estimate the low
+//! word (DESIGN.md §14.1).
 //!
 //! The canonical `add` / `sub` / `neg` / `mul_shoup` / `reduce_2q` settle
 //! their result with a `min` ([`crate::simd`]'s `csub`), never an `if`: on
@@ -27,7 +29,7 @@ use crate::MathError;
 /// [`MathError::InvalidModulus`] instead.
 pub const MAX_MODULUS_BITS: u32 = 61;
 
-/// A prime (or at least odd) modulus `q < 2^61` with precomputed Barrett
+/// A prime (or at least odd) modulus `q < 2^61` with precomputed reduction
 /// constants.
 ///
 /// # Example
@@ -43,13 +45,14 @@ pub const MAX_MODULUS_BITS: u32 = 61;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Modulus {
     value: u64,
-    /// floor(2^128 / q), used for Barrett reduction of 128-bit products.
-    ratio: u128,
-    bits: u32,
+    /// `2^64 mod q` in Shoup form: folds the high word of a 128-bit value.
+    two64: ShoupScalar,
+    /// `⌊2^64 / q⌋`, the 64-bit Barrett constant for the low word.
+    barrett: u64,
 }
 
 impl Modulus {
-    /// Creates a modulus with precomputed Barrett constants.
+    /// Creates a modulus with precomputed reduction constants.
     ///
     /// # Errors
     ///
@@ -70,12 +73,12 @@ impl Modulus {
                          `add` (a + b < 2^62) invariants would break",
             });
         }
-        // ratio = floor(2^128 / q). Split 2^128 = (a*q + r) * 2^64 with
-        // a = floor(2^64/q), r = 2^64 mod q, so ratio = a*2^64 + floor(r*2^64/q).
-        let a = (1u128 << 64) / value as u128;
-        let r = (1u128 << 64) % value as u128;
-        let ratio = (a << 64) + ((r << 64) / value as u128);
-        Ok(Modulus { value, ratio, bits })
+        let two64 = ((1u128 << 64) % u128::from(value)) as u64;
+        let two64 = ShoupScalar {
+            value: two64,
+            quotient: ((u128::from(two64) << 64) / u128::from(value)) as u64,
+        };
+        Ok(Modulus { value, two64, barrett: ((1u128 << 64) / u128::from(value)) as u64 })
     }
 
     /// The modulus value `q`.
@@ -87,33 +90,37 @@ impl Modulus {
     /// Bit width of `q`.
     #[inline]
     pub fn bits(&self) -> u32 {
-        self.bits
+        64 - self.value.leading_zeros()
     }
 
-    /// Reduces an arbitrary `u64` into `[0, q)`.
+    /// Reduces an arbitrary `u64` into `[0, q)`: the low-word half of
+    /// [`Modulus::reduce_u128`].
     #[inline]
     pub fn reduce(&self, a: u64) -> u64 {
-        self.reduce_u128(a as u128)
+        csub(self.barrett_lazy(a), self.value)
     }
 
-    /// Barrett-reduces a 128-bit value into `[0, q)`.
+    /// `a mod q` up to one multiple of `q` (`[0, 2q)`): the Barrett
+    /// estimate `⌊a·⌊2^64/q⌋ / 2^64⌋` is at most one short of `⌊a/q⌋`.
+    #[inline(always)]
+    fn barrett_lazy(&self, a: u64) -> u64 {
+        let qhat = ((u128::from(a) * u128::from(self.barrett)) >> 64) as u64;
+        a - qhat * self.value
+    }
+
+    /// Reduces any 128-bit value into `[0, q)`, exactly.
     ///
-    /// This is the `R` step of the Meta-OP: one high multiplication by the
-    /// precomputed ratio, one low multiplication by `q`, then at most two
-    /// conditional subtractions.
+    /// This is the `R` step of the Meta-OP in two wide multiplications.
+    /// With `a = hi·2^64 + lo`, the high word is folded as `hi·(2^64 mod q)`
+    /// by a lazy Shoup product and the low word by a 64-bit Barrett
+    /// estimate `⌊lo·⌊2^64/q⌋ / 2^64⌋`, which is short of `⌊lo/q⌋` by at
+    /// most one. Both parts land in `[0, 2q)`, so their sum is below
+    /// `4q < 2^63` and two conditional subtractions (`2q`, then `q`)
+    /// finish it.
     #[inline]
     pub fn reduce_u128(&self, a: u128) -> u64 {
-        // qhat = floor(a * ratio / 2^128): the high 128 bits of a 256-bit product.
-        let qhat = mulhi_u128(a, self.ratio);
-        let mut r = a.wrapping_sub(qhat.wrapping_mul(self.value as u128)) as u64;
-        // The Barrett estimate is off by at most 2.
-        if r >= self.value {
-            r -= self.value;
-        }
-        if r >= self.value {
-            r -= self.value;
-        }
-        r
+        let high = mul_shoup_lazy((a >> 64) as u64, self.two64, self.value);
+        csub(csub(high + self.barrett_lazy(a as u64), self.value << 1), self.value)
     }
 
     /// Modular addition of canonical operands.
@@ -321,23 +328,6 @@ pub struct ShoupScalar {
     pub quotient: u64,
 }
 
-/// High 128 bits of the 256-bit product `a * b`.
-#[inline]
-fn mulhi_u128(a: u128, b: u128) -> u128 {
-    let a_lo = a as u64 as u128;
-    let a_hi = a >> 64;
-    let b_lo = b as u64 as u128;
-    let b_hi = b >> 64;
-
-    let lo_lo = a_lo * b_lo;
-    let lo_hi = a_lo * b_hi;
-    let hi_lo = a_hi * b_lo;
-    let hi_hi = a_hi * b_hi;
-
-    let mid = (lo_lo >> 64) + (lo_hi & ((1u128 << 64) - 1)) + (hi_lo & ((1u128 << 64) - 1));
-    hi_hi + (lo_hi >> 64) + (hi_lo >> 64) + (mid >> 64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,12 +438,5 @@ mod tests {
         // A `debug_assert!` here would let release builds silently compute
         // a wrong (or for huge operands, wrapped) sum.
         let _ = m.add(Q36, 0);
-    }
-
-    #[test]
-    fn mulhi_u128_known_values() {
-        assert_eq!(mulhi_u128(u128::MAX, u128::MAX), u128::MAX - 1);
-        assert_eq!(mulhi_u128(1 << 127, 2), 1);
-        assert_eq!(mulhi_u128(0, u128::MAX), 0);
     }
 }

@@ -14,6 +14,8 @@
 //! noise) and is asserted exactly in the tests via [`crate::UBig`]
 //! reconstruction.
 
+use std::borrow::Borrow;
+
 use crate::par::WorkClass;
 use crate::poly::Domain;
 use crate::{par, simd, MathError, Modulus, NttTable, Poly, Scratch, UBig};
@@ -320,8 +322,12 @@ impl ModdownPlan {
     /// holds scratch on return), the `P → Q` conversion runs on their
     /// coefficients, and each converted channel is transformed forward and
     /// folded into its `Q` channel. `q_tables` / `p_tables` are the NTT
-    /// tables of the plan's `Q` / `P` channels, in order. A warmed-up
-    /// caller thread allocates nothing on the sequential path.
+    /// tables of the plan's `Q` / `P` channels, in order; the `P` side may
+    /// be borrowed one by one (`&[&NttTable]`), for a plan whose `P` is not
+    /// a contiguous run of its context's channels — such as the fused
+    /// ModDown·Rescale of `Q_l ∪ P` onto `Q_{l−1}`, whose `P` is
+    /// `{q_l} ∪ P`. A warmed-up caller thread allocates nothing on the
+    /// sequential path.
     ///
     /// # Errors
     ///
@@ -333,10 +339,10 @@ impl ModdownPlan {
     ///
     /// Panics if a table's modulus or a channel's length disagrees with
     /// the plan.
-    pub fn apply_ntt_into(
+    pub fn apply_ntt_into<T: Borrow<NttTable> + Sync>(
         &self,
         q_tables: &[NttTable],
-        p_tables: &[NttTable],
+        p_tables: &[T],
         q_channels: &mut [Vec<u64>],
         p_channels: &mut [Vec<u64>],
     ) -> Result<(), MathError> {
@@ -351,14 +357,15 @@ impl ModdownPlan {
                 detail: "moddown channel/table count mismatch".into(),
             });
         }
-        for (t, m) in q_tables.iter().zip(q_moduli).chain(p_tables.iter().zip(p_moduli)) {
+        let q_pairs = q_tables.iter().zip(q_moduli);
+        for (t, m) in q_pairs.chain(p_tables.iter().map(Borrow::borrow).zip(p_moduli)) {
             assert_eq!(t.modulus(), *m, "misaligned NTT tables");
         }
-        let n = p_tables[0].n();
+        let n = p_tables[0].borrow().n();
         let work = ntt_work(n);
         // Bconv step 1 rides on the INTT pass: y_j = INTT(p_j)·q̂_j⁻¹.
         par::par_iter_mut_in(WorkClass::Ntt, p_channels, work, |j, ch| {
-            p_tables[j].inverse(ch);
+            p_tables[j].borrow().inverse(ch);
             simd::mul_shoup_slice(ch, self.bconv.qhat_inv[j], p_moduli[j].value());
         })?;
         let scaled = &*p_channels;
@@ -518,8 +525,9 @@ impl BconvPlan {
                 simd::mul_shoup_slice(buf, s, m.value());
             })?;
             // Step 2 (per destination channel): lazy-accumulated dot
-            // product — the Meta-OP pattern `(M_j A_j)_L R_j`, one Barrett
-            // reduction per destination coefficient (paper Table 3).
+            // product — the Meta-OP pattern `(M_j A_j)_L R_j`, one
+            // reduction per destination coefficient (paper Table 3; per
+            // eight sources past eight).
             let l = channels.len() as u64;
             par::par_iter_mut_in(
                 WorkClass::Bconv,
@@ -538,17 +546,144 @@ impl BconvPlan {
         })
     }
 
-    /// Step 2 of the conversion for destination channel `j`: the lazy dot
-    /// product of the pre-scaled source channels with `qhat_dst[j]`.
+    /// Step 2 of the conversion for destination channel `j`, added into a
+    /// zeroed `out`: the lazy dot product of the pre-scaled source channels
+    /// with `qhat_dst[j]`, each weight broadcast over the slots.
     fn dot_into(&self, j: usize, scaled: &[Vec<u64>], out: &mut [u64]) {
-        let pj = self.dst_moduli[j];
         let weights = &self.qhat_dst[j];
-        for (s, x) in out.iter_mut().enumerate() {
-            let mut acc: u128 = 0;
-            for (scaled_ch, &w) in scaled.iter().zip(weights) {
-                acc += scaled_ch[s] as u128 * w as u128;
+        let row = |i: usize| (scaled[i].as_slice(), std::slice::from_ref(&weights[i]));
+        lazy_mac(&self.dst_moduli[j], scaled.len(), row, MacSlots, MacBroadcast, out);
+    }
+}
+
+/// Products [`lazy_mac`] sums per slot before it reduces: each is below
+/// `2q·q < 2^123` (one lazy `[0, 2q)` factor, `q < 2^61`), so eight of them
+/// and the carried-in residue fit a `u128`.
+const MAC_TERMS: usize = 8;
+
+/// Slots one [`lazy_mac`] block carries side by side. Four sums are eight
+/// registers; eight (sixteen registers, all there are) measured 7–13 %
+/// slower on the straight, gather and reversed reads at `n = 4096` and
+/// level on the broadcast (EXPERIMENTS.md 2026-10-15).
+pub const MAC_SLOTS: usize = 4;
+
+/// How [`lazy_mac`] reads one operand of a row at slot `s`: a block of
+/// [`MAC_SLOTS`] slots at once, or one slot (the tail).
+pub trait MacRead: Copy {
+    /// The values for slots `s..s + MAC_SLOTS`.
+    fn block(self, x: &[u64], s: usize) -> [u64; MAC_SLOTS];
+    /// The value for slot `s`.
+    fn at(self, x: &[u64], s: usize) -> u64;
+}
+
+/// Slot `s` reads `x[s]`.
+#[derive(Debug, Clone, Copy)]
+pub struct MacSlots;
+
+/// Slot `s` reads `x[perm[s]]`: an automorphism of an NTT image as a gather.
+#[derive(Debug, Clone, Copy)]
+pub struct MacGather<'p>(pub &'p [u32]);
+
+/// Slot `s` reads `x[end − 1 − s]`: the operand backwards from `end`.
+#[derive(Debug, Clone, Copy)]
+pub struct MacReversed(pub usize);
+
+/// Every slot reads `x[0]`: one constant per row.
+#[derive(Debug, Clone, Copy)]
+pub struct MacBroadcast;
+
+impl MacRead for MacSlots {
+    #[inline(always)]
+    fn block(self, x: &[u64], s: usize) -> [u64; MAC_SLOTS] {
+        x[s..s + MAC_SLOTS].try_into().expect("a block is MAC_SLOTS long")
+    }
+    #[inline(always)]
+    fn at(self, x: &[u64], s: usize) -> u64 {
+        x[s]
+    }
+}
+
+impl MacRead for MacGather<'_> {
+    #[inline(always)]
+    fn block(self, x: &[u64], s: usize) -> [u64; MAC_SLOTS] {
+        let p = &self.0[s..s + MAC_SLOTS];
+        std::array::from_fn(|k| x[p[k] as usize])
+    }
+    #[inline(always)]
+    fn at(self, x: &[u64], s: usize) -> u64 {
+        x[self.0[s] as usize]
+    }
+}
+
+impl MacRead for MacReversed {
+    #[inline(always)]
+    fn block(self, x: &[u64], s: usize) -> [u64; MAC_SLOTS] {
+        let c = &x[self.0 - s - MAC_SLOTS..self.0 - s];
+        std::array::from_fn(|k| c[MAC_SLOTS - 1 - k])
+    }
+    #[inline(always)]
+    fn at(self, x: &[u64], s: usize) -> u64 {
+        x[self.0 - 1 - s]
+    }
+}
+
+impl MacRead for MacBroadcast {
+    #[inline(always)]
+    fn block(self, x: &[u64], _: usize) -> [u64; MAC_SLOTS] {
+        [x[0]; MAC_SLOTS]
+    }
+    #[inline(always)]
+    fn at(self, x: &[u64], _: usize) -> u64 {
+        x[0]
+    }
+}
+
+/// `out[s] ← (out[s] + Σ_r a_r[·]·b_r[·]) mod q` over the `terms` pairs
+/// `row(r) = (a_r, b_r)`, each operand read as `a` / `b` say — the Meta-OP
+/// `(M_j A_j)_n R_j`, shared by the Bconv dot products and the CKKS key and
+/// plaintext MACs.
+///
+/// One pass per eight rows (a product is below `2q·q < 2^123`, so eight and
+/// the carried-in residue fit a `u128`); a pass walks the slots
+/// [`MAC_SLOTS`] at a time with the rows in the outer loop, sums each slot
+/// in a `u128` and reduces it once ([`Modulus::reduce_u128`]). `a_r` may be
+/// lazy in `[0, 2q)`, `b_r` and `out` are canonical, and `out` stays so.
+/// Exact: the result is the canonical residue of the whole sum, however
+/// the rows are grouped.
+#[inline]
+pub fn lazy_mac<'r>(
+    m: &Modulus,
+    terms: usize,
+    row: impl Fn(usize) -> (&'r [u64], &'r [u64]),
+    a: impl MacRead,
+    b: impl MacRead,
+    out: &mut [u64],
+) {
+    let mut rows: [(&[u64], &[u64]); MAC_TERMS] = [(&[], &[]); MAC_TERMS];
+    for first in (0..terms).step_by(MAC_TERMS) {
+        let rows = &mut rows[..(terms - first).min(MAC_TERMS)];
+        for (k, r) in rows.iter_mut().enumerate() {
+            *r = row(first + k);
+        }
+        let (blocks, tail) = out.split_at_mut(out.len() - out.len() % MAC_SLOTS);
+        for (i, block) in blocks.chunks_exact_mut(MAC_SLOTS).enumerate() {
+            let s = i * MAC_SLOTS;
+            let mut sums: [u128; MAC_SLOTS] = std::array::from_fn(|k| u128::from(block[k]));
+            for &(x, y) in rows.iter() {
+                let (x, y) = (a.block(x, s), b.block(y, s));
+                for (k, sum) in sums.iter_mut().enumerate() {
+                    *sum += u128::from(x[k]) * u128::from(y[k]);
+                }
             }
-            *x = pj.reduce_u128(acc);
+            for (o, &sum) in block.iter_mut().zip(&sums) {
+                *o = m.reduce_u128(sum);
+            }
+        }
+        let s0 = blocks.len();
+        for (k, o) in tail.iter_mut().enumerate() {
+            let s = s0 + k;
+            let sum = rows.iter().map(|&(x, y)| u128::from(a.at(x, s)) * u128::from(b.at(y, s)));
+            *o = m.reduce_u128(sum.fold(u128::from(*o), |acc, p| acc + p));
         }
     }
 }

@@ -2,8 +2,11 @@
 //! mul_shoup, reduce_2q}` and the `Poly` passes over the `simd` slices —
 //! against a `u128` reference at the operands where a conditional
 //! subtraction decides: 0, 1, q − 1, a = b, a + b = q, and a Shoup product
-//! that lands on q. Plus `sample_uniform` against the draws
-//! `gen_range(0..q)` makes, value for value and stream word for word.
+//! that lands on q. `Modulus::reduce_u128` — the Meta-OP's `R` step, two
+//! wide multiplications — against `u128 %` at every shipped modulus width,
+//! at its edges and on a million random words each. Plus `sample_uniform`
+//! against the draws `gen_range(0..q)` makes, value for value and stream
+//! word for word.
 
 use fhe_math::{generate_ntt_primes, sample_uniform, Modulus, NttTable, Poly};
 use rand::{Rng, RngCore, SeedableRng};
@@ -110,6 +113,55 @@ fn poly_slice_passes_match_the_u128_reference_at_the_edges() {
         lazy.normalize();
         let want: Vec<u64> = words.iter().map(|&x| x % q).collect();
         assert_eq!(lazy.coeffs(), want, "normalize mod {q}");
+    }
+}
+
+/// One modulus of every width the library ships: the 30-bit toy ring, the
+/// 33- and 36-bit CKKS chains, the 60-bit special / TFHE primes, and the
+/// widest a `Modulus` accepts.
+fn shipped_moduli() -> Vec<Modulus> {
+    let mut out: Vec<Modulus> = [30u32, 33, 36, 60]
+        .iter()
+        .map(|&bits| Modulus::new(generate_ntt_primes(bits, 1 << 4, 1).unwrap()[0]).unwrap())
+        .collect();
+    out.push(Modulus::new((1 << 61) - 1).unwrap());
+    out
+}
+
+#[test]
+fn reduce_u128_is_u128_remainder_at_every_shipped_width() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x0a1c_4e57);
+    for m in shipped_moduli() {
+        let q = u128::from(m.value());
+        // The folds' edges (2^64 splits the two halves), the products the
+        // element-wise passes reduce, and the largest lazy MAC sum: eight
+        // products of a `[0, 2q)` by a canonical operand.
+        let edges = [
+            0,
+            q - 1,
+            q,
+            2 * q - 1,
+            (1 << 64) - 1,
+            1 << 64,
+            (q - 1) * (q - 1),
+            8 * (2 * q - 1) * (q - 1),
+        ];
+        for x in edges.into_iter().chain([u128::MAX]) {
+            assert_eq!(u128::from(m.reduce_u128(x)), x % q, "{x} mod {q}");
+        }
+        for i in 0..1_000_000u32 {
+            let word = (u128::from(rng.next_u64()) << 64) | u128::from(rng.next_u64());
+            // Alternate the full range with the ranges the kernels produce.
+            let x = match i % 3 {
+                0 => word,
+                1 => word % (q * q),
+                _ => word % (8 * (2 * q - 1) * (q - 1) + 1),
+            };
+            assert_eq!(u128::from(m.reduce_u128(x)), x % q, "{x} mod {q}");
+        }
+        for x in [0, 1, q as u64 - 1, q as u64, u64::MAX] {
+            assert_eq!(u128::from(m.reduce(x)), u128::from(x) % q, "{x} mod {q}");
+        }
     }
 }
 
