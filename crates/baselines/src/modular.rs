@@ -38,7 +38,7 @@ impl WorkProfile {
         let mut p = WorkProfile::default();
         for s in steps {
             let per_op = if s.add_only { 1 } else { s.n as u64 + 2 };
-            let lane_cycles = (s.meta_ops * per_op * 8) as f64;
+            let lane_cycles = count_to_f64(s.meta_ops * per_op * 8);
             match s.class {
                 OpClass::Ntt => p.ntt += lane_cycles,
                 OpClass::Bconv => p.bconv += lane_cycles,
@@ -63,6 +63,23 @@ impl WorkProfile {
     }
 }
 
+/// `x as f64`, through `i64` (one `cvtsi2sd`) below 2^63: baseline x86-64
+/// has no unsigned conversion, and spells `as f64` on a `u64` as a
+/// multi-instruction sequence. A count from 2^63 up converts out of line,
+/// where LLVM cannot merge the two arms back into that sequence.
+#[inline(always)]
+fn count_to_f64(x: u64) -> f64 {
+    #[cold]
+    #[inline(never)]
+    fn wide(x: u64) -> f64 {
+        x as f64
+    }
+    match i64::try_from(x) {
+        Ok(x) => x as f64,
+        Err(_) => wide(x),
+    }
+}
+
 /// Model output for a baseline design on one workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaselineReport {
@@ -84,13 +101,14 @@ impl BaselineDesign {
     /// `arithmetic`/`logic` flags.
     pub fn simulate(&self, work: &WorkProfile) -> BaselineReport {
         let works = [work.ntt, work.bconv, work.elementwise];
+        let lanes = count_to_f64(self.lanes);
         let mut serial = 0.0f64;
         let mut longest = 0.0f64;
         for (i, &w) in works.iter().enumerate() {
             if w == 0.0 {
                 continue;
             }
-            let capacity = self.lanes as f64 * self.pool_split[i];
+            let capacity = lanes * self.pool_split[i];
             assert!(
                 capacity > 0.0,
                 "{} has no pool for class {i} but the workload needs it",
@@ -102,8 +120,7 @@ impl BaselineDesign {
         }
         let cycles = (1.0 - self.overlap) * serial + self.overlap * longest;
         let seconds = cycles / (self.freq_ghz * 1e9);
-        let utilization =
-            if cycles > 0.0 { work.total() / (cycles * self.lanes as f64) } else { 0.0 };
+        let utilization = if cycles > 0.0 { work.total() / (cycles * lanes) } else { 0.0 };
         BaselineReport { cycles, seconds, utilization }
     }
 }

@@ -108,20 +108,123 @@ impl Step {
         if self.meta_ops == 0 {
             return 0;
         }
-        let per_op = if self.add_only { 1 } else { self.n as u64 + 2 };
-        let waves = self.meta_ops.div_ceil(arch.total_cores() as u64);
-        ((waves * per_op) as f64 / arch.pipeline_efficiency).ceil() as u64
+        pipeline_cycles(self, arch.total_cores() as u64, arch.pipeline_efficiency)
     }
 
     /// Scratchpad-bandwidth cycles.
     pub fn onchip_cycles(&self, arch: &ArchConfig) -> u64 {
-        (self.onchip_bytes as f64 / arch.onchip_bytes_per_cycle).ceil() as u64
+        transfer_cycles(self.onchip_bytes, arch.onchip_bytes_per_cycle)
     }
 
     /// HBM-bandwidth cycles.
     pub fn hbm_cycles(&self, arch: &ArchConfig) -> u64 {
-        (self.hbm_bytes as f64 / arch.hbm_bytes_per_cycle).ceil() as u64
+        transfer_cycles(self.hbm_bytes, arch.hbm_bytes_per_cycle)
     }
+}
+
+// The step costs are spelled for the baseline x86-64 target, which has no
+// `roundsd` (SSE4.1) and no unsigned conversion between `u64` and `f64`:
+// there `f64::ceil` / `f64::round` are calls into the C library and
+// `as f64` / `as u64` on a `u64` are multi-instruction sequences. Here a
+// count converts through `i64` (`cvtsi2sd`), a quotient truncates through
+// `i64` (`cvttsd2si`), and a ceiling is a rounding plus a compare.
+//
+// The range those spellings rest on: every value is a count — Meta-OP
+// waves × cycles per op, bytes, cycles — or its quotient by a positive
+// constant of the architecture (`Simulator::new` validates it), so it is
+// non-negative, and below 2^52 unless the count itself is or the constant
+// is absurdly small. The paper's programs stay below 2^24 cycles and 2^35
+// bytes. A value outside a spelling's range, NaN included, takes the
+// reference spelling out of line (`cold`), so every result is the one
+// `as` / `ceil` / `round` give, for every input.
+
+/// Runs `f` out of line: the reference spelling, for a value outside the
+/// range of the fast one.
+#[cold]
+#[inline(never)]
+fn cold<T>(f: impl FnOnce() -> T) -> T {
+    f()
+}
+
+/// `x as f64`: through `i64` below 2^63, where both round the same value
+/// to nearest.
+#[inline(always)]
+fn count_to_f64(x: u64) -> f64 {
+    match i64::try_from(x) {
+        Ok(x) => x as f64,
+        Err(_) => cold(|| x as f64),
+    }
+}
+
+/// `q as u64`.
+///
+/// `q as i64` saturates: NaN gives 0, `q ≥ 2^63` gives `i64::MAX`. A
+/// result `t` in `[0, i64::MAX)` therefore comes from a NaN, for which
+/// `as u64` gives 0 too, or from `q` in `(−1, 2^63)`, of which it is the
+/// truncation. Any other `q` takes the reference spelling.
+#[inline(always)]
+fn trunc_to_count(q: f64) -> u64 {
+    let t = q as i64;
+    if (0..i64::MAX).contains(&t) {
+        t as u64
+    } else {
+        cold(|| q as u64)
+    }
+}
+
+/// `q.round() as u64`: the truncation `t` (as in [`trunc_to_count`]),
+/// plus one where the fraction it dropped is at least one half (`round`
+/// takes halves away from zero; NaN gives 0). `q − t` is exact: `t` and
+/// `q` are less than 1 apart, and `t` is 0 or at least half of `q`.
+#[inline(always)]
+fn round_to_count(q: f64) -> u64 {
+    let t = q as i64;
+    if (0..i64::MAX).contains(&t) {
+        (t + i64::from(q - t as f64 >= 0.5)) as u64
+    } else {
+        cold(|| q.round() as u64)
+    }
+}
+
+/// `2^52`: from here to `2^53` the `f64`s are exactly the integers.
+const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+
+/// `q.ceil() as u64`.
+///
+/// For `q` in `[0, 2^52)` the addition `q + 2^52` rounds `q` to the
+/// nearest integer `m` (ties to even): the sum is `2^52 + m`, so its bit
+/// pattern exceeds 2^52's by `m` (also when it is `2^53`), and subtracting
+/// 2^52 again gives `m` exactly. `m` is the ceiling, or one short of it
+/// where it lies below `q`. Comparing bit patterns admits exactly that
+/// range: every negative number, infinity and NaN has a larger one than
+/// 2^52. A truncation through `i64` in place of the rounding costs a
+/// round trip through the integer unit and its saturation checks.
+#[inline(always)]
+fn ceil_to_count(q: f64) -> u64 {
+    if q.to_bits() < TWO_POW_52.to_bits() {
+        let biased = q + TWO_POW_52;
+        let m = biased.to_bits() - TWO_POW_52.to_bits();
+        m + u64::from(biased - TWO_POW_52 < q)
+    } else {
+        cold(|| q.ceil() as u64)
+    }
+}
+
+/// Cycles to move `bytes` at `bytes_per_cycle`.
+#[inline(always)]
+fn transfer_cycles(bytes: u64, bytes_per_cycle: f64) -> u64 {
+    ceil_to_count(count_to_f64(bytes) / bytes_per_cycle)
+}
+
+/// Core-pipeline cycles of `step` on `cores` cores sustaining
+/// `efficiency` of peak: whole waves of `n + 2`-cycle Meta-OPs (one cycle
+/// for add-only work). `cores` must be positive; a step with no Meta-OPs
+/// then costs 0.
+#[inline(always)]
+fn pipeline_cycles(step: &Step, cores: u64, efficiency: f64) -> u64 {
+    let per_op = if step.add_only { 1 } else { u64::from(step.n) + 2 };
+    let waves = step.meta_ops.div_ceil(cores);
+    ceil_to_count(count_to_f64(waves * per_op) / efficiency)
 }
 
 /// Errors surfaced by checked simulation entry points.
@@ -343,6 +446,8 @@ pub struct SimReport {
     pub hbm_bytes: u64,
     /// Total scratchpad bytes moved.
     pub onchip_bytes: u64,
+    /// In `OpClass::all()` order, which is discriminant order: indexed by
+    /// `class as usize`.
     per_class: [(OpClass, ClassStats); 5],
 }
 
@@ -361,10 +466,14 @@ impl SimReport {
         }
     }
 
+    /// Busy and attributed cycles of one class.
+    pub fn class_stats(&self, class: OpClass) -> ClassStats {
+        self.per_class[class as usize].1
+    }
+
     /// Utilization within steps of one class.
     pub fn class_utilization(&self, class: OpClass) -> f64 {
-        let stats =
-            self.per_class.iter().find(|(c, _)| *c == class).map(|(_, s)| *s).unwrap_or_default();
+        let stats = self.class_stats(class);
         if stats.attributed_cycles == 0 {
             0.0
         } else {
@@ -432,12 +541,29 @@ impl SimReport {
 #[derive(Debug, Clone, Copy)]
 pub struct Simulator {
     arch: ArchConfig,
+    /// `arch.total_cores()`, at least 1.
+    cores: u64,
+    /// Simulated nanoseconds per cycle (1 at the paper's 1 GHz).
+    ns_per_cycle: f64,
 }
 
 impl Simulator {
     /// Creates a simulator for a configuration.
+    ///
+    /// # Panics
+    ///
+    /// If `arch` fails [`ArchConfig::validate`] — a zero bandwidth or
+    /// efficiency would make every step cost `u64::MAX` cycles — with the
+    /// violated constraint in the message.
     pub fn new(arch: ArchConfig) -> Self {
-        Simulator { arch }
+        if let Err(why) = arch.validate() {
+            panic!("Simulator::new: invalid architecture: {why}");
+        }
+        Simulator {
+            arch,
+            cores: arch.total_cores() as u64,
+            ns_per_cycle: arch.cycle_seconds() * 1e9,
+        }
     }
 
     /// The configuration.
@@ -481,16 +607,16 @@ impl Simulator {
         let mut busy = 0u64;
         let mut hbm = 0u64;
         let mut onchip = 0u64;
-        let ns_per_cycle = self.arch.cycle_seconds() * 1e9;
-        let ns = |cycles: u64| (cycles as f64 * ns_per_cycle).round() as u64;
+        let efficiency = self.arch.pipeline_efficiency;
+        let ns = |cycles: u64| round_to_count(count_to_f64(cycles) * self.ns_per_cycle);
         let mut track = tel.virtual_track();
         track.open("sim.run", 0);
         for step in steps {
-            let c = step.compute_cycles(&self.arch);
+            let c = pipeline_cycles(step, self.cores, efficiency);
             // HBM transfers are double-buffered against the whole schedule
             // (paper §5.4); compute and scratchpad traffic serialize per
             // step.
-            let wall = c.max(step.onchip_cycles(&self.arch));
+            let wall = c.max(transfer_cycles(step.onchip_bytes, self.arch.onchip_bytes_per_cycle));
             if tel.is_enabled() {
                 track.leaf(&step.label, ns(step_cycles), ns(wall));
                 let key = step.class.telemetry_key();
@@ -515,9 +641,9 @@ impl Simulator {
                 }
             }
             step_cycles += wall;
-            hbm_cycles += step.hbm_cycles(&self.arch);
+            hbm_cycles += transfer_cycles(step.hbm_bytes, self.arch.hbm_bytes_per_cycle);
             // Busy discounts pipeline bubbles (the efficiency factor).
-            let eff = (c as f64 * self.arch.pipeline_efficiency) as u64;
+            let eff = trunc_to_count(count_to_f64(c) * efficiency);
             if tel.is_enabled() {
                 // Per-class occupancy counters for the live sampler: busy
                 // (post-efficiency compute) vs wall (serialized step time)
@@ -530,12 +656,9 @@ impl Simulator {
             busy += eff;
             hbm += step.hbm_bytes;
             onchip += step.onchip_bytes;
-            let entry = per_class
-                .iter_mut()
-                .find(|(cl, _)| *cl == step.class)
-                .expect("all classes present");
-            entry.1.busy_cycles += eff;
-            entry.1.attributed_cycles += wall;
+            let stats = &mut per_class[step.class as usize].1;
+            stats.busy_cycles += eff;
+            stats.attributed_cycles += wall;
         }
         let cycles = step_cycles.max(hbm_cycles);
         if tel.is_enabled() && cycles > step_cycles {
@@ -611,6 +734,41 @@ mod tests {
         // Adds cost 1 cycle per wave.
         let adds = Step::adds("hadd", 2048);
         assert_eq!(adds.compute_cycles(&a), (1.0f64 / a.pipeline_efficiency).ceil() as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "bandwidths must be positive")]
+    fn zero_hbm_bandwidth_is_rejected() {
+        Simulator::new(ArchConfig { hbm_bytes_per_cycle: 0.0, ..arch() });
+    }
+
+    #[test]
+    #[should_panic(expected = "pipeline efficiency must be in (0, 1]")]
+    fn zero_efficiency_is_rejected() {
+        Simulator::new(ArchConfig { pipeline_efficiency: 0.0, ..arch() });
+    }
+
+    #[test]
+    #[should_panic(expected = "units, cores and lanes must be positive")]
+    fn zero_units_are_rejected() {
+        Simulator::new(ArchConfig { units: 0, ..arch() });
+    }
+
+    #[test]
+    fn every_design_space_config_constructs() {
+        use crate::dse::{lane_sweep, partitioning_ablation, unit_sweep};
+        assert_eq!(lane_sweep().len(), 3);
+        assert_eq!(unit_sweep().len(), 3);
+        assert_eq!(partitioning_ablation().len(), 2);
+    }
+
+    #[test]
+    fn class_slots_follow_discriminant_order() {
+        // `run_traced` and `SimReport::class_stats` index the per-class
+        // slots, laid out in `OpClass::all()` order, by discriminant.
+        for (i, class) in OpClass::all().into_iter().enumerate() {
+            assert_eq!(class as usize, i, "{class}");
+        }
     }
 
     #[test]

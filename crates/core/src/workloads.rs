@@ -110,6 +110,14 @@ pub fn elementwise_steps(coeffs: u64, label: &str) -> Step {
         .with_onchip((3.0 * coeffs as f64 * WB) as u64)
 }
 
+/// `steps` without the spare capacity its pushes left behind: a program
+/// lives as long as whoever simulates it, and for the large ones that
+/// slack is a quarter of the memory its steps take.
+fn exact(mut steps: Vec<Step>) -> Vec<Step> {
+    steps.shrink_to_fit();
+    steps
+}
+
 /// `Pmult`: plaintext × ciphertext, both on-chip (Table 7 convention).
 pub fn pmult(p: &CkksSimParams) -> Vec<Step> {
     vec![elementwise_steps(2 * p.c() * p.n, "pmult")]
@@ -196,12 +204,12 @@ pub fn cmult(p: &CkksSimParams) -> Vec<Step> {
     steps.extend(keyswitch_steps(p, true, "cmult/relin"));
     steps.push(Step::adds("cmult/combine", 2 * p.c() * p.n / 8));
     steps.extend(rescale_steps(p, "cmult"));
-    steps
+    exact(steps)
 }
 
 /// `Keyswitch` as a standalone Table 7 row.
 pub fn keyswitch(p: &CkksSimParams) -> Vec<Step> {
-    keyswitch_steps(p, true, "keyswitch")
+    exact(keyswitch_steps(p, true, "keyswitch"))
 }
 
 /// `Rotation`: automorphism + key switch (Table 7 row).
@@ -212,7 +220,7 @@ pub fn rotation(p: &CkksSimParams) -> Vec<Step> {
         (4.0 * p.c() as f64 * p.n as f64 * WB) as u64,
     )];
     steps.extend(keyswitch_steps(p, true, "rotation/ks"));
-    steps
+    exact(steps)
 }
 
 /// A hoisted rotation group (`BSP-L=n+` pattern): one shared
@@ -283,7 +291,7 @@ fn bootstrapping_graph(p: &CkksSimParams, hoisted: bool) -> Vec<Step> {
         steps.extend(keyswitch_steps(&mid, false, &format!("boot/evalmod{i}/relin")));
         steps.extend(rescale_steps(&mid, &format!("boot/evalmod{i}")));
     }
-    steps
+    exact(steps)
 }
 
 /// HELR-1024: one logistic-regression training iteration (Fig. 6a). The
@@ -308,7 +316,7 @@ pub fn helr_iteration(p: &CkksSimParams) -> Vec<Step> {
     steps.extend(hoisted_rotation_group(&low, 32, resident));
     steps.push(elementwise_steps(32 * 2 * low.c() * low.n, "helr/xt-diag"));
     steps.push(Step::adds("helr/update", 2 * low.c() * low.n / 8));
-    steps
+    exact(steps)
 }
 
 /// LoLa-MNIST inference (Fig. 6a): shallow network at reduced parameters.
@@ -358,7 +366,7 @@ fn lola_mnist_graph(encrypted_weights: bool, hoisted: bool) -> (CkksSimParams, V
     steps.extend(keyswitch_steps(&p3, false, "lola/sq2/relin"));
     steps.extend(rescale_steps(&p3, "lola/sq2"));
     steps.push(elementwise_steps(10 * 2 * p3.c() * p3.n, "lola/output"));
-    (p, steps)
+    (p, exact(steps))
 }
 
 /// TFHE parameters for the simulator.
@@ -428,7 +436,7 @@ pub fn tfhe_pbs(tp: &TfheSimParams, batch: u64) -> Vec<Step> {
         outputs * ks_terms.div_ceil(64) * batch,
         64,
     ));
-    steps
+    exact(steps)
 }
 
 /// Fully-packed bootstrapping *without* Modup hoisting — the operator
@@ -452,7 +460,7 @@ pub fn cross_scheme(p: &CkksSimParams, tp: &TfheSimParams, rounds: usize) -> Vec
         steps.extend(cmult(p));
         steps.extend(tfhe_pbs(tp, 16));
     }
-    steps
+    exact(steps)
 }
 
 #[cfg(test)]
