@@ -4,8 +4,9 @@
 //! n = 2^8 and 2^12 … 2^16, and under the table a forward ÷ inverse NTT
 //! ratio per size, `alloc_free_ns`, the cost of one warmed 512-byte `Vec`
 //! allocation and free through the counting global allocator, and
-//! `minor_faults_per_keyswitch`, the page faults one warmed CKKS key switch
-//! at the `ckks_mlp` ring takes (`n/a` off Linux).
+//! `minor_faults_per_keyswitch` / `minor_faults_per_bsgs_layer`, the page
+//! faults one warmed CKKS key switch and one warmed BSGS layer at the
+//! `ckks_mlp` ring take (`n/a` off Linux).
 //!
 //! Both modes run in the same process: the sequential column pins the
 //! backend to one thread with [`fhe_math::par::set_max_threads`]`(1)`, the
@@ -48,7 +49,10 @@
 use std::time::Instant;
 
 use bench::{fmt_time, BenchArgs, Reporter};
-use fhe_ckks::{CkksContext, CkksParams, Encoder, Evaluator, GaloisKeys, RelinKey, SecretKey};
+use fhe_ckks::linear::LinearTransform;
+use fhe_ckks::{
+    CkksContext, CkksParams, Complex64, Encoder, Evaluator, GaloisKeys, RelinKey, SecretKey,
+};
 use fhe_math::{generate_ntt_primes, par, Modulus, RnsBasis, RnsContext};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -294,7 +298,7 @@ fn ckks_kernel(
     });
 }
 
-/// Calls [`minor_faults_per_keyswitch`] averages over.
+/// Calls [`minor_faults_per_call`] averages over.
 const FAULT_CALLS: u32 = 100;
 
 /// This process's minor page faults so far: field 10 of `/proc/self/stat`,
@@ -305,30 +309,44 @@ fn minor_faults() -> Option<u64> {
     stat[stat.rfind(')')? + 2..].split_whitespace().nth(7)?.parse().ok()
 }
 
-/// Minor page faults per warmed key switch: [`FAULT_CALLS`] calls of a
-/// three-rotation `rotate_hoisted` (a BSGS layer's babies: one stage 1,
-/// three key MACs and closes) at the `ckks_mlp` ring on one thread, per
-/// rotation. `None` where `/proc/self/stat` does not exist.
-fn minor_faults_per_keyswitch() -> Option<f64> {
+/// Minor page faults per warmed call at the `ckks_mlp` ring, level 6, on
+/// one thread, over [`FAULT_CALLS`] calls: `(per key switch, per BSGS
+/// layer)`. A key switch is one rotation of a three-rotation
+/// `rotate_hoisted` (a layer's babies before they stayed in `Q·P`: one
+/// stage 1, three key MACs and closes); the layer is `apply_bsgs` of the
+/// benchmark's 16-diagonal banded shape. `None` where `/proc/self/stat`
+/// does not exist.
+fn minor_faults_per_call() -> Option<(f64, f64)> {
     minor_faults()?;
     par::set_max_threads(1);
     let params = CkksParams::new(1 << 12, 6, 3, 36).expect("the ckks_mlp ring");
     let ctx = CkksContext::new(params).expect("context");
     let mut rng = ChaCha8Rng::seed_from_u64(19);
     let sk = SecretKey::generate(&ctx, &mut rng).expect("secret key");
-    let rotations = [1, 2, 3];
-    let gk = GaloisKeys::generate(&ctx, &sk, &rotations, false, &mut rng).expect("galois keys");
     let enc = Encoder::new(&ctx);
-    let values: Vec<f64> = (0..enc.slots()).map(|j| (j % 9) as f64 / 8.0 - 0.5).collect();
+    let slots = enc.slots();
+    let layer = LinearTransform::from_diagonals(
+        slots,
+        (0..16).map(|d| (d, vec![Complex64::new(0.5 / (d + 1) as f64, 0.0); slots])),
+    )
+    .expect("banded layer");
+    let gk = GaloisKeys::generate(&ctx, &sk, &layer.required_rotations_bsgs(), false, &mut rng)
+        .expect("galois keys");
+    let values: Vec<f64> = (0..slots).map(|j| (j % 9) as f64 / 8.0 - 0.5).collect();
     let ct = sk.encrypt(&ctx, &enc.encode(&values).expect("encode"), &mut rng).expect("encrypt");
     let ev = Evaluator::new(&ctx);
-    let call = || drop(ev.rotate_hoisted(&ct, &rotations, &gk).expect("rotate_hoisted"));
-    call();
-    let before = minor_faults()?;
-    (0..FAULT_CALLS).for_each(|_| call());
-    let faults = minor_faults()? - before;
+    let per_call = |call: &dyn Fn()| {
+        call();
+        let before = minor_faults()?;
+        (0..FAULT_CALLS).for_each(|_| call());
+        Some((minor_faults()? - before) as f64 / f64::from(FAULT_CALLS))
+    };
+    let rotations = [1, 2, 3];
+    let hoisted = || drop(ev.rotate_hoisted(&ct, &rotations, &gk).expect("rotate_hoisted"));
+    let keyswitch = per_call(&hoisted)? / rotations.len() as f64;
+    let bsgs = per_call(&|| drop(layer.apply_bsgs(&ev, &enc, &ct, &gk).expect("apply_bsgs")))?;
     par::set_max_threads(0);
-    Some(faults as f64 / f64::from(FAULT_CALLS) / rotations.len() as f64)
+    Some((keyswitch, bsgs))
 }
 
 fn profile_to_json(p: &par::ParProfile) -> Json {
@@ -511,11 +529,18 @@ fn main() {
     // First touches of pages the heap handed back to the OS: each costs a
     // minor fault, and a key switch whose buffers churn through the top of
     // the heap pays hundreds of them per call.
-    let faults = minor_faults_per_keyswitch().map_or("n/a".to_string(), |f| format!("{f:.2}"));
+    let faults = minor_faults_per_call();
+    let shown = |f: Option<f64>| f.map_or("n/a".to_string(), |f| format!("{f:.2}"));
     rep.note(&format!(
-        "minor_faults_per_keyswitch: {faults} (warmed three-rotation rotate_hoisted at the \
+        "minor_faults_per_keyswitch: {} (warmed three-rotation rotate_hoisted at the \
          ckks_mlp ring, N = 2^12, level 6, one thread; /proc/self/stat around {FAULT_CALLS} \
-         calls, per rotation)"
+         calls, per rotation)",
+        shown(faults.map(|f| f.0))
+    ));
+    rep.note(&format!(
+        "minor_faults_per_bsgs_layer: {} (warmed apply_bsgs, 16 banded diagonals, same ring, \
+         level and thread; {FAULT_CALLS} calls, per call)",
+        shown(faults.map(|f| f.1))
     ));
     rep.note(&note);
 

@@ -242,6 +242,38 @@ impl<'a> Encoder<'a> {
         scale: f64,
     ) -> Result<Plaintext, CkksError> {
         self.check(values.len(), level)?;
+        let coeffs = self.quantized(values, scale)?;
+        self.plaintext(&coeffs, level, scale)
+    }
+
+    /// The NTT-domain images of `values` encoded at `scale` on the context's
+    /// channels `channels` (indices into `Q ∪ P`, such as a linear layer's
+    /// `Q_level ∪ P`): one transform each, counted as `ckks.encode.forward`.
+    /// On a `Q` channel the image is [`Encoder::encode_complex_at`]'s, bit
+    /// for bit.
+    pub(crate) fn encode_images(
+        &self,
+        values: &[Complex64],
+        channels: &[usize],
+        scale: f64,
+    ) -> Result<Vec<Vec<u64>>, CkksError> {
+        self.check_slots(values.len())?;
+        let coeffs = self.quantized(values, scale)?;
+        let images = channels
+            .iter()
+            .map(|&c| {
+                let m = self.ctx.rns().moduli()[c];
+                let mut image: Vec<u64> = coeffs.iter().map(|&x| m.from_i64(x)).collect();
+                self.ctx.table(c).forward(&mut image);
+                image
+            })
+            .collect();
+        telemetry::count_named("ckks.encode.forward", channels.len() as u64);
+        Ok(images)
+    }
+
+    /// The `N` integer coefficients `values` encode to at `scale`.
+    fn quantized(&self, values: &[Complex64], scale: f64) -> Result<Vec<i64>, CkksError> {
         let slots = self.slots();
         // w = V⁻¹z by the inverse special FFT; the real parts are the lower
         // half of the coefficients and the imaginary parts the upper half.
@@ -255,14 +287,19 @@ impl<'a> Encoder<'a> {
             *re = quantize(z.re * unit)?;
             *im = quantize(z.im * unit)?;
         }
-        self.plaintext(&coeffs, level, scale)
+        Ok(coeffs)
     }
 
-    fn check(&self, provided: usize, level: usize) -> Result<(), CkksError> {
+    fn check_slots(&self, provided: usize) -> Result<(), CkksError> {
         let available = self.slots();
         if provided > available {
             return Err(CkksError::TooManySlots { provided, available });
         }
+        Ok(())
+    }
+
+    fn check(&self, provided: usize, level: usize) -> Result<(), CkksError> {
+        self.check_slots(provided)?;
         if level >= self.ctx.q_len() {
             return Err(CkksError::Mismatch { detail: format!("level {level} out of range") });
         }

@@ -22,23 +22,27 @@
 //! |-----------------------------------|---------------------------------|
 //! | `keyswitch_core`, `mul`, `rotate` | `β·t + 2t`                      |
 //! | `rotate_hoisted`, `r` rotations   | `β·t + r·2t` (stage 1 shared)   |
-//! | a rescaled sum of `r` rotations   | `r·β·t + 2t` (one ModDown·Rescale) |
+//! | a BSGS layer, `r` giant rotations | `S + r·(K + c + S) + 2t`, `S = β·t` |
 //! | `rescale`                         | `2·(1 + level)`                 |
 //!
-//! A sum of rotations (a BSGS layer's giant steps) closes with
-//! [`Evaluator::rotate_sum_rescaled`]: `{q_l} ∪ P` is the special modulus
+//! A BSGS layer ([`Evaluator::bsgs_rescaled`]) is double-hoisted: its baby
+//! rotations share one stage 1 and stay in `Q·P`, unclosed, and so does
+//! each giant group's plaintext-weighted inner sum; a giant rotation adds
+//! `σ` of its inner sum's `c0` half as it is and key-switches the `c1` half
+//! after one Moddown onto `Q_level` (`K` inverse, `c` forward). The whole
+//! sum closes with one ModDown·Rescale: `{q_l} ∪ P` is the special modulus
 //! of one Moddown onto `Q_{l−1}`, so the rescale that follows a layer costs
-//! nothing (DESIGN.md §6.2 has its error bound against the two-step close).
+//! nothing (DESIGN.md §6.2 has both error bounds).
 //!
 //! Every buffer of the pipeline comes from this thread's [`Scratch`] pool:
 //! stage 1's copies of a digit's channels (inverse-transformed one digit at
 //! a time) and its converted channels, which [`Digits`] returns on drop; the
-//! `Q·P` accumulator, whose close returns the channels the result does not
-//! keep and tops the pool up behind the ones it does; and the plaintext
-//! MAC's sums. At the `ckks_mlp` ring a BSGS giant step holds up to 59 at
-//! once — 25 for stage 1, 20 for the accumulator, 14 for the inner sum it
-//! rotates — under the pool's cap of 64. Past the cap `Scratch::put` frees
-//! the surplus and the next call allocates it again: correct, only slower.
+//! `Q·P` accumulators, whose close returns the channels the result does not
+//! keep and tops the pool up behind the ones it does; and a layer's `Q·P`
+//! babies and inner sums. At the `ckks_mlp` ring a BSGS layer at level 6
+//! holds 115 at once ([`Evaluator::layer_buffers`]) under the pool's cap of
+//! 128. Past the cap `Scratch::put` frees the surplus and the next call
+//! allocates it again: correct, only slower.
 //!
 //! Three exact identities carry the saving (DESIGN.md §6.2). The NTT is
 //! linear over `Z_q` and every stored value canonical, so Moddown's
@@ -80,10 +84,30 @@ impl Drop for Transforms {
     }
 }
 
+/// The NTT-domain polynomial stage 1 decomposes, read by channel: a
+/// ciphertext component, or the `Q_level` channels a Moddown left in
+/// accumulator buffers (a BSGS giant's `c1` half).
+trait Channels: Sync {
+    /// Channel `pos` of `q_0..q_level`.
+    fn at(&self, pos: usize) -> &[u64];
+}
+
+impl Channels for RnsPoly {
+    fn at(&self, pos: usize) -> &[u64] {
+        self.channel(pos).coeffs()
+    }
+}
+
+impl Channels for [Vec<u64>] {
+    fn at(&self, pos: usize) -> &[u64] {
+        &self[pos]
+    }
+}
+
 /// Stage 1 output: the NTT-domain extended digits of one polynomial.
-struct Digits<'d> {
+struct Digits<'d, O: ?Sized> {
     /// The NTT-domain input; a digit's own channels are read from it.
-    own: &'d RnsPoly,
+    own: &'d O,
     /// `ext[i·t + pos]` is digit `i` on position `pos` of the extended
     /// basis (`q_0..q_level`, then `P`; `t` channels), lazy in `[0, 2q)`;
     /// empty where `pos` is one of the digit's own channels. Scratch-pool
@@ -92,18 +116,18 @@ struct Digits<'d> {
     t: usize,
 }
 
-impl Digits<'_> {
+impl<O: Channels + ?Sized> Digits<'_, O> {
     fn channel(&self, i: usize, pos: usize) -> &[u64] {
         let converted = &self.ext[i * self.t + pos];
         if converted.is_empty() {
-            self.own.channel(pos).coeffs()
+            self.own.at(pos)
         } else {
             converted
         }
     }
 }
 
-impl Drop for Digits<'_> {
+impl<O: ?Sized> Drop for Digits<'_, O> {
     fn drop(&mut self) {
         give_back(self.ext.drain(..));
     }
@@ -145,10 +169,81 @@ fn top_up(n: usize, count: usize) {
     });
 }
 
-/// One term of [`Evaluator::mac_plain`]: a component pair and the
-/// plaintext's channel images, each either whole (`n` entries) or the first
-/// half of a palindrome (`n/2`; see `linear.rs`).
-pub(crate) type PlainTerm<'t> = ((&'t RnsPoly, &'t RnsPoly), &'t [Vec<u64>]);
+/// Where the ciphertext of a BSGS layer's plaintext term comes from.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Source<'a> {
+    /// Baby rotation `k` of the layer, held over `Q_level ∪ P` before any
+    /// Moddown.
+    Baby(usize),
+    /// A level-`level` component pair, such as the input itself for baby
+    /// offset 0. The term's images are pre-multiplied by `P mod q_c`, which
+    /// lifts the product into the `Q·P` sum with nothing on `P`, so they
+    /// need no `P` images.
+    Lifted(&'a RnsPoly, &'a RnsPoly),
+}
+
+/// One plaintext term of a BSGS layer: its source and the plaintext's
+/// channel images, on `Q_level ∪ P` for a baby and on `Q_level` for a
+/// lifted pair, each either whole (`n` entries) or the first half of a
+/// palindrome (`n/2`; see `linear.rs`).
+pub(crate) type Term<'a> = (Source<'a>, &'a [Vec<u64>]);
+
+/// A giant group of a BSGS layer: its rotation and its terms.
+pub(crate) type Group<'a> = (isize, Vec<Term<'a>>);
+
+/// One group's inner sum `Σ_k pt_k ⊙ src_k` over `Q_level ∪ P`, formed a
+/// channel at a time by [`InnerSum::mac_into`] as one fused lazy MAC — the
+/// paper's `(M_j A_j)_n R_j` shape: one reduction per slot per group, no
+/// per-term ciphertext.
+struct InnerSum<'g, 'a> {
+    /// Whole and folded terms apart — canonical sums do not depend on the
+    /// order of their terms, so the two forms are accumulated one after the
+    /// other — each with its baby terms first, and their count: a `P`
+    /// channel, which a lifted term does not reach, reads that prefix.
+    forms: [(Vec<&'g Term<'a>>, MacMap<'static>, usize); 2],
+    /// The layer's baby accumulators.
+    babies: &'g [Vec<Vec<u64>>],
+    /// `c = level + 1` and `t = c + K`.
+    c: usize,
+    t: usize,
+}
+
+impl<'g, 'a> InnerSum<'g, 'a> {
+    fn new(
+        terms: &'g [Term<'a>],
+        babies: &'g [Vec<Vec<u64>>],
+        n: usize,
+        c: usize,
+        t: usize,
+    ) -> Self {
+        let (mut whole, mut folded): (Vec<_>, Vec<_>) =
+            terms.iter().partition(|(_, pt)| pt[0].len() == n);
+        let lifted = |term: &&Term<'_>| matches!(term.0, Source::Lifted(..));
+        whole.sort_unstable_by_key(lifted);
+        folded.sort_unstable_by_key(lifted);
+        let forms = [(whole, MacMap::Straight), (folded, MacMap::FoldedB)].map(|(form, map)| {
+            let on_p = form.iter().filter(|term| !lifted(term)).count();
+            (form, map, on_p)
+        });
+        InnerSum { forms, babies, c, t }
+    }
+
+    /// `out += ` channel `pos` of the sum's half `half` (`q_0..q_level`,
+    /// then `P`), modulo that channel's `m`.
+    fn mac_into(&self, m: &Modulus, half: usize, pos: usize, out: &mut [u64]) {
+        for (form, map, on_p) in &self.forms {
+            let row = |k: usize| {
+                let (source, pt) = *form[k];
+                let a = match source {
+                    Source::Baby(b) => self.babies[b][half * self.t + pos].as_slice(),
+                    Source::Lifted(c0, c1) => [c0, c1][half].channel(pos).coeffs(),
+                };
+                (a, pt[pos].as_slice())
+            };
+            mac_channel(m, if pos < self.c { form.len() } else { *on_p }, row, *map, out);
+        }
+    }
+}
 
 /// How one [`mac_channel`] call indexes its operands.
 #[derive(Clone, Copy)]
@@ -512,7 +607,7 @@ impl<'a> Evaluator<'a> {
     }
 
     /// [`Evaluator::rescale`] of an unsealed level-`level` pair at `scale`.
-    pub(crate) fn rescale_pair(
+    fn rescale_pair(
         &self,
         (c0, c1): (&RnsPoly, &RnsPoly),
         level: usize,
@@ -597,6 +692,7 @@ impl<'a> Evaluator<'a> {
         level: usize,
     ) -> Result<(RnsPoly, RnsPoly), CkksError> {
         let _span = telemetry::Span::enter("ckks.eval.keyswitch");
+        assert_eq!(d.domain(), Domain::Ntt, "keyswitch input must be in NTT domain");
         let mut tally = Transforms::default();
         let digits = self.modup_ntt(d, level, &mut tally)?;
         let mut acc = self.qp_acc(level);
@@ -619,15 +715,14 @@ impl<'a> Evaluator<'a> {
     /// converted channels. Digit by digit, the inverse transforms run on
     /// pooled copies of the digit's own channels, which go back to the pool
     /// once its conversion has written its pooled output channels.
-    fn modup_ntt<'d>(
+    fn modup_ntt<'d, O: Channels + ?Sized>(
         &self,
-        d: &'d RnsPoly,
+        d: &'d O,
         level: usize,
         tally: &mut Transforms,
-    ) -> Result<Digits<'d>, CkksError> {
+    ) -> Result<Digits<'d, O>, CkksError> {
         // Histogram-only probe: latency of the hoistable keyswitch half.
         let _t = telemetry::Timer::enter("ckks.keyswitch.modup_ntt");
-        assert_eq!(d.domain(), Domain::Ntt, "keyswitch input must be in NTT domain");
         let (n, t) = (self.ctx.n(), level + 1 + self.ctx.k_len());
         let plans = self.ctx.plans(level);
         let mut digits = Digits { own: d, ext: vec![Vec::new(); plans.digits.len() * t], t };
@@ -636,7 +731,7 @@ impl<'a> Evaluator<'a> {
             // The digit's own channels, copied out of the NTT domain.
             take_pooled(&mut coeff, n, digit.len());
             par::par_iter_mut(&mut coeff, ntt_work(n), |k, buf| {
-                buf.copy_from_slice(d.channel(digit[k]).coeffs());
+                buf.copy_from_slice(d.at(digit[k]));
                 self.ctx.table(digit[k]).inverse(buf);
             })?;
             let src: Vec<&[u64]> = coeff.iter().map(Vec::as_slice).collect();
@@ -662,11 +757,7 @@ impl<'a> Evaluator<'a> {
     /// `2t` scratch-pool buffers, half 0 (the `c0` side) then half 1, each
     /// ordered `q_0..q_level, p_0..p_{K-1}`.
     fn qp_acc(&self, level: usize) -> Vec<Vec<u64>> {
-        self.zeroed_channels(2 * (level + 1 + self.ctx.k_len()))
-    }
-
-    /// `count` zeroed channel buffers from this thread's scratch pool.
-    fn zeroed_channels(&self, count: usize) -> Vec<Vec<u64>> {
+        let count = 2 * (level + 1 + self.ctx.k_len());
         let mut bufs = Vec::with_capacity(count);
         take_pooled(&mut bufs, self.ctx.n(), count);
         bufs
@@ -676,9 +767,9 @@ impl<'a> Evaluator<'a> {
     /// halves, every channel of `Q_level ∪ P` — channel-parallel (the
     /// slot/channel partitioning of paper §5.3). `perm` is σ as an
     /// NTT-domain gather; `None` is the identity.
-    fn mac_key(
+    fn mac_key<O: Channels + ?Sized>(
         &self,
-        digits: &Digits<'_>,
+        digits: &Digits<'_, O>,
         key: &SwitchKey,
         perm: Option<&[u32]>,
         acc: &mut [Vec<u64>],
@@ -702,23 +793,15 @@ impl<'a> Evaluator<'a> {
         Ok(())
     }
 
-    /// `acc[half] += P·σ(p)` for a `Q_level` polynomial `p`: Moddown divides
-    /// `P` back out exactly, so `p` is added to that half of the result.
-    fn add_times_p(&self, acc: &mut [Vec<u64>], half: usize, p: &RnsPoly, perm: Option<&[u32]>) {
+    /// `acc[half] += P·σ(p)` for a `Q_level` polynomial `p`, `σ` the gather
+    /// `perm`: Moddown divides `P` back out exactly, so `σ(p)` is added to
+    /// that half of the result.
+    fn add_times_p(&self, acc: &mut [Vec<u64>], half: usize, p: &RnsPoly, perm: &[u32]) {
         let t = acc.len() / 2;
         for (c, (out, ch)) in acc[half * t..].iter_mut().zip(p.channels()).enumerate() {
             let (m, scale, src) = (ch.modulus(), self.ctx.p_mod_q(c), ch.coeffs());
-            match perm {
-                Some(perm) => {
-                    for (o, &i) in out.iter_mut().zip(perm) {
-                        *o = m.add(*o, m.mul_shoup(src[i as usize], scale));
-                    }
-                }
-                None => {
-                    for (o, &x) in out.iter_mut().zip(src) {
-                        *o = m.add(*o, m.mul_shoup(x, scale));
-                    }
-                }
+            for (o, &i) in out.iter_mut().zip(perm) {
+                *o = m.add(*o, m.mul_shoup(src[i as usize], scale));
             }
         }
     }
@@ -803,36 +886,6 @@ impl<'a> Evaluator<'a> {
         Ok(RnsPoly::from_channels(channels)?)
     }
 
-    /// `Σ_k pt_k ⊙ (c0_k, c1_k)` over NTT-domain level-`level` operands as
-    /// one fused lazy MAC — the paper's `(M_j A_j)_n R_j` shape: one
-    /// reduction per slot per group, no per-term ciphertext.
-    pub(crate) fn mac_plain(
-        &self,
-        level: usize,
-        terms: &[PlainTerm<'_>],
-    ) -> Result<(RnsPoly, RnsPoly), CkksError> {
-        let (c, n) = (level + 1, self.ctx.n());
-        // Canonical sums do not depend on the order of their terms, so the
-        // two forms are accumulated one after the other.
-        let (whole, folded): (Vec<&PlainTerm<'_>>, Vec<_>) =
-            terms.iter().partition(|(_, pt)| pt[0].len() == n);
-        let mut sums = self.zeroed_channels(2 * c);
-        par::par_iter_mut(&mut sums, (terms.len() * n) as u64, |idx, out| {
-            let (half, ch) = (idx / c, idx % c);
-            let m = &self.ctx.rns().moduli()[ch];
-            for (form, map) in [(&whole, MacMap::Straight), (&folded, MacMap::FoldedB)] {
-                let row = |k: usize| {
-                    let ((c0, c1), pt) = *form[k];
-                    let side = if half == 0 { c0 } else { c1 };
-                    (side.channel(ch).coeffs(), pt[ch].as_slice())
-                };
-                mac_channel(m, form.len(), row, map, out);
-            }
-        })?;
-        let mut sums = sums.into_iter();
-        Ok((self.poly_from_ntt(sums.by_ref().take(c))?, self.poly_from_ntt(sums)?))
-    }
-
     /// The Galois element and key of a slot rotation by `r`.
     fn rotation_key<'k>(
         &self,
@@ -891,7 +944,7 @@ impl<'a> Evaluator<'a> {
         let digits = self.modup_ntt(&c1g, a.level(), &mut tally)?;
         let mut acc = self.qp_acc(a.level());
         self.mac_key(&digits, key, None, &mut acc)?;
-        self.add_times_p(&mut acc, 0, a.c0(), Some(&perm));
+        self.add_times_p(&mut acc, 0, a.c0(), &perm);
         let (k0, k1) = self.moddown_ntt(acc, &mut tally)?;
         Ok(Ciphertext::from_parts(k0, k1, a.level(), a.scale()))
     }
@@ -966,7 +1019,7 @@ impl<'a> Evaluator<'a> {
     fn rotate_into(
         &self,
         acc: &mut [Vec<u64>],
-        digits: &Digits<'_>,
+        digits: &Digits<'_, RnsPoly>,
         c0: &RnsPoly,
         r: isize,
         gk: &GaloisKeys,
@@ -974,43 +1027,121 @@ impl<'a> Evaluator<'a> {
         let (g, key) = self.rotation_key(r, gk)?;
         let perm = galois_ntt_permutation(self.ctx.n(), g)?;
         self.mac_key(digits, key, Some(&perm), acc)?;
-        self.add_times_p(acc, 0, c0, Some(&perm));
+        self.add_times_p(acc, 0, c0, &perm);
         Ok(())
     }
 
-    /// `Σ_k rot(ct_k, r_k)` over unsealed level-`level` pairs at `scale`,
-    /// rescaled: every key-switched part accumulated in `Q·P` and the group
-    /// closed by **one** ModDown·Rescale onto `Q_{level−1}`
-    /// ([`Self::rescale_close`]) — the `2t` closing Moddown
-    /// `metaop::counts::hoisted_rotation_group` models, with the rescale in
-    /// it. Terms with `r = 0` join the accumulator as they are.
+    /// A BSGS linear layer, `Σ_i rot_{r_i}(Σ_k pt_ik ⊙ src_ik)` over the
+    /// `groups` with every baby source `rot_{babies[b]}(ct)`, double-hoisted
+    /// and rescaled: one level down, at `ct.scale()·pt_scale / q_level`.
+    ///
+    /// 1. The babies share one stage 1 of `c1`, and each stays a `Q·P`
+    ///    accumulator — its key MAC plus `P·σ(c0)` — with no Moddown; stage
+    ///    1's digits go back to the pool before the inner sums.
+    /// 2. A group's inner sum is an [`InnerSum`] over `Q_level ∪ P`; group
+    ///    0's goes straight into the final accumulator.
+    /// 3. A giant rotation `r` adds `σ_r` of its inner sum's `c0` half as it
+    ///    is, one channel at a time through one pooled buffer, and the key
+    ///    switch of its `c1` half after one Moddown onto `Q_level` (`K`
+    ///    inverse and `c` forward transforms, then stage 1). One `c1`
+    ///    buffer set serves every giant.
+    /// 4. One ModDown·Rescale closes the whole sum ([`Self::rescale_close`]).
+    ///
+    /// `S + r·(K + c + S) + 2t` transforms for `r` giant rotations. Against
+    /// a Moddown per baby the result is exact up to one rounding per giant
+    /// `c1` half and the close (DESIGN.md §6.2).
     ///
     /// # Errors
     ///
-    /// Returns [`CkksError::LevelExhausted`] at level 0.
-    pub(crate) fn rotate_sum_rescaled(
+    /// Returns [`CkksError::LevelExhausted`] at level 0 and
+    /// [`CkksError::MissingKey`] if a rotation key is missing.
+    pub(crate) fn bsgs_rescaled(
         &self,
-        level: usize,
-        scale: f64,
-        terms: impl Iterator<Item = Result<(isize, (RnsPoly, RnsPoly)), CkksError>>,
+        ct: &Ciphertext,
+        babies: &[isize],
+        groups: &[Group<'_>],
         gk: &GaloisKeys,
-        tally: &mut Transforms,
+        pt_scale: f64,
     ) -> Result<Ciphertext, CkksError> {
+        let level = ct.level();
         if level == 0 {
             return Err(CkksError::LevelExhausted);
         }
+        let (c, n, k) = (level + 1, self.ctx.n(), self.ctx.k_len());
+        let t = c + k;
+        let mut tally = Transforms::default();
+        let mut rotated = Vec::with_capacity(babies.len());
+        if !babies.is_empty() {
+            let digits = self.modup_ntt(ct.c1(), level, &mut tally)?;
+            for &r in babies {
+                let mut acc = self.qp_acc(level);
+                self.rotate_into(&mut acc, &digits, ct.c0(), r, gk)?;
+                rotated.push(acc);
+            }
+        }
+        let modulus = |pos: usize| &self.ctx.rns().moduli()[self.ext_channel(level, pos)];
+        let tables = self.ctx.rns().tables();
         let mut acc = self.qp_acc(level);
-        for term in terms {
-            let (r, (c0, c1)) = term?;
-            if r == 0 {
-                self.add_times_p(&mut acc, 0, &c0, None);
-                self.add_times_p(&mut acc, 1, &c1, None);
+        let mut c1 = Vec::with_capacity(t);
+        for (r, terms) in groups {
+            let sum = InnerSum::new(terms, &rotated, n, c, t);
+            let work = (terms.len() * n) as u64;
+            if *r == 0 {
+                par::par_iter_mut(&mut acc, work, |idx, out| {
+                    sum.mac_into(modulus(idx % t), idx / t, idx % t, out);
+                })?;
                 continue;
             }
-            let digits = self.modup_ntt(&c1, level, tally)?;
-            self.rotate_into(&mut acc, &digits, &c0, r, gk)?;
+            let (g, key) = self.rotation_key(*r, gk)?;
+            let perm = galois_ntt_permutation(n, g)?;
+            par::par_iter_mut(&mut acc[..t], work, |pos, out| {
+                let m = modulus(pos);
+                Scratch::with_thread_local(|s| {
+                    let mut channel = s.take(n);
+                    sum.mac_into(m, 0, pos, &mut channel);
+                    for (o, &i) in out.iter_mut().zip(&perm) {
+                        *o = m.add(*o, channel[i as usize]);
+                    }
+                    s.put(channel);
+                });
+            })?;
+            if c1.is_empty() {
+                take_pooled(&mut c1, n, t);
+            } else {
+                c1.iter_mut().for_each(|ch| ch.fill(0));
+            }
+            par::par_iter_mut(&mut c1, work, |pos, out| sum.mac_into(modulus(pos), 1, pos, out))?;
+            let (q, p) = c1.split_at_mut(c);
+            let moddown = &self.ctx.plans(level).moddown;
+            moddown.apply_ntt_into(&tables[..c], &tables[self.ctx.q_len()..], q, p)?;
+            tally.inverse += k;
+            tally.forward += c;
+            let digits = self.modup_ntt(&*q, level, &mut tally)?;
+            self.mac_key(&digits, key, Some(&perm), &mut acc)?;
         }
-        self.rescale_close(acc, level, scale, tally)
+        give_back(c1);
+        give_back(rotated.into_iter().flatten());
+        let out = self.rescale_close(acc, level, ct.scale() * pt_scale, &mut tally)?;
+        top_up(n, self.layer_buffers(level, babies.len()));
+        Ok(out)
+    }
+
+    /// Pooled buffers [`Self::bsgs_rescaled`] holds at once at `level` with
+    /// `babies` baby rotations: the babies' and the final `Q·P`
+    /// accumulators, `2t` each, and a giant's `c1` half, `t`, beside its
+    /// stage 1 at its widest — the digits converted so far, then one
+    /// digit's coefficient copies, its conversion's pre-scaled copies and
+    /// its converted channels. At the `ckks_mlp` ring, level 6:
+    /// `20·(3 + 1) + 10 + 25 = 115`; level 4: `16·(3 + 1) + 8 + 15 = 87`.
+    fn layer_buffers(&self, level: usize, babies: usize) -> usize {
+        let plans = self.ctx.plans(level);
+        let (mut converted, mut stage1) = (0, 0);
+        for (digit, (dst, _)) in plans.digits.iter().zip(&plans.modup) {
+            stage1 = stage1.max(converted + 2 * digit.len() + dst.len());
+            converted += dst.len();
+        }
+        let t = level + 1 + self.ctx.k_len();
+        2 * t * (babies + 1) + t + stage1
     }
 }
 
@@ -1166,7 +1297,7 @@ mod tests {
         let tables = ctx.rns().tables();
         let mut stages_2_and_3 = || {
             ev.mac_key(&digits, key, Some(&perm), &mut acc).unwrap();
-            ev.add_times_p(&mut acc, 0, ct.c0(), Some(&perm));
+            ev.add_times_p(&mut acc, 0, ct.c0(), &perm);
             for half in acc.chunks_mut(digits.t) {
                 let (q, p) = half.split_at_mut(level + 1);
                 let moddown = &ctx.plans(level).moddown;
@@ -1203,8 +1334,9 @@ mod tests {
             let digits = ev.modup_ntt(ct.c1(), level, &mut Transforms::default()).unwrap();
             ev.rotate_into(&mut acc, &digits, ct.c0(), 1, &gk).unwrap();
             drop(digits);
-            ev.add_times_p(&mut acc, 0, ct.c0(), None);
-            ev.add_times_p(&mut acc, 1, ct.c1(), None);
+            let identity = galois_ntt_permutation(ctx.n(), 1).unwrap();
+            ev.add_times_p(&mut acc, 0, ct.c0(), &identity);
+            ev.add_times_p(&mut acc, 1, ct.c1(), &identity);
             let (scale, tally) = (ct.scale() * ctx.params().scale(), &mut Transforms::default());
             let (c0, c1) = ev.moddown_ntt(acc.clone(), tally).unwrap();
             let two_step = ev.rescale_pair((&c0, &c1), level, scale, tally).unwrap();

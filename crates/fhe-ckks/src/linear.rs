@@ -11,32 +11,39 @@
 //! ```
 //!
 //! needs only the baby rotations `j` that occur and `⌈D/g⌉` giant
-//! rotations. [`LinearTransform::apply_bsgs`] spends, at `c = level + 1`
-//! channels, `t = c + K` and `β` digits:
+//! rotations. [`LinearTransform::apply_bsgs`] and [`LinearTransform::apply`]
+//! (giant step = slot count: every diagonal in group 0) run one
+//! double-hoisted path; at `c = level + 1` channels, `t = c + K` and `β`
+//! digits, with `S = β·t`:
 //!
-//! * the babies as one hoisted group — `β·t` transforms for the shared
-//!   `decompose → Modup → NTT`, then `2t` per baby (the paper's `BSP-L=n+`);
-//! * each inner sum as **one** fused lazy MAC over the raw component
-//!   pairs (`(M_j A_j)_n R_j`: one reduction per slot per group, no
-//!   per-term ciphertext, seal or clone);
-//! * the giant rotations as one sum in `Q·P` closed by a single
-//!   ModDown·Rescale (`Evaluator::rotate_sum_rescaled`: `q_level` joins `P`
-//!   as one more source prime of the closing conversion) — `β·t` per giant
-//!   rotation plus `2t` once, exactly
+//! * the babies as one hoisted group — `S` transforms for the shared
+//!   `decompose → Modup → NTT`, then each baby's key MAC and `P·σ(c0)` kept
+//!   in a `Q·P` accumulator, **not** Moddowned: a baby feeds nothing but a
+//!   plaintext multiply, which works as well over `Q·P`;
+//! * each inner sum as **one** fused lazy MAC over `Q_level ∪ P`
+//!   (`(M_j A_j)_n R_j`: one reduction per slot per group, no per-term
+//!   ciphertext, seal or clone); group 0's lands in the final accumulator;
+//! * per giant rotation, `σ` of the inner sum's `c0` half added as it is
+//!   and the key switch of its `c1` half after one Moddown onto `Q_level`
+//!   — `K + c + S` transforms;
+//! * one ModDown·Rescale for the whole sum (`q_level` joins `P` as one
+//!   more source prime of the closing conversion) — `2t`, exactly
 //!   `metaop::counts::hoisted_rotation_group`'s closing Moddown, and no
 //!   rescale after it;
 //!
-//! and verifies the input and seals the output once. A transform inside
-//! giant group 0 (every [`LinearTransform::apply`]) has no giant rotation to
-//! fuse with and is rescaled on its own. The fused close rounds down where
-//! the two-step one rounds to nearest: per coefficient it reads at most
-//! `K + 1` below it (DESIGN.md §6.2).
+//! and verifies the input and seals the output once: `4S + 5t` for three
+//! giant rotations. Against a Moddown per baby the result is exact up to
+//! one rounding per giant `c1` half and the close (DESIGN.md §6.2).
 //!
 //! **Diagonals are encoded once.** The first call at a given
 //! `(giant step, level, scale)` pre-rotates and encodes the `D` diagonals
-//! (`D·c` channel transforms, counted as `ckks.encode.forward`) and keeps
-//! their NTT-domain images; later calls at that key go straight to the
-//! MAC, which is what the paper's "unenc weights" rows and
+//! and keeps their NTT-domain images — on `Q_level ∪ P` (`t` channel
+//! transforms, counted as `ckks.encode.forward`), except that a diagonal
+//! of baby offset 0, which multiplies the input itself, is kept on
+//! `Q_level` (`c` transforms) pre-multiplied by `P mod q_c`: that lifts
+//! its product into the `Q·P` sum with nothing on `P`, so it needs no `P`
+//! images and the input is never lifted. Later calls at that key go
+//! straight to the MAC, which is what the paper's "unenc weights" rows and
 //! `metaop::counts` charge. One encoding is kept per transform: a call at
 //! another key re-encodes and replaces it, so the worst case is the
 //! per-call encode this replaces.
@@ -48,11 +55,13 @@
 //! `i ↦ n−1−i` (`−(2·brv(i)+1) ≡ 2·brv(n−1−i)+1 mod 2n`, complementing
 //! every bit). So the image is a palindrome, checked exactly per diagonal
 //! when it is encoded; a diagonal that fails the check (any non-real
-//! slot, such as the bootstrapping DFT factors) is kept whole. Resident:
-//! `D·c/2` channels for a real transform, `D·c` for a complex one —
-//! `ckks_mlp`'s two 16-diagonal layers at levels 6 and 4 hold
-//! `16·(7+5)/2 = 96` channels = 3.0 MiB beside the 13.1 MiB of key
-//! channels the same layers and the square need (DESIGN.md §6.2).
+//! slot, such as the bootstrapping DFT factors) is kept whole; the check
+//! holds on a `P` channel as on a `Q` one. Resident: half the images'
+//! channels for a real transform, all of them for a complex one —
+//! `ckks_mlp`'s two 16-diagonal layers at levels 6 and 4, twelve diagonals
+//! each on `t` channels and four on `c`, hold
+//! `(12·(10+8) + 4·(7+5))/2 = 132` channels = 4.1 MiB beside the 13.1 MiB
+//! of key channels the same layers and the square need (DESIGN.md §6.2).
 //!
 //! This is the workhorse of CKKS bootstrapping's
 //! CoeffToSlot/SlotToCoeff and of the LoLa-MNIST / HELR layers in the
@@ -65,13 +74,13 @@ use fhe_math::Modulus;
 
 use crate::ciphertext::Ciphertext;
 use crate::encoding::{Complex64, Encoder};
-use crate::eval::Transforms;
+use crate::eval::{Group, Source, Term};
 use crate::keys::GaloisKeys;
-use crate::{CkksError, Evaluator};
+use crate::{CkksContext, CkksError, Evaluator};
 
-/// One encoded diagonal: its baby offset `j` and its `level + 1` channel
-/// images, each the first `n/2` entries if every channel is a palindrome and
-/// all `n` otherwise.
+/// One encoded diagonal: its baby offset `j` and its channel images (module
+/// header), each the first `n/2` entries if every channel is a palindrome
+/// and all `n` otherwise.
 type Image = (usize, Vec<Vec<u64>>);
 
 /// The NTT-domain images of a transform's pre-rotated diagonals at one
@@ -80,9 +89,9 @@ type Image = (usize, Vec<Vec<u64>>);
 struct Encoded {
     giant_step: usize,
     scale_bits: u64,
-    /// The channel moduli `q_0..q_level` the images are residues of —
-    /// compared, not just counted, so that a transform taken to another
-    /// context never meets another ring's residues.
+    /// The channel moduli `q_0..q_level, p_0..p_{K−1}` the images are
+    /// residues of — compared, not just counted, so that a transform taken
+    /// to another context never meets another ring's residues.
     moduli: Vec<Modulus>,
     /// The baby offsets `d mod g ≠ 0` that occur, ascending.
     babies: Vec<isize>,
@@ -215,8 +224,8 @@ impl LinearTransform {
 
     /// Applies the transform with one hoisted rotation group over all
     /// diagonals (no BSGS): the giant step is the slot count, so every
-    /// diagonal is a baby of group 0. The result is rescaled once
-    /// (level − 1).
+    /// diagonal is a baby of group 0, and the sum closes with one
+    /// ModDown·Rescale (level − 1).
     ///
     /// # Errors
     ///
@@ -233,9 +242,9 @@ impl LinearTransform {
     }
 
     /// Applies the transform with BSGS structure (see the module header):
-    /// the occurring baby rotations hoisted, pre-rotated diagonals, one
-    /// fused MAC per giant group and the giant rotations summed under a
-    /// single ModDown·Rescale. The result is one level down.
+    /// the occurring baby rotations hoisted and kept in `Q·P`, pre-rotated
+    /// diagonals, one fused MAC per giant group and the giant rotations
+    /// summed under a single ModDown·Rescale. The result is one level down.
     ///
     /// # Errors
     ///
@@ -264,28 +273,14 @@ impl LinearTransform {
         if self.diagonals.is_empty() {
             return Err(CkksError::Mismatch { detail: "empty transform".into() });
         }
-        let level = ct.level();
         let scale = ev.context().params().scale();
-        let encoded = self.encoded(g, ev.context().level_moduli(level), scale, enc)?;
-        let mut tally = Transforms::default();
-        let babies = ev.rotate_hoisted_raw(ct, &encoded.babies, gk, &mut tally)?;
-        let baby = |j: usize| match encoded.babies.binary_search(&(j as isize)) {
-            Ok(k) => (&babies[k].0, &babies[k].1),
-            Err(_) => (ct.c0(), ct.c1()), // j = 0
+        let encoded = self.encoded(g, ev.context(), ct.level(), scale, enc)?;
+        let source = |j: usize| match encoded.babies.binary_search(&(j as isize)) {
+            Ok(k) => Source::Baby(k),
+            Err(_) => Source::Lifted(ct.c0(), ct.c1()), // j = 0
         };
-        let mut inner_sums = encoded.groups.iter().map(|(i, group)| {
-            let terms: Vec<_> = group.iter().map(|(j, image)| (baby(*j), &image[..])).collect();
-            Ok(((i * g) as isize, ev.mac_plain(level, &terms)?))
-        });
-        let scale = ct.scale() * scale;
-        match encoded.groups[..] {
-            // A transform inside giant group 0 needs no giant rotation.
-            [(0, _)] => {
-                let (c0, c1) = inner_sums.next().expect("one group")?.1;
-                ev.rescale_pair((&c0, &c1), level, scale, &mut tally)
-            }
-            _ => ev.rotate_sum_rescaled(level, scale, inner_sums, gk, &mut tally),
-        }
+        let groups = layer_groups(&encoded.groups, g, source);
+        ev.bsgs_rescaled(ct, &encoded.babies, &groups, gk, scale)
     }
 
     /// The encoding this transform holds now, if any.
@@ -293,39 +288,37 @@ impl LinearTransform {
         self.encoded.lock().expect("no panic while the encoding slot is locked").clone()
     }
 
-    /// The diagonals' images for giant step `g` on `moduli` at `scale`:
-    /// the held ones if they were encoded for exactly that, else encoded
-    /// now and held from here on. Encoding runs unlocked, so two threads
-    /// arriving cold may both encode; they store equal images.
+    /// The diagonals' images for giant step `g` at `level` of `ctx` and at
+    /// `scale`: the held ones if they were encoded for exactly that, else
+    /// encoded now and held from here on. Encoding runs unlocked, so two
+    /// threads arriving cold may both encode; they store equal images.
     fn encoded(
         &self,
         g: usize,
-        moduli: &[Modulus],
+        ctx: &CkksContext,
+        level: usize,
         scale: f64,
         enc: &Encoder<'_>,
     ) -> Result<Arc<Encoded>, CkksError> {
-        let held = self
-            .held()
-            .filter(|e| e.giant_step == g && e.scale_bits == scale.to_bits() && e.moduli == moduli);
+        let moduli = || ctx.level_moduli(level).iter().chain(&ctx.rns().moduli()[ctx.q_len()..]);
+        let held = self.held().filter(|e| {
+            e.giant_step == g && e.scale_bits == scale.to_bits() && e.moduli.iter().eq(moduli())
+        });
         if let Some(encoded) = held {
             return Ok(encoded);
         }
         // `check_input` held the slot count to the ring's: n/2.
-        let (level, half) = (moduli.len() - 1, self.slots);
+        let half = self.slots;
         let mut groups: Vec<(usize, Vec<Image>)> = Vec::new();
-        for (&d, diag) in &self.diagonals {
-            let (i, j) = (d / g, d % g);
-            // Pre-rotate by −i·g so the giant rotation lands it correctly.
-            let pre: Vec<Complex64> =
-                (0..self.slots).map(|t| diag[(t + self.slots - i * g) % self.slots]).collect();
-            let pt = enc.encode_complex_at(&pre, level, scale)?;
-            let channels = pt.poly().channels();
-            let palindromic = channels.iter().all(|ch| {
-                let (lo, hi) = ch.coeffs().split_at(half);
+        for (i, j, pre) in self.pre_rotated(g) {
+            let mut image = images(ctx, enc, &pre, level, j == 0, scale)?;
+            let palindromic = image.iter().all(|ch| {
+                let (lo, hi) = ch.split_at(half);
                 lo.iter().eq(hi.iter().rev())
             });
-            let keep = if palindromic { half } else { 2 * half };
-            let image = channels.iter().map(|ch| ch.coeffs()[..keep].to_vec()).collect();
+            if palindromic {
+                image = image.into_iter().map(|ch| ch[..half].to_vec()).collect();
+            }
             match groups.last_mut() {
                 Some((last, group)) if *last == i => group.push((j, image)),
                 _ => groups.push((i, vec![(j, image)])),
@@ -334,13 +327,23 @@ impl LinearTransform {
         let encoded = Arc::new(Encoded {
             giant_step: g,
             scale_bits: scale.to_bits(),
-            moduli: moduli.to_vec(),
+            moduli: moduli().copied().collect(),
             babies: self.baby_offsets(g),
             groups,
         });
         *self.encoded.lock().expect("no panic while the encoding slot is locked") =
             Some(Arc::clone(&encoded));
         Ok(encoded)
+    }
+
+    /// `(i, j, values)` per diagonal `d = i·g + j`, ascending: its values
+    /// pre-rotated by `−i·g`, so that giant rotation `i·g` lands them.
+    fn pre_rotated(&self, g: usize) -> impl Iterator<Item = (usize, usize, Vec<Complex64>)> + '_ {
+        self.diagonals.iter().map(move |(&d, diag)| {
+            let shift = d / g * g;
+            let pre = (0..self.slots).map(|s| diag[(s + self.slots - shift) % self.slots]);
+            (d / g, d % g, pre.collect())
+        })
     }
 
     /// Reference plaintext application (testing).
@@ -369,10 +372,45 @@ impl LinearTransform {
     }
 }
 
+/// The giant groups `(i, images)` at giant step `g` as the evaluator takes
+/// them: rotation `i·g`, and each term's source `source(j)`.
+fn layer_groups<'a, 's: 'a>(
+    groups: &'a [(usize, Vec<Image>)],
+    g: usize,
+    source: impl Fn(usize) -> Source<'s>,
+) -> Vec<Group<'a>> {
+    let term = |(j, image): &'a Image| -> Term<'a> { (source(*j), &image[..]) };
+    groups.iter().map(|(i, group)| ((i * g) as isize, group.iter().map(term).collect())).collect()
+}
+
+/// The whole NTT images of `values` encoded at `level` of `ctx` and at
+/// `scale`: on `Q_level ∪ P`, or, `lifted`, on `Q_level` pre-multiplied by
+/// `P mod q_c` (module header).
+fn images(
+    ctx: &CkksContext,
+    enc: &Encoder<'_>,
+    values: &[Complex64],
+    level: usize,
+    lifted: bool,
+    scale: f64,
+) -> Result<Vec<Vec<u64>>, CkksError> {
+    let p = ctx.q_len()..ctx.q_len() + ctx.k_len();
+    let channels: Vec<usize> = (0..=level).chain(p.filter(|_| !lifted)).collect();
+    let mut images = enc.encode_images(values, &channels, scale)?;
+    if lifted {
+        for (c, image) in images.iter_mut().enumerate() {
+            let (m, p) = (ctx.rns().moduli()[c], ctx.p_mod_q(c));
+            image.iter_mut().for_each(|x| *x = m.mul_shoup(*x, p));
+        }
+    }
+    Ok(images)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CkksContext, CkksParams, SecretKey};
+    use crate::eval::Transforms;
+    use crate::{CkksParams, SecretKey};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -606,56 +644,83 @@ mod tests {
         .unwrap()
     }
 
-    /// `apply_bsgs` as it was before encodings were kept: every diagonal
-    /// encoded afresh, every image whole.
-    fn apply_bsgs_uncached(
+    /// The layer of `t` at giant step `g` on `ct` through the evaluator,
+    /// the term of baby offset `j` from `source(j)` — the babies it rotates
+    /// are the offsets whose source is one — and every diagonal encoded
+    /// afresh and whole, lifted where its source is.
+    fn layer<'a>(
         t: &LinearTransform,
+        g: usize,
+        ev: &Evaluator<'_>,
+        enc: &Encoder<'_>,
+        ct: &Ciphertext,
+        gk: &GaloisKeys,
+        source: impl Fn(usize) -> Source<'a>,
+    ) -> Ciphertext {
+        let lifted = |j: usize| matches!(source(j), Source::Lifted(..));
+        let babies: Vec<isize> =
+            t.baby_offsets(g).into_iter().filter(|&j| !lifted(j as usize)).collect();
+        let scale = ev.context().params().scale();
+        let mut encoded: BTreeMap<usize, Vec<Image>> = BTreeMap::new();
+        for (i, j, pre) in t.pre_rotated(g) {
+            let image = images(ev.context(), enc, &pre, ct.level(), lifted(j), scale).unwrap();
+            encoded.entry(i).or_default().push((j, image));
+        }
+        let encoded: Vec<(usize, Vec<Image>)> = encoded.into_iter().collect();
+        let groups = layer_groups(&encoded, g, source);
+        ev.bsgs_rescaled(ct, &babies, &groups, gk, scale).unwrap()
+    }
+
+    /// The transform at giant step `g` around its held encoding: every
+    /// diagonal encoded afresh, every image whole.
+    fn apply_uncached(
+        t: &LinearTransform,
+        g: usize,
         ev: &Evaluator<'_>,
         enc: &Encoder<'_>,
         ct: &Ciphertext,
         gk: &GaloisKeys,
     ) -> Ciphertext {
-        let g = t.giant_step();
-        let (level, scale) = (ct.level(), ev.context().params().scale());
-        let mut tally = Transforms::default();
         let offsets = t.baby_offsets(g);
-        let babies = ev.rotate_hoisted_raw(ct, &offsets, gk, &mut tally).unwrap();
-        let mut groups: BTreeMap<usize, Vec<Image>> = BTreeMap::new();
-        for (&d, diag) in &t.diagonals {
-            let shift = d / g * g;
-            let pre: Vec<Complex64> =
-                (0..t.slots).map(|s| diag[(s + t.slots - shift) % t.slots]).collect();
-            let pt = enc.encode_complex_at(&pre, level, scale).unwrap();
-            let image = pt.poly().channels().iter().map(|ch| ch.coeffs().to_vec()).collect();
-            groups.entry(d / g).or_default().push((d % g, image));
-        }
-        let mut inner_sums = groups.iter().map(|(&i, group)| {
-            let terms: Vec<_> = group
-                .iter()
-                .map(|(j, image)| match offsets.binary_search(&(*j as isize)) {
-                    Ok(k) => ((&babies[k].0, &babies[k].1), &image[..]),
-                    Err(_) => ((ct.c0(), ct.c1()), &image[..]),
-                })
-                .collect();
-            Ok(((i * g) as isize, ev.mac_plain(level, &terms)?))
-        });
-        let scale = ct.scale() * scale;
-        match groups.len() {
-            1 if groups.contains_key(&0) => {
-                let (c0, c1) = inner_sums.next().unwrap().unwrap().1;
-                ev.rescale_pair((&c0, &c1), level, scale, &mut tally).unwrap()
-            }
-            _ => ev.rotate_sum_rescaled(level, scale, inner_sums, gk, &mut tally).unwrap(),
-        }
+        let source = |j: usize| match offsets.binary_search(&(j as isize)) {
+            Ok(k) => Source::Baby(k),
+            Err(_) => Source::Lifted(ct.c0(), ct.c1()),
+        };
+        layer(t, g, ev, enc, ct, gk, source)
     }
 
-    /// Entries kept per channel of each held image, in diagonal order.
-    fn held_lengths(t: &LinearTransform) -> Vec<usize> {
+    /// The layer as it was before its babies stayed in `Q·P`: every baby
+    /// rotation Moddowned on its own, the inner sums over `Q_level`, then
+    /// the giant rotations summed in `Q·P` under one ModDown·Rescale. Handed
+    /// to the layer as a lifted pair, a Moddowned baby takes exactly that
+    /// path: its inner sum is zero on `P`, so a giant's Moddown returns the
+    /// `Q_level` inner sum unrounded.
+    fn apply_two_step(
+        t: &LinearTransform,
+        g: usize,
+        ev: &Evaluator<'_>,
+        enc: &Encoder<'_>,
+        ct: &Ciphertext,
+        gk: &GaloisKeys,
+    ) -> Ciphertext {
+        let offsets = t.baby_offsets(g);
+        let babies = ev.rotate_hoisted_raw(ct, &offsets, gk, &mut Transforms::default()).unwrap();
+        let source = |j: usize| match offsets.binary_search(&(j as isize)) {
+            Ok(k) => Source::Lifted(&babies[k].0, &babies[k].1),
+            Err(_) => Source::Lifted(ct.c0(), ct.c1()),
+        };
+        layer(t, g, ev, enc, ct, gk, source)
+    }
+
+    /// Entries kept per channel of each held image, in diagonal order; `k`
+    /// is the special-prime count.
+    fn held_lengths(t: &LinearTransform, k: usize) -> Vec<usize> {
         let held = t.held().expect("an encoding is held after a call");
         let mut by_diagonal: Vec<(usize, usize)> = Vec::new();
         for (i, group) in &held.groups {
             for (j, image) in group {
-                assert_eq!(image.len(), held.moduli.len());
+                let lifted = if *j == 0 { k } else { 0 };
+                assert_eq!(image.len(), held.moduli.len() - lifted);
                 assert!(image.iter().all(|ch| ch.len() == image[0].len()));
                 by_diagonal.push((i * held.giant_step + j, image[0].len()));
             }
@@ -676,7 +741,7 @@ mod tests {
                 let ct = ev.level_down(&fx.top, level).unwrap();
                 let first = t.apply_bsgs(&ev, &enc, &ct, &fx.gk).unwrap();
                 let second = t.apply_bsgs(&ev, &enc, &ct, &fx.gk).unwrap();
-                let fresh = apply_bsgs_uncached(t, &ev, &enc, &ct, &fx.gk);
+                let fresh = apply_uncached(t, t.giant_step(), &ev, &enc, &ct, &fx.gk);
                 assert_eq!(first, second, "{kind:?} at level {level}: cold vs cached");
                 assert_eq!(first, fresh, "{kind:?} at level {level}: cached vs uncached");
                 let want: Vec<usize> = (0..diagonals)
@@ -686,7 +751,7 @@ mod tests {
                         Slots::Mixed => [n / 2, n][d % 2],
                     })
                     .collect();
-                assert_eq!(held_lengths(t), want, "{kind:?} at level {level}");
+                assert_eq!(held_lengths(t, fx.ctx.k_len()), want, "{kind:?} at level {level}");
             }
         }
     }
@@ -707,10 +772,13 @@ mod tests {
         let enc = Encoder::new(&ctx);
         let (slots, scale) = (enc.slots(), ctx.params().scale());
         let mut rng = ChaCha8Rng::seed_from_u64(29);
+        // On every channel of `Q_level ∪ P`; on `Q_level`, the plaintext's.
         let palindromic = |values: &[Complex64], level: usize| {
+            let channels: Vec<usize> = (0..=level).chain(ctx.p_indices()).collect();
+            let images = enc.encode_images(values, &channels, scale).unwrap();
             let pt = enc.encode_complex_at(values, level, scale).unwrap();
-            assert_eq!(pt.poly().num_channels(), level + 1);
-            pt.poly().channels().iter().all(|ch| ch.coeffs().iter().eq(ch.coeffs().iter().rev()))
+            assert!(pt.poly().channels().iter().zip(&images).all(|(ch, im)| ch.coeffs() == im));
+            images.iter().all(|ch| ch.iter().eq(ch.iter().rev()))
         };
         for level in 0..ctx.q_len() {
             let mut values: Vec<Complex64> =
@@ -720,16 +788,25 @@ mod tests {
             assert!(!palindromic(&values, level), "one imaginary part at level {level}");
         }
 
-        // The same, seen through a transform: only the real diagonal folds.
+        // The same, seen through a transform: only the real diagonal folds,
+        // lifted onto `Q` and on `Q ∪ P`, and the folded image reads as the
+        // whole one.
         let sk = SecretKey::generate(&ctx, &mut rng).unwrap();
         let gk = GaloisKeys::generate(&ctx, &sk, &[1], false, &mut rng).unwrap();
         let real = vec![Complex64::new(0.25, 0.0); slots];
         let mut nearly = real.clone();
         nearly[7].im = 1e-6;
-        let t = LinearTransform::from_diagonals(slots, [(0, real), (1, nearly)]).unwrap();
-        let ct = sk.encrypt(&ctx, &enc.encode(&[0.5]).unwrap(), &mut rng).unwrap();
-        t.apply_bsgs(&Evaluator::new(&ctx), &enc, &ct, &gk).unwrap();
-        assert_eq!(held_lengths(&t), [ctx.n() / 2, ctx.n()]);
+        let ev = Evaluator::new(&ctx);
+        for (d, other) in [(0, 1), (1, 0)] {
+            let diagonals = [(d, real.clone()), (other, nearly.clone())];
+            let t = LinearTransform::from_diagonals(slots, diagonals).unwrap();
+            let ct = sk.encrypt(&ctx, &enc.encode(&[0.5]).unwrap(), &mut rng).unwrap();
+            let out = t.apply_bsgs(&ev, &enc, &ct, &gk).unwrap();
+            let mut want = [ctx.n() / 2, ctx.n()];
+            want.rotate_left(d);
+            assert_eq!(held_lengths(&t, ctx.k_len()), want, "real diagonal {d}");
+            assert_eq!(out, apply_uncached(&t, t.giant_step(), &ev, &enc, &ct, &gk));
+        }
     }
 
     #[test]
@@ -737,9 +814,11 @@ mod tests {
         let mut fx = Fixture::new(benchmark_ring(), 9, 31);
         let t = fx.banded(Slots::Real);
         let (enc, ev) = (Encoder::new(&fx.ctx), Evaluator::new(&fx.ctx));
+        let k = fx.ctx.k_len();
         let at = |t: &LinearTransform, level: usize| {
             let out = t.apply_bsgs(&ev, &enc, &ev.level_down(&fx.top, level).unwrap(), &fx.gk);
-            assert_eq!(t.held().unwrap().moduli.len(), level + 1, "one encoding, the last key's");
+            let held = t.held().unwrap().moduli.len();
+            assert_eq!(held, level + 1 + k, "one encoding, the last key's");
             out.unwrap()
         };
         let six = at(&t, 6);
@@ -749,7 +828,7 @@ mod tests {
         assert!(Arc::ptr_eq(&warm.held().unwrap(), &t.held().unwrap()), "a clone shares");
         assert_eq!(at(&warm, 6), six, "the clone at its source's key");
         assert_eq!(at(&warm, 4), four, "the clone at another key");
-        assert_eq!(t.held().unwrap().moduli.len(), 7, "the source keeps its own");
+        assert_eq!(t.held().unwrap().moduli.len(), 7 + k, "the source keeps its own");
     }
 
     #[test]
@@ -758,7 +837,7 @@ mod tests {
         let shared = fx.banded(Slots::Mixed);
         let single = {
             let (enc, ev) = (Encoder::new(&fx.ctx), Evaluator::new(&fx.ctx));
-            apply_bsgs_uncached(&shared, &ev, &enc, &fx.top, &fx.gk)
+            apply_uncached(&shared, shared.giant_step(), &ev, &enc, &fx.top, &fx.gk)
         };
         let start = std::sync::Barrier::new(2);
         let outputs = std::thread::scope(|s| {
@@ -773,5 +852,55 @@ mod tests {
         });
         assert_eq!(outputs[0], single);
         assert_eq!(outputs[1], single);
+    }
+
+    /// `apply_bsgs` and `apply` against the two-step path at the same giant
+    /// step, on a 16-diagonal real layer per seed: decrypted, each one's
+    /// largest slot error against the plaintext reference is within 1 %
+    /// (plus 10⁻⁹) of the two-step path's, and inside the tolerance the
+    /// other tests hold.
+    fn double_hoisting_keeps_the_two_step_precision(params: CkksParams, seeds: [u64; 4]) {
+        let ctx = CkksContext::new(params).unwrap();
+        let (enc, ev) = (Encoder::new(&ctx), Evaluator::new(&ctx));
+        let slots = enc.slots();
+        for seed in seeds {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let sk = SecretKey::generate(&ctx, &mut rng).unwrap();
+            let t = banded(slots, 16, Slots::Real, &mut rng);
+            let mut rotations = t.required_rotations_bsgs();
+            rotations.extend(t.required_rotations_naive());
+            rotations.sort_unstable();
+            rotations.dedup();
+            let gk = GaloisKeys::generate(&ctx, &sk, &rotations, false, &mut rng).unwrap();
+            let values: Vec<Complex64> =
+                (0..slots).map(|_| Complex64::new(rng.gen_range(-1.0..1.0), 0.0)).collect();
+            let pt = enc.encode_complex_at(&values, ctx.q_len() - 1, ctx.params().scale());
+            let ct = sk.encrypt(&ctx, &pt.unwrap(), &mut rng).unwrap();
+            let want = t.apply_reference(&values);
+            let error = |out: &Ciphertext| {
+                let got = enc.decode(&sk.decrypt(out).unwrap()).unwrap();
+                got.iter().zip(&want).map(|(g, w)| (g - w.re).abs()).fold(0.0, f64::max)
+            };
+            let layers = [
+                (t.giant_step(), t.apply_bsgs(&ev, &enc, &ct, &gk).unwrap()),
+                (slots, t.apply(&ev, &enc, &ct, &gk).unwrap()),
+            ];
+            for (g, out) in layers {
+                let (new, old) = (error(&out), error(&apply_two_step(&t, g, &ev, &enc, &ct, &gk)));
+                assert!(new < 0.05, "seed {seed}, g = {g}: slot error {new}");
+                let within = (new - old).abs() <= 0.01 * old + 1e-9;
+                assert!(within, "seed {seed}, g = {g}: slot error {new:e}, two-step {old:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn double_hoisting_keeps_the_two_step_precision_at_the_toy_ring() {
+        double_hoisting_keeps_the_two_step_precision(CkksParams::toy().unwrap(), [41, 42, 43, 44]);
+    }
+
+    #[test]
+    fn double_hoisting_keeps_the_two_step_precision_at_the_mlp_ring() {
+        double_hoisting_keeps_the_two_step_precision(benchmark_ring(), [45, 46, 47, 48]);
     }
 }

@@ -90,16 +90,22 @@ fn evaluator_records_the_modelled_transform_counts() {
             let mut op = || drop(ev.rescale(&ct).unwrap());
             assert_eq!(recorded(&mut op), (2 * level as u64, 2), "rescale at level {level}");
 
-            // A BSGS layer: the three babies hoisted, the three giant
-            // rotations one stage 1 each and a single ModDown·Rescale for
-            // the whole group — `q_level` joins `P`, so the close is still
-            // `2t` (`2(c − 1)` forward, `2(K + 1)` inverse) and the rescale
-            // costs nothing: `babies + 3·stage1 + 2t`.
+            // A BSGS layer, double-hoisted: the three babies share one
+            // stage 1 (`S = β·t`) and stay in `Q·P`, with no close of their
+            // own; each of the three giant rotations pays one Moddown of
+            // its inner sum's `c1` half onto `Q_level` (`K` inverse, `c`
+            // forward) and a stage 1 of it (`S`); one ModDown·Rescale closes
+            // the whole sum — `q_level` joins `P`, so it is still `2t`
+            // (`2(c − 1)` forward, `2(K + 1)` inverse) and the rescale
+            // costs nothing: `S + 3·(K + c + S) + 2t = 4S + 5t`.
             let mut op = || drop(layer.apply_bsgs(&ev, &enc, &ct, &gk).unwrap());
-            let (babies, k) = (hoisted, ctx.k_len() as u64);
+            let (c, k) = (level as u64 + 1, ctx.k_len() as u64);
             let close = (2 * level as u64, 2 * (k + 1));
             assert_eq!(close.0 + close.1, fwd3 + inv3, "the fused close is 2t");
-            let bsgs = (babies.0 + 3 * fwd1 + close.0, babies.1 + 3 * inv1 + close.1);
+            let giant = (c + fwd1, k + inv1);
+            let bsgs = (fwd1 + 3 * giant.0 + close.0, inv1 + 3 * giant.1 + close.1);
+            let (s, t) = (fwd1 + inv1, c + k);
+            assert_eq!(bsgs.0 + bsgs.1, 4 * s + 5 * t);
             assert_eq!(recorded(&mut op), bsgs, "apply_bsgs at level {level}");
         }
 
@@ -143,13 +149,16 @@ fn evaluator_records_the_modelled_transform_counts() {
         assert_eq!(ev.add_plain(&out, &b2).unwrap().level(), 3);
         let after = tel.snapshot();
         let delta = |name: &str| after.named_counter(name) - before.named_counter(name);
-        // 200 + 128 for the layers at levels 6 and 4 (each closed by one
-        // ModDown·Rescale), 36 + 12 for the square and its rescale at
-        // level 5.
+        // 170 + 104 for the layers at levels 6 and 4 (`4S + 5t`: S = 30,
+        // t = 10 and S = 16, t = 8), 36 + 12 for the square and its
+        // rescale at level 5.
         let evaluator = delta("ckks.ntt.forward") + delta("ckks.ntt.inverse");
-        assert_eq!(evaluator, 376, "evaluator transforms of inference {inference}");
+        assert_eq!(evaluator, 322, "evaluator transforms of inference {inference}");
         encodes.push(delta("ckks.encode.forward"));
     }
-    // 16·(7 + 5) diagonal channels once; the biases' 6 + 4 are the caller's.
-    assert_eq!(encodes, [202, 10, 10], "a cached layer encodes nothing");
+    // Once per layer, the twelve diagonals of a nonzero baby offset on
+    // `Q_level ∪ P` and the four of offset 0 on `Q_level` alone (lifted by
+    // `P`, no `P` images): 12·10 + 4·7 at level 6, 12·8 + 4·5 at level 4.
+    // The biases' 6 + 4 are the caller's.
+    assert_eq!(encodes, [274, 10, 10], "a cached layer encodes nothing");
 }

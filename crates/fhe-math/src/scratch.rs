@@ -30,6 +30,15 @@ static GLOBAL_HIGH_WATER: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_TRIMS: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_TRIMMED_BYTES: AtomicU64 = AtomicU64::new(0);
 
+/// Most buffers a pool keeps; [`Scratch::put`] frees any past it. The
+/// largest warmed call in the workspace, a CKKS BSGS layer at the
+/// `ckks_mlp` ring's level 6 (`t = 10` channels over `Q_6 ∪ P`), holds 115
+/// at once: three baby rotations' `Q·P` accumulators (3·2t = 60), the final
+/// one (20), a giant rotation's `c1` half (10) and its stage 1 at its
+/// widest (25: the 14 digit channels converted before the last digit, its
+/// one coefficient copy and one pre-scaled copy, its 9 converted channels).
+const MAX_POOLED: usize = 128;
+
 /// Consecutive takes at well under the retained capacity before the pool
 /// halves itself (see [`Scratch::take`]). Small enough that a server
 /// worker decays within one batch of small requests, large enough that a
@@ -142,7 +151,7 @@ impl Scratch {
     pub fn put(&mut self, buf: Vec<u64>) {
         // Keep the pool bounded: drop tiny buffers and cap the list length
         // so a one-off giant workload cannot pin memory forever.
-        if self.pool.len() < 64 && buf.capacity() > 0 {
+        if self.pool.len() < MAX_POOLED && buf.capacity() > 0 {
             self.pooled_bytes += (buf.capacity() * 8) as u64;
             self.pool.push(buf);
             if self.pooled_bytes > self.stats.high_water_bytes {
