@@ -7,12 +7,13 @@
 //! measures **detection power** — which injected faults the workspace's
 //! defenses catch, and which escape as silent corruption:
 //!
-//! * [`FaultClass::BitFlip`] — flips one bit of one RNS limb of a CKKS or
-//!   BGV ciphertext through the sanctioned corruption surface
+//! * [`FaultClass::BitFlip`] — flips one bit of one RNS limb of a CKKS
+//!   ciphertext through the sanctioned corruption surface
 //!   (`components_mut`, which deliberately does not reseal). Caught by the
 //!   per-limb integrity checksum at scheme-API boundaries
-//!   (`ckks.eval`/`bgv.decrypt`/…) or, with checksums disabled, sometimes
-//!   by the noise-budget tracker at decryption.
+//!   (`ckks.eval`/`ckks.decrypt`/…). With checksums disabled only a flip
+//!   that leaves a residue non-canonical is caught, as a typed error: the
+//!   CKKS noise budget follows the tracked scale, which a flip cannot move.
 //! * [`FaultClass::Transfer`] — drops, duplicates, or reorders one step of
 //!   a simulator schedule between planning and execution. Caught by the
 //!   [`alchemist_core::ScheduleManifest`] check in `run_checked`.
@@ -43,7 +44,6 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use alchemist_core::{ArchConfig, ScheduleManifest, SimError, Simulator, Step};
 pub use conformance::SplitMix64;
-use fhe_bgv::{BgvCiphertext, BgvContext, BgvError, BgvParams, BgvSecretKey};
 use fhe_ckks::{Ciphertext, CkksContext, CkksError, CkksParams, Encoder, Evaluator, SecretKey};
 use fhe_math::{par, MathError};
 use fhe_tfhe::{NegacyclicMultiplier, TfheError};
@@ -200,21 +200,6 @@ fn ckks_fixture() -> &'static CkksFixture {
     })
 }
 
-struct BgvFixture {
-    ctx: BgvContext,
-    sk: BgvSecretKey,
-}
-
-fn bgv_fixture() -> &'static BgvFixture {
-    static FIX: OnceLock<BgvFixture> = OnceLock::new();
-    FIX.get_or_init(|| {
-        let ctx = BgvContext::new(BgvParams::toy().expect("toy params")).expect("toy context");
-        let mut rng = ChaCha8Rng::seed_from_u64(0xB6F0_0001);
-        let sk = ctx.generate_secret_key(&mut rng);
-        BgvFixture { ctx, sk }
-    })
-}
-
 fn tfhe_multiplier() -> &'static NegacyclicMultiplier {
     static MULT: OnceLock<NegacyclicMultiplier> = OnceLock::new();
     MULT.get_or_init(|| NegacyclicMultiplier::new(64).expect("toy multiplier"))
@@ -266,34 +251,14 @@ fn flip_ckks(ct: &mut Ciphertext, rng: &mut SplitMix64) -> String {
     format!("c{comp} channel {ch} coeff {idx} bit {bit}")
 }
 
-fn flip_bgv(ct: &mut BgvCiphertext, rng: &mut SplitMix64) -> String {
-    let (c0, c1) = ct.components_mut();
-    let comp = rng.below(2);
-    let target = if comp == 0 { c0 } else { c1 };
-    let ch = rng.below(target.channels_mut().len() as u64) as usize;
-    let poly = &mut target.channels_mut()[ch];
-    let idx = rng.below(poly.coeffs_mut().len() as u64) as usize;
-    let bit = rng.below(64) as u32;
-    poly.coeffs_mut()[idx] ^= 1u64 << bit;
-    format!("c{comp} channel {ch} coeff {idx} bit {bit}")
-}
-
 /// Bit-flip class: corrupt a fresh ciphertext, then push it through the
 /// public API (evaluator boundary, then decryption) and see who notices.
 fn bitflip_case(mut rng: SplitMix64) -> Outcome {
-    // Corrupted operands may trip strict/debug assertions inside parallel
+    // Corrupted operands may trip canonical-form assertions inside parallel
     // regions; those panics are contained and surface as typed errors, but
     // the default hook would still print a backtrace per case.
     let _g = par_knob_guard();
-    quiet_panics(
-        move || {
-            if rng.below(2) == 0 {
-                bitflip_ckks(&mut rng)
-            } else {
-                bitflip_bgv(&mut rng)
-            }
-        },
-    )
+    quiet_panics(move || bitflip_ckks(&mut rng))
 }
 
 fn bitflip_ckks(rng: &mut SplitMix64) -> Outcome {
@@ -356,47 +321,6 @@ fn bitflip_ckks(rng: &mut SplitMix64) -> Outcome {
     }
 }
 
-fn bitflip_bgv(rng: &mut SplitMix64) -> Outcome {
-    let fix = bgv_fixture();
-    let t = fix.ctx.params().t();
-    let mut crng = ChaCha8Rng::seed_from_u64(rng.next_u64());
-    let slots: Vec<u64> = (0..fix.ctx.slots()).map(|_| rng.below(t)).collect();
-    let mut ct = match fix.ctx.encrypt(&fix.sk, &slots, &mut crng) {
-        Ok(ct) => ct,
-        Err(e) => return Outcome::Escaped { detail: format!("encrypt failed pre-fault: {e}") },
-    };
-    let where_ = flip_bgv(&mut ct, rng);
-
-    match fix.ctx.add(&ct, &ct) {
-        Err(BgvError::IntegrityViolation { context }) => {
-            return Outcome::Detected {
-                by: "checksum",
-                detail: format!("bgv {where_} caught at {context}"),
-            }
-        }
-        Err(e) => return Outcome::Detected { by: "typed-error", detail: format!("bgv add: {e}") },
-        Ok(_) => {}
-    }
-    match fix.ctx.decrypt(&fix.sk, &ct) {
-        Err(BgvError::IntegrityViolation { context }) => Outcome::Detected {
-            by: "checksum",
-            detail: format!("bgv {where_} caught at {context}"),
-        },
-        Err(BgvError::BudgetExhausted { budget_bits }) => Outcome::Detected {
-            by: "noise-budget",
-            detail: format!("bgv {where_}: budget {budget_bits:.1} bits"),
-        },
-        Err(e) => Outcome::Detected { by: "typed-error", detail: format!("bgv decrypt: {e}") },
-        Ok(got) => {
-            if got == slots {
-                Outcome::Benign { detail: format!("bgv {where_}: plaintext unaffected") }
-            } else {
-                Outcome::Escaped { detail: format!("bgv {where_}: silent plaintext corruption") }
-            }
-        }
-    }
-}
-
 /// Transfer class: fingerprint a random schedule, tamper with it, and run
 /// the checked simulator entry point.
 fn transfer_case(mut rng: SplitMix64) -> Outcome {
@@ -454,14 +378,14 @@ fn transfer_case(mut rng: SplitMix64) -> Outcome {
     }
 }
 
-/// The scheme operations the worker-panic class drives. Each routes
-/// through `fhe_math::par` regions, so an armed chunk injection must
-/// surface as a typed `WorkerPanic` error from the scheme API.
 /// A named scheme operation: `Ok` on success, `Err(detail)` where the
 /// detail embeds the typed error's display text (including any contained
 /// worker-panic payload).
 type FaultOp = (&'static str, fn() -> Result<(), String>);
 
+/// The scheme operations the worker-panic class drives. Each routes
+/// through `fhe_math::par` regions, so an armed chunk injection must
+/// surface as a typed `WorkerPanic` error from the scheme API.
 fn worker_panic_ops() -> &'static [FaultOp] {
     fn tfhe_op() -> Result<(), String> {
         let m = tfhe_multiplier();
@@ -491,26 +415,9 @@ fn worker_panic_ops() -> &'static [FaultOp] {
             Err(e) => Err(format!("unexpected error kind: {e}")),
         }
     }
-    fn bgv_op() -> Result<(), String> {
-        let fix = bgv_fixture();
-        let mut crng = ChaCha8Rng::seed_from_u64(9);
-        let slots: Vec<u64> = (0..fix.ctx.slots()).map(|i| (i as u64) % 17).collect();
-        let ct =
-            fix.ctx.encrypt(&fix.sk, &slots, &mut crng).map_err(|e| format!("encrypt: {e}"))?;
-        match fix.ctx.mod_switch(&ct) {
-            Ok(_) => Ok(()),
-            Err(BgvError::Math(MathError::WorkerPanic { worker, chunk, payload })) => {
-                Err(format!("worker={worker} chunk={chunk} payload={payload}"))
-            }
-            Err(e) => Err(format!("unexpected error kind: {e}")),
-        }
-    }
-    &[("tfhe.mul_int_torus", tfhe_op), ("ckks.rescale", ckks_op), ("bgv.mod_switch", bgv_op)]
+    &[("tfhe.mul_int_torus", tfhe_op), ("ckks.rescale", ckks_op)]
 }
 
-/// Worker-panic class: arm the one-shot chunk injector, run a scheme
-/// operation, and require the panic to surface as a typed error (never an
-/// abort), with the process healthy afterwards.
 /// Forces every lazily-initialized fixture outside the injection window.
 ///
 /// A `OnceLock` initializer running while the panic injector is armed
@@ -520,10 +427,12 @@ fn worker_panic_ops() -> &'static [FaultOp] {
 /// `--classes worker_panic` ran a cold-fixture op first).
 fn warm_fixtures() {
     let _ = ckks_fixture();
-    let _ = bgv_fixture();
     let _ = tfhe_multiplier();
 }
 
+/// Worker-panic class: arm the one-shot chunk injector, run a scheme
+/// operation, and require the panic to surface as a typed error (never an
+/// abort), with the process healthy afterwards.
 fn worker_panic_case(mut rng: SplitMix64) -> Outcome {
     let _g = par_knob_guard();
     warm_fixtures();
@@ -531,17 +440,19 @@ fn worker_panic_case(mut rng: SplitMix64) -> Outcome {
     let (op_name, op) = ops[rng.below(ops.len() as u64) as usize];
     let chunk = rng.below(2) as usize;
 
-    // Force the threaded path at toy sizes (on parallel builds; sequential
-    // builds run inline, where only chunk 0 — and chunk 1 of join — exist).
+    // Force the threaded path at toy sizes: under `set_max_threads(4)` and
+    // `set_min_work(0)` a region of k ≥ 2 items splits into min(4, k)
+    // chunks and `join` runs its second side as chunk 1. A one-item region
+    // runs inline as chunk 0 alone.
     par::set_min_work(0);
     par::set_max_threads(4);
     par::inject_worker_panic(chunk);
     let result = quiet_panics(op);
-    let still_armed = !par::clear_injected_panic();
+    let fired = !par::clear_injected_panic();
     par::set_min_work(par::DEFAULT_MIN_WORK);
     par::set_max_threads(0);
 
-    let outcome = match (result, still_armed) {
+    let outcome = match (result, fired) {
         (Err(detail), _) if detail.contains(par::INJECTED_PANIC_PAYLOAD) => {
             // The injection surfaced as exactly the typed error we demand.
             Outcome::Detected {
@@ -553,9 +464,9 @@ fn worker_panic_case(mut rng: SplitMix64) -> Outcome {
             Outcome::Escaped { detail: format!("{op_name} chunk {chunk}: {detail}") }
         }
         (Ok(()), false) => {
-            // The op completed and the hook is still armed: the region
-            // never ran that chunk (e.g. sequential build, chunk 1 of a
-            // par_iter_mut region). Nothing was corrupted.
+            // The op completed and the hook is still armed: no region of
+            // the op had that chunk (chunk 1 when every region ran inline
+            // or had one item). Nothing was corrupted.
             Outcome::Benign { detail: format!("{op_name} chunk {chunk}: injection never fired") }
         }
         (Ok(()), true) => Outcome::Escaped {

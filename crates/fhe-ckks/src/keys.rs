@@ -488,8 +488,11 @@ mod tests {
                 let mut v: Vec<u64> =
                     digit_moduli.iter().map(|m| m.inv(qhat.rem_u64(m.value())).unwrap()).collect();
                 radix.to_digits(&mut v);
+                let inv = v.iter().zip(&digit_moduli).rev().fold(UBig::zero(), |acc, (&d, m)| {
+                    acc.mul_u64(m.value()).add(&UBig::from_u64(d))
+                });
                 for (c, m) in ctx.rns().moduli().iter().enumerate() {
-                    let t = m.mul(qhat.rem_u64(m.value()), radix.residue(&v, m));
+                    let t = m.mul(qhat.rem_u64(m.value()), inv.rem_u64(m.value()));
                     let want = m.mul(p.rem_u64(m.value()), t);
                     if c < ctx.q_len() {
                         assert_eq!(t, u64::from(digit.contains(&c)), "T_{i} on channel {c}");

@@ -13,8 +13,8 @@
 //!   fast base conversion `Bconv` (paper Eq. 1), `Modup` (Eq. 2) and
 //!   `Moddown` (Eq. 3),
 //! * [`MixedRadix`] — exact RNS → integer reconstruction (Garner) in the
-//!   same word-sized arithmetic: sign, `f64` and plaintext-residue views of
-//!   a decrypted coefficient, the client-side end of the pipeline,
+//!   same word-sized arithmetic: sign and `f64` views of a decrypted
+//!   coefficient, the client-side end of the pipeline,
 //! * gadget decomposition for both CKKS (`dnum` hybrid key-switching digits)
 //!   and TFHE (signed base-2^w digits),
 //! * secure-ish sampling helpers (discrete Gaussian, ternary, uniform) —
@@ -68,7 +68,7 @@ pub use modulus::{Modulus, ShoupScalar};
 pub use ntt::{galois_ntt_permutation, CyclicNtt, NttTable};
 pub use par::ParError;
 pub use poly::{Domain, Poly};
-pub use prime::{generate_ntt_primes, generate_primes_with_step, is_prime};
+pub use prime::{generate_ntt_primes, is_prime};
 pub use rns::{
     lazy_mac, BconvPlan, MacBroadcast, MacGather, MacRead, MacReversed, MacSlots, ModdownPlan,
     RnsBasis, RnsContext, RnsPoly, MAC_SLOTS,

@@ -16,7 +16,7 @@
 //! digits without a big integer: the sign of the centered representative
 //! (a digit-wise compare with the digits of `⌊Q/2⌋`), its magnitude
 //! (`Q − x` is a digit-wise complement plus one), and from the magnitude
-//! an `f64` or a residue modulo a plaintext modulus by Horner's rule.
+//! an `f64` by Horner's rule.
 //!
 //! The sign and the complement are taken on the digits, not in floating
 //! point, because a small negative value is `x = Q − |v|`: rounding `x`
@@ -90,11 +90,6 @@ impl MixedRadix {
         Ok(table)
     }
 
-    /// `q_0 ⋯ q_{len-1}` rounded to `f64` (relative error `≤ len·2⁻⁵³`).
-    pub fn modulus_f64(&self, len: usize) -> f64 {
-        self.moduli[..len].iter().map(|m| m.value() as f64).product()
-    }
-
     /// Garner's recurrence, in place: on entry `x[i]` is the canonical
     /// residue mod `q_i`, on return `x[i]` is the mixed-radix digit `d_i`.
     /// `x.len()` selects the prefix of the chain.
@@ -151,16 +146,6 @@ impl MixedRadix {
             .zip(&self.moduli)
             .rev()
             .fold(0.0, |acc, (&d, m)| acc * m.value() as f64 + d as f64)
-    }
-
-    /// Horner evaluation of the digits modulo `t`. Exact.
-    #[inline]
-    pub fn residue(&self, digits: &[u64], t: &Modulus) -> u64 {
-        digits
-            .iter()
-            .zip(&self.moduli)
-            .rev()
-            .fold(0, |acc, (&d, m)| t.reduce_u128(acc as u128 * m.value() as u128 + d as u128))
     }
 
     /// The centered representative of the residues in `x` as an `f64`;
@@ -249,16 +234,14 @@ mod tests {
     fn centered_views_match_signed_inputs() {
         let moduli = chain(40, 3);
         let mr = MixedRadix::new(&moduli).unwrap();
-        let t = Modulus::new(257).unwrap();
         for v in [-98_765_432_101i64, -257, -1, 0, 1, 256, 123_456_789_012] {
             let mut x: Vec<u64> = moduli.iter().map(|m| m.from_i64(v)).collect();
             assert_eq!(mr.centered_f64(&mut x.clone()), v as f64);
             mr.to_digits(&mut x);
-            let magnitude = if mr.center(&mut x) { -v } else { v };
-            assert_eq!(mr.residue(&x, &t), t.from_i64(magnitude));
+            let negative = mr.center(&mut x);
+            assert_eq!(negative, v < 0);
+            assert_eq!(expand(&x, &moduli), UBig::from_u64(v.unsigned_abs()));
         }
-        let q = UBig::product_of(moduli.iter().map(|m| m.value())).to_f64();
-        assert!((mr.modulus_f64(3) / q - 1.0).abs() < 1e-15);
     }
 
     #[test]

@@ -101,38 +101,19 @@ pub fn generate_ntt_primes(bits: u32, degree: usize, count: usize) -> Result<Vec
     if !degree.is_power_of_two() || !(8..=(1 << 17)).contains(&degree) {
         return Err(MathError::InvalidDegree { degree });
     }
-    generate_primes_with_step(bits, 2 * degree as u64, count)
-}
-
-/// Generates `count` distinct primes of the given bit width satisfying
-/// `q ≡ 1 (mod step)`, searching downward from `2^bits`. BGV uses this with
-/// `step = lcm(2N, t)` so modulus switching preserves the plaintext modulo
-/// `t` without tracked correction factors.
-///
-/// # Errors
-///
-/// Same conditions as [`generate_ntt_primes`], with `step` in place of the
-/// degree constraint.
-pub fn generate_primes_with_step(
-    bits: u32,
-    step: u64,
-    count: usize,
-) -> Result<Vec<u64>, MathError> {
-    if step == 0 {
-        return Err(MathError::InvalidParameter { detail: "step must be positive".into() });
-    }
+    let step = 2 * degree as u64;
     if bits > 61 {
         return Err(MathError::InvalidParameter {
             detail: format!("prime width {bits} exceeds the 61-bit modulus limit"),
         });
     }
-    if bits >= 64 || (1u64 << bits) <= step {
+    let hi = 1u64 << bits;
+    if hi <= step {
         return Err(MathError::InvalidParameter {
-            detail: format!("2^{bits} is not larger than the step {step}"),
+            detail: format!("2^{bits} is not larger than 2N = {step}"),
         });
     }
-    let hi = 1u64 << bits;
-    let lo = 1u64 << (bits - 1);
+    let lo = hi >> 1;
     // Largest candidate ≡ 1 (mod step) strictly below 2^bits.
     let mut candidate = (hi - 2) / step * step + 1;
     let mut primes = Vec::with_capacity(count);
@@ -188,20 +169,6 @@ mod tests {
             assert_eq!(q % (2u64 << 14), 1);
             assert_eq!(64 - q.leading_zeros(), 36);
         }
-    }
-
-    #[test]
-    fn step_congruence_primes() {
-        // BGV-style: q ≡ 1 mod lcm(2N, t) with N = 64, t = 257.
-        let step = 128u64 * 257;
-        let primes = generate_primes_with_step(40, step, 3).unwrap();
-        for q in primes {
-            assert!(is_prime(q));
-            assert_eq!(q % step, 1);
-            assert_eq!(q % 128, 1);
-            assert_eq!(q % 257, 1);
-        }
-        assert!(generate_primes_with_step(40, 0, 1).is_err());
     }
 
     #[test]

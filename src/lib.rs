@@ -8,7 +8,6 @@
 //! * [`math`] — modular arithmetic, NTT (iterative / 4-step / radix-blocked),
 //!   RNS base conversion, gadget decomposition ([`fhe_math`]),
 //! * [`ckks`] — the approximate arithmetic FHE scheme ([`fhe_ckks`]),
-//! * [`bgv`] — the exact-integer arithmetic FHE scheme ([`fhe_bgv`]),
 //! * [`tfhe`] — the logic FHE scheme ([`fhe_tfhe`]),
 //! * [`metaop`] — the paper's `(M_j A_j)_n R_j` Meta-OP layer,
 //! * [`sim`] — the cycle-level Alchemist accelerator simulator
@@ -23,7 +22,6 @@
 
 pub use alchemist_core as sim;
 pub use baselines;
-pub use fhe_bgv as bgv;
 pub use fhe_ckks as ckks;
 pub use fhe_math as math;
 pub use fhe_tfhe as tfhe;

@@ -100,9 +100,9 @@ fn slot_layout_locality_at_paper_shape() {
 }
 
 #[test]
-fn bgv_and_ckks_share_the_keyswitch_graph() {
-    // BGV's per-prime-digit relinearization is the dnum = L+1 point of the
-    // same hybrid key-switch family the simulator compiles.
+fn per_prime_digit_keyswitch_costs_more_cycles_than_dnum_4() {
+    // Per-prime digits are the dnum = L+1 point of the hybrid key-switch
+    // family the simulator compiles.
     let per_prime = workloads::CkksSimParams { n: 1 << 16, l_max: 44, level: 44, dnum: 45 };
     let hybrid = workloads::CkksSimParams::paper();
     let sim = Simulator::new(ArchConfig::paper());
