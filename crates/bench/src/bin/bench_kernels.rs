@@ -27,9 +27,6 @@
 //! * `--reps N` — timed repetitions per kernel after one untimed warm-up;
 //!   the best (minimum) wall time is recorded. Defaults to 3 (1 under
 //!   `--smoke`).
-//! * `--profile` — re-runs each kernel once on the parallel backend with
-//!   the per-worker profiler armed and reports busy/idle time, chunk and
-//!   item counts per worker, plus the load-imbalance factor.
 //! * `--alloc-profile` — re-runs each kernel once, pinned sequential and
 //!   warmed up, under the counting global allocator and records the
 //!   per-call allocation count, bytes requested, and interval peak heap
@@ -82,9 +79,6 @@ struct Measurement {
     channels: usize,
     seq_s: f64,
     par_s: f64,
-    /// Per-worker activity from one profiler-armed parallel run
-    /// (`--profile` only).
-    profile: Option<par::ParProfile>,
     /// Per-call allocation counts and interval peak heap from one extra
     /// pinned-sequential run (`--alloc-profile` only).
     alloc: Option<AllocPoint>,
@@ -109,29 +103,17 @@ fn time_reps<F: FnMut()>(reps: usize, mut f: F) -> f64 {
 }
 
 /// Runs `f` per mode (sequential, then parallel) and returns both best
-/// times, plus a per-worker profile from one extra profiler-armed parallel
-/// run when `profile` is set and an allocation profile from one extra
-/// pinned-sequential run when `alloc_profile` is set. Restores the auto
-/// thread budget afterwards.
+/// times, plus an allocation profile from one extra pinned-sequential run
+/// when `alloc_profile` is set. Restores the auto thread budget afterwards.
 fn seq_vs_par<F: FnMut()>(
     reps: usize,
-    profile: bool,
     alloc_profile: bool,
     mut f: F,
-) -> (f64, f64, Option<par::ParProfile>, Option<AllocPoint>) {
+) -> (f64, f64, Option<AllocPoint>) {
     par::set_max_threads(1);
     let seq = time_reps(reps, &mut f);
     par::set_max_threads(0);
     let par_t = time_reps(reps, &mut f);
-    let prof = profile.then(|| {
-        // Profiled separately from the timed reps so the (relaxed-atomic)
-        // bookkeeping never pollutes the recorded wall times.
-        par::reset_profile();
-        par::set_profiling(true);
-        f();
-        par::set_profiling(false);
-        par::profile_snapshot()
-    });
     let alloc = alloc_profile.then(|| {
         // Pinned to one thread so the count is deterministic: worker
         // charge-back makes the parallel totals correct too, but how
@@ -146,7 +128,7 @@ fn seq_vs_par<F: FnMut()>(
         par::set_max_threads(0);
         AllocPoint { allocs: d.allocs, bytes: d.bytes, peak_bytes }
     });
-    (seq, par_t, prof, alloc)
+    (seq, par_t, alloc)
 }
 
 /// Deterministic pseudo-random residues for channel `c` of a degree-`n`
@@ -157,13 +139,7 @@ fn fill(n: usize, c: usize, m: Modulus) -> Vec<u64> {
         .collect()
 }
 
-fn rns_kernels(
-    n: usize,
-    reps: usize,
-    profile: bool,
-    alloc_profile: bool,
-    out: &mut Vec<Measurement>,
-) {
+fn rns_kernels(n: usize, reps: usize, alloc_profile: bool, out: &mut Vec<Measurement>) {
     let primes = generate_ntt_primes(50, n, CHANNELS).expect("enough 50-bit NTT primes");
     let moduli: Vec<Modulus> = primes.iter().map(|&q| Modulus::new(q).expect("prime")).collect();
     let ctx = RnsContext::new(n, RnsBasis::new(moduli.clone()).expect("basis")).expect("context");
@@ -176,7 +152,7 @@ fn rns_kernels(
     let mut bufs: Vec<Vec<u64>> = moduli.iter().enumerate().map(|(c, &m)| fill(n, c, m)).collect();
     let tables = ctx.tables();
     let ntt_work = (n as u64).saturating_mul(u64::from(n.trailing_zeros().max(1)));
-    let (seq, par_t, prof, alloc) = seq_vs_par(reps, profile, alloc_profile, || {
+    let (seq, par_t, alloc) = seq_vs_par(reps, alloc_profile, || {
         par::par_iter_mut_in(par::WorkClass::Ntt, &mut bufs, ntt_work, |c, b| {
             tables[c].forward(b);
         })
@@ -188,10 +164,9 @@ fn rns_kernels(
         channels: CHANNELS,
         seq_s: seq,
         par_s: par_t,
-        profile: prof,
         alloc,
     });
-    let (seq, par_t, prof, alloc) = seq_vs_par(reps, profile, alloc_profile, || {
+    let (seq, par_t, alloc) = seq_vs_par(reps, alloc_profile, || {
         par::par_iter_mut_in(par::WorkClass::Ntt, &mut bufs, ntt_work, |c, b| {
             tables[c].inverse(b);
         })
@@ -203,7 +178,6 @@ fn rns_kernels(
         channels: CHANNELS,
         seq_s: seq,
         par_s: par_t,
-        profile: prof,
         alloc,
     });
 
@@ -214,7 +188,7 @@ fn rns_kernels(
     let src_data: Vec<Vec<u64>> = src_idx.iter().map(|&c| fill(n, c, moduli[c])).collect();
     let src_refs: Vec<&[u64]> = src_data.iter().map(Vec::as_slice).collect();
     let mut modup_out = vec![Vec::new(); dst_idx.len()];
-    let (seq, par_t, prof, alloc) = seq_vs_par(reps, profile, alloc_profile, || {
+    let (seq, par_t, alloc) = seq_vs_par(reps, alloc_profile, || {
         plan.apply_into(&src_refs, &mut modup_out).expect("modup")
     });
     out.push(Measurement {
@@ -223,7 +197,6 @@ fn rns_kernels(
         channels: dst_idx.len(),
         seq_s: seq,
         par_s: par_t,
-        profile: prof,
         alloc,
     });
 
@@ -235,7 +208,7 @@ fn rns_kernels(
     let q_refs: Vec<&[u64]> = q_data.iter().map(Vec::as_slice).collect();
     let p_refs: Vec<&[u64]> = p_data.iter().map(Vec::as_slice).collect();
     let mut moddown_out = vec![Vec::new(); q_idx.len()];
-    let (seq, par_t, prof, alloc) = seq_vs_par(reps, profile, alloc_profile, || {
+    let (seq, par_t, alloc) = seq_vs_par(reps, alloc_profile, || {
         ctx.moddown_into(&q_refs, &p_refs, &q_idx, &p_idx, &mut moddown_out).expect("moddown");
     });
     out.push(Measurement {
@@ -244,18 +217,11 @@ fn rns_kernels(
         channels: q_idx.len(),
         seq_s: seq,
         par_s: par_t,
-        profile: prof,
         alloc,
     });
 }
 
-fn ckks_kernel(
-    n: usize,
-    reps: usize,
-    profile: bool,
-    alloc_profile: bool,
-    out: &mut Vec<Measurement>,
-) {
+fn ckks_kernel(n: usize, reps: usize, alloc_profile: bool, out: &mut Vec<Measurement>) {
     // Small chain so setup stays cheap; the kernel under test is the
     // mul + relinearize + rescale pipeline, whose cost scales with n.
     let (max_level, dnum, scale_bits) = if n <= 64 { (2, 2, 26) } else { (3, 2, 36) };
@@ -273,16 +239,8 @@ fn ckks_kernel(
     let cb = sk.encrypt(&ctx, &pt, &mut rng).expect("encrypt");
     let level = ca.level();
     let mut record = |kernel: &'static str, f: &mut dyn FnMut()| {
-        let (seq, par_t, prof, alloc) = seq_vs_par(reps, profile, alloc_profile, f);
-        out.push(Measurement {
-            kernel,
-            n,
-            channels: level + 1,
-            seq_s: seq,
-            par_s: par_t,
-            profile: prof,
-            alloc,
-        });
+        let (seq, par_t, alloc) = seq_vs_par(reps, alloc_profile, f);
+        out.push(Measurement { kernel, n, channels: level + 1, seq_s: seq, par_s: par_t, alloc });
     };
     record("ckks_mul_rescale", &mut || {
         let prod = ev.mul(&ca, &cb, &rlk).expect("mul");
@@ -349,31 +307,6 @@ fn minor_faults_per_call() -> Option<(f64, f64)> {
     Some((keyswitch, bsgs))
 }
 
-fn profile_to_json(p: &par::ParProfile) -> Json {
-    let mut o = std::collections::BTreeMap::new();
-    o.insert(
-        "workers".to_string(),
-        Json::Arr(
-            p.workers
-                .iter()
-                .map(|w| {
-                    let mut wo = std::collections::BTreeMap::new();
-                    wo.insert("worker".to_string(), Json::Num(w.worker as f64));
-                    wo.insert("busy_ns".to_string(), Json::Num(w.busy_ns as f64));
-                    wo.insert("idle_ns".to_string(), Json::Num(p.idle_ns(w) as f64));
-                    wo.insert("chunks".to_string(), Json::Num(w.chunks as f64));
-                    wo.insert("items".to_string(), Json::Num(w.items as f64));
-                    Json::Obj(wo)
-                })
-                .collect(),
-        ),
-    );
-    o.insert("regions".to_string(), Json::Num(p.regions as f64));
-    o.insert("wall_ns".to_string(), Json::Num(p.wall_ns as f64));
-    o.insert("imbalance".to_string(), Json::Num(p.imbalance()));
-    Json::Obj(o)
-}
-
 fn to_json(measurements: &[Measurement], note: &str, reps: usize) -> Json {
     let mut doc = std::collections::BTreeMap::new();
     doc.insert("schema_version".to_string(), Json::Num(2.0));
@@ -400,9 +333,6 @@ fn to_json(measurements: &[Measurement], note: &str, reps: usize) -> Json {
                     o.insert("seq_s".to_string(), Json::Num(m.seq_s));
                     o.insert("par_s".to_string(), Json::Num(m.par_s));
                     o.insert("speedup".to_string(), Json::Num(m.speedup()));
-                    if let Some(p) = &m.profile {
-                        o.insert("profile".to_string(), profile_to_json(p));
-                    }
                     if let Some(a) = &m.alloc {
                         let mut ao = std::collections::BTreeMap::new();
                         ao.insert("allocs".to_string(), Json::Num(a.allocs as f64));
@@ -419,16 +349,9 @@ fn to_json(measurements: &[Measurement], note: &str, reps: usize) -> Json {
 }
 
 fn main() {
-    let args = BenchArgs::parse_with(&[
-        "--smoke",
-        "--profile",
-        "--alloc-profile",
-        "--checksum",
-        "--out",
-        "--reps",
-    ]);
+    let args =
+        BenchArgs::parse_with(&["--smoke", "--alloc-profile", "--checksum", "--out", "--reps"]);
     let smoke = args.rest.iter().any(|a| a == "--smoke");
-    let profile = args.rest.iter().any(|a| a == "--profile");
     let alloc_profile = args.rest.iter().any(|a| a == "--alloc-profile");
     // Benches measure the checksum-free fast path unless explicitly asked
     // to bound the overhead of the enabled path.
@@ -459,10 +382,10 @@ fn main() {
         if !rep.is_json() {
             println!("measuring n = {n}...");
         }
-        rns_kernels(n, reps, profile, alloc_profile, &mut measurements);
+        rns_kernels(n, reps, alloc_profile, &mut measurements);
         // CKKS at every size would dominate the run; sample the endpoints.
         if n == sizes[0] || n == *sizes.last().expect("nonempty") {
-            ckks_kernel(n, reps, profile, alloc_profile, &mut measurements);
+            ckks_kernel(n, reps, alloc_profile, &mut measurements);
         }
     }
     par::set_max_threads(0);
@@ -544,9 +467,6 @@ fn main() {
     ));
     rep.note(&note);
 
-    if profile {
-        report_profiles(&mut rep, &tel, &measurements);
-    }
     if alloc_profile {
         report_alloc_profiles(&mut rep, &measurements);
     }
@@ -565,50 +485,6 @@ fn main() {
     rep.finish();
     if let Some(path) = &args.trace_out {
         bench::write_trace(&tel, path);
-    }
-}
-
-/// Renders the per-worker utilization tables and feeds the busy-time
-/// distribution into the telemetry snapshot (one histogram per kernel, so
-/// imbalance shows up as p99/p50 spread in the exports).
-fn report_profiles(rep: &mut Reporter, tel: &telemetry::Telemetry, measurements: &[Measurement]) {
-    for m in measurements {
-        let Some(p) = &m.profile else { continue };
-        let rows: Vec<Vec<String>> = p
-            .workers
-            .iter()
-            .map(|w| {
-                vec![
-                    w.worker.to_string(),
-                    fmt_time(w.busy_ns as f64 * 1e-9),
-                    fmt_time(p.idle_ns(w) as f64 * 1e-9),
-                    w.chunks.to_string(),
-                    w.items.to_string(),
-                ]
-            })
-            .collect();
-        rep.table(
-            &format!("Worker profile: {} n={} ({} parallel regions)", m.kernel, m.n, p.regions),
-            &["worker", "busy", "idle", "chunks", "items"],
-            &rows,
-        );
-        rep.note(&format!(
-            "{} n={}: {} workers, imbalance {:.2} (max busy / mean busy), wall {}",
-            m.kernel,
-            m.n,
-            p.workers.len(),
-            p.imbalance(),
-            fmt_time(p.wall_ns as f64 * 1e-9),
-        ));
-        if tel.is_enabled() {
-            for w in &p.workers {
-                tel.observe_ns(&format!("par.worker_busy.{}", m.kernel), w.busy_ns);
-            }
-            tel.set_meta(
-                &format!("par.imbalance.{}.n{}", m.kernel, m.n),
-                &format!("{:.3}", p.imbalance()),
-            );
-        }
     }
 }
 

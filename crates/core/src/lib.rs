@@ -16,9 +16,9 @@
 //! * [`Step`] / [`Simulator`] / [`SimReport`] — the cycle model,
 //! * [`workloads`] — compilers from FHE operations (Table 7 basic ops,
 //!   Fig. 6 applications, TFHE PBS) to step sequences,
-//! * [`layout`] — the slot-based data partition and an audited
-//!   distributed 4-step NTT proving the zero-inter-unit-traffic claim
-//!   (§5.3, Table 4),
+//! * [`layout`] — the slot-based data partition and a distributed 4-step
+//!   NTT whose local phases touch only each unit's own slots (§5.3,
+//!   Table 4),
 //! * [`dse`] — lane-width / unit-count / partitioning ablations (§5.4).
 //!
 //! # Example

@@ -27,9 +27,8 @@
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// A panic contained inside one worker chunk of a parallel region.
 ///
@@ -258,138 +257,6 @@ pub fn min_work() -> u64 {
     MIN_WORK.load(Ordering::Relaxed)
 }
 
-// ---------------------------------------------------------------------------
-// Per-worker profiling
-//
-// The paper's headline metric is *utilization* (Fig. 7): how evenly the 128
-// computing units share the channel-partitioned work. The software mirror is
-// this registry: when enabled, every parallel region records each worker's
-// busy time, chunk count, and item count into fixed atomic slots (worker `w`
-// always processes the `w`-th contiguous chunk, so slot indices are stable
-// across regions), plus the region count and summed region wall time on the
-// caller side. Idle time per worker is `wall − busy`; the load-imbalance
-// factor is `max(busy) / mean(busy)` — 1.0 is a perfectly balanced schedule.
-//
-// Disabled cost is one relaxed atomic load per region (not per item).
-// ---------------------------------------------------------------------------
-
-/// Upper bound on tracked worker slots; workers beyond it fold into the
-/// last slot (no real host spawns that many).
-const MAX_PROFILED_WORKERS: usize = 256;
-
-static PROFILING: AtomicBool = AtomicBool::new(false);
-static BUSY_NS: [AtomicU64; MAX_PROFILED_WORKERS] =
-    [const { AtomicU64::new(0) }; MAX_PROFILED_WORKERS];
-static CHUNKS: [AtomicU64; MAX_PROFILED_WORKERS] =
-    [const { AtomicU64::new(0) }; MAX_PROFILED_WORKERS];
-static ITEMS: [AtomicU64; MAX_PROFILED_WORKERS] =
-    [const { AtomicU64::new(0) }; MAX_PROFILED_WORKERS];
-static REGIONS: AtomicU64 = AtomicU64::new(0);
-static REGION_WALL_NS: AtomicU64 = AtomicU64::new(0);
-
-/// Turns per-worker profiling on or off (process-global). Off by default;
-/// `bench_kernels --profile` and tests toggle it around the region of
-/// interest.
-pub fn set_profiling(on: bool) {
-    PROFILING.store(on, Ordering::Relaxed);
-}
-
-/// Whether per-worker profiling is currently recording.
-pub fn profiling_enabled() -> bool {
-    PROFILING.load(Ordering::Relaxed)
-}
-
-/// Clears all accumulated profiling state.
-pub fn reset_profile() {
-    for w in 0..MAX_PROFILED_WORKERS {
-        BUSY_NS[w].store(0, Ordering::Relaxed);
-        CHUNKS[w].store(0, Ordering::Relaxed);
-        ITEMS[w].store(0, Ordering::Relaxed);
-    }
-    REGIONS.store(0, Ordering::Relaxed);
-    REGION_WALL_NS.store(0, Ordering::Relaxed);
-}
-
-#[inline]
-fn record_chunk(worker: usize, busy_ns: u64, items: usize) {
-    let w = worker.min(MAX_PROFILED_WORKERS - 1);
-    BUSY_NS[w].fetch_add(busy_ns, Ordering::Relaxed);
-    CHUNKS[w].fetch_add(1, Ordering::Relaxed);
-    ITEMS[w].fetch_add(items as u64, Ordering::Relaxed);
-}
-
-/// Accumulated activity of one worker slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerProfile {
-    /// Worker slot index (0 = the caller thread / first spawned worker).
-    pub worker: usize,
-    /// Total time spent executing chunk bodies.
-    pub busy_ns: u64,
-    /// Number of chunks (one per region the worker participated in).
-    pub chunks: u64,
-    /// Total items processed.
-    pub items: u64,
-}
-
-/// A snapshot of the profiling registry (see [`profile_snapshot`]).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ParProfile {
-    /// Active worker slots, in slot order. Inline (single-threaded) regions
-    /// account to worker 0.
-    pub workers: Vec<WorkerProfile>,
-    /// Number of profiled parallel regions.
-    pub regions: u64,
-    /// Summed wall time of all profiled regions, measured on the caller.
-    pub wall_ns: u64,
-}
-
-impl ParProfile {
-    /// Load-imbalance factor: `max(busy) / mean(busy)` across active
-    /// workers. 1.0 is perfectly balanced; `k` means the slowest worker had
-    /// `k×` the average load. 1.0 when fewer than two workers were active.
-    pub fn imbalance(&self) -> f64 {
-        if self.workers.len() < 2 {
-            return 1.0;
-        }
-        let max = self.workers.iter().map(|w| w.busy_ns).max().unwrap_or(0);
-        let sum: u64 = self.workers.iter().map(|w| w.busy_ns).sum();
-        if sum == 0 {
-            return 1.0;
-        }
-        max as f64 * self.workers.len() as f64 / sum as f64
-    }
-
-    /// Idle time of one worker: profiled wall time it did not spend busy.
-    pub fn idle_ns(&self, w: &WorkerProfile) -> u64 {
-        self.wall_ns.saturating_sub(w.busy_ns)
-    }
-}
-
-/// Copies the current profiling registry: every worker slot that recorded
-/// any activity, plus region totals. Cheap; safe to call while profiling
-/// is still enabled (values are relaxed-atomic reads).
-pub fn profile_snapshot() -> ParProfile {
-    let workers = (0..MAX_PROFILED_WORKERS)
-        .filter_map(|w| {
-            let chunks = CHUNKS[w].load(Ordering::Relaxed);
-            if chunks == 0 {
-                return None;
-            }
-            Some(WorkerProfile {
-                worker: w,
-                busy_ns: BUSY_NS[w].load(Ordering::Relaxed),
-                chunks,
-                items: ITEMS[w].load(Ordering::Relaxed),
-            })
-        })
-        .collect();
-    ParProfile {
-        workers,
-        regions: REGIONS.load(Ordering::Relaxed),
-        wall_ns: REGION_WALL_NS.load(Ordering::Relaxed),
-    }
-}
-
 /// Number of worker threads a region of `items` items × `work_per_item`
 /// element-operations of the given class would use (1 = run inline).
 fn plan_threads(items: usize, work_per_item: u64, class: WorkClass) -> usize {
@@ -445,24 +312,7 @@ where
     F: Fn(usize, &mut T) + Sync,
 {
     let threads = plan_threads(items.len(), work_per_item, class);
-    let profiling = PROFILING.load(Ordering::Relaxed);
     if threads <= 1 {
-        if profiling && !items.is_empty() {
-            // Inline regions account to worker slot 0 so sequential
-            // baselines and single-core hosts still report utilization.
-            let t0 = Instant::now();
-            let len = items.len();
-            let res = run_contained(0, 0, || {
-                for (i, item) in items.iter_mut().enumerate() {
-                    f(i, item);
-                }
-            });
-            let ns = t0.elapsed().as_nanos() as u64;
-            record_chunk(0, ns, len);
-            REGIONS.fetch_add(1, Ordering::Relaxed);
-            REGION_WALL_NS.fetch_add(ns, Ordering::Relaxed);
-            return res;
-        }
         return run_contained(0, 0, || {
             for (i, item) in items.iter_mut().enumerate() {
                 f(i, item);
@@ -470,7 +320,6 @@ where
         });
     }
     let chunk = items.len().div_ceil(threads);
-    let region_start = profiling.then(Instant::now);
     let first_err: Mutex<Option<ParError>> = Mutex::new(None);
     // Worker heap traffic is charged back to the caller thread so the
     // parallel path reports the same span-attributed allocations as the
@@ -490,16 +339,11 @@ where
                 let base = ci * chunk;
                 scope.spawn(move || {
                     let alloc_base = telemetry::alloc::thread_stats();
-                    let t0 = profiling.then(Instant::now);
-                    let len = slice.len();
                     let res = run_contained(ci, ci, || {
                         for (k, item) in slice.iter_mut().enumerate() {
                             f(base + k, item);
                         }
                     });
-                    if let Some(t0) = t0 {
-                        record_chunk(ci, t0.elapsed().as_nanos() as u64, len);
-                    }
                     let d = telemetry::alloc::thread_stats().since(alloc_base);
                     if d.allocs != 0 || d.bytes != 0 {
                         region_allocs.fetch_add(d.allocs, Ordering::Relaxed);
@@ -516,10 +360,6 @@ where
         region_allocs.load(Ordering::Relaxed),
         region_alloc_bytes.load(Ordering::Relaxed),
     );
-    if let Some(t0) = region_start {
-        REGIONS.fetch_add(1, Ordering::Relaxed);
-        REGION_WALL_NS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
     match first_err.into_inner().unwrap_or_else(|e| e.into_inner()) {
         Some(e) => Err(e),
         None => Ok(()),
@@ -872,71 +712,5 @@ mod tests {
         set_min_work(DEFAULT_MIN_WORK);
         set_max_threads(0);
         assert_eq!(err.chunk, 1, "item 45 lives in chunk 1 of 3×30");
-    }
-
-    #[test]
-    fn profiling_captures_per_worker_activity() {
-        let _g = knob_guard();
-        set_min_work(0);
-        set_max_threads(4);
-        reset_profile();
-        set_profiling(true);
-        let mut v = vec![0u64; 400];
-        par_iter_mut(&mut v, 1, |i, x| *x = (i as u64).wrapping_mul(3)).unwrap();
-        set_profiling(false);
-        set_min_work(DEFAULT_MIN_WORK);
-        set_max_threads(0);
-
-        let prof = profile_snapshot();
-        assert_eq!(prof.regions, 1);
-        assert_eq!(prof.workers.len(), 4, "one slot per spawned worker");
-        assert_eq!(prof.workers.iter().map(|w| w.items).sum::<u64>(), 400);
-        for w in &prof.workers {
-            assert_eq!(w.chunks, 1);
-            assert_eq!(w.items, 100);
-            assert!(prof.idle_ns(w) <= prof.wall_ns);
-        }
-        assert!(prof.imbalance() >= 1.0);
-        // The result is untouched by profiling.
-        assert_eq!(v[399], 399 * 3);
-    }
-
-    #[test]
-    fn inline_regions_account_to_worker_zero() {
-        let _g = knob_guard();
-        set_min_work(u64::MAX); // force the inline path
-        reset_profile();
-        set_profiling(true);
-        let mut v = vec![0u64; 64];
-        par_iter_mut(&mut v, 1, |i, x| *x = i as u64).unwrap();
-        par_iter_mut(&mut v, 1, |i, x| *x += i as u64).unwrap();
-        set_profiling(false);
-        set_min_work(DEFAULT_MIN_WORK);
-
-        let prof = profile_snapshot();
-        assert_eq!(prof.regions, 2);
-        assert_eq!(prof.workers.len(), 1);
-        assert_eq!(prof.workers[0].worker, 0);
-        assert_eq!(prof.workers[0].chunks, 2);
-        assert_eq!(prof.workers[0].items, 128);
-        assert!((prof.imbalance() - 1.0).abs() < f64::EPSILON);
-        assert_eq!(v[10], 20);
-    }
-
-    #[test]
-    fn reset_clears_profile_and_disabled_records_nothing() {
-        let _g = knob_guard();
-        set_min_work(0);
-        set_max_threads(2);
-        reset_profile();
-        assert!(!profiling_enabled());
-        let mut v = vec![0u64; 100];
-        par_iter_mut(&mut v, 1, |i, x| *x = i as u64).unwrap();
-        set_min_work(DEFAULT_MIN_WORK);
-        set_max_threads(0);
-        let prof = profile_snapshot();
-        assert!(prof.workers.is_empty(), "profiling off must record nothing");
-        assert_eq!(prof.regions, 0);
-        assert_eq!(prof.imbalance(), 1.0);
     }
 }

@@ -124,13 +124,8 @@ fn campaign_server(workers: usize, seed: u64, ledger: &Arc<OutcomeLedger>) -> Se
         workers,
         admission: AdmissionConfig { capacity: 512, ..AdmissionConfig::default() },
         seed,
-        supervisor: SupervisorConfig {
-            enabled: true,
-            interval: WATCHDOG_INTERVAL,
-            stall_timeout: STALL_TIMEOUT,
-        },
+        supervisor: SupervisorConfig { interval: WATCHDOG_INTERVAL, stall_timeout: STALL_TIMEOUT },
         breaker: BreakerConfig {
-            enabled: true,
             window: 16,
             threshold: BREAKER_THRESHOLD,
             cooldown: BREAKER_COOLDOWN,

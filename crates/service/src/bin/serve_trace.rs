@@ -1,18 +1,18 @@
 //! Replays the synthetic million-tenant trace against a live [`Server`]
 //! and checks every outcome that can be counted.
 //!
-//! Two full replays of the *same* generated trace run back to back —
-//! packing on, then packing off — so the report carries one row per mode
-//! under the same `(workload, n, workers)` key and the packed/singleton
-//! results are verified against the same cleartext expectations. Every
-//! fault-free completion is checked against its template's plaintext
-//! function. Injected faults must fail *contained*: in each mode the
-//! server's contained-fault count and the number of failed requests both
-//! equal the number of faults the trace carries (so each fault failed
-//! exactly its own request), nothing is lost, and under `--fault-dumps`
-//! each contained fault left one flight-recorder dump. The timings in the
-//! table and the JSON are a record, not a gate: wall-clock comparisons
-//! belong to `benchmark/` (`serve_hot` / `serve_cold`).
+//! One closed-loop replay of the generated trace: same-tenant
+//! same-program CKKS requests pack into shared ciphertexts, the rest —
+//! cold tenants, TFHE gates — run as batches of one, and a packed batch
+//! a fault breaks re-runs its members one at a time. Every fault-free
+//! completion is checked against its template's plaintext function.
+//! Injected faults must fail *contained*: the server's contained-fault
+//! count and the number of failed requests both equal the number of
+//! faults the trace carries (so each fault failed exactly its own
+//! request), nothing is lost, and under `--fault-dumps` each contained
+//! fault left one flight-recorder dump. The timings in the table and the
+//! JSON are a record, not a gate: wall-clock comparisons belong to
+//! `benchmark/` (`serve_hot` / `serve_cold`).
 //!
 //! ```text
 //! cargo run --release -p service --bin serve_trace -- --out /tmp/service.json
@@ -27,18 +27,17 @@
 //! * `--fault-every N` — inject one fault every N requests, cycling the
 //!   containment lattice's classes (default 64; 0 disables).
 //! * `--seed N` — trace + server seed (decimal or `0x…` hex).
-//! * `--no-pack` / `--pack-only` — run only one of the two modes.
 //! * `--out PATH` — write the report as JSON (schema v1, git commit and
 //!   host facts stamped) to `PATH`. Without it no file is written.
 //! * `--fault-dumps DIR` — write flight-recorder fault dumps there and
 //!   hold their count to the contained faults. `DIR` must not already
 //!   hold `flight-*` files: the check counts what this run added.
 //! * `--live-metrics PATH` — run a background telemetry sampler during
-//!   each replay, streaming one JSONL line per tick (counters, spans,
-//!   and the server's live gauges: queue depth, in-flight totals and
-//!   busiest tenants, worker-pool strength, breaker states) into
-//!   `PATH.<mode>.jsonl`; the ticks per mode are reported, and a
-//!   write the sampler could not make fails the run.
+//!   the replay, streaming one JSONL line per tick (counters, spans, and
+//!   the server's live gauges: queue depth, in-flight totals and busiest
+//!   tenants, worker-pool strength, breaker states) into `PATH`; the
+//!   ticks are reported, and a write the sampler could not make fails
+//!   the run.
 //! * `--sample-ms N` — sampler tick interval (default 50).
 //! * `--json` — emit the report as JSON on stdout instead of tables.
 //!
@@ -51,33 +50,19 @@ use std::collections::BTreeMap;
 
 use bench::{BenchArgs, Reporter};
 use fhe_ckks::CkksParams;
-use service::trace::{generate, replay, TraceConfig, TraceEntry, TraceReport};
-use service::{AdmissionConfig, FaultFlag, Server, ServerConfig};
+use service::trace::{generate, replay, TraceConfig, TraceReport};
+use service::{FaultFlag, Server, ServerConfig};
+use telemetry::flight::MAX_FAULT_DUMPS;
 use telemetry::json::Json;
 
-/// One replayed mode: the packing flag plus everything measured.
-struct ModeRun {
-    packed: bool,
-    report: TraceReport,
-    /// Under `--fault-dumps`: `flight-*` files the mode added, and how many
-    /// the per-process dump cap still allowed when it began.
-    fault_dumps: Option<(u64, u64)>,
-    /// Under `--live-metrics`: what the mode's sampler reported at stop.
-    live: Option<telemetry::sampler::SamplerStats>,
-}
-
-/// Why a replayed mode breaks the containment contract; empty when it
-/// holds. `injected` is the number of trace entries that carry a fault:
-/// each must be counted contained by the server and fail exactly one
-/// request — its own — so both counts equal `injected`; every admitted
-/// request is answered; every fault-free answer matches the cleartext
-/// oracle; and each contained fault left one flight dump while the
-/// recorder's cap had room.
-fn containment_violations(
-    injected: u64,
-    r: &TraceReport,
-    fault_dumps: Option<(u64, u64)>,
-) -> Vec<String> {
+/// Why the replay breaks the containment contract; empty when it holds.
+/// `injected` is the number of trace entries that carry a fault: each
+/// must be counted contained by the server and fail exactly one request —
+/// its own — so both counts equal `injected`; every admitted request is
+/// answered; every fault-free answer matches the cleartext oracle; and,
+/// under `--fault-dumps`, each contained fault left one flight dump while
+/// the recorder's per-process cap had room.
+fn containment_violations(injected: u64, r: &TraceReport, fault_dumps: Option<u64>) -> Vec<String> {
     let mut out = Vec::new();
     if r.faults_contained != injected {
         out.push(format!("{} contained faults for {injected} injected", r.faults_contained));
@@ -91,61 +76,13 @@ fn containment_violations(
     if r.verify_failures > 0 {
         out.push(format!("{} result(s) disagreed with the cleartext oracle", r.verify_failures));
     }
-    if let Some((landed, room)) = fault_dumps {
-        let expected = r.faults_contained.min(room);
+    if let Some(landed) = fault_dumps {
+        let expected = r.faults_contained.min(MAX_FAULT_DUMPS);
         if landed != expected {
             out.push(format!("{landed} flight fault dumps landed, expected {expected}"));
         }
     }
     out
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_mode(
-    packed: bool,
-    workers: usize,
-    params: &CkksParams,
-    seed: u64,
-    entries: &[TraceEntry],
-    dump_dir: Option<&std::path::Path>,
-    tel: &telemetry::Telemetry,
-    live_metrics: Option<(&str, u64)>,
-) -> ModeRun {
-    let dumps_before = dump_dir.map(count_dumps);
-    let server = Server::start(ServerConfig {
-        workers,
-        admission: AdmissionConfig::default(),
-        packing: packed,
-        seed,
-        params: params.clone(),
-        telemetry: tel.clone(),
-        ..ServerConfig::default()
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("server failed to start: {e}");
-        std::process::exit(1);
-    });
-    let sampler = live_metrics.map(|(base, tick_ms)| {
-        let mode = if packed { "packed" } else { "singleton" };
-        let path = format!("{base}.{mode}.jsonl");
-        let sink = telemetry::JsonlSink::create(&path).unwrap_or_else(|e| {
-            eprintln!("--live-metrics: cannot create {path}: {e}");
-            std::process::exit(2);
-        });
-        telemetry::SamplerBuilder::new(tel.clone(), std::time::Duration::from_millis(tick_ms))
-            .sink(sink)
-            .gauge_source(server.gauge_source())
-            .spawn()
-    });
-    let report = replay(&server, entries);
-    let live = sampler.map(telemetry::Sampler::stop);
-    server.finish();
-    // The directory held no dump when the process started, so what it
-    // holds at a mode's start is what earlier modes spent of the cap.
-    let fault_dumps = dump_dir.zip(dumps_before).map(|(dir, before)| {
-        (count_dumps(dir) - before, telemetry::flight::MAX_FAULT_DUMPS.saturating_sub(before))
-    });
-    ModeRun { packed, report, fault_dumps, live }
 }
 
 fn count_dumps(dir: &std::path::Path) -> u64 {
@@ -158,7 +95,7 @@ fn count_dumps(dir: &std::path::Path) -> u64 {
         .unwrap_or(0)
 }
 
-fn to_json(runs: &[ModeRun], workers: usize, n: usize, workload: &str, note: &str) -> Json {
+fn to_json(r: &TraceReport, workers: usize, n: usize, note: &str) -> Json {
     let mut doc = BTreeMap::new();
     doc.insert("schema_version".to_string(), Json::Num(1.0));
     doc.insert("git_commit".to_string(), Json::Str(bench::git_commit()));
@@ -170,41 +107,28 @@ fn to_json(runs: &[ModeRun], workers: usize, n: usize, workload: &str, note: &st
     }
     doc.insert("host".to_string(), Json::Obj(host));
     doc.insert("note".to_string(), Json::Str(note.to_string()));
-    doc.insert(
-        "service".to_string(),
-        Json::Arr(
-            runs.iter()
-                .map(|run| {
-                    let r = &run.report;
-                    let mut o = BTreeMap::new();
-                    o.insert("workload".to_string(), Json::Str(workload.to_string()));
-                    o.insert("n".to_string(), Json::Num(n as f64));
-                    o.insert("workers".to_string(), Json::Num(workers as f64));
-                    o.insert("packed".to_string(), Json::Bool(run.packed));
-                    o.insert("requests".to_string(), Json::Num(r.submitted as f64));
-                    o.insert("req_per_s".to_string(), Json::Num(r.req_per_s));
-                    o.insert("p50_ms".to_string(), Json::Num(r.p50_ms));
-                    o.insert("p99_ms".to_string(), Json::Num(r.p99_ms));
-                    o.insert("keycache_hit_rate".to_string(), Json::Num(r.keycache_hit_rate));
-                    o.insert("pack_ratio".to_string(), Json::Num(r.pack_ratio));
-                    o.insert("faults_contained".to_string(), Json::Num(r.faults_contained as f64));
-                    o.insert("degraded_batches".to_string(), Json::Num(r.degraded_batches as f64));
-                    o.insert("rejections".to_string(), Json::Num(r.rejections as f64));
-                    o.insert("verify_failures".to_string(), Json::Num(r.verify_failures as f64));
-                    o.insert("lost".to_string(), Json::Num(r.lost as f64));
-                    Json::Obj(o)
-                })
-                .collect(),
-        ),
-    );
+    let mut o = BTreeMap::new();
+    o.insert("workload".to_string(), Json::Str("mixed".to_string()));
+    o.insert("n".to_string(), Json::Num(n as f64));
+    o.insert("workers".to_string(), Json::Num(workers as f64));
+    o.insert("requests".to_string(), Json::Num(r.submitted as f64));
+    o.insert("req_per_s".to_string(), Json::Num(r.req_per_s));
+    o.insert("p50_ms".to_string(), Json::Num(r.p50_ms));
+    o.insert("p99_ms".to_string(), Json::Num(r.p99_ms));
+    o.insert("keycache_hit_rate".to_string(), Json::Num(r.keycache_hit_rate));
+    o.insert("pack_ratio".to_string(), Json::Num(r.pack_ratio));
+    o.insert("faults_contained".to_string(), Json::Num(r.faults_contained as f64));
+    o.insert("degraded_batches".to_string(), Json::Num(r.degraded_batches as f64));
+    o.insert("rejections".to_string(), Json::Num(r.rejections as f64));
+    o.insert("verify_failures".to_string(), Json::Num(r.verify_failures as f64));
+    o.insert("lost".to_string(), Json::Num(r.lost as f64));
+    doc.insert("service".to_string(), Json::Arr(vec![Json::Obj(o)]));
     Json::Obj(doc)
 }
 
 fn main() {
     let args = BenchArgs::parse_with(&[
         "--smoke",
-        "--no-pack",
-        "--pack-only",
         "--requests",
         "--workers",
         "--ring",
@@ -216,12 +140,6 @@ fn main() {
         "--sample-ms",
     ]);
     let smoke = args.rest.iter().any(|a| a == "--smoke");
-    let no_pack = args.rest.iter().any(|a| a == "--no-pack");
-    let pack_only = args.rest.iter().any(|a| a == "--pack-only");
-    if no_pack && pack_only {
-        eprintln!("--no-pack and --pack-only are mutually exclusive");
-        std::process::exit(2);
-    }
     let requests = args.u64_at_least("--requests", 1).unwrap_or(if smoke { 160 } else { 512 });
     let workers = args.u64_at_least("--workers", 1).unwrap_or(4) as usize;
     let ring = args.value("--ring").unwrap_or("toy");
@@ -244,7 +162,7 @@ fn main() {
     let live_metrics = args.value("--live-metrics");
     let sample_ms = args.u64_at_least("--sample-ms", 1).unwrap_or(50);
     // Fault dumps route through the *global* telemetry handle's flight
-    // recorder; the servers share the same handle so their spans land in
+    // recorder; the server shares the same handle so its spans land in
     // the dumps.
     let tel = telemetry::Telemetry::enabled();
     if let Some(dir) = &dump_dir {
@@ -284,55 +202,51 @@ fn main() {
     let entries = generate(&TraceConfig { requests, fault_every, seed, ..TraceConfig::default() });
     let injected = entries.iter().filter(|e| e.request.fault != FaultFlag::None).count() as u64;
     let n = params.n();
-    let modes: &[bool] = if no_pack {
-        &[false]
-    } else if pack_only {
-        &[true]
-    } else {
-        &[true, false]
-    };
-    let runs: Vec<ModeRun> = modes
-        .iter()
-        .map(|&packed| {
-            run_mode(
-                packed,
-                workers,
-                &params,
-                seed,
-                &entries,
-                dump_dir.as_deref(),
-                &tel,
-                live_metrics.map(|p| (p, sample_ms)),
-            )
-        })
-        .collect();
+    let server = Server::start(ServerConfig {
+        workers,
+        seed,
+        params,
+        telemetry: tel.clone(),
+        ..ServerConfig::default()
+    })
+    .unwrap_or_else(|e| {
+        eprintln!("server failed to start: {e}");
+        std::process::exit(1);
+    });
+    let sampler = live_metrics.map(|path| {
+        let sink = telemetry::JsonlSink::create(path).unwrap_or_else(|e| {
+            eprintln!("--live-metrics: cannot create {path}: {e}");
+            std::process::exit(2);
+        });
+        telemetry::SamplerBuilder::new(tel.clone(), std::time::Duration::from_millis(sample_ms))
+            .sink(sink)
+            .gauge_source(server.gauge_source())
+            .spawn()
+    });
+    let report = replay(&server, &entries);
+    let live = sampler.map(telemetry::Sampler::stop);
+    server.finish();
+    // The directory held no dump when the run began.
+    let fault_dumps = dump_dir.as_deref().map(count_dumps);
 
-    let workload = "mixed";
-    let rows: Vec<Vec<String>> = runs
-        .iter()
-        .map(|run| {
-            let r = &run.report;
-            vec![
-                if run.packed { "packed".into() } else { "singleton".into() },
-                format!("{:.0}", r.req_per_s),
-                format!("{:.2}", r.p50_ms),
-                format!("{:.2}", r.p99_ms),
-                format!("{:.1}%", r.keycache_hit_rate * 100.0),
-                format!("{:.2}", r.pack_ratio),
-                r.faults_contained.to_string(),
-                r.degraded_batches.to_string(),
-                r.rejections.to_string(),
-                format!("{}/{}", r.verified - r.verify_failures, r.verified),
-            ]
-        })
-        .collect();
+    let r = &report;
+    let row = vec![
+        format!("{:.0}", r.req_per_s),
+        format!("{:.2}", r.p50_ms),
+        format!("{:.2}", r.p99_ms),
+        format!("{:.1}%", r.keycache_hit_rate * 100.0),
+        format!("{:.2}", r.pack_ratio),
+        r.faults_contained.to_string(),
+        r.degraded_batches.to_string(),
+        r.rejections.to_string(),
+        format!("{}/{}", r.verified - r.verify_failures, r.verified),
+    ];
     rep.table(
         &format!(
             "serve_trace: {requests} requests, {workers} workers, ring n={n}, \
              fault every {fault_every} ({injected} injected)"
         ),
         &[
-            "mode",
             "req/s",
             "p50 ms",
             "p99 ms",
@@ -343,38 +257,34 @@ fn main() {
             "rejects",
             "verified",
         ],
-        &rows,
+        &[row],
     );
-    for run in &runs {
-        let mode = if run.packed { "packed" } else { "singleton" };
-        for &(tenant, count, p50, p99) in &run.report.top_tenants {
-            rep.note(&format!(
-                "{mode} tenant {tenant}: {count} reqs, p50 {:.2} ms, p99 {:.2} ms",
-                p50 as f64 / 1e6,
-                p99 as f64 / 1e6,
-            ));
-        }
-        if let Some((landed, _)) = run.fault_dumps {
-            rep.note(&format!(
-                "{mode}: {landed} flight fault dumps for {} contained faults",
-                run.report.faults_contained
-            ));
-        }
-        if let Some(stats) = run.live {
-            rep.note(&format!("{mode}: {} live-metrics ticks", stats.ticks));
-        }
+    for &(tenant, count, p50, p99) in &r.top_tenants {
+        rep.note(&format!(
+            "tenant {tenant}: {count} reqs, p50 {:.2} ms, p99 {:.2} ms",
+            p50 as f64 / 1e6,
+            p99 as f64 / 1e6,
+        ));
+    }
+    if let Some(landed) = fault_dumps {
+        rep.note(&format!(
+            "{landed} flight fault dumps for {} contained faults",
+            r.faults_contained
+        ));
+    }
+    if let Some(stats) = live {
+        rep.note(&format!("{} live-metrics ticks", stats.ticks));
     }
 
     let note = format!(
         "closed-loop replay of a deterministic {requests}-request trace (seed {seed:#x}) \
-         over a million-tenant id space with a 64-tenant hot set at 90%; both modes replay \
-         the same trace and verify fault-free results against the templates' cleartext \
-         functions"
+         over a million-tenant id space with a 64-tenant hot set at 90%; fault-free results \
+         are verified against the templates' cleartext functions"
     );
     rep.note(&note);
 
     if let Some(out_path) = out_path {
-        let doc = to_json(&runs, workers, n, workload, &note);
+        let doc = to_json(r, workers, n, &note);
         if let Err(e) = std::fs::write(out_path, format!("{doc}\n")) {
             eprintln!("failed to write {out_path}: {e}");
             std::process::exit(1);
@@ -384,19 +294,16 @@ fn main() {
         }
     }
     let mut broken = false;
-    for run in &runs {
-        let mode = if run.packed { "packed" } else { "singleton" };
-        for v in containment_violations(injected, &run.report, run.fault_dumps) {
-            broken = true;
-            rep.note(&format!("FAILED {mode}: {v}"));
-        }
-        if let Some(stats) = run.live.filter(|s| s.sink_errors > 0) {
-            broken = true;
-            rep.note(&format!(
-                "FAILED {mode}: {} live-metrics write(s) failed, the stream is short",
-                stats.sink_errors
-            ));
-        }
+    for v in containment_violations(injected, r, fault_dumps) {
+        broken = true;
+        rep.note(&format!("FAILED: {v}"));
+    }
+    if let Some(stats) = live.filter(|s| s.sink_errors > 0) {
+        broken = true;
+        rep.note(&format!(
+            "FAILED: {} live-metrics write(s) failed, the stream is short",
+            stats.sink_errors
+        ));
     }
     rep.finish();
     if broken {
@@ -408,8 +315,8 @@ fn main() {
 mod tests {
     use super::*;
 
-    /// A mode's report with the four counts the check reads; the rest is
-    /// what an 8-fault, 512-request replay looks like.
+    /// A replay's report with the four counts the check reads; the rest
+    /// is what an 8-fault, 512-request replay looks like.
     fn report(faults_contained: u64, failed: u64, lost: u64, verify_failures: u64) -> TraceReport {
         TraceReport {
             submitted: 512,
@@ -436,12 +343,11 @@ mod tests {
     #[test]
     fn contained_run_has_no_violations() {
         assert!(containment_violations(8, &report(8, 8, 0, 0), None).is_empty());
-        assert!(containment_violations(8, &report(8, 8, 0, 0), Some((8, 16))).is_empty());
-        assert!(containment_violations(0, &report(0, 0, 0, 0), Some((0, 16))).is_empty());
-        // The second mode of a default run spends the rest of the cap; past
-        // it the recorder stops writing and the check follows.
-        assert!(containment_violations(8, &report(8, 8, 0, 0), Some((8, 8))).is_empty());
-        assert!(containment_violations(16, &report(16, 16, 0, 0), Some((4, 4))).is_empty());
+        assert!(containment_violations(8, &report(8, 8, 0, 0), Some(8)).is_empty());
+        assert!(containment_violations(0, &report(0, 0, 0, 0), Some(0)).is_empty());
+        // Past its per-process cap the recorder stops writing, and the
+        // check follows.
+        assert!(containment_violations(32, &report(32, 32, 0, 0), Some(16)).is_empty());
     }
 
     #[test]
@@ -455,7 +361,7 @@ mod tests {
 
     #[test]
     fn a_missing_dump_is_a_violation() {
-        let v = containment_violations(8, &report(8, 8, 0, 0), Some((7, 16)));
+        let v = containment_violations(8, &report(8, 8, 0, 0), Some(7));
         assert_eq!(v, ["7 flight fault dumps landed, expected 8"]);
     }
 

@@ -30,8 +30,6 @@ use crate::request::TenantId;
 /// Breaker policy.
 #[derive(Debug, Clone, Copy)]
 pub struct BreakerConfig {
-    /// Whether breakers run at all.
-    pub enabled: bool,
     /// Sliding window length (outcomes remembered per tenant).
     pub window: usize,
     /// Contained faults within the window that open the breaker.
@@ -45,7 +43,6 @@ pub struct BreakerConfig {
 impl Default for BreakerConfig {
     fn default() -> Self {
         BreakerConfig {
-            enabled: true,
             window: 32,
             threshold: 8,
             cooldown: Duration::from_millis(500),
@@ -154,9 +151,6 @@ impl BreakerBank {
     /// breaker is open, or a quarter of the cooldown while half-open
     /// with all probe slots taken.
     pub fn admit(&self, tenant: TenantId) -> Result<bool, u64> {
-        if !self.config.enabled {
-            return Ok(false);
-        }
         let now = Instant::now();
         let mut inner = self.inner.lock().expect("breaker bank poisoned");
         let Some(b) = inner.get_mut(&tenant) else {
@@ -193,9 +187,6 @@ impl BreakerBank {
     /// failed with a contained fault; `probe` echoes what
     /// [`admit`](Self::admit) returned for it.
     pub fn record(&self, tenant: TenantId, fault: bool, probe: bool) {
-        if !self.config.enabled {
-            return;
-        }
         let now = Instant::now();
         let mut inner = self.inner.lock().expect("breaker bank poisoned");
         if inner.len() > PRUNE_ABOVE {
@@ -253,9 +244,6 @@ impl BreakerBank {
     /// ever ran. Without this the slot would leak and the breaker could
     /// wedge half-open.
     pub fn release_probe(&self, tenant: TenantId) {
-        if !self.config.enabled {
-            return;
-        }
         let mut inner = self.inner.lock().expect("breaker bank poisoned");
         if let Some(b) = inner.get_mut(&tenant) {
             if b.state == BreakerState::HalfOpen {
@@ -295,7 +283,6 @@ mod tests {
 
     fn bank(threshold: u32, cooldown_ms: u64) -> BreakerBank {
         BreakerBank::new(BreakerConfig {
-            enabled: true,
             window: 8,
             threshold,
             cooldown: Duration::from_millis(cooldown_ms),
@@ -376,15 +363,5 @@ mod tests {
         bank.record(4, true, false);
         assert_eq!(bank.state(4), BreakerState::Open, "still quarantined");
         assert_eq!(bank.stats().opens(), 1);
-    }
-
-    #[test]
-    fn disabled_bank_admits_everything() {
-        let bank = BreakerBank::new(BreakerConfig { enabled: false, ..BreakerConfig::default() });
-        for _ in 0..100 {
-            assert_eq!(bank.admit(1), Ok(false));
-            bank.record(1, true, false);
-        }
-        assert_eq!(bank.state(1), BreakerState::Closed);
     }
 }

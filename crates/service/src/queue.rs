@@ -24,6 +24,9 @@ use std::time::{Duration, Instant};
 use crate::error::ServiceError;
 use crate::request::TenantId;
 
+/// Base client backoff hint, ms; scaled up as the queue fills.
+const BASE_RETRY_MS: u64 = 5;
+
 /// Admission policy.
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionConfig {
@@ -31,8 +34,6 @@ pub struct AdmissionConfig {
     pub capacity: usize,
     /// Maximum fraction of the queue one tenant may hold, in `(0, 1]`.
     pub tenant_share: f64,
-    /// Base client backoff hint; scaled up as the queue fills.
-    pub base_retry_ms: u64,
     /// Seed for the deterministic retry-hint jitter. Rejected clients
     /// that share a clock would otherwise retry in lockstep; the jitter
     /// spreads each hint into `[hint, 1.5 × hint]` while keeping a whole
@@ -42,12 +43,7 @@ pub struct AdmissionConfig {
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
-        AdmissionConfig {
-            capacity: 256,
-            tenant_share: 0.25,
-            base_retry_ms: 5,
-            jitter_seed: 0x9e37_79b9_7f4a_7c15,
-        }
+        AdmissionConfig { capacity: 256, tenant_share: 0.25, jitter_seed: 0x9e37_79b9_7f4a_7c15 }
     }
 }
 
@@ -179,7 +175,7 @@ impl<T> AdmissionQueue<T> {
     /// scaled value is the floor: jitter only ever adds.
     fn retry_hint(&self, depth: usize) -> u64 {
         let pressure = depth as f64 / self.config.capacity.max(1) as f64;
-        let scaled = (self.config.base_retry_ms as f64 * (1.0 + 3.0 * pressure)).ceil() as u64;
+        let scaled = (BASE_RETRY_MS as f64 * (1.0 + 3.0 * pressure)).ceil() as u64;
         scaled + self.next_jitter() % (scaled / 2 + 1)
     }
 
@@ -292,7 +288,6 @@ mod tests {
         AdmissionQueue::new(AdmissionConfig {
             capacity,
             tenant_share: share,
-            base_retry_ms: 5,
             ..AdmissionConfig::default()
         })
     }
@@ -319,7 +314,6 @@ mod tests {
                 capacity: 4,
                 tenant_share: 1.0,
                 jitter_seed: seed,
-                ..AdmissionConfig::default()
             });
             for i in 0..4 {
                 queue.offer(u64::from(i), i).unwrap();

@@ -6,12 +6,18 @@
 //! admit (or reject with a backoff hint) — and everything cryptographic
 //! happens on the workers.
 //!
-//! **Degradation, not death.** Every execution runs under
-//! `catch_unwind`. A packed batch that fails for any reason is *not*
-//! failed wholesale: the server re-runs its members as singletons, so a
-//! fault riding on one member costs exactly that member. A singleton
-//! failure produces a structured error back to its submitter plus a
-//! flight-recorder `fault_dump` when the failure is one of the
+//! **One execution path.** A worker packs what it takes from the queue
+//! into batches — same-tenant, same-program CKKS requests share one
+//! ciphertext; a cold tenant's request or a TFHE gate is a batch of one —
+//! and every batch, of either scheme and any size, runs through the same
+//! function: deadline gate, manifest gate, key fetch, supervisor stash,
+//! the scheme's executor under `catch_unwind`, reply.
+//!
+//! **Degradation, not death.** A packed batch that fails for any reason
+//! is *not* failed wholesale: the server re-runs each member as a batch of
+//! its own, so a fault riding on one member costs exactly that member. A
+//! one-member failure produces a structured error back to its submitter
+//! plus a flight-recorder `fault_dump` when the failure is one of the
 //! containment lattice's classes — and the server keeps serving.
 //!
 //! **Liveness, not just correctness.** Three resilience mechanisms ride
@@ -67,34 +73,30 @@ use crate::supervise::{Supervisor, SupervisorConfig, WorkerHealth};
 /// How long an idle worker waits on the queue before rechecking for
 /// shutdown.
 const WORKER_POLL: Duration = Duration::from_millis(20);
+/// Tenants whose eval keys stay resident.
+const KEY_CACHE_CAPACITY: usize = 128;
+/// Most requests one batch holds.
+const MAX_BATCH: usize = 8;
+/// Distinct tenants tracked with their own latency histogram (first come;
+/// the rest are not tracked).
+const LATENCY_TENANTS: usize = 64;
 
-/// Server configuration.
+/// Server configuration: what a caller chooses. The key cache holds
+/// 128 tenants, a batch at most 8 requests, TFHE runs at
+/// [`TfheParams::toy`], and a request submitted without a deadline never
+/// expires.
 pub struct ServerConfig {
     /// Worker threads.
     pub workers: usize,
     /// Admission policy.
     pub admission: AdmissionConfig,
-    /// Tenants whose eval keys stay resident.
-    pub key_cache_capacity: usize,
-    /// Whether to coalesce same-tenant same-program CKKS requests.
-    pub packing: bool,
-    /// Max members per packed batch.
-    pub max_batch: usize,
     /// Server seed: tenant keys and per-request encryption randomness
     /// derive from it, so a trace replays bit-identically.
     pub seed: u64,
     /// CKKS ring parameters.
     pub params: CkksParams,
-    /// TFHE parameters.
-    pub tfhe: TfheParams,
-    /// Distinct tenants tracked with their own latency histogram
-    /// (first-come; the rest are not tracked).
-    pub latency_tenants: usize,
     /// Telemetry handle workers record into.
     pub telemetry: telemetry::Telemetry,
-    /// Deadline applied to requests submitted without an explicit one
-    /// (`None`: such requests never expire).
-    pub default_deadline: Option<Duration>,
     /// Watchdog policy.
     pub supervisor: SupervisorConfig,
     /// Per-tenant circuit-breaker policy.
@@ -109,15 +111,9 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 4,
             admission: AdmissionConfig::default(),
-            key_cache_capacity: 128,
-            packing: true,
-            max_batch: 8,
             seed: 0xA1C4_E157_5E1D_0001,
             params: CkksParams::toy().expect("toy params construct"),
-            tfhe: TfheParams::toy(),
-            latency_tenants: 64,
             telemetry: telemetry::Telemetry::enabled(),
-            default_deadline: None,
             supervisor: SupervisorConfig::default(),
             breaker: BreakerConfig::default(),
             ledger: None,
@@ -137,7 +133,7 @@ pub struct Completion {
     pub result: Result<Vec<f64>, ServiceError>,
     /// Submit-to-completion latency.
     pub latency: Duration,
-    /// Members in the batch this request executed in (1 = singleton).
+    /// Members in the batch this request executed in (1 = alone).
     pub batch_size: usize,
 }
 
@@ -168,13 +164,15 @@ pub struct StatsSnapshot {
     /// Failures the containment lattice classified (panic, checksum,
     /// budget, stall) — each also produced a flight `fault_dump`.
     pub faults_contained: u64,
-    /// Batches executed (packed or singleton).
+    /// Batches the workers formed and ran, one member or more; the
+    /// one-at-a-time re-runs of a failed batch's members are not counted.
     pub batches: u64,
     /// Batches with more than one member.
     pub packed_batches: u64,
     /// Members that rode in packed batches.
     pub packed_members: u64,
-    /// Packed batches that failed and were degraded to singletons.
+    /// Packed batches that failed and had their members re-run one at a
+    /// time.
     pub degraded_batches: u64,
     /// Requests that failed with `DeadlineExceeded`.
     pub deadline_expired: u64,
@@ -199,10 +197,10 @@ impl ServerStats {
     }
 }
 
-/// Per-tenant latency book: the first `cap` distinct tenants get a
-/// histogram each; the long tail is not tracked.
+/// Per-tenant latency book: the first [`LATENCY_TENANTS`] distinct
+/// tenants get a histogram each; the long tail is not tracked.
+#[derive(Default)]
 struct LatencyBook {
-    cap: usize,
     per_tenant: HashMap<TenantId, Histogram>,
 }
 
@@ -210,7 +208,7 @@ impl LatencyBook {
     fn record(&mut self, tenant: TenantId, ns: u64) {
         if let Some(h) = self.per_tenant.get_mut(&tenant) {
             h.record(ns);
-        } else if self.per_tenant.len() < self.cap {
+        } else if self.per_tenant.len() < LATENCY_TENANTS {
             self.per_tenant.entry(tenant).or_default().record(ns);
         }
     }
@@ -240,7 +238,6 @@ struct Inflight {
 
 struct Shared {
     ctx: CkksContext,
-    tfhe_params: TfheParams,
     queue: AdmissionQueue<Ticket>,
     cache: Mutex<KeyCache>,
     cache_stats: Arc<KeyCacheStats>,
@@ -248,12 +245,9 @@ struct Shared {
     latency: Mutex<LatencyBook>,
     tel: telemetry::Telemetry,
     sim: Simulator,
-    packing: bool,
-    max_batch: usize,
     seed: u64,
     closing: AtomicBool,
     next_id: AtomicU64,
-    default_deadline: Option<Duration>,
     sup: Supervisor<Inflight>,
     supervisor_cfg: SupervisorConfig,
     breaker: BreakerBank,
@@ -272,36 +266,29 @@ pub struct Server {
 }
 
 impl Server {
-    /// Builds the CKKS context, spawns the workers (and the watchdog,
-    /// when supervision is enabled), and starts serving.
+    /// Builds the CKKS context, spawns the workers and the watchdog, and
+    /// starts serving.
     ///
     /// # Errors
     ///
     /// [`ServiceError::Scheme`] if context construction fails.
     pub fn start(config: ServerConfig) -> Result<Self, ServiceError> {
         let ctx = CkksContext::new(config.params.clone())?;
-        let cache = KeyCache::new(config.key_cache_capacity, config.seed);
+        let cache = KeyCache::new(KEY_CACHE_CAPACITY, config.seed);
         let cache_stats = cache.stats();
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             ctx,
-            tfhe_params: config.tfhe,
             queue: AdmissionQueue::new(config.admission),
             cache: Mutex::new(cache),
             cache_stats,
             stats: ServerStats::default(),
-            latency: Mutex::new(LatencyBook {
-                cap: config.latency_tenants,
-                per_tenant: HashMap::new(),
-            }),
+            latency: Mutex::new(LatencyBook::default()),
             tel: config.telemetry,
             sim: Simulator::new(ArchConfig::paper()),
-            packing: config.packing,
-            max_batch: config.max_batch.max(1),
             seed: config.seed,
             closing: AtomicBool::new(false),
             next_id: AtomicU64::new(0),
-            default_deadline: config.default_deadline,
             sup: Supervisor::new(workers),
             supervisor_cfg: config.supervisor,
             breaker: BreakerBank::new(config.breaker),
@@ -316,18 +303,14 @@ impl Server {
                 handles.push(spawn_worker(&shared, idx, 0));
             }
         }
-        let watchdog = if config.supervisor.enabled {
+        let watchdog = {
             let shared = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("svc-watchdog".into())
-                    .spawn(move || watchdog_loop(&shared))
-                    .expect("spawn watchdog"),
-            )
-        } else {
-            None
+            std::thread::Builder::new()
+                .name("svc-watchdog".into())
+                .spawn(move || watchdog_loop(&shared))
+                .expect("spawn watchdog")
         };
-        Ok(Server { shared, watchdog })
+        Ok(Server { shared, watchdog: Some(watchdog) })
     }
 
     /// The server's CKKS context (tests encode expectations against it).
@@ -335,9 +318,8 @@ impl Server {
         &self.shared.ctx
     }
 
-    /// Validates, compiles, and admits a request under the server's
-    /// default deadline. Returns the channel its [`Completion`] will
-    /// arrive on.
+    /// Validates, compiles, and admits a request that never expires.
+    /// Returns the channel its [`Completion`] will arrive on.
     ///
     /// # Errors
     ///
@@ -345,7 +327,7 @@ impl Server {
     /// compiler, [`ServiceError::Rejected`] from admission or a
     /// quarantining breaker, [`ServiceError::Shutdown`] while draining.
     pub fn submit(&self, req: Request) -> Result<mpsc::Receiver<Completion>, ServiceError> {
-        self.submit_with_deadline(req, self.shared.default_deadline)
+        self.submit_with_deadline(req, None)
     }
 
     /// [`submit`](Self::submit) with an explicit deadline budget
@@ -572,6 +554,19 @@ fn deadlines_pack_compatible(a: &Ticket, b: &Ticket) -> bool {
     }
 }
 
+/// A ticket's width in the batch ciphertext's slots.
+fn slots_of(t: &Ticket) -> usize {
+    t.req.slots_needed().max(1)
+}
+
+/// A ticket's CKKS slot values (none for a TFHE gate).
+fn ckks_slots(t: &Ticket) -> &[f64] {
+    match &t.req.payload {
+        Payload::CkksSlots(v) => v,
+        Payload::TfheBits(_) => &[],
+    }
+}
+
 fn worker_loop(shared: &Arc<Shared>, idx: usize, generation: u64) {
     shared.sup.worker_started();
     loop {
@@ -579,21 +574,17 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize, generation: u64) {
         if shared.sup.generation(idx) != generation {
             break; // Replaced by the watchdog; a successor owns the slot.
         }
-        let group = if shared.packing {
-            shared.queue.take_group(WORKER_POLL, shared.max_batch, |head, cand| {
-                let base = head.0 == cand.0
-                    && head.1.req.scheme == Scheme::Ckks
-                    && cand.1.req.scheme == Scheme::Ckks
-                    && head.1.plan.fingerprint == cand.1.plan.fingerprint;
-                if base && !deadlines_pack_compatible(&head.1, &cand.1) {
-                    telemetry::count_named("service.pack.deadline_refusal", 1);
-                    return false;
-                }
-                base
-            })
-        } else {
-            shared.queue.take(WORKER_POLL).into_iter().collect()
-        };
+        let group = shared.queue.take_group(WORKER_POLL, MAX_BATCH, |head, cand| {
+            let base = head.0 == cand.0
+                && head.1.req.scheme == Scheme::Ckks
+                && cand.1.req.scheme == Scheme::Ckks
+                && head.1.plan.fingerprint == cand.1.plan.fingerprint;
+            if base && !deadlines_pack_compatible(&head.1, &cand.1) {
+                telemetry::count_named("service.pack.deadline_refusal", 1);
+                return false;
+            }
+            base
+        });
         if group.is_empty() {
             if shared.closing.load(Ordering::SeqCst) && shared.queue.is_empty() {
                 break;
@@ -601,20 +592,8 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize, generation: u64) {
             continue;
         }
         let tickets: Vec<Ticket> = group.into_iter().map(|(_, t)| t).collect();
-        let slot_capacity = shared.ctx.n() / 2;
-        let mut confiscated = false;
-        for batch in pack(tickets, |t| t.req.slots_needed().max(1), slot_capacity) {
-            if confiscated {
-                // We lost the slot mid-group: our successor owns it now,
-                // so hand the remainder back through the respond path.
-                for m in batch.members {
-                    respond(shared, m.item, Err(ServiceError::Shutdown), 1);
-                }
-                continue;
-            }
-            confiscated = !run_batch(shared, idx, generation, batch);
-        }
-        if confiscated {
+        let batches = pack(tickets, slots_of, shared.ctx.n() / 2);
+        if !run_batches(shared, idx, generation, batches, false) {
             break;
         }
     }
@@ -685,13 +664,42 @@ fn exec_rng(shared: &Shared, tenant: TenantId, fingerprint: u64, first_id: u64) 
     )
 }
 
-/// Executes one batch. Returns `false` when the watchdog confiscated
+/// Runs `batches` in order through [`run_batch`]. Returns `false` once
+/// the watchdog confiscated the worker's slot: every later batch is
+/// answered `Shutdown` (the successor owns the slot now) and the caller
+/// must exit its loop.
+fn run_batches(
+    shared: &Arc<Shared>,
+    idx: usize,
+    generation: u64,
+    batches: Vec<PackedBatch<Ticket>>,
+    rerun: bool,
+) -> bool {
+    let mut confiscated = false;
+    for batch in batches {
+        if confiscated {
+            for m in batch.members {
+                respond(shared, m.item, Err(ServiceError::Shutdown), 1);
+            }
+        } else {
+            confiscated = !run_batch(shared, idx, generation, batch, rerun);
+        }
+    }
+    !confiscated
+}
+
+/// Executes one batch of either scheme, from a lone request to a packed
+/// group. A packed batch that fails re-runs each member as a batch of
+/// its own through this same function; `rerun` marks those, which are
+/// not counted as new batches and run inside the failed batch's
+/// `service.batch` span. Returns `false` when the watchdog confiscated
 /// the worker's slot mid-execution — the caller must exit its loop.
 fn run_batch(
     shared: &Arc<Shared>,
     idx: usize,
     generation: u64,
     batch: PackedBatch<Ticket>,
+    rerun: bool,
 ) -> bool {
     // Deadline gate: expired members fail *before* any cryptographic
     // work (that is the point — an expired request must not occupy a
@@ -710,56 +718,52 @@ fn run_batch(
         return true;
     }
     let batch = PackedBatch { members: live, slots_used: batch.slots_used };
+    let size = batch.members.len();
 
-    shared.stats.batches.fetch_add(1, Ordering::Relaxed);
-    if batch.is_packed() {
-        shared.stats.packed_batches.fetch_add(1, Ordering::Relaxed);
-        shared.stats.packed_members.fetch_add(batch.members.len() as u64, Ordering::Relaxed);
-        shared.tel.count_named("service.batch.packed", 1);
-    }
+    let _batch_span = if rerun {
+        None
+    } else {
+        shared.stats.batches.fetch_add(1, Ordering::Relaxed);
+        if batch.is_packed() {
+            shared.stats.packed_batches.fetch_add(1, Ordering::Relaxed);
+            shared.stats.packed_members.fetch_add(size as u64, Ordering::Relaxed);
+            shared.tel.count_named("service.batch.packed", 1);
+        }
+        Some(shared.tel.span("service.batch"))
+    };
     let head = &batch.members[0].item;
     let tenant = head.req.tenant;
 
-    // The schedule-integrity gate: the plan's manifest must still match
-    // its steps before anything cryptographic happens.
-    if let Err(e) = shared.sim.run_checked(&head.plan.steps, &head.plan.manifest) {
-        let err = ServiceError::PlanIntegrity { detail: e.to_string() };
-        for m in batch.members {
-            respond(shared, m.item, Err(err.clone()), 1);
-        }
-        return true;
-    }
-
-    if head.req.scheme == Scheme::Tfhe || !batch.is_packed() {
-        // TFHE never packs; a lone CKKS request runs the singleton path.
-        for m in batch.members {
-            if !run_singleton(shared, idx, generation, m.item) {
-                return false;
+    // The schedule-integrity gate — the plan's manifest must still match
+    // its steps before anything cryptographic happens — then the
+    // tenant's keys for the batch's scheme.
+    let keys = shared
+        .sim
+        .run_checked(&head.plan.steps, &head.plan.manifest)
+        .map_err(|e| ServiceError::PlanIntegrity { detail: e.to_string() })
+        .and_then(|_| {
+            let mut cache = shared.cache.lock().expect("key cache poisoned");
+            match head.req.scheme {
+                Scheme::Ckks => cache.get_ckks(tenant, &shared.ctx),
+                Scheme::Tfhe => cache.get_tfhe(tenant, &shared.ctx, &TfheParams::toy()),
             }
-        }
-        return true;
-    }
-
-    let keys = {
-        let mut cache = shared.cache.lock().expect("key cache poisoned");
-        match cache.get_ckks(tenant, &shared.ctx) {
-            Ok(k) => k,
-            Err(e) => {
-                for m in batch.members {
-                    respond(shared, m.item, Err(e.clone()), 1);
-                }
-                return true;
+        });
+    let keys = match keys {
+        Ok(keys) => keys,
+        Err(e) => {
+            for m in batch.members {
+                respond(shared, m.item, Err(e.clone()), 1);
             }
+            return true;
         }
     };
-    let slots = combined_payload(&batch, |t| match &t.req.payload {
-        Payload::CkksSlots(v) => v.as_slice(),
-        Payload::TfheBits(_) => &[],
-    });
+    let payload = match &head.req.payload {
+        Payload::CkksSlots(_) => Payload::CkksSlots(combined_payload(&batch, ckks_slots)),
+        bits @ Payload::TfheBits(_) => bits.clone(),
+    };
     let (fault, fault_id) = batch_fault(&batch);
     let plan = Arc::clone(&head.plan);
     let mut rng = exec_rng(shared, tenant, plan.fingerprint, head.id);
-    let size = batch.members.len();
 
     // Stash the members in the supervision slot: from here until `end`,
     // the watchdog can confiscate and answer them if we stall.
@@ -772,121 +776,58 @@ fn run_batch(
         return false;
     }
 
-    let _batch_span = shared.tel.span("service.batch");
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        execute_ckks(&shared.ctx, &keys, &plan, &slots, fault, fault_id, &mut rng, &shared.closing)
-    }));
-
-    let Some(inflight) = shared.sup.end(idx, generation) else {
-        return false; // Confiscated: the watchdog already answered them.
-    };
-    match outcome {
-        Ok(Ok(values)) => {
-            for (ticket, range) in inflight.items {
-                let out = values[range].to_vec();
-                respond(shared, ticket, Ok(out), size);
-            }
-            true
-        }
-        Ok(Err(_)) | Err(_) => {
-            // Degrade, don't die: the batch failed as a unit, so re-run
-            // each member alone. Only the faulted member fails again;
-            // the flight dump fires on that singleton failure, not here.
-            shared.stats.degraded_batches.fetch_add(1, Ordering::Relaxed);
-            shared.tel.count_named("service.batch.degraded", 1);
-            for (ticket, _range) in inflight.items {
-                if !run_singleton(shared, idx, generation, ticket) {
-                    return false;
-                }
-            }
-            true
-        }
-    }
-}
-
-/// Executes one request alone. Returns `false` on confiscation, like
-/// [`run_batch`].
-fn run_singleton(shared: &Arc<Shared>, idx: usize, generation: u64, ticket: Ticket) -> bool {
-    if let Some(expired_by_ms) = expired_by(ticket.deadline, Instant::now()) {
-        respond(shared, ticket, Err(ServiceError::DeadlineExceeded { expired_by_ms }), 1);
-        return true;
-    }
-    let tenant = ticket.req.tenant;
-    let id = ticket.id;
-    let plan = Arc::clone(&ticket.plan);
-    let fault = ticket.req.fault;
-    let mut rng = exec_rng(shared, tenant, plan.fingerprint, id);
-
-    enum Work {
-        Ckks(Vec<f64>),
-        Tfhe(Vec<bool>),
-    }
-    let (keys, work) = match ticket.req.scheme {
-        Scheme::Ckks => {
-            let keys = {
-                let mut cache = shared.cache.lock().expect("key cache poisoned");
-                match cache.get_ckks(tenant, &shared.ctx) {
-                    Ok(k) => k,
-                    Err(e) => {
-                        respond(shared, ticket, Err(e), 1);
-                        return true;
-                    }
-                }
-            };
-            let Payload::CkksSlots(ref v) = ticket.req.payload else { unreachable!() };
-            (keys, Work::Ckks(v.clone()))
-        }
-        Scheme::Tfhe => {
-            let keys = {
-                let mut cache = shared.cache.lock().expect("key cache poisoned");
-                match cache.get_tfhe(tenant, &shared.ctx, &shared.tfhe_params) {
-                    Ok(k) => k,
-                    Err(e) => {
-                        respond(shared, ticket, Err(e), 1);
-                        return true;
-                    }
-                }
-            };
-            let Payload::TfheBits(ref b) = ticket.req.payload else { unreachable!() };
-            (keys, Work::Tfhe(b.clone()))
-        }
-    };
-
-    let stash = Inflight { items: vec![(ticket, 0..0)], batch_size: 1 };
-    if let Err(inflight) = shared.sup.begin(idx, generation, stash) {
-        for (t, _range) in inflight.items {
-            respond(shared, t, Err(ServiceError::Shutdown), 1);
-        }
-        return false;
-    }
-
-    let outcome = catch_unwind(AssertUnwindSafe(|| match &work {
-        Work::Ckks(slots) => {
-            execute_ckks(&shared.ctx, &keys, &plan, slots, fault, id, &mut rng, &shared.closing)
-        }
-        Work::Tfhe(bits) => {
+    let outcome = catch_unwind(AssertUnwindSafe(|| match &payload {
+        Payload::CkksSlots(slots) => execute_ckks(
+            &shared.ctx,
+            &keys,
+            &plan,
+            slots,
+            fault,
+            fault_id,
+            &mut rng,
+            &shared.closing,
+        ),
+        Payload::TfheBits(bits) => {
             let (ck, sk) = keys.tfhe.as_ref().expect("tfhe keys present");
             execute_tfhe(ck, sk, &plan, bits, fault, &mut rng, &shared.closing)
         }
     }));
 
-    let Some(mut inflight) = shared.sup.end(idx, generation) else {
-        return false;
+    let Some(Inflight { mut items, .. }) = shared.sup.end(idx, generation) else {
+        return false; // Confiscated: the watchdog already answered them.
     };
-    let (ticket, _range) = inflight.items.pop().expect("singleton stash holds its ticket");
-    let result = match outcome {
-        Ok(r) => r,
-        Err(payload) => {
-            let detail = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".into());
-            Err(ServiceError::WorkerPanic { detail })
+    let result = outcome.unwrap_or_else(|payload| {
+        let detail = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into());
+        Err(ServiceError::WorkerPanic { detail })
+    });
+    match result {
+        Ok(values) if size > 1 => {
+            for (ticket, range) in items {
+                respond(shared, ticket, Ok(values[range].to_vec()), size);
+            }
+            true
         }
-    };
-    respond(shared, ticket, result, 1);
-    true
+        Err(_) if size > 1 => {
+            // Degrade, don't die: the batch failed as a unit, so re-run
+            // each member alone. Only the faulted member fails again; the
+            // flight dump fires on that failure, not here.
+            shared.stats.degraded_batches.fetch_add(1, Ordering::Relaxed);
+            shared.tel.count_named("service.batch.degraded", 1);
+            let members = items.into_iter().map(|(ticket, _range)| ticket).collect();
+            // Capacity 0: `pack` gives every member a batch of its own.
+            run_batches(shared, idx, generation, pack(members, slots_of, 0), true)
+        }
+        // A lone member takes the whole output, uncopied, or the error.
+        result => {
+            let (ticket, _range) = items.pop().expect("the stash holds the batch");
+            respond(shared, ticket, result, 1);
+            true
+        }
+    }
 }
 
 fn respond(

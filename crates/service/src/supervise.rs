@@ -27,8 +27,6 @@ use std::time::{Duration, Instant};
 /// Watchdog policy.
 #[derive(Debug, Clone, Copy)]
 pub struct SupervisorConfig {
-    /// Whether the watchdog thread runs at all.
-    pub enabled: bool,
     /// How often the watchdog scans the worker slots.
     pub interval: Duration,
     /// How long a worker may stay busy on one batch before its in-flight
@@ -39,7 +37,6 @@ pub struct SupervisorConfig {
 impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
-            enabled: true,
             interval: Duration::from_millis(250),
             // Toy-parameter batches finish in milliseconds; ten seconds
             // of silence from one worker is unambiguously a hang.

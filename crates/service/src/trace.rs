@@ -3,7 +3,7 @@
 //! `serve_*` workloads consume.
 //!
 //! The trace models the workload the service is built for: a huge
-//! tenant id space (default one million) with a hot set — a few dozen
+//! tenant id space (one million) with a hot set — a few dozen
 //! tenants producing 90 % of the traffic — issuing small requests drawn
 //! from a fixed template set. The skew is what makes the tentpole
 //! mechanisms earn their keep: hot tenants repeat `(tenant, program)`
@@ -27,21 +27,22 @@ use crate::error::ServiceError;
 use crate::request::{FaultFlag, OpKind, Payload, Request, Scheme, TenantId};
 use crate::server::{Completion, Server, TenantLatencyRow};
 
+/// Tenant id space: ids are drawn from `[0, TENANT_SPACE)`.
+const TENANT_SPACE: u64 = 1_000_000;
+/// Slots per CKKS request.
+const SLOTS_PER_REQUEST: usize = 8;
+/// Fraction of TFHE requests (the rest are CKKS).
+const TFHE_FRACTION: f64 = 0.02;
+
 /// Trace shape.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceConfig {
     /// Requests to generate.
     pub requests: u64,
-    /// Tenant id space (ids are drawn from `[0, tenant_space)`).
-    pub tenant_space: u64,
     /// Size of the hot set (ids `[0, hot_tenants)`).
     pub hot_tenants: u64,
     /// Fraction of traffic from the hot set.
     pub hot_fraction: f64,
-    /// Slots per CKKS request.
-    pub slots_per_request: usize,
-    /// Fraction of TFHE requests (the rest are CKKS).
-    pub tfhe_fraction: f64,
     /// Inject one fault every N requests (0 = none), cycling through
     /// the lattice's classes.
     pub fault_every: u64,
@@ -53,11 +54,8 @@ impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
             requests: 512,
-            tenant_space: 1_000_000,
             hot_tenants: 64,
             hot_fraction: 0.9,
-            slots_per_request: 8,
-            tfhe_fraction: 0.02,
             fault_every: 0,
             seed: 0x7e1e_ca57,
         }
@@ -178,9 +176,9 @@ pub fn generate(cfg: &TraceConfig) -> Vec<TraceEntry> {
             let tenant: TenantId = if rng.gen::<f64>() < cfg.hot_fraction {
                 rng.gen_range(0..cfg.hot_tenants.max(1))
             } else {
-                rng.gen_range(cfg.hot_tenants..cfg.tenant_space.max(cfg.hot_tenants + 1))
+                rng.gen_range(cfg.hot_tenants..TENANT_SPACE.max(cfg.hot_tenants + 1))
             };
-            let template = if rng.gen::<f64>() < cfg.tfhe_fraction {
+            let template = if rng.gen::<f64>() < TFHE_FRACTION {
                 Template::TfheNand
             } else {
                 ckks_templates[rng.gen_range(0..ckks_templates.len())]
@@ -200,9 +198,7 @@ pub fn generate(cfg: &TraceConfig) -> Vec<TraceEntry> {
             let payload = if template.is_tfhe() {
                 Payload::TfheBits(vec![rng.gen::<f64>() < 0.5, rng.gen::<f64>() < 0.5])
             } else {
-                Payload::CkksSlots(
-                    (0..cfg.slots_per_request).map(|_| rng.gen::<f64>() * 0.5).collect(),
-                )
+                Payload::CkksSlots((0..SLOTS_PER_REQUEST).map(|_| rng.gen::<f64>() * 0.5).collect())
             };
             let scheme = if template.is_tfhe() { Scheme::Tfhe } else { Scheme::Ckks };
             TraceEntry {
@@ -251,7 +247,7 @@ pub struct TraceReport {
     pub batches: u64,
     /// Members per batch, averaged (1.0 = no packing benefit).
     pub pack_ratio: f64,
-    /// Packed batches degraded to singletons by a failure.
+    /// Packed batches whose members a failure sent back one at a time.
     pub degraded_batches: u64,
     /// Busiest tenants: `(tenant, completions, p50 ns, p99 ns)`.
     pub top_tenants: Vec<TenantLatencyRow>,

@@ -113,11 +113,33 @@ fn each_fault_class_fails_exactly_one_request_with_one_dump() {
     assert_one_contained(&done, 1, |e| matches!(e, ServiceError::IntegrityViolation { .. }));
     assert_eq!(dump_count(&dir), 3);
 
+    // No batch-mates: a lone CKKS request and a TFHE gate, each alone in
+    // the queue, fail on the one-member path with their panic classified.
+    let injected_panic = |e: &ServiceError| matches!(e, ServiceError::WorkerPanic { detail } if detail == INJECTED_SERVICE_PANIC);
+    let nand = Request {
+        tenant: 9,
+        scheme: Scheme::Tfhe,
+        ops: vec![
+            OpKind::Input,
+            OpKind::Input,
+            OpKind::Mul { a: 0, b: 1 },
+            OpKind::Negate { arg: 2 },
+        ],
+        payload: Payload::TfheBits(vec![true, false]),
+        fault: FaultFlag::WorkerPanic,
+    };
+    for (lone, dumps) in [(quad(9, FaultFlag::WorkerPanic), 4), (nand, 5)] {
+        let done = submit_all(&server, vec![lone]);
+        assert_eq!(done[0].batch_size, 1, "ran alone");
+        assert_one_contained(&done, 0, injected_panic);
+        assert_eq!(dump_count(&dir), dumps);
+    }
+
     // Degradation, not death: the server still answers afterwards.
     let done = submit_all(&server, vec![quad(8, FaultFlag::None)]);
     assert!((done[0].result.as_ref().unwrap()[0] - 3.25).abs() < 1e-2);
 
-    let faulted = 3;
+    let faulted = 5;
     let stats = server.finish();
     assert_eq!(stats.failed, faulted, "only the faulted requests failed");
     assert_eq!(stats.faults_contained, faulted, "every failure was classified");

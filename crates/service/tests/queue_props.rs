@@ -13,12 +13,8 @@ use service::{AdmissionConfig, AdmissionQueue, Server, ServerConfig, ServiceErro
 #[test]
 fn depth_and_share_invariants_hold_under_random_traffic() {
     for seed in 0..8u64 {
-        let cfg = AdmissionConfig {
-            capacity: 32,
-            tenant_share: 0.25,
-            base_retry_ms: 5,
-            ..AdmissionConfig::default()
-        };
+        let cfg =
+            AdmissionConfig { capacity: 32, tenant_share: 0.25, ..AdmissionConfig::default() };
         let cap = cfg.tenant_cap();
         let queue: AdmissionQueue<u64> = AdmissionQueue::new(cfg);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -62,12 +58,7 @@ fn depth_and_share_invariants_hold_under_random_traffic() {
 
 #[test]
 fn full_queue_rejects_immediately_with_max_pressure_hint() {
-    let cfg = AdmissionConfig {
-        capacity: 16,
-        tenant_share: 1.0,
-        base_retry_ms: 5,
-        ..AdmissionConfig::default()
-    };
+    let cfg = AdmissionConfig { capacity: 16, tenant_share: 1.0, ..AdmissionConfig::default() };
     let queue: AdmissionQueue<u64> = AdmissionQueue::new(cfg);
     for i in 0..16 {
         queue.offer(i, i).unwrap();
@@ -102,12 +93,8 @@ fn full_queue_rejects_immediately_with_max_pressure_hint() {
 #[test]
 fn flooding_tenant_saturates_at_share_while_tail_is_admitted() {
     for seed in 0..4u64 {
-        let cfg = AdmissionConfig {
-            capacity: 40,
-            tenant_share: 0.25,
-            base_retry_ms: 5,
-            ..AdmissionConfig::default()
-        };
+        let cfg =
+            AdmissionConfig { capacity: 40, tenant_share: 0.25, ..AdmissionConfig::default() };
         let cap = cfg.tenant_cap(); // 10 slots
         let queue: AdmissionQueue<u64> = AdmissionQueue::new(cfg);
         let mut rng = ChaCha8Rng::seed_from_u64(0xFA1A + seed);
@@ -164,7 +151,6 @@ fn server_submit_rejects_flooder_with_retry_hint() {
         admission: AdmissionConfig {
             capacity: 8,
             tenant_share: 0.25,
-            base_retry_ms: 5,
             ..AdmissionConfig::default()
         },
         ..ServerConfig::default()

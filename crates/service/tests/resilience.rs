@@ -51,7 +51,6 @@ fn stalled_worker_is_confiscated_dumped_and_respawned() {
         workers,
         telemetry: tel,
         supervisor: SupervisorConfig {
-            enabled: true,
             interval: Duration::from_millis(10),
             stall_timeout: Duration::from_millis(30),
         },
@@ -121,7 +120,6 @@ fn poisonous_tenant_is_quarantined_and_recovers_through_probes() {
     let server = Server::start(ServerConfig {
         workers: 2,
         breaker: BreakerConfig {
-            enabled: true,
             window: 8,
             threshold: 2,
             cooldown: Duration::from_millis(80),
@@ -193,20 +191,4 @@ fn deadlines_expire_before_work_and_generous_ones_complete() {
     let stats = server.finish();
     assert_eq!(stats.deadline_expired, 1);
     assert_eq!(stats.completed_ok, 1);
-}
-
-#[test]
-fn default_deadline_applies_to_plain_submit() {
-    let server = Server::start(ServerConfig {
-        workers: 1,
-        default_deadline: Some(Duration::ZERO),
-        ..Default::default()
-    })
-    .unwrap();
-    let done = server.submit(quad(6, FaultFlag::None)).unwrap().recv().unwrap();
-    assert!(
-        matches!(done.result, Err(ServiceError::DeadlineExceeded { .. })),
-        "the configured default deadline must apply to submit()"
-    );
-    server.finish();
 }

@@ -66,7 +66,6 @@ fn drop_mid_stall_and_mid_respawn_loses_nothing() {
         let server = Server::start(ServerConfig {
             workers: 2,
             supervisor: SupervisorConfig {
-                enabled: true,
                 interval: Duration::from_millis(10),
                 stall_timeout: Duration::from_millis(40),
             },

@@ -13,8 +13,8 @@
 //! increments, per-span time, histogram count/sum, gauges), i.e. a
 //! ready-to-plot time series.
 //!
-//! Gauge sources exist because instantaneous readings (per-worker busy
-//! nanoseconds from `fhe_math::par`, queue depths) live outside the
+//! Gauge sources exist because instantaneous readings (a server's queue
+//! depths, in-flight counts and worker-pool strength) live outside the
 //! telemetry crate; a source is any `FnMut` that appends `(name, value)`
 //! pairs at sample time.
 
