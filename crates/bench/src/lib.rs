@@ -245,14 +245,20 @@ pub fn telemetry_from_args(args: &BenchArgs) -> telemetry::Telemetry {
 }
 
 /// Records the facts needed to interpret a trace captured on another
-/// machine: worker-thread budget, physical memory, and the producing git
+/// machine: hardware threads, physical memory, and the producing git
 /// commit.
 pub fn stamp_host_meta(tel: &telemetry::Telemetry) {
-    tel.set_meta("host.threads", &fhe_math::par::max_threads().to_string());
+    tel.set_meta("host.threads", &host_threads().to_string());
     if let Some(mb) = mem_total_mb() {
         tel.set_meta("host.mem_total_mb", &mb.to_string());
     }
     tel.set_meta("git.commit", &git_commit());
+}
+
+/// Hardware threads this process may run on
+/// ([`std::thread::available_parallelism`]; 1 when it cannot be read).
+pub fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Physical memory of this host in megabytes: `MemTotal` from

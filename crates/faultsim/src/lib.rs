@@ -11,16 +11,14 @@
 //!   ciphertext through the sanctioned corruption surface
 //!   (`components_mut`, which deliberately does not reseal). Caught by the
 //!   per-limb integrity checksum at scheme-API boundaries
-//!   (`ckks.eval`/`ckks.decrypt`/…). With checksums disabled only a flip
-//!   that leaves a residue non-canonical is caught, as a typed error: the
-//!   CKKS noise budget follows the tracked scale, which a flip cannot move.
+//!   (`ckks.eval`/`ckks.decrypt`/…).
 //! * [`FaultClass::Transfer`] — drops, duplicates, or reorders one step of
 //!   a simulator schedule between planning and execution. Caught by the
 //!   [`alchemist_core::ScheduleManifest`] check in `run_checked`.
 //! * [`FaultClass::WorkerPanic`] — arms `fhe_math::par`'s one-shot panic
-//!   injector so a worker chunk dies inside a scheme operation. Caught by
-//!   per-chunk panic containment, which must surface exactly one typed
-//!   `WorkerPanic` error and leave the process usable.
+//!   injector so a kernel region's chunk dies inside a scheme operation.
+//!   Caught by per-chunk panic containment, which must surface exactly one
+//!   typed `WorkerPanic` error and leave the process usable.
 //!
 //! Campaigns follow the conformance fuzzer's repro discipline: every case
 //! is a pure function of `(class, seed, case)` using the same splitmix64
@@ -30,8 +28,8 @@
 //! The headline number is the **escape rate**: the fraction of injected
 //! faults that neither any detector caught nor turned out to be benign
 //! (the corruption was never consumed, e.g. an armed panic whose chunk
-//! never ran). With checksums on (the process default) the campaign expects
-//! an escape rate of exactly zero for all three classes.
+//! never ran). The campaign expects an escape rate of exactly zero for all
+//! three classes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -67,7 +65,7 @@ pub enum FaultClass {
     BitFlip,
     /// One schedule step dropped, duplicated, or reordered.
     Transfer,
-    /// One parallel worker chunk forced to panic mid-operation.
+    /// One kernel-region chunk forced to panic mid-operation.
     WorkerPanic,
 }
 
@@ -205,8 +203,8 @@ fn tfhe_multiplier() -> &'static NegacyclicMultiplier {
     MULT.get_or_init(|| NegacyclicMultiplier::new(64).expect("toy multiplier"))
 }
 
-/// Serializes cases that mutate the process-global `fhe_math::par` knobs
-/// (thread cap, adaptive threshold, panic injector).
+/// Serializes cases that arm the process-global `fhe_math::par` panic
+/// injector or swap the panic hook.
 fn par_knob_guard() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -393,8 +391,8 @@ fn worker_panic_ops() -> &'static [FaultOp] {
         let torus: Vec<u64> = (0..64u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
         match m.mul_int_torus(&ints, &torus) {
             Ok(_) => Ok(()),
-            Err(TfheError::Math(MathError::WorkerPanic { worker, chunk, payload })) => {
-                Err(format!("worker={worker} chunk={chunk} payload={payload}"))
+            Err(TfheError::Math(MathError::WorkerPanic { chunk, payload })) => {
+                Err(format!("chunk={chunk} payload={payload}"))
             }
             Err(e) => Err(format!("unexpected error kind: {e}")),
         }
@@ -409,8 +407,8 @@ fn worker_panic_ops() -> &'static [FaultOp] {
         let ct = fix.sk.encrypt(&fix.ctx, &pt, &mut crng).map_err(|e| format!("encrypt: {e}"))?;
         match ev.rescale(&ct) {
             Ok(_) => Ok(()),
-            Err(CkksError::Math(MathError::WorkerPanic { worker, chunk, payload })) => {
-                Err(format!("worker={worker} chunk={chunk} payload={payload}"))
+            Err(CkksError::Math(MathError::WorkerPanic { chunk, payload })) => {
+                Err(format!("chunk={chunk} payload={payload}"))
             }
             Err(e) => Err(format!("unexpected error kind: {e}")),
         }
@@ -421,7 +419,7 @@ fn worker_panic_ops() -> &'static [FaultOp] {
 /// Forces every lazily-initialized fixture outside the injection window.
 ///
 /// A `OnceLock` initializer running while the panic injector is armed
-/// would see its keygen's parallel region die, and the fixture's `expect`
+/// would see its keygen's kernel region die, and the fixture's `expect`
 /// turns that contained `WorkerPanic` into a real process panic (silenced
 /// by [`quiet_panics`], so the campaign used to die with no output when
 /// `--classes worker_panic` ran a cold-fixture op first).
@@ -440,17 +438,11 @@ fn worker_panic_case(mut rng: SplitMix64) -> Outcome {
     let (op_name, op) = ops[rng.below(ops.len() as u64) as usize];
     let chunk = rng.below(2) as usize;
 
-    // Force the threaded path at toy sizes: under `set_max_threads(4)` and
-    // `set_min_work(0)` a region of k ≥ 2 items splits into min(4, k)
-    // chunks and `join` runs its second side as chunk 1. A one-item region
-    // runs inline as chunk 0 alone.
-    par::set_min_work(0);
-    par::set_max_threads(4);
+    // Every region runs chunk 0; only `join` (the two-prime TFHE
+    // multiplier) runs a chunk 1, its second side.
     par::inject_worker_panic(chunk);
     let result = quiet_panics(op);
     let fired = !par::clear_injected_panic();
-    par::set_min_work(par::DEFAULT_MIN_WORK);
-    par::set_max_threads(0);
 
     let outcome = match (result, fired) {
         (Err(detail), _) if detail.contains(par::INJECTED_PANIC_PAYLOAD) => {
@@ -465,8 +457,8 @@ fn worker_panic_case(mut rng: SplitMix64) -> Outcome {
         }
         (Ok(()), false) => {
             // The op completed and the hook is still armed: no region of
-            // the op had that chunk (chunk 1 when every region ran inline
-            // or had one item). Nothing was corrupted.
+            // the op had that chunk (chunk 1 outside `join`). Nothing was
+            // corrupted.
             Outcome::Benign { detail: format!("{op_name} chunk {chunk}: injection never fired") }
         }
         (Ok(()), true) => Outcome::Escaped {
@@ -515,8 +507,6 @@ pub struct CampaignReport {
     /// Per-class tallies, in [`FaultClass::ALL`] order (restricted to the
     /// classes that ran).
     pub classes: Vec<(FaultClass, ClassSummary)>,
-    /// Whether the integrity checksum was active during the run.
-    pub checksum_enabled: bool,
 }
 
 impl CampaignReport {
@@ -563,11 +553,9 @@ impl CampaignReport {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"seed\":\"{:#018x}\",\"cases_per_class\":{},\"checksum_enabled\":{},\
-             \"escape_rate\":{},\"classes\":[",
+            "{{\"seed\":\"{:#018x}\",\"cases_per_class\":{},\"escape_rate\":{},\"classes\":[",
             self.seed,
             self.cases_per_class,
-            self.checksum_enabled,
             self.escape_rate()
         );
         for (i, (class, s)) in self.classes.iter().enumerate() {
@@ -611,10 +599,8 @@ impl CampaignReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "fault campaign: seed={:#018x}, {} cases/class, checksum {}",
-            self.seed,
-            self.cases_per_class,
-            if self.checksum_enabled { "on" } else { "off" }
+            "fault campaign: seed={:#018x}, {} cases/class",
+            self.seed, self.cases_per_class
         );
         for (class, s) in &self.classes {
             let dets: Vec<String> = s.detectors.iter().map(|(d, c)| format!("{d}:{c}")).collect();
@@ -674,12 +660,7 @@ pub fn run_campaign_classes(
         }
         out.push((class, s));
     }
-    let report = CampaignReport {
-        seed,
-        cases_per_class: cases,
-        classes: out,
-        checksum_enabled: fhe_math::checksum_enabled(),
-    };
+    let report = CampaignReport { seed, cases_per_class: cases, classes: out };
     report.record_telemetry(tel);
     report
 }
@@ -714,8 +695,8 @@ pub mod hooks {
         super::quiet_panics(f)
     }
 
-    /// Serializes mutation of the process-global `fhe_math::par` knobs
-    /// (thread cap, adaptive threshold, panic injector).
+    /// Serializes use of the process-global `fhe_math::par` panic injector
+    /// and panic hook.
     pub fn par_knob_guard() -> MutexGuard<'static, ()> {
         super::par_knob_guard()
     }
@@ -770,8 +751,8 @@ mod tests {
         let s = report.class(FaultClass::WorkerPanic).unwrap();
         assert_eq!(s.escaped, 0, "escapes: {:?}", s.escapes);
         assert_eq!(s.injected, CASES);
-        // The threaded path makes chunks 0 and 1 real; the injection must
-        // actually fire and be contained.
+        // Chunk 0 runs in every op; the injection must actually fire and be
+        // contained.
         assert!(
             s.detectors.get("panic-containment").copied().unwrap_or(0) > 0,
             "containment must fire: {s:?}"

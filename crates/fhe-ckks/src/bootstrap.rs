@@ -224,22 +224,17 @@ pub fn mod_raise(ctx: &CkksContext, ct: &Ciphertext) -> Result<Ciphertext, CkksE
         let mut base = p.channel(0).clone();
         base.to_coeff(ctx.table(0));
         let centered: Vec<i64> = base.coeffs().iter().map(|&x| q0.to_centered(x)).collect();
-        // Lift onto every chain channel in parallel (shared read-only input).
         let positions: Vec<usize> = (0..=top).collect();
-        let channels = par::par_map(
-            &positions,
-            crate::eval::ntt_work(ctx.n()),
-            |_, &c| -> Result<Poly, CkksError> {
-                let m = ctx.rns().moduli()[c];
-                let mut vals = vec![0u64; ctx.n()];
-                for (i, &x) in centered.iter().enumerate() {
-                    vals[i] = m.from_i64(x);
-                }
-                let mut poly = Poly::from_coeffs(vals, m)?;
-                poly.to_ntt(ctx.table(c));
-                Ok(poly)
-            },
-        )?
+        let channels = par::par_map(&positions, |_, &c| -> Result<Poly, CkksError> {
+            let m = ctx.rns().moduli()[c];
+            let mut vals = vec![0u64; ctx.n()];
+            for (i, &x) in centered.iter().enumerate() {
+                vals[i] = m.from_i64(x);
+            }
+            let mut poly = Poly::from_coeffs(vals, m)?;
+            poly.to_ntt(ctx.table(c));
+            Ok(poly)
+        })?
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
         Ok(fhe_math::RnsPoly::from_channels(channels)?)

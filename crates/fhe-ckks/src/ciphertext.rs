@@ -51,9 +51,8 @@ pub struct Ciphertext {
     c1: RnsPoly,
     level: usize,
     scale: f64,
-    /// Integrity checksum over `(c0, c1)`; `None` = never sealed
-    /// (checksums disabled at construction time).
-    seal: Option<u64>,
+    /// Integrity checksum over `(c0, c1)`.
+    seal: u64,
 }
 
 /// Equality is over the cryptographic payload only; the integrity seal is
@@ -73,7 +72,7 @@ impl Ciphertext {
     pub(crate) fn from_parts(c0: RnsPoly, c1: RnsPoly, level: usize, scale: f64) -> Self {
         assert_eq!(c0.num_channels(), level + 1, "c0 channel count must match level + 1");
         assert_eq!(c1.num_channels(), level + 1, "c1 channel count must match level + 1");
-        let seal = fhe_math::integrity::seal(&[&c0, &c1]);
+        let seal = fhe_math::integrity::rns_checksum(&[&c0, &c1]);
         Ciphertext { c0, c1, level, scale, seal }
     }
 
@@ -121,7 +120,7 @@ impl Ciphertext {
                 detail: format!("scale must be positive and finite, got {scale}"),
             });
         }
-        let seal = fhe_math::integrity::seal(&[&c0, &c1]);
+        let seal = fhe_math::integrity::rns_checksum(&[&c0, &c1]);
         Ok(Ciphertext { c0, c1, level, scale, seal })
     }
 
@@ -200,6 +199,6 @@ impl Ciphertext {
     /// (for legitimate out-of-band mutations via
     /// [`Ciphertext::components_mut`]).
     pub fn reseal(&mut self) {
-        self.seal = fhe_math::integrity::seal(&[&self.c0, &self.c1]);
+        self.seal = fhe_math::integrity::rns_checksum(&[&self.c0, &self.c1]);
     }
 }

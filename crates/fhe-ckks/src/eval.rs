@@ -64,11 +64,6 @@ use fhe_math::{
 };
 use std::borrow::Borrow;
 
-/// Work estimate (element-operations) for one `n`-point NTT channel.
-pub(crate) fn ntt_work(n: usize) -> u64 {
-    (n as u64) * u64::from(usize::BITS - n.leading_zeros())
-}
-
 /// Channel transforms issued by one public call, flushed to the
 /// `ckks.ntt.forward` / `ckks.ntt.inverse` counters when it returns.
 #[derive(Debug, Default)]
@@ -639,7 +634,7 @@ impl<'a> Evaluator<'a> {
         let n = self.ctx.n();
         let invs = &self.ctx.plans(level).rescale_inv;
         let positions: Vec<usize> = (0..level).collect();
-        let channels = par::par_map(&positions, ntt_work(n), |_, &c| {
+        let channels = par::par_map(&positions, |_, &c| {
             let m = self.ctx.rns().moduli()[c];
             let inv = invs[c];
             // Centered lift of the dropped residue for round-to-nearest;
@@ -730,7 +725,7 @@ impl<'a> Evaluator<'a> {
         for (i, (digit, (dst, plan))) in plans.digits.iter().zip(&plans.modup).enumerate() {
             // The digit's own channels, copied out of the NTT domain.
             take_pooled(&mut coeff, n, digit.len());
-            par::par_iter_mut(&mut coeff, ntt_work(n), |k, buf| {
+            par::par_iter_mut(&mut coeff, |k, buf| {
                 buf.copy_from_slice(d.at(digit[k]));
                 self.ctx.table(digit[k]).inverse(buf);
             })?;
@@ -743,7 +738,7 @@ impl<'a> Evaluator<'a> {
                 digits.ext[i * t + pos] = buf;
             }
         }
-        par::par_iter_mut(&mut digits.ext, ntt_work(n), |idx, buf| {
+        par::par_iter_mut(&mut digits.ext, |idx, buf| {
             if !buf.is_empty() {
                 self.ctx.table(self.ext_channel(level, idx % t)).forward_lazy(buf);
             }
@@ -764,9 +759,9 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Stage 2 (`DecompPolyMult`): `acc += Σ_i σ(digit_i) ⊙ key_i`, both
-    /// halves, every channel of `Q_level ∪ P` — channel-parallel (the
-    /// slot/channel partitioning of paper §5.3). `perm` is σ as an
-    /// NTT-domain gather; `None` is the identity.
+    /// halves, every channel of `Q_level ∪ P`, one channel at a time (each
+    /// independent, as in the slot/channel partitioning of paper §5.3).
+    /// `perm` is σ as an NTT-domain gather; `None` is the identity.
     fn mac_key<O: Channels + ?Sized>(
         &self,
         digits: &Digits<'_, O>,
@@ -778,8 +773,7 @@ impl<'a> Evaluator<'a> {
         let _t = telemetry::Timer::enter("ckks.keyswitch.key_mac");
         let t = digits.t;
         let (beta, level) = (digits.ext.len() / t, t - self.ctx.k_len() - 1);
-        let work = (beta as u64).saturating_mul(ntt_work(self.ctx.n())) / 4;
-        par::par_iter_mut(acc, work, |idx, out| {
+        par::par_iter_mut(acc, |idx, out| {
             let (half, pos) = (idx / t, idx % t);
             let gc = self.ext_channel(level, pos);
             let row = |i: usize| {
@@ -1085,16 +1079,15 @@ impl<'a> Evaluator<'a> {
         let mut c1 = Vec::with_capacity(t);
         for (r, terms) in groups {
             let sum = InnerSum::new(terms, &rotated, n, c, t);
-            let work = (terms.len() * n) as u64;
             if *r == 0 {
-                par::par_iter_mut(&mut acc, work, |idx, out| {
+                par::par_iter_mut(&mut acc, |idx, out| {
                     sum.mac_into(modulus(idx % t), idx / t, idx % t, out);
                 })?;
                 continue;
             }
             let (g, key) = self.rotation_key(*r, gk)?;
             let perm = galois_ntt_permutation(n, g)?;
-            par::par_iter_mut(&mut acc[..t], work, |pos, out| {
+            par::par_iter_mut(&mut acc[..t], |pos, out| {
                 let m = modulus(pos);
                 Scratch::with_thread_local(|s| {
                     let mut channel = s.take(n);
@@ -1110,7 +1103,7 @@ impl<'a> Evaluator<'a> {
             } else {
                 c1.iter_mut().for_each(|ch| ch.fill(0));
             }
-            par::par_iter_mut(&mut c1, work, |pos, out| sum.mac_into(modulus(pos), 1, pos, out))?;
+            par::par_iter_mut(&mut c1, |pos, out| sum.mac_into(modulus(pos), 1, pos, out))?;
             let (q, p) = c1.split_at_mut(c);
             let moddown = &self.ctx.plans(level).moddown;
             moddown.apply_ntt_into(&tables[..c], &tables[self.ctx.q_len()..], q, p)?;
@@ -1279,9 +1272,8 @@ mod tests {
 
     #[test]
     fn warmed_up_key_mac_and_moddown_allocate_nothing() {
-        // Stage 2 + 3 on a pooled accumulator. The toy ring stays under the
-        // parallel threshold, so this thread's scratch pool serves every
-        // buffer (a parallel region's workers own short-lived pools).
+        // Stage 2 + 3 on a pooled accumulator: this thread's scratch pool
+        // serves every buffer.
         let mut f = fixture();
         let ctx = &f.ctx;
         let sk = SecretKey::generate(ctx, &mut f.rng).unwrap();

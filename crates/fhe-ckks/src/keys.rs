@@ -18,7 +18,6 @@
 use std::collections::HashMap;
 
 use crate::ciphertext::{Ciphertext, Plaintext};
-use crate::eval::ntt_work;
 use crate::{CkksContext, CkksError};
 use fhe_math::{
     galois_ntt_permutation, par, sample_gaussian, sample_ternary, Domain, Poly, RnsPoly,
@@ -42,13 +41,12 @@ fn sample_uniform_ntt<R: Rng + ?Sized>(
 }
 
 /// Lifts signed coefficients onto the given channels and converts to NTT.
-/// Channel-parallel: the signed input is shared read-only.
 fn lift_signed_ntt(
     ctx: &CkksContext,
     coeffs: &[i64],
     channels: &[usize],
 ) -> Result<Vec<Poly>, CkksError> {
-    Ok(par::par_map(channels, ntt_work(ctx.n()), |_, &c| {
+    Ok(par::par_map(channels, |_, &c| {
         let m = ctx.rns().moduli()[c];
         let mut vals = vec![0u64; ctx.n()];
         for (i, &x) in coeffs.iter().enumerate() {
@@ -76,8 +74,8 @@ impl SecretKey {
     ///
     /// # Errors
     ///
-    /// Propagates contained worker panics from the channel-parallel NTT
-    /// lift (see [`fhe_math::par`]).
+    /// Propagates contained worker panics from the NTT lift (see
+    /// [`fhe_math::par`]).
     pub fn generate<R: Rng + ?Sized>(ctx: &CkksContext, rng: &mut R) -> Result<Self, CkksError> {
         let s_coeffs = sample_ternary(ctx.n(), rng);
         let all: Vec<usize> = (0..ctx.rns().moduli().len()).collect();
@@ -161,8 +159,7 @@ impl SecretKey {
         }
         let level = ct.level();
         let positions: Vec<usize> = (0..=level).collect();
-        let n = ct.c0().channel(0).coeffs().len();
-        let channels = par::par_map(&positions, n as u64, |_, &c| -> Result<Poly, CkksError> {
+        let channels = par::par_map(&positions, |_, &c| -> Result<Poly, CkksError> {
             let m = ct.c0().channel(c).modulus();
             // In place: as a `map` … `collect` LLVM auto-vectorizes this loop
             // into SSE2's emulated 64-bit multiplies, ×1.4 slower (DESIGN.md
@@ -303,10 +300,7 @@ impl SwitchKey {
             let noise = sample_gaussian(ctx.params().sigma(), ctx.n(), rng);
             let e_channels = lift_signed_ntt(ctx, &noise, &all)?;
 
-            // Channel-parallel: sampling happened above, so the b-side
-            // assembly is pure arithmetic over shared read-only inputs.
-            let n = ctx.n();
-            let b_channels = par::par_map(&all, n as u64, |pos, &c| -> Result<Poly, CkksError> {
+            let b_channels = par::par_map(&all, |pos, &c| -> Result<Poly, CkksError> {
                 let m = ctx.rns().moduli()[c];
                 let f = ctx.key_factor(digit, c);
                 let s = sk.s_channel(c);

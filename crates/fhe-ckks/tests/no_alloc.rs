@@ -2,9 +2,8 @@
 //! exactly.
 //!
 //! Counted with the tracking global allocator (`telemetry::alloc`) on one
-//! warmed-up call, the backend pinned to one thread so no per-worker
-//! scratch pool re-warms inside the count — the fixture and the `mul +
-//! rescale`, `encode` and `decode` numbers are the `ckks_*` rows
+//! warmed-up call — the fixture and the `mul + rescale`, `encode` and
+//! `decode` numbers are the `ckks_*` rows
 //! `bench_kernels --smoke --alloc-profile` prints. The `apply_bsgs` row is a
 //! layer whose diagonals are already encoded (`linear.rs`): a call that
 //! encoded its nine diagonals again would add nine encodes to it. Every
@@ -19,7 +18,6 @@ use fhe_ckks::linear::LinearTransform;
 use fhe_ckks::{
     CkksContext, CkksParams, Complex64, Encoder, Evaluator, GaloisKeys, RelinKey, SecretKey,
 };
-use fhe_math::par;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use telemetry::alloc::alloc_delta;
@@ -31,10 +29,8 @@ fn steady_state<R>(mut f: impl FnMut() -> R) -> (u64, u64) {
     (d.allocs, d.bytes)
 }
 
-// The only test in this binary: the thread cap is process-global.
 #[test]
 fn warmed_up_calls_allocate_exactly_their_budget() {
-    par::set_max_threads(1);
     let ctx = CkksContext::new(CkksParams::new(256, 3, 2, 36).unwrap()).unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(17);
     let sk = SecretKey::generate(&ctx, &mut rng).unwrap();

@@ -8,19 +8,16 @@
 //! pool up to that, inside its cap, so a repeated `apply_bsgs` misses
 //! nothing either.
 //!
-//! Its own binary with one test: `scratch_stats` is process-wide, and the
-//! thread cap is pinned to one so no parallel worker's short-lived pool
-//! runs.
+//! Its own binary with one test: `scratch_stats` is process-wide.
 
 use fhe_ckks::linear::LinearTransform;
 use fhe_ckks::{CkksContext, CkksParams, Complex64, Encoder, Evaluator, GaloisKeys, SecretKey};
-use fhe_math::{par, scratch_stats};
+use fhe_math::scratch_stats;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 #[test]
 fn warmed_hoisted_rotations_and_layers_miss_nothing_at_the_mlp_ring() {
-    par::set_max_threads(1);
     let ctx = CkksContext::new(CkksParams::new(1 << 12, 6, 3, 36).unwrap()).unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(19);
     let sk = SecretKey::generate(&ctx, &mut rng).unwrap();

@@ -56,14 +56,12 @@ pub enum MathError {
         /// Description of the invalid parameter.
         detail: String,
     },
-    /// A worker chunk of a parallel region panicked; the panic was contained
-    /// at the chunk boundary (see [`crate::par::ParError`]) and the region's
-    /// output is poisoned. The process itself remains healthy — subsequent
-    /// kernel calls are unaffected.
+    /// A chunk of a kernel region panicked; the panic was contained at the
+    /// chunk boundary (see [`crate::par::ParError`]) and the region's output
+    /// is poisoned. The process itself remains healthy — subsequent kernel
+    /// calls are unaffected.
     WorkerPanic {
-        /// Worker slot that executed the panicked chunk.
-        worker: usize,
-        /// Index of the panicked contiguous chunk.
+        /// Index of the panicked chunk (see [`crate::par::ParError::chunk`]).
         chunk: usize,
         /// Stringified panic payload.
         payload: String,
@@ -78,7 +76,7 @@ pub enum MathError {
 
 impl From<crate::par::ParError> for MathError {
     fn from(e: crate::par::ParError) -> Self {
-        MathError::WorkerPanic { worker: e.worker, chunk: e.chunk, payload: e.payload }
+        MathError::WorkerPanic { chunk: e.chunk, payload: e.payload }
     }
 }
 
@@ -102,8 +100,8 @@ impl fmt::Display for MathError {
                 write!(f, "{value} is not invertible modulo {modulus}")
             }
             MathError::InvalidParameter { detail } => write!(f, "invalid parameter: {detail}"),
-            MathError::WorkerPanic { worker, chunk, payload } => {
-                write!(f, "contained worker panic (worker {worker}, chunk {chunk}): {payload}")
+            MathError::WorkerPanic { chunk, payload } => {
+                write!(f, "contained worker panic (chunk {chunk}): {payload}")
             }
             MathError::IntegrityViolation { context } => {
                 write!(f, "integrity violation detected at {context}")

@@ -32,30 +32,18 @@
 //! Sealing/verifying is one mix + one multiply-add per limb — `O(L·n)`
 //! with a constant far below a single NTT butterfly stage; the four lanes
 //! exist so those multiply-adds overlap instead of forming one serial
-//! dependency chain through the whole ciphertext. It is still on
-//! the hot path of every evaluator call, so [`set_checksum_enabled`] flips
-//! a process-global runtime switch: the kernel bench binaries start with
-//! checksums disabled so their baselines stay checksum-free
-//! (`bench_kernels --checksum` opts in).
+//! dependency chain through the whole ciphertext. It is on the hot path of
+//! every evaluator call, in every build and every process: there is no
+//! switch to turn it off.
 
 use crate::{MathError, RnsPoly};
-use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Process-global runtime switch.
-static CHECKSUM_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Whether ciphertext checksums are currently active (the runtime switch,
-/// default on).
+/// Always `true`: every ciphertext is sealed and verified. Kept because the
+/// frozen `benchmark/` package reports it as a host fact.
 #[inline]
-pub fn checksum_enabled() -> bool {
-    CHECKSUM_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turns ciphertext sealing/verification on or off at runtime
-/// (process-global). Benchmarks disable it so hot-path measurements stay
-/// checksum-free; the fault campaign re-enables it per configuration.
-pub fn set_checksum_enabled(on: bool) {
-    CHECKSUM_ENABLED.store(on, Ordering::Relaxed);
+#[must_use]
+pub const fn checksum_enabled() -> bool {
+    true
 }
 
 /// splitmix64 finalizer: a bijective 64-bit mix (same constants the
@@ -95,8 +83,7 @@ fn roll_limbs(h: u64, limbs: &[u64]) -> u64 {
 
 /// Checksum of a set of RNS polynomials (e.g. the `(c0, c1)` pair of a
 /// ciphertext): covers every residue limb of every channel, the channel
-/// structure, and the domain, in order. Pure function of the data —
-/// independent of the runtime switch, so harnesses can always compute it.
+/// structure, and the domain, in order. Pure function of the data.
 pub fn rns_checksum(polys: &[&RnsPoly]) -> u64 {
     let mut h = 0xA1C4_0E57_u64; // domain-separation constant
     for p in polys {
@@ -109,37 +96,18 @@ pub fn rns_checksum(polys: &[&RnsPoly]) -> u64 {
     h
 }
 
-/// Seals data: returns its checksum when checksums are active, `None`
-/// otherwise. A `None` seal is "never sealed" — verification skips it.
-pub fn seal(polys: &[&RnsPoly]) -> Option<u64> {
-    if checksum_enabled() {
-        Some(rns_checksum(polys))
-    } else {
-        None
-    }
-}
-
-/// Verifies previously sealed data: recomputes the checksum and compares.
-/// Skips silently when the data was never sealed (`seal.is_none()`) or
-/// checksums are currently disabled.
+/// Verifies data sealed with [`rns_checksum`]: recomputes the checksum and
+/// compares.
 ///
 /// # Errors
 ///
 /// Returns [`MathError::IntegrityViolation`] on mismatch, tagged with
 /// `context` (the API boundary that caught the corruption).
-pub fn verify(
-    polys: &[&RnsPoly],
-    seal: Option<u64>,
-    context: &'static str,
-) -> Result<(), MathError> {
-    if !checksum_enabled() {
-        return Ok(());
-    }
-    match seal {
-        Some(expect) if rns_checksum(polys) != expect => {
-            Err(MathError::IntegrityViolation { context })
-        }
-        _ => Ok(()),
+pub fn verify(polys: &[&RnsPoly], seal: u64, context: &'static str) -> Result<(), MathError> {
+    if rns_checksum(polys) == seal {
+        Ok(())
+    } else {
+        Err(MathError::IntegrityViolation { context })
     }
 }
 
@@ -193,16 +161,14 @@ mod tests {
 
     #[test]
     fn verify_round_trip_and_mismatch() {
-        set_checksum_enabled(true);
         let p = sample_poly();
-        let s = seal(&[&p]);
-        assert!(s.is_some());
+        let s = rns_checksum(&[&p]);
         verify(&[&p], s, "test").unwrap();
         let mut q = p.clone();
         q.channels_mut()[1].coeffs_mut()[0] ^= 1;
         let err = verify(&[&q], s, "test").unwrap_err();
         assert_eq!(err, MathError::IntegrityViolation { context: "test" });
-        // Unsealed data never fails verification.
-        verify(&[&q], None, "test").unwrap();
+        // Resealed data verifies again.
+        verify(&[&q], rns_checksum(&[&q]), "test").unwrap();
     }
 }

@@ -62,10 +62,10 @@ pub use bigint::UBig;
 pub use decomp::{Gadget, SignedDigitDecomposer};
 pub use error::MathError;
 pub use four_step::FourStepNtt;
-pub use integrity::{checksum_enabled, set_checksum_enabled};
+pub use integrity::checksum_enabled;
 pub use mixed_radix::MixedRadix;
 pub use modulus::{Modulus, ShoupScalar};
-pub use ntt::{galois_ntt_permutation, CyclicNtt, NttTable};
+pub use ntt::{galois_ntt_permutation, radix_blocks, CyclicNtt, NttTable};
 pub use par::ParError;
 pub use poly::{Domain, Poly};
 pub use prime::{generate_ntt_primes, is_prime};

@@ -304,9 +304,11 @@ impl NttTable {
 }
 
 /// Radix-8 and radix-4 pass counts `(r8, r4)` of a `2^log_n`-point
-/// transform, `3·r8 + 2·r4 = log_n` — the schedule of paper §4.2 and of
-/// `metaop::counts::ntt_blocks`, which counts the same blocks.
-fn radix_blocks(log_n: u32) -> (u32, u32) {
+/// transform, `3·r8 + 2·r4 = log_n` — the schedule of paper §4.2. The
+/// kernel runs it, and `metaop`'s lowering (`NttLowering::new`) and
+/// multiply counts (`counts::ntt_blocks`) are built on it. Defined for
+/// `log_n ≠ 1`; every [`NttTable`] has `log_n ≥ 3`.
+pub fn radix_blocks(log_n: u32) -> (u32, u32) {
     match log_n % 3 {
         0 => (log_n / 3, 0),
         1 => ((log_n - 4) / 3, 2),

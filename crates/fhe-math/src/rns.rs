@@ -16,14 +16,8 @@
 
 use std::borrow::Borrow;
 
-use crate::par::WorkClass;
 use crate::poly::Domain;
 use crate::{par, simd, MathError, Modulus, NttTable, Poly, Scratch, UBig};
-
-/// Work estimate (element-operations) of one length-`n` NTT channel.
-fn ntt_work(n: usize) -> u64 {
-    (n as u64).saturating_mul(n.next_power_of_two().trailing_zeros().max(1) as u64)
-}
 
 /// An ordered set of word-sized prime moduli forming an RNS basis.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -262,9 +256,7 @@ pub struct ModdownPlan {
 
 impl ModdownPlan {
     /// `out[k] = (q_channels[k] − Bconv(p_channels)[k]) · P^{-1} mod q_k`,
-    /// one buffer per `Q` channel, resized in place. Destination channels
-    /// are processed in parallel when the work clears the [`par`]
-    /// threshold.
+    /// one buffer per `Q` channel, resized in place.
     ///
     /// # Errors
     ///
@@ -294,7 +286,7 @@ impl ModdownPlan {
             let mut converted: Vec<Vec<u64>> =
                 (0..q_moduli.len()).map(|_| scratch.take(n)).collect();
             self.bconv.apply_into(p_channels, &mut converted)?;
-            par::par_iter_mut_in(WorkClass::Bconv, out, (n * (p_len + 2)) as u64, |k, channel| {
+            par::par_iter_mut(out, |k, channel| {
                 channel.clear();
                 channel.resize(n, 0);
                 simd::sub_mul_shoup_slice(
@@ -326,8 +318,7 @@ impl ModdownPlan {
     /// be borrowed one by one (`&[&NttTable]`), for a plan whose `P` is not
     /// a contiguous run of its context's channels — such as the fused
     /// ModDown·Rescale of `Q_l ∪ P` onto `Q_{l−1}`, whose `P` is
-    /// `{q_l} ∪ P`. A warmed-up caller thread allocates nothing on the
-    /// sequential path.
+    /// `{q_l} ∪ P`. A warmed-up caller thread allocates nothing.
     ///
     /// # Errors
     ///
@@ -362,14 +353,13 @@ impl ModdownPlan {
             assert_eq!(t.modulus(), *m, "misaligned NTT tables");
         }
         let n = p_tables[0].borrow().n();
-        let work = ntt_work(n);
         // Bconv step 1 rides on the INTT pass: y_j = INTT(p_j)·q̂_j⁻¹.
-        par::par_iter_mut_in(WorkClass::Ntt, p_channels, work, |j, ch| {
+        par::par_iter_mut(p_channels, |j, ch| {
             p_tables[j].borrow().inverse(ch);
             simd::mul_shoup_slice(ch, self.bconv.qhat_inv[j], p_moduli[j].value());
         })?;
         let scaled = &*p_channels;
-        par::par_iter_mut_in(WorkClass::Ntt, q_channels, work, |k, ch| {
+        par::par_iter_mut(q_channels, |k, ch| {
             Scratch::with_thread_local(|scratch| {
                 let mut converted = scratch.take(n);
                 self.bconv.dot_into(k, scaled, &mut converted);
@@ -476,8 +466,8 @@ impl BconvPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`MathError::WorkerPanic`] if a parallel worker chunk
-    /// panicked (the panic is contained, the process stays healthy).
+    /// Returns [`MathError::WorkerPanic`] if a region chunk panicked (the
+    /// panic is contained, the process stays healthy).
     ///
     /// # Panics
     ///
@@ -491,15 +481,13 @@ impl BconvPlan {
 
     /// Allocation-free [`BconvPlan::apply`]: writes one converted channel
     /// per destination modulus into `out`, resizing each buffer in place.
-    /// The per-source pre-scale and the per-destination dot products both
-    /// run channel-parallel when the work clears the [`par`] threshold;
-    /// intermediate buffers come from the thread-local [`Scratch`] pool, so
+    /// Intermediate buffers come from the thread-local [`Scratch`] pool, so
     /// a warmed-up caller thread allocates nothing.
     ///
     /// # Errors
     ///
-    /// Returns [`MathError::WorkerPanic`] if a parallel worker chunk
-    /// panicked; `out` is poisoned in that case.
+    /// Returns [`MathError::WorkerPanic`] if a region chunk panicked; `out`
+    /// is poisoned in that case.
     ///
     /// # Panics
     ///
@@ -518,7 +506,7 @@ impl BconvPlan {
         Scratch::with_thread_local(|scratch| {
             // Step 1 (per source channel): y_i = x_i * qhat_inv_i mod q_i.
             let mut scaled: Vec<Vec<u64>> = (0..channels.len()).map(|_| scratch.take(n)).collect();
-            par::par_iter_mut_in(WorkClass::Elementwise, &mut scaled, n as u64, |i, buf| {
+            par::par_iter_mut(&mut scaled, |i, buf| {
                 let m = self.src_moduli[i];
                 let s = self.qhat_inv[i];
                 buf.copy_from_slice(channels[i]);
@@ -528,17 +516,11 @@ impl BconvPlan {
             // product — the Meta-OP pattern `(M_j A_j)_L R_j`, one
             // reduction per destination coefficient (paper Table 3; per
             // eight sources past eight).
-            let l = channels.len() as u64;
-            par::par_iter_mut_in(
-                WorkClass::Bconv,
-                out,
-                (n as u64).saturating_mul(l),
-                |j, channel| {
-                    channel.clear();
-                    channel.resize(n, 0);
-                    self.dot_into(j, &scaled, channel);
-                },
-            )?;
+            par::par_iter_mut(out, |j, channel| {
+                channel.clear();
+                channel.resize(n, 0);
+                self.dot_into(j, &scaled, channel);
+            })?;
             for buf in scaled {
                 scratch.put(buf);
             }
@@ -784,9 +766,9 @@ impl RnsPoly {
     ///
     /// # Errors
     ///
-    /// Returns [`MathError::WorkerPanic`] if a parallel worker chunk
-    /// panicked; the polynomial is poisoned (some channels converted, some
-    /// not) and must be discarded.
+    /// Returns [`MathError::WorkerPanic`] if a region chunk panicked; the
+    /// polynomial is poisoned (some channels converted, some not) and must
+    /// be discarded.
     ///
     /// # Panics
     ///
@@ -798,8 +780,7 @@ impl RnsPoly {
         for (c, t) in self.channels.iter().zip(tables) {
             assert_eq!(c.modulus(), t.modulus(), "misaligned NTT tables");
         }
-        let work = ntt_work(self.n());
-        par::par_iter_mut_in(WorkClass::Ntt, &mut self.channels, work, |i, c| {
+        par::par_iter_mut(&mut self.channels, |i, c| {
             c.to_ntt(&tables[i]);
         })?;
         Ok(())
@@ -809,8 +790,8 @@ impl RnsPoly {
     ///
     /// # Errors
     ///
-    /// Returns [`MathError::WorkerPanic`] if a parallel worker chunk
-    /// panicked; the polynomial is poisoned and must be discarded.
+    /// Returns [`MathError::WorkerPanic`] if a region chunk panicked; the
+    /// polynomial is poisoned and must be discarded.
     ///
     /// # Panics
     ///
@@ -821,8 +802,7 @@ impl RnsPoly {
         for (c, t) in self.channels.iter().zip(tables) {
             assert_eq!(c.modulus(), t.modulus(), "misaligned NTT tables");
         }
-        let work = ntt_work(self.n());
-        par::par_iter_mut_in(WorkClass::Ntt, &mut self.channels, work, |i, c| {
+        par::par_iter_mut(&mut self.channels, |i, c| {
             c.to_coeff(&tables[i]);
         })?;
         Ok(())
@@ -839,8 +819,8 @@ impl RnsPoly {
         Ok(out)
     }
 
-    /// In-place channel-wise sum (`self += other`), channel-parallel above
-    /// the [`par`] threshold. The allocation-free form of [`RnsPoly::add`].
+    /// In-place channel-wise sum (`self += other`). The allocation-free form
+    /// of [`RnsPoly::add`].
     ///
     /// # Errors
     ///
@@ -848,9 +828,8 @@ impl RnsPoly {
     /// (`self` is unchanged on error).
     pub fn add_assign(&mut self, other: &RnsPoly) -> Result<(), MathError> {
         self.check_zip(other)?;
-        let n = self.n() as u64;
         let others = &other.channels;
-        par::par_iter_mut_in(WorkClass::Elementwise, &mut self.channels, n, |i, c| {
+        par::par_iter_mut(&mut self.channels, |i, c| {
             let q = c.modulus().value();
             simd::add_mod_slice(c.coeffs_mut(), others[i].coeffs(), q);
         })?;
@@ -868,8 +847,7 @@ impl RnsPoly {
         Ok(out)
     }
 
-    /// In-place channel-wise difference (`self -= other`), channel-parallel
-    /// above the [`par`] threshold.
+    /// In-place channel-wise difference (`self -= other`).
     ///
     /// # Errors
     ///
@@ -877,9 +855,8 @@ impl RnsPoly {
     /// (`self` is unchanged on error).
     pub fn sub_assign(&mut self, other: &RnsPoly) -> Result<(), MathError> {
         self.check_zip(other)?;
-        let n = self.n() as u64;
         let others = &other.channels;
-        par::par_iter_mut_in(WorkClass::Elementwise, &mut self.channels, n, |i, c| {
+        par::par_iter_mut(&mut self.channels, |i, c| {
             let q = c.modulus().value();
             simd::sub_mod_slice(c.coeffs_mut(), others[i].coeffs(), q);
         })?;
@@ -890,8 +867,7 @@ impl RnsPoly {
     ///
     /// # Errors
     ///
-    /// Returns [`MathError::WorkerPanic`] if a parallel worker chunk
-    /// panicked.
+    /// Returns [`MathError::WorkerPanic`] if a region chunk panicked.
     pub fn neg(&self) -> Result<RnsPoly, MathError> {
         let mut out = self.clone();
         out.neg_assign()?;
@@ -902,11 +878,10 @@ impl RnsPoly {
     ///
     /// # Errors
     ///
-    /// Returns [`MathError::WorkerPanic`] if a parallel worker chunk
-    /// panicked (`self` is poisoned in that case).
+    /// Returns [`MathError::WorkerPanic`] if a region chunk panicked (`self`
+    /// is poisoned in that case).
     pub fn neg_assign(&mut self) -> Result<(), MathError> {
-        let n = self.n() as u64;
-        par::par_iter_mut_in(WorkClass::Elementwise, &mut self.channels, n, |_, c| {
+        par::par_iter_mut(&mut self.channels, |_, c| {
             let q = c.modulus().value();
             simd::neg_mod_slice(c.coeffs_mut(), q);
         })?;
@@ -925,8 +900,8 @@ impl RnsPoly {
         Ok(out)
     }
 
-    /// In-place point-wise product (`self *= other`), channel-parallel
-    /// above the [`par`] threshold. Both operands must be in NTT domain.
+    /// In-place point-wise product (`self *= other`). Both operands must be
+    /// in NTT domain.
     ///
     /// # Errors
     ///
@@ -938,9 +913,8 @@ impl RnsPoly {
             return Err(MathError::BasisMismatch { detail: "mul_pointwise requires NTT domain" });
         }
         self.check_zip(other)?;
-        let n = self.n() as u64;
         let others = &other.channels;
-        par::par_iter_mut_in(WorkClass::Elementwise, &mut self.channels, n, |i, c| {
+        par::par_iter_mut(&mut self.channels, |i, c| {
             let m = c.modulus();
             simd::mul_mod_slice(c.coeffs_mut(), others[i].coeffs(), &m);
         })?;
@@ -948,7 +922,7 @@ impl RnsPoly {
     }
 
     /// Applies the Galois automorphism `X ↦ X^g` channel-wise (coefficient
-    /// domain), channel-parallel above the [`par`] threshold.
+    /// domain).
     ///
     /// # Errors
     ///
@@ -967,10 +941,9 @@ impl RnsPoly {
         if !self.n().is_power_of_two() {
             return Err(MathError::InvalidDegree { degree: self.n() });
         }
-        let channels =
-            par::par_map_in(WorkClass::Elementwise, &self.channels, self.n() as u64, |_, c| {
-                c.automorphism(g).expect("validated: odd exponent, coefficient domain, 2^k length")
-            })?;
+        let channels = par::par_map(&self.channels, |_, c| {
+            c.automorphism(g).expect("validated: odd exponent, coefficient domain, 2^k length")
+        })?;
         Ok(RnsPoly { channels })
     }
 

@@ -9,11 +9,8 @@
 //! already allocated.
 //!
 //! Kernels that cannot thread a pool through their signature use the
-//! per-thread pool via [`Scratch::with_thread_local`]. Worker threads
-//! spawned by [`crate::par`] each get their own pool (no locking); those
-//! pools live only for the parallel region, so cross-call reuse is a
-//! property of the sequential path and the caller thread — the parallel
-//! path amortizes its allocations across workers instead.
+//! per-thread pool via [`Scratch::with_thread_local`]: every thread that
+//! calls a kernel gets its own pool (no locking), reused across calls.
 //!
 //! Every pool keeps effectiveness watermarks — [`take`](Scratch::take)
 //! hits vs. misses and the most capacity the free-list ever held — and

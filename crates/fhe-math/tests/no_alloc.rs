@@ -5,38 +5,12 @@
 //! with the counting global allocator (`telemetry::alloc`). Each test
 //! warms a kernel up (first calls may fill pools and lazy tables), then
 //! runs it under [`assert_no_alloc`], which panics on any heap traffic
-//! attributed to the calling thread — including worker-thread traffic,
-//! which `fhe_math::par` charges back to the caller.
-
-use std::sync::{Mutex, MutexGuard};
+//! attributed to the calling thread.
 
 use fhe_math::{
-    generate_ntt_primes, par, FourStepNtt, Modulus, NttTable, Poly, RnsBasis, RnsContext, RnsPoly,
+    generate_ntt_primes, FourStepNtt, Modulus, NttTable, Poly, RnsBasis, RnsContext, RnsPoly,
 };
 use telemetry::alloc::{alloc_delta, assert_no_alloc};
-
-/// Serializes tests in this binary: the thread-cap / threshold knobs are
-/// process-global, and cross-thread allocator noise would blur the strict
-/// zero assertions.
-fn knob_guard() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn sequential() {
-    par::set_max_threads(1);
-    par::set_min_work(u64::MAX);
-}
-
-fn forced_parallel() {
-    par::set_max_threads(4);
-    par::set_min_work(0);
-}
-
-fn restore_knobs() {
-    par::set_max_threads(0);
-    par::set_min_work(par::DEFAULT_MIN_WORK);
-}
 
 fn context(n: usize, channels: usize) -> (RnsContext, Vec<Modulus>) {
     let primes = generate_ntt_primes(50, n, channels).expect("primes");
@@ -65,8 +39,6 @@ fn rns_poly(n: usize, salt: u64, moduli: &[Modulus]) -> RnsPoly {
 /// every other case here.
 #[test]
 fn ntt_forward_inverse_allocation_free_sequential() {
-    let _g = knob_guard();
-    sequential();
     let n = 4096;
     let q = Modulus::new(generate_ntt_primes(50, n, 1).unwrap()[0]).unwrap();
     let table = NttTable::new(q, n).unwrap();
@@ -75,15 +47,12 @@ fn ntt_forward_inverse_allocation_free_sequential() {
     table.inverse(&mut a);
     assert_no_alloc("ntt.forward", || table.forward(&mut a));
     assert_no_alloc("ntt.inverse", || table.inverse(&mut a));
-    restore_knobs();
 }
 
 /// The same at n = 2^13 (two radix-4 passes, three radix-8): every size
 /// runs in place.
 #[test]
 fn blocked_ntt_allocation_free_after_warmup_sequential() {
-    let _g = knob_guard();
-    sequential();
     let n = 8192;
     let q = Modulus::new(generate_ntt_primes(50, n, 1).unwrap()[0]).unwrap();
     let table = NttTable::new(q, n).unwrap();
@@ -92,15 +61,12 @@ fn blocked_ntt_allocation_free_after_warmup_sequential() {
     table.inverse(&mut a);
     assert_no_alloc("ntt.forward.blocked", || table.forward(&mut a));
     assert_no_alloc("ntt.inverse.blocked", || table.inverse(&mut a));
-    restore_knobs();
 }
 
-/// Four-step NTT at n = 8192, sequential: column/row transforms work out
+/// Four-step NTT at n = 8192: column/row transforms work out
 /// of the scratch pool, so the warmed-up transform allocates nothing.
 #[test]
 fn four_step_ntt_allocation_free_after_warmup() {
-    let _g = knob_guard();
-    sequential();
     let q = Modulus::new(generate_ntt_primes(50, 8192, 1).unwrap()[0]).unwrap();
     let ntt = FourStepNtt::new(q, 64, 128).unwrap();
     let mut a = fill(8192, 0, 11, q);
@@ -108,63 +74,45 @@ fn four_step_ntt_allocation_free_after_warmup() {
     ntt.inverse(&mut a);
     assert_no_alloc("four_step.forward", || ntt.forward(&mut a));
     assert_no_alloc("four_step.inverse", || ntt.inverse(&mut a));
-    restore_knobs();
 }
 
-/// Multi-channel NTT via `RnsPoly::to_ntt`/`to_coeff` with the threaded
-/// path forced: worker chunk bodies are allocation-free, the backend's
-/// spawn scaffolding is telemetry-exempt, and worker deltas are charged
-/// back to this thread — so the strict zero assertion covers both.
+/// Multi-channel NTT via `RnsPoly::to_ntt`/`to_coeff`: the contained
+/// region around the channel loop allocates nothing.
 #[test]
-fn parallel_ntt_round_trip_allocation_free() {
-    let _g = knob_guard();
-    forced_parallel();
+fn rns_ntt_round_trip_allocation_free() {
     let n = 4096;
     let (ctx, moduli) = context(n, 6);
     let mut p = rns_poly(n, 1, &moduli);
     p.to_ntt(ctx.tables()).unwrap();
     p.to_coeff(ctx.tables()).unwrap();
-    assert_no_alloc("par.rns.to_ntt", || p.to_ntt(ctx.tables()).unwrap());
-    assert_no_alloc("par.rns.to_coeff", || p.to_coeff(ctx.tables()).unwrap());
-    restore_knobs();
+    assert_no_alloc("rns.to_ntt", || p.to_ntt(ctx.tables()).unwrap());
+    assert_no_alloc("rns.to_coeff", || p.to_coeff(ctx.tables()).unwrap());
 }
 
 /// Element-wise RNS arithmetic mutates residues in place: strictly
-/// allocation-free, sequential and parallel.
+/// allocation-free.
 #[test]
-fn elementwise_rns_ops_allocation_free_both_backends() {
-    let _g = knob_guard();
+fn elementwise_rns_ops_allocation_free() {
     let n = 4096;
     let (ctx, moduli) = context(n, 6);
     let mut p = rns_poly(n, 1, &moduli);
     let mut q = rns_poly(n, 2, &moduli);
     p.to_ntt(ctx.tables()).unwrap();
     q.to_ntt(ctx.tables()).unwrap();
-    for (label, setup) in [("seq", sequential as fn()), ("par", forced_parallel as fn())] {
-        setup();
-        let (p, q) = (&mut p, &q);
-        // Warm-up pass per backend (the parallel one exercises spawn).
-        p.add_assign(q).unwrap();
-        assert_no_alloc(&format!("rns.add_assign.{label}"), || p.add_assign(q).unwrap());
-        assert_no_alloc(&format!("rns.sub_assign.{label}"), || p.sub_assign(q).unwrap());
-        assert_no_alloc(&format!("rns.neg_assign.{label}"), || p.neg_assign().unwrap());
-        assert_no_alloc(&format!("rns.mul_pointwise_assign.{label}"), || {
-            p.mul_pointwise_assign(q).unwrap()
-        });
-    }
-    restore_knobs();
+    p.add_assign(&q).unwrap();
+    assert_no_alloc("rns.add_assign", || p.add_assign(&q).unwrap());
+    assert_no_alloc("rns.sub_assign", || p.sub_assign(&q).unwrap());
+    assert_no_alloc("rns.neg_assign", || p.neg_assign().unwrap());
+    assert_no_alloc("rns.mul_pointwise_assign", || p.mul_pointwise_assign(&q).unwrap());
 }
 
 /// The NTT-domain key-switch tail on caller-owned accumulators: the Galois
 /// gather is index arithmetic on existing buffers, and
 /// `ModdownPlan::apply_ntt_into` converts `P → Q` one destination channel
 /// at a time through a single pooled buffer — nothing is allocated once
-/// that buffer exists (sequential path; parallel workers own short-lived
-/// pools).
+/// that buffer exists.
 #[test]
 fn ntt_domain_moddown_allocation_free_after_warmup_sequential() {
-    let _g = knob_guard();
-    sequential();
     let n = 4096;
     let (ctx, moduli) = context(n, 10);
     let (q_idx, p_idx): (Vec<usize>, Vec<usize>) = ((0..7).collect(), (7..10).collect());
@@ -183,7 +131,6 @@ fn ntt_domain_moddown_allocation_free_after_warmup_sequential() {
     };
     run(&mut acc);
     assert_no_alloc("moddown.apply_ntt_into", || run(&mut acc));
-    restore_knobs();
 }
 
 /// The keyswitch ladder (`modup_into`/`moddown_into`) rebuilds its Bconv
@@ -192,8 +139,6 @@ fn ntt_domain_moddown_allocation_free_after_warmup_sequential() {
 /// no leak-style growth) and stay under a coarse absolute cap.
 #[test]
 fn keyswitch_into_paths_have_bounded_steady_state_allocations() {
-    let _g = knob_guard();
-    sequential();
     let n = 4096;
     let (ctx, moduli) = context(n, 6);
     let q_idx: Vec<usize> = (0..4).collect();
@@ -213,7 +158,6 @@ fn keyswitch_into_paths_have_bounded_steady_state_allocations() {
     run(&mut up, &mut down);
     let ((), d1) = alloc_delta(|| run(&mut up, &mut down));
     let ((), d2) = alloc_delta(|| run(&mut up, &mut down));
-    restore_knobs();
     assert_eq!(
         d1.allocs, d2.allocs,
         "steady-state keyswitch allocation count must not drift: {d1:?} vs {d2:?}"

@@ -5,7 +5,7 @@
 //! fragment without any cooperation from the failing workload.
 //!
 //! Lives in its own integration-test binary because it owns the
-//! process-global telemetry handle and the `par` tuning knobs.
+//! process-global telemetry handle and the panic injector.
 
 use fhe_math::par;
 
@@ -25,20 +25,17 @@ fn contained_worker_panic_writes_flight_dump() {
         drop(tel.span("pre_fault.step"));
     }
 
-    // Force the inline path so chunk 0 runs (and panics) deterministically
-    // on any core count; silence the default panic hook for the contained
-    // unwind so test output stays clean.
-    par::set_min_work(u64::MAX);
+    // Silence the default panic hook for the contained unwind so test
+    // output stays clean.
     par::inject_worker_panic(0);
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let mut v = vec![0u64; 64];
-    let err = par::par_iter_mut(&mut v, 1, |i, x| *x = i as u64).unwrap_err();
+    let err = par::par_iter_mut(&mut v, |i, x| *x = i as u64).unwrap_err();
     std::panic::set_hook(hook);
-    par::set_min_work(par::DEFAULT_MIN_WORK);
     telemetry::flight::set_fault_dump_dir(None);
 
-    assert_eq!((err.worker, err.chunk), (0, 0));
+    assert_eq!(err.chunk, 0);
     assert_eq!(tel.snapshot().named_counter("par.worker_panic.contained"), 1);
 
     let dumps: Vec<_> = std::fs::read_dir(&dir)

@@ -60,11 +60,6 @@ use fhe_math::{generate_ntt_primes, par, Modulus, NttTable, ShoupScalar};
 /// L1. Every ring degree is a multiple of it (`NttTable` needs `n ≥ 8`).
 const SLOTS: usize = 8;
 
-/// Work estimate (element-operations) for one `n`-point NTT.
-fn ntt_work(n: usize) -> u64 {
-    (n as u64) * u64::from(usize::BITS - n.leading_zeros())
-}
-
 /// One CRT prime field of the multiplier.
 #[derive(Debug, Clone)]
 struct PrimeField {
@@ -251,8 +246,8 @@ impl NegacyclicMultiplier {
     }
 
     /// Runs `f` on every prime field and that field's `n`-residue chunk of
-    /// `res` — the two fields of a two-prime multiplier on separate threads
-    /// when the transform clears the adaptive threshold.
+    /// `res` — the two fields of a two-prime multiplier as the two sides of
+    /// one contained [`par::join`].
     fn per_field(
         &self,
         res: &mut [u64],
@@ -260,9 +255,8 @@ impl NegacyclicMultiplier {
     ) -> Result<(), TfheError> {
         match &self.second {
             Some((f2, _)) => {
-                let w = ntt_work(self.n);
                 let (res1, res2) = res.split_at_mut(self.n);
-                par::join(w, w, || f(&self.first, res1), || f(f2, res2))?;
+                par::join(|| f(&self.first, res1), || f(f2, res2))?;
             }
             None => f(&self.first, res),
         }
@@ -286,7 +280,7 @@ impl NegacyclicMultiplier {
     ///
     /// # Errors
     ///
-    /// Surfaces a contained worker panic from the parallel backend.
+    /// Surfaces a contained worker panic from a kernel region.
     ///
     /// # Panics
     ///
@@ -433,7 +427,7 @@ impl NegacyclicMultiplier {
     ///
     /// # Errors
     ///
-    /// Surfaces a contained worker panic from the parallel backend.
+    /// Surfaces a contained worker panic from a kernel region.
     ///
     /// # Panics
     ///

@@ -44,7 +44,7 @@ impl TrlweSecretKey {
     ///
     /// # Errors
     ///
-    /// Surfaces a contained worker panic from the parallel backend.
+    /// Surfaces a contained worker panic from a kernel region.
     ///
     /// # Panics
     ///
@@ -73,7 +73,7 @@ impl TrlweSecretKey {
     ///
     /// # Errors
     ///
-    /// Surfaces a contained worker panic from the parallel backend.
+    /// Surfaces a contained worker panic from a kernel region.
     pub fn phase(
         &self,
         ct: &TrlweCiphertext,

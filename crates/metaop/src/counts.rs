@@ -54,17 +54,14 @@ pub fn bconv_counts(l: u64, k: u64, n: u64) -> TransformCounts {
     TransformCounts { original: (3 * k * l + 3 * l) * n, meta: (k * l + 3 * l + 2 * k) * n }
 }
 
-/// Radix-8 and radix-4 block counts `(r8, r4)` of an `n`-point NTT, exactly
-/// as [`crate::ntt::NttLowering`] schedules them: `3·r8 + 2·r4 = log2 n`.
-/// The multiply counts below and the simulator's NTT steps
-/// (`alchemist_core::workloads::ntt_steps`) are both built on it.
+/// Radix-8 and radix-4 block counts `(r8, r4)` of an `n`-point NTT:
+/// [`fhe_math::radix_blocks`] of `log2 n`, the schedule the kernel runs and
+/// [`crate::ntt::NttLowering`] lowers. The multiply counts below and the
+/// simulator's NTT steps (`alchemist_core::workloads::ntt_steps`) are both
+/// built on it.
 pub fn ntt_blocks(n: u64) -> (u64, u64) {
-    let log_n = n.trailing_zeros() as u64;
-    match log_n % 3 {
-        0 => (log_n / 3, 0),
-        1 => ((log_n - 4) / 3, 2),
-        _ => ((log_n - 2) / 3, 1),
-    }
+    let (r8, r4) = fhe_math::radix_blocks(n.trailing_zeros());
+    (u64::from(r8), u64::from(r4))
 }
 
 /// NTT of one `N`-point polynomial (one RNS channel), blocked into radix-8

@@ -43,12 +43,7 @@ pub struct NttLowering<'a> {
 impl<'a> NttLowering<'a> {
     /// Plans the radix-8/radix-4 block schedule for `table`.
     pub fn new(table: &'a NttTable) -> Self {
-        let log_n = table.log_n();
-        let (r8, r4) = match log_n % 3 {
-            0 => (log_n / 3, 0),
-            1 => ((log_n - 4) / 3, 2),
-            _ => ((log_n - 2) / 3, 1),
-        };
+        let (r8, r4) = fhe_math::radix_blocks(table.log_n());
         let mut blocks = Vec::with_capacity((r8 + r4) as usize);
         blocks.extend(std::iter::repeat_n(Block::Radix8, r8 as usize));
         blocks.extend(std::iter::repeat_n(Block::Radix4, r4 as usize));

@@ -100,8 +100,7 @@ fn to_json(r: &TraceReport, workers: usize, n: usize, note: &str) -> Json {
     doc.insert("schema_version".to_string(), Json::Num(1.0));
     doc.insert("git_commit".to_string(), Json::Str(bench::git_commit()));
     let mut host = BTreeMap::new();
-    host.insert("threads".to_string(), Json::Num(fhe_math::par::max_threads() as f64));
-    host.insert("checksum_enabled".to_string(), Json::Bool(fhe_math::checksum_enabled()));
+    host.insert("threads".to_string(), Json::Num(bench::host_threads() as f64));
     if let Some(mb) = bench::mem_total_mb() {
         host.insert("mem_total_mb".to_string(), Json::Num(mb as f64));
     }

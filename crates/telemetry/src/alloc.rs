@@ -38,13 +38,6 @@
 //! [`exempt_scope`] so bookkeeping does not pollute thread attribution; the
 //! census and the live ledger intentionally still see it (they are a
 //! whole-process account).
-//!
-//! # Worker threads
-//!
-//! `fhe_math::par` charges each worker chunk's allocation delta back to
-//! the thread that opened the parallel region via
-//! [`charge_current_thread`], so a span enclosing a parallel region
-//! observes the same totals whether the backend ran inline or fanned out.
 
 // The allocator shim is the one place this crate needs `unsafe`: the
 // `GlobalAlloc` trait itself. Everything else in the crate stays checked.
@@ -324,9 +317,8 @@ pub fn reset_peak() {
 }
 
 /// Per-thread allocation pressure: requests made (and bytes asked for) by
-/// the current thread, plus any deltas charged back from parallel workers
-/// via [`charge_current_thread`]. Deallocations are deliberately not
-/// tracked per thread — spans report pressure, not residency.
+/// the current thread. Deallocations are deliberately not tracked per
+/// thread — spans report pressure, not residency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ThreadAllocStats {
     /// Allocation requests attributed to this thread.
@@ -353,22 +345,10 @@ pub fn thread_stats() -> ThreadAllocStats {
         .unwrap_or_default()
 }
 
-/// Adds an externally measured delta to the current thread's counters.
-/// `fhe_math::par` uses this to charge worker-thread allocations back to
-/// the thread that opened the parallel region, so enclosing spans see the
-/// same totals inline and fanned out. Ignores [`exempt_scope`]: an
-/// explicit charge is always deliberate.
-pub fn charge_current_thread(allocs: u64, bytes: u64) {
-    let _ = TCELLS.try_with(|t| {
-        t.allocs.set(t.allocs.get() + allocs);
-        t.bytes.set(t.bytes.get() + bytes);
-    });
-}
-
 /// Suppresses *thread attribution* (not the census) of allocations made on
 /// the current thread while the guard lives. Nestable. Used around
-/// telemetry's own record paths and `par`'s thread-spawn scaffolding so
-/// bookkeeping never pollutes span deltas or [`assert_no_alloc`].
+/// telemetry's own record paths so bookkeeping never pollutes span deltas
+/// or [`assert_no_alloc`].
 pub struct ExemptGuard {
     // Not Send: the Drop must run on the thread that incremented.
     _not_send: PhantomData<*const ()>,
@@ -394,8 +374,7 @@ pub fn alloc_delta<R>(f: impl FnOnce() -> R) -> (R, ThreadAllocStats) {
     (out, thread_stats().since(base))
 }
 
-/// Proves `f` performs zero heap allocations on the current thread (and
-/// charges none back from parallel workers).
+/// Proves `f` performs zero heap allocations on the current thread.
 ///
 /// # Panics
 ///
@@ -437,6 +416,8 @@ mod tests {
         assert!(t_after.allocs > t_before.allocs);
         assert!(t_after.bytes >= t_before.bytes + (1 << 15));
         assert!(freed.deallocs > before.deallocs);
+        // `since` saturates instead of wrapping when the guard migrates.
+        assert_eq!(t_before.since(t_after), ThreadAllocStats::default());
     }
 
     #[test]
@@ -466,17 +447,6 @@ mod tests {
             assert_no_alloc("dirty", || std::hint::black_box(vec![1u8; 64]))
         });
         assert!(r.is_err(), "allocation under assert_no_alloc must panic");
-    }
-
-    #[test]
-    fn charge_back_and_since_compose() {
-        let base = thread_stats();
-        charge_current_thread(3, 1024);
-        let d = thread_stats().since(base);
-        assert_eq!(d, ThreadAllocStats { allocs: 3, bytes: 1024 });
-        // `since` saturates instead of wrapping when the guard migrates.
-        let zero = ThreadAllocStats::default().since(thread_stats());
-        assert_eq!(zero, ThreadAllocStats::default());
     }
 
     #[test]

@@ -1,71 +1,59 @@
-//! Telemetry must stay coherent when driven from the worker threads of
-//! fhe-math's parallel backend: counters aggregate exactly, spans land on
-//! per-worker tracks, and the global sink survives concurrent access.
+//! Telemetry must stay coherent when driven from several worker threads at
+//! once — the shape of the service's worker pool: counters aggregate
+//! exactly, spans land on per-thread tracks, and the shared sink survives
+//! concurrent access.
 
-use std::sync::{Mutex, MutexGuard};
-
-use fhe_math::par;
 use telemetry::{Metric, OpClassKey, Telemetry};
 
-/// Serializes tests in this binary: the backend knobs are process-global.
-fn knob_guard() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+/// Runs `f(i)` for `i` in `0..items` on `threads` scoped threads, each
+/// owning one contiguous range of the items.
+fn on_threads(threads: usize, items: usize, f: impl Fn(usize) + Sync) {
+    let per = items.div_ceil(threads);
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let f = &f;
+            scope.spawn(move || (t * per..items.min((t + 1) * per)).for_each(f));
+        }
+    });
 }
 
 #[test]
-fn counters_exact_under_parallel_backend() {
-    let _g = knob_guard();
+fn counters_exact_under_worker_threads() {
     let tel = Telemetry::enabled();
-    // Force the threaded path even for this toy item count.
-    par::set_max_threads(4);
-    par::set_min_work(0);
     let items = 1000usize;
-    par::par_for_each(items, 1, |i| {
+    on_threads(4, items, |i| {
         let _span = tel.span("worker-item");
         tel.count(Metric::MetaOps, OpClassKey::Ntt, 1);
         tel.count(Metric::HbmBytes, OpClassKey::Transfer, 64 + (i as u64 % 2));
-    })
-    .unwrap();
-    par::set_max_threads(0);
-    par::set_min_work(par::DEFAULT_MIN_WORK);
+    });
 
     let snap = tel.snapshot();
     assert_eq!(snap.counter(Metric::MetaOps, OpClassKey::Ntt), items as u64);
     // Sum of 64 + (i % 2) over 0..1000 = 64*1000 + 500.
     assert_eq!(snap.counter(Metric::HbmBytes, OpClassKey::Transfer), 64_500);
-    // Every item produced exactly one span, distributed over the workers'
-    // per-thread tracks.
+    // Every item produced exactly one span, one track per worker thread.
     assert_eq!(snap.spans().iter().filter(|s| s.name == "worker-item").count(), items);
     let tids: std::collections::BTreeSet<u64> = snap.spans().iter().map(|s| s.tid).collect();
-    assert!(!tids.is_empty() && tids.len() <= 4, "got {} worker tracks", tids.len());
+    assert_eq!(tids.len(), 4, "got {} worker tracks", tids.len());
 }
 
 #[test]
-fn histograms_identical_sequential_vs_parallel() {
-    let _g = knob_guard();
+fn histograms_identical_one_thread_vs_four() {
     // Deterministic per-item durations spanning several octaves of the
     // log-linear bucket scheme.
     let dur = |i: usize| ((i as u64).wrapping_mul(0x9e37_79b9)) % 1_000_000;
     let run = |threads: usize| {
         let tel = Telemetry::enabled();
-        par::set_max_threads(threads);
-        par::set_min_work(if threads == 1 { u64::MAX } else { 0 });
-        par::par_for_each(1000, 1, |i| {
-            tel.observe_ns("kernel.probe", dur(i));
-        })
-        .unwrap();
-        par::set_max_threads(0);
-        par::set_min_work(par::DEFAULT_MIN_WORK);
+        on_threads(threads, 1000, |i| tel.observe_ns("kernel.probe", dur(i)));
         tel.snapshot()
     };
-    let seq = run(1);
-    let par_snap = run(4);
+    let one = run(1);
+    let four = run(4);
     let (s, p) = (
-        seq.histogram("kernel.probe").expect("seq histogram"),
-        par_snap.histogram("kernel.probe").expect("par histogram"),
+        one.histogram("kernel.probe").expect("one-thread histogram"),
+        four.histogram("kernel.probe").expect("four-thread histogram"),
     );
-    // Bucketed recording is commutative, so the two backends must agree
+    // Bucketed recording is commutative, so both runs must agree
     // bit-for-bit on every exported statistic, not just approximately.
     assert_eq!(s.count, p.count);
     assert_eq!(s.sum_ns, p.sum_ns);
@@ -74,19 +62,11 @@ fn histograms_identical_sequential_vs_parallel() {
 }
 
 #[test]
-fn counters_identical_sequential_vs_parallel() {
-    let _g = knob_guard();
+fn counters_identical_one_thread_vs_four() {
     let run = |threads: usize| {
         let tel = Telemetry::enabled();
-        par::set_max_threads(threads);
-        par::set_min_work(if threads == 1 { u64::MAX } else { 0 });
-        par::par_for_each(257, 1, |i| {
-            tel.count(Metric::MetaOps, OpClassKey::Bconv, i as u64);
-        })
-        .unwrap();
-        par::set_max_threads(0);
-        par::set_min_work(par::DEFAULT_MIN_WORK);
+        on_threads(threads, 257, |i| tel.count(Metric::MetaOps, OpClassKey::Bconv, i as u64));
         tel.snapshot().counter(Metric::MetaOps, OpClassKey::Bconv)
     };
-    assert_eq!(run(1), run(4), "counter totals must not depend on the backend");
+    assert_eq!(run(1), run(4), "counter totals must not depend on the thread count");
 }

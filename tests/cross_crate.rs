@@ -193,8 +193,9 @@ fn the_workspace_has_one_build_configuration() {
             assert!(!text.contains(needle), "{} contains `{needle}`", s.display());
         }
     }
-    // The probes the frozen benchmark package reports as host facts.
-    assert!(alchemist::math::par::parallelism_compiled());
+    // The probes the frozen benchmark package reports as host facts. No
+    // kernel region fans out to threads.
+    assert!(!alchemist::math::par::parallelism_compiled());
     assert!(alchemist::math::strict_checks_enabled());
     assert!(alchemist::telemetry::alloc::tracking_compiled());
     assert!(alchemist::math::checksum_enabled());
