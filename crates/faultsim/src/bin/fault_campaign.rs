@@ -11,8 +11,7 @@
 //! so CI can gate on "zero undetected escapes" directly.
 //!
 //! `--flight-dir DIR` arms the post-mortem path: a bounded flight
-//! recorder rides along with the campaign, every contained worker panic
-//! or escaped fault dumps the recent event ring into `DIR` as a
+//! recorder rides along with the campaign, every escaped fault dumps the recent event ring into `DIR` as a
 //! Chrome-trace fragment, and a final `flight-final.json` covering the
 //! campaign tail is always written. `--trace-out FILE` writes the full
 //! exit-time telemetry trace. Both are flushed *before* the exit-2 path,
@@ -37,10 +36,10 @@ fn usage() -> ! {
          \n\
          --seed        campaign seed (default {DEFAULT_SEED:#018x})\n\
          --cases       cases per fault class (default {DEFAULT_CASES})\n\
-         --classes     comma-separated subset of: bitflip,transfer,worker_panic\n\
+         --classes     comma-separated subset of: bitflip,transfer\n\
          --out         write the JSON report to FILE\n\
-         --flight-dir  arm the flight recorder; contained faults and escapes\n\
-         \tdump the recent event ring into DIR as Chrome-trace fragments\n\
+         --flight-dir  arm the flight recorder; escapes dump the\n\
+         \trecent event ring into DIR as Chrome-trace fragments\n\
          --trace-out   write the exit-time telemetry trace to FILE (flushed\n\
          \teven when the campaign fails)\n\
          \n\
@@ -133,7 +132,7 @@ fn main() {
             eprintln!("failed to create --flight-dir {}: {e}", dir.display());
             std::process::exit(1);
         }
-        // The fault hooks in fhe_math::par and the campaign loop reach the
+        // The campaign loop reaches the
         // recorder through the process-global handle.
         tel.attach_flight_recorder(telemetry::FlightRecorder::with_default_capacity());
         telemetry::install(tel.clone());

@@ -3,9 +3,9 @@
 //! A hardware accelerator corrupts state in ways functional software
 //! rarely sees: a flipped DRAM bit in a ciphertext limb, a DMA descriptor
 //! dropped from a schedule, a computing unit that dies mid-kernel. This
-//! crate injects software analogues of those three fault classes and
-//! measures **detection power** — which injected faults the workspace's
-//! defenses catch, and which escape as silent corruption:
+//! crate injects software analogues of the first two and measures
+//! **detection power** — which injected faults the workspace's defenses
+//! catch, and which escape as silent corruption:
 //!
 //! * [`FaultClass::BitFlip`] — flips one bit of one RNS limb of a CKKS
 //!   ciphertext through the sanctioned corruption surface
@@ -15,10 +15,10 @@
 //! * [`FaultClass::Transfer`] — drops, duplicates, or reorders one step of
 //!   a simulator schedule between planning and execution. Caught by the
 //!   [`alchemist_core::ScheduleManifest`] check in `run_checked`.
-//! * [`FaultClass::WorkerPanic`] — arms `fhe_math::par`'s one-shot panic
-//!   injector so a kernel region's chunk dies inside a scheme operation.
-//!   Caught by per-chunk panic containment, which must surface exactly one
-//!   typed `WorkerPanic` error and leave the process usable.
+//!
+//! A unit dying mid-kernel is contained where a request can fail, at the
+//! service's batch boundary; `service/tests/containment.rs` and the
+//! `serve_trace` / `chaos_campaign` bins exercise it.
 //!
 //! Campaigns follow the conformance fuzzer's repro discipline: every case
 //! is a pure function of `(class, seed, case)` using the same splitmix64
@@ -27,9 +27,9 @@
 //!
 //! The headline number is the **escape rate**: the fraction of injected
 //! faults that neither any detector caught nor turned out to be benign
-//! (the corruption was never consumed, e.g. an armed panic whose chunk
-//! never ran). The campaign expects an escape rate of exactly zero for all
-//! three classes.
+//! (the corruption was never consumed, e.g. a reorder that produced an
+//! identical schedule). The campaign expects an escape rate of exactly zero
+//! for both classes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,13 +38,11 @@ pub mod chaos;
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::OnceLock;
 
 use alchemist_core::{ArchConfig, ScheduleManifest, SimError, Simulator, Step};
 pub use conformance::SplitMix64;
 use fhe_ckks::{Ciphertext, CkksContext, CkksError, CkksParams, Encoder, Evaluator, SecretKey};
-use fhe_math::{par, MathError};
-use fhe_tfhe::{NegacyclicMultiplier, TfheError};
 use metaop::OpClass;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -65,21 +63,17 @@ pub enum FaultClass {
     BitFlip,
     /// One schedule step dropped, duplicated, or reordered.
     Transfer,
-    /// One kernel-region chunk forced to panic mid-operation.
-    WorkerPanic,
 }
 
 impl FaultClass {
     /// All classes, in campaign order.
-    pub const ALL: [FaultClass; 3] =
-        [FaultClass::BitFlip, FaultClass::Transfer, FaultClass::WorkerPanic];
+    pub const ALL: [FaultClass; 2] = [FaultClass::BitFlip, FaultClass::Transfer];
 
     /// Stable name used in repro tuples, JSON, and telemetry counters.
     pub fn name(self) -> &'static str {
         match self {
             FaultClass::BitFlip => "bitflip",
             FaultClass::Transfer => "transfer",
-            FaultClass::WorkerPanic => "worker_panic",
         }
     }
 
@@ -93,7 +87,6 @@ impl FaultClass {
         match self {
             FaultClass::BitFlip => 0x6269_7401,
             FaultClass::Transfer => 0x7472_616E,
-            FaultClass::WorkerPanic => 0x7061_6E69,
         }
     }
 }
@@ -104,8 +97,8 @@ pub enum Outcome {
     /// A defense caught the fault and surfaced a typed error.
     Detected {
         /// Which detector fired: `"checksum"`, `"noise-budget"`,
-        /// `"schedule-manifest"`, `"panic-containment"`, or
-        /// `"typed-error"` for other structural rejections.
+        /// `"schedule-manifest"`, or `"typed-error"` for other structural
+        /// rejections.
         by: &'static str,
         /// Human-readable evidence (the error's display text).
         detail: String,
@@ -115,8 +108,8 @@ pub enum Outcome {
         /// What went silently wrong.
         detail: String,
     },
-    /// The fault never took effect (e.g. an armed panic whose chunk never
-    /// executed, or a reorder that produced an identical schedule).
+    /// The fault never took effect (e.g. a reorder that produced an
+    /// identical schedule).
     Benign {
         /// Why the injection was a no-op.
         detail: String,
@@ -198,29 +191,6 @@ fn ckks_fixture() -> &'static CkksFixture {
     })
 }
 
-fn tfhe_multiplier() -> &'static NegacyclicMultiplier {
-    static MULT: OnceLock<NegacyclicMultiplier> = OnceLock::new();
-    MULT.get_or_init(|| NegacyclicMultiplier::new(64).expect("toy multiplier"))
-}
-
-/// Serializes cases that arm the process-global `fhe_math::par` panic
-/// injector or swap the panic hook.
-fn par_knob_guard() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Silences the default panic hook around a closure expected to contain
-/// panics, so hundreds of injected worker panics do not spam stderr. The
-/// hook is process-global; callers must hold [`par_knob_guard`].
-fn quiet_panics<R>(f: impl FnOnce() -> R) -> R {
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let r = f();
-    std::panic::set_hook(hook);
-    r
-}
-
 // ---------------------------------------------------------------------------
 // Case runners
 
@@ -230,7 +200,6 @@ pub fn run_case(class: FaultClass, seed: u64, case: u64) -> FaultRepro {
     let outcome = match class {
         FaultClass::BitFlip => bitflip_case(rng),
         FaultClass::Transfer => transfer_case(rng),
-        FaultClass::WorkerPanic => worker_panic_case(rng),
     };
     FaultRepro { class, seed, case, outcome }
 }
@@ -252,14 +221,6 @@ fn flip_ckks(ct: &mut Ciphertext, rng: &mut SplitMix64) -> String {
 /// Bit-flip class: corrupt a fresh ciphertext, then push it through the
 /// public API (evaluator boundary, then decryption) and see who notices.
 fn bitflip_case(mut rng: SplitMix64) -> Outcome {
-    // Corrupted operands may trip canonical-form assertions inside parallel
-    // regions; those panics are contained and surface as typed errors, but
-    // the default hook would still print a backtrace per case.
-    let _g = par_knob_guard();
-    quiet_panics(move || bitflip_ckks(&mut rng))
-}
-
-fn bitflip_ckks(rng: &mut SplitMix64) -> Outcome {
     let fix = ckks_fixture();
     let enc = Encoder::new(&fix.ctx);
     let ev = Evaluator::new(&fix.ctx);
@@ -274,7 +235,7 @@ fn bitflip_ckks(rng: &mut SplitMix64) -> Outcome {
         Ok(ct) => ct,
         Err(e) => return Outcome::Escaped { detail: format!("encrypt failed pre-fault: {e}") },
     };
-    let where_ = flip_ckks(&mut ct, rng);
+    let where_ = flip_ckks(&mut ct, &mut rng);
 
     // Boundary 1: the evaluator (every binary/unary op re-verifies).
     match ev.add(&ct, &ct) {
@@ -374,107 +335,6 @@ fn transfer_case(mut rng: SplitMix64) -> Outcome {
         Err(e) => Outcome::Detected { by: "typed-error", detail: format!("{mutation}: {e}") },
         Ok(_) => Outcome::Escaped { detail: format!("{mutation}: checked run accepted tampering") },
     }
-}
-
-/// A named scheme operation: `Ok` on success, `Err(detail)` where the
-/// detail embeds the typed error's display text (including any contained
-/// worker-panic payload).
-type FaultOp = (&'static str, fn() -> Result<(), String>);
-
-/// The scheme operations the worker-panic class drives. Each routes
-/// through `fhe_math::par` regions, so an armed chunk injection must
-/// surface as a typed `WorkerPanic` error from the scheme API.
-fn worker_panic_ops() -> &'static [FaultOp] {
-    fn tfhe_op() -> Result<(), String> {
-        let m = tfhe_multiplier();
-        let ints: Vec<i64> = (0..64).map(|i| (i % 7) - 3).collect();
-        let torus: Vec<u64> = (0..64u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
-        match m.mul_int_torus(&ints, &torus) {
-            Ok(_) => Ok(()),
-            Err(TfheError::Math(MathError::WorkerPanic { chunk, payload })) => {
-                Err(format!("chunk={chunk} payload={payload}"))
-            }
-            Err(e) => Err(format!("unexpected error kind: {e}")),
-        }
-    }
-    fn ckks_op() -> Result<(), String> {
-        let fix = ckks_fixture();
-        let enc = Encoder::new(&fix.ctx);
-        let ev = Evaluator::new(&fix.ctx);
-        let mut crng = ChaCha8Rng::seed_from_u64(7);
-        let values: Vec<f64> = (0..enc.slots()).map(|i| (i as f64) / 64.0).collect();
-        let pt = enc.encode(&values).map_err(|e| format!("encode: {e}"))?;
-        let ct = fix.sk.encrypt(&fix.ctx, &pt, &mut crng).map_err(|e| format!("encrypt: {e}"))?;
-        match ev.rescale(&ct) {
-            Ok(_) => Ok(()),
-            Err(CkksError::Math(MathError::WorkerPanic { chunk, payload })) => {
-                Err(format!("chunk={chunk} payload={payload}"))
-            }
-            Err(e) => Err(format!("unexpected error kind: {e}")),
-        }
-    }
-    &[("tfhe.mul_int_torus", tfhe_op), ("ckks.rescale", ckks_op)]
-}
-
-/// Forces every lazily-initialized fixture outside the injection window.
-///
-/// A `OnceLock` initializer running while the panic injector is armed
-/// would see its keygen's kernel region die, and the fixture's `expect`
-/// turns that contained `WorkerPanic` into a real process panic (silenced
-/// by [`quiet_panics`], so the campaign used to die with no output when
-/// `--classes worker_panic` ran a cold-fixture op first).
-fn warm_fixtures() {
-    let _ = ckks_fixture();
-    let _ = tfhe_multiplier();
-}
-
-/// Worker-panic class: arm the one-shot chunk injector, run a scheme
-/// operation, and require the panic to surface as a typed error (never an
-/// abort), with the process healthy afterwards.
-fn worker_panic_case(mut rng: SplitMix64) -> Outcome {
-    let _g = par_knob_guard();
-    warm_fixtures();
-    let ops = worker_panic_ops();
-    let (op_name, op) = ops[rng.below(ops.len() as u64) as usize];
-    let chunk = rng.below(2) as usize;
-
-    // Every region runs chunk 0; only `join` (the two-prime TFHE
-    // multiplier) runs a chunk 1, its second side.
-    par::inject_worker_panic(chunk);
-    let result = quiet_panics(op);
-    let fired = !par::clear_injected_panic();
-
-    let outcome = match (result, fired) {
-        (Err(detail), _) if detail.contains(par::INJECTED_PANIC_PAYLOAD) => {
-            // The injection surfaced as exactly the typed error we demand.
-            Outcome::Detected {
-                by: "panic-containment",
-                detail: format!("{op_name} chunk {chunk}: {detail}"),
-            }
-        }
-        (Err(detail), _) => {
-            Outcome::Escaped { detail: format!("{op_name} chunk {chunk}: {detail}") }
-        }
-        (Ok(()), false) => {
-            // The op completed and the hook is still armed: no region of
-            // the op had that chunk (chunk 1 outside `join`). Nothing was
-            // corrupted.
-            Outcome::Benign { detail: format!("{op_name} chunk {chunk}: injection never fired") }
-        }
-        (Ok(()), true) => Outcome::Escaped {
-            detail: format!("{op_name} chunk {chunk}: panic fired but op returned Ok"),
-        },
-    };
-
-    // Containment contract: the process must be fully usable afterwards.
-    if matches!(outcome, Outcome::Detected { .. }) {
-        if let Err(e) = op() {
-            return Outcome::Escaped {
-                detail: format!("{op_name}: process degraded after contained panic: {e}"),
-            };
-        }
-    }
-    outcome
 }
 
 // ---------------------------------------------------------------------------
@@ -665,7 +525,7 @@ pub fn run_campaign_classes(
     report
 }
 
-/// Runs the full three-class campaign (see [`run_campaign_classes`]).
+/// Runs the full two-class campaign (see [`run_campaign_classes`]).
 pub fn run_campaign(seed: u64, cases: u64, tel: &telemetry::Telemetry) -> CampaignReport {
     run_campaign_classes(&FaultClass::ALL, seed, cases, tel)
 }
@@ -673,10 +533,9 @@ pub fn run_campaign(seed: u64, cases: u64, tel: &telemetry::Telemetry) -> Campai
 /// Containment hooks shared with layers above the campaign runner.
 ///
 /// The serving layer (`crates/service`) injects the same fault shapes the
-/// campaign exercises — coefficient bit flips, worker panics — but inside
-/// its own request lifecycle. These re-exports give it the sanctioned
-/// corruption surface and the process-global knob discipline without
-/// duplicating the logic.
+/// campaign exercises — coefficient bit flips — but inside its own request
+/// lifecycle. This re-export gives it the sanctioned corruption surface
+/// without duplicating the logic.
 pub mod hooks {
     use super::*;
 
@@ -686,19 +545,6 @@ pub mod hooks {
     pub fn flip_ckks_bit(ct: &mut Ciphertext, seed: u64) -> String {
         let mut rng = SplitMix64::new(seed);
         flip_ckks(ct, &mut rng)
-    }
-
-    /// Silences the process-global panic hook around `f`, so hundreds of
-    /// injected worker panics do not spam stderr. Callers must hold
-    /// [`par_knob_guard`].
-    pub fn quiet_panics<R>(f: impl FnOnce() -> R) -> R {
-        super::quiet_panics(f)
-    }
-
-    /// Serializes use of the process-global `fhe_math::par` panic injector
-    /// and panic hook.
-    pub fn par_knob_guard() -> MutexGuard<'static, ()> {
-        super::par_knob_guard()
     }
 }
 
@@ -745,23 +591,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_panics_never_escape_and_never_abort() {
-        let tel = telemetry::Telemetry::disabled();
-        let report = run_campaign_classes(&[FaultClass::WorkerPanic], DEFAULT_SEED, CASES, &tel);
-        let s = report.class(FaultClass::WorkerPanic).unwrap();
-        assert_eq!(s.escaped, 0, "escapes: {:?}", s.escapes);
-        assert_eq!(s.injected, CASES);
-        // Chunk 0 runs in every op; the injection must actually fire and be
-        // contained.
-        assert!(
-            s.detectors.get("panic-containment").copied().unwrap_or(0) > 0,
-            "containment must fire: {s:?}"
-        );
-        // Reaching this line at all proves no abort: the process survived
-        // every injected panic.
-    }
-
-    #[test]
     fn repro_line_replays_one_case() {
         let line = run_case(FaultClass::BitFlip, DEFAULT_SEED, 3);
         let again = run_case(FaultClass::BitFlip, DEFAULT_SEED, 3);
@@ -784,7 +613,7 @@ mod tests {
             "cases_per_class"
         );
         let classes = doc.get("classes").unwrap().as_arr().unwrap();
-        assert_eq!(classes.len(), 3);
+        assert_eq!(classes.len(), 2);
         for row in classes {
             let injected = row.get("injected").unwrap().as_f64().unwrap();
             let detected = row.get("detected").unwrap().as_f64().unwrap();
@@ -796,7 +625,6 @@ mod tests {
         let snap = tel.snapshot();
         assert_eq!(snap.named_counter("fault.bitflip.injected"), 5);
         assert_eq!(snap.named_counter("fault.transfer.injected"), 5);
-        assert_eq!(snap.named_counter("fault.worker_panic.injected"), 5);
         // The summary carries the headline.
         assert!(report.summary().contains("escape rate"), "{}", report.summary());
     }

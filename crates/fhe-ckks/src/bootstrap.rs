@@ -26,7 +26,7 @@ use crate::encoding::{Complex64, Encoder};
 use crate::keys::{GaloisKeys, RelinKey};
 use crate::linear::LinearTransform;
 use crate::{CkksContext, CkksError, Evaluator};
-use fhe_math::{par, Poly};
+use fhe_math::Poly;
 
 /// Evaluates a monomial-basis polynomial `Σ a_i x^i` on a ciphertext with
 /// Paterson–Stockmeyer structure (baby powers to `g`, giant powers of
@@ -225,18 +225,19 @@ pub fn mod_raise(ctx: &CkksContext, ct: &Ciphertext) -> Result<Ciphertext, CkksE
         base.to_coeff(ctx.table(0));
         let centered: Vec<i64> = base.coeffs().iter().map(|&x| q0.to_centered(x)).collect();
         let positions: Vec<usize> = (0..=top).collect();
-        let channels = par::par_map(&positions, |_, &c| -> Result<Poly, CkksError> {
-            let m = ctx.rns().moduli()[c];
-            let mut vals = vec![0u64; ctx.n()];
-            for (i, &x) in centered.iter().enumerate() {
-                vals[i] = m.from_i64(x);
-            }
-            let mut poly = Poly::from_coeffs(vals, m)?;
-            poly.to_ntt(ctx.table(c));
-            Ok(poly)
-        })?
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
+        let channels = positions
+            .iter()
+            .map(|&c| -> Result<Poly, CkksError> {
+                let m = ctx.rns().moduli()[c];
+                let mut vals = vec![0u64; ctx.n()];
+                for (i, &x) in centered.iter().enumerate() {
+                    vals[i] = m.from_i64(x);
+                }
+                let mut poly = Poly::from_coeffs(vals, m)?;
+                poly.to_ntt(ctx.table(c));
+                Ok(poly)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(fhe_math::RnsPoly::from_channels(channels)?)
     };
     Ok(Ciphertext::from_parts(raise(ct.c0())?, raise(ct.c1())?, top, ct.scale()))
@@ -524,9 +525,9 @@ mod tests {
         let d_low = sk.decrypt(&bottom).unwrap();
         let d_high = sk.decrypt(&raised).unwrap();
         let mut p_low = d_low.poly().clone();
-        p_low.to_coeff(ctx.level_tables(0)).unwrap();
+        p_low.to_coeff(ctx.level_tables(0));
         let mut p_high = d_high.poly().clone();
-        p_high.to_coeff(ctx.level_tables(ctx.q_len() - 1)).unwrap();
+        p_high.to_coeff(ctx.level_tables(ctx.q_len() - 1));
         assert_eq!(p_low.channel(0).coeffs(), p_high.channel(0).coeffs());
         // And decoding the raised ciphertext still recovers the message
         // (the q0·I term only matters at larger levels' precision).

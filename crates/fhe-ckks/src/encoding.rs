@@ -337,7 +337,7 @@ impl<'a> Encoder<'a> {
         }
         let mut poly = pt.poly().clone();
         if poly.domain() == Domain::Ntt {
-            poly.to_coeff(self.ctx.level_tables(level))?;
+            poly.to_coeff(self.ctx.level_tables(level));
         }
         Ok(self.ctx.centered_coefficients(&poly, level))
     }
@@ -512,7 +512,7 @@ mod tests {
         let values: Vec<f64> = (0..slots).map(|j| j as f64 - 3.0).collect();
         let pt = enc.encode(&values).unwrap();
         let mut poly = pt.poly().clone();
-        poly.to_coeff(c.level_tables(pt.level())).unwrap();
+        poly.to_coeff(c.level_tables(pt.level()));
         let rotated = poly.automorphism(5).unwrap();
         let pt_rot = Plaintext::from_parts(rotated, pt.level(), pt.scale());
         let back = enc.decode(&pt_rot).unwrap();
@@ -529,7 +529,7 @@ mod tests {
         let values = vec![Complex64::new(0.5, 1.5)];
         let pt = enc.encode_complex_at(&values, c.q_len() - 1, c.params().scale()).unwrap();
         let mut poly = pt.poly().clone();
-        poly.to_coeff(c.level_tables(pt.level())).unwrap();
+        poly.to_coeff(c.level_tables(pt.level()));
         let conj = poly.automorphism(2 * c.n() - 1).unwrap();
         let back =
             enc.decode_complex(&Plaintext::from_parts(conj, pt.level(), pt.scale())).unwrap();
@@ -561,8 +561,8 @@ mod tests {
         // Coefficients may differ by ±1 integer unit from f64 rounding.
         let mut a = via_fft.poly().clone();
         let mut b = via_direct.poly().clone();
-        a.to_coeff(c.level_tables(level)).unwrap();
-        b.to_coeff(c.level_tables(level)).unwrap();
+        a.to_coeff(c.level_tables(level));
+        b.to_coeff(c.level_tables(level));
         let m = c.rns().moduli()[0];
         for i in 0..c.n() {
             let d = (m.to_centered(a.channel(0).coeffs()[i])

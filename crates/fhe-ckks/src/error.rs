@@ -108,9 +108,3 @@ impl From<MathError> for CkksError {
         CkksError::Math(e)
     }
 }
-
-impl From<fhe_math::ParError> for CkksError {
-    fn from(e: fhe_math::ParError) -> Self {
-        CkksError::Math(MathError::from(e))
-    }
-}

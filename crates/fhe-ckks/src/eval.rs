@@ -59,7 +59,7 @@ use crate::ciphertext::{Ciphertext, Plaintext};
 use crate::keys::{galois_element, GaloisKeys, RelinKey, SwitchKey};
 use crate::{CkksContext, CkksError};
 use fhe_math::{
-    galois_ntt_permutation, lazy_mac, par, Domain, MacGather, MacReversed, MacSlots, ModdownPlan,
+    galois_ntt_permutation, lazy_mac, Domain, MacGather, MacReversed, MacSlots, ModdownPlan,
     Modulus, NttTable, Poly, RnsPoly, Scratch,
 };
 use std::borrow::Borrow;
@@ -256,6 +256,11 @@ enum MacMap<'p> {
 /// `row(r) = (a_r, b_r)`, indexed as `map` says — the paper's
 /// `(M_j A_j)_n R_j` through the blocked kernel [`lazy_mac`]. `a_r` may be
 /// lazy in `[0, 2q)`; `out` stays canonical.
+///
+/// Kept out of line: inlined into [`Evaluator::mac_key`]'s channel loop it
+/// ran a rotation and a BSGS layer ≈ 2–3 % slower on a 2-vCPU x86-64 host
+/// (EXPERIMENTS.md 2026-10-18).
+#[inline(never)]
 fn mac_channel<'r>(
     m: &Modulus,
     terms: usize,
@@ -370,11 +375,10 @@ impl<'a> Evaluator<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`CkksError::IntegrityViolation`] on a corrupted input and
-    /// propagates contained worker panics.
+    /// Returns [`CkksError::IntegrityViolation`] on a corrupted input.
     pub fn neg(&self, a: &Ciphertext) -> Result<Ciphertext, CkksError> {
         a.verify_integrity("ckks.eval")?;
-        Ok(Ciphertext::from_parts(a.c0().neg()?, a.c1().neg()?, a.level(), a.scale()))
+        Ok(Ciphertext::from_parts(a.c0().neg(), a.c1().neg(), a.level(), a.scale()))
     }
 
     /// Plaintext addition; the plaintext must match level and scale.
@@ -436,7 +440,7 @@ impl<'a> Evaluator<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates contained worker panics from the NTT.
+    /// None today: it forwards [`fhe_math::RnsPoly::to_ntt`]'s `Result`.
     pub fn zero_like(&self, a: &Ciphertext) -> Result<Ciphertext, CkksError> {
         let moduli = self.ctx.level_moduli(a.level());
         let mut z0 = fhe_math::RnsPoly::zero(self.ctx.n(), moduli);
@@ -634,21 +638,24 @@ impl<'a> Evaluator<'a> {
         let n = self.ctx.n();
         let invs = &self.ctx.plans(level).rescale_inv;
         let positions: Vec<usize> = (0..level).collect();
-        let channels = par::par_map(&positions, |_, &c| {
-            let m = self.ctx.rns().moduli()[c];
-            let inv = invs[c];
-            // Centered lift of the dropped residue for round-to-nearest;
-            // the buffer becomes the output channel's backing store.
-            let mut buf = vec![0u64; n];
-            for (y, &x) in buf.iter_mut().zip(last.coeffs()) {
-                *y = m.from_i64(q_last.to_centered(x));
-            }
-            self.ctx.table(c).forward(&mut buf);
-            for (y, &x) in buf.iter_mut().zip(p.channel(c).coeffs()) {
-                *y = m.mul_shoup(m.sub(x, *y), inv);
-            }
-            Poly::from_ntt(buf, m).expect("rescaled residues are canonical")
-        })?;
+        let channels = positions
+            .iter()
+            .map(|&c| {
+                let m = self.ctx.rns().moduli()[c];
+                let inv = invs[c];
+                // Centered lift of the dropped residue for round-to-nearest;
+                // the buffer becomes the output channel's backing store.
+                let mut buf = vec![0u64; n];
+                for (y, &x) in buf.iter_mut().zip(last.coeffs()) {
+                    *y = m.from_i64(q_last.to_centered(x));
+                }
+                self.ctx.table(c).forward(&mut buf);
+                for (y, &x) in buf.iter_mut().zip(p.channel(c).coeffs()) {
+                    *y = m.mul_shoup(m.sub(x, *y), inv);
+                }
+                Poly::from_ntt(buf, m).expect("rescaled residues are canonical")
+            })
+            .collect();
         Ok(RnsPoly::from_channels(channels)?)
     }
 
@@ -691,7 +698,7 @@ impl<'a> Evaluator<'a> {
         let mut tally = Transforms::default();
         let digits = self.modup_ntt(d, level, &mut tally)?;
         let mut acc = self.qp_acc(level);
-        self.mac_key(&digits, key, None, &mut acc)?;
+        self.mac_key(&digits, key, None, &mut acc);
         self.moddown_ntt(acc, &mut tally)
     }
 
@@ -725,10 +732,10 @@ impl<'a> Evaluator<'a> {
         for (i, (digit, (dst, plan))) in plans.digits.iter().zip(&plans.modup).enumerate() {
             // The digit's own channels, copied out of the NTT domain.
             take_pooled(&mut coeff, n, digit.len());
-            par::par_iter_mut(&mut coeff, |k, buf| {
-                buf.copy_from_slice(d.at(digit[k]));
-                self.ctx.table(digit[k]).inverse(buf);
-            })?;
+            for (buf, &c) in coeff.iter_mut().zip(digit) {
+                buf.copy_from_slice(d.at(c));
+                self.ctx.table(c).inverse(buf);
+            }
             let src: Vec<&[u64]> = coeff.iter().map(Vec::as_slice).collect();
             take_pooled(&mut out, n, dst.len());
             plan.apply_into(&src, &mut out)?;
@@ -738,11 +745,11 @@ impl<'a> Evaluator<'a> {
                 digits.ext[i * t + pos] = buf;
             }
         }
-        par::par_iter_mut(&mut digits.ext, |idx, buf| {
+        for (idx, buf) in digits.ext.iter_mut().enumerate() {
             if !buf.is_empty() {
                 self.ctx.table(self.ext_channel(level, idx % t)).forward_lazy(buf);
             }
-        })?;
+        }
         tally.inverse += level + 1;
         tally.forward += digits.ext.len() - (level + 1);
         Ok(digits)
@@ -768,12 +775,12 @@ impl<'a> Evaluator<'a> {
         key: &SwitchKey,
         perm: Option<&[u32]>,
         acc: &mut [Vec<u64>],
-    ) -> Result<(), CkksError> {
+    ) {
         // Histogram-only probe: latency of the per-key keyswitch half.
         let _t = telemetry::Timer::enter("ckks.keyswitch.key_mac");
         let t = digits.t;
         let (beta, level) = (digits.ext.len() / t, t - self.ctx.k_len() - 1);
-        par::par_iter_mut(acc, |idx, out| {
+        for (idx, out) in acc.iter_mut().enumerate() {
             let (half, pos) = (idx / t, idx % t);
             let gc = self.ext_channel(level, pos);
             let row = |i: usize| {
@@ -783,8 +790,7 @@ impl<'a> Evaluator<'a> {
             };
             let map = perm.map_or(MacMap::Straight, MacMap::Gather);
             mac_channel(&self.ctx.rns().moduli()[gc], beta, row, map, out);
-        })?;
-        Ok(())
+        }
     }
 
     /// `acc[half] += P·σ(p)` for a `Q_level` polynomial `p`, `σ` the gather
@@ -937,7 +943,7 @@ impl<'a> Evaluator<'a> {
         let c1g = permuted(a.c1(), &perm);
         let digits = self.modup_ntt(&c1g, a.level(), &mut tally)?;
         let mut acc = self.qp_acc(a.level());
-        self.mac_key(&digits, key, None, &mut acc)?;
+        self.mac_key(&digits, key, None, &mut acc);
         self.add_times_p(&mut acc, 0, a.c0(), &perm);
         let (k0, k1) = self.moddown_ntt(acc, &mut tally)?;
         Ok(Ciphertext::from_parts(k0, k1, a.level(), a.scale()))
@@ -1020,7 +1026,7 @@ impl<'a> Evaluator<'a> {
     ) -> Result<(), CkksError> {
         let (g, key) = self.rotation_key(r, gk)?;
         let perm = galois_ntt_permutation(self.ctx.n(), g)?;
-        self.mac_key(digits, key, Some(&perm), acc)?;
+        self.mac_key(digits, key, Some(&perm), acc);
         self.add_times_p(acc, 0, c0, &perm);
         Ok(())
     }
@@ -1080,14 +1086,14 @@ impl<'a> Evaluator<'a> {
         for (r, terms) in groups {
             let sum = InnerSum::new(terms, &rotated, n, c, t);
             if *r == 0 {
-                par::par_iter_mut(&mut acc, |idx, out| {
+                for (idx, out) in acc.iter_mut().enumerate() {
                     sum.mac_into(modulus(idx % t), idx / t, idx % t, out);
-                })?;
+                }
                 continue;
             }
             let (g, key) = self.rotation_key(*r, gk)?;
             let perm = galois_ntt_permutation(n, g)?;
-            par::par_iter_mut(&mut acc[..t], |pos, out| {
+            for (pos, out) in acc[..t].iter_mut().enumerate() {
                 let m = modulus(pos);
                 Scratch::with_thread_local(|s| {
                     let mut channel = s.take(n);
@@ -1097,20 +1103,22 @@ impl<'a> Evaluator<'a> {
                     }
                     s.put(channel);
                 });
-            })?;
+            }
             if c1.is_empty() {
                 take_pooled(&mut c1, n, t);
             } else {
                 c1.iter_mut().for_each(|ch| ch.fill(0));
             }
-            par::par_iter_mut(&mut c1, |pos, out| sum.mac_into(modulus(pos), 1, pos, out))?;
+            for (pos, out) in c1.iter_mut().enumerate() {
+                sum.mac_into(modulus(pos), 1, pos, out);
+            }
             let (q, p) = c1.split_at_mut(c);
             let moddown = &self.ctx.plans(level).moddown;
             moddown.apply_ntt_into(&tables[..c], &tables[self.ctx.q_len()..], q, p)?;
             tally.inverse += k;
             tally.forward += c;
             let digits = self.modup_ntt(&*q, level, &mut tally)?;
-            self.mac_key(&digits, key, Some(&perm), &mut acc)?;
+            self.mac_key(&digits, key, Some(&perm), &mut acc);
         }
         give_back(c1);
         give_back(rotated.into_iter().flatten());
@@ -1288,7 +1296,7 @@ mod tests {
         let mut acc = ev.qp_acc(level);
         let tables = ctx.rns().tables();
         let mut stages_2_and_3 = || {
-            ev.mac_key(&digits, key, Some(&perm), &mut acc).unwrap();
+            ev.mac_key(&digits, key, Some(&perm), &mut acc);
             ev.add_times_p(&mut acc, 0, ct.c0(), &perm);
             for half in acc.chunks_mut(digits.t) {
                 let (q, p) = half.split_at_mut(level + 1);
@@ -1337,8 +1345,8 @@ mod tests {
             let moduli = ctx.level_moduli(level - 1);
             for (f, t) in [(fused.c0(), two_step.c0()), (fused.c1(), two_step.c1())] {
                 let (mut f, mut t) = (f.clone(), t.clone());
-                f.to_coeff(ctx.level_tables(level - 1)).unwrap();
-                t.to_coeff(ctx.level_tables(level - 1)).unwrap();
+                f.to_coeff(ctx.level_tables(level - 1));
+                t.to_coeff(ctx.level_tables(level - 1));
                 let diff = |c: usize, i: usize| {
                     moduli[c].sub(f.channel(c).coeffs()[i], t.channel(c).coeffs()[i])
                 };

@@ -19,9 +19,7 @@ use std::collections::HashMap;
 
 use crate::ciphertext::{Ciphertext, Plaintext};
 use crate::{CkksContext, CkksError};
-use fhe_math::{
-    galois_ntt_permutation, par, sample_gaussian, sample_ternary, Domain, Poly, RnsPoly,
-};
+use fhe_math::{galois_ntt_permutation, sample_gaussian, sample_ternary, Domain, Poly, RnsPoly};
 use rand::Rng;
 
 /// Samples a uniform RNS polynomial directly in NTT domain.
@@ -41,21 +39,20 @@ fn sample_uniform_ntt<R: Rng + ?Sized>(
 }
 
 /// Lifts signed coefficients onto the given channels and converts to NTT.
-fn lift_signed_ntt(
-    ctx: &CkksContext,
-    coeffs: &[i64],
-    channels: &[usize],
-) -> Result<Vec<Poly>, CkksError> {
-    Ok(par::par_map(channels, |_, &c| {
-        let m = ctx.rns().moduli()[c];
-        let mut vals = vec![0u64; ctx.n()];
-        for (i, &x) in coeffs.iter().enumerate() {
-            vals[i] = m.from_i64(x);
-        }
-        let mut p = Poly::from_coeffs(vals, m).expect("canonical");
-        p.to_ntt(ctx.table(c));
-        p
-    })?)
+fn lift_signed_ntt(ctx: &CkksContext, coeffs: &[i64], channels: &[usize]) -> Vec<Poly> {
+    channels
+        .iter()
+        .map(|&c| {
+            let m = ctx.rns().moduli()[c];
+            let mut vals = vec![0u64; ctx.n()];
+            for (i, &x) in coeffs.iter().enumerate() {
+                vals[i] = m.from_i64(x);
+            }
+            let mut p = Poly::from_coeffs(vals, m).expect("canonical");
+            p.to_ntt(ctx.table(c));
+            p
+        })
+        .collect()
 }
 
 /// The ternary secret key.
@@ -74,12 +71,12 @@ impl SecretKey {
     ///
     /// # Errors
     ///
-    /// Propagates contained worker panics from the NTT lift (see
-    /// [`fhe_math::par`]).
+    /// None: the `Result` is kept only because the frozen benchmark
+    /// `.expect`s it.
     pub fn generate<R: Rng + ?Sized>(ctx: &CkksContext, rng: &mut R) -> Result<Self, CkksError> {
         let s_coeffs = sample_ternary(ctx.n(), rng);
         let all: Vec<usize> = (0..ctx.rns().moduli().len()).collect();
-        let s_full = lift_signed_ntt(ctx, &s_coeffs, &all)?;
+        let s_full = lift_signed_ntt(ctx, &s_coeffs, &all);
         Ok(SecretKey { s_coeffs, s_full, q_len: ctx.q_len(), scale: ctx.params().scale() })
     }
 
@@ -113,7 +110,7 @@ impl SecretKey {
         let channels: Vec<usize> = (0..=level).collect();
         let c1_channels = sample_uniform_ntt(ctx, &channels, rng);
         let noise = sample_gaussian(ctx.params().sigma(), ctx.n(), rng);
-        let e_channels = lift_signed_ntt(ctx, &noise, &channels)?;
+        let e_channels = lift_signed_ntt(ctx, &noise, &channels);
         let mut c0_channels = Vec::with_capacity(level + 1);
         for c in 0..=level {
             let m = ctx.rns().moduli()[c];
@@ -159,19 +156,20 @@ impl SecretKey {
         }
         let level = ct.level();
         let positions: Vec<usize> = (0..=level).collect();
-        let channels = par::par_map(&positions, |_, &c| -> Result<Poly, CkksError> {
-            let m = ct.c0().channel(c).modulus();
-            // In place: as a `map` … `collect` LLVM auto-vectorizes this loop
-            // into SSE2's emulated 64-bit multiplies, ×1.4 slower (DESIGN.md
-            // §14.2).
-            let mut prod = ct.c1().channel(c).clone();
-            for (x, &y) in prod.coeffs_mut().iter_mut().zip(self.s_full[c].coeffs()) {
-                *x = m.mul(*x, y);
-            }
-            Ok(ct.c0().channel(c).add(&prod)?)
-        })?
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
+        let channels = positions
+            .iter()
+            .map(|&c| -> Result<Poly, CkksError> {
+                let m = ct.c0().channel(c).modulus();
+                // In place: as a `map` … `collect` LLVM auto-vectorizes this
+                // loop into SSE2's emulated 64-bit multiplies, ×1.4 slower
+                // (DESIGN.md §14.2).
+                let mut prod = ct.c1().channel(c).clone();
+                for (x, &y) in prod.coeffs_mut().iter_mut().zip(self.s_full[c].coeffs()) {
+                    *x = m.mul(*x, y);
+                }
+                Ok(ct.c0().channel(c).add(&prod)?)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(Plaintext::from_parts(RnsPoly::from_channels(channels)?, level, ct.scale()))
     }
 
@@ -205,7 +203,7 @@ impl PublicKey {
         let q_channels: Vec<usize> = (0..ctx.q_len()).collect();
         let a_channels = sample_uniform_ntt(ctx, &q_channels, rng);
         let noise = sample_gaussian(ctx.params().sigma(), ctx.n(), rng);
-        let e_channels = lift_signed_ntt(ctx, &noise, &q_channels)?;
+        let e_channels = lift_signed_ntt(ctx, &noise, &q_channels);
         let mut b_channels = Vec::with_capacity(q_channels.len());
         for (i, &c) in q_channels.iter().enumerate() {
             let m = ctx.rns().moduli()[c];
@@ -239,11 +237,11 @@ impl PublicKey {
         let level = pt.level();
         let u = sample_ternary(ctx.n(), rng);
         let channels: Vec<usize> = (0..=level).collect();
-        let u_ntt = lift_signed_ntt(ctx, &u, &channels)?;
+        let u_ntt = lift_signed_ntt(ctx, &u, &channels);
         let e0 =
-            lift_signed_ntt(ctx, &sample_gaussian(ctx.params().sigma(), ctx.n(), rng), &channels)?;
+            lift_signed_ntt(ctx, &sample_gaussian(ctx.params().sigma(), ctx.n(), rng), &channels);
         let e1 =
-            lift_signed_ntt(ctx, &sample_gaussian(ctx.params().sigma(), ctx.n(), rng), &channels)?;
+            lift_signed_ntt(ctx, &sample_gaussian(ctx.params().sigma(), ctx.n(), rng), &channels);
         let mut c0 = Vec::with_capacity(level + 1);
         let mut c1 = Vec::with_capacity(level + 1);
         for c in 0..=level {
@@ -298,27 +296,29 @@ impl SwitchKey {
         for digit in 0..ctx.digits().len() {
             let a_channels = sample_uniform_ntt(ctx, &all, rng);
             let noise = sample_gaussian(ctx.params().sigma(), ctx.n(), rng);
-            let e_channels = lift_signed_ntt(ctx, &noise, &all)?;
+            let e_channels = lift_signed_ntt(ctx, &noise, &all);
 
-            let b_channels = par::par_map(&all, |pos, &c| -> Result<Poly, CkksError> {
-                let m = ctx.rns().moduli()[c];
-                let f = ctx.key_factor(digit, c);
-                let s = sk.s_channel(c);
-                let t = &target[c];
-                let vals: Vec<u64> = a_channels[pos]
-                    .coeffs()
-                    .iter()
-                    .zip(s.coeffs())
-                    .zip(e_channels[pos].coeffs())
-                    .zip(t.coeffs())
-                    .map(|(((&a, &sv), &e), &tv)| {
-                        m.add(m.add(m.neg(m.mul(a, sv)), e), m.mul_shoup(tv, f))
-                    })
-                    .collect();
-                Ok(Poly::from_ntt(vals, m)?)
-            })?
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
+            let b_channels = all
+                .iter()
+                .enumerate()
+                .map(|(pos, &c)| -> Result<Poly, CkksError> {
+                    let m = ctx.rns().moduli()[c];
+                    let f = ctx.key_factor(digit, c);
+                    let s = sk.s_channel(c);
+                    let t = &target[c];
+                    let vals: Vec<u64> = a_channels[pos]
+                        .coeffs()
+                        .iter()
+                        .zip(s.coeffs())
+                        .zip(e_channels[pos].coeffs())
+                        .zip(t.coeffs())
+                        .map(|(((&a, &sv), &e), &tv)| {
+                            m.add(m.add(m.neg(m.mul(a, sv)), e), m.mul_shoup(tv, f))
+                        })
+                        .collect();
+                    Ok(Poly::from_ntt(vals, m)?)
+                })
+                .collect::<Result<Vec<_>, _>>()?;
             digit_keys
                 .push((RnsPoly::from_channels(b_channels)?, RnsPoly::from_channels(a_channels)?));
         }
@@ -519,7 +519,7 @@ mod tests {
                         s_g[e - n] -= c;
                     }
                 }
-                let want = lift_signed_ntt(&ctx, &s_g, &all).unwrap();
+                let want = lift_signed_ntt(&ctx, &s_g, &all);
                 let got = galois_target(&ctx, &sk, g).unwrap();
                 for c in 0..all.len() {
                     assert_eq!(got[c].coeffs(), want[c].coeffs(), "g {g} channel {c}");

@@ -57,8 +57,8 @@ fn assert_encode_matches_direct(c: &CkksContext, values: &[Complex64]) -> Result
     let (level, scale) = (c.q_len() - 1, c.params().scale());
     let mut fast = enc.encode_complex_at(values, level, scale).unwrap().poly().clone();
     let mut direct = enc.encode_direct_at(values, level, scale).unwrap().poly().clone();
-    fast.to_coeff(c.level_tables(level)).unwrap();
-    direct.to_coeff(c.level_tables(level)).unwrap();
+    fast.to_coeff(c.level_tables(level));
+    direct.to_coeff(c.level_tables(level));
     let m = c.rns().moduli()[0];
     for (i, (&a, &b)) in fast.channel(0).coeffs().iter().zip(direct.channel(0).coeffs()).enumerate()
     {
@@ -236,7 +236,7 @@ fn uniform_poly(ctx: &CkksContext, level: usize, rng: &mut ChaCha8Rng) -> RnsPol
 /// `X ↦ X^g` the textbook way: INTT, coefficient-domain automorphism, NTT.
 fn reference_automorphism(ctx: &CkksContext, p: &RnsPoly, level: usize, g: usize) -> RnsPoly {
     let mut p = p.clone();
-    p.to_coeff(ctx.level_tables(level)).unwrap();
+    p.to_coeff(ctx.level_tables(level));
     let mut p = p.automorphism(g).unwrap();
     p.to_ntt(ctx.level_tables(level)).unwrap();
     p
@@ -258,7 +258,7 @@ fn reference_keyswitch(
     let p_idx = ctx.p_indices();
     let ext_idx: Vec<usize> = q_idx.iter().chain(&p_idx).copied().collect();
     let mut d_coeff = d.clone();
-    d_coeff.to_coeff(ctx.level_tables(level)).unwrap();
+    d_coeff.to_coeff(ctx.level_tables(level));
     let mut acc = [vec![vec![0u64; n]; ext_idx.len()], vec![vec![0u64; n]; ext_idx.len()]];
     for (i, digit) in ctx.digits_at_level(level).iter().enumerate() {
         let dst: Vec<usize> = ext_idx.iter().copied().filter(|c| !digit.contains(c)).collect();

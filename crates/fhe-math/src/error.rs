@@ -56,28 +56,12 @@ pub enum MathError {
         /// Description of the invalid parameter.
         detail: String,
     },
-    /// A chunk of a kernel region panicked; the panic was contained at the
-    /// chunk boundary (see [`crate::par::ParError`]) and the region's output
-    /// is poisoned. The process itself remains healthy — subsequent kernel
-    /// calls are unaffected.
-    WorkerPanic {
-        /// Index of the panicked chunk (see [`crate::par::ParError::chunk`]).
-        chunk: usize,
-        /// Stringified panic payload.
-        payload: String,
-    },
     /// Data failed an integrity check: a stored checksum no longer matches
     /// the recomputed one, i.e. limbs were corrupted after sealing.
     IntegrityViolation {
         /// Where the mismatch was detected.
         context: &'static str,
     },
-}
-
-impl From<crate::par::ParError> for MathError {
-    fn from(e: crate::par::ParError) -> Self {
-        MathError::WorkerPanic { chunk: e.chunk, payload: e.payload }
-    }
 }
 
 impl fmt::Display for MathError {
@@ -100,9 +84,6 @@ impl fmt::Display for MathError {
                 write!(f, "{value} is not invertible modulo {modulus}")
             }
             MathError::InvalidParameter { detail } => write!(f, "invalid parameter: {detail}"),
-            MathError::WorkerPanic { chunk, payload } => {
-                write!(f, "contained worker panic (chunk {chunk}): {payload}")
-            }
             MathError::IntegrityViolation { context } => {
                 write!(f, "integrity violation detected at {context}")
             }

@@ -66,7 +66,6 @@ pub use integrity::checksum_enabled;
 pub use mixed_radix::MixedRadix;
 pub use modulus::{Modulus, ShoupScalar};
 pub use ntt::{galois_ntt_permutation, radix_blocks, CyclicNtt, NttTable};
-pub use par::ParError;
 pub use poly::{Domain, Poly};
 pub use prime::{generate_ntt_primes, is_prime};
 pub use rns::{

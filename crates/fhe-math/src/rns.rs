@@ -17,7 +17,7 @@
 use std::borrow::Borrow;
 
 use crate::poly::Domain;
-use crate::{par, simd, MathError, Modulus, NttTable, Poly, Scratch, UBig};
+use crate::{simd, MathError, Modulus, NttTable, Poly, Scratch, UBig};
 
 /// An ordered set of word-sized prime moduli forming an RNS basis.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,8 +156,7 @@ impl RnsContext {
         src: &[usize],
         dst: &[usize],
     ) -> Result<Vec<Vec<u64>>, MathError> {
-        let plan = self.bconv(src, dst)?;
-        plan.apply(poly_channels)
+        Ok(self.bconv(src, dst)?.apply(poly_channels))
     }
 
     /// Allocation-free [`RnsContext::modup`]: writes the converted channels
@@ -179,8 +178,8 @@ impl RnsContext {
         out: &mut [Vec<u64>],
     ) -> Result<(), MathError> {
         let _t = telemetry::Timer::enter("math.modup");
-        let plan = self.bconv(src, dst)?;
-        plan.apply_into(poly_channels, out)
+        self.bconv(src, dst)?.convert_into(poly_channels, out);
+        Ok(())
     }
 
     /// Moddown (paper Eq. 3): given residues of `x` on `Q ∪ P` (indices
@@ -261,8 +260,7 @@ impl ModdownPlan {
     /// # Errors
     ///
     /// Returns [`MathError::InvalidParameter`] if the channel counts
-    /// disagree with the plan, or [`MathError::WorkerPanic`] from a
-    /// contained worker panic.
+    /// disagree with the plan.
     ///
     /// # Panics
     ///
@@ -285,8 +283,8 @@ impl ModdownPlan {
         Scratch::with_thread_local(|scratch| {
             let mut converted: Vec<Vec<u64>> =
                 (0..q_moduli.len()).map(|_| scratch.take(n)).collect();
-            self.bconv.apply_into(p_channels, &mut converted)?;
-            par::par_iter_mut(out, |k, channel| {
+            self.bconv.convert_into(p_channels, &mut converted);
+            for (k, channel) in out.iter_mut().enumerate() {
                 channel.clear();
                 channel.resize(n, 0);
                 simd::sub_mul_shoup_slice(
@@ -296,12 +294,12 @@ impl ModdownPlan {
                     self.p_inv[k],
                     q_moduli[k].value(),
                 );
-            })?;
+            }
             for buf in converted {
                 scratch.put(buf);
             }
-            Ok(())
-        })
+        });
+        Ok(())
     }
 
     /// [`ModdownPlan::apply_into`] for **NTT-domain** data, in place:
@@ -323,8 +321,7 @@ impl ModdownPlan {
     /// # Errors
     ///
     /// Returns [`MathError::InvalidParameter`] if the channel or table
-    /// counts disagree with the plan, or [`MathError::WorkerPanic`] from a
-    /// contained worker panic (the channels are poisoned in that case).
+    /// counts disagree with the plan.
     ///
     /// # Panics
     ///
@@ -354,12 +351,12 @@ impl ModdownPlan {
         }
         let n = p_tables[0].borrow().n();
         // Bconv step 1 rides on the INTT pass: y_j = INTT(p_j)·q̂_j⁻¹.
-        par::par_iter_mut(p_channels, |j, ch| {
+        for (j, ch) in p_channels.iter_mut().enumerate() {
             p_tables[j].borrow().inverse(ch);
             simd::mul_shoup_slice(ch, self.bconv.qhat_inv[j], p_moduli[j].value());
-        })?;
+        }
         let scaled = &*p_channels;
-        par::par_iter_mut(q_channels, |k, ch| {
+        for (k, ch) in q_channels.iter_mut().enumerate() {
             Scratch::with_thread_local(|scratch| {
                 let mut converted = scratch.take(n);
                 self.bconv.dot_into(k, scaled, &mut converted);
@@ -369,7 +366,7 @@ impl ModdownPlan {
                 simd::mul_shoup_slice(ch, self.p_inv[k], q);
                 scratch.put(converted);
             });
-        })?;
+        }
         Ok(())
     }
 }
@@ -464,19 +461,14 @@ impl BconvPlan {
     /// `L` products accumulated lazily in a 128-bit register, then a single
     /// Barrett reduction per destination coefficient (paper Table 3).
     ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::WorkerPanic`] if a region chunk panicked (the
-    /// panic is contained, the process stays healthy).
-    ///
     /// # Panics
     ///
     /// Panics if `channels.len()` differs from the plan's source count or
     /// the channels have unequal lengths.
-    pub fn apply(&self, channels: &[&[u64]]) -> Result<Vec<Vec<u64>>, MathError> {
+    pub fn apply(&self, channels: &[&[u64]]) -> Vec<Vec<u64>> {
         let mut out = vec![Vec::new(); self.dst_moduli.len()];
-        self.apply_into(channels, &mut out)?;
-        Ok(out)
+        self.convert_into(channels, &mut out);
+        out
     }
 
     /// Allocation-free [`BconvPlan::apply`]: writes one converted channel
@@ -486,8 +478,8 @@ impl BconvPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`MathError::WorkerPanic`] if a region chunk panicked; `out`
-    /// is poisoned in that case.
+    /// None: the `Result` is kept only because the frozen benchmark
+    /// `.expect`s it.
     ///
     /// # Panics
     ///
@@ -495,6 +487,12 @@ impl BconvPlan {
     /// channels have unequal lengths, or `out.len()` differs from the
     /// plan's destination count.
     pub fn apply_into(&self, channels: &[&[u64]], out: &mut [Vec<u64>]) -> Result<(), MathError> {
+        self.convert_into(channels, out);
+        Ok(())
+    }
+
+    /// The body of [`BconvPlan::apply_into`].
+    fn convert_into(&self, channels: &[&[u64]], out: &mut [Vec<u64>]) {
         // Histogram-only latency probe: one atomic load when telemetry is
         // not installed, per-call p50/p99 when it is (no span events — this
         // runs thousands of times per workload).
@@ -506,26 +504,25 @@ impl BconvPlan {
         Scratch::with_thread_local(|scratch| {
             // Step 1 (per source channel): y_i = x_i * qhat_inv_i mod q_i.
             let mut scaled: Vec<Vec<u64>> = (0..channels.len()).map(|_| scratch.take(n)).collect();
-            par::par_iter_mut(&mut scaled, |i, buf| {
+            for (i, buf) in scaled.iter_mut().enumerate() {
                 let m = self.src_moduli[i];
                 let s = self.qhat_inv[i];
                 buf.copy_from_slice(channels[i]);
                 simd::mul_shoup_slice(buf, s, m.value());
-            })?;
+            }
             // Step 2 (per destination channel): lazy-accumulated dot
             // product — the Meta-OP pattern `(M_j A_j)_L R_j`, one
             // reduction per destination coefficient (paper Table 3; per
             // eight sources past eight).
-            par::par_iter_mut(out, |j, channel| {
+            for (j, channel) in out.iter_mut().enumerate() {
                 channel.clear();
                 channel.resize(n, 0);
                 self.dot_into(j, &scaled, channel);
-            })?;
+            }
             for buf in scaled {
                 scratch.put(buf);
             }
-            Ok(())
-        })
+        });
     }
 
     /// Step 2 of the conversion for destination channel `j`, added into a
@@ -766,9 +763,8 @@ impl RnsPoly {
     ///
     /// # Errors
     ///
-    /// Returns [`MathError::WorkerPanic`] if a region chunk panicked; the
-    /// polynomial is poisoned (some channels converted, some not) and must
-    /// be discarded.
+    /// None: the `Result` is kept only because the frozen benchmark
+    /// `.expect`s it.
     ///
     /// # Panics
     ///
@@ -780,32 +776,26 @@ impl RnsPoly {
         for (c, t) in self.channels.iter().zip(tables) {
             assert_eq!(c.modulus(), t.modulus(), "misaligned NTT tables");
         }
-        par::par_iter_mut(&mut self.channels, |i, c| {
-            c.to_ntt(&tables[i]);
-        })?;
+        for (c, t) in self.channels.iter_mut().zip(tables) {
+            c.to_ntt(t);
+        }
         Ok(())
     }
 
     /// Converts all channels to coefficient domain.
     ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::WorkerPanic`] if a region chunk panicked; the
-    /// polynomial is poisoned and must be discarded.
-    ///
     /// # Panics
     ///
     /// Panics if `tables` is shorter than the channel list or misaligned.
-    pub fn to_coeff(&mut self, tables: &[NttTable]) -> Result<(), MathError> {
+    pub fn to_coeff(&mut self, tables: &[NttTable]) {
         let _t = telemetry::Timer::enter("math.rns.ntt_inv");
         assert!(tables.len() >= self.channels.len(), "missing NTT tables");
         for (c, t) in self.channels.iter().zip(tables) {
             assert_eq!(c.modulus(), t.modulus(), "misaligned NTT tables");
         }
-        par::par_iter_mut(&mut self.channels, |i, c| {
-            c.to_coeff(&tables[i]);
-        })?;
-        Ok(())
+        for (c, t) in self.channels.iter_mut().zip(tables) {
+            c.to_coeff(t);
+        }
     }
 
     /// Channel-wise sum.
@@ -829,10 +819,10 @@ impl RnsPoly {
     pub fn add_assign(&mut self, other: &RnsPoly) -> Result<(), MathError> {
         self.check_zip(other)?;
         let others = &other.channels;
-        par::par_iter_mut(&mut self.channels, |i, c| {
+        for (c, o) in self.channels.iter_mut().zip(others) {
             let q = c.modulus().value();
-            simd::add_mod_slice(c.coeffs_mut(), others[i].coeffs(), q);
-        })?;
+            simd::add_mod_slice(c.coeffs_mut(), o.coeffs(), q);
+        }
         Ok(())
     }
 
@@ -856,36 +846,26 @@ impl RnsPoly {
     pub fn sub_assign(&mut self, other: &RnsPoly) -> Result<(), MathError> {
         self.check_zip(other)?;
         let others = &other.channels;
-        par::par_iter_mut(&mut self.channels, |i, c| {
+        for (c, o) in self.channels.iter_mut().zip(others) {
             let q = c.modulus().value();
-            simd::sub_mod_slice(c.coeffs_mut(), others[i].coeffs(), q);
-        })?;
+            simd::sub_mod_slice(c.coeffs_mut(), o.coeffs(), q);
+        }
         Ok(())
     }
 
     /// Channel-wise negation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::WorkerPanic`] if a region chunk panicked.
-    pub fn neg(&self) -> Result<RnsPoly, MathError> {
+    pub fn neg(&self) -> RnsPoly {
         let mut out = self.clone();
-        out.neg_assign()?;
-        Ok(out)
+        out.neg_assign();
+        out
     }
 
     /// In-place channel-wise negation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::WorkerPanic`] if a region chunk panicked (`self`
-    /// is poisoned in that case).
-    pub fn neg_assign(&mut self) -> Result<(), MathError> {
-        par::par_iter_mut(&mut self.channels, |_, c| {
+    pub fn neg_assign(&mut self) {
+        for c in &mut self.channels {
             let q = c.modulus().value();
             simd::neg_mod_slice(c.coeffs_mut(), q);
-        })?;
-        Ok(())
+        }
     }
 
     /// Point-wise product; both operands must already be in NTT domain.
@@ -914,10 +894,10 @@ impl RnsPoly {
         }
         self.check_zip(other)?;
         let others = &other.channels;
-        par::par_iter_mut(&mut self.channels, |i, c| {
+        for (c, o) in self.channels.iter_mut().zip(others) {
             let m = c.modulus();
-            simd::mul_mod_slice(c.coeffs_mut(), others[i].coeffs(), &m);
-        })?;
+            simd::mul_mod_slice(c.coeffs_mut(), o.coeffs(), &m);
+        }
         Ok(())
     }
 
@@ -941,9 +921,13 @@ impl RnsPoly {
         if !self.n().is_power_of_two() {
             return Err(MathError::InvalidDegree { degree: self.n() });
         }
-        let channels = par::par_map(&self.channels, |_, c| {
-            c.automorphism(g).expect("validated: odd exponent, coefficient domain, 2^k length")
-        })?;
+        let channels = self
+            .channels
+            .iter()
+            .map(|c| {
+                c.automorphism(g).expect("validated: odd exponent, coefficient domain, 2^k length")
+            })
+            .collect();
         Ok(RnsPoly { channels })
     }
 
@@ -1055,7 +1039,7 @@ mod tests {
         let chans: Vec<Vec<u64>> =
             src_moduli.iter().map(|m| vec![x_exact % m.value(); 16]).collect();
         let refs: Vec<&[u64]> = chans.iter().map(|c| c.as_slice()).collect();
-        let out = plan.apply(&refs).unwrap();
+        let out = plan.apply(&refs);
 
         let q_prod = UBig::product_of(src_moduli.iter().map(|m| m.value()));
         for (j, &dj) in dst.iter().enumerate() {
@@ -1082,7 +1066,7 @@ mod tests {
         let plan = ctx.bconv(&[0], &[2, 3]).unwrap();
         let x = 42_424_242u64 % ctx.moduli()[0].value();
         let chan = vec![x; 8];
-        let out = plan.apply(&[chan.as_slice()]).unwrap();
+        let out = plan.apply(&[chan.as_slice()]);
         for (j, &dj) in [2usize, 3].iter().enumerate() {
             assert_eq!(out[j][0], x % ctx.moduli()[dj].value());
         }
@@ -1093,7 +1077,7 @@ mod tests {
         let ctx = context(8, 4);
         let plan = ctx.bconv(&[0, 1, 2], &[3]).unwrap();
         let z = vec![0u64; 8];
-        let out = plan.apply(&[z.as_slice(), z.as_slice(), z.as_slice()]).unwrap();
+        let out = plan.apply(&[z.as_slice(), z.as_slice(), z.as_slice()]);
         assert!(out[0].iter().all(|&v| v == 0));
     }
 
@@ -1173,7 +1157,7 @@ mod tests {
         let s = a.add(&b).unwrap();
         assert_eq!(s.crt_coefficient(1), UBig::from_u64(22));
         assert_eq!(s.sub(&b).unwrap(), a);
-        let z = a.add(&a.neg().unwrap()).unwrap();
+        let z = a.add(&a.neg()).unwrap();
         assert!(z.channels().iter().all(|c| c.coeffs().iter().all(|&v| v == 0)));
     }
 
@@ -1185,7 +1169,7 @@ mod tests {
         a.to_ntt(ctx.tables()).unwrap();
         b.to_ntt(ctx.tables()).unwrap();
         let mut p = a.mul_pointwise(&b).unwrap();
-        p.to_coeff(ctx.tables()).unwrap();
+        p.to_coeff(ctx.tables());
         assert_eq!(p.crt_coefficient(3), UBig::from_u64(1)); // X^3
     }
 

@@ -130,7 +130,7 @@ proptest! {
         let chans: Vec<Vec<u64>> =
             (0..2).map(|i| vec![x % ctx.moduli()[i].value(); 8]).collect();
         let refs: Vec<&[u64]> = chans.iter().map(|c| c.as_slice()).collect();
-        let out = plan.apply(&refs).unwrap();
+        let out = plan.apply(&refs);
         let q_prod = UBig::product_of((0..2).map(|i| ctx.moduli()[i].value()));
         for (j, dj) in [2usize, 3].into_iter().enumerate() {
             let p = ctx.moduli()[dj];

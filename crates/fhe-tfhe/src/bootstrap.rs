@@ -240,8 +240,8 @@ impl Pbs {
     ///
     /// # Errors
     ///
-    /// Currently infallible — the fused external product opens no parallel
-    /// region; the `Result` is kept so callers need not change.
+    /// None: the `Result` is kept only because the frozen benchmark
+    /// `.expect`s it.
     ///
     /// # Panics
     ///
@@ -252,6 +252,11 @@ impl Pbs {
         ct: &LweCiphertext,
         testv: &[u64],
     ) -> Result<TrlweCiphertext, TfheError> {
+        Ok(self.rotate(bsk, ct, testv))
+    }
+
+    /// The body of [`Pbs::blind_rotate`].
+    fn rotate(&self, bsk: &BootstrappingKey, ct: &LweCiphertext, testv: &[u64]) -> TrlweCiphertext {
         let _span = telemetry::Span::enter("tfhe.pbs.blind_rotate");
         assert_eq!(ct.dim(), bsk.steps(), "LWE dim disagrees with bootstrap key");
         let n = self.params.poly_size;
@@ -275,16 +280,12 @@ impl Pbs {
             trgsw.external_product_add(&self.mult, &mut ws, &mut acc);
         }
         ws.report_transforms();
-        Ok(acc)
+        acc
     }
 
     /// Full programmable bootstrap: blind rotation, sample extraction, key
     /// switch back to dimension `n`. `testv` is the test polynomial (use
     /// the builders below).
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible; see [`Pbs::blind_rotate`].
     ///
     /// # Panics
     ///
@@ -295,10 +296,9 @@ impl Pbs {
         ksk: &KeySwitchKey,
         ct: &LweCiphertext,
         testv: &[u64],
-    ) -> Result<LweCiphertext, TfheError> {
+    ) -> LweCiphertext {
         let _span = telemetry::Span::enter("tfhe.pbs.bootstrap");
-        let rotated = self.blind_rotate(bsk, ct, testv)?;
-        Ok(ksk.switch(&rotated.sample_extract()))
+        ksk.switch(&self.rotate(bsk, ct, testv).sample_extract())
     }
 
     /// The gate-bootstrap test polynomial: constant `μ` everywhere, so the
@@ -398,7 +398,7 @@ mod tests {
         for bit in [true, false] {
             let mu = if bit { ONE_EIGHTH } else { ONE_EIGHTH.wrapping_neg() };
             let ct = f.lwe_key.encrypt(mu, f.params.lwe_sigma, &mut f.rng);
-            let boot = f.pbs.bootstrap(&f.bsk, &f.ksk, &ct, &testv).unwrap();
+            let boot = f.pbs.bootstrap(&f.bsk, &f.ksk, &ct, &testv);
             let phase = f.lwe_key.phase(&boot) as i64;
             assert_eq!(phase > 0, bit, "bit {bit}: phase {phase}");
         }
@@ -412,7 +412,7 @@ mod tests {
         let testv = f.pbs.function_testv(space, |m| (m * m) % space);
         for m in 0..space / 2 {
             let ct = f.lwe_key.encrypt(encode_message(m, space), f.params.lwe_sigma, &mut f.rng);
-            let boot = f.pbs.bootstrap(&f.bsk, &f.ksk, &ct, &testv).unwrap();
+            let boot = f.pbs.bootstrap(&f.bsk, &f.ksk, &ct, &testv);
             assert_eq!(f.lwe_key.decrypt_message(&boot, space), (m * m) % space, "m = {m}");
         }
     }
@@ -424,8 +424,8 @@ mod tests {
         let mut f = fixture(9);
         let testv = f.pbs.sign_testv(ONE_EIGHTH);
         let ct = f.lwe_key.encrypt(ONE_EIGHTH, f.params.lwe_sigma, &mut f.rng);
-        let b1 = f.pbs.bootstrap(&f.bsk, &f.ksk, &ct, &testv).unwrap();
-        let b2 = f.pbs.bootstrap(&f.bsk, &f.ksk, &b1, &testv).unwrap();
+        let b1 = f.pbs.bootstrap(&f.bsk, &f.ksk, &ct, &testv);
+        let b2 = f.pbs.bootstrap(&f.bsk, &f.ksk, &b1, &testv);
         assert!((f.lwe_key.phase(&b1) as i64) > 0);
         assert!((f.lwe_key.phase(&b2) as i64) > 0);
     }

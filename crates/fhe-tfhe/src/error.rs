@@ -47,9 +47,3 @@ impl From<MathError> for TfheError {
         TfheError::Math(e)
     }
 }
-
-impl From<fhe_math::ParError> for TfheError {
-    fn from(e: fhe_math::ParError) -> Self {
-        TfheError::Math(MathError::from(e))
-    }
-}

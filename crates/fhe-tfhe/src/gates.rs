@@ -37,7 +37,7 @@ pub fn nand(
     check(server, &[a, b])?;
     telemetry::count_named("tfhe.gate.nand", 1);
     let lin = LweCiphertext::trivial(ONE_EIGHTH, a.dim()).sub(a).sub(b);
-    server.bootstrap_to_bit(&lin)
+    Ok(server.bootstrap_to_bit(&lin))
 }
 
 /// AND: `bootstrap(−1/8 + a + b)`.
@@ -53,7 +53,7 @@ pub fn and(
     check(server, &[a, b])?;
     telemetry::count_named("tfhe.gate.and", 1);
     let lin = a.add(b).add_constant(ONE_EIGHTH.wrapping_neg());
-    server.bootstrap_to_bit(&lin)
+    Ok(server.bootstrap_to_bit(&lin))
 }
 
 /// OR: `bootstrap(1/8 + a + b)`.
@@ -69,7 +69,7 @@ pub fn or(
     check(server, &[a, b])?;
     telemetry::count_named("tfhe.gate.or", 1);
     let lin = a.add(b).add_constant(ONE_EIGHTH);
-    server.bootstrap_to_bit(&lin)
+    Ok(server.bootstrap_to_bit(&lin))
 }
 
 /// NOR: `bootstrap(−1/8 − a − b)`.
@@ -85,7 +85,7 @@ pub fn nor(
     check(server, &[a, b])?;
     telemetry::count_named("tfhe.gate.nor", 1);
     let lin = a.add(b).neg().add_constant(ONE_EIGHTH.wrapping_neg());
-    server.bootstrap_to_bit(&lin)
+    Ok(server.bootstrap_to_bit(&lin))
 }
 
 /// XOR: `bootstrap(1/4 + 2(a + b))`.
@@ -103,7 +103,7 @@ pub fn xor(
     let sum = a.add(b);
     let doubled = sum.add(&sum);
     let lin = doubled.add_constant(ONE_EIGHTH.wrapping_mul(2));
-    server.bootstrap_to_bit(&lin)
+    Ok(server.bootstrap_to_bit(&lin))
 }
 
 /// XNOR: `bootstrap(−1/4 − 2(a + b))`.
@@ -121,7 +121,7 @@ pub fn xnor(
     let sum = a.add(b);
     let doubled = sum.add(&sum).neg();
     let lin = doubled.add_constant(ONE_EIGHTH.wrapping_mul(2).wrapping_neg());
-    server.bootstrap_to_bit(&lin)
+    Ok(server.bootstrap_to_bit(&lin))
 }
 
 /// NOT: negation — no bootstrap needed.
@@ -144,7 +144,7 @@ pub fn majority(
 ) -> Result<LweCiphertext, TfheError> {
     check(server, &[a, b, c])?;
     telemetry::count_named("tfhe.gate.majority", 1);
-    server.bootstrap_to_bit(&a.add(b).add(c))
+    Ok(server.bootstrap_to_bit(&a.add(b).add(c)))
 }
 
 /// MUX(c, a, b) = (c AND a) OR (NOT c AND b), three bootstraps.

@@ -53,7 +53,7 @@
 //! §14.2).
 
 use crate::TfheError;
-use fhe_math::{generate_ntt_primes, par, Modulus, NttTable, ShoupScalar};
+use fhe_math::{generate_ntt_primes, Modulus, NttTable, ShoupScalar};
 
 /// Output slots the external product's MAC carries per step: enough
 /// independent sums to hide the multiplier's latency, few enough to stay in
@@ -246,25 +246,15 @@ impl NegacyclicMultiplier {
     }
 
     /// Runs `f` on every prime field and that field's `n`-residue chunk of
-    /// `res` — the two fields of a two-prime multiplier as the two sides of
-    /// one contained [`par::join`].
-    fn per_field(
-        &self,
-        res: &mut [u64],
-        f: impl Fn(&PrimeField, &mut [u64]) + Sync,
-    ) -> Result<(), TfheError> {
-        match &self.second {
-            Some((f2, _)) => {
-                let (res1, res2) = res.split_at_mut(self.n);
-                par::join(|| f(&self.first, res1), || f(f2, res2))?;
-            }
-            None => f(&self.first, res),
+    /// `res`, one field after the other.
+    fn per_field(&self, res: &mut [u64], f: impl Fn(&PrimeField, &mut [u64])) {
+        for (field, chunk) in self.fields().zip(res.chunks_exact_mut(self.n)) {
+            f(field, chunk);
         }
-        Ok(())
     }
 
     /// [`prepare`](Self::prepare) into `out` (`primes · n` residues).
-    pub(crate) fn prepare_into(&self, poly: &[u64], out: &mut [u64]) -> Result<(), TfheError> {
+    pub(crate) fn prepare_into(&self, poly: &[u64], out: &mut [u64]) {
         assert_eq!(poly.len(), self.n);
         assert_eq!(out.len(), self.primes() * self.n);
         self.per_field(out, |f, res| {
@@ -272,23 +262,19 @@ impl NegacyclicMultiplier {
                 *r = f.q.reduce(self.to_ring(t));
             }
             f.ntt.forward(res);
-        })
+        });
     }
 
     /// Rounds a torus polynomial to the ring precision and transforms it
     /// into every prime field.
     ///
-    /// # Errors
-    ///
-    /// Surfaces a contained worker panic from a kernel region.
-    ///
     /// # Panics
     ///
     /// Panics if `poly.len() != n`.
-    pub fn prepare(&self, poly: &[u64]) -> Result<PreparedTorusPoly, TfheError> {
+    pub fn prepare(&self, poly: &[u64]) -> PreparedTorusPoly {
         let mut res = vec![0; self.primes() * self.n];
-        self.prepare_into(poly, &mut res)?;
-        Ok(PreparedTorusPoly { res })
+        self.prepare_into(poly, &mut res);
+        PreparedTorusPoly { res }
     }
 
     /// Checks that `terms` lazily transformed digits (`< 2q`) times key
@@ -425,15 +411,11 @@ impl NegacyclicMultiplier {
     /// One-shot exact negacyclic product `ints ⊛ torus`, `torus` rounded to
     /// the ring precision.
     ///
-    /// # Errors
-    ///
-    /// Surfaces a contained worker panic from a kernel region.
-    ///
     /// # Panics
     ///
     /// Panics on length mismatches, or if `Σ|ints|` exceeds what the
     /// multiplier's primes can lift exactly (`Σ|ints| · 2^w ≥ P/2`).
-    pub fn mul_int_torus(&self, ints: &[i64], torus: &[u64]) -> Result<Vec<u64>, TfheError> {
+    pub fn mul_int_torus(&self, ints: &[i64], torus: &[u64]) -> Vec<u64> {
         assert_eq!(ints.len(), self.n);
         let weight: u128 = ints.iter().map(|d| u128::from(d.unsigned_abs())).sum();
         assert!(
@@ -443,11 +425,11 @@ impl NegacyclicMultiplier {
             self.primes(),
             self.ring_bits
         );
-        let mut res = self.prepare(torus)?.res;
-        self.per_field(&mut res, |f, prepared| f.mul_prepared(ints, prepared))?;
+        let mut res = self.prepare(torus).res;
+        self.per_field(&mut res, |f, prepared| f.mul_prepared(ints, prepared));
         let mut out = vec![0; self.n];
         self.lift_add(&res, self.n, &mut out);
-        Ok(out)
+        out
     }
 }
 
@@ -508,7 +490,7 @@ pub(crate) mod tests {
 
     /// A prepared row block from raw `(a, b)` torus rows.
     fn prepare_rows(m: &NegacyclicMultiplier, raw: &[[&[u64]; 2]]) -> Vec<u64> {
-        raw.iter().flatten().flat_map(|poly| m.prepare(poly).unwrap().res).collect()
+        raw.iter().flatten().flat_map(|poly| m.prepare(poly).res).collect()
     }
 
     #[test]
@@ -537,7 +519,7 @@ pub(crate) mod tests {
                 (0..n as u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
             for m in both_precisions(n) {
                 assert_eq!(
-                    m.mul_int_torus(&ints, &torus).unwrap(),
+                    m.mul_int_torus(&ints, &torus),
                     schoolbook(&ints, &rounded(&torus, m.ring_bits())),
                     "n = {n}, w = {}",
                     m.ring_bits()
@@ -565,7 +547,7 @@ pub(crate) mod tests {
             ints[n - 1] = 1; // X^{n-1}
             let mut torus = vec![0u64; n];
             torus[1] = 5 << 32; // 5·2^32·X
-            let out = m.mul_int_torus(&ints, &torus).unwrap();
+            let out = m.mul_int_torus(&ints, &torus);
             assert_eq!(out[0], (5u64 << 32).wrapping_neg()); // X^n = -1
             assert!(out[1..].iter().all(|&c| c == 0));
         }
@@ -662,6 +644,6 @@ pub(crate) mod tests {
         let ints: Vec<i64> =
             (0..n as i64).map(|i| if i % 2 == 0 { 1 << 22 } else { -(1 << 22) }).collect();
         let torus = vec![u64::MAX; n];
-        assert_eq!(m.mul_int_torus(&ints, &torus).unwrap(), schoolbook(&ints, &torus));
+        assert_eq!(m.mul_int_torus(&ints, &torus), schoolbook(&ints, &torus));
     }
 }

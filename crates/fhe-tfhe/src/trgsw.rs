@@ -75,8 +75,8 @@ impl TrgswCiphertext {
             let target = if r < levels { &mut z.a } else { &mut z.b };
             target[0] = target[0].wrapping_add((m as u64).wrapping_mul(gadget));
             let (a, b) = row.split_at_mut(poly);
-            mult.prepare_into(&z.a, a)?;
-            mult.prepare_into(&z.b, b)?;
+            mult.prepare_into(&z.a, a);
+            mult.prepare_into(&z.b, b);
         }
         Ok(TrgswCiphertext { rows, levels, decomposer, n })
     }
@@ -133,11 +133,6 @@ impl TrgswCiphertext {
     /// External product `self ⊡ ct`: homomorphically multiplies the TRLWE
     /// message by this TRGSW's small integer.
     ///
-    /// # Errors
-    ///
-    /// Currently infallible — the fused external product opens no parallel
-    /// region; the `Result` is kept so callers need not change.
-    ///
     /// # Panics
     ///
     /// Panics if ring degrees disagree.
@@ -145,16 +140,12 @@ impl TrgswCiphertext {
         &self,
         mult: &NegacyclicMultiplier,
         ct: &TrlweCiphertext,
-    ) -> Result<TrlweCiphertext, TfheError> {
-        Ok(self.product_onto(mult, ct.clone(), TrlweCiphertext::trivial(vec![0; self.n])))
+    ) -> TrlweCiphertext {
+        self.product_onto(mult, ct.clone(), TrlweCiphertext::trivial(vec![0; self.n]))
     }
 
     /// CMux: returns (an encryption of) `ct1` if this TRGSW encrypts 1,
     /// `ct0` if it encrypts 0: `ct0 + self ⊡ (ct1 − ct0)`.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible; see [`TrgswCiphertext::external_product`].
     ///
     /// # Panics
     ///
@@ -164,8 +155,8 @@ impl TrgswCiphertext {
         mult: &NegacyclicMultiplier,
         ct0: &TrlweCiphertext,
         ct1: &TrlweCiphertext,
-    ) -> Result<TrlweCiphertext, TfheError> {
-        Ok(self.product_onto(mult, ct1.sub(ct0), ct0.clone()))
+    ) -> TrlweCiphertext {
+        self.product_onto(mult, ct1.sub(ct0), ct0.clone())
     }
 }
 
@@ -195,8 +186,8 @@ mod tests {
         let mut rows = vec![0; raw.len() * 2 * poly];
         for (row, (a, b)) in rows.chunks_exact_mut(2 * poly).zip(raw) {
             let (pa, pb) = row.split_at_mut(poly);
-            mult.prepare_into(a, pa).unwrap();
-            mult.prepare_into(b, pb).unwrap();
+            mult.prepare_into(a, pa);
+            mult.prepare_into(b, pb);
         }
         let decomposer = SignedDigitDecomposer::new(base_log, levels).unwrap();
         TrgswCiphertext { rows, levels, decomposer, n: mult.n() }
@@ -261,11 +252,11 @@ mod tests {
                 let ct0 = TrlweCiphertext { a: random_poly(n, &mut rng), b: random_poly(n, &mut rng) };
                 let ct1 = TrlweCiphertext { a: random_poly(n, &mut rng), b: random_poly(n, &mut rng) };
                 proptest::prop_assert_eq!(
-                    trgsw.external_product(&mult, &ct1).unwrap(),
+                    trgsw.external_product(&mult, &ct1),
                     reference(&raw, base_log, w, &ct1)
                 );
                 proptest::prop_assert_eq!(
-                    trgsw.cmux(&mult, &ct0, &ct1).unwrap(),
+                    trgsw.cmux(&mult, &ct0, &ct1),
                     ct0.add(&reference(&raw, base_log, w, &ct1.sub(&ct0)))
                 );
             }
@@ -288,7 +279,7 @@ mod tests {
             for t in [all_extreme, u64::MAX] {
                 let ct = TrlweCiphertext { a: vec![t; n], b: vec![t; n] };
                 assert_eq!(
-                    trgsw.external_product(&mult, &ct).unwrap(),
+                    trgsw.external_product(&mult, &ct),
                     reference(&raw, base_log, w, &ct),
                     "n = {n}, w = {w}, torus value {t:#x}"
                 );
@@ -331,7 +322,7 @@ mod tests {
         assert!(ct.a.iter().all(|&a| a << 32 == 0), "the mask is sampled at ring precision");
         for bit in [1i64, 0] {
             let c = TrgswCiphertext::encrypt(&key, bit, 7, 3, sigma, &mult, &mut rng).unwrap();
-            let phase = key.phase(&c.external_product(&mult, &ct).unwrap(), &mult).unwrap();
+            let phase = key.phase(&c.external_product(&mult, &ct), &mult);
             for (i, (&p, &m)) in phase.iter().zip(&mu).enumerate() {
                 let want = if bit == 1 { decode_message(m, 4) } else { 0 };
                 assert_eq!(decode_message(p, 4), want, "bit {bit}, coeff {i}");
@@ -345,8 +336,8 @@ mod tests {
         let c = TrgswCiphertext::encrypt(&key, 1, 10, 3, SIGMA, &mult, &mut rng).unwrap();
         let mu: Vec<u64> = (0..64).map(|i| encode_message(i % 4, 4)).collect();
         let ct = key.encrypt(&mu, SIGMA, &mult, &mut rng).unwrap();
-        let out = c.external_product(&mult, &ct).unwrap();
-        let phase = key.phase(&out, &mult).unwrap();
+        let out = c.external_product(&mult, &ct);
+        let phase = key.phase(&out, &mult);
         for (i, (&p, &m)) in phase.iter().zip(&mu).enumerate() {
             assert_eq!(decode_message(p, 4), decode_message(m, 4), "coeff {i}");
         }
@@ -358,8 +349,8 @@ mod tests {
         let c = TrgswCiphertext::encrypt(&key, 0, 10, 3, SIGMA, &mult, &mut rng).unwrap();
         let mu: Vec<u64> = (0..64).map(|_| encode_message(1, 2)).collect();
         let ct = key.encrypt(&mu, SIGMA, &mult, &mut rng).unwrap();
-        let out = c.external_product(&mult, &ct).unwrap();
-        let phase = key.phase(&out, &mult).unwrap();
+        let out = c.external_product(&mult, &ct);
+        let phase = key.phase(&out, &mult);
         for (i, &p) in phase.iter().enumerate() {
             assert_eq!(decode_message(p, 2), 0, "coeff {i}");
         }
@@ -374,8 +365,8 @@ mod tests {
         let ct1 = key.encrypt(&mu1, SIGMA, &mult, &mut rng).unwrap();
         for bit in [0i64, 1] {
             let sel = TrgswCiphertext::encrypt(&key, bit, 10, 3, SIGMA, &mult, &mut rng).unwrap();
-            let out = sel.cmux(&mult, &ct0, &ct1).unwrap();
-            let phase = key.phase(&out, &mult).unwrap();
+            let out = sel.cmux(&mult, &ct0, &ct1);
+            let phase = key.phase(&out, &mult);
             let want = if bit == 1 { 5 } else { 1 };
             assert_eq!(decode_message(phase[0], 8), want, "bit {bit}");
         }

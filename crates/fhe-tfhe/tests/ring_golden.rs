@@ -38,8 +38,8 @@ fn ring_layer(params: TfheParams, seed: u64) -> [u64; 3] {
     let lwe = client.encrypt_message(1, 8, &mut rng);
     let testv = pbs.function_testv(8, |m| m);
     [
-        fnv(&trgsw.external_product(mult, &ct0).unwrap()),
-        fnv(&trgsw.cmux(mult, &ct0, &ct1).unwrap()),
+        fnv(&trgsw.external_product(mult, &ct0)),
+        fnv(&trgsw.cmux(mult, &ct0, &ct1)),
         fnv(&pbs.blind_rotate(server.bootstrapping_key(), &lwe, &testv).unwrap()),
     ]
 }

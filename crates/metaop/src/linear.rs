@@ -185,7 +185,7 @@ mod tests {
             })
             .collect();
         let refs: Vec<&[u64]> = chans.iter().map(|c| c.as_slice()).collect();
-        let expected = plan.apply(&refs).unwrap();
+        let expected = plan.apply(&refs);
         let mut trace = MetaOpTrace::new();
         let got = bconv(&plan, &refs, &mut trace);
         assert_eq!(got, expected);

@@ -8,8 +8,7 @@
 //! * [`FaultFlag::WorkerPanic`] panics mid-walk — the server's
 //!   `catch_unwind` must contain it;
 //! * [`FaultFlag::BitFlip`] corrupts one coefficient bit through the
-//!   faultsim corruption surface — the integrity checksum (or, with the
-//!   runtime switch off, the decrypt-side noise gate) must catch it;
+//!   faultsim corruption surface — the integrity checksum must catch it;
 //! * [`FaultFlag::BudgetBurn`] inflates the tracked scale past the
 //!   modulus product — decryption must refuse with `BudgetExhausted`.
 //!

@@ -132,6 +132,10 @@ pub struct KeyCache {
     clock: u64,
     entries: HashMap<TenantId, (Arc<TenantKeys>, u64)>,
     stats: Arc<KeyCacheStats>,
+    /// The next TFHE key generation panics: the shape of a kernel panic
+    /// under the server's cache lock.
+    #[cfg(test)]
+    pub(crate) panic_next_tfhe_keygen: bool,
 }
 
 impl KeyCache {
@@ -143,6 +147,8 @@ impl KeyCache {
             clock: 0,
             entries: HashMap::new(),
             stats: Arc::new(KeyCacheStats::default()),
+            #[cfg(test)]
+            panic_next_tfhe_keygen: false,
         }
     }
 
@@ -223,6 +229,8 @@ impl KeyCache {
         // key, drawn or not) carries over; the TFHE keys come from their own
         // stream of the tenant's key.
         let _span = telemetry::Span::enter("service.keycache.keygen.tfhe");
+        #[cfg(test)]
+        assert!(!std::mem::take(&mut self.panic_next_tfhe_keygen), "injected keygen panic");
         let mut stream = self.tenant_rng(tenant);
         stream.set_stream(TFHE_STREAM);
         let upgraded = Arc::new(TenantKeys {
@@ -297,6 +305,36 @@ mod tests {
         let (ck, _) = generate_keys(&p, &mut a.tenant_rng(55)).unwrap();
         assert_ne!(ta, ck.lwe_key().bits());
         assert_ne!(ta, lwe(&a.get_tfhe(56, &c, &p).unwrap()));
+    }
+
+    #[test]
+    fn a_draw_after_a_poisoning_panic_draws_once_and_the_same_key() {
+        let c = ctx();
+        let keys = KeyCache::new(1, 3).get_ckks(8, &c).unwrap();
+        let lazy = Arc::clone(&keys.rlk);
+        let died = std::thread::spawn(move || {
+            let _drawing = lazy.drawing.lock().unwrap();
+            panic!("a kernel panic mid-draw");
+        })
+        .join();
+        assert!(died.is_err() && keys.rlk.drawing.is_poisoned());
+
+        let drawn: Vec<usize> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| keys.rlk(&c).unwrap() as *const RelinKey as usize))
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(drawn[0], drawn[1], "both racers hold one key");
+        assert_eq!(keys.rlk.stats.rlk_draws(), 1, "drawn once");
+
+        let fresh = KeyCache::new(1, 3).get_ckks(8, &c).unwrap();
+        let digits = |k: &TenantKeys| -> Vec<Vec<u64>> {
+            let rlk = k.rlk(&c).unwrap().switch_key().digit_keys().to_vec();
+            let polys = rlk.iter().flat_map(|(b, a)| [b.clone(), a.clone()]);
+            polys.flat_map(|p| p.channels().to_vec()).map(|ch| ch.coeffs().to_vec()).collect()
+        };
+        assert_eq!(digits(&keys), digits(&fresh), "the key a fresh cache draws");
     }
 
     #[test]

@@ -118,8 +118,7 @@ pub enum FaultFlag {
     /// The worker panics mid-evaluation; `catch_unwind` contains it.
     WorkerPanic,
     /// One ciphertext coefficient bit is flipped post-encryption via the
-    /// faultsim corruption surface; the integrity checksum (or, with its
-    /// runtime switch off, the decrypt-side noise gate) catches it.
+    /// faultsim corruption surface; the integrity checksum catches it.
     BitFlip,
     /// Repeated un-rescaled squarings burn the noise budget; decryption
     /// refuses with `BudgetExhausted`.

@@ -48,7 +48,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -734,68 +734,66 @@ fn run_batch(
     let head = &batch.members[0].item;
     let tenant = head.req.tenant;
 
-    // The schedule-integrity gate — the plan's manifest must still match
-    // its steps before anything cryptographic happens — then the
-    // tenant's keys for the batch's scheme.
-    let keys = shared
-        .sim
-        .run_checked(&head.plan.steps, &head.plan.manifest)
-        .map_err(|e| ServiceError::PlanIntegrity { detail: e.to_string() })
-        .and_then(|_| {
-            let mut cache = shared.cache.lock().expect("key cache poisoned");
-            match head.req.scheme {
-                Scheme::Ckks => cache.get_ckks(tenant, &shared.ctx),
-                Scheme::Tfhe => cache.get_tfhe(tenant, &shared.ctx, &TfheParams::toy()),
-            }
-        });
-    let keys = match keys {
-        Ok(keys) => keys,
-        Err(e) => {
-            for m in batch.members {
-                respond(shared, m.item, Err(e.clone()), 1);
-            }
-            return true;
-        }
-    };
     let payload = match &head.req.payload {
         Payload::CkksSlots(_) => Payload::CkksSlots(combined_payload(&batch, ckks_slots)),
         bits @ Payload::TfheBits(_) => bits.clone(),
     };
     let (fault, fault_id) = batch_fault(&batch);
-    let plan = Arc::clone(&head.plan);
+    let (plan, scheme) = (Arc::clone(&head.plan), head.req.scheme);
     let mut rng = exec_rng(shared, tenant, plan.fingerprint, head.id);
+    let mut unstashed: Option<Vec<(Ticket, Range<usize>)>> =
+        Some(batch.members.into_iter().map(|m| (m.item, m.range)).collect());
+    let mut refused = false;
 
-    // Stash the members in the supervision slot: from here until `end`,
-    // the watchdog can confiscate and answer them if we stall.
-    let items: Vec<(Ticket, Range<usize>)> =
-        batch.members.into_iter().map(|m| (m.item, m.range)).collect();
-    if let Err(inflight) = shared.sup.begin(idx, generation, Inflight { items, batch_size: size }) {
-        for (ticket, _range) in inflight.items {
-            respond(shared, ticket, Err(ServiceError::Shutdown), 1);
+    // The one panic boundary: everything from the manifest gate and the
+    // key fetch (key generation included) to the executor's return runs
+    // under it, so a panic anywhere there fails this batch's members and
+    // nothing else.
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        // The schedule-integrity gate — the plan's manifest must still
+        // match its steps before anything cryptographic happens — then the
+        // tenant's keys for the batch's scheme.
+        shared
+            .sim
+            .run_checked(&plan.steps, &plan.manifest)
+            .map_err(|e| ServiceError::PlanIntegrity { detail: e.to_string() })?;
+        let keys = {
+            // A panic under this lock (a kernel panic in key generation)
+            // poisons it but leaves the cache whole: `get_ckks` inserts an
+            // entry, and `get_tfhe` upgrades one, only after key generation
+            // returned, so the next batch takes the lock over the poison.
+            let mut cache = shared.cache.lock().unwrap_or_else(PoisonError::into_inner);
+            match scheme {
+                Scheme::Ckks => cache.get_ckks(tenant, &shared.ctx),
+                Scheme::Tfhe => cache.get_tfhe(tenant, &shared.ctx, &TfheParams::toy()),
+            }
+        }?;
+        // Stash the members in the supervision slot: from here until
+        // `end`, the watchdog can confiscate and answer them if we stall.
+        let items = unstashed.take().expect("the members are stashed once");
+        if let Err(inflight) =
+            shared.sup.begin(idx, generation, Inflight { items, batch_size: size })
+        {
+            (unstashed, refused) = (Some(inflight.items), true);
+            return Err(ServiceError::Shutdown);
         }
-        return false;
-    }
-
-    let outcome = catch_unwind(AssertUnwindSafe(|| match &payload {
-        Payload::CkksSlots(slots) => execute_ckks(
-            &shared.ctx,
-            &keys,
-            &plan,
-            slots,
-            fault,
-            fault_id,
-            &mut rng,
-            &shared.closing,
-        ),
-        Payload::TfheBits(bits) => {
-            let (ck, sk) = keys.tfhe.as_ref().expect("tfhe keys present");
-            execute_tfhe(ck, sk, &plan, bits, fault, &mut rng, &shared.closing)
+        match &payload {
+            Payload::CkksSlots(slots) => execute_ckks(
+                &shared.ctx,
+                &keys,
+                &plan,
+                slots,
+                fault,
+                fault_id,
+                &mut rng,
+                &shared.closing,
+            ),
+            Payload::TfheBits(bits) => {
+                let (ck, sk) = keys.tfhe.as_ref().expect("tfhe keys present");
+                execute_tfhe(ck, sk, &plan, bits, fault, &mut rng, &shared.closing)
+            }
         }
     }));
-
-    let Some(Inflight { mut items, .. }) = shared.sup.end(idx, generation) else {
-        return false; // Confiscated: the watchdog already answered them.
-    };
     let result = outcome.unwrap_or_else(|payload| {
         let detail = payload
             .downcast_ref::<&str>()
@@ -804,6 +802,19 @@ fn run_batch(
             .unwrap_or_else(|| "non-string panic payload".into());
         Err(ServiceError::WorkerPanic { detail })
     });
+
+    // Never stashed: the gate or the key fetch failed, which no re-run
+    // would change, or the slot was confiscated before the batch began.
+    if let Some(items) = unstashed {
+        let err = result.expect_err("only a failure stops short of the stash");
+        for (ticket, _range) in items {
+            respond(shared, ticket, Err(err.clone()), 1);
+        }
+        return !refused;
+    }
+    let Some(Inflight { mut items, .. }) = shared.sup.end(idx, generation) else {
+        return false; // Confiscated: the watchdog already answered them.
+    };
     match result {
         Ok(values) if size > 1 => {
             for (ticket, range) in items {
@@ -903,12 +914,13 @@ fn respond(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::OpKind;
 
     fn ticket_with_deadline(deadline: Option<Duration>) -> Ticket {
         let req = Request {
             tenant: 1,
             scheme: Scheme::Ckks,
-            ops: vec![crate::request::OpKind::Input],
+            ops: vec![OpKind::Input],
             payload: Payload::CkksSlots(vec![0.5; 4]),
             fault: FaultFlag::None,
         };
@@ -939,6 +951,47 @@ mod tests {
         let e = ticket_with_deadline(None);
         assert!(deadlines_pack_compatible(&d, &e), "both unbounded packs");
         assert!(!deadlines_pack_compatible(&a, &d), "bounded never packs with unbounded");
+    }
+
+    #[test]
+    fn a_panic_under_the_key_cache_lock_fails_only_its_batch() {
+        let telemetry = telemetry::Telemetry::disabled();
+        let server = Server::start(ServerConfig { workers: 1, telemetry, ..Default::default() })
+            .expect("server starts");
+        let gate = |fault| Request {
+            tenant: 4,
+            scheme: Scheme::Tfhe,
+            ops: vec![
+                OpKind::Input,
+                OpKind::Input,
+                OpKind::Mul { a: 0, b: 1 },
+                OpKind::Negate { arg: 2 },
+            ],
+            payload: Payload::TfheBits(vec![true, false]),
+            fault,
+        };
+        let run = |req| server.submit(req).expect("admitted").recv().expect("answered").result;
+        server.shared.cache.lock().unwrap().panic_next_tfhe_keygen = true;
+        let err = run(gate(FaultFlag::None)).expect_err("the key generation panicked");
+        assert!(
+            matches!(&err, ServiceError::WorkerPanic { detail } if detail == "injected keygen panic"),
+            "{err}"
+        );
+        assert!(server.shared.cache.is_poisoned(), "the panic held the cache lock");
+
+        // The same worker serves the same tenant next, both schemes.
+        assert_eq!(run(gate(FaultFlag::None)).expect("NAND(1, 0) served"), vec![1.0]);
+        let quad = Request {
+            tenant: 4,
+            scheme: Scheme::Ckks,
+            ops: vec![OpKind::Input, OpKind::Square { arg: 0 }],
+            payload: Payload::CkksSlots(vec![0.5; 4]),
+            fault: FaultFlag::None,
+        };
+        let squared = run(quad).expect("x² served");
+        assert!((squared[0] - 0.25).abs() < 1e-2, "x² over 0.5, got {}", squared[0]);
+        let stats = server.finish();
+        assert_eq!((stats.completed_ok, stats.failed, stats.faults_contained), (2, 1, 1));
     }
 
     #[test]

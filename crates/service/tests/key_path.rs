@@ -1,27 +1,16 @@
 //! The cold-tenant key path: a miss draws the secret only, the first
 //! multiplying request draws the relinearization key — outside the cache
 //! lock, once per entry, bit-identical to the key an eager draw makes.
-//!
-//! One test arms `fhe_math::par`'s process-wide panic injector, which any
-//! parallel region of any thread would take; every test here holds
-//! `SERIAL` so that nothing else in this binary runs one meanwhile.
 
 use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Barrier};
 
 use fhe_ckks::{CkksContext, CkksParams, RelinKey, SecretKey};
-use fhe_math::par;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use service::request::FaultFlag;
 use service::trace::Template;
 use service::{exec, KeyCache, Payload, Request, Scheme, Server, ServerConfig, ServiceError};
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn ctx() -> CkksContext {
     CkksContext::new(CkksParams::toy().unwrap()).unwrap()
@@ -76,7 +65,6 @@ fn one_worker() -> Server {
 
 #[test]
 fn lazy_rlk_equals_the_eager_key_digit_by_digit_and_channel_by_channel() {
-    let _serial = serial();
     let c = ctx();
     let seed = 0x5eed;
     let mut cache = KeyCache::new(1, seed);
@@ -102,7 +90,6 @@ fn lazy_rlk_equals_the_eager_key_digit_by_digit_and_channel_by_channel() {
 
 #[test]
 fn only_multiplying_requests_draw_the_relinearization_key() {
-    let _serial = serial();
     let server = one_worker();
     let draws = || server.key_cache_stats().rlk_draws();
     run(&server, 1, Template::Saxpb).unwrap();
@@ -121,7 +108,6 @@ fn only_multiplying_requests_draw_the_relinearization_key() {
 
 #[test]
 fn two_threads_multiplying_on_one_cold_entry_draw_it_once() {
-    let _serial = serial();
     let c = ctx();
     let req = request(9, Template::Quad, 0.5);
     let plan = service::compile(&req, &c).unwrap();
@@ -159,39 +145,4 @@ fn two_threads_multiplying_on_one_cold_entry_draw_it_once() {
         assert_eq!(drawn[0], drawn[1], "tenant {tenant}: both threads hold one key");
         assert_eq!(cache.stats().rlk_draws(), tenant + 1, "tenant {tenant}: drawn once");
     }
-}
-
-#[test]
-fn a_worker_panic_while_drawing_fails_only_its_own_request() {
-    let _serial = serial();
-    // The injected panic is expected; keep the test output clean.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .is_some_and(|s| s.as_str() == par::INJECTED_PANIC_PAYLOAD);
-        if !injected {
-            prev_hook(info);
-        }
-    }));
-    let server = one_worker();
-    // The secret is resident and the key is not: the next multiplying
-    // request's first parallel region is the key draw's.
-    run(&server, 5, Template::Saxpb).unwrap();
-    par::inject_worker_panic(0);
-    let err = run(&server, 5, Template::Quad).unwrap_err();
-    assert!(!par::clear_injected_panic(), "the injection fired");
-    assert!(
-        matches!(&err, ServiceError::Scheme { detail } if detail.contains(par::INJECTED_PANIC_PAYLOAD)),
-        "the draw's contained panic fails its request: {err}"
-    );
-    assert_eq!(server.key_cache_stats().rlk_draws(), 0, "a failed draw caches nothing");
-    // The entry, the tenant and the server carry on.
-    run(&server, 5, Template::Quad).unwrap();
-    run(&server, 5, Template::Prod).unwrap();
-    run(&server, 6, Template::Quad).unwrap();
-    assert_eq!(server.key_cache_stats().rlk_draws(), 2);
-    let stats = server.stats();
-    assert_eq!((stats.completed_ok, stats.failed), (4, 1), "exactly one request failed");
 }

@@ -194,7 +194,7 @@ fn the_workspace_has_one_build_configuration() {
         }
     }
     // The probes the frozen benchmark package reports as host facts. No
-    // kernel region fans out to threads.
+    // kernel fans out to threads.
     assert!(!alchemist::math::par::parallelism_compiled());
     assert!(alchemist::math::strict_checks_enabled());
     assert!(alchemist::telemetry::alloc::tracking_compiled());
