@@ -619,8 +619,8 @@ impl MacRead for MacBroadcast {
 
 /// `out[s] ← (out[s] + Σ_r a_r[·]·b_r[·]) mod q` over the `terms` pairs
 /// `row(r) = (a_r, b_r)`, each operand read as `a` / `b` say — the Meta-OP
-/// `(M_j A_j)_n R_j`, shared by the Bconv dot products and the CKKS key and
-/// plaintext MACs.
+/// `(M_j A_j)_n R_j`, shared by the Bconv dot products, the CKKS key and
+/// plaintext MACs, TFHE's external product and `metaop`'s NTT lowering.
 ///
 /// One pass per eight rows (a product is below `2q·q < 2^123`, so eight and
 /// the carried-in residue fit a `u128`); a pass walks the slots

@@ -11,9 +11,15 @@
 //!   coefficients, and the block-level invariant: a radix-8 (radix-4)
 //!   block chains three (two) butterfly stages on values held in locals,
 //!   and the range that holds across one stage must hold at every stage
-//!   inside the block with no reduction in between.
+//!   inside the block with no reduction in between;
+//!
+//! and the one multiply-accumulate kernel, [`lazy_mac`], is held to an
+//! eager sum at that prime with operands at the top of its contract.
 
-use fhe_math::{generate_ntt_primes, Modulus, NttTable};
+use fhe_math::{
+    generate_ntt_primes, lazy_mac, MacBroadcast, MacGather, MacRead, MacReversed, MacSlots,
+    Modulus, NttTable, MAC_SLOTS,
+};
 use proptest::prelude::*;
 
 /// 2^61 - 1: prime, exactly at the width limit.
@@ -74,6 +80,57 @@ fn inverse_block_stays_below_2q(q: &Modulus, x: &mut [u64], w: &[u64]) {
         assert_eq!(x.iter().map(|&v| q.reduce(v)).collect::<Vec<_>>(), exact);
         gap *= 2;
         groups /= 2;
+    }
+}
+
+/// A [`lazy_mac`] operand reader, named so a test can loop over all four.
+#[derive(Debug, Clone, Copy)]
+enum Reader {
+    Slots,
+    Gather,
+    Reversed,
+    Broadcast,
+}
+
+const READERS: [Reader; 4] = [Reader::Slots, Reader::Gather, Reader::Reversed, Reader::Broadcast];
+
+impl Reader {
+    /// The index the reader takes at slot `s` of an operand as long as the
+    /// output, `perm` the gather.
+    fn index(self, perm: &[u32], len: usize, s: usize) -> usize {
+        match self {
+            Reader::Slots => s,
+            Reader::Gather => perm[s] as usize,
+            Reader::Reversed => len - 1 - s,
+            Reader::Broadcast => 0,
+        }
+    }
+}
+
+/// [`lazy_mac`] over `rows`, `a` read as `ra` says and `b` as `rb`.
+fn mac(q: &Modulus, rows: &[[Vec<u64>; 2]], [ra, rb]: [Reader; 2], perm: &[u32], out: &mut [u64]) {
+    fn with_a(
+        q: &Modulus,
+        rows: &[[Vec<u64>; 2]],
+        a: impl MacRead,
+        rb: Reader,
+        perm: &[u32],
+        out: &mut [u64],
+    ) {
+        let row = |r: usize| (rows[r][0].as_slice(), rows[r][1].as_slice());
+        let end = out.len();
+        match rb {
+            Reader::Slots => lazy_mac(q, rows.len(), row, a, MacSlots, out),
+            Reader::Gather => lazy_mac(q, rows.len(), row, a, MacGather(perm), out),
+            Reader::Reversed => lazy_mac(q, rows.len(), row, a, MacReversed(end), out),
+            Reader::Broadcast => lazy_mac(q, rows.len(), row, a, MacBroadcast, out),
+        }
+    }
+    match ra {
+        Reader::Slots => with_a(q, rows, MacSlots, rb, perm, out),
+        Reader::Gather => with_a(q, rows, MacGather(perm), rb, perm, out),
+        Reader::Reversed => with_a(q, rows, MacReversed(out.len()), rb, perm, out),
+        Reader::Broadcast => with_a(q, rows, MacBroadcast, rb, perm, out),
     }
 }
 
@@ -155,6 +212,59 @@ proptest! {
         let q = Modulus::new(ntt_q61()).unwrap();
         inverse_block_stays_below_2q(&q, &mut x.clone(), &w);
         inverse_block_stays_below_2q(&q, &mut x[..4].to_vec(), &w[..3]);
+    }
+
+    /// [`lazy_mac`] equals an eager `q.add(q.mul(..))` sum at the largest
+    /// 61-bit NTT prime, for every pair of readers, at row counts on both
+    /// sides of its 8-row pass and slot counts with a tail past the
+    /// [`MAC_SLOTS`] blocks — once on random operands, once with every `a`
+    /// at the lazy maximum `2q − 1` and every `b` and carried-in `out` at
+    /// `q − 1`.
+    #[test]
+    fn lazy_mac_equals_the_eager_sum(
+        seed in any::<u64>(),
+        blocks in 0usize..4,
+        tail in 1usize..MAC_SLOTS,
+    ) {
+        let q = Modulus::new(ntt_q61()).unwrap();
+        let len = blocks * MAC_SLOTS + tail;
+        let mut state = seed;
+        let mut draw = |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            (z ^ (z >> 29)) % bound
+        };
+        let mut perm: Vec<u32> = (0..len as u32).collect();
+        for i in (1..len).rev() {
+            perm.swap(i, draw(i as u64 + 1) as usize);
+        }
+        let (two_q, q1) = (2 * q.value(), q.value() - 1);
+        for terms in [1, 7, 8, 9, 16, 17] {
+            for maximal in [false, true] {
+                let mut operand = |bound: u64, top: u64| -> Vec<u64> {
+                    (0..len).map(|_| if maximal { top } else { draw(bound) }).collect()
+                };
+                let rows: Vec<[Vec<u64>; 2]> = (0..terms)
+                    .map(|_| [operand(two_q, two_q - 1), operand(q.value(), q1)])
+                    .collect();
+                let start = operand(q.value(), q1);
+                for ra in READERS {
+                    for rb in READERS {
+                        let mut want = start.clone();
+                        for (s, w) in want.iter_mut().enumerate() {
+                            for [x, y] in &rows {
+                                let x = q.reduce(x[ra.index(&perm, len, s)]);
+                                *w = q.add(*w, q.mul(x, y[rb.index(&perm, len, s)]));
+                            }
+                        }
+                        let mut got = start.clone();
+                        mac(&q, &rows, [ra, rb], &perm, &mut got);
+                        let case = format!("{terms} rows, {len} slots, {ra:?} × {rb:?}");
+                        prop_assert_eq!(&got, &want, "{}", case);
+                    }
+                }
+            }
+        }
     }
 
     /// `reduce_2q` canonicalizes the whole lazy range with one conditional

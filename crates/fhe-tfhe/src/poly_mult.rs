@@ -45,20 +45,16 @@
 //!
 //! The external product's multiplier half is the paper's `DecompPolyMult`
 //! Meta-OP `(M_j A_j)_n R_j` with `n = T`, run per prime field as
-//! lift → `forward_lazy` of all `T` digit polynomials → one pass over the
-//! slots summing each output coefficient's `T` products in a `u128` → one
-//! reduction → inverse. Nothing between the transforms is written to
-//! memory but the reduced residues, and the only data-dependent jumps left
-//! are the Barrett correction's, which are almost never taken (DESIGN.md
-//! §14.2).
+//! lift → `forward_lazy` of all `T` digit polynomials → two
+//! [`fhe_math::lazy_mac`] calls over that digit block (the key rows' `a`
+//! halves, then their `b` halves) → inverse. It is the kernel the Bconv
+//! dot products and the CKKS key and plaintext MACs run on: each output
+//! coefficient's products are summed in a `u128` and reduced once per eight
+//! rows, and nothing between the transforms is written to memory but the
+//! reduced residues.
 
 use crate::TfheError;
-use fhe_math::{generate_ntt_primes, Modulus, NttTable, ShoupScalar};
-
-/// Output slots the external product's MAC carries per step: enough
-/// independent sums to hide the multiplier's latency, few enough to stay in
-/// L1. Every ring degree is a multiple of it (`NttTable` needs `n ≥ 8`).
-const SLOTS: usize = 8;
+use fhe_math::{generate_ntt_primes, lazy_mac, MacSlots, Modulus, NttTable, ShoupScalar};
 
 /// One CRT prime field of the multiplier.
 #[derive(Debug, Clone)]
@@ -277,23 +273,6 @@ impl NegacyclicMultiplier {
         PreparedTorusPoly { res }
     }
 
-    /// Checks that `terms` lazily transformed digits (`< 2q`) times key
-    /// residues (`< q`) sum without overflowing the 128-bit accumulators
-    /// of [`decomp_poly_mult_add`](Self::decomp_poly_mult_add).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `terms · 2q · q ≥ 2^128` for any prime.
-    pub(crate) fn assert_mac_headroom(&self, terms: usize) {
-        for f in self.fields() {
-            let q = u128::from(f.q.value());
-            assert!(
-                (2 * q * q).checked_mul(terms as u128).is_some(),
-                "{terms} lazy products modulo {q} overflow the 128-bit accumulator"
-            );
-        }
-    }
-
     /// Checks the exactness bound (module docs) for an external product of
     /// `terms` base-`2^base_log` digit polynomials against this multiplier.
     ///
@@ -329,14 +308,13 @@ impl NegacyclicMultiplier {
     /// `digits_i = ws.digits[i·n..(i+1)·n]` and row `i` is
     /// `rows[i·2·primes·n..]`: the prepared `a` polynomial, then the
     /// prepared `b`. Per prime, every digit polynomial is lifted and
-    /// transformed once; then one pass over the slots, [`SLOTS`] at a time,
-    /// sums each output coefficient's `T` products in a `u128` and reduces
-    /// it once, straight into the residues the inverse transforms read.
+    /// transformed once; then [`lazy_mac`] sums the digit block against
+    /// the rows' `a` halves, and again against their `b` halves, straight
+    /// into the residues the inverse transforms read.
     ///
     /// # Panics
     ///
     /// Panics on length mismatches. The caller guarantees
-    /// [`assert_mac_headroom`](Self::assert_mac_headroom) and
     /// [`assert_exact`](Self::assert_exact) for the row count.
     pub(crate) fn decomp_poly_mult_add(
         &self,
@@ -358,23 +336,11 @@ impl NegacyclicMultiplier {
                 f.ntt.forward_lazy(lifted);
                 *forward_ntts += 1;
             }
-            let (res_a, res_b) = res.split_at_mut(n);
-            let (key_a, key_b) = (p * n, (primes + p) * n);
-            let blocks = res_a.chunks_exact_mut(SLOTS).zip(res_b.chunks_exact_mut(SLOTS));
-            for (s, (res_a, res_b)) in (0..n).step_by(SLOTS).zip(blocks) {
-                let mut sums = [[0u128; 2]; SLOTS];
-                for (digit, row) in lifted.chunks_exact(n).zip(rows.chunks_exact(row_len)) {
-                    let (ka, kb) = (&row[key_a + s..][..SLOTS], &row[key_b + s..][..SLOTS]);
-                    let terms = digit[s..][..SLOTS].iter().zip(ka.iter().zip(kb));
-                    for (sum, (&d, (&ka, &kb))) in sums.iter_mut().zip(terms) {
-                        sum[0] += u128::from(d) * u128::from(ka);
-                        sum[1] += u128::from(d) * u128::from(kb);
-                    }
-                }
-                for (&[sa, sb], (ra, rb)) in sums.iter().zip(res_a.iter_mut().zip(res_b)) {
-                    *ra = f.q.reduce_u128(sa);
-                    *rb = f.q.reduce_u128(sb);
-                }
+            res.fill(0);
+            let lifted = &lifted[..];
+            for (key, res) in [p, primes + p].into_iter().zip(res.chunks_exact_mut(n)) {
+                let row = |i: usize| (&lifted[i * n..][..n], &rows[i * row_len + key * n..][..n]);
+                lazy_mac(&f.q, lifted.len() / n, row, MacSlots, MacSlots, res);
             }
             for res in res.chunks_exact_mut(n) {
                 f.ntt.inverse(res);
@@ -587,13 +553,17 @@ pub(crate) mod tests {
         // Key residues all q − 1 (the constant polynomial −1 in every
         // field) against digits all at the extreme −2^{β−1} drive every
         // 128-bit accumulator as high as a shipped shape can: the product
-        // must still come out as −Σ digits. Toy, set II, then set I at both
-        // precisions (one prime, and two).
-        for (n, ring_bits, base_log, terms) in
-            [(64, 64, 10u32, 6usize), (2048, 64, 23, 2), (1024, 32, 7, 6), (1024, 64, 7, 6)]
-        {
+        // must still come out as −Σ digits. Toy, set II, set I at both
+        // precisions (one prime, and two), then 17 rows at toy's shape:
+        // three reduction passes of `lazy_mac` (8 + 8 + 1 rows).
+        for (n, ring_bits, base_log, terms) in [
+            (64, 64, 10u32, 6usize),
+            (2048, 64, 23, 2),
+            (1024, 32, 7, 6),
+            (1024, 64, 7, 6),
+            (64, 64, 10, 17),
+        ] {
             let m = NegacyclicMultiplier::with_precision(n, ring_bits, base_log, terms).unwrap();
-            m.assert_mac_headroom(terms);
             m.assert_exact(base_log, terms);
             let minus_one = m.fields().flat_map(|f| vec![f.q.value() - 1; n]);
             let rows: Vec<u64> = minus_one.collect::<Vec<_>>().repeat(2 * terms);
@@ -604,28 +574,6 @@ pub(crate) mod tests {
             let want = vec![((terms as u64) << (base_log - 1)) << (64 - ring_bits); n];
             assert_eq!((out_a, out_b), (want.clone(), want), "n = {n}, w = {ring_bits}");
         }
-    }
-
-    #[test]
-    fn mac_headroom_holds_for_every_preset() {
-        use crate::TfheParams;
-        for p in [TfheParams::toy(), TfheParams::set_i(), TfheParams::set_ii()] {
-            let pbs = crate::Pbs::new(p).unwrap();
-            let terms = (p.glwe_dim + 1) * p.pbs_levels;
-            pbs.multiplier().assert_mac_headroom(terms);
-            pbs.multiplier().assert_exact(p.pbs_base_log, terms);
-        }
-        // q < 2^60, so 2q·q < 2^121: up to 2^7 lazy products always fit.
-        for m in both_precisions(64) {
-            m.assert_mac_headroom(128);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "overflow the 128-bit accumulator")]
-    fn mac_headroom_rejects_an_overflowing_level_count() {
-        // q > 2^59, so 2q·q > 2^119: l = 256 (k = 1) cannot fit.
-        NegacyclicMultiplier::new(64).unwrap().assert_mac_headroom(2 * 256);
     }
 
     #[test]

@@ -64,7 +64,6 @@ impl TrgswCiphertext {
             "a {levels}-level base-2^{base_log} gadget rounds away at {}-bit ring precision",
             mult.ring_bits()
         );
-        mult.assert_mac_headroom(2 * levels);
         mult.assert_exact(base_log, 2 * levels);
         let zero = vec![0u64; n];
         let poly = mult.primes() * n;

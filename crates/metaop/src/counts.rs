@@ -75,7 +75,7 @@ pub fn ntt_counts(n: u64) -> TransformCounts {
 
 /// Element-wise modular multiplications: 3 mults per coefficient in both
 /// formulations (`(M_8 A_8)_1 R_8` is 1 + 2 as well).
-pub fn elementwise_counts(coefficients: u64) -> TransformCounts {
+fn elementwise_counts(coefficients: u64) -> TransformCounts {
     TransformCounts { original: 3 * coefficients, meta: 3 * coefficients }
 }
 

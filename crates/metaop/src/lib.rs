@@ -16,11 +16,11 @@
 //!   (`n + 2` cycles per op on the unified core, reduction reusing the
 //!   multiplier array),
 //! * [`AccessPattern`] — the three data access patterns of paper Table 4,
-//! * [`exec`] — a functional executor (lazy 128-bit accumulation, single
-//!   Barrett reduction) property-tested against direct arithmetic,
 //! * [`ntt`] — lowering of the full negacyclic NTT/INTT onto radix-8 and
-//!   radix-4 butterfly Meta-OPs, bit-exact against [`fhe_math::NttTable`],
-//! * [`linear`] — lowering of `Bconv`/`Modup`/`Moddown`/`DecompPolyMult`,
+//!   radix-4 butterfly Meta-OPs, each run on [`fhe_math::lazy_mac`] (the
+//!   one CPU kernel of `(M_j A_j)_n R_j`, which also runs Bconv, the CKKS
+//!   key and plaintext MACs and TFHE's `DecompPolyMult`), bit-exact against
+//!   [`fhe_math::NttTable`],
 //! * [`counts`] — the multiply-count algebra of paper Tables 2–3 and the
 //!   composite workload accounting behind Fig. 7(a).
 //!
@@ -49,8 +49,6 @@
 #![warn(missing_docs)]
 
 pub mod counts;
-pub mod exec;
-pub mod linear;
 pub mod ntt;
 mod op;
 

@@ -9,16 +9,16 @@
 //! reductions per radix-8 group.
 //!
 //! A radix-8 butterfly is a *linear* map on 8 coefficients; the lowering
-//! materializes its 8×8 matrix by probing the three scalar butterfly stages
-//! with basis vectors and then executes it as 8 lazy dot products with one
-//! Barrett reduction each ([`crate::exec::matvec_lazy`]). The hardware
-//! additionally reuses shared products through its addition array (Fig. 5d);
-//! the linear map — and hence the result — is identical, which is what the
-//! bit-exactness tests against [`fhe_math::NttTable`] check.
+//! materializes its 8×8 matrix column by column, probing the three scalar
+//! butterfly stages with basis vectors, and then executes it with
+//! [`lazy_mac`]: each column times its input coefficient, summed lazily and
+//! reduced once per output. The hardware additionally reuses shared
+//! products through its addition array (Fig. 5d); the linear map — and
+//! hence the result — is identical, which is what the bit-exactness tests
+//! against [`fhe_math::NttTable`] check.
 
-use crate::exec::matvec_lazy;
 use crate::{MetaOp, MetaOpTrace, OpClass};
-use fhe_math::{Modulus, NttTable, ShoupScalar};
+use fhe_math::{lazy_mac, MacBroadcast, MacSlots, Modulus, NttTable, ShoupScalar};
 
 /// How one group of radix-2 stages is blocked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,16 +48,6 @@ impl<'a> NttLowering<'a> {
         blocks.extend(std::iter::repeat_n(Block::Radix8, r8 as usize));
         blocks.extend(std::iter::repeat_n(Block::Radix4, r4 as usize));
         NttLowering { table, blocks }
-    }
-
-    /// Number of radix-8 blocks in the schedule.
-    pub fn radix8_blocks(&self) -> usize {
-        self.blocks.iter().filter(|b| **b == Block::Radix8).count()
-    }
-
-    /// Number of radix-4 blocks in the schedule.
-    pub fn radix4_blocks(&self) -> usize {
-        self.blocks.iter().filter(|b| **b == Block::Radix4).count()
     }
 
     /// Forward NTT via Meta-OPs; bit-exact vs [`NttTable::forward`].
@@ -128,7 +118,7 @@ impl<'a> NttLowering<'a> {
             let w1 = psi[groups + g];
             let w2 = [psi[2 * groups + 2 * g], psi[2 * groups + 2 * g + 1]];
             let w3: [ShoupScalar; 4] = std::array::from_fn(|k| psi[4 * groups + 4 * g + k]);
-            let mat = probe_matrix8(&m, |v| {
+            let mat = probe_matrix(8, |v| {
                 ct_stage(v, &m, 4, &[w1]);
                 ct_stage(v, &m, 2, &w2);
                 ct_stage(v, &m, 1, &w3);
@@ -152,7 +142,7 @@ impl<'a> NttLowering<'a> {
         for g in 0..groups {
             let w1 = psi[groups + g];
             let w2 = [psi[2 * groups + 2 * g], psi[2 * groups + 2 * g + 1]];
-            let mat = probe_matrix4(&m, |v| {
+            let mat = probe_matrix(4, |v| {
                 ct_stage(v, &m, 2, &[w1]);
                 ct_stage(v, &m, 1, &w2);
             });
@@ -175,7 +165,7 @@ impl<'a> NttLowering<'a> {
             let wa: [ShoupScalar; 4] = std::array::from_fn(|k| psi[(n >> (stage + 1)) + 4 * g + k]);
             let wb = [psi[(n >> (stage + 2)) + 2 * g], psi[(n >> (stage + 2)) + 2 * g + 1]];
             let wc = [psi[super_groups + g]];
-            let mat = probe_matrix8(&m, |v| {
+            let mat = probe_matrix(8, |v| {
                 gs_stage(v, &m, 1, &wa);
                 gs_stage(v, &m, 2, &wb);
                 gs_stage(v, &m, 4, &wc);
@@ -197,7 +187,7 @@ impl<'a> NttLowering<'a> {
         for g in 0..super_groups {
             let wa = [psi[(n >> (stage + 1)) + 2 * g], psi[(n >> (stage + 1)) + 2 * g + 1]];
             let wb = [psi[super_groups + g]];
-            let mat = probe_matrix4(&m, |v| {
+            let mat = probe_matrix(4, |v| {
                 gs_stage(v, &m, 1, &wa);
                 gs_stage(v, &m, 2, &wb);
             });
@@ -240,40 +230,27 @@ fn gs_stage(v: &mut [u64], m: &Modulus, half: usize, tw: &[ShoupScalar]) {
     }
 }
 
-/// Materializes the 8×8 matrix of a 3-stage butterfly by probing basis
-/// vectors (row-major).
-fn probe_matrix8(m: &Modulus, stages: impl Fn(&mut [u64])) -> Vec<u64> {
-    probe_matrix(m, stages, 8)
-}
-
-/// Materializes the 4×4 matrix of a 2-stage butterfly.
-fn probe_matrix4(m: &Modulus, stages: impl Fn(&mut [u64])) -> Vec<u64> {
-    probe_matrix(m, stages, 4)
-}
-
-fn probe_matrix(_m: &Modulus, stages: impl Fn(&mut [u64]), r: usize) -> Vec<u64> {
+/// Materializes the `r × r` matrix of a butterfly block by probing basis
+/// vectors: column `i`, the image of `e_i`, is `mat[i·r..(i+1)·r]`.
+fn probe_matrix(r: usize, stages: impl Fn(&mut [u64])) -> Vec<u64> {
     let mut mat = vec![0u64; r * r];
-    let mut v = vec![0u64; r];
-    for i in 0..r {
-        v.iter_mut().for_each(|x| *x = 0);
-        v[i] = 1;
-        stages(&mut v);
-        for k in 0..r {
-            mat[k * r + i] = v[k];
-        }
+    for (i, column) in mat.chunks_exact_mut(r).enumerate() {
+        column[i] = 1;
+        stages(column);
     }
     mat
 }
 
-/// Gathers the subset `{base + k·stride}`, applies the butterfly matrix via
-/// lazy dot products, and scatters back.
+/// Gathers the subset `{base + k·stride}`, applies the butterfly matrix
+/// (`mat`, column-major) with [`lazy_mac`], and scatters back.
 fn apply_subset(a: &mut [u64], mat: &[u64], m: &Modulus, base: usize, stride: usize, r: usize) {
-    let mut v = vec![0u64; r];
-    for (k, x) in v.iter_mut().enumerate() {
+    let (mut v, mut out) = ([0u64; 8], [0u64; 8]);
+    for (k, x) in v[..r].iter_mut().enumerate() {
         *x = a[base + k * stride];
     }
-    let out = matvec_lazy(m, mat, &v);
-    for (k, &x) in out.iter().enumerate() {
+    let column = |i: usize| (&mat[i * r..][..r], std::slice::from_ref(&v[i]));
+    lazy_mac(m, r, column, MacSlots, MacBroadcast, &mut out[..r]);
+    for (k, &x) in out[..r].iter().enumerate() {
         a[base + k * stride] = x;
     }
 }
@@ -333,12 +310,16 @@ mod tests {
 
     #[test]
     fn block_schedule_shapes() {
-        assert_eq!(NttLowering::new(&table(64)).radix8_blocks(), 2); // log 6
-        assert_eq!(NttLowering::new(&table(64)).radix4_blocks(), 0);
-        assert_eq!(NttLowering::new(&table(16)).radix8_blocks(), 0); // log 4
-        assert_eq!(NttLowering::new(&table(16)).radix4_blocks(), 2);
-        assert_eq!(NttLowering::new(&table(32)).radix8_blocks(), 1); // log 5
-        assert_eq!(NttLowering::new(&table(32)).radix4_blocks(), 1);
+        // (radix-8 blocks, radix-4 blocks) of the schedule.
+        let shape = |n: usize| {
+            let t = table(n);
+            let blocks = NttLowering::new(&t).blocks;
+            let count = |kind: Block| blocks.iter().filter(|&&b| b == kind).count();
+            (count(Block::Radix8), count(Block::Radix4))
+        };
+        assert_eq!(shape(64), (2, 0)); // log 6
+        assert_eq!(shape(16), (0, 2)); // log 4
+        assert_eq!(shape(32), (1, 1)); // log 5
     }
 
     #[test]
@@ -352,7 +333,8 @@ mod tests {
         let mut trace = MetaOpTrace::new();
         NttLowering::new(&t).forward(&mut a, &mut trace);
         assert_eq!(trace.total_ops(), 3 * 512 / 8);
-        assert_eq!(trace.total_mults(), 3 * (512 / 8) * 8 * 5);
+        let mults: u64 = trace.entries().iter().map(|&(op, c)| op.mults() * c).sum();
+        assert_eq!(mults, 3 * (512 / 8) * 8 * 5);
     }
 
     #[test]

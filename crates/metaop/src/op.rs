@@ -220,55 +220,11 @@ impl MetaOpTrace {
         self.entries.iter().map(|&(_, c)| c).sum()
     }
 
-    /// Total single-core cycles if executed back to back.
-    pub fn total_cycles(&self) -> u64 {
-        self.entries.iter().map(|&(op, c)| op.cycles() * c).sum()
-    }
-
-    /// Total word multiplications.
-    pub fn total_mults(&self) -> u64 {
-        self.entries.iter().map(|&(op, c)| op.mults() * c).sum()
-    }
-
-    /// Cycles restricted to one operator class.
-    pub fn cycles_for(&self, class: OpClass) -> u64 {
-        self.entries
-            .iter()
-            .filter(|(op, _)| op.class() == class)
-            .map(|&(op, c)| op.cycles() * c)
-            .sum()
-    }
-
-    /// Fraction of cycles spent per class, in [`OpClass::all`] order.
-    pub fn class_mix(&self) -> [(OpClass, f64); 5] {
-        let total = self.total_cycles().max(1) as f64;
-        OpClass::all().map(|c| (c, self.cycles_for(c) as f64 / total))
-    }
-
     /// Reduction cycles the lazy Barrett accumulation avoided, relative to
     /// eagerly reducing every product: `2(n-1)` per `(M_j A_j)_n R_j`
     /// instance (eager `3n` vs lazy `n + 2` multiplier-array cycles).
     pub fn reduction_cycles_saved(&self) -> u64 {
         self.entries.iter().map(|&(op, c)| 2 * (op.n() as u64 - 1) * c).sum()
-    }
-
-    /// Flushes this trace's totals into telemetry counters: Meta-OPs
-    /// issued, multiplier-array cycles, and lazy-reduction savings, each
-    /// attributed to its operator class.
-    pub fn report_to(&self, tel: &telemetry::Telemetry) {
-        if !tel.is_enabled() {
-            return;
-        }
-        for &(op, count) in &self.entries {
-            let key = op.class().telemetry_key();
-            tel.count(telemetry::Metric::MetaOps, key, count);
-            tel.count(telemetry::Metric::MultCycles, key, op.cycles() * count);
-            tel.count(
-                telemetry::Metric::ReductionCyclesSaved,
-                key,
-                2 * (op.n() as u64 - 1) * count,
-            );
-        }
     }
 }
 
@@ -298,19 +254,6 @@ mod tests {
         t.record(op, 0); // ignored
         assert_eq!(t.entries().len(), 2);
         assert_eq!(t.total_ops(), 17);
-        assert_eq!(t.total_cycles(), 15 * 5 + 2 * 6);
-        assert_eq!(t.cycles_for(OpClass::Ntt), 75);
-        assert_eq!(t.cycles_for(OpClass::Elementwise), 0);
-    }
-
-    #[test]
-    fn class_mix_sums_to_one() {
-        let mut t = MetaOpTrace::new();
-        t.record(MetaOp::new(OpClass::Ntt, 8, 3), 7);
-        t.record(MetaOp::new(OpClass::Bconv, 8, 10), 3);
-        let mix = t.class_mix();
-        let sum: f64 = mix.iter().map(|(_, f)| f).sum();
-        assert!((sum - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -320,23 +263,6 @@ mod tests {
         t.record(MetaOp::new(OpClass::DecompPolyMult, 8, 4), 10);
         t.record(MetaOp::new(OpClass::Elementwise, 8, 1), 5); // n=1: no saving
         assert_eq!(t.reduction_cycles_saved(), 2 * 3 * 10);
-    }
-
-    #[test]
-    fn trace_reports_counters_to_telemetry() {
-        use telemetry::{Metric, OpClassKey};
-        let mut t = MetaOpTrace::new();
-        t.record(MetaOp::new(OpClass::Ntt, 8, 3), 4);
-        t.record(MetaOp::new(OpClass::Bconv, 8, 10), 2);
-        let tel = telemetry::Telemetry::enabled();
-        t.report_to(&tel);
-        let snap = tel.snapshot();
-        assert_eq!(snap.counter(Metric::MetaOps, OpClassKey::Ntt), 4);
-        assert_eq!(snap.counter(Metric::MetaOps, OpClassKey::Bconv), 2);
-        assert_eq!(snap.counter(Metric::MultCycles, OpClassKey::Ntt), 5 * 4);
-        assert_eq!(snap.counter(Metric::ReductionCyclesSaved, OpClassKey::Bconv), 2 * 9 * 2);
-        // Disabled handles swallow everything for free.
-        t.report_to(&telemetry::Telemetry::disabled());
     }
 
     #[test]
