@@ -72,7 +72,9 @@ pub use rns::{
     lazy_mac, BconvPlan, MacBroadcast, MacGather, MacRead, MacReversed, MacSlots, ModdownPlan,
     RnsBasis, RnsContext, RnsPoly, MAC_SLOTS,
 };
-pub use sampling::{sample_gaussian, sample_ternary, sample_uniform, GaussianSampler};
+pub use sampling::{
+    round_to_i64, sample_gaussian, sample_ternary, sample_uniform, GaussianSampler,
+};
 pub use scratch::{scratch_stats, Scratch, ScratchStats};
 
 /// Always `true`: the canonical-form contracts at API boundaries are plain

@@ -16,9 +16,11 @@ pub fn sample_uniform<R: Rng + ?Sized>(q: u64, n: usize, rng: &mut R) -> Vec<u64
 }
 
 /// Samples `n` ternary coefficients in `{-1, 0, 1}` uniformly — the secret
-/// key distribution used by both schemes here.
+/// key distribution used by both schemes here. The draws `gen_range(-1..=1)`
+/// would make, with the range built once per call.
 pub fn sample_ternary<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<i64> {
-    (0..n).map(|_| rng.gen_range(-1..=1)).collect()
+    let ternary = Uniform::new_inclusive(-1, 1);
+    (0..n).map(|_| ternary.sample(rng)).collect()
 }
 
 /// Samples `n` centered discrete Gaussian values with standard deviation
@@ -66,13 +68,26 @@ impl GaussianSampler {
         let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
         let u2: f64 = rng.gen_range(0.0..1.0);
         let g = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        (g * self.sigma).round() as i64
+        round_to_i64(g * self.sigma)
     }
 
     /// Draws `n` rounded Gaussian samples.
     pub fn sample_vec<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<i64> {
         (0..n).map(|_| self.sample(rng)).collect()
     }
+}
+
+/// `x.round() as i64` without libm's `round` (baseline x86-64 has no
+/// `roundsd`): the truncation, moved one away from zero when the dropped
+/// fraction is at least one half. Exact for every `f64`: below 2^52 the
+/// fraction `x − trunc(x)` is exact, from 2^52 on `x` is an integer, and
+/// past ±2^63 (and at ±∞) the cast saturates and the step saturates with
+/// it; NaN casts to 0 with a NaN fraction, which moves nothing.
+#[inline]
+pub fn round_to_i64(x: f64) -> i64 {
+    let t = x as i64;
+    let fraction = x - t as f64;
+    t.saturating_add(i64::from(fraction >= 0.5) - i64::from(fraction <= -0.5))
 }
 
 #[cfg(test)]

@@ -4,11 +4,19 @@
 //! subtraction decides: 0, 1, q − 1, a = b, a + b = q, and a Shoup product
 //! that lands on q. `Modulus::reduce_u128` — the Meta-OP's `R` step, two
 //! wide multiplications — against `u128 %` at every shipped modulus width,
-//! at its edges and on a million random words each. Plus `sample_uniform`
-//! against the draws `gen_range(0..q)` makes, value for value and stream
-//! word for word.
+//! at its edges and on a million random words each. Plus the samplers:
+//! `sample_uniform` and `sample_ternary` against the draws `gen_range`
+//! makes, value for value and stream word for word; `GaussianSampler`
+//! against the libm Box–Muller, and its `round_to_i64` against
+//! `f64::round` then `as i64` at ties, the 2^52 and ±2^63 edges, ±0, NaN
+//! and ±∞. And the `rand_chacha` keystream against a test-local one-block
+//! ChaCha8: several seeds, the word-13 carry, `set_stream` at every offset,
+//! a `u64` straddling a refill, a clone, and the word position throughout.
 
-use fhe_math::{generate_ntt_primes, sample_uniform, Modulus, NttTable, Poly};
+use fhe_math::{
+    generate_ntt_primes, round_to_i64, sample_ternary, sample_uniform, GaussianSampler, Modulus,
+    NttTable, Poly,
+};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -198,4 +206,243 @@ fn sample_uniform_draws_what_gen_range_draws() {
             assert_eq!(a.next_u64(), b.next_u64());
         }
     }
+}
+
+#[test]
+fn sample_ternary_draws_what_gen_range_draws() {
+    for seed in [0u64, 7, 0x0a1c_4e57] {
+        let mut a = ChaCha8Rng::seed_from_u64(seed);
+        let mut b = a.clone();
+        let got = sample_ternary(3000, &mut a);
+        let by_range: Vec<i64> = (0..3000).map(|_| b.gen_range(-1..=1)).collect();
+        assert_eq!(got, by_range, "seed {seed}");
+        assert_eq!(a.get_word_pos(), b.get_word_pos(), "seed {seed}");
+    }
+}
+
+/// The rounding `GaussianSampler` used to spell with libm.
+fn libm_rounded(x: f64) -> i64 {
+    x.round() as i64
+}
+
+#[test]
+fn round_to_i64_is_libm_round_then_cast_for_every_kind_of_f64() {
+    let two52 = (1u64 << 52) as f64;
+    let two63 = 9_223_372_036_854_775_808.0f64;
+    let mut xs = vec![
+        0.0,
+        -0.0,
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE,
+        f64::EPSILON,
+        0.5f64.next_down(),
+        0.5f64.next_up(),
+        f64::MAX,
+        f64::MIN,
+    ];
+    // ±k.5 ties, and their neighbours, up to where halves stop existing.
+    for k in (0..64).map(|b| 1u64 << b).chain(0..100).chain([(1 << 52) - 1, (1 << 51) + 3]) {
+        let tie = k as f64 + 0.5;
+        xs.extend([tie, tie.next_down(), tie.next_up(), k as f64]);
+    }
+    // Around 2^52 (the last halves below, integers above), 2^53, and ±2^63
+    // where the cast saturates, plus everything past it.
+    for edge in [two52, 2.0 * two52, two63, 2.0 * two63, 1e300] {
+        let mut x = edge;
+        for _ in 0..8 {
+            xs.push(x);
+            x = x.next_down();
+        }
+        let mut x = edge;
+        for _ in 0..8 {
+            x = x.next_up();
+            xs.push(x);
+        }
+    }
+    let negated: Vec<f64> = xs.iter().map(|x| -x).collect();
+    xs.extend(negated);
+    // And a million random bit patterns (every exponent), then a million
+    // Gaussian-sized values.
+    let mut rng = ChaCha8Rng::seed_from_u64(29);
+    xs.extend((0..1_000_000).map(|_| f64::from_bits(rng.next_u64())));
+    xs.extend((0..1_000_000).map(|_| rng.gen_range(-1e6..1e6)));
+    for x in xs {
+        assert_eq!(round_to_i64(x), libm_rounded(x), "{x:e} ({:#018x})", x.to_bits());
+    }
+}
+
+#[test]
+fn gaussian_samples_equal_the_libm_box_muller() {
+    for sigma in [0.0, 1e-3, 3.2, 3.19 * 1024.0, 2.0f64.powi(-25) * 2.0f64.powi(64), 1e30] {
+        let mut a = ChaCha8Rng::seed_from_u64(31);
+        let mut b = a.clone();
+        let got = GaussianSampler::new(sigma).sample_vec(20_000, &mut a);
+        let by_formula: Vec<i64> = (0..20_000)
+            .map(|_| {
+                if sigma == 0.0 {
+                    return 0;
+                }
+                let u1: f64 = b.gen_range(f64::MIN_POSITIVE..1.0);
+                let u2: f64 = b.gen_range(0.0..1.0);
+                let g = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+                libm_rounded(g * sigma)
+            })
+            .collect();
+        assert_eq!(got, by_formula, "sigma {sigma}");
+        assert_eq!(a.get_word_pos(), b.get_word_pos(), "sigma {sigma}");
+    }
+}
+
+/// A one-block ChaCha8 written from RFC 7539 §2.1–2.3 (8 rounds, a 64-bit
+/// block counter in words 12–13, the stream in words 14–15), sharing no
+/// code with the `rand_chacha` stand-in. `counter` names the block after
+/// the buffered one and `index` runs to 16, so `counter · 16 + index` is
+/// the word position the stand-in has always reported.
+#[derive(Clone)]
+struct ReferenceChaCha8 {
+    key: [u32; 8],
+    counter: u64,
+    stream: u64,
+    block: [u32; 16],
+    index: usize,
+}
+
+impl ReferenceChaCha8 {
+    fn new(seed: u64) -> Self {
+        // The stand-in's key: the rand_core PCG32 expansion of `seed`.
+        let mut state = seed;
+        let key = std::array::from_fn(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(11634580027462260723);
+            ((((state >> 18) ^ state) >> 27) as u32).rotate_right((state >> 59) as u32)
+        });
+        ReferenceChaCha8 { key, counter: 0, stream: 0, block: [0; 16], index: 16 }
+    }
+
+    fn chacha8_block(&self, counter: u64) -> [u32; 16] {
+        fn qr(x: &mut [u32; 16], [a, b, c, d]: [usize; 4]) {
+            x[a] = x[a].wrapping_add(x[b]);
+            x[d] = (x[d] ^ x[a]).rotate_left(16);
+            x[c] = x[c].wrapping_add(x[d]);
+            x[b] = (x[b] ^ x[c]).rotate_left(12);
+            x[a] = x[a].wrapping_add(x[b]);
+            x[d] = (x[d] ^ x[a]).rotate_left(8);
+            x[c] = x[c].wrapping_add(x[d]);
+            x[b] = (x[b] ^ x[c]).rotate_left(7);
+        }
+        let mut input = [0u32; 16];
+        input[..4].copy_from_slice(&[0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574]);
+        input[4..12].copy_from_slice(&self.key);
+        input[12..].copy_from_slice(&[
+            counter as u32,
+            (counter >> 32) as u32,
+            self.stream as u32,
+            (self.stream >> 32) as u32,
+        ]);
+        let mut x = input;
+        for _round_pair in 0..4 {
+            for lanes in [[0, 4, 8, 12], [1, 5, 9, 13], [2, 6, 10, 14], [3, 7, 11, 15]] {
+                qr(&mut x, lanes);
+            }
+            for lanes in [[0, 5, 10, 15], [1, 6, 11, 12], [2, 7, 8, 13], [3, 4, 9, 14]] {
+                qr(&mut x, lanes);
+            }
+        }
+        std::array::from_fn(|i| x[i].wrapping_add(input[i]))
+    }
+
+    fn next_u32(&mut self) -> u32 {
+        if self.index == 16 {
+            self.block = self.chacha8_block(self.counter);
+            self.counter = self.counter.wrapping_add(1);
+            self.index = 0;
+        }
+        self.index += 1;
+        self.block[self.index - 1]
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        u64::from(self.next_u32()) | (u64::from(self.next_u32()) << 32)
+    }
+
+    fn set_stream(&mut self, stream: u64) {
+        self.stream = stream;
+        if self.index < 16 {
+            self.block = self.chacha8_block(self.counter.wrapping_sub(1));
+        }
+    }
+
+    fn set_word_pos(&mut self, word: u128) {
+        self.block = self.chacha8_block((word >> 4) as u64);
+        self.counter = ((word >> 4) as u64).wrapping_add(1);
+        self.index = (word % 16) as usize;
+    }
+
+    fn word_pos(&self) -> u128 {
+        u128::from(self.counter) * 16 + self.index as u128
+    }
+}
+
+/// Draws `words` words one at a time from both and checks each and the
+/// word position after it.
+fn same_words(rng: &mut ChaCha8Rng, reference: &mut ReferenceChaCha8, words: usize, what: &str) {
+    for w in 0..words {
+        assert_eq!(rng.next_u32(), reference.next_u32(), "{what}: word {w}");
+        assert_eq!(rng.get_word_pos(), reference.word_pos(), "{what}: position after word {w}");
+    }
+}
+
+#[test]
+fn keystream_equals_an_independent_one_block_chacha8() {
+    // Several seeds over 16 refills of 64 words; the position before the
+    // first draw too.
+    for seed in [0u64, 1, 7, 0x0a1c_4e57, u64::MAX] {
+        let (mut rng, mut reference) =
+            (ChaCha8Rng::seed_from_u64(seed), ReferenceChaCha8::new(seed));
+        assert_eq!(rng.get_word_pos(), reference.word_pos(), "seed {seed}: fresh");
+        same_words(&mut rng, &mut reference, 1024, &format!("seed {seed}"));
+    }
+
+    // A block counter crossing 2^32: word 13 takes the carry, inside one
+    // refill and across refills, from every offset of a block.
+    for offset in 0..16u128 {
+        let start = 16 * ((1u128 << 32) - 3) + offset;
+        let (mut rng, mut reference) = (ChaCha8Rng::seed_from_u64(3), ReferenceChaCha8::new(3));
+        rng.set_word_pos(start);
+        reference.set_word_pos(start);
+        assert_eq!(rng.get_word_pos(), reference.word_pos(), "2^32 carry from word {start}");
+        same_words(&mut rng, &mut reference, 200, &format!("2^32 carry from word {start}"));
+    }
+
+    // `set_stream` after every number of words across two refills: the
+    // stream switches at the same word, and the position is kept.
+    for drawn in 0..=130 {
+        let (mut rng, mut reference) = (ChaCha8Rng::seed_from_u64(5), ReferenceChaCha8::new(5));
+        same_words(&mut rng, &mut reference, drawn, "before set_stream");
+        rng.set_stream(1);
+        reference.set_stream(1);
+        assert_eq!(rng.get_word_pos(), reference.word_pos(), "set_stream after {drawn} words");
+        same_words(&mut rng, &mut reference, 150, &format!("set_stream after {drawn} words"));
+    }
+
+    // Interleaved 32- and 64-bit draws: with an odd word consumed, every
+    // 32nd `next_u64` straddles a refill.
+    let (mut rng, mut reference) = (ChaCha8Rng::seed_from_u64(9), ReferenceChaCha8::new(9));
+    for step in 0..600 {
+        if step % 7 == 0 {
+            assert_eq!(rng.next_u32(), reference.next_u32(), "next_u32 at step {step}");
+        } else {
+            assert_eq!(rng.next_u64(), reference.next_u64(), "next_u64 at step {step}");
+        }
+        assert_eq!(rng.get_word_pos(), reference.word_pos(), "position after step {step}");
+    }
+
+    // A clone taken mid-buffer continues as the original does.
+    let (mut rng, mut reference) = (ChaCha8Rng::seed_from_u64(11), ReferenceChaCha8::new(11));
+    same_words(&mut rng, &mut reference, 37, "before the clone");
+    let (mut fork, mut fork_reference) = (rng.clone(), reference.clone());
+    same_words(&mut rng, &mut reference, 300, "original after the clone");
+    same_words(&mut fork, &mut fork_reference, 300, "clone");
 }

@@ -163,6 +163,23 @@ mod tests {
     }
 
     #[test]
+    fn secret_keys_draw_what_gen_range_draws() {
+        use rand::{Rng, RngCore};
+        for seed in [0u64, 7, 0x0a1c_4e57] {
+            let mut a = ChaCha8Rng::seed_from_u64(seed);
+            let mut b = a.clone();
+            let lwe = LweSecretKey::generate(630, &mut a);
+            let trlwe = TrlweSecretKey::generate(1024, &mut a);
+            let lwe_bits: Vec<u64> = (0..630).map(|_| b.gen_range(0..2u64)).collect();
+            let trlwe_bits: Vec<i64> = (0..1024).map(|_| b.gen_range(0..2i64)).collect();
+            assert_eq!(lwe.bits(), lwe_bits, "seed {seed}");
+            assert_eq!(trlwe.bits(), trlwe_bits, "seed {seed}");
+            assert_eq!(a.get_word_pos(), b.get_word_pos(), "seed {seed}");
+            assert_eq!(a.next_u64(), b.next_u64(), "seed {seed}");
+        }
+    }
+
+    #[test]
     fn lut_via_server_key() {
         let mut rng = ChaCha8Rng::seed_from_u64(21);
         let (client, server) = generate_keys(&TfheParams::toy(), &mut rng).unwrap();

@@ -9,6 +9,7 @@
 
 use crate::params::TfheParams;
 use crate::torus;
+use rand::distributions::{Distribution, Uniform};
 use rand::Rng;
 
 /// A binary LWE secret key.
@@ -18,9 +19,11 @@ pub struct LweSecretKey {
 }
 
 impl LweSecretKey {
-    /// Samples a uniform binary key of dimension `n`.
+    /// Samples a uniform binary key of dimension `n`: the draws
+    /// `gen_range(0..2)` would make, with the range built once.
     pub fn generate<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Self {
-        LweSecretKey { bits: (0..n).map(|_| rng.gen_range(0..2u64)).collect() }
+        let bit = Uniform::new(0, 2u64);
+        LweSecretKey { bits: (0..n).map(|_| bit.sample(rng)).collect() }
     }
 
     /// Wraps explicit key bits (testing, and TRLWE key extraction).

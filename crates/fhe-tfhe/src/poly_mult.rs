@@ -69,11 +69,18 @@ impl PrimeField {
         Ok(PrimeField { q, ntt: NttTable::new(q, n)? })
     }
 
-    /// The residues of `ints ⊛ torus`, written over `torus`'s prepared form.
-    fn mul_prepared(&self, ints: &[i64], prepared: &mut [u64]) {
-        let mut lifted: Vec<u64> = ints.iter().map(|&d| self.q.from_i64(d)).collect();
-        self.ntt.forward(&mut lifted);
-        for (r, &d) in prepared.iter_mut().zip(&lifted) {
+    /// `ints` lifted into this field and transformed, into `out`.
+    fn transform_ints(&self, ints: &[i64], out: &mut [u64]) {
+        for (o, &d) in out.iter_mut().zip(ints) {
+            *o = self.q.from_i64(d);
+        }
+        self.ntt.forward(out);
+    }
+
+    /// The residues of `ints ⊛ torus`, from `ints`' transform and written
+    /// over `torus`'s prepared form.
+    fn mul_transformed(&self, ints_hat: &[u64], prepared: &mut [u64]) {
+        for (r, &d) in prepared.iter_mut().zip(ints_hat) {
             *r = self.q.mul(d, *r);
         }
         self.ntt.inverse(prepared);
@@ -382,6 +389,23 @@ impl NegacyclicMultiplier {
     /// Panics on length mismatches, or if `Σ|ints|` exceeds what the
     /// multiplier's primes can lift exactly (`Σ|ints| · 2^w ≥ P/2`).
     pub fn mul_int_torus(&self, ints: &[i64], torus: &[u64]) -> Vec<u64> {
+        let ints_hat = self.transform_ints(ints);
+        let mut res = self.prepare(torus).res;
+        let mut out = vec![0; self.n];
+        self.mul_transformed_add(&ints_hat, &mut res, &mut out);
+        out
+    }
+
+    /// An integer polynomial lifted into every prime field and transformed
+    /// (`primes · n` residues): the operand
+    /// [`mul_transformed_add`](Self::mul_transformed_add) takes, so a
+    /// polynomial that multiplies many is transformed once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ints.len() != n`, or if `Σ|ints|` exceeds what the
+    /// multiplier's primes can lift exactly (`Σ|ints| · 2^w ≥ P/2`).
+    pub(crate) fn transform_ints(&self, ints: &[i64]) -> Vec<u64> {
         assert_eq!(ints.len(), self.n);
         let weight: u128 = ints.iter().map(|d| u128::from(d.unsigned_abs())).sum();
         assert!(
@@ -391,11 +415,33 @@ impl NegacyclicMultiplier {
             self.primes(),
             self.ring_bits
         );
-        let mut res = self.prepare(torus).res;
-        self.per_field(&mut res, |f, prepared| f.mul_prepared(ints, prepared));
-        let mut out = vec![0; self.n];
-        self.lift_add(&res, self.n, &mut out);
-        out
+        let mut res = vec![0; self.primes() * self.n];
+        self.per_field(&mut res, |f, r| f.transform_ints(ints, r));
+        res
+    }
+
+    /// Adds `ints ⊛ torus` to `out`, from `ints_hat` (its
+    /// [`transform_ints`](Self::transform_ints)) and `prepared` (the
+    /// [`prepare`](Self::prepare)d `torus`), which this overwrites: one
+    /// inverse transform per prime.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatches.
+    pub(crate) fn mul_transformed_add(
+        &self,
+        ints_hat: &[u64],
+        prepared: &mut [u64],
+        out: &mut [u64],
+    ) {
+        assert_eq!(ints_hat.len(), self.primes() * self.n);
+        assert_eq!(prepared.len(), ints_hat.len());
+        assert_eq!(out.len(), self.n);
+        let fields = self.fields().zip(ints_hat.chunks_exact(self.n));
+        for ((f, hat), res) in fields.zip(prepared.chunks_exact_mut(self.n)) {
+            f.mul_transformed(hat, res);
+        }
+        self.lift_add(prepared, self.n, out);
     }
 }
 

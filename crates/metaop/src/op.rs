@@ -219,13 +219,6 @@ impl MetaOpTrace {
     pub fn total_ops(&self) -> u64 {
         self.entries.iter().map(|&(_, c)| c).sum()
     }
-
-    /// Reduction cycles the lazy Barrett accumulation avoided, relative to
-    /// eagerly reducing every product: `2(n-1)` per `(M_j A_j)_n R_j`
-    /// instance (eager `3n` vs lazy `n + 2` multiplier-array cycles).
-    pub fn reduction_cycles_saved(&self) -> u64 {
-        self.entries.iter().map(|&(op, c)| 2 * (op.n() as u64 - 1) * c).sum()
-    }
 }
 
 #[cfg(test)]
@@ -254,15 +247,6 @@ mod tests {
         t.record(op, 0); // ignored
         assert_eq!(t.entries().len(), 2);
         assert_eq!(t.total_ops(), 17);
-    }
-
-    #[test]
-    fn lazy_reduction_savings_follow_table2() {
-        // One op of length n saves 2(n-1) reduction cycles vs eager Barrett.
-        let mut t = MetaOpTrace::new();
-        t.record(MetaOp::new(OpClass::DecompPolyMult, 8, 4), 10);
-        t.record(MetaOp::new(OpClass::Elementwise, 8, 1), 5); // n=1: no saving
-        assert_eq!(t.reduction_cycles_saved(), 2 * 3 * 10);
     }
 
     #[test]
