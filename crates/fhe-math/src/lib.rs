@@ -9,6 +9,10 @@
 //! * [`NttTable`] — negacyclic number-theoretic transforms, including the
 //!   4-step formulation used by Alchemist's slot-based data management and
 //!   a radix-8/4 *blocked* formulation that the Meta-OP layer lowers,
+//! * [`lazy_mac`] — the Meta-OP `(M_j A_j)_n R_j` itself. It and the NTT run
+//!   on eight 52-bit AVX-512 IFMA lanes where the host has them and the
+//!   moduli are below `2^50` (the one `unsafe` module, [`simd`]'s), and on
+//!   scalar loops everywhere else, with the same canonical outputs,
 //! * [`RnsBasis`] / [`RnsPoly`] — residue-number-system polynomials with the
 //!   fast base conversion `Bconv` (paper Eq. 1), `Modup` (Eq. 2) and
 //!   `Moddown` (Eq. 3),
@@ -39,7 +43,7 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bigint;

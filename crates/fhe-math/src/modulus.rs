@@ -320,7 +320,11 @@ impl Modulus {
 
 /// A value together with its Shoup quotient, enabling one-multiplication
 /// modular products against a fixed operand.
+///
+/// `repr(C)`: the IFMA NTT reads a run of table entries as words, value
+/// then quotient.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[repr(C)]
 pub struct ShoupScalar {
     /// The canonical value `w < q`.
     pub value: u64,

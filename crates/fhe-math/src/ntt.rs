@@ -21,7 +21,7 @@
 //! management relies on (paper §5.3).
 
 use crate::modulus::ShoupScalar;
-use crate::simd::{self, csub};
+use crate::simd::{self, csub, Ifma};
 use crate::{MathError, Modulus};
 
 /// Precomputed tables for the negacyclic NTT of a fixed size and modulus.
@@ -64,6 +64,9 @@ pub struct NttTable {
     /// scaling pass.
     inv_last: ShoupScalar,
     psi: u64,
+    /// The IFMA lanes where the host has them, `q < 2^50` and `n ≥ 16`;
+    /// the scalar radix-8/4 kernel otherwise.
+    lanes: Option<Ifma>,
 }
 
 impl NttTable {
@@ -102,7 +105,8 @@ impl NttTable {
         let n_inv_val = modulus.inv(n as u64)?;
         let n_inv = modulus.shoup(n_inv_val);
         let inv_last = modulus.shoup(modulus.mul(psi_inv_rev[1].value, n_inv_val));
-        Ok(NttTable { modulus, n, log_n, psi_rev, psi_inv_rev, n_inv, inv_last, psi })
+        let lanes = Ifma::detect().filter(|_| Ifma::fits(q) && n >= 16);
+        Ok(NttTable { modulus, n, log_n, psi_rev, psi_inv_rev, n_inv, inv_last, psi, lanes })
     }
 
     /// The transform size `N`.
@@ -148,6 +152,18 @@ impl NttTable {
         self.n_inv
     }
 
+    /// The inverse root stage's difference-side twiddle, `ψ^{-brv(1)}·N^{-1}`.
+    #[cfg(test)]
+    pub(crate) fn inv_last(&self) -> ShoupScalar {
+        self.inv_last
+    }
+
+    /// The IFMA lanes if this table's transforms run on them.
+    #[cfg(test)]
+    pub(crate) fn lanes(&self) -> Option<Ifma> {
+        self.lanes
+    }
+
     /// Verifies the lazy input contract once per transform, in every build
     /// profile: one O(n) scan in place of a check per butterfly. The scan
     /// that decides carries no index; only a failing input pays for the
@@ -175,8 +191,7 @@ impl NttTable {
     pub fn forward(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "polynomial length must match NTT size");
         self.check_lazy_inputs(a, "forward");
-        let q = self.modulus.value();
-        self.fwd_passes(a, |r| csub(csub(r, q << 1), q));
+        self.forward_kernel(a, false);
     }
 
     /// Forward NTT that leaves its output **lazy** in `[0, 2q)`, saving the
@@ -195,8 +210,7 @@ impl NttTable {
     pub fn forward_lazy(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "polynomial length must match NTT size");
         self.check_lazy_inputs(a, "forward_lazy");
-        let two_q = self.modulus.value() << 1;
-        self.fwd_passes(a, |r| csub(r, two_q));
+        self.forward_kernel(a, true);
     }
 
     /// In-place inverse negacyclic NTT (bit-reversed → natural order),
@@ -214,8 +228,7 @@ impl NttTable {
     pub fn inverse(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "polynomial length must match NTT size");
         self.check_lazy_inputs(a, "inverse");
-        let q = self.modulus.value();
-        self.inv_passes(a, |r| csub(r, q));
+        self.inverse_kernel(a, false);
     }
 
     /// Inverse NTT with **lazy** `[0, 2q)` output (one conditional
@@ -227,7 +240,47 @@ impl NttTable {
     pub fn inverse_lazy(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "polynomial length must match NTT size");
         self.check_lazy_inputs(a, "inverse_lazy");
-        self.inv_passes(a, |r| r);
+        self.inverse_kernel(a, true);
+    }
+
+    /// The forward transform on the table's kernel: canonical output, or
+    /// `[0, 2q)` if `lazy`.
+    fn forward_kernel(&self, a: &mut [u64], lazy: bool) {
+        match self.lanes {
+            Some(lanes) => lanes.forward(a, &self.psi_rev, self.modulus.value(), lazy),
+            None => self.forward_scalar(a, lazy),
+        }
+    }
+
+    /// The inverse mirror of [`NttTable::forward_kernel`].
+    fn inverse_kernel(&self, a: &mut [u64], lazy: bool) {
+        match self.lanes {
+            Some(lanes) => {
+                let folded = [self.n_inv, self.inv_last];
+                lanes.inverse(a, &self.psi_inv_rev, folded, self.modulus.value(), lazy);
+            }
+            None => self.inverse_scalar(a, lazy),
+        }
+    }
+
+    /// The scalar forward kernel: register-blocked radix-8/4 passes.
+    pub(crate) fn forward_scalar(&self, a: &mut [u64], lazy: bool) {
+        let q = self.modulus.value();
+        if lazy {
+            self.fwd_passes(a, |r| csub(r, q << 1));
+        } else {
+            self.fwd_passes(a, |r| csub(csub(r, q << 1), q));
+        }
+    }
+
+    /// The scalar inverse kernel.
+    pub(crate) fn inverse_scalar(&self, a: &mut [u64], lazy: bool) {
+        let q = self.modulus.value();
+        if lazy {
+            self.inv_passes(a, |r| r);
+        } else {
+            self.inv_passes(a, |r| csub(r, q));
+        }
     }
 
     /// The forward transform as [`radix_blocks`] register-blocked passes:

@@ -17,6 +17,7 @@
 use std::borrow::Borrow;
 
 use crate::poly::Domain;
+use crate::simd::{Ifma, MacLanes};
 use crate::{simd, MathError, Modulus, NttTable, Poly, Scratch, UBig};
 
 /// An ordered set of word-sized prime moduli forming an RNS basis.
@@ -381,6 +382,10 @@ pub struct BconvPlan {
     qhat_inv: Vec<crate::modulus::ShoupScalar>,
     /// `qhat_dst[j][i] = (Q/q_i) mod p_j`.
     qhat_dst: Vec<Vec<u64>>,
+    /// The IFMA lanes, where every source modulus is at most `2^52` (the
+    /// pre-scaled residues the dot products read) and every destination
+    /// modulus below `2^50`; the scalar kernel otherwise.
+    lanes: Option<MacLanes>,
 }
 
 impl BconvPlan {
@@ -426,7 +431,18 @@ impl BconvPlan {
             }
             qhat_dst.push(row);
         }
-        Ok(BconvPlan { src_moduli, dst_moduli, qhat_inv, qhat_dst })
+        let widest = |m: &[Modulus]| m.iter().map(Modulus::value).max();
+        let lanes = match (Ifma::detect(), widest(&dst_moduli), widest(&src_moduli)) {
+            (Some(v), Some(q_max), Some(a_bound)) => v.mac(q_max, a_bound),
+            _ => None,
+        };
+        Ok(BconvPlan { src_moduli, dst_moduli, qhat_inv, qhat_dst, lanes })
+    }
+
+    /// The IFMA lanes if this plan's dot products run on them.
+    #[cfg(test)]
+    pub(crate) fn lanes(&self) -> Option<MacLanes> {
+        self.lanes
     }
 
     /// Source moduli of the plan.
@@ -527,17 +543,24 @@ impl BconvPlan {
 
     /// Step 2 of the conversion for destination channel `j`, added into a
     /// zeroed `out`: the lazy dot product of the pre-scaled source channels
-    /// with `qhat_dst[j]`, each weight broadcast over the slots.
+    /// with `qhat_dst[j]`, each weight broadcast over the slots. The
+    /// residues are canonical for their *source* moduli, so they can exceed
+    /// the destination's `p_j`: the plan's `lanes` decided once, from all
+    /// the moduli, whether every operand fits 52 bits.
     fn dot_into(&self, j: usize, scaled: &[Vec<u64>], out: &mut [u64]) {
         let weights = &self.qhat_dst[j];
         let row = |i: usize| (scaled[i].as_slice(), std::slice::from_ref(&weights[i]));
-        lazy_mac(&self.dst_moduli[j], scaled.len(), row, MacSlots, MacBroadcast, out);
+        let (m, terms) = (&self.dst_moduli[j], scaled.len());
+        match self.lanes {
+            Some(lanes) => lanes.lazy_mac(m, terms, row, MacSlots, MacBroadcast, out),
+            None => scalar_mac(m, terms, row, MacSlots, MacBroadcast, out),
+        }
     }
 }
 
-/// Products [`lazy_mac`] sums per slot before it reduces: each is below
-/// `2q·q < 2^123` (one lazy `[0, 2q)` factor, `q < 2^61`), so eight of them
-/// and the carried-in residue fit a `u128`.
+/// Products the scalar [`lazy_mac`] kernel sums per slot before it reduces:
+/// each is below `2^122` (both factors below `2^61`), so eight of them and
+/// the carried-in residue fit a `u128`.
 const MAC_TERMS: usize = 8;
 
 /// Slots one [`lazy_mac`] block carries side by side. Four sums are eight
@@ -619,18 +642,40 @@ impl MacRead for MacBroadcast {
 
 /// `out[s] ← (out[s] + Σ_r a_r[·]·b_r[·]) mod q` over the `terms` pairs
 /// `row(r) = (a_r, b_r)`, each operand read as `a` / `b` say — the Meta-OP
-/// `(M_j A_j)_n R_j`, shared by the Bconv dot products, the CKKS key and
-/// plaintext MACs, TFHE's external product and `metaop`'s NTT lowering.
+/// `(M_j A_j)_n R_j`, shared by the CKKS key and plaintext MACs, TFHE's
+/// external product and `metaop`'s NTT lowering (the Bconv dot products run
+/// the same kernels, chosen by their plan).
 ///
-/// One pass per eight rows (a product is below `2q·q < 2^123`, so eight and
-/// the carried-in residue fit a `u128`); a pass walks the slots
-/// [`MAC_SLOTS`] at a time with the rows in the outer loop, sums each slot
-/// in a `u128` and reduces it once ([`Modulus::reduce_u128`]). `a_r` may be
-/// lazy in `[0, 2q)`, `b_r` and `out` are canonical, and `out` stays so.
-/// Exact: the result is the canonical residue of the whole sum, however
-/// the rows are grouped.
+/// `a_r` may be lazy in `[0, 2q)`; `b_r` and `out` are canonical, and `out`
+/// stays so. Exact: the result is the canonical residue of the whole sum,
+/// however the rows are grouped, so both kernels return the same words:
+///
+/// * where the host runs AVX-512 IFMA and `q < 2^50`, eight slots at a
+///   time on the 52-bit lanes (`crate::simd::ifma`);
+/// * otherwise one pass per eight rows that walks the slots [`MAC_SLOTS`]
+///   at a time with the rows in the outer loop, sums each slot in a `u128`
+///   (a product is below `2^122`) and reduces it once
+///   ([`Modulus::reduce_u128`]).
 #[inline]
 pub fn lazy_mac<'r>(
+    m: &Modulus,
+    terms: usize,
+    row: impl Fn(usize) -> (&'r [u64], &'r [u64]),
+    a: impl MacRead,
+    b: impl MacRead,
+    out: &mut [u64],
+) {
+    match Ifma::detect().and_then(|v| v.mac(m.value(), m.value() << 1)) {
+        Some(lanes) => lanes.lazy_mac(m, terms, row, a, b, out),
+        None => scalar_mac(m, terms, row, a, b, out),
+    }
+}
+
+/// The scalar [`lazy_mac`] kernel. Its only requirement is that every
+/// product `a_r·b_r` is below `2^122` and `out` canonical: it holds for the
+/// Bconv dot products, whose residues belong to the source moduli.
+#[inline]
+pub(crate) fn scalar_mac<'r>(
     m: &Modulus,
     terms: usize,
     row: impl Fn(usize) -> (&'r [u64], &'r [u64]),
@@ -658,12 +703,26 @@ pub fn lazy_mac<'r>(
                 *o = m.reduce_u128(sum);
             }
         }
-        let s0 = blocks.len();
-        for (k, o) in tail.iter_mut().enumerate() {
-            let s = s0 + k;
-            let sum = rows.iter().map(|&(x, y)| u128::from(a.at(x, s)) * u128::from(b.at(y, s)));
-            *o = m.reduce_u128(sum.fold(u128::from(*o), |acc, p| acc + p));
-        }
+        mac_tail(m, rows, a, b, tail, blocks.len());
+    }
+}
+
+/// One pass of `rows` over the slots `s0..s0 + tail.len()` that make no
+/// whole block, one `u128` sum per slot (the rows' products and the
+/// carried-in residue must fit it).
+#[inline(always)]
+pub(crate) fn mac_tail(
+    m: &Modulus,
+    rows: &[(&[u64], &[u64])],
+    a: impl MacRead,
+    b: impl MacRead,
+    tail: &mut [u64],
+    s0: usize,
+) {
+    for (k, o) in tail.iter_mut().enumerate() {
+        let s = s0 + k;
+        let sum = rows.iter().map(|&(x, y)| u128::from(a.at(x, s)) * u128::from(b.at(y, s)));
+        *o = m.reduce_u128(sum.fold(u128::from(*o), |acc, p| acc + p));
     }
 }
 

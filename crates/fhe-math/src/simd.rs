@@ -1,14 +1,20 @@
-//! The modular hot loops: one scalar implementation each.
+//! The modular hot loops: a scalar implementation of each, and an AVX-512
+//! IFMA one of the NTT and the MAC.
 //!
 //! This module is the software stand-in for Alchemist's wide multiplier
 //! arrays: the Harvey lazy butterflies (paper Table 2), Shoup multiplies
-//! and the element-wise RNS passes. Every kernel is a plain safe loop over
-//! `u64` slices — the reference semantics the conformance oracle pins —
-//! and there is no vector backend, no dispatch and no switch: the AVX2 and
-//! NEON twins this module once carried had to emulate every 64-bit multiply
-//! from 32-bit partial products and bought nothing resolvable end to end
-//! (DESIGN.md §14.2, EXPERIMENTS.md 2026-10-01). The module keeps its name
-//! because the frozen `benchmark/` package reads [`active_backend`].
+//! and the element-wise RNS passes. Every kernel here is a plain safe loop
+//! over `u64` slices — the reference semantics the conformance oracle pins.
+//! The NTT and [`lazy_mac`](crate::lazy_mac) also run on eight 52-bit
+//! lanes (`ifma`, DESIGN.md §14.2) where the host reports `avx512f` and
+//! `avx512ifma` and every operand is provably below `2^52`: moduli below
+//! `2^50`, and Bconv plans whose moduli all allow it. Nothing else chooses
+//! the path — no option, feature or setting — and canonical outputs are
+//! the same words on both. The AVX2 and NEON twins this module once carried
+//! had to emulate every 64-bit multiply from 32-bit partial products and
+//! bought nothing resolvable end to end (EXPERIMENTS.md 2026-10-01); IFMA
+//! multiplies 52 × 52 bits natively. [`active_backend`] names the path the
+//! host takes.
 //!
 //! # Lazy value ranges
 //!
@@ -18,31 +24,46 @@
 //! radix-4 blocks without widening either range), and
 //! [`Modulus::mul_shoup_lazy`] returns `[0, 2q)` for *any* `u64` input. All
 //! of it requires `q < 2^61` (`MAX_MODULUS_BITS`, checked by [`Modulus::new`]), which
-//! keeps `4q < 2^63` and every lazy add below `u64::MAX`.
+//! keeps `4q < 2^63` and every lazy add below `u64::MAX`. The IFMA lanes
+//! keep the same ranges below `2^52`, hence their `q < 2^50`.
 
 use crate::modulus::ShoupScalar;
 use crate::Modulus;
 
-/// The kernel implementation in use. There is exactly one; the type stays
-/// because the frozen `benchmark/src/host.rs` prints
-/// `active_backend().name()` as a host fact.
+#[allow(unsafe_code)]
+mod ifma;
+
+pub(crate) use ifma::{Ifma, MacLanes};
+
+/// The kernel implementation this host runs where a modulus allows it
+/// (`benchmark/src/host.rs` prints its name as a host fact).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Portable scalar loops.
+    /// Portable scalar loops only: the host lacks AVX-512F or AVX-512 IFMA.
     Scalar,
+    /// The NTT and the MACs on moduli below `2^50` run on eight 52-bit
+    /// IFMA lanes; everything else runs the scalar loops.
+    Ifma,
 }
 
 impl Backend {
     /// Stable lowercase name, used in bench metadata and reports.
     pub fn name(self) -> &'static str {
-        "scalar"
+        match self {
+            Backend::Scalar => "scalar",
+            Backend::Ifma => "avx512ifma",
+        }
     }
 }
 
-/// Always [`Backend::Scalar`].
+/// [`Backend::Ifma`] exactly when the host reports `avx512f` and
+/// `avx512ifma` (detected once per process), [`Backend::Scalar`] otherwise.
 #[inline]
 pub fn active_backend() -> Backend {
-    Backend::Scalar
+    match Ifma::detect() {
+        Some(_) => Backend::Ifma,
+        None => Backend::Scalar,
+    }
 }
 
 /// Lazy Shoup product: `a * w mod q` up to one multiple of `q`, i.e. a value

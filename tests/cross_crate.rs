@@ -175,23 +175,56 @@ fn the_workspace_has_one_build_configuration() {
         );
     }
     // Split so this file does not contain the needles itself: no source is
-    // conditional on a cargo feature, or on the CPU it is compiled for.
-    let needles = [
-        concat!("feature", " = \""),
+    // conditional on a cargo feature, and one file — the IFMA backend —
+    // names the CPU: it alone detects the host's vector unit and holds the
+    // kernels that use it.
+    let feature = concat!("feature", " = \"");
+    let arch = [
         concat!("target", "_arch"),
+        concat!("target", "_feature"),
         concat!("core", "::arch"),
         concat!("std", "::arch"),
     ];
+    let ifma = root.join("crates/fhe-math/src/simd/ifma.rs");
     let mut sources = Vec::new();
     for dir in ["crates", "src", "tests", "examples"] {
         rust_sources(&root.join(dir), &mut sources);
     }
     assert!(sources.len() > 100, "the walk must see the workspace, saw {}", sources.len());
+    assert!(sources.contains(&ifma), "the IFMA backend moved: update this test");
     for s in &sources {
         let text = std::fs::read_to_string(s).unwrap();
-        for needle in needles {
+        assert!(!text.contains(feature), "{} contains `{feature}`", s.display());
+        if *s == ifma {
+            assert!(text.contains(arch[1]) && text.contains(arch[3]), "the IFMA backend moved");
+            continue;
+        }
+        for needle in arch {
             assert!(!text.contains(needle), "{} contains `{needle}`", s.display());
         }
+    }
+    // `fhe-math` denies unsafe code but for that one module, and every
+    // `unsafe` block there states why it is sound.
+    let lib = std::fs::read_to_string(root.join("crates/fhe-math/src/lib.rs")).unwrap();
+    assert!(lib.contains("#![deny(unsafe_code)]"));
+    let mut allowed = Vec::new();
+    rust_sources(&root.join("crates/fhe-math/src"), &mut allowed);
+    allowed.retain(|s| std::fs::read_to_string(s).unwrap().contains("allow(unsafe_code)"));
+    assert_eq!(allowed, [root.join("crates/fhe-math/src/simd.rs")]);
+    let simd = std::fs::read_to_string(&allowed[0]).unwrap();
+    assert_eq!(simd.matches("allow(unsafe_code)").count(), 1);
+    assert!(simd.contains("#[allow(unsafe_code)]\nmod ifma;"));
+    let kernels = std::fs::read_to_string(&ifma).unwrap();
+    let lines: Vec<&str> = kernels.lines().collect();
+    let blocks: Vec<usize> = (0..lines.len()).filter(|&i| lines[i].contains("unsafe {")).collect();
+    assert!(!blocks.is_empty());
+    for i in blocks {
+        let above = &lines[i.saturating_sub(3)..i];
+        assert!(
+            lines[i].contains("// SAFETY:") || above.iter().any(|l| l.contains("// SAFETY:")),
+            "ifma.rs:{} has an `unsafe` block without a `// SAFETY:` line",
+            i + 1
+        );
     }
     // The probes the frozen benchmark package reports as host facts. No
     // kernel fans out to threads.
@@ -199,5 +232,19 @@ fn the_workspace_has_one_build_configuration() {
     assert!(alchemist::math::strict_checks_enabled());
     assert!(alchemist::telemetry::alloc::tracking_compiled());
     assert!(alchemist::math::checksum_enabled());
-    assert_eq!(alchemist::math::simd::active_backend().name(), "scalar");
+    // The backend names the IFMA lanes exactly when the host has them, as
+    // the kernel reports its CPU flags.
+    let backend = alchemist::math::simd::active_backend().name();
+    match std::fs::read_to_string("/proc/cpuinfo") {
+        Ok(info) => {
+            let flags = info.lines().find(|l| l.starts_with("flags")).unwrap_or_default();
+            let has = |f: &str| flags.split_whitespace().any(|w| w == f);
+            let lanes = has("avx512f") && has("avx512ifma");
+            assert_eq!(backend, if lanes { "avx512ifma" } else { "scalar" }, "{flags}");
+        }
+        Err(_) => {
+            println!("no /proc/cpuinfo: the backend name ({backend}) is not checked");
+            assert!(["scalar", "avx512ifma"].contains(&backend));
+        }
+    }
 }
