@@ -278,10 +278,11 @@ fn draw_size(rng: &mut SplitMix64, max: usize) -> usize {
 }
 
 /// Modulus widths: 36-bit (paper S1) twice as likely, the rest spanning
-/// the supported range; narrow 20-bit primes only at tiny n where enough
-/// exist.
+/// the supported range — 50 and 51 bits on either side of the IFMA NTT's
+/// extra subtraction, 52 past its lanes; narrow 20-bit primes only at tiny
+/// n where enough exist.
 fn draw_bits(rng: &mut SplitMix64, n: usize) -> u32 {
-    const WIDE: [u32; 8] = [36, 36, 40, 45, 50, 52, 55, 60];
+    const WIDE: [u32; 9] = [36, 36, 40, 45, 50, 51, 52, 55, 60];
     if n <= 64 && rng.below(10) == 0 {
         20
     } else {
@@ -373,10 +374,13 @@ fn repro(
 // Families
 
 fn ntt_case(mut rng: SplitMix64, seed: u64, case: u64) -> Result<(), Box<Repro>> {
-    // Forced heavy cases: the largest rings regardless of seed.
+    // Forced heavy cases: the largest rings regardless of seed, and set I's
+    // ring at TFHE's 51-bit primes (the IFMA NTT with its extra
+    // subtraction, where the host has the lanes).
     let (n, bits) = match case {
         0 => (8192, 36),
         1 => (4096, 60),
+        2 => (1024, 51),
         _ => {
             let n = draw_size(&mut rng, 8192);
             (n, draw_bits(&mut rng, n))

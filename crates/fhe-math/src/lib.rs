@@ -11,7 +11,7 @@
 //!   a radix-8/4 *blocked* formulation that the Meta-OP layer lowers,
 //! * [`lazy_mac`] — the Meta-OP `(M_j A_j)_n R_j` itself. It and the NTT run
 //!   on eight 52-bit AVX-512 IFMA lanes where the host has them and the
-//!   moduli are below `2^50` (the one `unsafe` module, [`simd`]'s), and on
+//!   moduli are below `2^51` (the one `unsafe` module, [`simd`]'s), and on
 //!   scalar loops everywhere else, with the same canonical outputs,
 //! * [`RnsBasis`] / [`RnsPoly`] — residue-number-system polynomials with the
 //!   fast base conversion `Bconv` (paper Eq. 1), `Modup` (Eq. 2) and

@@ -21,7 +21,7 @@
 //! management relies on (paper §5.3).
 
 use crate::modulus::ShoupScalar;
-use crate::simd::{self, csub, Ifma};
+use crate::simd::{self, csub, Ifma, NttLanes};
 use crate::{MathError, Modulus};
 
 /// Precomputed tables for the negacyclic NTT of a fixed size and modulus.
@@ -64,9 +64,10 @@ pub struct NttTable {
     /// scaling pass.
     inv_last: ShoupScalar,
     psi: u64,
-    /// The IFMA lanes where the host has them, `q < 2^50` and `n ≥ 16`;
-    /// the scalar radix-8/4 kernel otherwise.
-    lanes: Option<Ifma>,
+    /// The IFMA lanes where the host has them, `q < 2^51` and `n ≥ 16`
+    /// (with one more subtraction per butterfly from `q = 2^50` on); the
+    /// scalar radix-8/4 kernel otherwise.
+    lanes: Option<NttLanes>,
 }
 
 impl NttTable {
@@ -105,7 +106,7 @@ impl NttTable {
         let n_inv_val = modulus.inv(n as u64)?;
         let n_inv = modulus.shoup(n_inv_val);
         let inv_last = modulus.shoup(modulus.mul(psi_inv_rev[1].value, n_inv_val));
-        let lanes = Ifma::detect().filter(|_| Ifma::fits(q) && n >= 16);
+        let lanes = Ifma::detect().and_then(|v| v.ntt(q)).filter(|_| n >= 16);
         Ok(NttTable { modulus, n, log_n, psi_rev, psi_inv_rev, n_inv, inv_last, psi, lanes })
     }
 
@@ -160,17 +161,22 @@ impl NttTable {
 
     /// The IFMA lanes if this table's transforms run on them.
     #[cfg(test)]
-    pub(crate) fn lanes(&self) -> Option<Ifma> {
+    pub(crate) fn lanes(&self) -> Option<NttLanes> {
         self.lanes
     }
 
     /// Verifies the lazy input contract once per transform, in every build
-    /// profile: one O(n) scan in place of a check per butterfly. The scan
-    /// that decides carries no index; only a failing input pays for the
-    /// search that names the first offender.
+    /// profile: one O(n) scan in place of a check per butterfly, eight
+    /// words a compare on the IFMA lanes. The scan that decides carries no
+    /// index; only a failing input pays for the search that names the
+    /// first offender.
     fn check_lazy_inputs(&self, a: &[u64], op: &str) {
         let two_q = self.modulus.value() << 1;
-        if a.iter().all(|&x| x < two_q) {
+        let fail = match self.lanes {
+            Some(lanes) => lanes.any_at_least(a, two_q),
+            None => !a.iter().all(|&x| x < two_q),
+        };
+        if !fail {
             return;
         }
         let i = a.iter().position(|&x| x >= two_q).expect("the scan found one");

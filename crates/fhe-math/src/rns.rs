@@ -384,7 +384,7 @@ pub struct BconvPlan {
     qhat_dst: Vec<Vec<u64>>,
     /// The IFMA lanes, where every source modulus is at most `2^52` (the
     /// pre-scaled residues the dot products read) and every destination
-    /// modulus below `2^50`; the scalar kernel otherwise.
+    /// modulus below `2^51`; the scalar kernel otherwise.
     lanes: Option<MacLanes>,
 }
 
@@ -650,7 +650,7 @@ impl MacRead for MacBroadcast {
 /// stays so. Exact: the result is the canonical residue of the whole sum,
 /// however the rows are grouped, so both kernels return the same words:
 ///
-/// * where the host runs AVX-512 IFMA and `q < 2^50`, eight slots at a
+/// * where the host runs AVX-512 IFMA and `q < 2^51`, eight slots at a
 ///   time on the 52-bit lanes (`crate::simd::ifma`);
 /// * otherwise one pass per eight rows that walks the slots [`MAC_SLOTS`]
 ///   at a time with the rows in the outer loop, sums each slot in a `u128`

@@ -8,7 +8,7 @@
 //! The NTT and [`lazy_mac`](crate::lazy_mac) also run on eight 52-bit
 //! lanes (`ifma`, DESIGN.md §14.2) where the host reports `avx512f` and
 //! `avx512ifma` and every operand is provably below `2^52`: moduli below
-//! `2^50`, and Bconv plans whose moduli all allow it. Nothing else chooses
+//! `2^51`, and Bconv plans whose moduli all allow it. Nothing else chooses
 //! the path — no option, feature or setting — and canonical outputs are
 //! the same words on both. The AVX2 and NEON twins this module once carried
 //! had to emulate every 64-bit multiply from 32-bit partial products and
@@ -25,7 +25,10 @@
 //! [`Modulus::mul_shoup_lazy`] returns `[0, 2q)` for *any* `u64` input. All
 //! of it requires `q < 2^61` (`MAX_MODULUS_BITS`, checked by [`Modulus::new`]), which
 //! keeps `4q < 2^63` and every lazy add below `u64::MAX`. The IFMA lanes
-//! keep the same ranges below `2^52`, hence their `q < 2^50`.
+//! keep the same ranges in their 64-bit words but multiply only below
+//! `2^52`: a lazy product's `2q` must fit, hence their `q < 2^51`, and
+//! from `q = 2^50` on a butterfly brings its `[0, 4q)` multiplicand into
+//! `[0, 2q)` first.
 
 use crate::modulus::ShoupScalar;
 use crate::Modulus;
@@ -33,7 +36,7 @@ use crate::Modulus;
 #[allow(unsafe_code)]
 mod ifma;
 
-pub(crate) use ifma::{Ifma, MacLanes};
+pub(crate) use ifma::{Ifma, MacLanes, NttLanes};
 
 /// The kernel implementation this host runs where a modulus allows it
 /// (`benchmark/src/host.rs` prints its name as a host fact).
@@ -41,7 +44,7 @@ pub(crate) use ifma::{Ifma, MacLanes};
 pub enum Backend {
     /// Portable scalar loops only: the host lacks AVX-512F or AVX-512 IFMA.
     Scalar,
-    /// The NTT and the MACs on moduli below `2^50` run on eight 52-bit
+    /// The NTT and the MACs on moduli below `2^51` run on eight 52-bit
     /// IFMA lanes; everything else runs the scalar loops.
     Ifma,
 }

@@ -8,16 +8,22 @@
 //! has none), exact only while every operand is below `2^52`. So a kernel
 //! here runs only where that is proven, and the caller proves it once:
 //!
-//! * the NTT (Harvey butterflies, values below `4q`) and the single-modulus
-//!   MACs (`a < 2q`, `b < q`) need `q < 2^50` ([`Ifma::fits`]);
+//! * the NTT and the single-modulus MACs (`a < 2q`, `b < q`) need
+//!   `q < 2^51` ([`Ifma::fits`]), which keeps a lazy Shoup product's
+//!   `[0, 2q)` below `2^52`. Harvey butterflies carry values below `4q`,
+//!   which the 64-bit lanes hold at any such `q`; only what they multiply
+//!   must stay below `2^52`. From `q = 2^50` on `4q` does not, so there
+//!   every butterfly first brings its Shoup multiplicand into `[0, 2q)`
+//!   with one conditional subtraction ([`NttLanes`], chosen once per
+//!   table);
 //! * a Bconv plan decides from all of its source and destination moduli
 //!   (`BconvPlan::new`, through [`Ifma::mac`]).
 //!
-//! Everything else — other hosts, moduli of `2^50` and above, TFHE's 60-bit
-//! primes — runs the scalar kernels in [`crate::simd`] and `crate::rns`.
-//! Canonical outputs are bit-identical to the scalar path (a canonical
-//! residue is unique); lazy outputs are congruent and inside the same
-//! ranges, `[0, 2q)` both ways.
+//! Everything else — other hosts, moduli of `2^51` and above — runs the
+//! scalar kernels in [`crate::simd`] and `crate::rns`. Canonical outputs
+//! are bit-identical to the scalar path (a canonical residue is unique);
+//! lazy outputs are congruent and inside the same ranges, `[0, 2q)` both
+//! ways.
 //!
 //! The 52-bit Shoup quotient of a twiddle `w` is its 64-bit one shifted:
 //! `⌊⌊w·2^64/q⌋ / 2^12⌋ = ⌊w·2^52/q⌋`, so the kernels read the scalar
@@ -31,9 +37,13 @@
 use crate::modulus::ShoupScalar;
 use crate::{MacRead, Modulus};
 
-/// Moduli the NTT and single-modulus MAC kernels accept: `q < 2^50` keeps
-/// Harvey's `4q` below the lanes' `2^52`.
-const NTT_MODULUS_LIMIT: u64 = 1 << 50;
+/// Moduli the NTT and single-modulus MAC kernels accept: `q < 2^51` keeps
+/// a lazy Shoup product's `2q` below the lanes' `2^52`.
+const NTT_MODULUS_LIMIT: u64 = 1 << 51;
+
+/// From this modulus on, Harvey's `4q` reaches the lanes' `2^52`: the NTT
+/// reduces each Shoup multiplicand below `2q` first.
+const WIDE_NTT_MODULUS: u64 = 1 << 50;
 
 /// Operands a MAC lane multiplies must stay below this.
 const LANE_LIMIT: u64 = 1 << 52;
@@ -69,9 +79,16 @@ impl Ifma {
         q < NTT_MODULUS_LIMIT
     }
 
+    /// The NTT lanes for modulus `q`, if it fits: with the extra
+    /// subtraction per butterfly from `q = 2^50` on, without it below.
+    pub(crate) fn ntt(self, q: u64) -> Option<NttLanes> {
+        Ifma::fits(q).then_some(NttLanes { _ifma: self, wide: q >= WIDE_NTT_MODULUS })
+    }
+
     /// The lanes for MACs at moduli up to `q_max` of operands `a < a_bound`
-    /// against `b < q`, if every operand fits 52 bits and `4q` does too
-    /// (the fold): `None` sends the MAC to the scalar kernel.
+    /// against `b < q`, if every operand fits 52 bits and `2q` does too
+    /// (the fold's lazy products): `None` sends the MAC to the scalar
+    /// kernel.
     pub(crate) fn mac(self, q_max: u64, a_bound: u64) -> Option<MacLanes> {
         mac_fits(q_max, a_bound).then(|| MacLanes {
             _ifma: self,
@@ -79,19 +96,50 @@ impl Ifma {
             fold: fold_rows(q_max, a_bound),
         })
     }
+}
+
+/// The NTT kernels at one modulus width, proven to fit the lanes: made
+/// only by [`Ifma::ntt`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct NttLanes {
+    _ifma: Ifma,
+    /// `q ≥ 2^50`: every Shoup multiplicand passes through `[0, 2q)`.
+    wide: bool,
+}
+
+impl NttLanes {
+    /// Asserts `q` is a modulus of the width these lanes were made for.
+    fn check(self, a: &[u64], tw: &[ShoupScalar], q: u64) {
+        assert!(a.len() >= 16 && a.len().is_power_of_two() && tw.len() >= a.len());
+        let limit = if self.wide { NTT_MODULUS_LIMIT } else { WIDE_NTT_MODULUS };
+        assert!(q < limit, "modulus {q} too wide for these IFMA lanes");
+    }
+
+    /// Whether any word of `a` is at least `bound`: one compare per eight
+    /// words, OR-ed into a mask.
+    pub(crate) fn any_at_least(self, a: &[u64], bound: u64) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `self._ifma` exists only where `detect` found AVX-512F.
+        unsafe {
+            x86::any_at_least(a, bound)
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        unreachable!("no Ifma token exists off x86-64")
+    }
 
     /// The forward negacyclic NTT of `a` (`n = a.len() ≥ 16`, inputs
-    /// below `2q`, `q < 2^50`): canonical output, or `[0, 2q)` if `lazy`.
+    /// below `2q`): canonical output, or `[0, 2q)` if `lazy`.
     pub(crate) fn forward(self, a: &mut [u64], tw: &[ShoupScalar], q: u64, lazy: bool) {
-        assert!(a.len() >= 16 && a.len().is_power_of_two() && tw.len() >= a.len());
-        assert!(Ifma::fits(q), "modulus {q} too wide for the IFMA lanes");
+        self.check(a, tw, q);
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `self` exists only where `detect` found AVX-512F and IFMA.
+        // SAFETY: `self._ifma` exists only where `detect` found AVX-512F and
+        // IFMA.
         unsafe {
-            if lazy {
-                x86::forward::<true>(a, tw, q);
-            } else {
-                x86::forward::<false>(a, tw, q);
+            match (lazy, self.wide) {
+                (false, false) => x86::forward::<false, false>(a, tw, q),
+                (false, true) => x86::forward::<false, true>(a, tw, q),
+                (true, false) => x86::forward::<true, false>(a, tw, q),
+                (true, true) => x86::forward::<true, true>(a, tw, q),
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -100,24 +148,25 @@ impl Ifma {
 
     /// The inverse negacyclic NTT, `N^{-1}` folded into the root stage
     /// (`n_inv` on the sum side, `inv_last = ψ^{-brv(1)}·N^{-1}` on the
-    /// difference side), same shape contract as [`Ifma::forward`].
+    /// difference side), same shape contract as [`NttLanes::forward`].
     pub(crate) fn inverse(
         self,
         a: &mut [u64],
         tw: &[ShoupScalar],
-        [n_inv, inv_last]: [ShoupScalar; 2],
+        folded: [ShoupScalar; 2],
         q: u64,
         lazy: bool,
     ) {
-        assert!(a.len() >= 16 && a.len().is_power_of_two() && tw.len() >= a.len());
-        assert!(Ifma::fits(q), "modulus {q} too wide for the IFMA lanes");
+        self.check(a, tw, q);
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `self` exists only where `detect` found AVX-512F and IFMA.
+        // SAFETY: `self._ifma` exists only where `detect` found AVX-512F and
+        // IFMA.
         unsafe {
-            if lazy {
-                x86::inverse::<true>(a, tw, [n_inv, inv_last], q);
-            } else {
-                x86::inverse::<false>(a, tw, [n_inv, inv_last], q);
+            match (lazy, self.wide) {
+                (false, false) => x86::inverse::<false, false>(a, tw, folded, q),
+                (false, true) => x86::inverse::<false, true>(a, tw, folded, q),
+                (true, false) => x86::inverse::<true, false>(a, tw, folded, q),
+                (true, true) => x86::inverse::<true, true>(a, tw, folded, q),
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -160,7 +209,7 @@ impl MacLanes {
 }
 
 /// Whether MACs at `q` of operands `a < a_bound` against `b < q` run on
-/// the lanes: both operands below `2^52`, and `q < 2^50`.
+/// the lanes: both operands below `2^52`, and `q < 2^51`.
 fn mac_fits(q: u64, a_bound: u64) -> bool {
     Ifma::fits(q) && a_bound <= LANE_LIMIT
 }
@@ -294,21 +343,34 @@ mod x86 {
         _mm512_and_si512(r, l.mask)
     }
 
+    /// A butterfly's Shoup multiplicand `x < 4q` made a lane operand:
+    /// below `2^52` as it is where `q < 2^50`; brought into `[0, 2q)` by
+    /// one conditional subtraction where `WIDE` (`2^50 ≤ q < 2^51`).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn operand<const WIDE: bool>(x: __m512i, l: &Lanes) -> __m512i {
+        if WIDE {
+            csub(x, l.two_q)
+        } else {
+            x
+        }
+    }
+
     /// Forward (CT) Harvey butterfly, values in `[0, 4q)`.
     #[inline]
     #[target_feature(enable = "avx512f,avx512ifma")]
-    fn fwd_bfly(u: __m512i, x: __m512i, t: Tw, l: &Lanes) -> (__m512i, __m512i) {
+    fn fwd_bfly<const WIDE: bool>(u: __m512i, x: __m512i, t: Tw, l: &Lanes) -> (__m512i, __m512i) {
         let u = csub(u, l.two_q);
-        let v = mul_shoup(x, t, l);
+        let v = mul_shoup(operand::<WIDE>(x, l), t, l);
         (_mm512_add_epi64(u, v), _mm512_sub_epi64(_mm512_add_epi64(u, l.two_q), v))
     }
 
     /// Inverse (GS) Harvey butterfly, values in `[0, 2q)`.
     #[inline]
     #[target_feature(enable = "avx512f,avx512ifma")]
-    fn inv_bfly(u: __m512i, v: __m512i, t: Tw, l: &Lanes) -> (__m512i, __m512i) {
+    fn inv_bfly<const WIDE: bool>(u: __m512i, v: __m512i, t: Tw, l: &Lanes) -> (__m512i, __m512i) {
         let d = _mm512_sub_epi64(_mm512_add_epi64(u, l.two_q), v);
-        (csub(_mm512_add_epi64(u, v), l.two_q), mul_shoup(d, t, l))
+        (csub(_mm512_add_epi64(u, v), l.two_q), mul_shoup(operand::<WIDE>(d, l), t, l))
     }
 
     /// The vector pairs of a stage whose halves are `t ≥ 8` apart: groups
@@ -355,12 +417,16 @@ mod x86 {
     /// 2, 1 apart) on pairs of 8-blocks rearranged in registers.
     #[inline]
     #[target_feature(enable = "avx512f,avx512ifma")]
-    pub(super) fn forward<const LAZY: bool>(a: &mut [u64], tw: &[ShoupScalar], q: u64) {
+    pub(super) fn forward<const LAZY: bool, const WIDE: bool>(
+        a: &mut [u64],
+        tw: &[ShoupScalar],
+        q: u64,
+    ) {
         let n = a.len();
         let l = Lanes::new(q);
         let (mut m, mut t) = (1, n / 2);
         while t >= LANES {
-            stage(a, &tw[m..2 * m], t, |u, v, s| fwd_bfly(u, v, s, &l));
+            stage(a, &tw[m..2 * m], t, |u, v, s| fwd_bfly::<WIDE>(u, v, s, &l));
             (m, t) = (2 * m, t / 2);
         }
         let q_lanes = l.q;
@@ -375,13 +441,13 @@ mod x86 {
             // Halves 4 apart: u = [A0..A3 B0..B3], v = [A4..A7 B4..B7].
             let u = _mm512_shuffle_i64x2::<0x44>(ab_lo, ab_hi);
             let v = _mm512_shuffle_i64x2::<0xee>(ab_lo, ab_hi);
-            let (u, v) = fwd_bfly(u, v, Tw::spread::<2>(&t4[2 * p..]), &l);
+            let (u, v) = fwd_bfly::<WIDE>(u, v, Tw::spread::<2>(&t4[2 * p..]), &l);
             // Halves 2 apart: [A0 A1 A4 A5 B0 B1 B4 B5] against the rest.
             let (u, v) = (perm(u, PAIRS_LO, v), perm(u, PAIRS_HI, v));
-            let (u, v) = fwd_bfly(u, v, Tw::spread::<4>(&t2[4 * p..]), &l);
+            let (u, v) = fwd_bfly::<WIDE>(u, v, Tw::spread::<4>(&t2[4 * p..]), &l);
             // Neighbours: even positions against odd.
             let (u, v) = (perm(u, ZIP_EVEN, v), perm(u, ZIP_ODD, v));
-            let (u, v) = fwd_bfly(u, v, Tw::spread::<8>(&t1[8 * p..]), &l);
+            let (u, v) = fwd_bfly::<WIDE>(u, v, Tw::spread::<8>(&t1[8 * p..]), &l);
             let (u, v) = (fin(u), fin(v));
             store(x, perm(u, INTERLEAVE_LO, v));
             store(y, perm(u, INTERLEAVE_HI, v));
@@ -393,7 +459,7 @@ mod x86 {
     /// scaling by `N^{-1}` (folded into its two twiddles).
     #[inline]
     #[target_feature(enable = "avx512f,avx512ifma")]
-    pub(super) fn inverse<const LAZY: bool>(
+    pub(super) fn inverse<const LAZY: bool, const WIDE: bool>(
         a: &mut [u64],
         tw: &[ShoupScalar],
         [n_inv, inv_last]: [ShoupScalar; 2],
@@ -408,26 +474,40 @@ mod x86 {
                 (x.try_into().expect("8 words"), y.try_into().expect("8 words"));
             let (ab_lo, ab_hi) = (load(x), load(y));
             let (u, v) = (perm(ab_lo, EVENS, ab_hi), perm(ab_lo, ODDS, ab_hi));
-            let (u, v) = inv_bfly(u, v, Tw::spread::<8>(&t1[8 * p..]), &l);
+            let (u, v) = inv_bfly::<WIDE>(u, v, Tw::spread::<8>(&t1[8 * p..]), &l);
             let (u, v) = (perm(u, ZIP_EVEN, v), perm(u, ZIP_ODD, v));
-            let (u, v) = inv_bfly(u, v, Tw::spread::<4>(&t2[4 * p..]), &l);
+            let (u, v) = inv_bfly::<WIDE>(u, v, Tw::spread::<4>(&t2[4 * p..]), &l);
             let (u, v) = (perm(u, PAIRS_LO, v), perm(u, PAIRS_HI, v));
-            let (u, v) = inv_bfly(u, v, Tw::spread::<2>(&t4[2 * p..]), &l);
+            let (u, v) = inv_bfly::<WIDE>(u, v, Tw::spread::<2>(&t4[2 * p..]), &l);
             store(x, _mm512_shuffle_i64x2::<0x44>(u, v));
             store(y, _mm512_shuffle_i64x2::<0xee>(u, v));
         }
         let (mut m, mut t) = (n / 16, LANES);
         while m > 1 {
-            stage(a, &tw[m..2 * m], t, |u, v, s| inv_bfly(u, v, s, &l));
+            stage(a, &tw[m..2 * m], t, |u, v, s| inv_bfly::<WIDE>(u, v, s, &l));
             (m, t) = (m / 2, 2 * t);
         }
         let (s0, s1) = (Tw::splat(n_inv), Tw::splat(inv_last));
         let q_lanes = l.q;
         let fin = |r| if LAZY { r } else { csub(r, q_lanes) };
         stage(a, &[n_inv], n / 2, |u, v, _| {
-            let d = _mm512_sub_epi64(_mm512_add_epi64(u, l.two_q), v);
-            (fin(mul_shoup(_mm512_add_epi64(u, v), s0, &l)), fin(mul_shoup(d, s1, &l)))
+            let sum = operand::<WIDE>(_mm512_add_epi64(u, v), &l);
+            let d = operand::<WIDE>(_mm512_sub_epi64(_mm512_add_epi64(u, l.two_q), v), &l);
+            (fin(mul_shoup(sum, s0, &l)), fin(mul_shoup(d, s1, &l)))
         });
+    }
+
+    /// Whether any word of `a` is at least `bound`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn any_at_least(a: &[u64], bound: u64) -> bool {
+        let b = splat(bound);
+        let (blocks, tail) = a.as_chunks::<LANES>();
+        let mut hit: __mmask8 = 0;
+        for x in blocks {
+            hit |= _mm512_cmpge_epu64_mask(load(x), b);
+        }
+        hit != 0 || tail.iter().any(|&x| x >= bound)
     }
 
     /// One operand of eight slots from `s`, read as `r` says.
@@ -544,13 +624,16 @@ mod tests {
         (z ^ (z >> 29)) % bound
     }
 
-    /// The largest NTT prime below `2^50` (for degree `2^16`) and a 36-bit
-    /// one — the top of the lanes' range and `ckks_mlp`'s narrowest prime.
-    fn primes() -> [Modulus; 2] {
+    /// The largest NTT primes below `2^51` and `2^50` (for degree `2^16`)
+    /// and a 36-bit one — the top of the lanes' range, the top of the
+    /// range without the extra subtraction, and `ckks_mlp`'s narrowest
+    /// prime.
+    fn primes() -> [Modulus; 3] {
+        let wide = generate_ntt_primes(51, 1 << 16, 1).expect("51-bit NTT prime")[0];
         let top = generate_ntt_primes(50, 1 << 16, 1).expect("50-bit NTT prime")[0];
         let narrow = generate_ntt_primes(36, 1 << 16, 1).expect("36-bit NTT prime")[0];
-        assert_eq!(64 - top.leading_zeros(), 50);
-        [top, narrow].map(|p| Modulus::new(p).expect("prime modulus"))
+        assert_eq!((64 - wide.leading_zeros(), 64 - top.leading_zeros()), (51, 50));
+        [wide, top, narrow].map(|p| Modulus::new(p).expect("prime modulus"))
     }
 
     #[test]
@@ -561,7 +644,9 @@ mod tests {
             let q = m.value();
             for n in [16usize, 64, 1024, 4096, 1 << 16] {
                 let table = NttTable::new(m, n).expect("NTT table");
-                assert_eq!(table.lanes(), Some(lanes), "q = {q} must take the lanes");
+                let ntt = table.lanes().expect("every test prime takes the lanes");
+                assert_eq!(Some(ntt), lanes.ntt(q));
+                assert_eq!(ntt.wide, q >= 1 << 50, "q = {q}");
                 let inputs: [Vec<u64>; 4] = [
                     vec![0; n],
                     vec![q - 1; n],
@@ -574,12 +659,12 @@ mod tests {
                             format!("q = {q}, n = {n}, lazy = {lazy}, input[0] = {}", input[0]);
                         let (mut want, mut got) = (input.clone(), input.clone());
                         table.forward_scalar(&mut want, lazy);
-                        lanes.forward(&mut got, table.psi_rev(), q, lazy);
+                        ntt.forward(&mut got, table.psi_rev(), q, lazy);
                         check(&m, &got, &want, lazy, &case);
                         let (mut want, mut got) = (input.clone(), input.clone());
                         table.inverse_scalar(&mut want, lazy);
                         let folded = [table.n_inv(), table.inv_last()];
-                        lanes.inverse(&mut got, table.psi_inv_rev(), folded, q, lazy);
+                        ntt.inverse(&mut got, table.psi_inv_rev(), folded, q, lazy);
                         check(&m, &got, &want, lazy, &case);
                     }
                 }
@@ -678,14 +763,23 @@ mod tests {
     }
 
     /// A fold covers as many rows as keep the high sum below `2^52` and no
-    /// more: at the top prime that is seven or eight maximal rows, where a
-    /// fixed 32-row fold returns wrong residues.
+    /// more: at the top 51-bit prime that is two maximal rows, at the top
+    /// 50-bit one seven or eight, where a fixed 32-row fold returns wrong
+    /// residues.
     #[test]
     fn ifma_fold_rows_keep_the_high_sum_below_2_52() {
-        let [top, narrow] = primes().map(|m| m.value());
+        let [wide, top, narrow] = primes().map(|m| m.value());
+        assert_eq!(fold_rows(wide, 2 * wide), 2);
         assert!((7..=8).contains(&fold_rows(top, 2 * top)));
         assert_eq!(fold_rows(narrow, 2 * narrow), PASS_ROWS);
-        for (q, bound) in [(top, 2 * top), (top, LANE_LIMIT), (narrow, 2 * narrow)] {
+        let shapes = [
+            (wide, 2 * wide),
+            (wide, LANE_LIMIT),
+            (top, 2 * top),
+            (top, LANE_LIMIT),
+            (narrow, 2 * narrow),
+        ];
+        for (q, bound) in shapes {
             let rows = fold_rows(q, bound) as u128;
             let high = (u128::from(bound - 1) * u128::from(q - 1)) >> 52;
             assert!(rows * (high + 1) < 1 << 52, "q = {q}, a < {bound}");
@@ -694,46 +788,73 @@ mod tests {
     }
 
     #[test]
-    fn ifma_takes_no_modulus_of_2_50_and_above() {
+    fn ifma_takes_no_modulus_of_2_51_and_above() {
         println!("simd::active_backend() = {}", crate::simd::active_backend().name());
-        let wide = Modulus::new(generate_ntt_primes(60, 1 << 10, 1).expect("60-bit prime")[0])
-            .expect("prime modulus");
-        let edge = Modulus::new(generate_ntt_primes(51, 1 << 10, 1).expect("51-bit prime")[0])
-            .expect("prime modulus");
-        for m in [wide, edge] {
+        let prime = |bits| {
+            let q = generate_ntt_primes(bits, 1 << 10, 1).expect("NTT prime")[0];
+            Modulus::new(q).expect("prime modulus")
+        };
+        let (edge, wide) = (prime(52), prime(60));
+        for m in [edge, wide] {
             assert!(!Ifma::fits(m.value()));
             assert_eq!(NttTable::new(m, 1 << 10).expect("NTT table").lanes(), None);
         }
-        let [top, _] = primes();
-        assert!(!mac_fits(top.value(), wide.value()));
-        assert!(mac_fits(top.value(), LANE_LIMIT));
-        assert!(!mac_fits(wide.value(), 2));
+        // The largest 51-bit prime fits, with the extra subtraction; the
+        // largest below 2^50 without it.
+        let [fits, top, _] = primes();
+        for (m, extra_subtraction) in [(fits, true), (top, false)] {
+            assert!(Ifma::fits(m.value()));
+            let lanes = NttTable::new(m, 1 << 10).expect("NTT table").lanes();
+            assert_eq!(lanes.map(|l| l.wide), Ifma::detect().map(|_| extra_subtraction));
+        }
+        assert!(!mac_fits(fits.value(), wide.value()));
+        assert!(mac_fits(fits.value(), LANE_LIMIT));
+        assert!(!mac_fits(edge.value(), 2));
+    }
+
+    /// The lanes' input check finds a word at the bound wherever it sits —
+    /// every lane of every block, and the scalar tail — and nothing below.
+    #[test]
+    fn ifma_input_check_finds_every_position() {
+        let Some(lanes) = lanes_or_skip("ifma_input_check_finds_every_position") else { return };
+        let q = primes()[0].value();
+        let ntt = lanes.ntt(q).expect("the 51-bit prime fits");
+        for len in [8usize, 19, 64] {
+            let mut a = vec![2 * q - 1; len];
+            assert!(!ntt.any_at_least(&a, 2 * q), "{len} words");
+            for i in 0..len {
+                a[i] = 2 * q;
+                assert!(ntt.any_at_least(&a, 2 * q), "word {i} of {len}");
+                a[i] = u64::MAX;
+                assert!(ntt.any_at_least(&a, 2 * q), "word {i} of {len}");
+                a[i] = 2 * q - 1;
+            }
+        }
     }
 
     /// A Bconv plan takes the lanes only when every source residue is below
-    /// `2^52` and every destination modulus below `2^50`; either way it
+    /// `2^52` and every destination modulus below `2^51`; either way it
     /// equals the eager conversion `Σ_i [x_i·q̂_i^{-1}]_{q_i}·q̂_i mod p_j`.
     #[test]
     fn ifma_bconv_plans_decide_from_all_their_moduli() {
         let lanes = lanes_or_skip("ifma_bconv_plans_decide_from_all_their_moduli");
         let n = 64;
-        let narrow = generate_ntt_primes(46, n, 3).expect("46-bit primes");
-        let top = generate_ntt_primes(50, n, 1).expect("50-bit prime");
-        let wide = generate_ntt_primes(60, n, 1).expect("60-bit prime");
-        let moduli: Vec<Modulus> = narrow
-            .iter()
-            .chain(&top)
-            .chain(&wide)
-            .map(|&q| Modulus::new(q).expect("prime modulus"))
+        let moduli: Vec<Modulus> = [(46, 3), (50, 1), (51, 1), (52, 1), (60, 1)]
+            .into_iter()
+            .flat_map(|(bits, count)| generate_ntt_primes(bits, n, count).expect("NTT primes"))
+            .map(|q| Modulus::new(q).expect("prime modulus"))
             .collect();
         let ctx = RnsContext::new(n, RnsBasis::new(moduli.clone()).expect("basis")).expect("ctx");
         let mut state = 5u64;
-        // Channels 0–2 are 46-bit, 3 is 50-bit, 4 is 60-bit.
+        // Channels 0–2 are 46-bit, 3 is 50-bit, 4 51-bit, 5 52-bit, 6 60-bit.
         for (src, dst, vector) in [
             (vec![0usize, 1, 3], vec![2usize], true),
             (vec![0, 1], vec![3], true),
-            (vec![0, 4], vec![1], false),
-            (vec![0, 1], vec![4], false),
+            (vec![0, 1], vec![4], true),
+            (vec![0, 4, 5], vec![1], true),
+            (vec![0, 1], vec![5], false),
+            (vec![0, 6], vec![1], false),
+            (vec![0, 1], vec![6], false),
         ] {
             let plan = ctx.bconv(&src, &dst).expect("plan");
             assert_eq!(plan.lanes().is_some(), lanes.is_some() && vector, "{src:?} → {dst:?}");

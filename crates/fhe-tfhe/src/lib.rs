@@ -8,10 +8,11 @@
 //!   three ciphertext layers (scalars, ring elements, gadget-decomposed
 //!   ring elements),
 //! * exact negacyclic `integer × torus` polynomial products via NTTs over
-//!   one ~60-bit prime (set I) or two with Garner CRT, the count derived
+//!   one 51-bit prime (set I) or two with Garner CRT, the count derived
 //!   from an exactness bound ([`NegacyclicMultiplier`]) — the NTT workload
 //!   the accelerator sees (the paper runs TFHE on the same word-sized NTT
-//!   datapath as CKKS),
+//!   datapath as CKKS; here both run on the IFMA lanes where the host has
+//!   them),
 //! * the external product and CMux ([`trgsw`]), blind rotation, sample
 //!   extraction and LWE key switching composing **programmable
 //!   bootstrapping** ([`Pbs`]) — the paper's Fig. 6(b) benchmark,

@@ -16,8 +16,9 @@
 //! `√(T·N·B²/12) = 2^11.5` key coefficients' worth: `2^-13.5` of noise
 //! from the key against `2^-22.3` from its rounding. The toy set
 //! (`σ = 2^-35`) and set II (`σ = 2^-48`, 23-bit digit) keep all 64 bits.
-//! The precision in turn fixes how many NTT primes an exact external
-//! product needs (table in `poly_mult.rs`): one at set I, two elsewhere.
+//! The precision in turn fixes how many 51-bit NTT primes an exact
+//! external product needs (table in `poly_mult.rs`): one at set I, two
+//! elsewhere.
 //!
 //! The LWE key-switch key is stored at 32 bits for every preset (see
 //! `bootstrap.rs`): LWE noise (`2^-25`, `2^-15`, `2^-17`) sits far above

@@ -5,9 +5,11 @@
 //! (digits in `±2^{β-1}`) with torus polynomials modulo `X^N + 1`.
 //! Floating-point FFTs (the usual software route) introduce rounding error;
 //! hardware accelerators — and this implementation — use exact NTTs
-//! instead: the integer product is computed modulo one or two ~60-bit NTT
-//! primes, lifted to its centred representative (Garner when there are two
-//! primes) and reduced modulo the torus.
+//! instead: the integer product is computed modulo one or two 51-bit NTT
+//! primes — below `2^51`, so every transform and MAC runs on the IFMA
+//! lanes where the host has them (`fhe_math`'s `simd` module) — lifted to
+//! its centred representative (Garner when there are two primes) and
+//! reduced modulo the torus.
 //!
 //! # Ring precision
 //!
@@ -16,25 +18,28 @@
 //! bits, rounded ([`NegacyclicMultiplier::prepare`],
 //! [`NegacyclicMultiplier::mul_int_torus`]), the product is exact over the
 //! integers for those `w`-bit values, and the result is shifted back to the
-//! top of the word. At `w = 64` nothing is rounded. The precision is a
-//! property of the parameter set ([`crate::TfheParams::ring_bits`]): 32 at
-//! set I — the word of the Matcha/Strix baselines and within Alchemist's
-//! 36-bit datapath — and 64 at the toy set and set II, whose GLWE noise
-//! (`2^-35`, `2^-48`) sits below what 32 bits can hold.
+//! top of the word. At `w = 64` nothing is rounded. The rounded value is
+//! read *centred*, in `[−2^{w−1}, 2^{w−1})`: congruent modulo `2^w` to the
+//! unsigned one, so every output word is the same, at half the magnitude.
+//! The precision is a property of the parameter set
+//! ([`crate::TfheParams::ring_bits`]): 32 at set I — the word of the
+//! Matcha/Strix baselines and within Alchemist's 36-bit datapath — and 64
+//! at the toy set and set II, whose GLWE noise (`2^-35`, `2^-48`) sits
+//! below what 32 bits can hold.
 //!
 //! # Exactness bound
 //!
 //! A *sum* of `T` products (the external product accumulates
 //! `T = (k+1)·l_b` of them before lifting) has true coefficients bounded by
-//! `T · N · 2^{β-1} · 2^w`, and the lift is exact while that stays below
-//! `P/2`, `P` the product of the primes. The prime count is derived from
-//! this bound, not chosen:
+//! `T · N · 2^{β-1} · 2^{w-1}`, and the lift is exact while that stays
+//! below `P/2`, `P` the product of the primes. The prime count is derived
+//! from this bound, not chosen:
 //!
-//! | preset | `T·N·2^{β-1}·2^w`          | `P/2`              | primes |
-//! |--------|----------------------------|--------------------|--------|
-//! | toy    | `6·2^6·2^9·2^64 ≈ 2^81.6`  | `≥ 2^117`          | 2      |
-//! | set I  | `6·2^10·2^6·2^32 ≈ 2^50.6` | `≥ 2^58`           | 1      |
-//! | set II | `2·2^11·2^22·2^64 = 2^98`  | `≥ 2^117`          | 2      |
+//! | preset | `T·N·2^{β-1}·2^{w-1}`      | `P/2`      | primes |
+//! |--------|----------------------------|------------|--------|
+//! | toy    | `6·2^6·2^9·2^63 ≈ 2^80.6`  | `≈ 2^101`  | 2      |
+//! | set I  | `6·2^10·2^6·2^31 ≈ 2^49.6` | `≈ 2^50`   | 1      |
+//! | set II | `2·2^11·2^22·2^63 = 2^97`  | `≈ 2^101`  | 2      |
 //!
 //! so a set-I external product runs `(k+1)·l_b` forward and `k+1` inverse
 //! transforms — exactly `metaop::counts::pbs` — and the other two presets
@@ -56,17 +61,33 @@
 use crate::TfheError;
 use fhe_math::{generate_ntt_primes, lazy_mac, MacSlots, Modulus, NttTable, ShoupScalar};
 
+/// Bits of the multiplier's NTT primes: below `2^51`, the widest modulus
+/// the IFMA lanes take.
+const PRIME_BITS: u32 = 51;
+
 /// One CRT prime field of the multiplier.
 #[derive(Debug, Clone)]
 struct PrimeField {
     q: Modulus,
     ntt: NttTable,
+    /// `2^w mod q`, `w` the ring precision: what a ring value with bit
+    /// `w − 1` set loses to its centred representative.
+    wrap: u64,
 }
 
 impl PrimeField {
-    fn new(q: u64, n: usize) -> Result<Self, TfheError> {
+    fn new(q: u64, n: usize, ring_bits: u32) -> Result<Self, TfheError> {
+        let wrap = ((1u128 << ring_bits) % u128::from(q)) as u64;
         let q = Modulus::new(q)?;
-        Ok(PrimeField { q, ntt: NttTable::new(q, n)? })
+        Ok(PrimeField { q, ntt: NttTable::new(q, n)?, wrap })
+    }
+
+    /// The residue of ring value `v ∈ [0, 2^w)` read centred, as
+    /// `v − 2^w` where bit `w − 1` is set: branch-free.
+    #[inline]
+    fn centred_ring(&self, v: u64, ring_bits: u32) -> u64 {
+        let high = (v >> (ring_bits - 1)).wrapping_neg();
+        self.q.sub(self.q.reduce(v), self.wrap & high)
     }
 
     /// `ints` lifted into this field and transformed, into `out`.
@@ -109,8 +130,9 @@ pub struct NegacyclicMultiplier {
     /// The second prime field, when the exactness bound needs one, with
     /// `p1^{-1} mod p2` for Garner reconstruction.
     second: Option<(PrimeField, ShoupScalar)>,
-    /// `⌊P/2 / 2^w⌋`: the largest `Σ|integer coefficients|` a product (or a
-    /// lazily accumulated sum of products) may carry and still lift exactly.
+    /// `⌊P/2 / 2^{w−1}⌋`: the largest `Σ|integer coefficients|` a product
+    /// (or a lazily accumulated sum of products) may carry against centred
+    /// ring values and still lift exactly.
     max_weight: u128,
 }
 
@@ -158,7 +180,7 @@ fn gadget_weight(n: usize, base_log: u32, terms: usize) -> u128 {
 impl NegacyclicMultiplier {
     /// Builds the full-precision (`w = 64`, two-prime) multiplier for
     /// degree-`n` rings, exact for every gadget with
-    /// `T · N · 2^{β-1} < 2^54`.
+    /// `T · N · 2^{β-1} < 2^37`.
     ///
     /// # Errors
     ///
@@ -187,22 +209,23 @@ impl NegacyclicMultiplier {
                 detail: format!("ring precision {ring_bits} outside 1..=64 bits"),
             });
         }
-        let primes = generate_ntt_primes(60, n, 2)?;
+        let primes = generate_ntt_primes(PRIME_BITS, n, 2)?;
         let weight = gadget_weight(n, base_log, terms);
         let (p1, p2) = (u128::from(primes[0]), u128::from(primes[1]));
-        let two = weight > (p1 / 2) >> ring_bits;
-        let max_weight = (if two { p1 * p2 } else { p1 } / 2) >> ring_bits;
+        let half_ring = ring_bits - 1;
+        let two = weight > (p1 / 2) >> half_ring;
+        let max_weight = (if two { p1 * p2 } else { p1 } / 2) >> half_ring;
         if weight > max_weight {
             return Err(TfheError::InvalidParams {
                 detail: format!(
                     "{terms} base-2^{base_log} digit polynomials of degree {n} at {ring_bits}-bit \
-                     precision exceed two 60-bit primes"
+                     precision exceed two {PRIME_BITS}-bit primes"
                 ),
             });
         }
-        let first = PrimeField::new(primes[0], n)?;
+        let first = PrimeField::new(primes[0], n, ring_bits)?;
         let second = if two {
-            let f2 = PrimeField::new(primes[1], n)?;
+            let f2 = PrimeField::new(primes[1], n, ring_bits)?;
             let p1_inv_p2 = f2.q.shoup(f2.q.inv(primes[0] % primes[1])?);
             Some((f2, p1_inv_p2))
         } else {
@@ -262,14 +285,14 @@ impl NegacyclicMultiplier {
         assert_eq!(out.len(), self.primes() * self.n);
         self.per_field(out, |f, res| {
             for (r, &t) in res.iter_mut().zip(poly) {
-                *r = f.q.reduce(self.to_ring(t));
+                *r = f.centred_ring(self.to_ring(t), self.ring_bits);
             }
             f.ntt.forward(res);
         });
     }
 
-    /// Rounds a torus polynomial to the ring precision and transforms it
-    /// into every prime field.
+    /// Rounds a torus polynomial to the ring precision, reads it centred
+    /// in `[−2^{w−1}, 2^{w−1})` and transforms it into every prime field.
     ///
     /// # Panics
     ///
@@ -285,7 +308,7 @@ impl NegacyclicMultiplier {
     ///
     /// # Panics
     ///
-    /// Panics if `terms · N · 2^{β-1} · 2^w ≥ P/2`.
+    /// Panics if `terms · N · 2^{β-1} · 2^{w-1} > P/2`.
     pub(crate) fn assert_exact(&self, base_log: u32, terms: usize) {
         assert!(
             gadget_weight(self.n, base_log, terms) <= self.max_weight,
@@ -387,7 +410,7 @@ impl NegacyclicMultiplier {
     /// # Panics
     ///
     /// Panics on length mismatches, or if `Σ|ints|` exceeds what the
-    /// multiplier's primes can lift exactly (`Σ|ints| · 2^w ≥ P/2`).
+    /// multiplier's primes can lift exactly (`Σ|ints| · 2^{w-1} > P/2`).
     pub fn mul_int_torus(&self, ints: &[i64], torus: &[u64]) -> Vec<u64> {
         let ints_hat = self.transform_ints(ints);
         let mut res = self.prepare(torus).res;
@@ -404,7 +427,7 @@ impl NegacyclicMultiplier {
     /// # Panics
     ///
     /// Panics if `ints.len() != n`, or if `Σ|ints|` exceeds what the
-    /// multiplier's primes can lift exactly (`Σ|ints| · 2^w ≥ P/2`).
+    /// multiplier's primes can lift exactly (`Σ|ints| · 2^{w-1} > P/2`).
     pub(crate) fn transform_ints(&self, ints: &[i64]) -> Vec<u64> {
         assert_eq!(ints.len(), self.n);
         let weight: u128 = ints.iter().map(|d| u128::from(d.unsigned_abs())).sum();
@@ -514,6 +537,9 @@ pub(crate) mod tests {
             let m = crate::Pbs::new(p).unwrap();
             assert_eq!(m.multiplier().primes(), primes, "N = {}", p.poly_size);
             assert_eq!(m.multiplier().ring_bits(), p.ring_bits());
+            // Below 2^51: every preset's transforms and MACs fit the IFMA
+            // lanes.
+            assert!(m.multiplier().fields().all(|f| f.q.value() < 1 << 51), "N = {}", p.poly_size);
         }
         // Set II's 23-bit digit needs the second prime even at 32 bits, and
         // set I's gadget at 64 bits does too.
@@ -599,9 +625,12 @@ pub(crate) mod tests {
         // Key residues all q − 1 (the constant polynomial −1 in every
         // field) against digits all at the extreme −2^{β−1} drive every
         // 128-bit accumulator as high as a shipped shape can: the product
-        // must still come out as −Σ digits. Toy, set II, set I at both
-        // precisions (one prime, and two), then 17 rows at toy's shape:
-        // three reduction passes of `lazy_mac` (8 + 8 + 1 rows).
+        // must still come out as −Σ digits. Then rows prepared from torus
+        // value 2^63 in every coefficient, whose centred value −2^{w−1} is
+        // the largest magnitude: coefficient N − 1 of the sum reaches the
+        // exactness bound itself, T·N·2^{β−1}·2^{w−1}. Toy, set II, set I
+        // at both precisions (one prime, and two), then 17 rows at toy's
+        // shape: three reduction passes of `lazy_mac` (8 + 8 + 1 rows).
         for (n, ring_bits, base_log, terms) in [
             (64, 64, 10u32, 6usize),
             (2048, 64, 23, 2),
@@ -619,13 +648,21 @@ pub(crate) mod tests {
             m.decomp_poly_mult_add(&rows, &mut ws, [&mut out_a, &mut out_b]);
             let want = vec![((terms as u64) << (base_log - 1)) << (64 - ring_bits); n];
             assert_eq!((out_a, out_b), (want.clone(), want), "n = {n}, w = {ring_bits}");
+
+            let half = vec![1u64 << 63; n];
+            let rows: Vec<u64> = m.prepare(&half).res.repeat(2 * terms);
+            let (mut out_a, mut out_b) = (vec![0u64; n], vec![0u64; n]);
+            m.decomp_poly_mult_add(&rows, &mut ws, [&mut out_a, &mut out_b]);
+            let one = schoolbook(&ws.digits[..n], &rounded(&half, ring_bits));
+            let want: Vec<u64> = one.iter().map(|&c| c.wrapping_mul(terms as u64)).collect();
+            assert_eq!((out_a, out_b), (want.clone(), want), "2^63 rows, n = {n}, w = {ring_bits}");
         }
     }
 
     #[test]
     #[should_panic(expected = "not exact under 1 prime(s) at 32-bit")]
     fn one_shot_product_rejects_a_weight_one_prime_cannot_lift() {
-        // 16 · 2^23 · 2^32 = 2^59 > p/2.
+        // 16 · 2^23 · 2^31 = 2^58 > p/2 ≈ 2^50.
         let [narrow, _] = both_precisions(16);
         let _ = narrow.mul_int_torus(&[1 << 23; 16], &[u64::MAX; 16]);
     }

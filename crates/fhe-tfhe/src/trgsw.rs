@@ -5,16 +5,17 @@
 //! product** `TRGSW ⊡ TRLWE` — gadget-decompose, multiply with the key
 //! rows, accumulate — is exactly the paper's `DecompPolyMult` pattern with
 //! `n = (k+1)·l_b`, and the CMux built on it is the inner loop of blind
-//! rotation. Rows are stored rounded to the multiplier's ring precision and
-//! pre-transformed in each of its NTT prime fields (one at set I, two at
-//! the toy set and set II — see [`crate::NegacyclicMultiplier`]), as one
-//! contiguous block in the order the kernel reads it. One external product
-//! is the decomposition of both input polynomials (level-major and
-//! branch-free, `fhe_math::SignedDigitDecomposer::decompose_poly_into`)
-//! and then, per prime field: `2·l` forward NTTs (each digit polynomial
-//! lifted and transformed once), one pass over the slots that sums each
-//! output coefficient's `2·l` products in a `u128` and reduces it once,
-//! and 2 inverse NTTs — the `transforms_per_step` that
+//! rotation. Rows are stored rounded to the multiplier's ring precision,
+//! read centred, and pre-transformed in each of its 51-bit NTT prime
+//! fields (one at set I, two at the toy set and set II — see
+//! [`crate::NegacyclicMultiplier`]), as one contiguous block in the order
+//! the kernel reads it. One external product is the decomposition of both
+//! input polynomials (level-major and branch-free,
+//! `fhe_math::SignedDigitDecomposer::decompose_poly_into`) and then, per
+//! prime field: `2·l` forward NTTs (each digit polynomial lifted and
+//! transformed once), one `fhe_math::lazy_mac` pass per output column that
+//! sums each coefficient's `2·l` products and reduces them, and 2 inverse
+//! NTTs — the `transforms_per_step` that
 //! `metaop::counts::pbs` multiplies out. Every entry point reports its
 //! transforms to the `tfhe.ntt.forward` / `tfhe.ntt.inverse` counters.
 //!
@@ -287,17 +288,20 @@ mod tests {
             let extreme = vec![-(1i64 << (base_log - 1)); levels];
             let all_extreme = d.recompose(&extreme);
             assert_eq!(d.decompose(all_extreme), extreme);
-            // Rows at the largest value the ring precision holds.
-            let raw: RawRows =
-                vec![(vec![u64::MAX << (64 - w); n], vec![u64::MAX << (64 - w); n]); 2 * levels];
-            let trgsw = from_rows(&raw, base_log, &mult);
-            for t in [all_extreme, u64::MAX] {
-                let ct = TrlweCiphertext { a: vec![t; n], b: vec![t; n] };
-                assert_eq!(
-                    trgsw.external_product(&mult, &ct),
-                    reference(&raw, base_log, w, &ct),
-                    "n = {n}, w = {w}, torus value {t:#x}"
-                );
+            // Rows at the largest value the ring precision holds (centred:
+            // −1), and at 2^63, whose centred value −2^{w−1} has the
+            // largest magnitude.
+            for row in [u64::MAX << (64 - w), 1 << 63] {
+                let raw: RawRows = vec![(vec![row; n], vec![row; n]); 2 * levels];
+                let trgsw = from_rows(&raw, base_log, &mult);
+                for t in [all_extreme, u64::MAX] {
+                    let ct = TrlweCiphertext { a: vec![t; n], b: vec![t; n] };
+                    assert_eq!(
+                        trgsw.external_product(&mult, &ct),
+                        reference(&raw, base_log, w, &ct),
+                        "n = {n}, w = {w}, rows {row:#x}, torus value {t:#x}"
+                    );
+                }
             }
         }
     }
@@ -305,13 +309,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "not exact under 1 prime(s) at 32-bit ring precision")]
     fn one_prime_rejects_set_ii_gadget() {
-        // Set II's 23-bit digit at 32 bits: 2·2^11·2^22·2^32 = 2^66 > p/2.
-        // A multiplier built for set I's gadget has one prime and must
-        // refuse the key rather than wrap silently.
+        // Set II's 23-bit digit at 32 bits, on set I's ring:
+        // 2·2^10·2^22·2^31 = 2^64 > p/2. A multiplier built for set I's
+        // gadget has one prime and must refuse the key rather than wrap
+        // silently.
         let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let mult = NegacyclicMultiplier::with_precision(2048, 32, 7, 6).unwrap();
+        let mult = NegacyclicMultiplier::with_precision(1024, 32, 7, 6).unwrap();
         assert_eq!(mult.primes(), 1);
-        let key = TrlweSecretKey::generate(2048, &mut rng);
+        let key = TrlweSecretKey::generate(1024, &mut rng);
         let _ = TrgswCiphertext::encrypt(&key, 1, 23, 1, 2.9e-15, &mult, &mut rng);
     }
 
