@@ -15,7 +15,7 @@
 //!   ([`Gadget`]) that are individually modup-ed and multiplied with
 //!   evaluation keys (the paper's `DecompPolyMult` with `n = dnum`).
 
-use crate::MathError;
+use crate::{MathError, Modulus};
 
 /// Balanced signed base-`2^base_log` decomposition of 64-bit torus values.
 ///
@@ -189,6 +189,47 @@ impl SignedDigitDecomposer {
         for s in state {
             *s = self.digit(*s as u64).0;
         }
+    }
+
+    /// The digits of `poly` lifted into `Z_q`, in
+    /// [`decompose_poly_into`](Self::decompose_poly_into)'s level-major
+    /// order: digit `j` of coefficient `i` becomes its canonical residue
+    /// at `out[j·n + i]`. One pass per level, the same digit rule; a digit
+    /// `d ∈ [−2^{β−1}, 2^{β−1})` lifts as `d + (q & (d >> 63))`, so nothing
+    /// in the loop branches, and it runs on the lanes ([`crate::simd::wide`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.levels() * poly.len()` or `q < 2^{β−1}`.
+    pub fn decompose_lift_into(&self, poly: &[u64], q: &Modulus, out: &mut [u64]) {
+        let n = poly.len();
+        assert_eq!(out.len(), self.levels * n, "residue buffer must hold levels × n residues");
+        let (d, q) = (*self, q.value());
+        assert!(
+            q >= 1 << (d.base_log - 1),
+            "base-2^{} digits do not lift below q = {q}",
+            d.base_log
+        );
+        let lift = move |digit: i64| (digit + (q as i64 & (digit >> 63))) as u64;
+        crate::simd::wide(
+            #[inline(always)]
+            move || {
+                let (state, lower) = out.split_at_mut(n);
+                for (s, &t) in state.iter_mut().zip(poly) {
+                    *s = d.rounded_top(t);
+                }
+                for level in lower.chunks_exact_mut(n).rev() {
+                    for (s, r) in state.iter_mut().zip(level) {
+                        let (digit, next) = d.digit(*s);
+                        *r = lift(digit);
+                        *s = next;
+                    }
+                }
+                for s in state {
+                    *s = lift(d.digit(*s).0);
+                }
+            },
+        );
     }
 }
 

@@ -10,7 +10,10 @@
 //! `avx512ifma` and every operand is provably below `2^52`: moduli below
 //! `2^51`, and Bconv plans whose moduli all allow it. Nothing else chooses
 //! the path — no option, feature or setting — and canonical outputs are
-//! the same words on both. The AVX2 and NEON twins this module once carried
+//! the same words on both. On the same hosts [`wide`] compiles plain loops
+//! for AVX-512F (TFHE's decomposition and lift, its lift back to the torus,
+//! the CMux difference and the LWE key switch), one source for both paths.
+//! The AVX2 and NEON twins this module once carried
 //! had to emulate every 64-bit multiply from 32-bit partial products and
 //! bought nothing resolvable end to end (EXPERIMENTS.md 2026-10-01); IFMA
 //! multiplies 52 × 52 bits natively. [`active_backend`] names the path the
@@ -45,7 +48,8 @@ pub enum Backend {
     /// Portable scalar loops only: the host lacks AVX-512F or AVX-512 IFMA.
     Scalar,
     /// The NTT and the MACs on moduli below `2^51` run on eight 52-bit
-    /// IFMA lanes; everything else runs the scalar loops.
+    /// IFMA lanes and [`wide`] compiles its loops for AVX-512F; everything
+    /// else runs the scalar loops.
     Ifma,
 }
 
@@ -66,6 +70,24 @@ pub fn active_backend() -> Backend {
     match Ifma::detect() {
         Some(_) => Backend::Ifma,
         None => Backend::Scalar,
+    }
+}
+
+/// Runs `f` with its loops compiled for AVX-512F where the host has the
+/// IFMA lanes (the detection that chooses the NTT and MAC kernels), and as
+/// it is everywhere else: the scalar loop and the lane loop are one source.
+/// It is for the plain loops LLVM vectorises by itself — shifts, masks,
+/// selects, `u32 × u32` products — which need none of the 52-bit
+/// multiplies the NTT and MAC spell in intrinsics. Mark the closure
+/// `#[inline(always)]`: it has two callers, this call and the trampoline,
+/// and a body left out of line is compiled for the baseline ISA only. And
+/// capture by value (`move`): a loop that reads a constant through a
+/// captured reference can stay scalar.
+#[inline]
+pub fn wide<R>(f: impl FnOnce() -> R) -> R {
+    match Ifma::detect() {
+        Some(lanes) => lanes.wide(f),
+        None => f(),
     }
 }
 

@@ -29,6 +29,11 @@
 //! `⌊⌊w·2^64/q⌋ / 2^12⌋ = ⌊w·2^52/q⌋`, so the kernels read the scalar
 //! tables and keep no second copy.
 //!
+//! One more function here has no intrinsics: [`Ifma::wide`], the
+//! trampoline behind [`crate::simd::wide`], runs a closure compiled for
+//! AVX-512F, so plain loops that need no 52-bit multiply are vectorised by
+//! LLVM from the same source as their scalar path.
+//!
 //! This is the one file of the workspace that names `std::arch` or
 //! `target_feature`, and the one module of `fhe-math` allowed `unsafe`: the
 //! intrinsics' loads and stores, and the calls into `#[target_feature]`
@@ -48,7 +53,8 @@ const WIDE_NTT_MODULUS: u64 = 1 << 50;
 /// Operands a MAC lane multiplies must stay below this.
 const LANE_LIMIT: u64 = 1 << 52;
 
-/// Rows one MAC pass caches; a pass may stop earlier (`fold_rows`).
+/// Rows one MAC chunk caches, and the most one fold may cover
+/// (`fold_rows`): a chunk is the largest multiple of the fold within it.
 const PASS_ROWS: usize = 32;
 
 /// Proof that the host runs AVX-512F and AVX-512 IFMA: only
@@ -83,6 +89,22 @@ impl Ifma {
     /// subtraction per butterfly from `q = 2^50` on, without it below.
     pub(crate) fn ntt(self, q: u64) -> Option<NttLanes> {
         Ifma::fits(q).then_some(NttLanes { _ifma: self, wide: q >= WIDE_NTT_MODULUS })
+    }
+
+    /// Runs `f` compiled for AVX-512F: the plain loops LLVM vectorises by
+    /// itself (shifts, masks, selects and `u32 × u32` products, no 52-bit
+    /// multiply) on eight 64-bit lanes, from the same source as where no
+    /// token exists. Only a closure inlined here is compiled so
+    /// ([`crate::simd::wide`] says how to write one).
+    #[inline]
+    pub(crate) fn wide<R>(self, f: impl FnOnce() -> R) -> R {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `self` exists only where `detect` found AVX-512F.
+        unsafe {
+            x86::wide(f)
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        unreachable!("no Ifma token exists off x86-64")
     }
 
     /// The lanes for MACs at moduli up to `q_max` of operands `a < a_bound`
@@ -277,6 +299,13 @@ mod x86 {
     fn store(x: &mut [u64; LANES], v: __m512i) {
         // SAFETY: `x` is 64 writable bytes; the store is unaligned.
         unsafe { _mm512_storeu_si512(x.as_mut_ptr().cast(), v) }
+    }
+
+    /// The trampoline behind [`Ifma::wide`](super::Ifma::wide).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn wide<R>(f: impl FnOnce() -> R) -> R {
+        f()
     }
 
     impl Lanes {
@@ -557,10 +586,15 @@ mod x86 {
         }
     }
 
-    /// The MAC: per pass of at most `fold` rows, every 8-slot block sums
-    /// its products' low and high halves in two lanes of 64 bits
-    /// (`vpmadd52luq` / `vpmadd52huq`) and folds them once; the slots past
-    /// the last block take the scalar tail.
+    /// The MAC, block-outer: per chunk of at most [`PASS_ROWS`] rows (a
+    /// multiple of `fold`), every 8-slot block carries its value through
+    /// the chunk's fold groups in a register — per group, its products'
+    /// low and high halves summed in two lanes of 64 bits
+    /// (`vpmadd52luq` / `vpmadd52huq`) and folded once — so `out` is
+    /// loaded and stored once per chunk and every row stream is read at
+    /// once. Per block the groups come in row order, as one pass per group
+    /// would take them. The slots past the last block take the scalar
+    /// tail, group by group.
     #[inline]
     #[target_feature(enable = "avx512f,avx512ifma")]
     pub(super) fn lazy_mac<'r>(
@@ -575,24 +609,31 @@ mod x86 {
         let (blocks, tail) = out.as_chunks_mut::<LANES>();
         let k = (!blocks.is_empty()).then(|| Fold::new(m));
         let mut rows: [(&[u64], &[u64]); PASS_ROWS] = [(&[], &[]); PASS_ROWS];
-        for first in (0..terms).step_by(fold) {
-            let rows = &mut rows[..(terms - first).min(fold)];
+        let chunk = PASS_ROWS / fold * fold;
+        for first in (0..terms).step_by(chunk) {
+            let rows = &mut rows[..(terms - first).min(chunk)];
             for (i, r) in rows.iter_mut().enumerate() {
                 *r = row(first + i);
             }
             if let Some(k) = &k {
                 for (i, block) in blocks.iter_mut().enumerate() {
                     let s = i * LANES;
-                    let (mut lo, mut hi) = (load(block), _mm512_setzero_si512());
-                    for &(x, y) in rows.iter() {
-                        let (x, y) = (read(a, x, s), read(b, y, s));
-                        lo = _mm512_madd52lo_epu64(lo, x, y);
-                        hi = _mm512_madd52hi_epu64(hi, x, y);
+                    let mut v = load(block);
+                    for group in rows.chunks(fold) {
+                        let (mut lo, mut hi) = (v, _mm512_setzero_si512());
+                        for &(x, y) in group {
+                            let (x, y) = (read(a, x, s), read(b, y, s));
+                            lo = _mm512_madd52lo_epu64(lo, x, y);
+                            hi = _mm512_madd52hi_epu64(hi, x, y);
+                        }
+                        v = k.reduce(lo, hi);
                     }
-                    store(block, k.reduce(lo, hi));
+                    store(block, v);
                 }
             }
-            crate::rns::mac_tail(m, rows, a, b, tail, blocks.len() * LANES);
+            for group in rows.chunks(fold) {
+                crate::rns::mac_tail(m, group, a, b, tail, blocks.len() * LANES);
+            }
         }
     }
 }
@@ -758,6 +799,30 @@ mod tests {
                         mac_both(lanes, &m, &rows, &perm, &start, &case);
                     }
                 }
+            }
+        }
+    }
+
+    /// At the 51-bit prime with `a < 2q` a fold covers two rows, so 32 rows
+    /// are one chunk of sixteen fold groups and 33 add a chunk of one row:
+    /// each block's value crosses every group and the chunk edge.
+    #[test]
+    fn ifma_lazy_mac_carries_the_block_value_across_groups_and_chunks() {
+        let test = "ifma_lazy_mac_carries_the_block_value_across_groups_and_chunks";
+        let Some(lanes) = lanes_or_skip(test) else { return };
+        let m = primes()[0];
+        let q = m.value();
+        assert_eq!(lanes.mac(q, 2 * q).map(|mac| mac.fold), Some(2));
+        let mut state = 13u64;
+        for terms in [32usize, 33] {
+            for len in [8usize, 21] {
+                let perm: Vec<u32> = (0..len as u32).rev().collect();
+                let rows: Vec<[Vec<u64>; 2]> = (0..terms)
+                    .map(|_| [2 * q, q].map(|b| (0..len).map(|_| draw(&mut state, b)).collect()))
+                    .collect();
+                let start: Vec<u64> = (0..len).map(|_| draw(&mut state, q)).collect();
+                let case = format!("{terms} rows, {len} slots");
+                mac_both(lanes, &m, &rows, &perm, &start, &case);
             }
         }
     }

@@ -10,7 +10,7 @@
 //! itself (the `flat_poly_decomposition_matches_per_coefficient` proptest
 //! compares the entry points only with each other).
 
-use fhe_math::SignedDigitDecomposer;
+use fhe_math::{generate_ntt_primes, Modulus, SignedDigitDecomposer};
 
 /// Digits of `t`, most significant first: the branching rule, verbatim.
 fn oracle(t: u64, base_log: u32, levels: usize) -> Vec<i64> {
@@ -125,5 +125,41 @@ fn shipped_shapes_match_on_whole_rings() {
     {
         let d = SignedDigitDecomposer::new(w, l).unwrap();
         check(&d, &words(u64::from(w) << 8 | l as u64).take(n).collect::<Vec<_>>());
+    }
+}
+
+/// The fused front end: `decompose_lift_into` lifts the oracle's digits,
+/// residue for residue, at a 51-bit and a 36-bit prime — every shape's
+/// random polynomials and edge words, plus the torus values at which each
+/// digit's sign flips (`2^{63−jβ}` for digit `j`) and their rounding
+/// neighbours.
+#[test]
+fn every_shape_lifts_the_branching_oracles_digits() {
+    let primes = [51, 36]
+        .map(|bits| Modulus::new(generate_ntt_primes(bits, 1 << 10, 1).unwrap()[0]).unwrap());
+    let mut rng = words(0x11f7_0e8a);
+    for (w, l) in shapes() {
+        let d = SignedDigitDecomposer::new(w, l).unwrap();
+        let mut polys: Vec<Vec<u64>> = [1, 7, 64].map(|n| rng.by_ref().take(n).collect()).into();
+        let total = w * l as u32;
+        let half_ulp = if total < 64 { 1u64 << (63 - total) } else { 0 };
+        let flips = (0..l as u32).map(|j| 1u64 << (63 - j * w));
+        polys.push(edge_words(&d));
+        polys.push(flips.flat_map(|t| [t - 1, t, t - half_ulp, t - half_ulp - 1]).collect());
+        for q in &primes {
+            for poly in &polys {
+                let n = poly.len();
+                let mut got = vec![u64::MAX; l * n];
+                d.decompose_lift_into(poly, q, &mut got);
+                for (i, &t) in poly.iter().enumerate() {
+                    for (j, digit) in oracle(t, w, l).into_iter().enumerate() {
+                        let want = digit.rem_euclid(q.value() as i64) as u64;
+                        let at =
+                            format!("β = {w}, l = {l}, q = {}, t = {t:#x}, level {j}", q.value());
+                        assert_eq!(got[j * n + i], want, "{at}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -74,7 +74,8 @@ impl BootstrappingKey {
 /// 32-bit mask and the top 32 bits, rounded, of the 64-bit body — so each
 /// row is off the 64-bit one by at most `2^-33`, against LWE noise of
 /// `2^-25` or more. All rows live in one buffer in the order
-/// [`switch`](Self::switch) streams them.
+/// [`switch`](Self::switch) streams them; it runs on the lanes
+/// (`fhe_math::simd::wide`), one `vpmuludq` per eight words of a row.
 #[derive(Debug, Clone)]
 pub struct KeySwitchKey {
     /// `[i][d][a_0 … a_{n-1}, b]`: source coefficient, level, then the row.
@@ -161,34 +162,45 @@ impl KeySwitchKey {
     pub fn switch(&self, ct: &LweCiphertext) -> LweCiphertext {
         let _span = telemetry::Span::enter("tfhe.keyswitch");
         assert_eq!(ct.dim(), self.from_dim, "keyswitch dimension mismatch");
-        let levels = self.decomposer.levels();
-        let stride = self.target_dim + 1;
+        let (decomposer, dim) = (self.decomposer, self.target_dim);
+        let (levels, stride) = (decomposer.levels(), dim + 1);
         // The low half of every `out.a` word is a wrapping 32-bit
         // accumulator (`u32 × u32` products, so the high half is scratch);
         // the words are widened to the torus once, at the end.
-        let mut out = LweCiphertext::trivial(ct.b, self.target_dim);
-        let mut body = 0u32;
-        // `SignedDigitDecomposer::new` caps `levels` at 64.
-        let mut buf = [0i64; 64];
-        let digits = &mut buf[..levels];
-        for (&ai, rows) in ct.a.iter().zip(self.rows.chunks_exact(levels * stride)) {
-            self.decomposer.decompose_into(ai, digits);
-            for (&digit, row) in digits.iter().zip(rows.chunks_exact(stride)) {
-                if digit == 0 {
-                    continue;
+        let mut out = LweCiphertext::trivial(ct.b, dim);
+        let (acc, rows) = (&mut out.a[..], &self.rows[..]);
+        let body = fhe_math::simd::wide(
+            #[inline(always)]
+            move || {
+                let mut body = 0u32;
+                // `SignedDigitDecomposer::new` caps `levels` at 64.
+                let mut buf = [0i64; 64];
+                let digits = &mut buf[..levels];
+                for (&ai, rows) in ct.a.iter().zip(rows.chunks_exact(levels * stride)) {
+                    decomposer.decompose_into(ai, digits);
+                    for (&digit, row) in digits.iter().zip(rows.chunks_exact(stride)) {
+                        if digit == 0 {
+                            continue;
+                        }
+                        let digit = digit as u32;
+                        sub_row(acc, &row[..dim], digit);
+                        body = body.wrapping_sub(row[dim].wrapping_mul(digit));
+                    }
                 }
-                // out -= digit * row, modulo 2^32.
-                let digit = digit as u32;
-                let (mask, row_body) = row.split_at(self.target_dim);
-                for (o, &r) in out.a.iter_mut().zip(mask) {
-                    *o = o.wrapping_sub(u64::from(r) * u64::from(digit));
-                }
-                body = body.wrapping_sub(row_body[0].wrapping_mul(digit));
-            }
-        }
-        out.a.iter_mut().for_each(|o| *o <<= 32);
+                acc.iter_mut().for_each(|o| *o <<= 32);
+                body
+            },
+        );
         out.b = ct.b.wrapping_add(u64::from(body) << 32);
         out
+    }
+}
+
+/// The key switch's row update: `acc −= digit · row` in each word's low 32 bits.
+#[inline(always)]
+fn sub_row(acc: &mut [u64], row: &[u32], digit: u32) {
+    for (o, &r) in acc.iter_mut().zip(row) {
+        *o = o.wrapping_sub(u64::from(r) * u64::from(digit));
     }
 }
 
@@ -367,6 +379,31 @@ mod tests {
             let switched = f.ksk.switch(&ct);
             assert_eq!(switched.dim(), f.params.lwe_dim);
             assert_eq!(f.lwe_key.decrypt_message(&switched, 4), m, "m = {m}");
+        }
+    }
+
+    /// The row update compiled for the lanes (inside `simd::wide`, as
+    /// `switch` runs it) equals the plain loop word for word: lengths
+    /// around the 8-word vector and the key-switch widths, digits ±2^{β−1}
+    /// and ±1, rows at 0, `u32::MAX` and mixed.
+    #[test]
+    fn ifma_key_switch_row_matches_the_scalar_loop() {
+        println!("simd::active_backend() = {}", fhe_math::simd::active_backend().name());
+        let half = 1u32 << (TfheParams::set_i().ks_base_log - 1);
+        for len in [1u32, 7, 8, 9, 16, 17, 630, 631, 2048] {
+            let start: Vec<u64> = (0..len).map(|i| (!0u64 / 3).wrapping_mul(i.into())).collect();
+            let mixed = (0..len).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
+            for row in [vec![0; len as usize], vec![u32::MAX; len as usize], mixed] {
+                for digit in [half, half.wrapping_neg(), 1, u32::MAX] {
+                    let (mut want, mut got) = (start.clone(), start.clone());
+                    sub_row(&mut want, &row, digit);
+                    fhe_math::simd::wide(
+                        #[inline(always)]
+                        || sub_row(&mut got, &row, digit),
+                    );
+                    assert_eq!(got, want, "{len} words, digit {}, row[0] {}", digit as i32, row[0]);
+                }
+            }
         }
     }
 

@@ -48,18 +48,20 @@
 //!
 //! # The fused kernel
 //!
-//! The external product's multiplier half is the paper's `DecompPolyMult`
-//! Meta-OP `(M_j A_j)_n R_j` with `n = T`, run per prime field as
-//! lift → `forward_lazy` of all `T` digit polynomials → two
-//! [`fhe_math::lazy_mac`] calls over that digit block (the key rows' `a`
-//! halves, then their `b` halves) → inverse. It is the kernel the Bconv
-//! dot products and the CKKS key and plaintext MACs run on: each output
-//! coefficient's products are summed in a `u128` and reduced once per eight
-//! rows, and nothing between the transforms is written to memory but the
-//! reduced residues.
+//! The external product is the paper's `DecompPolyMult` Meta-OP
+//! `(M_j A_j)_n R_j` with `n = T`, one stream per prime field and on the
+//! lanes from end to end where the host has them: one branch-free pass from
+//! the two input polynomials to the `T·N` lifted digit residues
+//! (`SignedDigitDecomposer::decompose_lift_into`) → `forward_lazy` of each
+//! → two [`fhe_math::lazy_mac`] calls (the key rows' `a` halves, then their
+//! `b` halves), in which every 8-slot block carries its value through all
+//! fold groups in a register, so the `T` row streams are read at once →
+//! inverse → the lift back to the torus.
 
 use crate::TfheError;
-use fhe_math::{generate_ntt_primes, lazy_mac, MacSlots, Modulus, NttTable, ShoupScalar};
+use fhe_math::{
+    generate_ntt_primes, lazy_mac, MacSlots, Modulus, NttTable, ShoupScalar, SignedDigitDecomposer,
+};
 
 /// Bits of the multiplier's NTT primes: below `2^51`, the widest modulus
 /// the IFMA lanes take.
@@ -106,17 +108,6 @@ impl PrimeField {
         }
         self.ntt.inverse(prepared);
     }
-
-    /// The representative of canonical `r` in `(-q/2, q/2]`, wrapped
-    /// modulo `2^64`.
-    #[inline]
-    fn centred(&self, r: u64) -> u64 {
-        if r > self.q.value() / 2 {
-            r.wrapping_sub(self.q.value())
-        } else {
-            r
-        }
-    }
 }
 
 /// The exact negacyclic multiplier for a fixed ring degree and ring
@@ -152,10 +143,8 @@ pub struct PreparedTorusPoly {
 pub(crate) struct Workspace {
     /// The `(a, b)` torus polynomials to decompose.
     pub(crate) input: [Vec<u64>; 2],
-    /// Their digits, flat level-major: `a`'s levels, then `b`'s.
-    pub(crate) digits: Vec<i64>,
-    /// Every digit polynomial lifted into one prime field and transformed,
-    /// in `digits`' order.
+    /// Their digit polynomials lifted into one prime field and transformed,
+    /// level-major: `a`'s levels, then `b`'s.
     lifted: Vec<u64>,
     /// Residues of the two output columns, prime-major: `[prime][column]`.
     res: Vec<u64>,
@@ -325,7 +314,6 @@ impl NegacyclicMultiplier {
         let n = self.n;
         Workspace {
             input: [vec![0; n], vec![0; n]],
-            digits: vec![0; terms * n],
             lifted: vec![0; terms * n],
             res: vec![0; self.primes() * 2 * n],
             forward_ntts: 0,
@@ -333,14 +321,12 @@ impl NegacyclicMultiplier {
         }
     }
 
-    /// The `DecompPolyMult` Meta-OP `(M_j A_j)_n R_j`: adds
-    /// `Σ_i digits_i ⊛ rows_i` to the `(a, b)` pair `out`, where
-    /// `digits_i = ws.digits[i·n..(i+1)·n]` and row `i` is
-    /// `rows[i·2·primes·n..]`: the prepared `a` polynomial, then the
-    /// prepared `b`. Per prime, every digit polynomial is lifted and
-    /// transformed once; then [`lazy_mac`] sums the digit block against
-    /// the rows' `a` halves, and again against their `b` halves, straight
-    /// into the residues the inverse transforms read.
+    /// The fused kernel (module docs): adds `Σ_i digits_i ⊛ rows_i` to the
+    /// `(a, b)` pair `out`, where `digits_i` is the `i`-th digit polynomial
+    /// of `ws.input` under `gadget` (level-major, `a`'s then `b`'s) and row
+    /// `i` is `rows[i·2·primes·n..]`: the prepared `a`, then the prepared
+    /// `b`. At two primes the digits are decomposed again per prime, not
+    /// kept.
     ///
     /// # Panics
     ///
@@ -348,6 +334,7 @@ impl NegacyclicMultiplier {
     /// [`assert_exact`](Self::assert_exact) for the row count.
     pub(crate) fn decomp_poly_mult_add(
         &self,
+        gadget: &SignedDigitDecomposer,
         rows: &[u64],
         ws: &mut Workspace,
         out: [&mut [u64]; 2],
@@ -355,14 +342,15 @@ impl NegacyclicMultiplier {
         let n = self.n;
         let primes = self.primes();
         let row_len = 2 * primes * n;
-        assert_eq!(rows.len(), ws.digits.len() * 2 * primes);
+        assert_eq!(ws.lifted.len(), 2 * gadget.levels() * n);
+        assert_eq!(rows.len(), ws.lifted.len() * 2 * primes);
         assert!(out.iter().all(|o| o.len() == n));
-        let Workspace { digits, lifted, res, forward_ntts, inverse_ntts, .. } = ws;
+        let Workspace { input, lifted, res, forward_ntts, inverse_ntts } = ws;
         for (p, (f, res)) in self.fields().zip(res.chunks_exact_mut(2 * n)).enumerate() {
-            for (lifted, digit) in lifted.chunks_exact_mut(n).zip(digits.chunks_exact(n)) {
-                for (l, &d) in lifted.iter_mut().zip(digit) {
-                    *l = f.q.from_i64(d);
-                }
+            for (input, lifted) in input.iter().zip(lifted.chunks_exact_mut(gadget.levels() * n)) {
+                gadget.decompose_lift_into(input, &f.q, lifted);
+            }
+            for lifted in lifted.chunks_exact_mut(n) {
                 f.ntt.forward_lazy(lifted);
                 *forward_ntts += 1;
             }
@@ -397,9 +385,16 @@ impl NegacyclicMultiplier {
                 }
             }
             None => {
-                for (o, &r) in out.iter_mut().zip(r1) {
-                    *o = o.wrapping_add(self.first.centred(r) << up);
-                }
+                let (q, half) = (self.first.q.value(), self.first.q.value() / 2);
+                fhe_math::simd::wide(
+                    #[inline(always)]
+                    move || {
+                        for (o, &r) in out.iter_mut().zip(r1) {
+                            let centred = if r > half { r.wrapping_sub(q) } else { r };
+                            *o = o.wrapping_add(centred << up);
+                        }
+                    },
+                );
             }
         }
     }
@@ -602,11 +597,12 @@ pub(crate) mod tests {
             let t: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(u64::MAX / 17)).collect();
             let u: Vec<u64> = (0..n as u64).map(|i| (i + 3).wrapping_mul(u64::MAX / 29)).collect();
             let rows = prepare_rows(&m, &[[&t, &u], [&u, &t]]);
+            // One base-2^5 level: each input coefficient is its one digit.
+            let gadget = SignedDigitDecomposer::new(5, 1).unwrap();
             let mut ws = m.workspace(2);
-            ws.digits[..n].copy_from_slice(&a);
-            ws.digits[n..].copy_from_slice(&b);
+            ws.input = [&a, &b].map(|d| d.iter().map(|&d| gadget.recompose(&[d])).collect());
             let (mut out_a, mut out_b) = (vec![7u64; n], vec![u64::MAX; n]);
-            m.decomp_poly_mult_add(&rows, &mut ws, [&mut out_a, &mut out_b]);
+            m.decomp_poly_mult_add(&gadget, &rows, &mut ws, [&mut out_a, &mut out_b]);
             let sum = |start: u64, x: Vec<u64>, y: Vec<u64>| -> Vec<u64> {
                 x.iter().zip(&y).map(|(&x, &y)| start.wrapping_add(x).wrapping_add(y)).collect()
             };
@@ -629,31 +625,33 @@ pub(crate) mod tests {
         // value 2^63 in every coefficient, whose centred value −2^{w−1} is
         // the largest magnitude: coefficient N − 1 of the sum reaches the
         // exactness bound itself, T·N·2^{β−1}·2^{w−1}. Toy, set II, set I
-        // at both precisions (one prime, and two), then 17 rows at toy's
-        // shape: three reduction passes of `lazy_mac` (8 + 8 + 1 rows).
+        // at both precisions (one prime, and two), then 18 rows at toy's
+        // ring: three passes of the scalar `lazy_mac` (8 + 8 + 2 rows).
         for (n, ring_bits, base_log, terms) in [
             (64, 64, 10u32, 6usize),
             (2048, 64, 23, 2),
             (1024, 32, 7, 6),
             (1024, 64, 7, 6),
-            (64, 64, 10, 17),
+            (64, 64, 7, 18),
         ] {
             let m = NegacyclicMultiplier::with_precision(n, ring_bits, base_log, terms).unwrap();
             m.assert_exact(base_log, terms);
             let minus_one = m.fields().flat_map(|f| vec![f.q.value() - 1; n]);
             let rows: Vec<u64> = minus_one.collect::<Vec<_>>().repeat(2 * terms);
+            let gadget = SignedDigitDecomposer::new(base_log, terms / 2).unwrap();
+            let extreme = vec![-(1i64 << (base_log - 1)); terms / 2];
             let mut ws = m.workspace(terms);
-            ws.digits.fill(-(1i64 << (base_log - 1)));
+            ws.input = [(); 2].map(|_| vec![gadget.recompose(&extreme); n]);
             let (mut out_a, mut out_b) = (vec![0u64; n], vec![0u64; n]);
-            m.decomp_poly_mult_add(&rows, &mut ws, [&mut out_a, &mut out_b]);
+            m.decomp_poly_mult_add(&gadget, &rows, &mut ws, [&mut out_a, &mut out_b]);
             let want = vec![((terms as u64) << (base_log - 1)) << (64 - ring_bits); n];
             assert_eq!((out_a, out_b), (want.clone(), want), "n = {n}, w = {ring_bits}");
 
             let half = vec![1u64 << 63; n];
             let rows: Vec<u64> = m.prepare(&half).res.repeat(2 * terms);
             let (mut out_a, mut out_b) = (vec![0u64; n], vec![0u64; n]);
-            m.decomp_poly_mult_add(&rows, &mut ws, [&mut out_a, &mut out_b]);
-            let one = schoolbook(&ws.digits[..n], &rounded(&half, ring_bits));
+            m.decomp_poly_mult_add(&gadget, &rows, &mut ws, [&mut out_a, &mut out_b]);
+            let one = schoolbook(&vec![extreme[0]; n], &rounded(&half, ring_bits));
             let want: Vec<u64> = one.iter().map(|&c| c.wrapping_mul(terms as u64)).collect();
             assert_eq!((out_a, out_b), (want.clone(), want), "2^63 rows, n = {n}, w = {ring_bits}");
         }

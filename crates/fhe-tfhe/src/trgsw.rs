@@ -9,13 +9,12 @@
 //! read centred, and pre-transformed in each of its 51-bit NTT prime
 //! fields (one at set I, two at the toy set and set II — see
 //! [`crate::NegacyclicMultiplier`]), as one contiguous block in the order
-//! the kernel reads it. One external product is the decomposition of both
-//! input polynomials (level-major and branch-free,
-//! `fhe_math::SignedDigitDecomposer::decompose_poly_into`) and then, per
-//! prime field: `2·l` forward NTTs (each digit polynomial lifted and
-//! transformed once), one `fhe_math::lazy_mac` pass per output column that
-//! sums each coefficient's `2·l` products and reduces them, and 2 inverse
-//! NTTs — the `transforms_per_step` that
+//! the kernel reads it. One external product is, per prime field: one pass
+//! that decomposes both input polynomials straight into `2·l` lifted digit
+//! polynomials (level-major and branch-free,
+//! `fhe_math::SignedDigitDecomposer::decompose_lift_into`), `2·l` forward
+//! NTTs, one `fhe_math::lazy_mac` per output column that reads all `2·l`
+//! key rows at once, and 2 inverse NTTs — the `transforms_per_step` that
 //! `metaop::counts::pbs` multiplies out. Every entry point reports its
 //! transforms to the `tfhe.ntt.forward` / `tfhe.ntt.inverse` counters.
 //!
@@ -126,10 +125,7 @@ impl TrgswCiphertext {
         // blind-rotation step).
         let _t = telemetry::Timer::enter("tfhe.external_product");
         assert_eq!(acc.n(), self.n, "ring degree mismatch");
-        let (a_digits, b_digits) = ws.digits.split_at_mut(self.levels * self.n);
-        self.decomposer.decompose_poly_into(&ws.input[0], a_digits);
-        self.decomposer.decompose_poly_into(&ws.input[1], b_digits);
-        mult.decomp_poly_mult_add(&self.rows, ws, [&mut acc.a, &mut acc.b]);
+        mult.decomp_poly_mult_add(&self.decomposer, &self.rows, ws, [&mut acc.a, &mut acc.b]);
     }
 
     /// `onto + self ⊡ input`, through a workspace of its own.

@@ -177,12 +177,17 @@ pub(crate) fn rotate_map(p: &[u64], e: usize, out: &mut [u64], f: impl Fn(u64, u
     // `m ∈ {0, !0}`, `(c ^ m) − m` is `c` or `−c`.
     let (shift, m) = if e < n { (e, 0) } else { (e - n, u64::MAX) };
     let (kept, wrapped) = p.split_at(n - shift);
-    for ((o, &c), &s) in out[shift..].iter_mut().zip(kept).zip(&p[shift..]) {
-        *o = f((c ^ m).wrapping_sub(m), s);
-    }
-    for ((o, &c), &s) in out[..shift].iter_mut().zip(wrapped).zip(p) {
-        *o = f((c ^ !m).wrapping_sub(!m), s);
-    }
+    fhe_math::simd::wide(
+        #[inline(always)]
+        move || {
+            for ((o, &c), &s) in out[shift..].iter_mut().zip(kept).zip(&p[shift..]) {
+                *o = f((c ^ m).wrapping_sub(m), s);
+            }
+            for ((o, &c), &s) in out[..shift].iter_mut().zip(wrapped).zip(p) {
+                *o = f((c ^ !m).wrapping_sub(!m), s);
+            }
+        },
+    );
 }
 
 #[cfg(test)]

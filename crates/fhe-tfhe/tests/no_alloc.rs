@@ -15,11 +15,11 @@ use telemetry::alloc::alloc_delta;
 ///
 /// * 4 — the accumulator: `testv.to_vec()` into a trivial TRLWE (its
 ///   zero mask and the body), then its initial rotation (mask and body);
-/// * 5 — the external-product workspace, allocated once before the loop:
-///   the two input polynomials, the digits, the lifted digit transforms
-///   and the output residues;
+/// * 4 — the external-product workspace, allocated once before the loop:
+///   the two input polynomials, the lifted digit transforms (the digits
+///   are decomposed straight into them) and the output residues;
 /// * 2 — the extracted LWE mask and the key-switched output mask.
-const ALLOCS_PER_BOOTSTRAP: u64 = 11;
+const ALLOCS_PER_BOOTSTRAP: u64 = 10;
 
 fn bootstrap_allocs(lwe_dim: usize) -> u64 {
     let params = TfheParams { lwe_dim, ..TfheParams::toy() };
