@@ -13,14 +13,15 @@
 //!   transpose, which the dedicated transpose register file carries — the
 //!   only inter-unit data movement in the machine.
 //!
-//! [`DistributedFourStepNtt`] *executes* that schedule: per-unit local
-//! sub-NTTs separated by explicit transposes. In the local phases each
-//! unit is handed only its own `chunks_mut` slice, so the borrow checker
-//! proves no unit touches another unit's scratchpad outside the
-//! transpose; the executor counts the words each phase moves. The result
-//! is bit-exact against [`fhe_math::FourStepNtt`].
+//! [`DistributedFourStepNtt`] runs that schedule under a layout that gives
+//! each unit one matrix row: it checks the shape, runs
+//! [`fhe_math::FourStepNtt::forward`] — whose column and row passes hand
+//! each sub-transform one contiguous slice, so the borrow checker proves
+//! no unit touches another unit's slots outside the transpose — and counts
+//! the words each phase moves. The result is [`fhe_math::NttTable`]'s,
+//! word for word.
 
-use fhe_math::{FourStepNtt, MathError, Modulus};
+use fhe_math::{FourStepNtt, MathError};
 
 /// The contiguous slot partition of one polynomial across computing units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,15 +71,6 @@ impl SlotLayout {
     pub fn units(&self) -> usize {
         self.units
     }
-
-    /// Verifies the Table 4 locality property: an access that touches one
-    /// slot across arbitrary channels and dnum groups stays in one unit.
-    /// (Channels and groups are replicated per unit, so locality depends
-    /// only on the slot — this method documents and asserts the
-    /// invariant.)
-    pub fn is_local_access(&self, slot: usize, _channel: usize, _dnum_group: usize) -> usize {
-        self.unit_of_slot(slot)
-    }
 }
 
 /// Execution statistics of a distributed 4-step NTT.
@@ -127,72 +119,32 @@ impl<'a> DistributedFourStepNtt<'a> {
         self.layout
     }
 
-    /// Forward transform executed as the hardware schedules it. `data` is
-    /// the flat polynomial (unit `u` owns `layout.slots_of_unit(u)`);
-    /// returns the words each kind of phase moved. Bit-exact vs
-    /// [`FourStepNtt::forward`].
+    /// Forward transform as the hardware schedules it: `data` is the flat
+    /// polynomial (unit `u` owns `layout.slots_of_unit(u)`), left holding
+    /// [`FourStepNtt::forward`]'s output; returns the words each kind of
+    /// phase moves.
     ///
     /// # Panics
     ///
     /// Panics if `data.len()` differs from the transform size.
     pub fn forward(&self, data: &mut [u64]) -> DistributedNttStats {
-        assert_eq!(data.len(), self.ntt.n());
-        let m: Modulus = self.ntt.modulus();
-        let units = self.layout.units();
-        let per = self.layout.slots_per_unit();
-        let mut stats = DistributedNttStats::default();
-
-        // Phase 1 (local): each unit twists its own slots.
-        let twist = self.ntt.twist_factors();
-        for (slots, factors) in data.chunks_mut(per).zip(twist.chunks(per)) {
-            for (x, &w) in slots.iter_mut().zip(factors) {
-                *x = m.mul_shoup(*x, w);
-            }
-            stats.local_accesses += 2 * per as u64;
+        self.ntt.forward(data);
+        let (units, per) = (self.layout.units() as u64, self.layout.slots_per_unit() as u64);
+        DistributedNttStats {
+            // The column pass reads and writes each of its `per` columns of
+            // `units` words; the row pass reads and writes each unit's row
+            // twice (twiddle multiply, sub-transform).
+            local_accesses: per * 2 * units + units * 4 * per,
+            // Row-major to column-major and back: every word twice.
+            transpose_words: 2 * units * per,
         }
-
-        // Phase 2 (transpose RF): row-major -> column-major. This is the
-        // machine's only inter-unit movement.
-        let mut colmajor = vec![0u64; data.len()];
-        for i1 in 0..units {
-            for i2 in 0..per {
-                colmajor[i2 * units + i1] = data[i1 * per + i2];
-                stats.transpose_words += 1;
-            }
-        }
-
-        // Phase 3 (local): each column now lies contiguously with one
-        // unit; run the n1-point sub-NTT entirely in its scratchpad.
-        for column in colmajor.chunks_mut(units) {
-            self.ntt.col_transform().forward_natural(column);
-            stats.local_accesses += 2 * units as u64;
-        }
-
-        // Phase 4 (transpose RF): back to row-major.
-        for i2 in 0..per {
-            for k1 in 0..units {
-                data[k1 * per + i2] = colmajor[i2 * units + k1];
-                stats.transpose_words += 1;
-            }
-        }
-
-        // Phase 5 (local): twiddle multiply + n2-point row sub-NTT per unit.
-        let twiddle = self.ntt.twiddle_factors();
-        for (row, factors) in data.chunks_mut(per).zip(twiddle.chunks(per)) {
-            for (x, &w) in row.iter_mut().zip(factors) {
-                *x = m.mul_shoup(*x, w);
-            }
-            self.ntt.row_transform().forward_natural(row);
-            stats.local_accesses += 4 * per as u64;
-        }
-        stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fhe_math::generate_ntt_primes;
+    use fhe_math::{generate_ntt_primes, Modulus, NttTable};
 
     fn setup(n1: usize, n2: usize) -> FourStepNtt {
         let q = Modulus::new(generate_ntt_primes(36, n1 * n2, 1).unwrap()[0]).unwrap();
@@ -209,12 +161,9 @@ mod tests {
         assert_eq!(l.unit_of_slot(127), 0);
         assert_eq!(l.unit_of_slot(128), 1);
         assert_eq!(l.slots_of_unit(1), 128..256);
-        // Channel/dnum-group access stays on the slot's unit (Table 4).
-        for channel in 0..45 {
-            for group in 0..4 {
-                assert_eq!(l.is_local_access(200, channel, group), 1);
-            }
-        }
+        // Every channel and dnum group keeps the same slot range per unit,
+        // so an access's unit is its slot's (Table 4).
+        assert_eq!(l.unit_of_slot(200), 1);
     }
 
     #[test]
@@ -227,17 +176,24 @@ mod tests {
 
     #[test]
     fn distributed_execution_bit_exact() {
-        for (n1, n2) in [(16usize, 16usize), (8, 32)] {
+        for (n1, n2) in [(8usize, 8usize), (16, 16), (8, 32)] {
             let ntt = setup(n1, n2);
             let dist = DistributedFourStepNtt::new(&ntt, n1).unwrap();
+            let n = n1 * n2;
             let q = ntt.modulus().value();
-            let mut a: Vec<u64> = (0..(n1 * n2) as u64).map(|i| (i * 0x9e3779b9 + 3) % q).collect();
+            let mut a: Vec<u64> = (0..n as u64).map(|i| (i * 0x9e3779b9 + 3) % q).collect();
             let mut reference = a.clone();
+            let mut flat = a.clone();
             let stats = dist.forward(&mut a);
             ntt.forward(&mut reference);
+            NttTable::new(ntt.modulus(), n).unwrap().forward(&mut flat);
             assert_eq!(a, reference, "{n1}x{n2}");
-            assert!(stats.transpose_words == 2 * (n1 * n2) as u64);
-            assert!(stats.local_accesses > 0);
+            assert_eq!(a, flat, "{n1}x{n2}");
+            let n = n as u64;
+            assert_eq!(
+                stats,
+                DistributedNttStats { local_accesses: 6 * n, transpose_words: 2 * n }
+            );
         }
     }
 

@@ -6,9 +6,10 @@
 //! * [`Modulus`] — word-sized prime moduli with Barrett and Shoup
 //!   multiplication and lazy 128-bit accumulation (the arithmetic the
 //!   paper's Meta-OP `(M_j A_j)_n R_j` performs in hardware),
-//! * [`NttTable`] — negacyclic number-theoretic transforms, including the
-//!   4-step formulation used by Alchemist's slot-based data management and
-//!   a radix-8/4 *blocked* formulation that the Meta-OP layer lowers,
+//! * [`NttTable`] — the negacyclic number-theoretic transform, one
+//!   radix-8/4 *blocked* kernel that the Meta-OP layer lowers block by
+//!   block and that [`FourStepNtt`] — the 4-step schedule of Alchemist's
+//!   slot-based data management — runs on its columns and rows,
 //! * [`lazy_mac`] — the Meta-OP `(M_j A_j)_n R_j` itself. It and the NTT run
 //!   on eight 52-bit AVX-512 IFMA lanes where the host has them and the
 //!   moduli are below `2^51` (the one `unsafe` module, [`simd`]'s), and on
@@ -69,7 +70,7 @@ pub use four_step::FourStepNtt;
 pub use integrity::checksum_enabled;
 pub use mixed_radix::MixedRadix;
 pub use modulus::{Modulus, ShoupScalar};
-pub use ntt::{galois_ntt_permutation, radix_blocks, CyclicNtt, NttTable};
+pub use ntt::{galois_ntt_permutation, radix_blocks, NttTable};
 pub use poly::{Domain, Poly};
 pub use prime::{generate_ntt_primes, is_prime};
 pub use rns::{

@@ -97,18 +97,18 @@ proptest! {
         let xs: Vec<u64> = xs.iter().map(|&c| q.reduce(c)).collect();
         let ys: Vec<u64> = ys.iter().map(|&c| q.reduce(c)).collect();
 
-        let product = |fwd: &dyn Fn(&mut Vec<u64>), inv: &dyn Fn(&mut Vec<u64>)| {
-            let mut a = xs.clone();
-            let mut b = ys.clone();
-            fwd(&mut a);
-            fwd(&mut b);
-            let mut p: Vec<u64> = a.iter().zip(&b).map(|(&x, &y)| q.mul(x, y)).collect();
-            inv(&mut p);
-            p
-        };
-        let p1 = product(&|v| flat.forward(v), &|v| flat.inverse(v));
-        let p2 = product(&|v| four.forward(v), &|v| four.inverse(v));
-        prop_assert_eq!(p1, p2);
+        // The same words at every step: both forwards, the product's inverse.
+        let (mut fx, mut fy, mut fx4, mut fy4) = (xs.clone(), ys.clone(), xs, ys);
+        flat.forward(&mut fx);
+        flat.forward(&mut fy);
+        four.forward(&mut fx4);
+        four.forward(&mut fy4);
+        prop_assert_eq!((&fx4, &fy4), (&fx, &fy));
+        let mut p: Vec<u64> = fx.iter().zip(&fy).map(|(&x, &y)| q.mul(x, y)).collect();
+        let mut p4 = p.clone();
+        flat.inverse(&mut p);
+        four.inverse(&mut p4);
+        prop_assert_eq!(p4, p);
     }
 
     #[test]

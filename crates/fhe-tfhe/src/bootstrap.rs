@@ -5,7 +5,7 @@
 //! rotation steps runs one CMux (`(k+1)·l_b` forward NTTs, the
 //! `DecompPolyMult`-patterned MAC, `k+1` inverse NTTs), and the closing key
 //! switch is a long lazily-reducible MAC — together, the TFHE rows of the
-//! Meta-OP accounting in [`metaop`-style] Fig. 7(a).
+//! Meta-OP accounting in `metaop`-style Fig. 7(a).
 
 use crate::lwe::{LweCiphertext, LweSecretKey};
 use crate::params::TfheParams;

@@ -83,19 +83,28 @@ fn facade_reexports_are_usable() {
 fn slot_layout_locality_at_paper_shape() {
     // The paper's exact configuration: N = 16384 as 128 x 128 over 128
     // units — each unit on its own slots outside the transpose register
-    // file, bit-exact against the reference 4-step transform.
-    use alchemist::math::{generate_ntt_primes, FourStepNtt};
+    // file — word for word the flat transform's, at a 36-bit prime and at
+    // the largest 51-bit one (the lanes' WIDE instance).
+    use alchemist::math::FourStepNtt;
     use alchemist::sim::DistributedFourStepNtt;
-    let q = Modulus::new(generate_ntt_primes(36, 16384, 1).unwrap()[0]).unwrap();
-    let ntt = FourStepNtt::new(q, 128, 128).unwrap();
-    let dist = DistributedFourStepNtt::new(&ntt, 128).unwrap();
-    let mut data: Vec<u64> =
-        (0..16384u64).map(|i| i.wrapping_mul(0x9e3779b97f4a7c15) % q.value()).collect();
-    let mut reference = data.clone();
-    let stats = dist.forward(&mut data);
-    ntt.forward(&mut reference);
-    assert_eq!(data, reference);
-    assert_eq!(stats.transpose_words, 2 * 16384);
+    for bits in [36, 51] {
+        let q = Modulus::new(generate_ntt_primes(bits, 16384, 1).unwrap()[0]).unwrap();
+        let ntt = FourStepNtt::new(q, 128, 128).unwrap();
+        let dist = DistributedFourStepNtt::new(&ntt, 128).unwrap();
+        let flat = NttTable::new(q, 16384).unwrap();
+        let original: Vec<u64> =
+            (0..16384u64).map(|i| i.wrapping_mul(0x9e3779b97f4a7c15) % q.value()).collect();
+        let (mut data, mut four, mut reference) = (original.clone(), original.clone(), original);
+        let stats = dist.forward(&mut data);
+        ntt.forward(&mut four);
+        flat.forward(&mut reference);
+        assert_eq!(data, reference, "{bits}-bit q");
+        assert_eq!(four, reference, "{bits}-bit q");
+        assert_eq!(stats.transpose_words, 2 * 16384);
+        ntt.inverse(&mut four);
+        flat.inverse(&mut reference);
+        assert_eq!(four, reference, "{bits}-bit q");
+    }
 }
 
 #[test]
