@@ -52,18 +52,6 @@ impl ArchConfig {
         self.units * self.cores_per_unit
     }
 
-    /// Total multiplier lanes.
-    #[inline]
-    pub fn total_lanes(&self) -> usize {
-        self.total_cores() * self.lanes
-    }
-
-    /// Bytes per stored RNS word (36-bit words are packed; 4.5 bytes).
-    #[inline]
-    pub fn word_bytes(&self) -> f64 {
-        self.word_bits as f64 / 8.0
-    }
-
     /// Total on-chip storage in KiB (`units × scratchpad + shared`,
     /// paper: 64 + 2 MB).
     #[inline]
@@ -131,11 +119,10 @@ mod tests {
     fn paper_config_matches_table6() {
         let a = ArchConfig::paper();
         assert_eq!(a.total_cores(), 2048);
-        assert_eq!(a.total_lanes(), 16_384);
+        assert_eq!(a.total_cores() * a.lanes, 16_384);
         // 64 MB local + 2 MB shared = 66 MB on-chip capacity.
         assert_eq!(a.total_sram_kib(), 66 * 1024);
         // 1 TB/s at 1 GHz.
         assert!((a.hbm_bytes_per_cycle - 1024.0).abs() < 1e-9);
-        assert!((a.word_bytes() - 4.5).abs() < 1e-12);
     }
 }

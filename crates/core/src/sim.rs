@@ -498,12 +498,6 @@ impl SimReport {
         batch as f64 / self.seconds()
     }
 
-    /// Energy in millijoules at the configuration's average power (the
-    /// paper's 77.9 W at the default configuration, scaled by active area).
-    pub fn energy_mj(&self) -> f64 {
-        crate::AreaModel::new(self.arch).average_power_w() * self.seconds() * 1e3
-    }
-
     /// A human-readable multi-line summary (cycles, time, utilization,
     /// per-class split, traffic).
     pub fn summary(&self) -> String {
@@ -596,8 +590,9 @@ impl Simulator {
     /// [`Self::run`] plus telemetry: one virtual-time span per step on a
     /// dedicated track (1 simulated cycle = 1 ns at 1 GHz), a `sim.run`
     /// root span whose duration equals the report's total cycle count, and
-    /// counters for Meta-OPs issued, compute cycles (add-only vs
-    /// multiplier), lazy-reduction savings, and HBM/scratchpad traffic.
+    /// `sim.<metric>.<class>` counters for Meta-OPs issued, compute cycles
+    /// (add-only vs multiplier), lazy-reduction savings, HBM/scratchpad
+    /// traffic and busy/wall occupancy.
     ///
     /// Passing a disabled handle makes this identical to [`Self::run`].
     pub fn run_traced(&self, steps: &[Step], tel: &telemetry::Telemetry) -> SimReport {
@@ -624,42 +619,44 @@ impl Simulator {
             // (paper §5.4); compute and scratchpad traffic serialize per
             // step.
             let wall = c.max(transfer_cycles(step.onchip_bytes, self.arch.onchip_bytes_per_cycle));
+            // Busy discounts pipeline bubbles (the efficiency factor).
+            let eff = trunc_to_count(count_to_f64(c) * efficiency);
             if tel.is_enabled() {
                 track.leaf(&step.label, ns(step_cycles), ns(wall));
-                let key = step.class.telemetry_key();
+                let names = &CLASS_NAMES[step.class as usize];
                 // Per-class latency distribution over the schedule, in
                 // simulated nanoseconds (same 1 GHz time base as the
                 // virtual track), so p50/p99 step durations land next to
                 // the measured kernel histograms in every export.
-                tel.observe_ns(sim_step_hist_name(key), ns(wall));
-                use telemetry::Metric;
-                tel.count(Metric::MetaOps, key, step.meta_ops);
-                tel.count(Metric::HbmBytes, key, step.hbm_bytes);
-                tel.count(Metric::ScratchpadBytes, key, step.onchip_bytes);
+                tel.observe_ns(names.step, ns(wall));
+                // Work counters appear once a class has done that kind of
+                // work: a zero amount records nothing.
+                let count = |name: &str, amount: u64| {
+                    if amount != 0 {
+                        tel.count_named(name, amount);
+                    }
+                };
+                count(names.meta_ops, step.meta_ops);
+                count(names.hbm_bytes, step.hbm_bytes);
+                count(names.scratchpad_bytes, step.onchip_bytes);
                 if step.add_only {
-                    tel.count(Metric::AddOnlyCycles, key, c);
+                    count(names.add_only_cycles, c);
                 } else {
-                    tel.count(Metric::MultCycles, key, c);
-                    tel.count(
-                        Metric::ReductionCyclesSaved,
-                        key,
+                    count(names.mult_cycles, c);
+                    count(
+                        names.reduction_cycles_saved,
                         2 * (step.n as u64).saturating_sub(1) * step.meta_ops,
                     );
                 }
+                // Occupancy counters for the live sampler, explicit zeros
+                // included: busy (post-efficiency compute) vs wall
+                // (serialized step time) cycles, so a utilization-over-time
+                // series can be derived from deltas alone.
+                tel.count_named(names.busy_cycles, eff);
+                tel.count_named(names.wall_cycles, wall);
             }
             step_cycles += wall;
             hbm_cycles += transfer_cycles(step.hbm_bytes, self.arch.hbm_bytes_per_cycle);
-            // Busy discounts pipeline bubbles (the efficiency factor).
-            let eff = trunc_to_count(count_to_f64(c) * efficiency);
-            if tel.is_enabled() {
-                // Per-class occupancy counters for the live sampler: busy
-                // (post-efficiency compute) vs wall (serialized step time)
-                // cycles, so a utilization-over-time series can be derived
-                // from deltas alone.
-                let key = step.class.telemetry_key();
-                tel.count_named(sim_busy_counter_name(key), eff);
-                tel.count_named(sim_wall_counter_name(key), wall);
-            }
             busy += eff;
             hbm += step.hbm_bytes;
             onchip += step.onchip_bytes;
@@ -685,41 +682,41 @@ impl Simulator {
     }
 }
 
-/// Static histogram name for a simulated step class (`sim.step.<class>`).
-fn sim_step_hist_name(key: telemetry::OpClassKey) -> &'static str {
-    use telemetry::OpClassKey;
-    match key {
-        OpClassKey::Ntt => "sim.step.ntt",
-        OpClassKey::Bconv => "sim.step.bconv",
-        OpClassKey::DecompPolyMult => "sim.step.decomp_poly_mult",
-        OpClassKey::Elementwise => "sim.step.elementwise",
-        OpClassKey::Transfer => "sim.step.transfer",
-    }
+/// The telemetry names [`Simulator::run_traced`] records for one operator
+/// class: the `sim.step.<class>` step-latency histogram and the
+/// `sim.<metric>.<class>` counters.
+struct ClassNames {
+    step: &'static str,
+    meta_ops: &'static str,
+    hbm_bytes: &'static str,
+    scratchpad_bytes: &'static str,
+    add_only_cycles: &'static str,
+    mult_cycles: &'static str,
+    reduction_cycles_saved: &'static str,
+    busy_cycles: &'static str,
+    wall_cycles: &'static str,
 }
 
-/// Static counter name for per-class busy cycles (`sim.busy_cycles.<class>`).
-fn sim_busy_counter_name(key: telemetry::OpClassKey) -> &'static str {
-    use telemetry::OpClassKey;
-    match key {
-        OpClassKey::Ntt => "sim.busy_cycles.ntt",
-        OpClassKey::Bconv => "sim.busy_cycles.bconv",
-        OpClassKey::DecompPolyMult => "sim.busy_cycles.decomp_poly_mult",
-        OpClassKey::Elementwise => "sim.busy_cycles.elementwise",
-        OpClassKey::Transfer => "sim.busy_cycles.transfer",
-    }
+/// One [`ClassNames`] row per class name.
+macro_rules! class_names {
+    ($($class:literal),*) => {
+        [$(ClassNames {
+            step: concat!("sim.step.", $class),
+            meta_ops: concat!("sim.meta_ops.", $class),
+            hbm_bytes: concat!("sim.hbm_bytes.", $class),
+            scratchpad_bytes: concat!("sim.scratchpad_bytes.", $class),
+            add_only_cycles: concat!("sim.add_only_cycles.", $class),
+            mult_cycles: concat!("sim.mult_cycles.", $class),
+            reduction_cycles_saved: concat!("sim.reduction_cycles_saved.", $class),
+            busy_cycles: concat!("sim.busy_cycles.", $class),
+            wall_cycles: concat!("sim.wall_cycles.", $class),
+        }),*]
+    };
 }
 
-/// Static counter name for per-class wall cycles (`sim.wall_cycles.<class>`).
-fn sim_wall_counter_name(key: telemetry::OpClassKey) -> &'static str {
-    use telemetry::OpClassKey;
-    match key {
-        OpClassKey::Ntt => "sim.wall_cycles.ntt",
-        OpClassKey::Bconv => "sim.wall_cycles.bconv",
-        OpClassKey::DecompPolyMult => "sim.wall_cycles.decomp_poly_mult",
-        OpClassKey::Elementwise => "sim.wall_cycles.elementwise",
-        OpClassKey::Transfer => "sim.wall_cycles.transfer",
-    }
-}
+/// Indexed by `OpClass` discriminant, like the report's per-class slots.
+const CLASS_NAMES: [ClassNames; 5] =
+    class_names!("ntt", "bconv", "decomp_poly_mult", "elementwise", "transfer");
 
 #[cfg(test)]
 mod tests {
@@ -859,26 +856,73 @@ mod tests {
     }
 
     #[test]
+    fn class_name_rows_end_with_their_class() {
+        for class in OpClass::all() {
+            let ClassNames {
+                step,
+                meta_ops,
+                hbm_bytes,
+                scratchpad_bytes,
+                add_only_cycles,
+                mult_cycles,
+                reduction_cycles_saved,
+                busy_cycles,
+                wall_cycles,
+            } = &CLASS_NAMES[class as usize];
+            for name in [
+                step,
+                meta_ops,
+                hbm_bytes,
+                scratchpad_bytes,
+                add_only_cycles,
+                mult_cycles,
+                reduction_cycles_saved,
+                busy_cycles,
+                wall_cycles,
+            ] {
+                assert!(name.ends_with(&format!(".{class}")), "{name} is not {class}'s");
+            }
+        }
+    }
+
+    #[test]
     fn traced_run_counters_split_by_class_and_kind() {
-        use telemetry::{Metric, OpClassKey, Telemetry};
+        use telemetry::Telemetry;
         let sim = Simulator::new(arch());
+        // Every class, each with its own Meta-OP count.
         let steps = vec![
             Step::compute("ntt", OpClass::Ntt, 4096, 3),
-            Step::adds("hadd", 4096),
+            Step::compute("bconv", OpClass::Bconv, 3 * 2048, 12),
+            Step::compute("dpm", OpClass::DecompPolyMult, 5 * 2048, 4),
+            Step::adds("hadd", 1000),
             Step::transfer("dma", 1 << 20, 1 << 12),
         ];
         let tel = Telemetry::enabled();
         let report = sim.run_traced(&steps, &tel);
         let snap = tel.snapshot();
-        assert_eq!(snap.counter(Metric::MetaOps, OpClassKey::Ntt), 4096);
-        assert_eq!(snap.counter(Metric::HbmBytes, OpClassKey::Transfer), 1 << 20);
-        assert_eq!(snap.counter(Metric::ScratchpadBytes, OpClassKey::Transfer), 1 << 12);
+        let counter = |name: &str| snap.named_counter(name);
+        assert_eq!(counter("sim.meta_ops.ntt"), 4096);
+        assert_eq!(counter("sim.meta_ops.bconv"), 3 * 2048);
+        assert_eq!(counter("sim.meta_ops.decomp_poly_mult"), 5 * 2048);
+        assert_eq!(counter("sim.meta_ops.elementwise"), 1000);
+        // Transfers issue no Meta-OP, and a zero amount records nothing.
+        assert!(snap.named_counters().iter().all(|(n, _)| n != "sim.meta_ops.transfer"));
+        assert_eq!(counter("sim.hbm_bytes.transfer"), 1 << 20);
+        assert_eq!(counter("sim.scratchpad_bytes.transfer"), 1 << 12);
         // Hadd runs on the adder path, NTT on the multiplier path.
-        assert!(snap.counter(Metric::AddOnlyCycles, OpClassKey::Elementwise) > 0);
-        assert!(snap.counter(Metric::MultCycles, OpClassKey::Ntt) > 0);
-        assert_eq!(snap.counter(Metric::MultCycles, OpClassKey::Elementwise), 0);
+        assert!(counter("sim.add_only_cycles.elementwise") > 0);
+        assert!(counter("sim.mult_cycles.ntt") > 0);
+        assert_eq!(counter("sim.mult_cycles.elementwise"), 0);
         // Lazy reduction saves 2(n-1) per Meta-OP: n = 3 → 4 per op.
-        assert_eq!(snap.counter(Metric::ReductionCyclesSaved, OpClassKey::Ntt), 4 * 4096);
+        assert_eq!(counter("sim.reduction_cycles_saved.ntt"), 4 * 4096);
+        assert_eq!(counter("sim.reduction_cycles_saved.bconv"), 22 * 3 * 2048);
+        // Occupancy counters: busy cycles sum to the report's, wall cycles
+        // (step-serialized time) to at most its total.
+        let sum = |prefix: &str| -> u64 {
+            OpClass::all().iter().map(|c| counter(&format!("{prefix}.{c}"))).sum()
+        };
+        assert_eq!(sum("sim.busy_cycles"), report.busy_cycles);
+        assert!(sum("sim.wall_cycles") <= report.cycles);
         // An untraced run returns the identical report.
         let plain = sim.run(&steps);
         assert_eq!(plain.cycles, report.cycles);
@@ -995,15 +1039,6 @@ mod tests {
         let mut relabeled = steps.clone();
         relabeled[0].label = "ntt2".into();
         assert!(manifest.check(&relabeled).is_err());
-    }
-
-    #[test]
-    fn energy_tracks_time_and_power() {
-        let sim = Simulator::new(arch());
-        let r = sim.run(&[Step::compute("x", OpClass::Ntt, 2048 * 1000, 3)]);
-        // 77.9 W for r.seconds(): E = P·t.
-        let expected = 77.9 * r.seconds() * 1e3;
-        assert!((r.energy_mj() - expected).abs() / expected < 1e-6);
     }
 
     #[test]

@@ -80,23 +80,6 @@ impl OpClass {
             OpClass::Transfer,
         ]
     }
-
-    /// The telemetry counter key for this class.
-    pub fn telemetry_key(self) -> telemetry::OpClassKey {
-        match self {
-            OpClass::Ntt => telemetry::OpClassKey::Ntt,
-            OpClass::Bconv => telemetry::OpClassKey::Bconv,
-            OpClass::DecompPolyMult => telemetry::OpClassKey::DecompPolyMult,
-            OpClass::Elementwise => telemetry::OpClassKey::Elementwise,
-            OpClass::Transfer => telemetry::OpClassKey::Transfer,
-        }
-    }
-}
-
-impl From<OpClass> for telemetry::OpClassKey {
-    fn from(class: OpClass) -> Self {
-        class.telemetry_key()
-    }
 }
 
 impl fmt::Display for OpClass {

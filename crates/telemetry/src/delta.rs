@@ -26,7 +26,7 @@
 //! — cheap enough for a 1 ms sampler tick.
 
 use crate::hist::Histogram;
-use crate::{Metric, OpClassKey, Telemetry, VIRTUAL_TID_BASE};
+use crate::{Telemetry, VIRTUAL_TID_BASE};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -37,9 +37,7 @@ use std::sync::Arc;
 pub struct Cursor {
     /// Identity of the handle this cursor is bound to (`Arc` pointer).
     handle: Option<usize>,
-    /// Last-seen cumulative grid-counter values.
-    counters: BTreeMap<(Metric, OpClassKey), u64>,
-    /// Last-seen cumulative named-counter values.
+    /// Last-seen cumulative counter values.
     named: BTreeMap<String, u64>,
     /// Last-seen cumulative histogram state, per name.
     hists: BTreeMap<String, Box<Histogram>>,
@@ -78,11 +76,9 @@ pub struct DeltaSnapshot {
     pub at_ns: u64,
     /// 0-based capture sequence number within the producing cursor.
     pub seq: u64,
-    /// Grid-counter increments (only cells that changed).
-    pub counters: BTreeMap<(Metric, OpClassKey), u64>,
-    /// Named-counter increments. A counter materialized at zero appears
-    /// once with value 0 so merged deltas show the same explicit zeros as
-    /// a full [`crate::Snapshot`].
+    /// Counter increments (only counters that changed). A counter
+    /// materialized at zero appears once with value 0 so merged deltas show
+    /// the same explicit zeros as a full [`crate::Snapshot`].
     pub named: BTreeMap<String, u64>,
     /// Interval histograms (only names that changed), exact per bucket.
     pub hists: BTreeMap<String, Histogram>,
@@ -105,8 +101,7 @@ impl DeltaSnapshot {
     /// its own (the capture itself allocates) and is deliberately not
     /// consulted, so an idle service still reports idle intervals.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.named.is_empty()
+        self.named.is_empty()
             && self.hists.is_empty()
             && self.span_ns.is_empty()
             && self.span_allocs.is_empty()
@@ -117,9 +112,6 @@ impl DeltaSnapshot {
     pub fn merge(&mut self, other: &DeltaSnapshot) {
         self.at_ns = self.at_ns.max(other.at_ns);
         self.seq = self.seq.max(other.seq);
-        for (&k, &v) in &other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
-        }
         for (k, &v) in &other.named {
             *self.named.entry(k.clone()).or_insert(0) += v;
         }
@@ -168,13 +160,6 @@ impl Telemetry {
             DeltaSnapshot { at_ns: now_ns, seq: cursor.captures, ..DeltaSnapshot::default() };
         cursor.captures += 1;
 
-        for (&key, &value) in &st.counters {
-            let prev = cursor.counters.get(&key).copied().unwrap_or(0);
-            if value != prev {
-                out.counters.insert(key, value - prev);
-                cursor.counters.insert(key, value);
-            }
-        }
         for (name, &value) in &st.named {
             match cursor.named.get_mut(name) {
                 Some(prev) if *prev == value => {}
@@ -297,12 +282,12 @@ mod tests {
     fn counters_and_hists_delta_exactly() {
         let tel = Telemetry::enabled();
         let mut cur = Cursor::new();
-        tel.count(Metric::MetaOps, OpClassKey::Ntt, 10);
+        tel.count_named("sim.meta_ops.ntt", 10);
         tel.count_named("fault.bitflip.injected", 2);
         tel.count_named("fault.bitflip.escaped", 0); // explicit zero
         tel.observe_ns("k", 100);
         let d1 = tel.snapshot_delta(&mut cur);
-        assert_eq!(d1.counters[&(Metric::MetaOps, OpClassKey::Ntt)], 10);
+        assert_eq!(d1.named["sim.meta_ops.ntt"], 10);
         assert_eq!(d1.named["fault.bitflip.injected"], 2);
         assert_eq!(d1.named["fault.bitflip.escaped"], 0);
         assert_eq!(d1.hists["k"].count(), 1);
@@ -311,11 +296,11 @@ mod tests {
         let d2 = tel.snapshot_delta(&mut cur);
         assert!(d2.is_empty(), "{d2:?}");
 
-        tel.count(Metric::MetaOps, OpClassKey::Ntt, 5);
+        tel.count_named("sim.meta_ops.ntt", 5);
         tel.observe_ns("k", 900);
         tel.observe_ns("k", 901);
         let d3 = tel.snapshot_delta(&mut cur);
-        assert_eq!(d3.counters[&(Metric::MetaOps, OpClassKey::Ntt)], 5);
+        assert_eq!(d3.named["sim.meta_ops.ntt"], 5);
         assert_eq!(d3.hists["k"].count(), 2);
         assert_eq!(d3.hists["k"].sum(), 1801);
 
@@ -324,10 +309,7 @@ mod tests {
         merged.merge(&d2);
         merged.merge(&d3);
         let snap = tel.snapshot();
-        assert_eq!(
-            merged.counters[&(Metric::MetaOps, OpClassKey::Ntt)],
-            snap.counter(Metric::MetaOps, OpClassKey::Ntt)
-        );
+        assert_eq!(merged.named["sim.meta_ops.ntt"], snap.named_counter("sim.meta_ops.ntt"));
         let row = snap.histogram("k").unwrap();
         assert_eq!(merged.hists["k"].count(), row.count);
         assert_eq!(merged.hists["k"].sum(), row.sum_ns);

@@ -204,14 +204,6 @@ pub fn set_fault_dump_dir(dir: Option<PathBuf>) {
     *slot = dir;
 }
 
-/// The currently configured fault-dump directory, if any.
-pub fn fault_dump_dir() -> Option<PathBuf> {
-    if !DUMP_CONFIGURED.load(Ordering::Acquire) {
-        return None;
-    }
-    DUMP_DIR.lock().expect("dump dir poisoned").clone()
-}
-
 /// Dumps the process-global handle's flight recorder to the configured
 /// directory as `flight-<seq>-<reason>.json` and returns the path.
 ///
@@ -224,7 +216,7 @@ pub fn fault_dump(reason: &str) -> Option<PathBuf> {
     if !DUMP_CONFIGURED.load(Ordering::Relaxed) {
         return None;
     }
-    let dir = fault_dump_dir()?;
+    let dir = DUMP_DIR.lock().expect("dump dir poisoned").clone()?;
     let recorder = crate::global()?.flight_recorder()?;
     let seq = DUMP_SEQ.fetch_add(1, Ordering::Relaxed);
     if seq >= MAX_FAULT_DUMPS {

@@ -8,10 +8,10 @@
 //!   simulator emits *virtual* spans on its own track via
 //!   [`VirtualTrack`], timed in simulated cycles (1 cycle = 1 ns at the
 //!   1 GHz design point) rather than host time.
-//! * **Counters** — typed accumulators keyed by [`Metric`] ×
-//!   [`OpClassKey`]: Meta-OPs issued, reduction cycles saved by lazy
-//!   Barrett accumulation, HBM/scratchpad traffic, add-only vs multiplier
-//!   cycles.
+//! * **Counters** — monotone `u64` accumulators keyed by dotted name
+//!   ([`Telemetry::count_named`]): the simulator's per-class Meta-OPs,
+//!   traffic and cycles (`sim.meta_ops.ntt`, `sim.hbm_bytes.transfer`, …),
+//!   fault-campaign outcomes, scheme-layer transform counts.
 //! * **Two outputs** — Chrome/Perfetto `trace_event` JSON that opens
 //!   directly in <https://ui.perfetto.dev> (an exit-time [`Snapshot`], or a
 //!   [`FlightRecorder`] dump after a fault), and a JSONL tick stream from
@@ -44,91 +44,11 @@ pub use delta::{Cursor, DeltaSnapshot};
 pub use flight::{FlightEvent, FlightRecorder};
 pub use hist::Histogram;
 pub use sampler::{JsonlSink, Sample, SampleSink, Sampler, SamplerBuilder};
-pub use snapshot::{CounterRow, HistogramRow, Snapshot, SpanRow};
+pub use snapshot::{HistogramRow, Snapshot, SpanRow};
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-
-/// Operator families tracked by the counters — the four Meta-OP classes of
-/// the paper's Table 1 plus explicit data movement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum OpClassKey {
-    /// Number-theoretic transforms (radix-8/radix-4 Meta-OP blocks).
-    Ntt,
-    /// RNS base conversion (Modup/Moddown inner product).
-    Bconv,
-    /// Decomposed polynomial × key-switching-key MAC.
-    DecompPolyMult,
-    /// Element-wise multiply/add work.
-    Elementwise,
-    /// Pure data movement (HBM↔scratchpad staging), no arithmetic.
-    Transfer,
-}
-
-impl OpClassKey {
-    /// All keys, in display order.
-    pub const ALL: [OpClassKey; 5] = [
-        OpClassKey::Ntt,
-        OpClassKey::Bconv,
-        OpClassKey::DecompPolyMult,
-        OpClassKey::Elementwise,
-        OpClassKey::Transfer,
-    ];
-
-    /// Stable lower-case name used in every export format.
-    pub fn name(self) -> &'static str {
-        match self {
-            OpClassKey::Ntt => "ntt",
-            OpClassKey::Bconv => "bconv",
-            OpClassKey::DecompPolyMult => "decomp_poly_mult",
-            OpClassKey::Elementwise => "elementwise",
-            OpClassKey::Transfer => "transfer",
-        }
-    }
-}
-
-/// What a counter measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Metric {
-    /// Meta-OPs `(M_j A_j)_n R_j` issued.
-    MetaOps,
-    /// Reduction cycles avoided by lazy Barrett accumulation relative to
-    /// eager per-product reduction (`2(n-1)` per Meta-OP of length `n`).
-    ReductionCyclesSaved,
-    /// Bytes moved over HBM.
-    HbmBytes,
-    /// Bytes moved through the on-chip scratchpad.
-    ScratchpadBytes,
-    /// Compute cycles on steps that never touch the multiplier array.
-    AddOnlyCycles,
-    /// Compute cycles on steps that use the multiplier array.
-    MultCycles,
-}
-
-impl Metric {
-    /// All metrics, in display order.
-    pub const ALL: [Metric; 6] = [
-        Metric::MetaOps,
-        Metric::ReductionCyclesSaved,
-        Metric::HbmBytes,
-        Metric::ScratchpadBytes,
-        Metric::AddOnlyCycles,
-        Metric::MultCycles,
-    ];
-
-    /// Stable lower-case name used in every export format.
-    pub fn name(self) -> &'static str {
-        match self {
-            Metric::MetaOps => "meta_ops",
-            Metric::ReductionCyclesSaved => "reduction_cycles_saved",
-            Metric::HbmBytes => "hbm_bytes",
-            Metric::ScratchpadBytes => "scratchpad_bytes",
-            Metric::AddOnlyCycles => "add_only_cycles",
-            Metric::MultCycles => "mult_cycles",
-        }
-    }
-}
 
 /// One recorded (possibly still open) span.
 #[derive(Debug, Clone)]
@@ -155,10 +75,7 @@ pub(crate) const VIRTUAL_TID_BASE: u64 = 1000;
 #[derive(Default)]
 struct State {
     events: Vec<EventRec>,
-    counters: std::collections::BTreeMap<(Metric, OpClassKey), u64>,
-    /// Free-form counters keyed by dotted name (e.g.
-    /// `fault.bitflip.detected`) for event families that do not fit the
-    /// `Metric × OpClassKey` grid.
+    /// Counters keyed by dotted name (e.g. `fault.bitflip.detected`).
     named: std::collections::BTreeMap<String, u64>,
     /// Latency histograms keyed by name. Boxed so the map nodes stay small;
     /// recording into an existing histogram allocates nothing.
@@ -254,18 +171,7 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    /// Adds `amount` to the `(metric, class)` counter.
-    #[inline]
-    pub fn count(&self, metric: Metric, class: OpClassKey, amount: u64) {
-        let Some(inner) = &self.inner else { return };
-        if amount == 0 {
-            return;
-        }
-        let mut st = inner.state.lock().expect("telemetry state poisoned");
-        *st.counters.entry((metric, class)).or_insert(0) += amount;
-    }
-
-    /// Adds `amount` to the free-form counter `name`. Use dotted lower-case
+    /// Adds `amount` to the counter `name`. Use dotted lower-case
     /// names (`fault.bitflip.detected`); zero amounts still materialize the
     /// counter so exports show explicit zeros for events that never fired.
     #[inline]
@@ -393,7 +299,7 @@ impl Telemetry {
         };
         let now_ns = inner.epoch.elapsed().as_nanos() as u64;
         let st = inner.state.lock().expect("telemetry state poisoned");
-        Snapshot::build(&st.events, &st.counters, &st.named, &st.hists, &st.meta, now_ns)
+        Snapshot::build(&st.events, &st.named, &st.hists, &st.meta, now_ns)
     }
 }
 
@@ -702,7 +608,7 @@ pub fn global() -> Option<Telemetry> {
     GLOBAL.get().cloned()
 }
 
-/// Adds `amount` to the free-form counter `name` on the process-global
+/// Adds `amount` to the counter `name` on the process-global
 /// handle — the counter analog of [`Span::enter`] for code that does not
 /// thread a handle explicitly. A single atomic load until [`install`] has
 /// been called with an enabled handle.
@@ -723,13 +629,13 @@ mod tests {
         {
             let _s = tel.span("never");
             let _t = tel.time("never.timed");
-            tel.count(Metric::MetaOps, OpClassKey::Ntt, 7);
+            tel.count_named("never.count", 7);
             tel.observe_ns("never.hist", 123);
             tel.set_meta("never", "meta");
         }
         let snap = tel.snapshot();
         assert!(snap.spans().is_empty());
-        assert!(snap.counters().is_empty());
+        assert!(snap.named_counters().is_empty());
         assert!(snap.histograms().is_empty());
         assert!(snap.meta().is_empty());
     }
@@ -741,7 +647,7 @@ mod tests {
         let tel = Telemetry::disabled();
         let start = Instant::now();
         for i in 0..10_000_000u64 {
-            tel.count(Metric::MetaOps, OpClassKey::Ntt, i & 1);
+            tel.count_named("sim.meta_ops.ntt", i & 1);
         }
         assert!(start.elapsed().as_secs_f64() < 2.0);
     }
@@ -779,16 +685,16 @@ mod tests {
                 let tel = tel.clone();
                 scope.spawn(move || {
                     for _ in 0..1000 {
-                        tel.count(Metric::MetaOps, OpClassKey::Bconv, 1);
-                        tel.count(Metric::HbmBytes, OpClassKey::Transfer, 64);
+                        tel.count_named("sim.meta_ops.bconv", 1);
+                        tel.count_named("sim.hbm_bytes.transfer", 64);
                     }
                     let _s = tel.span(&format!("worker-{t}"));
                 });
             }
         });
         let snap = tel.snapshot();
-        assert_eq!(snap.counter(Metric::MetaOps, OpClassKey::Bconv), 4000);
-        assert_eq!(snap.counter(Metric::HbmBytes, OpClassKey::Transfer), 256_000);
+        assert_eq!(snap.named_counter("sim.meta_ops.bconv"), 4000);
+        assert_eq!(snap.named_counter("sim.hbm_bytes.transfer"), 256_000);
         // Each worker thread got its own track.
         let tids: std::collections::BTreeSet<u64> = snap.spans().iter().map(|s| s.tid).collect();
         assert_eq!(tids.len(), 4);
@@ -823,8 +729,12 @@ mod tests {
         }
         {
             // Telemetry's own bookkeeping is exempt, so a span whose body
-            // does not touch the heap reports zero.
+            // does not touch the heap reports zero — even when its body is
+            // the first to count or observe a name, which inserts a map
+            // entry.
             let _quiet = tel.span("alloc.quiet");
+            tel.count_named("alloc.quiet.first_count", 1);
+            tel.observe_ns("alloc.quiet.first_observe", 1);
         }
         let snap = tel.snapshot();
         let get = |name: &str| snap.spans().iter().find(|s| s.name == name).unwrap().clone();

@@ -208,7 +208,7 @@ impl Drop for Sampler {
 /// plottable utilization-over-time series.
 ///
 /// Line shape (groups absent when empty):
-/// `{"seq":3,"at_ms":40.1,"counters":{"meta_ops.ntt":5},"named":{...},
+/// `{"seq":3,"at_ms":40.1,"named":{"sim.meta_ops.ntt":5},
 ///   "spans":{"ckks.mul":123},"hists":{"k":{"count":2,"sum_ns":9}},
 ///   "alloc":{"allocs":17,"bytes_allocated":4096},
 ///   "span_allocs":{"ckks.mul":{"allocs":3,"bytes":2048}},
@@ -237,17 +237,6 @@ impl JsonlSink {
         let mut line =
             format!("{{\"seq\":{},\"at_ms\":{:.3}", sample.seq, sample.at_ns as f64 / 1e6);
         let delta = sample.delta;
-        if !delta.counters.is_empty() {
-            line.push_str(",\"counters\":{");
-            for (i, ((metric, class), value)) in delta.counters.iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                write_escaped(&mut line, &format!("{}.{}", metric.name(), class.name()));
-                line.push_str(&format!(":{value}"));
-            }
-            line.push('}');
-        }
         for (key, map) in [("named", &delta.named), ("spans", &delta.span_ns)] {
             if map.is_empty() {
                 continue;
@@ -334,7 +323,6 @@ impl SampleSink for JsonlSink {
 mod tests {
     use super::*;
     use crate::json::parse;
-    use crate::{Metric, OpClassKey};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     struct CountingSink {
@@ -345,7 +333,7 @@ mod tests {
     impl SampleSink for CountingSink {
         fn on_sample(&mut self, sample: &Sample<'_>) -> io::Result<()> {
             self.samples.fetch_add(1, Ordering::SeqCst);
-            self.total.fetch_add(sample.delta.counters.values().sum::<u64>(), Ordering::SeqCst);
+            self.total.fetch_add(sample.delta.named.values().sum::<u64>(), Ordering::SeqCst);
             Ok(())
         }
     }
@@ -359,7 +347,7 @@ mod tests {
             .sink(CountingSink { samples: Arc::clone(&samples), total: Arc::clone(&total) })
             .spawn();
         for _ in 0..100 {
-            tel.count(Metric::MetaOps, OpClassKey::Ntt, 3);
+            tel.count_named("sim.meta_ops.ntt", 3);
         }
         let stats = sampler.stop();
         assert!(stats.ticks >= 1);

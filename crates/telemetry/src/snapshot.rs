@@ -3,7 +3,7 @@
 use crate::chrome::{self, Series};
 use crate::hist::Histogram;
 use crate::json::write_escaped;
-use crate::{EventRec, Metric, OpClassKey, VIRTUAL_TID_BASE};
+use crate::{EventRec, VIRTUAL_TID_BASE};
 use std::collections::BTreeMap;
 
 /// One finished (or still-open, duration-so-far) span.
@@ -27,17 +27,6 @@ pub struct SpanRow {
     pub allocs: u64,
     /// Bytes requested by those allocations.
     pub alloc_bytes: u64,
-}
-
-/// One counter cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterRow {
-    /// What is being counted.
-    pub metric: Metric,
-    /// Which operator family it is attributed to.
-    pub class: OpClassKey,
-    /// Accumulated value.
-    pub value: u64,
 }
 
 /// Summary row of one latency histogram: count, quantiles, and extremes
@@ -66,7 +55,6 @@ pub struct HistogramRow {
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     spans: Vec<SpanRow>,
-    counters: Vec<CounterRow>,
     named: Vec<(String, u64)>,
     hists: Vec<HistogramRow>,
     meta: Vec<(String, String)>,
@@ -79,7 +67,6 @@ impl Snapshot {
 
     pub(crate) fn build(
         events: &[EventRec],
-        counters: &BTreeMap<(Metric, OpClassKey), u64>,
         named: &BTreeMap<String, u64>,
         hists: &BTreeMap<String, Box<Histogram>>,
         meta: &BTreeMap<String, String>,
@@ -115,10 +102,6 @@ impl Snapshot {
                 alloc_bytes: e.alloc_bytes,
             })
             .collect();
-        let counters = counters
-            .iter()
-            .map(|(&(metric, class), &value)| CounterRow { metric, class, value })
-            .collect();
         let hists = hists
             .iter()
             .map(|(name, h)| HistogramRow {
@@ -133,7 +116,7 @@ impl Snapshot {
             .collect();
         let named = named.iter().map(|(k, &v)| (k.clone(), v)).collect();
         let meta = meta.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        Snapshot { spans, counters, named, hists, meta }
+        Snapshot { spans, named, hists, meta }
     }
 
     /// All spans, in recording order (parents precede children).
@@ -141,27 +124,12 @@ impl Snapshot {
         &self.spans
     }
 
-    /// All non-zero counters, sorted by (metric, class).
-    pub fn counters(&self) -> &[CounterRow] {
-        &self.counters
-    }
-
-    /// The value of one counter cell (0 when never touched).
-    pub fn counter(&self, metric: Metric, class: OpClassKey) -> u64 {
-        self.counters.iter().find(|c| c.metric == metric && c.class == class).map_or(0, |c| c.value)
-    }
-
-    /// Sum of one metric across all operator classes.
-    pub fn counter_total(&self, metric: Metric) -> u64 {
-        self.counters.iter().filter(|c| c.metric == metric).map(|c| c.value).sum()
-    }
-
-    /// All free-form named counters, sorted by name.
+    /// All counters, sorted by name.
     pub fn named_counters(&self) -> &[(String, u64)] {
         &self.named
     }
 
-    /// The value of one named counter (0 when never touched).
+    /// The value of one counter (0 when never touched).
     pub fn named_counter(&self, name: &str) -> u64 {
         self.named.iter().find(|(n, _)| n == name).map_or(0, |&(_, v)| v)
     }
@@ -179,11 +147,6 @@ impl Snapshot {
     /// Session metadata entries, sorted by key.
     pub fn meta(&self) -> &[(String, String)] {
         &self.meta
-    }
-
-    /// One metadata value by key.
-    pub fn meta_value(&self, key: &str) -> Option<&str> {
-        self.meta.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
     }
 
     /// Chrome `trace_event` JSON (the Perfetto legacy format): complete
@@ -219,10 +182,6 @@ impl Snapshot {
         }
         // A snapshot holds totals, not a time series: every counter sits
         // at the origin of the trace.
-        for c in &self.counters {
-            let name = format!("{}.{}", c.metric.name(), c.class.name());
-            chrome::counter_event(&mut out, &name, 0, &[("value", Series::Count(c.value))]);
-        }
         for (name, value) in &self.named {
             chrome::counter_event(&mut out, name, 0, &[("value", Series::Count(*value))]);
         }
@@ -259,7 +218,6 @@ impl Snapshot {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::json::parse;
     use crate::Telemetry;
 
@@ -271,8 +229,8 @@ mod tests {
             track.leaf("step", i * 100, 100);
         }
         track.close(300);
-        tel.count(Metric::MetaOps, OpClassKey::Ntt, 42);
-        tel.count(Metric::HbmBytes, OpClassKey::Transfer, 4096);
+        tel.count_named("sim.meta_ops.ntt", 42);
+        tel.count_named("sim.hbm_bytes.transfer", 4096);
         tel
     }
 
@@ -317,7 +275,7 @@ mod tests {
         assert_eq!(row.max_ns, 100_000);
         assert!(row.p50_ns >= 50_000 && row.p50_ns <= 57_000, "p50 {}", row.p50_ns);
         assert!(row.p99_ns >= 99_000 && row.p99_ns <= 100_000, "p99 {}", row.p99_ns);
-        assert_eq!(snap.meta_value("threads"), Some("4"));
+        assert!(snap.meta().contains(&("threads".into(), "4".into())));
 
         // Perfetto: a hist.* counter event with quantile series and an
         // alchemist.meta metadata event.
@@ -380,7 +338,8 @@ mod tests {
         assert_eq!(snap.named_counter("fault.bitflip.injected"), 10);
         assert_eq!(snap.named_counter("fault.bitflip.escaped"), 0);
         assert_eq!(snap.named_counter("fault.never.touched"), 0);
-        assert_eq!(snap.named_counters().len(), 3);
+        // The three above plus the two of `sample()`.
+        assert_eq!(snap.named_counters().len(), 5);
 
         let trace = parse(&snap.to_chrome_trace()).expect("valid trace");
         let events = trace.get("traceEvents").unwrap().as_arr().unwrap();
@@ -392,8 +351,9 @@ mod tests {
     #[test]
     fn counter_accessors_agree() {
         let snap = sample().snapshot();
-        assert_eq!(snap.counter(Metric::MetaOps, OpClassKey::Ntt), 42);
-        assert_eq!(snap.counter(Metric::MetaOps, OpClassKey::Bconv), 0);
-        assert_eq!(snap.counter_total(Metric::HbmBytes), 4096);
+        assert_eq!(snap.named_counter("sim.meta_ops.ntt"), 42);
+        assert_eq!(snap.named_counter("sim.meta_ops.bconv"), 0);
+        let names: Vec<&str> = snap.named_counters().iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["sim.hbm_bytes.transfer", "sim.meta_ops.ntt"], "sorted by name");
     }
 }

@@ -7,7 +7,7 @@
 //! explicit counters, hand-built flight events), so the documents repeat
 //! exactly; anything that changes a byte of either shows up here.
 
-use telemetry::{FlightEvent, FlightRecorder, Metric, OpClassKey, Telemetry};
+use telemetry::{FlightEvent, FlightRecorder, Telemetry};
 
 #[test]
 fn snapshot_trace_bytes_are_pinned() {
@@ -18,7 +18,7 @@ fn snapshot_trace_bytes_are_pinned() {
     track.leaf("sim.step.ntt", 0, 1500);
     track.leaf("sim.step.bconv", 1500, 250);
     track.close(1750);
-    tel.count(Metric::MetaOps, OpClassKey::Ntt, 42);
+    tel.count_named("sim.meta_ops.ntt", 42);
     tel.count_named("fault.bitflip.injected", 3);
     tel.observe_ns("kernel.ntt", 1234);
     let expected = concat!(
@@ -28,8 +28,8 @@ fn snapshot_trace_bytes_are_pinned() {
         r#"{"ph":"X","pid":1,"tid":1000,"ts":0,"dur":1.75,"cat":"simulated","name":"sim.run","args":{}},"#,
         r#"{"ph":"X","pid":1,"tid":1000,"ts":0,"dur":1.5,"cat":"simulated","name":"sim.step.ntt","args":{}},"#,
         r#"{"ph":"X","pid":1,"tid":1000,"ts":1.5,"dur":0.25,"cat":"simulated","name":"sim.step.bconv","args":{}},"#,
-        r#"{"ph":"C","pid":1,"tid":0,"ts":0,"name":"meta_ops.ntt","args":{"value":42}},"#,
         r#"{"ph":"C","pid":1,"tid":0,"ts":0,"name":"fault.bitflip.injected","args":{"value":3}},"#,
+        r#"{"ph":"C","pid":1,"tid":0,"ts":0,"name":"sim.meta_ops.ntt","args":{"value":42}},"#,
         r#"{"ph":"C","pid":1,"tid":0,"ts":0,"name":"hist.kernel.ntt","args":{"p50_us":1.234,"p90_us":1.234,"p99_us":1.234,"max_us":1.234,"count":1}}"#,
         r#"],"displayTimeUnit":"ns"}"#,
     );

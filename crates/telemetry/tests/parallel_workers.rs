@@ -3,7 +3,7 @@
 //! exactly, spans land on per-thread tracks, and the shared sink survives
 //! concurrent access.
 
-use telemetry::{Metric, OpClassKey, Telemetry};
+use telemetry::Telemetry;
 
 /// Runs `f(i)` for `i` in `0..items` on `threads` scoped threads, each
 /// owning one contiguous range of the items.
@@ -23,14 +23,14 @@ fn counters_exact_under_worker_threads() {
     let items = 1000usize;
     on_threads(4, items, |i| {
         let _span = tel.span("worker-item");
-        tel.count(Metric::MetaOps, OpClassKey::Ntt, 1);
-        tel.count(Metric::HbmBytes, OpClassKey::Transfer, 64 + (i as u64 % 2));
+        tel.count_named("sim.meta_ops.ntt", 1);
+        tel.count_named("sim.hbm_bytes.transfer", 64 + (i as u64 % 2));
     });
 
     let snap = tel.snapshot();
-    assert_eq!(snap.counter(Metric::MetaOps, OpClassKey::Ntt), items as u64);
+    assert_eq!(snap.named_counter("sim.meta_ops.ntt"), items as u64);
     // Sum of 64 + (i % 2) over 0..1000 = 64*1000 + 500.
-    assert_eq!(snap.counter(Metric::HbmBytes, OpClassKey::Transfer), 64_500);
+    assert_eq!(snap.named_counter("sim.hbm_bytes.transfer"), 64_500);
     // Every item produced exactly one span, one track per worker thread.
     assert_eq!(snap.spans().iter().filter(|s| s.name == "worker-item").count(), items);
     let tids: std::collections::BTreeSet<u64> = snap.spans().iter().map(|s| s.tid).collect();
@@ -65,8 +65,8 @@ fn histograms_identical_one_thread_vs_four() {
 fn counters_identical_one_thread_vs_four() {
     let run = |threads: usize| {
         let tel = Telemetry::enabled();
-        on_threads(threads, 257, |i| tel.count(Metric::MetaOps, OpClassKey::Bconv, i as u64));
-        tel.snapshot().counter(Metric::MetaOps, OpClassKey::Bconv)
+        on_threads(threads, 257, |i| tel.count_named("sim.meta_ops.bconv", i as u64));
+        tel.snapshot().named_counter("sim.meta_ops.bconv")
     };
     assert_eq!(run(1), run(4), "counter totals must not depend on the thread count");
 }
